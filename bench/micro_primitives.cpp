@@ -63,6 +63,33 @@ BM_PmemDeviceRandomWrite4B(benchmark::State &state)
 }
 BENCHMARK(BM_PmemDeviceRandomWrite4B);
 
+/**
+ * The same 4-byte scatter with four threads storing to one shared device
+ * (disjoint lines, shared XPBuffer sets and heat-table shards): the host
+ * cost of the model's bookkeeping under concurrency.
+ */
+void
+BM_PmemDeviceSharedRandomWrite4B(benchmark::State &state)
+{
+    constexpr uint64_t kLinesPerThread = (16 << 20) / 256;
+    static std::unique_ptr<PmemDevice> dev;
+    if (state.thread_index() == 0)
+        dev = std::make_unique<PmemDevice>(
+            "bm", state.threads() * kLinesPerThread * 256, 0, 1);
+    Rng rng(1 + state.thread_index());
+    const uint64_t base = state.thread_index() * kLinesPerThread;
+    uint32_t v = 0;
+    for (auto _ : state) {
+        dev->write(4 + 256 * (base + rng.nextBounded(kLinesPerThread)), &v,
+                   4);
+        ++v;
+    }
+    state.SetItemsProcessed(state.iterations());
+    if (state.thread_index() == 0)
+        dev.reset();
+}
+BENCHMARK(BM_PmemDeviceSharedRandomWrite4B)->Threads(4)->UseRealTime();
+
 void
 BM_PmemDeviceSequentialWrite256B(benchmark::State &state)
 {

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 benchmark driver: configures and builds the tree, runs the
-# fig14 query bench (vector vs visitor engines), the query-primitive
-# microbenchmarks, the concurrent-ingest scaling bench, and the
+# fig14 query bench (vector vs visitor engines), the query-primitive and
+# device-model microbenchmarks (the host cost of one modeled PMEM store,
+# alone and with four threads sharing a device), the concurrent-ingest
+# scaling bench, and the
 # recovery-depth bench, and leaves the machine-readable numbers in
 # BENCH_query.json / BENCH_ingest.json / BENCH_recovery.json (override
 # the paths with XPG_BENCH_JSON / XPG_BENCH_INGEST_JSON /
@@ -81,7 +83,7 @@ if [[ "${XPG_TSAN:-0}" == "1" ]]; then
     cmake -B "${tsan_dir}" -S "${repo_root}" -DXPG_SANITIZE=thread
     cmake --build "${tsan_dir}" -j "$(nproc)" --target xpg_tests
     "${tsan_dir}/tests/xpg_tests" \
-        --gtest_filter='Sessions/*:ConcurrentIngest*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:ReadView*:Delete*:Compact*:Ops*:OpScope*:Explain*'
+        --gtest_filter='Sessions/*:ConcurrentIngest*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:PmemDeviceTest.ConcurrentAccessesCountExactly:XPBuffer.*:ReadView*:Delete*:Compact*:Ops*:OpScope*:Explain*'
 fi
 
 if [[ "${XPG_ASAN:-0}" == "1" ]]; then
@@ -133,7 +135,7 @@ else
 fi
 
 "${build_dir}/bench/micro_primitives" \
-    --benchmark_filter='BM_(GetNebrs|Degree|LogWindow|AdjCodec|AdjRawCopy|TombstoneFold).*' \
+    --benchmark_filter='BM_(GetNebrs|Degree|LogWindow|AdjCodec|AdjRawCopy|TombstoneFold|PmemDevice|XPBuffer).*' \
     --benchmark_min_time=0.05
 
 export XPG_BENCH_INGEST_JSON="${XPG_BENCH_INGEST_JSON:-${repo_root}/BENCH_ingest.json}"

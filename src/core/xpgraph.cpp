@@ -1205,11 +1205,16 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
     // backpressure probe should make visible.
     XPG_TRACE_SCOPE(waitSpan, "log_full_wait", "ingest");
     enterBackpressure(node);
+    // Judge the wake-up by what the predicate saw: tryReserve takes no
+    // lock, so another session may reserve the freed slots before this
+    // one re-reads them; the caller then simply waits again.
+    bool had_space = false;
     spaceCv_.wait(lock, [&] {
-        return log.freeSlots() > 0 || archiverStop_;
+        had_space = log.freeSlots() > 0;
+        return had_space || archiverStop_;
     });
     exitBackpressure(node);
-    XPG_ASSERT(log.freeSlots() > 0,
+    XPG_ASSERT(had_space,
                "store shut down while a session was blocked on log space");
 }
 

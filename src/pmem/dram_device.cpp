@@ -33,19 +33,16 @@ DramDevice::chargeAccess(uint64_t size, bool is_write)
 void
 DramDevice::read(uint64_t off, void *dst, uint64_t size)
 {
-    checkRange(off, size);
-    appBytesRead_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesRead, size);
-    chargeAccess(size, false);
-    std::memcpy(dst, raw(off), size);
+    std::memcpy(dst, readView(off, size), size);
 }
 
 const std::byte *
 DramDevice::readView(uint64_t off, uint64_t size)
 {
     checkRange(off, size);
-    appBytesRead_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesRead, size);
+    if (size == 0)
+        return raw(off);
+    count(telemetry::AttrField::AppBytesRead, size);
     chargeAccess(size, false);
     return raw(off);
 }
@@ -54,8 +51,9 @@ void
 DramDevice::write(uint64_t off, const void *src, uint64_t size)
 {
     checkRange(off, size);
-    appBytesWritten_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesWritten, size);
+    if (size == 0)
+        return;
+    count(telemetry::AttrField::AppBytesWritten, size);
     chargeAccess(size, true);
     std::memcpy(raw(off), src, size);
 }

@@ -87,8 +87,7 @@ MemoryDevice::remoteFactor(double remote_mult)
     if (bound == node_)
         return 1.0;
     if (bound != kUnboundNode) {
-        remoteAccesses_.fetch_add(1, std::memory_order_relaxed);
-        attrAdd(telemetry::AttrField::RemoteAccesses, 1);
+        count(telemetry::AttrField::RemoteAccesses, 1);
         return remote_mult;
     }
     if (numNodes_ <= 1)
@@ -97,24 +96,8 @@ MemoryDevice::remoteFactor(double remote_mult)
     // accesses to this device land remote.
     const double remote_frac =
         static_cast<double>(numNodes_ - 1) / static_cast<double>(numNodes_);
-    remoteAccesses_.fetch_add(1, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::RemoteAccesses, 1);
+    count(telemetry::AttrField::RemoteAccesses, 1);
     return 1.0 + remote_frac * (remote_mult - 1.0);
-}
-
-PcmCounters
-MemoryDevice::counters() const
-{
-    PcmCounters c;
-    c.appBytesRead = appBytesRead_.load(std::memory_order_relaxed);
-    c.appBytesWritten = appBytesWritten_.load(std::memory_order_relaxed);
-    c.mediaBytesRead = mediaBytesRead_.load(std::memory_order_relaxed);
-    c.mediaBytesWritten = mediaBytesWritten_.load(std::memory_order_relaxed);
-    c.mediaReadOps = mediaReadOps_.load(std::memory_order_relaxed);
-    c.mediaWriteOps = mediaWriteOps_.load(std::memory_order_relaxed);
-    c.bufferHits = bufferHits_.load(std::memory_order_relaxed);
-    c.remoteAccesses = remoteAccesses_.load(std::memory_order_relaxed);
-    return c;
 }
 
 void

@@ -163,13 +163,13 @@ class MemoryDevice
     }
 
     /** Snapshot of cumulative traffic counters. */
-    PcmCounters counters() const;
+    PcmCounters counters() const { return attr_.total(); }
 
     /**
-     * Per-category attribution of those same counters: each increment a
-     * subclass applies to a counter field is mirrored into the row of
-     * the calling thread's AccessScope category, so summing the rows
-     * reproduces counters() exactly. All-zero with -DXPG_TELEMETRY=OFF.
+     * Per-category attribution of those same counters: a subclass counts
+     * each increment in the row of the calling thread's AccessScope
+     * category, and counters() is the rows summed, so they reproduce it
+     * exactly. All-zero with -DXPG_TELEMETRY=OFF.
      */
     telemetry::AttributionSnapshot attribution() const
     {
@@ -213,34 +213,54 @@ class MemoryDevice
         return declaredReaders_.load(std::memory_order_relaxed);
     }
 
-    /** Mirror a counter increment into the calling scope's category. */
-    void
-    attrAdd(telemetry::AttrField f, uint64_t n)
+    /** The calling scope's category (Other with -DXPG_TELEMETRY=OFF). */
+    static telemetry::AccessCategory
+    scopeCategory()
     {
         if constexpr (telemetry::kAttributionEnabled)
-            attr_.add(telemetry::AccessScope::current(), f, n);
-        else {
-            (void)f;
-            (void)n;
-        }
+            return telemetry::AccessScope::current();
+        else
+            return telemetry::AccessCategory::Other;
     }
 
-    /** Mirror an increment into an explicit category (eviction blame). */
+    /** Count @p n into field @p f of the calling scope's category. */
     void
-    attrAddTo(telemetry::AccessCategory c, telemetry::AttrField f,
-              uint64_t n)
+    count(telemetry::AttrField f, uint64_t n)
+    {
+        attr_.add(scopeCategory(), f, n);
+    }
+
+    /** Count into an explicit category (eviction blame). */
+    void
+    countFor(telemetry::AccessCategory c, telemetry::AttrField f,
+             uint64_t n)
     {
         attr_.add(c, f, n);
+    }
+
+    /** One media fetch of @p bytes, by the calling scope. */
+    void
+    countMediaRead(uint64_t bytes)
+    {
+        count(telemetry::AttrField::MediaReadOps, 1);
+        count(telemetry::AttrField::MediaBytesRead, bytes);
+    }
+
+    /** One media write-back of @p bytes, blamed on the line's owner. */
+    void
+    countMediaWrite(uint8_t owner, uint64_t bytes)
+    {
+        countFor(ownerCategory(owner), telemetry::AttrField::MediaWriteOps,
+                 1);
+        countFor(ownerCategory(owner),
+                 telemetry::AttrField::MediaBytesWritten, bytes);
     }
 
     /** The calling scope's category as an XPBuffer owner tag. */
     static uint8_t
     ownerTag()
     {
-        if constexpr (telemetry::kAttributionEnabled)
-            return static_cast<uint8_t>(telemetry::AccessScope::current());
-        else
-            return static_cast<uint8_t>(telemetry::AccessCategory::Other);
+        return static_cast<uint8_t>(scopeCategory());
     }
 
     /** Owner tag back to a category (bad tags fall back to Other). */
@@ -252,20 +272,10 @@ class MemoryDevice
                    : telemetry::AccessCategory::Other;
     }
 
-    /// Cumulative counters (relaxed atomics; exact totals, any order).
-    std::atomic<uint64_t> appBytesRead_{0};
-    std::atomic<uint64_t> appBytesWritten_{0};
-    std::atomic<uint64_t> mediaBytesRead_{0};
-    std::atomic<uint64_t> mediaBytesWritten_{0};
-    std::atomic<uint64_t> mediaReadOps_{0};
-    std::atomic<uint64_t> mediaWriteOps_{0};
-    std::atomic<uint64_t> bufferHits_{0};
-    std::atomic<uint64_t> remoteAccesses_{0};
-
-    /// Per-category mirror of the counters above (attribution layer).
-    telemetry::AttributionTable attr_;
-
   private:
+    /// The device's traffic counters, per category (attribution layer);
+    /// counters() sums its rows.
+    telemetry::AttributionTable attr_;
     std::string name_;
     int node_;
     unsigned numNodes_;

@@ -48,36 +48,26 @@ MemoryModeDevice::access(uint64_t line, bool is_write)
         }
     }
 
-    lineAccesses_.fetch_add(1, std::memory_order_relaxed);
     // DRAM access happens either way (the cache is inclusive).
     SimClock::charge(p.dramRandomLineNs);
     if (hit) {
-        lineHits_.fetch_add(1, std::memory_order_relaxed);
-        bufferHits_.fetch_add(1, std::memory_order_relaxed);
-        attrAdd(AttrField::BufferHits, 1);
+        count(AttrField::BufferHits, 1);
         return true;
     }
 
     const double remote_r = remoteFactor(p.pmemRemoteReadMult);
-    mediaReadOps_.fetch_add(1, std::memory_order_relaxed);
-    mediaBytesRead_.fetch_add(kXPLineSize, std::memory_order_relaxed);
-    attrAdd(AttrField::MediaReadOps, 1);
-    attrAdd(AttrField::MediaBytesRead, kXPLineSize);
+    countMediaRead(kXPLineSize);
     if (is_write) {
         // A write miss fetches the full line before merging the store:
         // memory-mode's flavor of sub-line RMW amplification.
-        attrAdd(AttrField::RmwReads, 1);
+        count(AttrField::RmwReads, 1);
     }
     const double read_contention = CostParams::contentionMult(
         declaredReaders(), p.pmemReadFairThreads, p.pmemReadContentionSlope);
     SimClock::chargeScaled(p.pmemMediaReadNs, remote_r * read_contention);
 
     if (victim_dirty) {
-        mediaWriteOps_.fetch_add(1, std::memory_order_relaxed);
-        mediaBytesWritten_.fetch_add(kXPLineSize, std::memory_order_relaxed);
-        attrAddTo(ownerCategory(victim_owner), AttrField::MediaWriteOps, 1);
-        attrAddTo(ownerCategory(victim_owner), AttrField::MediaBytesWritten,
-                  kXPLineSize);
+        countMediaWrite(victim_owner, kXPLineSize);
         const double write_contention = CostParams::contentionMult(
             declaredWriters(), p.pmemWriteFairThreads,
             p.pmemWriteContentionSlope);
@@ -89,22 +79,16 @@ MemoryModeDevice::access(uint64_t line, bool is_write)
 void
 MemoryModeDevice::read(uint64_t off, void *dst, uint64_t size)
 {
-    checkRange(off, size);
-    appBytesRead_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesRead, size);
-    const uint64_t first = xplineOf(off);
-    const uint64_t last = xplineOf(off + size - 1);
-    for (uint64_t line = first; line <= last; ++line)
-        access(line, false);
-    std::memcpy(dst, raw(off), size);
+    std::memcpy(dst, readView(off, size), size);
 }
 
 const std::byte *
 MemoryModeDevice::readView(uint64_t off, uint64_t size)
 {
     checkRange(off, size);
-    appBytesRead_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesRead, size);
+    if (size == 0)
+        return raw(off);
+    count(telemetry::AttrField::AppBytesRead, size);
     const uint64_t first = xplineOf(off);
     const uint64_t last = xplineOf(off + size - 1);
     for (uint64_t line = first; line <= last; ++line)
@@ -116,8 +100,9 @@ void
 MemoryModeDevice::write(uint64_t off, const void *src, uint64_t size)
 {
     checkRange(off, size);
-    appBytesWritten_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesWritten, size);
+    if (size == 0)
+        return;
+    count(telemetry::AttrField::AppBytesWritten, size);
     const uint64_t first = xplineOf(off);
     const uint64_t last = xplineOf(off + size - 1);
     for (uint64_t line = first; line <= last; ++line)
@@ -128,11 +113,13 @@ MemoryModeDevice::write(uint64_t off, const void *src, uint64_t size)
 double
 MemoryModeDevice::hitRate() const
 {
-    const uint64_t acc = lineAccesses_.load(std::memory_order_relaxed);
+    // Every line access is a hit or a miss, and each miss is one media
+    // read.
+    const PcmCounters c = counters();
+    const uint64_t acc = c.bufferHits + c.mediaReadOps;
     if (acc == 0)
         return 0.0;
-    return static_cast<double>(lineHits_.load(std::memory_order_relaxed)) /
-           static_cast<double>(acc);
+    return static_cast<double>(c.bufferHits) / static_cast<double>(acc);
 }
 
 } // namespace xpg

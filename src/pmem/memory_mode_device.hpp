@@ -58,8 +58,6 @@ class MemoryModeDevice : public MemoryDevice
 
     std::vector<Tag> tags_;
     std::unique_ptr<SpinLock[]> locks_;
-    std::atomic<uint64_t> lineAccesses_{0};
-    std::atomic<uint64_t> lineHits_{0};
     const CostParams *params_;
 };
 

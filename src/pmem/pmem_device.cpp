@@ -15,7 +15,7 @@ PmemDevice::PmemDevice(std::string name, uint64_t capacity, int node,
                        const XPBufferConfig &buffer_config,
                        const CostParams *params)
     : MemoryDevice(std::move(name), capacity, node, num_nodes, backing_path),
-      buffer_(buffer_config),
+      buffer_(buffer_config, raw(0)),
       params_(params ? params : &globalCostParams())
 {
     initTelemetryHandles();
@@ -37,34 +37,25 @@ PmemDevice::chargeStoreOutcome(const XPAccessOutcome &out)
     using telemetry::AttrField;
     const CostParams &p = *params_;
     if (out.hit) {
-        bufferHits_.fetch_add(1, std::memory_order_relaxed);
-        attrAdd(AttrField::BufferHits, 1);
+        count(AttrField::BufferHits, 1);
         SimClock::charge(p.pmemBufferHitNs);
         return;
     }
     SimClock::charge(p.pmemBufferHitNs);
     const double remote = remoteFactor(p.pmemRemoteWriteMult);
     if (out.rmwRead) {
-        mediaReadOps_.fetch_add(1, std::memory_order_relaxed);
-        mediaBytesRead_.fetch_add(kXPLineSize, std::memory_order_relaxed);
         // The sub-line-store detector: this media read exists only
         // because a store began off the line base, so the full line of
         // read amplification is blamed on the storing category.
-        attrAdd(AttrField::MediaReadOps, 1);
-        attrAdd(AttrField::MediaBytesRead, kXPLineSize);
-        attrAdd(AttrField::RmwReads, 1);
+        countMediaRead(kXPLineSize);
+        count(AttrField::RmwReads, 1);
         const uint64_t readNs = CostParams::scaledNs(p.pmemMediaReadNs,
                                                      remote);
         SimClock::charge(readNs);
         XPG_TEL_RECORD(telMediaReadHist_, readNs);
     }
     if (out.evictWrite) {
-        mediaWriteOps_.fetch_add(1, std::memory_order_relaxed);
-        mediaBytesWritten_.fetch_add(kXPLineSize, std::memory_order_relaxed);
-        attrAddTo(ownerCategory(out.evictedOwner), AttrField::MediaWriteOps,
-                  1);
-        attrAddTo(ownerCategory(out.evictedOwner),
-                  AttrField::MediaBytesWritten, kXPLineSize);
+        countMediaWrite(out.evictedOwner, kXPLineSize);
         const uint64_t base =
             out.evictSeq ? p.pmemMediaWriteSeqNs : p.pmemMediaWriteNs;
         const double slope = out.evictSeq ? p.pmemSeqWriteContentionSlope
@@ -84,20 +75,16 @@ PmemDevice::chargeLoadOutcome(const XPAccessOutcome &out)
     using telemetry::AttrField;
     const CostParams &p = *params_;
     if (out.hit) {
-        bufferHits_.fetch_add(1, std::memory_order_relaxed);
-        attrAdd(AttrField::BufferHits, 1);
+        count(AttrField::BufferHits, 1);
         SimClock::charge(p.pmemBufferHitNs);
         return;
     }
     SimClock::charge(p.pmemBufferHitNs);
     const double remote = remoteFactor(p.pmemRemoteReadMult);
     if (out.rmwRead) {
-        mediaReadOps_.fetch_add(1, std::memory_order_relaxed);
-        mediaBytesRead_.fetch_add(kXPLineSize, std::memory_order_relaxed);
         // A load miss, not an RMW: media read bytes land in the loading
         // category but rmwReads stays untouched.
-        attrAdd(AttrField::MediaReadOps, 1);
-        attrAdd(AttrField::MediaBytesRead, kXPLineSize);
+        countMediaRead(kXPLineSize);
         const double contention = CostParams::contentionMult(
             declaredReaders(), p.pmemReadFairThreads,
             p.pmemReadContentionSlope);
@@ -107,12 +94,7 @@ PmemDevice::chargeLoadOutcome(const XPAccessOutcome &out)
         XPG_TEL_RECORD(telMediaReadHist_, readNs);
     }
     if (out.evictWrite) {
-        mediaWriteOps_.fetch_add(1, std::memory_order_relaxed);
-        mediaBytesWritten_.fetch_add(kXPLineSize, std::memory_order_relaxed);
-        attrAddTo(ownerCategory(out.evictedOwner), AttrField::MediaWriteOps,
-                  1);
-        attrAddTo(ownerCategory(out.evictedOwner),
-                  AttrField::MediaBytesWritten, kXPLineSize);
+        countMediaWrite(out.evictedOwner, kXPLineSize);
         const uint64_t base =
             out.evictSeq ? p.pmemMediaWriteSeqNs : p.pmemMediaWriteNs;
         const uint64_t writeNs = CostParams::scaledNs(base, remote);
@@ -122,18 +104,7 @@ PmemDevice::chargeLoadOutcome(const XPAccessOutcome &out)
 }
 
 void
-PmemDevice::noteLineDirtied(uint64_t line)
-{
-    std::lock_guard<SpinLock> guard(shadowLock_);
-    // If an image already exists (a line that was made volatile by a crash
-    // and is dirtied again), it is the true durable content — keep it.
-    auto [it, inserted] = shadow_.try_emplace(line);
-    if (inserted)
-        std::memcpy(it->second.data(), raw(line * kXPLineSize), kXPLineSize);
-}
-
-void
-PmemDevice::applyTornWrite(uint64_t line, LineImage &old_image)
+PmemDevice::applyTornWrite(uint64_t line, XPLineImage &old_image)
 {
     // The media write tears: only an 8-byte-aligned prefix or suffix of
     // the line's new content lands; the rest keeps the old durable bytes.
@@ -150,49 +121,43 @@ PmemDevice::applyTornWrite(uint64_t line, LineImage &old_image)
 }
 
 void
-PmemDevice::noteMediaWrite(uint64_t line)
+PmemDevice::noteMediaWrite(uint64_t line, const XPLineImage &image)
 {
-    std::lock_guard<SpinLock> guard(shadowLock_);
-    if (!faults_) {
-        shadow_.erase(line);
+    std::lock_guard<SpinLock> guard(faultsLock_);
+    if (!faults_)
+        return;
+    const bool trigger = faults_->onMediaWrite();
+    const FaultPlan::TornMode torn =
+        trigger ? faults_->plan().torn : FaultPlan::TornMode::None;
+    // Before the crash every write lands, and so does a whole
+    // triggering write: the line's bytes are now its durable content.
+    if (trigger ? torn == FaultPlan::TornMode::None : !faults_->crashed()) {
+        lost_.erase(line);
         return;
     }
-    if (faults_->onMediaWrite()) {
-        // This is the crashing write.
-        switch (faults_->plan().torn) {
-        case FaultPlan::TornMode::None:
-            shadow_.erase(line); // lands whole, then power fails
-            break;
-        case FaultPlan::TornMode::Drop:
-            break; // lost entirely; old image stays durable
-        case FaultPlan::TornMode::Prefix:
-        case FaultPlan::TornMode::Suffix: {
-            auto it = shadow_.find(line);
-            if (it != shadow_.end())
-                applyTornWrite(line, it->second);
-            break;
-        }
-        }
-        return;
-    }
-    if (faults_->crashed())
-        return; // power already failed: nothing becomes durable anymore
-    shadow_.erase(line);
+    // The write never lands (power already failed, or the triggering
+    // write is dropped or torn): the media keeps its earlier image.
+    XPLineImage &kept = lost_.try_emplace(line, image).first->second;
+    if (torn == FaultPlan::TornMode::Prefix ||
+        torn == FaultPlan::TornMode::Suffix)
+        applyTornWrite(line, kept);
 }
 
 void
 PmemDevice::chargeRead(uint64_t off, uint64_t size)
 {
-    appBytesRead_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesRead, size);
+    count(telemetry::AttrField::AppBytesRead, size);
+    const bool armed = faultsArmed();
+    XPLineImage victim;
     const uint64_t first = xplineOf(off);
     const uint64_t last = xplineOf(off + size - 1);
     for (uint64_t line = first; line <= last; ++line) {
-        heat_.touch(line, ownerCategory(ownerTag()), false);
-        const XPAccessOutcome out = buffer_.load(line);
+        heat_.touch(line, scopeCategory(), false);
+        const XPAccessOutcome out = buffer_.load(line, armed ? &victim
+                                                             : nullptr);
         chargeLoadOutcome(out);
-        if (out.evictWrite)
-            noteMediaWrite(out.evictedLine);
+        if (armed && out.evictWrite)
+            noteMediaWrite(out.evictedLine, victim);
     }
 }
 
@@ -200,6 +165,8 @@ void
 PmemDevice::read(uint64_t off, void *dst, uint64_t size)
 {
     checkRange(off, size);
+    if (size == 0)
+        return;
     chargeRead(off, size);
     std::memcpy(dst, raw(off), size);
 }
@@ -208,7 +175,8 @@ const std::byte *
 PmemDevice::readView(uint64_t off, uint64_t size)
 {
     checkRange(off, size);
-    chargeRead(off, size);
+    if (size != 0)
+        chargeRead(off, size);
     return raw(off);
 }
 
@@ -216,9 +184,12 @@ void
 PmemDevice::write(uint64_t off, const void *src, uint64_t size)
 {
     checkRange(off, size);
-    appBytesWritten_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesWritten, size);
+    if (size == 0)
+        return;
+    count(telemetry::AttrField::AppBytesWritten, size);
     const uint8_t owner = ownerTag();
+    const bool armed = faultsArmed();
+    XPLineImage victim;
     // Per-line store + copy: an eviction caused by a later line of this
     // same write must write back the *final* content of the evicted line,
     // so each line's bytes land in the backing before the next line's
@@ -232,15 +203,15 @@ PmemDevice::write(uint64_t off, const void *src, uint64_t size)
         const uint64_t chunk = std::min(end, line_end) - cursor;
         const bool starts_at_base = (cursor == line * kXPLineSize);
         if (!starts_at_base)
-            attrAdd(telemetry::AttrField::SubLineStores, 1);
+            count(telemetry::AttrField::SubLineStores, 1);
         heat_.touch(line, ownerCategory(owner), true);
-        const XPAccessOutcome out =
-            buffer_.store(line, starts_at_base, owner);
-        if (out.dirtied)
-            noteLineDirtied(line); // snapshot pre-store durable image
+        // The store captures the line's pre-store bytes as its media
+        // image when it goes clean -> dirty.
+        const XPAccessOutcome out = buffer_.store(
+            line, starts_at_base, owner, armed ? &victim : nullptr);
         chargeStoreOutcome(out);
-        if (out.evictWrite)
-            noteMediaWrite(out.evictedLine);
+        if (armed && out.evictWrite)
+            noteMediaWrite(out.evictedLine, victim);
         std::memcpy(raw(cursor), cursor_src, chunk);
         cursor_src += chunk;
         cursor += chunk;
@@ -250,21 +221,16 @@ PmemDevice::write(uint64_t off, const void *src, uint64_t size)
 void
 PmemDevice::quiesce()
 {
+    const bool armed = faultsArmed();
     std::vector<uint64_t> drained_lines;
     std::vector<uint8_t> drained_owners;
-    const unsigned drained =
-        buffer_.drainDirty(&drained_lines, &drained_owners);
-    mediaWriteOps_.fetch_add(drained, std::memory_order_relaxed);
-    mediaBytesWritten_.fetch_add(uint64_t{drained} * kXPLineSize,
-                                 std::memory_order_relaxed);
-    for (const uint8_t owner : drained_owners) {
-        attrAddTo(ownerCategory(owner), telemetry::AttrField::MediaWriteOps,
-                  1);
-        attrAddTo(ownerCategory(owner),
-                  telemetry::AttrField::MediaBytesWritten, kXPLineSize);
-    }
-    for (const uint64_t line : drained_lines)
-        noteMediaWrite(line);
+    std::vector<XPLineImage> drained_images;
+    buffer_.drainDirty(armed ? &drained_lines : nullptr, &drained_owners,
+                       armed ? &drained_images : nullptr);
+    for (const uint8_t owner : drained_owners)
+        countMediaWrite(owner, kXPLineSize);
+    for (size_t i = 0; i < drained_lines.size(); ++i)
+        noteMediaWrite(drained_lines[i], drained_images[i]);
 }
 
 void
@@ -274,19 +240,16 @@ PmemDevice::persist(uint64_t off, uint64_t size)
         return;
     checkRange(off, size);
     const CostParams &p = *params_;
+    const bool armed = faultsArmed();
+    XPLineImage image;
     const uint64_t first = xplineOf(off);
     const uint64_t last = xplineOf(off + size - 1);
     for (uint64_t line = first; line <= last; ++line) {
         uint8_t owner = ownerTag();
-        if (buffer_.flushLine(line, &owner)) {
-            mediaWriteOps_.fetch_add(1, std::memory_order_relaxed);
-            mediaBytesWritten_.fetch_add(kXPLineSize,
-                                         std::memory_order_relaxed);
-            attrAddTo(ownerCategory(owner),
-                      telemetry::AttrField::MediaWriteOps, 1);
-            attrAddTo(ownerCategory(owner),
-                      telemetry::AttrField::MediaBytesWritten, kXPLineSize);
-            noteMediaWrite(line);
+        if (buffer_.flushLine(line, &owner, armed ? &image : nullptr)) {
+            countMediaWrite(owner, kXPLineSize);
+            if (armed)
+                noteMediaWrite(line, image);
             const double remote = remoteFactor(p.pmemRemoteWriteMult);
             const double contention = CostParams::contentionMult(
                 declaredWriters(), p.pmemWriteFairThreads,
@@ -300,26 +263,30 @@ PmemDevice::persist(uint64_t off, uint64_t size)
 void
 PmemDevice::powerCycle()
 {
-    std::lock_guard<SpinLock> guard(shadowLock_);
-    for (const auto &[line, image] : shadow_)
+    std::lock_guard<SpinLock> guard(faultsLock_);
+    buffer_.reset(); // dirty lines revert to their entries' images
+    // Lost write-backs last: a lost line dirtied again captured volatile
+    // bytes as its entry image; the image kept here is the durable one.
+    for (const auto &[line, image] : lost_)
         std::memcpy(raw(line * kXPLineSize), image.data(), kXPLineSize);
-    shadow_.clear();
+    lost_.clear();
     faults_.reset();
-    buffer_.reset();
+    faultsArmed_.store(false, std::memory_order_relaxed);
 }
 
 bool
 PmemDevice::armFaults(std::shared_ptr<FaultInjector> injector)
 {
-    std::lock_guard<SpinLock> guard(shadowLock_);
+    std::lock_guard<SpinLock> guard(faultsLock_);
     faults_ = std::move(injector);
+    faultsArmed_.store(faults_ != nullptr, std::memory_order_relaxed);
     return true;
 }
 
 bool
 PmemDevice::crashTriggered() const
 {
-    std::lock_guard<SpinLock> guard(shadowLock_);
+    std::lock_guard<SpinLock> guard(faultsLock_);
     return faults_ && faults_->crashed();
 }
 

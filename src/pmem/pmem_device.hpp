@@ -7,7 +7,7 @@
 #ifndef XPG_PMEM_PMEM_DEVICE_HPP
 #define XPG_PMEM_PMEM_DEVICE_HPP
 
-#include <array>
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -58,9 +58,11 @@ class PmemDevice : public MemoryDevice
 
     /**
      * Power-cycle model: every line whose latest content never reached
-     * the media is reverted to its last durable image, then the XPBuffer
-     * is dropped and any armed fault plan is disarmed. After this the
-     * backing holds exactly what a real crash would have preserved.
+     * the media is reverted to its last durable image — the XPBuffer's
+     * dirty lines to their entries' images, then the lines whose
+     * write-backs an armed fault plan lost — the XPBuffer is dropped and
+     * any armed fault plan is disarmed. After this the backing holds
+     * exactly what a real crash would have preserved.
      */
     void powerCycle() override;
 
@@ -77,8 +79,6 @@ class PmemDevice : public MemoryDevice
     const telemetry::LineHeatTable &heat() const { return heat_; }
 
   private:
-    using LineImage = std::array<std::byte, kXPLineSize>;
-
     /** Lazily-resolved per-node telemetry histograms (null with
      *  -DXPG_TELEMETRY=OFF): modeled ns of each XPLine media
      *  write-back / fetch, the per-operation view under the phase
@@ -88,24 +88,31 @@ class PmemDevice : public MemoryDevice
     void chargeStoreOutcome(const XPAccessOutcome &out);
     void chargeLoadOutcome(const XPAccessOutcome &out);
     void chargeRead(uint64_t off, uint64_t size);
-    /** A line went clean -> dirty: snapshot its durable image. */
-    void noteLineDirtied(uint64_t line);
-    /** A line's current content was written to the media. */
-    void noteMediaWrite(uint64_t line);
-    void applyTornWrite(uint64_t line, LineImage &old_image);
+    /** True while a fault plan is armed: write-backs then report their
+     *  images to noteMediaWrite(). */
+    bool
+    faultsArmed() const
+    {
+        return faultsArmed_.load(std::memory_order_relaxed);
+    }
+    /** Line @p line was written back from media image @p image (armed
+     *  fault plan only): decide whether the write lands. */
+    void noteMediaWrite(uint64_t line, const XPLineImage &image);
+    void applyTornWrite(uint64_t line, XPLineImage &old_image);
 
     XPBuffer buffer_;
     const CostParams *params_;
-    /** Guards shadow_ and faults_. */
-    mutable SpinLock shadowLock_;
-    /**
-     * Last durable image of every line that is currently dirtier in the
-     * backing than on the modeled media. A line absent from the map is
-     * durable as-is in the backing. powerCycle() restores these images,
-     * which is what makes unflushed writes actually disappear.
-     */
-    std::unordered_map<uint64_t, LineImage> shadow_;
+    /** Guards faults_ and lost_. */
+    mutable SpinLock faultsLock_;
     std::shared_ptr<FaultInjector> faults_;
+    std::atomic<bool> faultsArmed_{false};
+    /**
+     * Media image of every line whose write-back never landed (after the
+     * crash tripped, or a dropped or torn triggering write); the first
+     * image of a line wins. powerCycle() restores these after the
+     * XPBuffer's dirty images.
+     */
+    std::unordered_map<uint64_t, XPLineImage> lost_;
     telemetry::LineHeatTable heat_;
 
     telemetry::ShardedHistogram *telWritebackHist_ = nullptr;

@@ -41,8 +41,7 @@ SsdDevice::chargeOutcome(const XPAccessOutcome &out, bool is_write)
 {
     using telemetry::AttrField;
     if (out.hit) {
-        bufferHits_.fetch_add(1, std::memory_order_relaxed);
-        attrAdd(AttrField::BufferHits, 1);
+        count(AttrField::BufferHits, 1);
         SimClock::charge(params_.cacheHitNs);
         return;
     }
@@ -52,23 +51,13 @@ SsdDevice::chargeOutcome(const XPAccessOutcome &out, bool is_write)
     const double queue = CostParams::contentionMult(
         accessors, params_.fairQueueDepth, params_.queueSlope);
     if (out.rmwRead) {
-        mediaReadOps_.fetch_add(1, std::memory_order_relaxed);
-        mediaBytesRead_.fetch_add(kSsdBlockSize,
-                                  std::memory_order_relaxed);
-        attrAdd(AttrField::MediaReadOps, 1);
-        attrAdd(AttrField::MediaBytesRead, kSsdBlockSize);
+        countMediaRead(kSsdBlockSize);
         if (is_write)
-            attrAdd(AttrField::RmwReads, 1);
+            count(AttrField::RmwReads, 1);
         SimClock::chargeScaled(params_.readBlockNs, queue);
     }
     if (out.evictWrite) {
-        mediaWriteOps_.fetch_add(1, std::memory_order_relaxed);
-        mediaBytesWritten_.fetch_add(kSsdBlockSize,
-                                     std::memory_order_relaxed);
-        attrAddTo(ownerCategory(out.evictedOwner), AttrField::MediaWriteOps,
-                  1);
-        attrAddTo(ownerCategory(out.evictedOwner),
-                  AttrField::MediaBytesWritten, kSsdBlockSize);
+        countMediaWrite(out.evictedOwner, kSsdBlockSize);
         SimClock::chargeScaled(params_.writeBlockNs, queue);
     }
 }
@@ -76,22 +65,16 @@ SsdDevice::chargeOutcome(const XPAccessOutcome &out, bool is_write)
 void
 SsdDevice::read(uint64_t off, void *dst, uint64_t size)
 {
-    checkRange(off, size);
-    appBytesRead_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesRead, size);
-    const uint64_t first = blockOf(off);
-    const uint64_t last = blockOf(off + size - 1);
-    for (uint64_t block = first; block <= last; ++block)
-        chargeOutcome(cache_.load(block), false);
-    std::memcpy(dst, raw(off), size);
+    std::memcpy(dst, readView(off, size), size);
 }
 
 const std::byte *
 SsdDevice::readView(uint64_t off, uint64_t size)
 {
     checkRange(off, size);
-    appBytesRead_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesRead, size);
+    if (size == 0)
+        return raw(off);
+    count(telemetry::AttrField::AppBytesRead, size);
     const uint64_t first = blockOf(off);
     const uint64_t last = blockOf(off + size - 1);
     for (uint64_t block = first; block <= last; ++block)
@@ -103,15 +86,16 @@ void
 SsdDevice::write(uint64_t off, const void *src, uint64_t size)
 {
     checkRange(off, size);
-    appBytesWritten_.fetch_add(size, std::memory_order_relaxed);
-    attrAdd(telemetry::AttrField::AppBytesWritten, size);
+    if (size == 0)
+        return;
+    count(telemetry::AttrField::AppBytesWritten, size);
     const uint64_t first = blockOf(off);
     const uint64_t last = blockOf(off + size - 1);
     uint64_t cursor = off;
     for (uint64_t block = first; block <= last; ++block) {
         const bool starts_at_base = cursor == block * kSsdBlockSize;
         if (!starts_at_base)
-            attrAdd(telemetry::AttrField::SubLineStores, 1);
+            count(telemetry::AttrField::SubLineStores, 1);
         chargeOutcome(cache_.store(block, starts_at_base, ownerTag()), true);
         cursor = (block + 1) * kSsdBlockSize;
     }
@@ -129,14 +113,7 @@ SsdDevice::persist(uint64_t off, uint64_t size)
     for (uint64_t block = first; block <= last; ++block) {
         uint8_t owner = ownerTag();
         if (cache_.flushLine(block, &owner)) {
-            mediaWriteOps_.fetch_add(1, std::memory_order_relaxed);
-            mediaBytesWritten_.fetch_add(kSsdBlockSize,
-                                         std::memory_order_relaxed);
-            attrAddTo(ownerCategory(owner),
-                      telemetry::AttrField::MediaWriteOps, 1);
-            attrAddTo(ownerCategory(owner),
-                      telemetry::AttrField::MediaBytesWritten,
-                      kSsdBlockSize);
+            countMediaWrite(owner, kSsdBlockSize);
             SimClock::charge(params_.writeBlockNs);
         }
     }
@@ -146,16 +123,9 @@ void
 SsdDevice::quiesce()
 {
     std::vector<uint8_t> drained_owners;
-    const unsigned drained = cache_.drainDirty(nullptr, &drained_owners);
-    mediaWriteOps_.fetch_add(drained, std::memory_order_relaxed);
-    mediaBytesWritten_.fetch_add(uint64_t{drained} * kSsdBlockSize,
-                                 std::memory_order_relaxed);
-    for (const uint8_t owner : drained_owners) {
-        attrAddTo(ownerCategory(owner), telemetry::AttrField::MediaWriteOps,
-                  1);
-        attrAddTo(ownerCategory(owner),
-                  telemetry::AttrField::MediaBytesWritten, kSsdBlockSize);
-    }
+    cache_.drainDirty(nullptr, &drained_owners);
+    for (const uint8_t owner : drained_owners)
+        countMediaWrite(owner, kSsdBlockSize);
 }
 
 } // namespace xpg

@@ -1,21 +1,25 @@
 #include "pmem/xpbuffer.hpp"
 
+#include <cstring>
 #include <mutex>
 
 #include "util/logging.hpp"
 
 namespace xpg {
 
-XPBuffer::XPBuffer(const XPBufferConfig &config)
-    : config_(config)
+XPBuffer::XPBuffer(const XPBufferConfig &config, std::byte *media)
+    : config_(config), media_(media)
 {
     XPG_ASSERT(config_.numSets > 0 &&
                (config_.numSets & (config_.numSets - 1)) == 0,
                "numSets must be a power of two");
     XPG_ASSERT(config_.ways > 0, "ways must be positive");
     sets_ = std::make_unique<Set[]>(config_.numSets);
-    for (unsigned s = 0; s < config_.numSets; ++s)
+    for (unsigned s = 0; s < config_.numSets; ++s) {
         sets_[s].entries.resize(config_.ways);
+        if (media_)
+            sets_[s].images.resize(config_.ways);
+    }
 }
 
 XPBuffer::Set &
@@ -37,8 +41,37 @@ XPBuffer::victimIn(Set &set) const
     return *victim;
 }
 
+void
+XPBuffer::captureImage(Set &set, const Entry &e) const
+{
+    if (media_)
+        std::memcpy(set.images[&e - set.entries.data()].data(),
+                    media_ + e.line * kXPLineSize, kXPLineSize);
+}
+
+void
+XPBuffer::copyImage(const Set &set, const Entry &e, XPLineImage *image) const
+{
+    if (media_ && image)
+        *image = set.images[&e - set.entries.data()];
+}
+
+void
+XPBuffer::evict(const Set &set, const Entry &victim, XPAccessOutcome &out,
+                XPLineImage *image) const
+{
+    if (victim.valid && victim.dirty) {
+        out.evictWrite = true;
+        out.evictSeq = victim.seqAlloc;
+        out.evictedLine = victim.line;
+        out.evictedOwner = victim.owner;
+        copyImage(set, victim, image);
+    }
+}
+
 XPAccessOutcome
-XPBuffer::store(uint64_t line, bool starts_at_base, uint8_t owner)
+XPBuffer::store(uint64_t line, bool starts_at_base, uint8_t owner,
+                XPLineImage *victim_image)
 {
     Set &set = setFor(line);
     std::lock_guard<SpinLock> guard(set.lock);
@@ -49,6 +82,8 @@ XPBuffer::store(uint64_t line, bool starts_at_base, uint8_t owner)
             XPAccessOutcome out;
             out.hit = true;
             out.dirtied = !e.dirty;
+            if (out.dirtied)
+                captureImage(set, e);
             e.dirty = true;
             e.owner = owner;
             e.lru = set.lruTick;
@@ -58,12 +93,7 @@ XPBuffer::store(uint64_t line, bool starts_at_base, uint8_t owner)
 
     XPAccessOutcome out;
     Entry &victim = victimIn(set);
-    if (victim.valid && victim.dirty) {
-        out.evictWrite = true;
-        out.evictSeq = victim.seqAlloc;
-        out.evictedLine = victim.line;
-        out.evictedOwner = victim.owner;
-    }
+    evict(set, victim, out, victim_image);
     out.rmwRead = !starts_at_base;
     out.dirtied = true;
     victim.line = line;
@@ -72,11 +102,12 @@ XPBuffer::store(uint64_t line, bool starts_at_base, uint8_t owner)
     victim.seqAlloc = starts_at_base;
     victim.owner = owner;
     victim.lru = set.lruTick;
+    captureImage(set, victim);
     return out;
 }
 
 XPAccessOutcome
-XPBuffer::load(uint64_t line)
+XPBuffer::load(uint64_t line, XPLineImage *victim_image)
 {
     Set &set = setFor(line);
     std::lock_guard<SpinLock> guard(set.lock);
@@ -93,12 +124,7 @@ XPBuffer::load(uint64_t line)
 
     XPAccessOutcome out;
     Entry &victim = victimIn(set);
-    if (victim.valid && victim.dirty) {
-        out.evictWrite = true;
-        out.evictSeq = victim.seqAlloc;
-        out.evictedLine = victim.line;
-        out.evictedOwner = victim.owner;
-    }
+    evict(set, victim, out, victim_image);
     out.rmwRead = true;
     victim.line = line;
     victim.valid = true;
@@ -110,7 +136,7 @@ XPBuffer::load(uint64_t line)
 }
 
 bool
-XPBuffer::flushLine(uint64_t line, uint8_t *owner)
+XPBuffer::flushLine(uint64_t line, uint8_t *owner, XPLineImage *image)
 {
     Set &set = setFor(line);
     std::lock_guard<SpinLock> guard(set.lock);
@@ -119,6 +145,7 @@ XPBuffer::flushLine(uint64_t line, uint8_t *owner)
             e.dirty = false;
             if (owner)
                 *owner = e.owner;
+            copyImage(set, e, image);
             return true;
         }
     }
@@ -140,12 +167,14 @@ XPBuffer::validLines() const
 
 unsigned
 XPBuffer::drainDirty(std::vector<uint64_t> *lines,
-                     std::vector<uint8_t> *owners)
+                     std::vector<uint8_t> *owners,
+                     std::vector<XPLineImage> *images)
 {
     unsigned drained = 0;
     for (unsigned s = 0; s < config_.numSets; ++s) {
-        std::lock_guard<SpinLock> guard(sets_[s].lock);
-        for (auto &e : sets_[s].entries) {
+        Set &set = sets_[s];
+        std::lock_guard<SpinLock> guard(set.lock);
+        for (auto &e : set.entries) {
             if (e.valid && e.dirty) {
                 e.dirty = false;
                 ++drained;
@@ -153,6 +182,8 @@ XPBuffer::drainDirty(std::vector<uint64_t> *lines,
                     lines->push_back(e.line);
                 if (owners)
                     owners->push_back(e.owner);
+                if (images && media_)
+                    copyImage(set, e, &images->emplace_back());
             }
         }
     }
@@ -163,10 +194,16 @@ void
 XPBuffer::reset()
 {
     for (unsigned s = 0; s < config_.numSets; ++s) {
-        std::lock_guard<SpinLock> guard(sets_[s].lock);
-        for (auto &e : sets_[s].entries)
+        Set &set = sets_[s];
+        std::lock_guard<SpinLock> guard(set.lock);
+        for (auto &e : set.entries) {
+            if (media_ && e.valid && e.dirty)
+                std::memcpy(media_ + e.line * kXPLineSize,
+                            set.images[&e - set.entries.data()].data(),
+                            kXPLineSize);
             e = Entry{};
-        sets_[s].lruTick = 0;
+        }
+        set.lruTick = 0;
     }
 }
 

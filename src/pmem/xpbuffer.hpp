@@ -14,29 +14,43 @@
  * thereby recognized without per-byte coverage tracking; the only pattern
  * miscounted is a random line-base store followed by eviction, which is
  * ~1/64 of random traffic.
+ *
+ * Crash model: a buffer built over the device's bytes (PmemDevice) keeps,
+ * in every dirty entry, the image the media holds for that line — the
+ * line's bytes as they were when it went clean -> dirty. Stores land in
+ * the device's bytes at once, so a power failure (reset()) writes those
+ * images back and every store that never left the buffer disappears. A
+ * write-back needs no bookkeeping: once the entry is clean, the bytes are
+ * the media content.
  */
 
 #ifndef XPG_PMEM_XPBUFFER_HPP
 #define XPG_PMEM_XPBUFFER_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "pmem/xpline.hpp"
 #include "util/spinlock.hpp"
 
 namespace xpg {
 
 /**
  * Geometry of the XPBuffer. Total lines = numSets * ways. The default
- * (256 lines = 64 KiB) models the ~16 KiB write-combining buffer of each
- * Optane DIMM aggregated over the four DIMMs of one socket.
+ * (32 sets x 16 ways = 512 lines = 128 KiB) models the write-combining
+ * buffers of one socket's Optane DIMMs taken together.
  */
 struct XPBufferConfig
 {
     unsigned numSets = 32; ///< must be a power of two
     unsigned ways = 16;
 };
+
+/** One XPLine's bytes (a crash-model media image). */
+using XPLineImage = std::array<std::byte, kXPLineSize>;
 
 /** What a single line access did at the media boundary. */
 struct XPAccessOutcome
@@ -58,7 +72,15 @@ struct XPAccessOutcome
 class XPBuffer
 {
   public:
-    explicit XPBuffer(const XPBufferConfig &config = XPBufferConfig{});
+    /**
+     * @param config Geometry.
+     * @param media When non-null, the bytes the lines live in (line L at
+     *        media + L * kXPLineSize): dirty entries then keep crash
+     *        images (see the file comment). Null keeps none (the SSD
+     *        page cache).
+     */
+    explicit XPBuffer(const XPBufferConfig &config = XPBufferConfig{},
+                      std::byte *media = nullptr);
 
     /**
      * A store touching line @p line.
@@ -70,20 +92,26 @@ class XPBuffer
      *        reports it via XPAccessOutcome::evictedOwner so the
      *        write-back is blamed on the code path that dirtied the
      *        line, not the one that evicted it.
+     * @param victim When non-null and a dirty victim is written back,
+     *        receives the victim's media image (crash images only).
      */
     XPAccessOutcome store(uint64_t line, bool starts_at_base,
-                          uint8_t owner = 0);
+                          uint8_t owner = 0, XPLineImage *victim = nullptr);
 
-    /** A load touching line @p line; misses allocate the line clean. */
-    XPAccessOutcome load(uint64_t line);
+    /** A load touching line @p line; misses allocate the line clean.
+     *  @p victim as for store(). */
+    XPAccessOutcome load(uint64_t line, XPLineImage *victim = nullptr);
 
     /**
      * Explicit write-back (clwb-style) of @p line if present and dirty.
      * @param owner When non-null and a write was issued, receives the
      *        line's owner tag.
+     * @param image When non-null and a write was issued, receives the
+     *        line's media image before the write (crash images only).
      * @return true when a media write was issued.
      */
-    bool flushLine(uint64_t line, uint8_t *owner = nullptr);
+    bool flushLine(uint64_t line, uint8_t *owner = nullptr,
+                   XPLineImage *image = nullptr);
 
     /** Number of currently valid lines (for tests). */
     unsigned validLines() const;
@@ -91,15 +119,22 @@ class XPBuffer
     /**
      * Write back every dirty line (background drain between phases).
      * @param drained When non-null, the written-back line indices are
-     *        appended (crash-model bookkeeping).
+     *        appended.
      * @param owners When non-null, the owner tag of each drained line is
      *        appended in lockstep with @p drained.
+     * @param images When non-null, each drained line's media image before
+     *        the write is appended in lockstep (crash images only).
      * @return the number of lines written back.
      */
     unsigned drainDirty(std::vector<uint64_t> *drained = nullptr,
-                        std::vector<uint8_t> *owners = nullptr);
+                        std::vector<uint8_t> *owners = nullptr,
+                        std::vector<XPLineImage> *images = nullptr);
 
-    /** Drop all lines, writing back nothing (power-cycle of the model). */
+    /**
+     * Power failure: drop all lines, writing back nothing. With crash
+     * images, every dirty line's bytes are first restored to its media
+     * image.
+     */
     void reset();
 
   private:
@@ -116,6 +151,8 @@ class XPBuffer
     struct Set
     {
         std::vector<Entry> entries;
+        /** Media image per way (crash images only; else empty). */
+        std::vector<XPLineImage> images;
         uint32_t lruTick = 0;
         mutable SpinLock lock;
     };
@@ -123,8 +160,17 @@ class XPBuffer
     Set &setFor(uint64_t line);
     /** Pick victim way in a locked set: first invalid, else LRU. */
     Entry &victimIn(Set &set) const;
+    /** Evict @p victim of a locked set for a miss, reporting a dirty
+     *  write-back in @p out (and its image in @p image). */
+    void evict(const Set &set, const Entry &victim, XPAccessOutcome &out,
+               XPLineImage *image) const;
+    /** A line of a locked set goes clean -> dirty: keep its image. */
+    void captureImage(Set &set, const Entry &e) const;
+    /** Copy @p e's image out of a locked set, when images are kept. */
+    void copyImage(const Set &set, const Entry &e, XPLineImage *image) const;
 
     XPBufferConfig config_;
+    std::byte *media_;
     std::unique_ptr<Set[]> sets_;
 };
 

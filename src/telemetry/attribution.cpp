@@ -1,6 +1,7 @@
 #include "telemetry/attribution.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 
 namespace xpg::telemetry {
@@ -79,41 +80,76 @@ AttributionSnapshot::toJson() const
     return v;
 }
 
+namespace {
+
+/** One category's cells as a row. */
+AttributionRow
+rowOf(const std::atomic<uint64_t> (&cells)[kAttrFieldCount])
+{
+    const auto field = [&cells](AttrField f) {
+        return cells[static_cast<unsigned>(f)].load(std::memory_order_relaxed);
+    };
+    AttributionRow row;
+    row.pcm.appBytesRead = field(AttrField::AppBytesRead);
+    row.pcm.appBytesWritten = field(AttrField::AppBytesWritten);
+    row.pcm.mediaBytesRead = field(AttrField::MediaBytesRead);
+    row.pcm.mediaBytesWritten = field(AttrField::MediaBytesWritten);
+    row.pcm.mediaReadOps = field(AttrField::MediaReadOps);
+    row.pcm.mediaWriteOps = field(AttrField::MediaWriteOps);
+    row.pcm.bufferHits = field(AttrField::BufferHits);
+    row.pcm.remoteAccesses = field(AttrField::RemoteAccesses);
+    row.rmwReads = field(AttrField::RmwReads);
+    row.subLineStores = field(AttrField::SubLineStores);
+    return row;
+}
+
+} // namespace
+
 AttributionSnapshot
-AttributionTable::snapshot() const
+AttributionTable::sum() const
 {
     AttributionSnapshot s;
-    for (unsigned c = 0; c < kAccessCategoryCount; ++c) {
-        AttributionRow &row = s.rows[c];
-        const auto field = [&](AttrField f) {
-            return cells_[c][static_cast<unsigned>(f)].load(
-                std::memory_order_relaxed);
-        };
-        row.pcm.appBytesRead = field(AttrField::AppBytesRead);
-        row.pcm.appBytesWritten = field(AttrField::AppBytesWritten);
-        row.pcm.mediaBytesRead = field(AttrField::MediaBytesRead);
-        row.pcm.mediaBytesWritten = field(AttrField::MediaBytesWritten);
-        row.pcm.mediaReadOps = field(AttrField::MediaReadOps);
-        row.pcm.mediaWriteOps = field(AttrField::MediaWriteOps);
-        row.pcm.bufferHits = field(AttrField::BufferHits);
-        row.pcm.remoteAccesses = field(AttrField::RemoteAccesses);
-        row.rmwReads = field(AttrField::RmwReads);
-        row.subLineStores = field(AttrField::SubLineStores);
-    }
+    shards_.forEach([&s](const Shard &shard) {
+        for (unsigned c = 0; c < kAccessCategoryCount; ++c)
+            s.rows[c] += rowOf(shard.cells[c]);
+    });
     return s;
 }
 
-void
-AttributionTable::reset()
+AttributionSnapshot
+AttributionTable::snapshot() const
 {
-    for (auto &row : cells_)
-        for (auto &cell : row)
-            cell.store(0, std::memory_order_relaxed);
+    if constexpr (!kAttributionEnabled)
+        return AttributionSnapshot{};
+    return sum();
+}
+
+PcmCounters
+AttributionTable::total() const
+{
+    return sum().total();
 }
 
 LineHeatTable::LineHeatTable(unsigned capacity)
-    : perShardCapacity_(std::max(1u, capacity / kShards))
+    : perShardCapacity_(std::max(1u, capacity / kShards)),
+      slotsPerShard_(std::bit_ceil(2 * perShardCapacity_))
 {
+    for (Shard &shard : shards_)
+        shard.slots = std::make_unique<Slot[]>(slotsPerShard_);
+}
+
+LineHeatTable::Slot &
+LineHeatTable::probe(Shard &shard, uint64_t line) const
+{
+    const unsigned shift = 64 - std::countr_zero(slotsPerShard_);
+    const size_t mask = slotsPerShard_ - 1;
+    // Lines of one shard share line % kShards; Fibonacci-hash the rest
+    // onto the shard's 2^(64 - shift) slots.
+    size_t i = static_cast<size_t>(((line / kShards) * 0x9E3779B97F4A7C15ull)
+                                   >> shift);
+    while (shard.slots[i].line != line && shard.slots[i].line != kNoLine)
+        i = (i + 1) & mask;
+    return shard.slots[i];
 }
 
 void
@@ -121,15 +157,15 @@ LineHeatTable::touchSlow(uint64_t line, AccessCategory cat, bool is_write)
 {
     Shard &shard = shards_[line % kShards];
     std::lock_guard<SpinLock> guard(shard.lock);
-    auto it = shard.map.find(line);
-    if (it == shard.map.end()) {
-        if (shard.map.size() >= perShardCapacity_) {
-            untracked_.fetch_add(1, std::memory_order_relaxed);
+    Slot &slot = probe(shard, line);
+    if (slot.line == kNoLine) {
+        if (shard.used == perShardCapacity_) {
+            ++shard.untracked;
             return;
         }
-        it = shard.map.emplace(line, Slot{}).first;
+        slot.line = line;
+        ++shard.used;
     }
-    Slot &slot = it->second;
     if (is_write)
         ++slot.writes;
     else
@@ -143,9 +179,12 @@ LineHeatTable::top(unsigned n) const
     std::vector<HotLine> all;
     for (const Shard &shard : shards_) {
         std::lock_guard<SpinLock> guard(shard.lock);
-        for (const auto &[line, slot] : shard.map) {
+        for (unsigned i = 0; i < slotsPerShard_; ++i) {
+            const Slot &slot = shard.slots[i];
+            if (slot.line == kNoLine)
+                continue;
             HotLine h;
-            h.line = line;
+            h.line = slot.line;
             h.reads = slot.reads;
             h.writes = slot.writes;
             unsigned best = static_cast<unsigned>(AccessCategory::Other);
@@ -179,7 +218,7 @@ LineHeatTable::trackedLines() const
     uint64_t tracked = 0;
     for (const Shard &shard : shards_) {
         std::lock_guard<SpinLock> guard(shard.lock);
-        tracked += shard.map.size();
+        tracked += shard.used;
     }
     return tracked;
 }
@@ -187,7 +226,12 @@ LineHeatTable::trackedLines() const
 uint64_t
 LineHeatTable::untrackedTouches() const
 {
-    return untracked_.load(std::memory_order_relaxed);
+    uint64_t untracked = 0;
+    for (const Shard &shard : shards_) {
+        std::lock_guard<SpinLock> guard(shard.lock);
+        untracked += shard.untracked;
+    }
+    return untracked;
 }
 
 void
@@ -195,9 +239,10 @@ LineHeatTable::reset()
 {
     for (Shard &shard : shards_) {
         std::lock_guard<SpinLock> guard(shard.lock);
-        shard.map.clear();
+        std::fill_n(shard.slots.get(), slotsPerShard_, Slot{});
+        shard.used = 0;
+        shard.untracked = 0;
     }
-    untracked_.store(0, std::memory_order_relaxed);
 }
 
 json::JsonValue

@@ -13,12 +13,14 @@
  * Mechanism (DESIGN.md §10):
  *  - AccessScope: a thread-local RAII category stack. Engine call sites
  *    open a scope ("this code path is an edge-log append"); device charge
- *    paths read AccessScope::current() and route the *same* increment
- *    they apply to the PcmCounters field into the per-category table, so
- *    the per-category rows sum to counters() exactly, by construction.
+ *    paths read AccessScope::current() and count each increment in that
+ *    category's row of the device table.
  *  - AttributionTable: one per device (devices are per-NUMA-node, so the
  *    table is the per-(category × node × read/write) matrix after the
- *    device's node label is attached).
+ *    device's node label is attached). It is the device's only counter
+ *    store: counters() is its rows summed, so the per-category rows sum
+ *    to counters() exactly, by construction. Cells live in per-thread
+ *    shards, so concurrent accessors share no cache line.
  *  - Eviction blame: a dirty XPLine written back by a *later* access is
  *    charged to the category that last stored to that line (the XPBuffer
  *    entry carries the owner tag), not to the evicting category.
@@ -31,8 +33,9 @@
  *
  * Like the rest of the telemetry layer, everything here collapses under
  * -DXPG_TELEMETRY=OFF: the classes still compile (tests use them
- * directly) but the table/heat mutators and the XPG_ATTR_SCOPE macro
- * become no-ops, and nothing here ever charges SimClock in any build.
+ * directly) but the table reports all-zero rows, the heat mutator and
+ * the XPG_ATTR_SCOPE macro become no-ops, and nothing here ever charges
+ * SimClock in any build.
  */
 
 #ifndef XPG_TELEMETRY_ATTRIBUTION_HPP
@@ -41,12 +44,13 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "pmem/pcm_counters.hpp"
 #include "util/json_writer.hpp"
 #include "util/spinlock.hpp"
+#include "util/thread_shards.hpp"
 
 #ifndef XPG_TELEMETRY_ENABLED
 #define XPG_TELEMETRY_ENABLED 1
@@ -222,9 +226,12 @@ struct AttributionSnapshot
 };
 
 /**
- * Per-device attribution matrix: relaxed atomics, mutated on the device
- * charge paths next to the matching PcmCounters increment. add() is a
- * no-op with -DXPG_TELEMETRY=OFF (the snapshot then stays all-zero).
+ * Per-device attribution matrix, mutated on the device charge paths: one
+ * (category, field) cell per counted increment. The cells sit in
+ * per-thread shards (ThreadShards) that snapshot() and total() sum, so an
+ * add() is a thread-private store. Cells count in every build — total()
+ * is the device's PcmCounters — but snapshot() reports all-zero rows
+ * with -DXPG_TELEMETRY=OFF.
  */
 class AttributionTable
 {
@@ -232,30 +239,41 @@ class AttributionTable
     void
     add(AccessCategory c, AttrField f, uint64_t n)
     {
-        if constexpr (kAttributionEnabled) {
-            cells_[static_cast<unsigned>(c)][static_cast<unsigned>(f)]
-                .fetch_add(n, std::memory_order_relaxed);
-        } else {
-            (void)c;
-            (void)f;
-            (void)n;
-        }
+        std::atomic<uint64_t> &cell =
+            shards_.local()
+                .cells[static_cast<unsigned>(c)][static_cast<unsigned>(f)];
+        // Only this thread writes its shard: no locked read-modify-write.
+        cell.store(cell.load(std::memory_order_relaxed) + n,
+                   std::memory_order_relaxed);
     }
 
+    /** Per-category rows (all-zero with -DXPG_TELEMETRY=OFF). */
     AttributionSnapshot snapshot() const;
-    void reset();
+
+    /** The PcmCounters fields summed over every category (all builds). */
+    PcmCounters total() const;
 
   private:
-    std::atomic<uint64_t> cells_[kAccessCategoryCount][kAttrFieldCount] = {};
+    struct alignas(64) Shard
+    {
+        std::atomic<uint64_t> cells[kAccessCategoryCount][kAttrFieldCount] =
+            {};
+    };
+
+    /** Every category's row, summed over shards. */
+    AttributionSnapshot sum() const;
+
+    ThreadShards<Shard> shards_;
 };
 
 /**
  * Bounded per-XPLine heat map: touch counts per line with a per-category
- * split, so the hottest lines can name their owning category. Sharded
- * spinlock + fixed capacity; once a shard is full, touches of *new* lines
- * are counted in untrackedTouches() instead of growing the table, which
- * keeps the hot path allocation-free in steady state and the memory bound
- * hard. touch() is a no-op with -DXPG_TELEMETRY=OFF.
+ * split, so the hottest lines can name their owning category. Sixteen
+ * spinlocked shards, each a fixed open-addressed slot array sized at
+ * construction; once a shard tracks its share of the capacity, touches of
+ * *new* lines are counted in the shard's untracked count instead of
+ * growing the table, which keeps the hot path allocation-free and the
+ * memory bound hard. touch() is a no-op with -DXPG_TELEMETRY=OFF.
  */
 class LineHeatTable
 {
@@ -298,25 +316,37 @@ class LineHeatTable
     json::JsonValue topJson(unsigned n) const;
 
   private:
+    /** Line index of an empty slot (real indices stay below 2^56). */
+    static constexpr uint64_t kNoLine = ~uint64_t{0};
+
+    /** One tracked line; exactly one cache line. */
     struct Slot
     {
+        uint64_t line = kNoLine;
         uint64_t reads = 0;
         uint64_t writes = 0;
         std::array<uint32_t, kAccessCategoryCount> byCat = {};
     };
+    static_assert(sizeof(Slot) == 64);
 
-    struct Shard
+    struct alignas(64) Shard
     {
         mutable SpinLock lock;
-        std::unordered_map<uint64_t, Slot> map;
+        unsigned used = 0;       ///< tracked lines
+        uint64_t untracked = 0;  ///< touches that found the shard full
+        std::unique_ptr<Slot[]> slots;
     };
 
     void touchSlow(uint64_t line, AccessCategory cat, bool is_write);
+    /** The slot tracking @p line, else the empty slot it would take. */
+    Slot &probe(Shard &shard, uint64_t line) const;
 
     static constexpr unsigned kShards = 16;
     unsigned perShardCapacity_;
+    /** Slots per shard: a power of two at least twice the capacity, so
+     *  a probe always reaches an empty slot. */
+    unsigned slotsPerShard_;
     std::array<Shard, kShards> shards_;
-    std::atomic<uint64_t> untracked_{0};
 };
 
 } // namespace xpg::telemetry

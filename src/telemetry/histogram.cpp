@@ -4,19 +4,6 @@
 
 namespace xpg::telemetry {
 
-namespace {
-
-/// Monotonic id source for ShardedHistogram instances. Ids are never
-/// reused, which makes the thread-local shard cache safe: a slot can
-/// only ever refer to the one instance that owns that id.
-std::atomic<uint32_t> g_nextHistogramId{0};
-
-/// Per-thread cache of shard pointers, indexed by histogram id.
-thread_local std::vector<ShardedHistogram *> t_cacheOwner;
-thread_local std::vector<void *> t_cacheShard;
-
-} // namespace
-
 double
 Histogram::quantile(double q) const
 {
@@ -59,58 +46,32 @@ Histogram::toJson() const
     return v;
 }
 
-ShardedHistogram::ShardedHistogram()
-    : id_(g_nextHistogramId.fetch_add(1, std::memory_order_relaxed))
-{
-}
-
-ShardedHistogram::Shard &
-ShardedHistogram::localShard()
-{
-    if (id_ < t_cacheShard.size() && t_cacheOwner[id_] == this &&
-        t_cacheShard[id_] != nullptr)
-        return *static_cast<Shard *>(t_cacheShard[id_]);
-    std::lock_guard<std::mutex> lock(mu_);
-    shards_.push_back(std::make_unique<Shard>());
-    Shard *shard = shards_.back().get();
-    if (id_ >= t_cacheShard.size()) {
-        t_cacheShard.resize(id_ + 1, nullptr);
-        t_cacheOwner.resize(id_ + 1, nullptr);
-    }
-    t_cacheShard[id_] = shard;
-    t_cacheOwner[id_] = this;
-    return *shard;
-}
-
 Histogram
 ShardedHistogram::snapshot() const
 {
     Histogram out;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &shard : shards_) {
+    shards_.forEach([&out](const Shard &shard) {
         for (unsigned b = 0; b < Histogram::kBuckets; ++b)
-            out.buckets[b] +=
-                shard->buckets[b].load(std::memory_order_relaxed);
-        out.count += shard->count.load(std::memory_order_relaxed);
-        out.sum += shard->sum.load(std::memory_order_relaxed);
-        const uint64_t m = shard->maxValue.load(std::memory_order_relaxed);
+            out.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
+        out.count += shard.count.load(std::memory_order_relaxed);
+        out.sum += shard.sum.load(std::memory_order_relaxed);
+        const uint64_t m = shard.maxValue.load(std::memory_order_relaxed);
         if (m > out.maxValue)
             out.maxValue = m;
-    }
+    });
     return out;
 }
 
 void
 ShardedHistogram::resetValues()
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &shard : shards_) {
+    shards_.forEach([](Shard &shard) {
         for (unsigned b = 0; b < Histogram::kBuckets; ++b)
-            shard->buckets[b].store(0, std::memory_order_relaxed);
-        shard->count.store(0, std::memory_order_relaxed);
-        shard->sum.store(0, std::memory_order_relaxed);
-        shard->maxValue.store(0, std::memory_order_relaxed);
-    }
+            shard.buckets[b].store(0, std::memory_order_relaxed);
+        shard.count.store(0, std::memory_order_relaxed);
+        shard.sum.store(0, std::memory_order_relaxed);
+        shard.maxValue.store(0, std::memory_order_relaxed);
+    });
 }
 
 } // namespace xpg::telemetry

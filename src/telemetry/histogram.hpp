@@ -13,27 +13,24 @@
  *    p99 honest for spiky distributions.
  *
  *  - ShardedHistogram: the concurrent recording front. Each recording
- *    thread lazily acquires a private shard (relaxed-atomic buckets so
- *    a concurrent snapshot() is race-free under TSAN); snapshot()
- *    merges all shards into a plain Histogram. The hot path is one
- *    thread-local vector lookup plus three relaxed atomic adds — no
- *    locks, no CAS loops.
+ *    thread lazily acquires a private shard (a ThreadShards shard of
+ *    relaxed-atomic buckets, so a concurrent snapshot() is race-free
+ *    under TSAN); snapshot() merges all shards into a plain Histogram.
+ *    The hot path is one thread-local vector lookup plus three relaxed
+ *    atomic adds — no locks, no CAS loops.
  *
- * Shards are never deallocated while the process lives (resetValues()
- * zeroes them instead), so thread-local shard caches can never dangle
- * even if threads outlive the registry contents.
+ * Shards live as long as their histogram (resetValues() zeroes them
+ * instead of freeing them).
  */
 #pragma once
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "util/json_writer.hpp"
+#include "util/thread_shards.hpp"
 
 namespace xpg::telemetry {
 
@@ -108,8 +105,7 @@ struct Histogram
 class ShardedHistogram
 {
   public:
-    ShardedHistogram();
-    ~ShardedHistogram() = default;
+    ShardedHistogram() = default;
 
     ShardedHistogram(const ShardedHistogram &) = delete;
     ShardedHistogram &operator=(const ShardedHistogram &) = delete;
@@ -118,7 +114,7 @@ class ShardedHistogram
     /// record into this histogram (which allocates its shard).
     void record(uint64_t v)
     {
-        Shard &s = localShard();
+        Shard &s = shards_.local();
         s.buckets[Histogram::bucketFor(v)].fetch_add(
             1, std::memory_order_relaxed);
         s.count.fetch_add(1, std::memory_order_relaxed);
@@ -140,7 +136,7 @@ class ShardedHistogram
     void resetValues();
 
   private:
-    struct Shard
+    struct alignas(64) Shard
     {
         std::atomic<uint64_t> buckets[Histogram::kBuckets] = {};
         std::atomic<uint64_t> count{0};
@@ -148,13 +144,7 @@ class ShardedHistogram
         std::atomic<uint64_t> maxValue{0};
     };
 
-    Shard &localShard();
-
-    /// Process-wide id used to index the per-thread shard cache.
-    const uint32_t id_;
-
-    mutable std::mutex mu_; ///< guards shards_ growth
-    std::vector<std::unique_ptr<Shard>> shards_;
+    ThreadShards<Shard> shards_;
 };
 
 } // namespace xpg::telemetry

@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "telemetry/op_scope.hpp"
 #include "util/sim_clock.hpp"
@@ -87,14 +88,21 @@ TraceBuffer::emit(const char *name, const char *cat, char ph, uint64_t tsNs,
 
     // Claim the slot unless a newer ticket already owns it (a stalled
     // writer that lost a full ring lap drops its event instead of
-    // corrupting the newer one).
-    uint64_t cur = slot.seq.load(std::memory_order_relaxed);
+    // corrupting the newer one). Only a published (even) slot is
+    // claimed: while an older ticket is still storing into it, wait, so
+    // no two writers ever store into one slot.
+    uint64_t cur = slot.seq.load(std::memory_order_acquire);
     for (;;) {
         if (cur >= claim)
             return;
+        if ((cur & 1) != 0) {
+            std::this_thread::yield();
+            cur = slot.seq.load(std::memory_order_acquire);
+            continue;
+        }
         if (slot.seq.compare_exchange_weak(cur, claim,
                                            std::memory_order_acq_rel,
-                                           std::memory_order_relaxed))
+                                           std::memory_order_acquire))
             break;
     }
 
@@ -107,12 +115,9 @@ TraceBuffer::emit(const char *name, const char *cat, char ph, uint64_t tsNs,
     slot.simNs.store(simNs, std::memory_order_relaxed);
     slot.opId.store(OpScope::currentOpId(), std::memory_order_relaxed);
 
-    // Publish — CAS so a newer claimant that raced in is not marked
-    // consistent with our (torn) payload.
-    uint64_t expected = claim;
-    slot.seq.compare_exchange_strong(expected, claim + 1,
-                                     std::memory_order_release,
-                                     std::memory_order_relaxed);
+    // Publish. No other writer claims a slot while its seq is odd, so
+    // the slot is still ours.
+    slot.seq.store(claim + 1, std::memory_order_release);
 }
 
 void

@@ -5,13 +5,16 @@
  *
  * Writers take a monotonic ticket (one fetch_add) and claim the slot
  * ticket % capacity with a per-slot sequence CAS: seq 2*ticket+1 marks
- * the write in flight, 2*ticket+2 marks it published. A writer that
- * finds its slot already claimed by a *newer* ticket (ring wrapped a
- * full lap while it was stalled) drops its event instead of corrupting
- * the newer one; the publish is a CAS for the same reason. Readers
- * validate seq-even-and-unchanged around the payload reads, so a torn
- * slot is skipped, never misreported. All payload fields are relaxed
- * atomics, which keeps the whole protocol data-race-free under TSAN.
+ * the write in flight, 2*ticket+2 marks it published. Only a published
+ * (even) seq is claimed — a writer whose slot an older ticket is still
+ * filling yields until it is published — so two writers never store
+ * into one slot. A writer that finds its slot already claimed by a
+ * *newer* ticket (ring wrapped a full lap while it was stalled) drops
+ * its event instead of corrupting the newer one. Readers validate
+ * seq-even-and-unchanged around the payload reads, so a slot being
+ * rewritten is skipped, never misreported. All payload fields are
+ * relaxed atomics, which keeps the whole protocol data-race-free under
+ * TSAN.
  *
  * Timestamps are host steady-clock nanoseconds since process start —
  * the only shared timebase across threads (SimClock streams are
@@ -70,7 +73,8 @@ class TraceBuffer
     TraceBuffer(const TraceBuffer &) = delete;
     TraceBuffer &operator=(const TraceBuffer &) = delete;
 
-    /// Emit a complete ('X') span. Wait-free apart from the slot CAS.
+    /// Emit a complete ('X') span. Lock-free apart from the slot claim,
+    /// which waits while an older ticket is still filling the slot.
     void emitComplete(const char *name, const char *cat, uint64_t tsNs,
                       uint64_t durNs, uint64_t simNs);
 

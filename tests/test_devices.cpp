@@ -1,7 +1,8 @@
 /**
  * @file
  * DramDevice, MemoryModeDevice, NumaBinding, and cost-model behaviour
- * not covered by the PmemDevice tests.
+ * not covered by the PmemDevice tests, plus edge cases every device kind
+ * shares.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "pmem/memory_mode_device.hpp"
 #include "pmem/numa_topology.hpp"
 #include "pmem/pmem_device.hpp"
+#include "pmem/ssd_device.hpp"
 #include "pmem/xpline.hpp"
 #include "util/rng.hpp"
 #include "util/sim_clock.hpp"
@@ -173,6 +175,36 @@ TEST_F(DeviceTest, UnboundAccessChargesAverageRemoteCost)
     const uint64_t unbound_ns = scatter(other);
     EXPECT_GT(unbound_ns, local_ns);
     EXPECT_LT(unbound_ns, local_ns * 3); // below the full remote rate
+}
+
+TEST_F(DeviceTest, ZeroByteAccessesAreFree)
+{
+    // A zero-byte access touches no line: every device kind returns at
+    // once, charges no simulated time and moves no counter — at offset 0
+    // too, where a last line computed as off + size - 1 would wrap.
+    PmemDevice pmem("p", 1 << 20, 0, 1);
+    DramDevice dram("d", 1 << 20, 0, 1);
+    SsdDevice ssd("s", 1 << 20, 0, 1);
+    MemoryModeDevice mm("m", 1 << 20, 64 << 10, 0, 1);
+    MemoryDevice *devices[] = {&pmem, &dram, &ssd, &mm};
+    uint64_t buf = 0;
+    for (MemoryDevice *dev : devices) {
+        for (const uint64_t off : {uint64_t{0}, uint64_t{8}}) {
+            const uint64_t t0 = SimClock::now();
+            dev->read(off, &buf, 0);
+            EXPECT_NE(dev->readView(off, 0), nullptr);
+            dev->write(off, &buf, 0);
+            dev->persist(off, 0);
+            EXPECT_EQ(SimClock::now(), t0)
+                << dev->name() << " at offset " << off;
+        }
+        const PcmCounters c = dev->counters();
+        EXPECT_EQ(c.appBytesRead + c.appBytesWritten + c.mediaBytesRead +
+                      c.mediaBytesWritten + c.mediaReadOps +
+                      c.mediaWriteOps + c.bufferHits + c.remoteAccesses,
+                  0u)
+            << dev->name();
+    }
 }
 
 } // namespace

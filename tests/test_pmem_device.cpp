@@ -1,18 +1,22 @@
 /**
  * @file
  * PmemDevice model: data integrity, counter accounting (amplification),
- * NUMA remote detection, persist behaviour, and simulated-time charging.
+ * NUMA remote detection, persist behaviour, simulated-time charging, and
+ * the crash model (powerCycle and fault injection).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "pmem/numa_topology.hpp"
 #include "pmem/pmem_device.hpp"
 #include "pmem/xpline.hpp"
+#include "telemetry/attribution.hpp"
 #include "util/rng.hpp"
 #include "util/sim_clock.hpp"
 
@@ -358,6 +362,190 @@ TEST_F(PmemDeviceTest, PowerCycleDisarmsFaults)
     uint64_t back = 0;
     dev.read(kXPLineSize, &back, 8);
     EXPECT_EQ(back, v2); // durable again after the restart
+}
+
+// --- crash model: XPBuffer eviction write-backs ---
+
+/** Store @p v in the first 8 bytes of line @p line. */
+void
+putLine(PmemDevice &dev, uint64_t line, uint64_t v)
+{
+    dev.write(line * kXPLineSize, &v, 8);
+}
+
+uint64_t
+getLine(PmemDevice &dev, uint64_t line)
+{
+    uint64_t v = 0;
+    dev.read(line * kXPLineSize, &v, 8);
+    return v;
+}
+
+/** A one-set buffer of @p ways lines: evictions follow plain LRU. */
+XPBufferConfig
+oneSet(unsigned ways)
+{
+    return XPBufferConfig{.numSets = 1, .ways = ways};
+}
+
+TEST_F(PmemDeviceTest, PowerCycleKeepsEvictedLinesAndRevertsBufferedOnes)
+{
+    // No plan armed: an eviction is a media write, so the lines pushed
+    // out of a four-line buffer are durable, while the four most recent
+    // stores never left it and are lost.
+    PmemDevice dev("t", 1 << 20, 0, 1, "", oneSet(4));
+    constexpr uint64_t kLines = 12;
+    for (uint64_t line = 0; line < kLines; ++line)
+        putLine(dev, line, 0x1000 + line);
+    EXPECT_EQ(dev.counters().mediaWriteOps, kLines - 4);
+    dev.powerCycle();
+    for (uint64_t line = 0; line < kLines; ++line)
+        EXPECT_EQ(getLine(dev, line), line < kLines - 4 ? 0x1000 + line : 0)
+            << "line " << line;
+}
+
+/** Arm a plan whose first media write (a persist of @p line) trips. */
+void
+tripCrash(PmemDevice &dev, uint64_t line)
+{
+    FaultPlan plan;
+    plan.crashAfterMediaWrites = 1;
+    auto injector = std::make_shared<FaultInjector>(plan);
+    ASSERT_TRUE(dev.armFaults(injector));
+    putLine(dev, line, 0x7777);
+    dev.persist(line * kXPLineSize, 8); // lands whole, then power fails
+    ASSERT_TRUE(injector->crashed());
+}
+
+TEST_F(PmemDeviceTest, LineEvictedTwiceAfterCrashRevertsToItsDurableImage)
+{
+    // After the crash no write-back lands. Line 0 is evicted, dirtied
+    // again and evicted again by stores; it must come back with the
+    // image it had before the crash, not with its first lost write.
+    PmemDevice dev("t", 1 << 20, 0, 1, "", oneSet(2));
+    putLine(dev, 0, 0xD0D0);
+    dev.persist(0, 8);
+    tripCrash(dev, 9);
+
+    putLine(dev, 0, 0x1111); // dirties line 0 over its durable image
+    putLine(dev, 1, 0x1);
+    putLine(dev, 2, 0x2);    // evicts line 0: lost
+    putLine(dev, 0, 0x2222); // dirty again, over volatile bytes
+    putLine(dev, 1, 0x3);
+    putLine(dev, 2, 0x4);    // evicts line 0 again: lost
+    const uint64_t writes = dev.counters().mediaWriteOps;
+    dev.powerCycle();
+
+    EXPECT_EQ(writes, 6u); // persist, trigger, four lost evictions
+    EXPECT_EQ(getLine(dev, 0), 0xD0D0u);
+    EXPECT_EQ(getLine(dev, 1), 0u);
+    EXPECT_EQ(getLine(dev, 2), 0u);
+    EXPECT_EQ(getLine(dev, 9), 0x7777u); // the trigger landed
+}
+
+TEST_F(PmemDeviceTest, LineEvictedByLoadsAfterCrashRevertsToItsDurableImage)
+{
+    // The same for write-backs forced by load misses.
+    PmemDevice dev("t", 1 << 20, 0, 1, "", oneSet(2));
+    putLine(dev, 0, 0xD0D0);
+    dev.persist(0, 8);
+    tripCrash(dev, 9);
+
+    putLine(dev, 0, 0x1111);
+    getLine(dev, 3);
+    getLine(dev, 4); // evicts line 0: lost
+    putLine(dev, 0, 0x2222);
+    getLine(dev, 5);
+    const uint64_t before = dev.counters().mediaWriteOps;
+    getLine(dev, 6); // evicts line 0 again: lost
+    EXPECT_EQ(dev.counters().mediaWriteOps, before + 1);
+    dev.powerCycle();
+
+    EXPECT_EQ(getLine(dev, 0), 0xD0D0u);
+    EXPECT_EQ(getLine(dev, 9), 0x7777u);
+}
+
+// --- counters under concurrency ---
+
+TEST_F(PmemDeviceTest, ConcurrentAccessesCountExactly)
+{
+    // Four threads store and load on one device, each under its own
+    // category, in disjoint regions that span every XPBuffer set and
+    // heat-table shard. Every counter must be exact: app bytes equal the
+    // issued sums, each category row equals its thread's sums, and the
+    // rows add up to counters() field by field.
+    using telemetry::AccessCategory;
+    using telemetry::AccessScope;
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kOps = 4000;
+    constexpr uint64_t kRegion = 4 << 20;
+    const AccessCategory cats[kThreads] = {
+        AccessCategory::EdgeLogAppend, AccessCategory::AdjacencyArchive,
+        AccessCategory::VertexMeta, AccessCategory::QueryRead};
+    PmemDevice dev("t", kThreads * kRegion, 0, 2);
+    struct Sums
+    {
+        uint64_t read = 0;
+        uint64_t written = 0;
+        uint64_t subLine = 0;
+    };
+    std::array<Sums, kThreads> sums;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            NumaBinding::unbindThread();
+            AccessScope scope(cats[t]);
+            Rng rng(40 + t);
+            std::vector<std::byte> buf(3 * kXPLineSize);
+            Sums &mine = sums[t];
+            for (unsigned i = 0; i < kOps; ++i) {
+                const uint64_t size = 1 + rng.nextBounded(buf.size());
+                const uint64_t off =
+                    t * kRegion + rng.nextBounded(kRegion - size);
+                if (rng.nextBounded(2) == 0) {
+                    dev.write(off, buf.data(), size);
+                    mine.written += size;
+                    mine.subLine += off % kXPLineSize != 0;
+                } else {
+                    dev.read(off, buf.data(), size);
+                    mine.read += size;
+                }
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    dev.quiesce();
+
+    const PcmCounters c = dev.counters();
+    const telemetry::AttributionSnapshot snap = dev.attribution();
+    uint64_t read = 0;
+    uint64_t written = 0;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        read += sums[t].read;
+        written += sums[t].written;
+        if (telemetry::kAttributionEnabled) {
+            const telemetry::AttributionRow &row = snap[cats[t]];
+            EXPECT_EQ(row.pcm.appBytesRead, sums[t].read) << t;
+            EXPECT_EQ(row.pcm.appBytesWritten, sums[t].written) << t;
+            EXPECT_EQ(row.subLineStores, sums[t].subLine) << t;
+        }
+    }
+    EXPECT_EQ(c.appBytesRead, read);
+    EXPECT_EQ(c.appBytesWritten, written);
+    EXPECT_GT(c.remoteAccesses, 0u); // unbound threads on a 2-node box
+    if (telemetry::kAttributionEnabled) {
+        const PcmCounters rows = snap.total();
+        EXPECT_EQ(rows.appBytesRead, c.appBytesRead);
+        EXPECT_EQ(rows.appBytesWritten, c.appBytesWritten);
+        EXPECT_EQ(rows.mediaBytesRead, c.mediaBytesRead);
+        EXPECT_EQ(rows.mediaBytesWritten, c.mediaBytesWritten);
+        EXPECT_EQ(rows.mediaReadOps, c.mediaReadOps);
+        EXPECT_EQ(rows.mediaWriteOps, c.mediaWriteOps);
+        EXPECT_EQ(rows.bufferHits, c.bufferHits);
+        EXPECT_EQ(rows.remoteAccesses, c.remoteAccesses);
+        EXPECT_TRUE(snap[AccessCategory::Other].empty());
+    }
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -111,6 +112,17 @@ struct ConfigCase
     bool battery;
     unsigned threads;
 };
+
+/**
+ * Print a case as its name. Without a printer gtest dumps the raw bytes,
+ * which start with the heap address of the name's buffer, and the ctest
+ * names discovered from `--gtest_list_tests` would change with every run.
+ */
+void
+PrintTo(const ConfigCase &cc, std::ostream *os)
+{
+    *os << cc.name;
+}
 
 class XPGraphConfigSweep : public ::testing::TestWithParam<ConfigCase>
 {
