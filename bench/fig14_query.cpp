@@ -5,11 +5,10 @@
  * non-zero-degree vertices (paper: 2^24, scaled here), BFS from three
  * random roots, ten PageRank iterations, and Connected Components.
  *
- * Each kernel runs twice per store: once on the legacy materializing
- * vector engine ("before") and once on the zero-copy visitor engine
- * ("after"), with PMEM counter deltas captured around each run. The
- * per-run numbers are emitted as JSON (XPG_BENCH_JSON env var, default
- * ./BENCH_query.json) so the before/after regression is machine-checkable.
+ * Each kernel runs once per store, with PMEM counter deltas captured
+ * around the run. The per-run numbers are emitted as JSON
+ * (XPG_BENCH_JSON env var, default ./BENCH_query.json) so regressions
+ * are machine-checkable.
  *
  * Paper shape: one-hop comparable (within ~30% either way); BFS up to
  * 4.46x, PageRank up to 3.57x, CC up to 4.23x faster on XPGraph.
@@ -43,8 +42,8 @@ sampleNonZeroVertices(const Dataset &ds, uint64_t count, uint64_t seed)
     return queries;
 }
 
-/** One engine's run of one kernel on one store. */
-struct EngineRun
+/** One run of one kernel on one store. */
+struct Measurement
 {
     uint64_t simNs = 0;
     uint64_t checksum = 0;
@@ -56,13 +55,9 @@ struct EngineRun
     uint64_t rounds = 0;
     uint64_t frontierPeak = 0;
     uint64_t edgesScanned = 0;
-};
-
-/** Vector-then-visitor measurement of one kernel. */
-struct Measurement
-{
-    EngineRun vec;
-    EngineRun vis;
+    /// The store has a query probe, so edgesScanned was measured
+    /// (otherwise it is absent from the report, not zero).
+    bool probed = false;
 };
 
 template <typename Store, typename RunFn>
@@ -70,24 +65,20 @@ Measurement
 measure(Store &store, RunFn &&run)
 {
     Measurement m;
-    const EngineRun *last = nullptr;
-    for (QueryEngine engine : {QueryEngine::Vector, QueryEngine::Visitor}) {
-        EngineRun &er = engine == QueryEngine::Vector ? m.vec : m.vis;
-        const PcmCounters before = store.pmemCounters();
-        const AnalyticsResult r = run(engine);
-        const PcmCounters delta = store.pmemCounters() - before;
-        er.simNs = r.simNs;
-        er.checksum = r.checksum;
-        er.mediaReadBytes = delta.mediaBytesRead;
-        er.appReadBytes = delta.appBytesRead;
-        er.rounds = r.rounds.size();
-        for (const RoundStats &rs : r.rounds) {
-            er.edgesScanned += rs.edgesScanned;
-            er.frontierPeak = std::max(er.frontierPeak, rs.activeVertices);
-        }
-        last = &er;
+    QueryProbe probe;
+    m.probed = store.sampleQueryProbe(probe);
+    const PcmCounters before = store.pmemCounters();
+    const AnalyticsResult r = run();
+    const PcmCounters delta = store.pmemCounters() - before;
+    m.simNs = r.simNs;
+    m.checksum = r.checksum;
+    m.mediaReadBytes = delta.mediaBytesRead;
+    m.appReadBytes = delta.appBytesRead;
+    m.rounds = r.rounds.size();
+    for (const RoundStats &rs : r.rounds) {
+        m.edgesScanned += rs.edgesScanned;
+        m.frontierPeak = std::max(m.frontierPeak, rs.activeVertices);
     }
-    (void)last;
     return m;
 }
 
@@ -119,18 +110,14 @@ writeJson(const std::vector<JsonRow> &rows,
         row.set("dataset", r.dataset);
         row.set("store", r.store);
         row.set("algorithm", r.algo);
-        row.set("vector_ns", r.m.vec.simNs);
-        row.set("visitor_ns", r.m.vis.simNs);
-        row.set("vector_media_read_bytes", r.m.vec.mediaReadBytes);
-        row.set("visitor_media_read_bytes", r.m.vis.mediaReadBytes);
-        row.set("vector_app_read_bytes", r.m.vec.appReadBytes);
-        row.set("visitor_app_read_bytes", r.m.vis.appReadBytes);
-        row.set("vector_checksum", r.m.vec.checksum);
-        row.set("visitor_checksum", r.m.vis.checksum);
-        // Round-level shape of the visitor (default-engine) run.
-        row.set("rounds", r.m.vis.rounds);
-        row.set("frontier_peak", r.m.vis.frontierPeak);
-        row.set("edges_scanned", r.m.vis.edgesScanned);
+        row.set("sim_ns", r.m.simNs);
+        row.set("media_read_bytes", r.m.mediaReadBytes);
+        row.set("app_read_bytes", r.m.appReadBytes);
+        row.set("checksum", r.m.checksum);
+        row.set("rounds", r.m.rounds);
+        row.set("frontier_peak", r.m.frontierPeak);
+        if (r.m.probed)
+            row.set("edges_scanned", r.m.edgesScanned);
         arr.push(std::move(row));
     }
     doc.set("rows", std::move(arr));
@@ -177,13 +164,9 @@ main(int argc, char **argv)
         std::max<uint64_t>(1024, (1ull << 24) >> scaleShift());
 
     TablePrinter table("Fig.14: query time (simulated seconds), "
-                       "96 query threads, visitor engine");
+                       "96 query threads");
     table.header({"dataset", "algorithm", "GraphOne-P", "XPGraph",
                   "speedup"});
-    TablePrinter engines("Zero-copy engine: vector (before) vs visitor "
-                         "(after), per store");
-    engines.header({"dataset", "store", "algorithm", "vector", "visitor",
-                    "speedup", "media-rd before", "media-rd after"});
 
     std::vector<JsonRow> json;
     std::vector<StoreAttribution> attrs;
@@ -212,28 +195,25 @@ main(int argc, char **argv)
 
         {
             Algo a{"1-hop", {}, {}};
-            a.g1m = measure(*g1, [&](QueryEngine e) {
-                return runOneHop(*g1, queries, query_threads,
-                                 QueryBinding::Auto, e);
+            a.g1m = measure(*g1, [&] {
+                return runOneHop(*g1, queries, query_threads);
             });
-            a.xpgm = measure(*xpg, [&](QueryEngine e) {
-                return runOneHop(*xpg, queries, query_threads,
-                                 QueryBinding::Auto, e);
+            a.xpgm = measure(*xpg, [&] {
+                return runOneHop(*xpg, queries, query_threads);
             });
             algos.push_back(a);
         }
         {
             Algo a{"BFS(3 roots)", {}, {}};
             auto sum3 = [&](auto &store) {
-                return measure(store, [&](QueryEngine e) {
+                return measure(store, [&] {
                     AnalyticsResult total;
                     for (vid_t root : roots) {
-                        auto r = runBfs(store, root, query_threads,
-                                        QueryBinding::Auto, e);
+                        auto r = runBfs(store, root, query_threads);
                         total.simNs += r.simNs;
                         total.checksum += r.checksum;
-                        // Concatenate so the EngineRun aggregation sees
-                        // all three traversals' rounds.
+                        // Concatenate so the Measurement aggregation
+                        // sees all three traversals' rounds.
                         total.rounds.insert(
                             total.rounds.end(),
                             std::make_move_iterator(r.rounds.begin()),
@@ -248,72 +228,41 @@ main(int argc, char **argv)
         }
         {
             Algo a{"PageRank(10)", {}, {}};
-            a.g1m = measure(*g1, [&](QueryEngine e) {
-                return runPageRank(*g1, 10, query_threads,
-                                   QueryBinding::Auto, e);
+            a.g1m = measure(*g1, [&] {
+                return runPageRank(*g1, 10, query_threads);
             });
-            a.xpgm = measure(*xpg, [&](QueryEngine e) {
-                return runPageRank(*xpg, 10, query_threads,
-                                   QueryBinding::Auto, e);
+            a.xpgm = measure(*xpg, [&] {
+                return runPageRank(*xpg, 10, query_threads);
             });
             algos.push_back(a);
         }
         {
             Algo a{"CC", {}, {}};
-            a.g1m = measure(*g1, [&](QueryEngine e) {
-                return runConnectedComponents(*g1, query_threads,
-                                              QueryBinding::Auto, 64, e);
+            a.g1m = measure(*g1, [&] {
+                return runConnectedComponents(*g1, query_threads);
             });
-            a.xpgm = measure(*xpg, [&](QueryEngine e) {
-                return runConnectedComponents(*xpg, query_threads,
-                                              QueryBinding::Auto, 64, e);
+            a.xpgm = measure(*xpg, [&] {
+                return runConnectedComponents(*xpg, query_threads);
             });
             algos.push_back(a);
         }
 
         for (const Algo &a : algos) {
             table.row({ds.spec.abbrev, a.name,
-                       TablePrinter::seconds(a.g1m.vis.simNs),
-                       TablePrinter::seconds(a.xpgm.vis.simNs),
+                       TablePrinter::seconds(a.g1m.simNs),
+                       TablePrinter::seconds(a.xpgm.simNs),
                        TablePrinter::num(
-                           static_cast<double>(a.g1m.vis.simNs) /
-                               static_cast<double>(a.xpgm.vis.simNs),
+                           static_cast<double>(a.g1m.simNs) /
+                               static_cast<double>(a.xpgm.simNs),
                            2) + "x"});
-            const struct
-            {
-                const char *store;
-                const Measurement *m;
-            } stores[] = {{"GraphOne-P", &a.g1m}, {"XPGraph", &a.xpgm}};
-            for (const auto &s : stores) {
-                engines.row(
-                    {ds.spec.abbrev, s.store, a.name,
-                     TablePrinter::seconds(s.m->vec.simNs),
-                     TablePrinter::seconds(s.m->vis.simNs),
-                     TablePrinter::num(
-                         static_cast<double>(s.m->vec.simNs) /
-                             static_cast<double>(s.m->vis.simNs),
-                         2) + "x",
-                     TablePrinter::bytes(s.m->vec.mediaReadBytes),
-                     TablePrinter::bytes(s.m->vis.mediaReadBytes)});
-                json.push_back({ds.spec.abbrev, s.store, a.name, *s.m});
-                if (s.m->vec.checksum != s.m->vis.checksum &&
-                    std::string(a.name) != "PageRank(10)") {
-                    std::printf("WARNING: %s %s %s engine checksums "
-                                "differ (%llu vs %llu)\n",
-                                ds.spec.abbrev.c_str(), s.store, a.name,
-                                static_cast<unsigned long long>(
-                                    s.m->vec.checksum),
-                                static_cast<unsigned long long>(
-                                    s.m->vis.checksum));
-                }
-            }
+            json.push_back({ds.spec.abbrev, "GraphOne-P", a.name, a.g1m});
+            json.push_back({ds.spec.abbrev, "XPGraph", a.name, a.xpgm});
         }
         attrs.push_back(
             {ds.spec.abbrev, "GraphOne-P", g1->pmemAttribution()});
         attrs.push_back({ds.spec.abbrev, "XPGraph", xpg->pmemAttribution()});
     }
     table.print();
-    engines.print();
     std::printf("\npaper: 1-hop within ~30%%; BFS up to 4.46x, PageRank "
                 "up to 3.57x, CC up to 4.23x faster on XPGraph\n");
     writeJson(json, attrs);

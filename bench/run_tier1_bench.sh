@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 benchmark driver: configures and builds the tree, runs the
-# fig14 query bench (vector vs visitor engines), the query-primitive and
+# fig14 query bench (one-hop / BFS / PageRank / CC on GraphOne-P and
+# XPGraph), the query-primitive and
 # device-model microbenchmarks (the host cost of one modeled PMEM store,
 # alone and with four threads sharing a device), the concurrent-ingest
 # scaling bench, and the
@@ -125,11 +126,34 @@ export XPG_BENCH_JSON="${XPG_BENCH_JSON:-${repo_root}/BENCH_query.json}"
 # Query regression gate: when a baseline BENCH_query.json is committed,
 # no (dataset, store, algorithm) metric — kernel times, media traffic,
 # or the round-level shape columns (rounds / frontier_peak /
-# edges_scanned) — may regress more than 10% beyond its noise floor.
+# edges_scanned) — may regress more than 10% beyond its noise floor,
+# and none may vanish from the report.
 if baseline_query="$(git -C "${repo_root}" show HEAD:BENCH_query.json \
                          2>/dev/null)"; then
     "${repo_root}/tools/bench_diff" \
         <(printf '%s' "${baseline_query}") "${XPG_BENCH_JSON}"
+
+    # Negative self-check of the gate: the committed baseline with one
+    # metric dropped must fail it (exit 1), not compare one metric less.
+    dropped_json="$(mktemp --suffix=.json)"
+    printf '%s' "${baseline_query}" | python3 -c '
+import json, sys
+doc = json.load(sys.stdin)
+row = doc["rows"][0]
+del row[next(k for k in row if k.endswith("_ns"))]
+json.dump(doc, open(sys.argv[1], "w"))' "${dropped_json}"
+    set +e
+    "${repo_root}/tools/bench_diff" \
+        <(printf '%s' "${baseline_query}") "${dropped_json}" > /dev/null
+    dropped_rc=$?
+    set -e
+    rm -f "${dropped_json}"
+    if [[ "${dropped_rc}" != "1" ]]; then
+        echo "FAIL: bench_diff exited ${dropped_rc} on a report with a" \
+             "dropped metric, expected 1"
+        exit 1
+    fi
+    echo "bench_diff self-check passed: a dropped metric fails the gate"
 else
     echo "bench_diff: no committed BENCH_query.json baseline; skipping"
 fi

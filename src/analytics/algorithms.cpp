@@ -15,8 +15,6 @@ namespace xpg {
 
 namespace {
 
-thread_local std::vector<vid_t> t_nebrs;
-
 /** The cost source a kernel's OpScope diffs: the store backing the
  *  view (null on synthetic test views — the scope then just stamps an
  *  opId with zero deltas). */
@@ -38,24 +36,14 @@ noteKernel(const char *algo, uint64_t sim_ns)
         sim_ns);
 }
 
-/** Schedule matching the engine: the legacy vector path keeps its
- *  historical strided dealing; the visitor path lets the driver pick
- *  (degree-balanced wherever the view has a degree cache). */
-SchedulePolicy
-scheduleFor(QueryEngine engine)
-{
-    return engine == QueryEngine::Vector ? SchedulePolicy::Strided
-                                         : SchedulePolicy::Auto;
-}
-
 } // namespace
 
 AnalyticsResult
 runOneHop(GraphView &view, std::span<const vid_t> queries,
-          unsigned num_threads, QueryBinding binding, QueryEngine engine)
+          unsigned num_threads, QueryBinding binding)
 {
-    // Per-query cost is O(1) on the visitor path (degree cache), so
-    // strided dealing is already balanced — skip the schedule build.
+    // The queries are random vertices, so strided dealing already
+    // spreads the hubs — skip the balanced schedule's weight gather.
     telemetry::OpScope opScope(costSource(view), "onehop",
                                telemetry::OpClass::Query);
     XPG_TRACE_SCOPE(kernelSpan, "onehop", "query");
@@ -63,17 +51,9 @@ runOneHop(GraphView &view, std::span<const vid_t> queries,
     std::vector<uint64_t> partial(driver.numThreads(), 0);
 
     AnalyticsResult result;
-    if (engine == QueryEngine::Vector) {
-        result.simNs = driver.forEach(queries, [&](vid_t v, unsigned w) {
-            t_nebrs.clear();
-            const uint32_t n = view.getNebrsOut(v, t_nebrs);
-            partial[w] += n;
-        });
-    } else {
-        result.simNs = driver.forEach(queries, [&](vid_t v, unsigned w) {
-            partial[w] += view.degreeOut(v);
-        });
-    }
+    result.simNs = driver.forEach(queries, [&](vid_t v, unsigned w) {
+        partial[w] += view.forEachNebrOut(v, [](vid_t) {});
+    });
     result.iterations = 1;
     result.touched = queries.size();
     for (uint64_t p : partial)
@@ -86,14 +66,14 @@ runOneHop(GraphView &view, std::span<const vid_t> queries,
 
 AnalyticsResult
 runBfs(GraphView &view, vid_t root, unsigned num_threads,
-       QueryBinding binding, QueryEngine engine)
+       QueryBinding binding)
 {
     const vid_t nv = view.numVertices();
     XPG_ASSERT(root < nv, "BFS root out of range");
     telemetry::OpScope opScope(costSource(view), "bfs",
                                telemetry::OpClass::Query);
     XPG_TRACE_SCOPE(kernelSpan, "bfs", "query");
-    QueryDriver driver(view, num_threads, binding, scheduleFor(engine));
+    QueryDriver driver(view, num_threads, binding);
 
     auto visited = std::make_unique<std::atomic<uint8_t>[]>(nv);
     for (vid_t v = 0; v < nv; ++v)
@@ -114,27 +94,14 @@ runBfs(GraphView &view, vid_t root, unsigned num_threads,
     result.touched = 1;
     while (!frontier.empty()) {
         ++result.iterations;
-        if (engine == QueryEngine::Vector) {
-            result.simNs +=
-                driver.forEach(frontier, [&](vid_t v, unsigned w) {
-                    t_nebrs.clear();
-                    view.getNebrsOut(v, t_nebrs);
-                    // Auxiliary arrays (visited bitmap, ranks, labels)
-                    // are tiny at the session's reduced scale and stay
-                    // cache-resident; charge only the streaming touch,
-                    // not DRAM misses.
-                    chargeDramSequential(t_nebrs.size() / 8 + 1);
-                    for (vid_t n : t_nebrs)
-                        expand(n, w);
-                });
-        } else {
-            result.simNs +=
-                driver.forEach(frontier, [&](vid_t v, unsigned w) {
-                    const uint32_t deg = view.forEachNebrOut(
-                        v, [&](vid_t n) { expand(n, w); });
-                    chargeDramSequential(deg / 8 + 1);
-                });
-        }
+        result.simNs += driver.forEach(frontier, [&](vid_t v, unsigned w) {
+            const uint32_t deg =
+                view.forEachNebrOut(v, [&](vid_t n) { expand(n, w); });
+            // Auxiliary arrays (visited bitmap, ranks, labels) are tiny
+            // at the session's reduced scale and stay cache-resident;
+            // charge only the streaming touch, not DRAM misses.
+            chargeDramSequential(deg / 8 + 1);
+        });
 
         SimScope merge_scope;
         frontier.clear();
@@ -155,13 +122,13 @@ runBfs(GraphView &view, vid_t root, unsigned num_threads,
 
 AnalyticsResult
 runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
-            QueryBinding binding, QueryEngine engine)
+            QueryBinding binding)
 {
     const vid_t nv = view.numVertices();
     telemetry::OpScope opScope(costSource(view), "pagerank",
                                telemetry::OpClass::Query);
     XPG_TRACE_SCOPE(kernelSpan, "pagerank", "query");
-    QueryDriver driver(view, num_threads, binding, scheduleFor(engine));
+    QueryDriver driver(view, num_threads, binding);
 
     std::vector<double> contrib(nv, 0.0);
     // next[] holds the ranks after the most recent sweep; seeding it
@@ -171,18 +138,9 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
     std::vector<uint32_t> out_deg(nv, 0);
 
     AnalyticsResult result;
-    // Degree pass. The vector engine counts live out-edges by
-    // materializing every adjacency; the visitor engine reads the
-    // live-degree cache in O(1) per vertex.
-    if (engine == QueryEngine::Vector) {
-        result.simNs += driver.forAllVertices([&](vid_t v, unsigned) {
-            t_nebrs.clear();
-            out_deg[v] = view.getNebrsOut(v, t_nebrs);
-        });
-    } else {
-        result.simNs += driver.forAllVertices(
-            [&](vid_t v, unsigned) { out_deg[v] = view.degreeOut(v); });
-    }
+    // Degree pass: the live-degree cache answers in O(1) per vertex.
+    result.simNs += driver.forAllVertices(
+        [&](vid_t v, unsigned) { out_deg[v] = view.degreeOut(v); });
 
     const double base = 0.15 / static_cast<double>(nv);
     for (vid_t v = 0; v < nv; ++v)
@@ -190,26 +148,14 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
 
     for (unsigned it = 0; it < iterations; ++it) {
         ++result.iterations;
-        if (engine == QueryEngine::Vector) {
-            result.simNs += driver.forAllVertices([&](vid_t v, unsigned) {
-                t_nebrs.clear();
-                view.getNebrsIn(v, t_nebrs);
-                // contrib[] is cache-resident at the session scale.
-                chargeDramSequential(t_nebrs.size() * sizeof(vid_t));
-                double sum = 0.0;
-                for (vid_t u : t_nebrs)
-                    sum += contrib[u];
-                next[v] = base + 0.85 * sum;
-            });
-        } else {
-            result.simNs += driver.forAllVertices([&](vid_t v, unsigned) {
-                double sum = 0.0;
-                const uint32_t deg = view.forEachNebrIn(
-                    v, [&](vid_t u) { sum += contrib[u]; });
-                chargeDramSequential(uint64_t{deg} * sizeof(vid_t));
-                next[v] = base + 0.85 * sum;
-            });
-        }
+        result.simNs += driver.forAllVertices([&](vid_t v, unsigned) {
+            double sum = 0.0;
+            const uint32_t deg =
+                view.forEachNebrIn(v, [&](vid_t u) { sum += contrib[u]; });
+            // contrib[] is cache-resident at the session scale.
+            chargeDramSequential(uint64_t{deg} * sizeof(vid_t));
+            next[v] = base + 0.85 * sum;
+        });
 
         // Re-normalize contributions only when another sweep will read
         // them; the ranks reported below are exactly next[] after the
@@ -238,14 +184,13 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
 
 AnalyticsResult
 runConnectedComponents(GraphView &view, unsigned num_threads,
-                       QueryBinding binding, unsigned max_iterations,
-                       QueryEngine engine)
+                       QueryBinding binding, unsigned max_iterations)
 {
     const vid_t nv = view.numVertices();
     telemetry::OpScope opScope(costSource(view), "cc",
                                telemetry::OpClass::Query);
     XPG_TRACE_SCOPE(kernelSpan, "cc", "query");
-    QueryDriver driver(view, num_threads, binding, scheduleFor(engine));
+    QueryDriver driver(view, num_threads, binding);
 
     auto labels = std::make_unique<std::atomic<vid_t>[]>(nv);
     for (vid_t v = 0; v < nv; ++v)
@@ -259,23 +204,12 @@ runConnectedComponents(GraphView &view, unsigned num_threads,
         ++result.iterations;
         result.simNs += driver.forAllVertices([&](vid_t v, unsigned) {
             vid_t m = labels[v].load(std::memory_order_relaxed);
-            if (engine == QueryEngine::Vector) {
-                t_nebrs.clear();
-                view.getNebrsOut(v, t_nebrs);
-                view.getNebrsIn(v, t_nebrs);
-                chargeDramSequential(t_nebrs.size() * sizeof(vid_t));
-                for (vid_t n : t_nebrs)
-                    m = std::min(m,
-                                 labels[n].load(std::memory_order_relaxed));
-            } else {
-                auto fold = [&](vid_t n) {
-                    m = std::min(m,
-                                 labels[n].load(std::memory_order_relaxed));
-                };
-                uint32_t deg = view.forEachNebrOut(v, fold);
-                deg += view.forEachNebrIn(v, fold);
-                chargeDramSequential(uint64_t{deg} * sizeof(vid_t));
-            }
+            auto fold = [&](vid_t n) {
+                m = std::min(m, labels[n].load(std::memory_order_relaxed));
+            };
+            uint32_t deg = view.forEachNebrOut(v, fold);
+            deg += view.forEachNebrIn(v, fold);
+            chargeDramSequential(uint64_t{deg} * sizeof(vid_t));
             if (m < labels[v].load(std::memory_order_relaxed)) {
                 labels[v].store(m, std::memory_order_relaxed);
                 changed.store(true, std::memory_order_relaxed);

@@ -5,14 +5,9 @@
  * Components, all running over the GraphView interface so they exercise
  * XPGraph and the GraphOne baselines identically.
  *
- * Each kernel runs on one of two query surfaces (QueryEngine):
- *  - Vector: the Table-I getNebrs* calls, which materialize each
- *    adjacency into a caller vector, plus strided scheduling — the
- *    legacy path, kept as the before-side of the zero-copy comparison.
- *  - Visitor (default): the zero-copy forEachNebr / degree API with
- *    degree-balanced scheduling; same charged device traffic per
- *    neighbor but no materialization, no separate degree pass, and
- *    rounds that finish together.
+ * Every kernel streams adjacencies through the zero-copy forEachNebr
+ * visitor API and reads degrees from the O(1) degree cache; the
+ * whole-graph sweeps use the driver's degree-balanced schedule.
  */
 
 #ifndef XPG_ANALYTICS_ALGORITHMS_HPP
@@ -28,13 +23,6 @@
 #include "telemetry/op_scope.hpp"
 
 namespace xpg {
-
-/** Which query surface a kernel drives. */
-enum class QueryEngine
-{
-    Vector,  ///< materializing Table-I getNebrs* calls (legacy)
-    Visitor, ///< zero-copy visitor API + degree cache (default)
-};
 
 /** Outcome of one analytics run. */
 struct AnalyticsResult
@@ -65,23 +53,21 @@ struct AnalyticsResult
 /**
  * One-hop neighbor queries: fetch the out-neighbors of each vertex in
  * @p queries (the paper queries 2^24 random non-zero-degree vertices).
- * The visitor engine answers each query from the live-degree cache.
+ * Each query streams its vertex's neighbors; the checksum is the total
+ * neighbor count.
  */
 AnalyticsResult runOneHop(GraphView &view, std::span<const vid_t> queries,
                           unsigned num_threads,
-                          QueryBinding binding = QueryBinding::Auto,
-                          QueryEngine engine = QueryEngine::Visitor);
+                          QueryBinding binding = QueryBinding::Auto);
 
 /** Level-synchronous BFS over out-edges from @p root. */
 AnalyticsResult runBfs(GraphView &view, vid_t root, unsigned num_threads,
-                       QueryBinding binding = QueryBinding::Auto,
-                       QueryEngine engine = QueryEngine::Visitor);
+                       QueryBinding binding = QueryBinding::Auto);
 
 /** Pull-based PageRank for @p iterations rounds (paper: ten). */
 AnalyticsResult runPageRank(GraphView &view, unsigned iterations,
                             unsigned num_threads,
-                            QueryBinding binding = QueryBinding::Auto,
-                            QueryEngine engine = QueryEngine::Visitor);
+                            QueryBinding binding = QueryBinding::Auto);
 
 /**
  * Connected components via min-label propagation over out- and in-edges
@@ -89,8 +75,7 @@ AnalyticsResult runPageRank(GraphView &view, unsigned iterations,
  */
 AnalyticsResult runConnectedComponents(
     GraphView &view, unsigned num_threads,
-    QueryBinding binding = QueryBinding::Auto, unsigned max_iterations = 64,
-    QueryEngine engine = QueryEngine::Visitor);
+    QueryBinding binding = QueryBinding::Auto, unsigned max_iterations = 64);
 
 } // namespace xpg
 

@@ -56,7 +56,6 @@ void
 QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices)
 {
     XPG_TEL_RECORD(telRoundHist_, round_ns);
-    XPG_TEL_TICK();
     if constexpr (!telemetry::kAttributionEnabled)
         return;
 

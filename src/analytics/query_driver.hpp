@@ -83,7 +83,7 @@ enum class QueryBinding
 enum class SchedulePolicy
 {
     Auto,     ///< Balanced when the view has O(1) degrees, else Strided
-    Strided,  ///< round-robin deal (legacy behaviour)
+    Strided,  ///< round-robin deal (one-hop's random queries)
     Balanced, ///< degree-weighted contiguous chunks in id order
 };
 
@@ -162,10 +162,10 @@ class QueryDriver
                                           unsigned parts) const;
     uint64_t runPlan(const Plan &plan,
                      const std::function<void(vid_t, unsigned)> &fn);
-    /** Per-round telemetry: record the round's simulated ns and drive
-     *  the periodic-snapshot tick (both no-ops with telemetry OFF),
-     *  then append this round's RoundStats (probe deltas against the
-     *  previous sample + the push/pull cost estimate). */
+    /** Per-round telemetry: record the round's simulated ns (a no-op
+     *  with telemetry OFF), then append this round's RoundStats (probe
+     *  deltas against the previous sample + the push/pull cost
+     *  estimate). */
     void noteRound(uint64_t round_ns, uint64_t active_vertices);
 
     GraphView &view_;

@@ -281,13 +281,6 @@ GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
     inShards_.resize(shards);
 }
 
-GraphOne::~GraphOne()
-{
-    // Release the deprecated shims' lazily opened session while the
-    // derived members its close path touches are still alive.
-    resetDefaultSession();
-}
-
 void
 GraphOne::initTelemetry()
 {
@@ -882,14 +875,10 @@ GraphOne::stats() const
 {
     IngestStats s;
     s.loggingNs = loggingNs_.load(std::memory_order_relaxed);
-    s.loggingNsMax =
-        std::max(defaultSessionNs_.load(std::memory_order_relaxed),
-                 sessionNsMax_.load(std::memory_order_relaxed));
+    s.loggingNsMax = sessionNsMax_.load(std::memory_order_relaxed);
     if (s.loggingNsMax == 0)
         s.loggingNsMax = s.loggingNs;
-    s.clientNsMax =
-        std::max(defaultStreamNs_.load(std::memory_order_relaxed),
-                 streamNsMax_.load(std::memory_order_relaxed));
+    s.clientNsMax = streamNsMax_.load(std::memory_order_relaxed);
     // archiving fills the buffering slot
     s.bufferingNs = archivingNs_.load(std::memory_order_relaxed);
     s.edgesLogged = edgesLogged_.load(std::memory_order_relaxed);

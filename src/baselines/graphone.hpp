@@ -95,7 +95,6 @@ class GraphOne : public GraphStore
 {
   public:
     explicit GraphOne(const GraphOneConfig &config);
-    ~GraphOne() override;
 
     /**
      * Re-open a crashed, file-backed Pmem-variant instance: adopts the
@@ -299,11 +298,9 @@ class GraphOne : public GraphStore
 
     // stats (relaxed atomics: updated from concurrent sessions)
     std::atomic<uint64_t> loggingNs_{0};
-    std::atomic<uint64_t> defaultSessionNs_{0};
     std::atomic<uint64_t> sessionNsMax_{0};
-    /** Default shim / slowest session stream walls: logging plus the
-     *  archive phases that client coordinated inline. */
-    std::atomic<uint64_t> defaultStreamNs_{0};
+    /** Slowest session stream wall: logging plus the archive phases
+     *  that client coordinated inline. */
     std::atomic<uint64_t> streamNsMax_{0};
     std::atomic<uint64_t> archivingNs_{0};
     std::atomic<uint64_t> edgesLogged_{0};

@@ -500,9 +500,6 @@ XPGraph::phaseExitLocked()
 
 XPGraph::~XPGraph()
 {
-    // The deprecated addEdge* shims hold a lazily opened session in the
-    // base class; release it before asserting every client closed.
-    resetDefaultSession();
     XPG_ASSERT(openSessions_.load(std::memory_order_relaxed) == 0,
                "destroying XPGraph with open ingestion sessions");
     XPG_ASSERT(viewBoundaries_.empty(),
@@ -1044,10 +1041,12 @@ uint64_t
 XPGraph::bufferEdges(const Edge *edges, uint64_t n)
 {
     // Single-client convenience: node 0's log, no thread binding,
-    // accounted like the legacy default stream.
+    // accounted as one client stream of its own.
     const AppendCost cost = appendFromClient(0, /*bind=*/false, edges, n);
-    defaultSessionNs_.fetch_add(cost.loggingNs, std::memory_order_relaxed);
-    defaultStreamNs_.fetch_add(cost.streamNs(), std::memory_order_relaxed);
+    bufferEdgesLoggingNs_.fetch_add(cost.loggingNs,
+                                    std::memory_order_relaxed);
+    bufferEdgesStreamNs_.fetch_add(cost.streamNs(),
+                                   std::memory_order_relaxed);
     bufferAllEdges();
     return n;
 }
@@ -2559,12 +2558,12 @@ XPGraph::stats() const
     IngestStats s;
     s.loggingNs = loggingNs_.load(std::memory_order_relaxed);
     s.loggingNsMax =
-        std::max(defaultSessionNs_.load(std::memory_order_relaxed),
+        std::max(bufferEdgesLoggingNs_.load(std::memory_order_relaxed),
                  sessionNsMax_.load(std::memory_order_relaxed));
     if (s.loggingNsMax == 0)
         s.loggingNsMax = s.loggingNs;
     s.clientNsMax =
-        std::max(defaultStreamNs_.load(std::memory_order_relaxed),
+        std::max(bufferEdgesStreamNs_.load(std::memory_order_relaxed),
                  streamNsMax_.load(std::memory_order_relaxed));
     s.bufferingNs = bufferingNs_.load(std::memory_order_relaxed);
     s.flushingNs = flushingNs_.load(std::memory_order_relaxed);

@@ -87,10 +87,9 @@ uint64_t recommendedBytesPerNode(const XPGraphConfig &config,
 /**
  * XPGraph / XPGraph-B / XPGraph-D (selected by XPGraphConfig).
  *
- * Updates come from any number of IngestSessions on distinct threads
- * (the store's addEdge/addEdges/delEdge are the single-threaded default
- * session). Queries may run from many threads once updates are
- * quiescent (after a sync point).
+ * Updates come from any number of IngestSessions on distinct threads.
+ * Queries may run from many threads once updates are quiescent (after
+ * a sync point).
  */
 class XPGraph : public GraphStore
 {
@@ -603,8 +602,8 @@ class XPGraph : public GraphStore
 
     // stats (relaxed atomics: sessions + archiver update concurrently)
     std::atomic<uint64_t> loggingNs_{0};     ///< sum over all streams
-    std::atomic<uint64_t> defaultSessionNs_{0}; ///< default shim: logging
-    std::atomic<uint64_t> defaultStreamNs_{0};  ///< + inline archiving
+    std::atomic<uint64_t> bufferEdgesLoggingNs_{0}; ///< bufferEdges: logging
+    std::atomic<uint64_t> bufferEdgesStreamNs_{0};  ///< + inline archiving
     std::atomic<uint64_t> sessionNsMax_{0};  ///< slowest session: logging
     std::atomic<uint64_t> streamNsMax_{0};   ///< + inline archiving
     std::atomic<uint64_t> bufferingNs_{0};

@@ -12,9 +12,6 @@
  *    number of sessions may update concurrently from distinct threads.
  *    A session must not be shared between threads without external
  *    synchronization (it is a lightweight per-thread handle).
- *  - addEdge/addEdges/delEdge on the store itself are a deprecated
- *    convenience shim over an internally held session(0); they are
- *    single-client-thread only. New code opens explicit sessions.
  *  - openView() returns a consistent point-in-time ReadView that may
  *    be queried while sessions keep ingesting (see read_view.hpp).
  *  - archiveAll() (and the store-specific flush entry points) are the
@@ -139,50 +136,6 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
     virtual std::unique_ptr<IngestSession>
     session(unsigned thread_hint = 0) = 0;
 
-// Wrap a call site that exercises the deprecated shim *on purpose*
-// (e.g. its regression tests) so it builds without the warning.
-#define XPG_SUPPRESS_DEPRECATED_BEGIN                                     \
-    _Pragma("GCC diagnostic push") _Pragma(                               \
-        "GCC diagnostic ignored \"-Wdeprecated-declarations\"")
-#define XPG_SUPPRESS_DEPRECATED_END _Pragma("GCC diagnostic pop")
-
-    // --- Deprecated default-session shim ---
-    //
-    // These route through a lazily opened, internally held session(0).
-    // They exist so pre-session call sites keep compiling; they are
-    // single-client-thread only (the shared shim session is not
-    // synchronized) and will be removed. New code opens explicit
-    // sessions.
-
-    /** Log one edge insertion. @deprecated Use session()->addEdge(). */
-    [[deprecated("open an explicit IngestSession via session()")]]
-    void
-    addEdge(vid_t src, vid_t dst)
-    {
-        const Edge e{src, dst};
-        defaultSession().addEdges(&e, 1);
-    }
-
-    /**
-     * Log a batch of edges. @return edges accepted (always n).
-     * @deprecated Use session()->addEdges().
-     */
-    [[deprecated("open an explicit IngestSession via session()")]]
-    uint64_t
-    addEdges(const Edge *edges, uint64_t n)
-    {
-        return defaultSession().addEdges(edges, n);
-    }
-
-    /** Log one edge deletion. @deprecated Use session()->delEdge(). */
-    [[deprecated("open an explicit IngestSession via session()")]]
-    void
-    delEdge(vid_t src, vid_t dst)
-    {
-        const Edge e{src, asDelete(dst)};
-        defaultSession().addEdges(&e, 1);
-    }
-
     // --- Consistent read views ---
 
     /**
@@ -295,27 +248,6 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
         const CompressionStats cs = compressionStats();
         return {cs.decodedRecords * sizeof(vid_t), cs.decodeCalls};
     }
-
-  protected:
-    /**
-     * Close the deprecated shim's internally held session, if one was
-     * ever opened. Derived-class destructors call this *before* any
-     * "all sessions closed" teardown assertions — the base destructor
-     * runs too late (after the derived store is already torn down).
-     */
-    void resetDefaultSession() { defaultSession_.reset(); }
-
-  private:
-    /** Lazily opened session(0) backing the deprecated shim. */
-    IngestSession &
-    defaultSession()
-    {
-        if (!defaultSession_)
-            defaultSession_ = session(0);
-        return *defaultSession_;
-    }
-
-    std::unique_ptr<IngestSession> defaultSession_;
 };
 
 } // namespace xpg

@@ -128,47 +128,6 @@ Telemetry::snapshotValue() const
 }
 
 void
-Telemetry::configurePeriodic(std::string snapshotPath, std::string tracePath,
-                             uint64_t periodTicks)
-{
-    std::lock_guard<std::mutex> lock(periodicMu_);
-    periodicSnapshotPath_ = std::move(snapshotPath);
-    periodicTracePath_ = std::move(tracePath);
-    periodTicks_ = periodTicks;
-}
-
-void
-Telemetry::tick()
-{
-    uint64_t period;
-    {
-        std::lock_guard<std::mutex> lock(periodicMu_);
-        period = periodTicks_;
-    }
-    if (period == 0)
-        return;
-    const uint64_t n = ticks_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (n % period == 0)
-        flushConfigured();
-}
-
-void
-Telemetry::flushConfigured() const
-{
-    std::string snapshotPath;
-    std::string tracePath;
-    {
-        std::lock_guard<std::mutex> lock(periodicMu_);
-        snapshotPath = periodicSnapshotPath_;
-        tracePath = periodicTracePath_;
-    }
-    if (!snapshotPath.empty())
-        writeSnapshotJson(snapshotPath);
-    if (!tracePath.empty())
-        writeTraceJson(tracePath);
-}
-
-void
 Telemetry::reset()
 {
     metrics_.resetValues();
@@ -178,7 +137,6 @@ Telemetry::reset()
             e.histogram.resetValues();
     }
     trace_.clear();
-    ticks_.store(0, std::memory_order_relaxed);
 }
 
 } // namespace xpg::telemetry

@@ -20,7 +20,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -88,14 +87,6 @@ class Telemetry
         return traceValue().writeFile(path);
     }
 
-    /// Periodic snapshot hook: after configurePeriodic(), every
-    /// @p periodTicks-th tick() rewrites the configured files. Pass
-    /// empty paths / 0 to disable.
-    void configurePeriodic(std::string snapshotPath, std::string tracePath,
-                           uint64_t periodTicks);
-    void tick();
-    void flushConfigured() const;
-
     /// Zero metric values, zero histogram shards, drop trace events.
     /// Registrations (and cached handles) survive. Callers must be
     /// quiescent for the trace part.
@@ -116,12 +107,6 @@ class Telemetry
 
     MetricsRegistry metrics_;
     TraceBuffer trace_;
-
-    mutable std::mutex periodicMu_;
-    std::string periodicSnapshotPath_;
-    std::string periodicTracePath_;
-    uint64_t periodTicks_ = 0;
-    std::atomic<uint64_t> ticks_{0};
 };
 
 } // namespace xpg::telemetry
@@ -167,7 +152,6 @@ class Telemetry
         (spanName), (category), (hostStartNs), (hostDurNs), (simNs))
 #define XPG_TEL_NAME_THREAD(nameStr)                                        \
     ::xpg::telemetry::nameCurrentThread(nameStr)
-#define XPG_TEL_TICK() ::xpg::telemetry::Telemetry::instance().tick()
 
 #else // XPG_TELEMETRY_ENABLED == 0: everything collapses to nothing
 
@@ -194,6 +178,5 @@ class Telemetry
     ((void)sizeof(hostStartNs), (void)sizeof(hostDurNs),                    \
      (void)sizeof(simNs))
 #define XPG_TEL_NAME_THREAD(nameStr) ((void)0)
-#define XPG_TEL_TICK() ((void)0)
 
 #endif // XPG_TELEMETRY_ENABLED

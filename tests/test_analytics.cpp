@@ -36,6 +36,16 @@ makeWorkload()
     return w;
 }
 
+/** Uniform degrees, and too much adjacency for the XPBuffer to hold. */
+Workload
+makeUniformWorkload()
+{
+    Workload w;
+    w.nv = 4000;
+    w.edges = generateUniform(w.nv, 120000, 111);
+    return w;
+}
+
 std::unique_ptr<XPGraph>
 makeXpgraph(const Workload &w)
 {
@@ -82,6 +92,28 @@ TEST(Analytics, OneHopCountsMatchReference)
     EXPECT_GT(r_xpg.simNs, 0u);
 }
 
+TEST(Analytics, OneHopReadsNeighborsFromPmem)
+{
+    // A one-hop query fetches the neighbors (paper Fig.14), so once
+    // the adjacency sits in PMEM it must read media, and every
+    // neighbor it counts is a record its round scanned.
+    const Workload w = makeUniformWorkload();
+    auto xpg = makeXpgraph(w);
+    xpg->flushAllVbufs();
+    std::vector<vid_t> queries;
+    for (vid_t v = 0; v < w.nv; ++v)
+        queries.push_back(v);
+
+    const PcmCounters before = xpg->pmemCounters();
+    const auto r = runOneHop(*xpg, queries, 4);
+    EXPECT_GT((xpg->pmemCounters() - before).mediaBytesRead, 0u);
+    if (!telemetry::kOpScopeEnabled)
+        return; // no rounds and no op deltas in OFF builds
+    ASSERT_EQ(r.rounds.size(), 1u);
+    EXPECT_EQ(r.rounds[0].edgesScanned, r.checksum);
+    EXPECT_GT(r.op.pcm.mediaBytesRead, 0u);
+}
+
 TEST(Analytics, BfsVisitsSameVerticesEverywhere)
 {
     const Workload w = makeWorkload();
@@ -113,15 +145,20 @@ TEST(Analytics, PageRankMatchesReferenceChecksum)
     const Workload w = makeWorkload();
     CsrView ref(w.nv, w.edges);
     auto xpg = makeXpgraph(w);
+    auto g1 = makeGraphone(w);
 
     const auto r_ref = runPageRank(ref, 5, 2);
     const auto r_xpg = runPageRank(*xpg, 5, 4);
+    const auto r_g1 = runPageRank(*g1, 5, 4);
     // Rank sums must agree to the checksum quantization; summation order
-    // inside one vertex is identical (sorted in ref vs arrival order in
-    // XPGraph), so allow a tiny FP slack.
+    // inside one vertex differs (sorted in ref vs arrival order in the
+    // stores), so allow a tiny FP slack.
     EXPECT_NEAR(static_cast<double>(r_xpg.checksum),
                 static_cast<double>(r_ref.checksum), 10.0);
+    EXPECT_NEAR(static_cast<double>(r_g1.checksum),
+                static_cast<double>(r_ref.checksum), 10.0);
     EXPECT_EQ(r_xpg.iterations, 5u);
+    EXPECT_EQ(r_g1.iterations, 5u);
 }
 
 TEST(Analytics, PageRankSumsToOne)
@@ -193,70 +230,15 @@ TEST(Analytics, QueryBindingBeatsUnboundOnXPGraph)
     // per-round classification and one-off binding costs.
     // Uniform degrees isolate the remote-read effect from the load
     // variance that hub vertices add at this tiny scale.
-    Workload w;
-    w.nv = 4000;
-    w.edges = generateUniform(w.nv, 120000, 111);
+    const Workload w = makeUniformWorkload();
     auto xpg = makeXpgraph(w);
     xpg->flushAllVbufs(); // force queries to hit PMEM
     std::vector<vid_t> queries;
     for (vid_t v = 0; v < w.nv; ++v)
         queries.push_back(v);
-    // Pin the materializing engine: the visitor engine answers 1-hop
-    // from the DRAM degree cache and never reads PMEM at all.
-    const auto bound = runOneHop(*xpg, queries, 4, QueryBinding::PerRound,
-                                 QueryEngine::Vector);
-    const auto unbound = runOneHop(*xpg, queries, 4, QueryBinding::None,
-                                   QueryEngine::Vector);
+    const auto bound = runOneHop(*xpg, queries, 4, QueryBinding::PerRound);
+    const auto unbound = runOneHop(*xpg, queries, 4, QueryBinding::None);
     EXPECT_LT(bound.simNs, unbound.simNs);
-}
-
-TEST(Analytics, EnginesAgreeOnEveryKernel)
-{
-    // The zero-copy visitor engine must produce the same results as the
-    // materializing vector engine on every store and every kernel.
-    const Workload w = makeWorkload();
-    CsrView ref(w.nv, w.edges);
-    auto xpg = makeXpgraph(w);
-    auto g1 = makeGraphone(w);
-
-    std::vector<vid_t> queries;
-    for (vid_t v = 0; v < w.nv; ++v)
-        queries.push_back(v);
-
-    GraphView *views[] = {&ref, xpg.get(), g1.get()};
-    for (GraphView *view : views) {
-        const auto hop_vec = runOneHop(*view, queries, 4,
-                                       QueryBinding::Auto,
-                                       QueryEngine::Vector);
-        const auto hop_vis = runOneHop(*view, queries, 4,
-                                       QueryBinding::Auto,
-                                       QueryEngine::Visitor);
-        EXPECT_EQ(hop_vis.checksum, hop_vec.checksum);
-
-        const auto bfs_vec = runBfs(*view, 0, 4, QueryBinding::Auto,
-                                    QueryEngine::Vector);
-        const auto bfs_vis = runBfs(*view, 0, 4, QueryBinding::Auto,
-                                    QueryEngine::Visitor);
-        EXPECT_EQ(bfs_vis.checksum, bfs_vec.checksum);
-        EXPECT_EQ(bfs_vis.iterations, bfs_vec.iterations);
-
-        const auto pr_vec = runPageRank(*view, 5, 4, QueryBinding::Auto,
-                                        QueryEngine::Vector);
-        const auto pr_vis = runPageRank(*view, 5, 4, QueryBinding::Auto,
-                                        QueryEngine::Visitor);
-        // Neighbor summation order can differ between the engines
-        // (balanced vs strided partitions do not change per-vertex
-        // order, but stores may emit tombstone-cancelled lists in a
-        // different order); allow FP quantization slack.
-        EXPECT_NEAR(static_cast<double>(pr_vis.checksum),
-                    static_cast<double>(pr_vec.checksum), 10.0);
-
-        const auto cc_vec = runConnectedComponents(
-            *view, 4, QueryBinding::Auto, 64, QueryEngine::Vector);
-        const auto cc_vis = runConnectedComponents(
-            *view, 4, QueryBinding::Auto, 64, QueryEngine::Visitor);
-        EXPECT_EQ(cc_vis.checksum, cc_vec.checksum);
-    }
 }
 
 TEST(Analytics, FewerThreadsThanNodesCoversAllVertices)
@@ -274,11 +256,9 @@ TEST(Analytics, FewerThreadsThanNodesCoversAllVertices)
         queries.push_back(v);
 
     const auto r_ref = runOneHop(ref, queries, 2);
-    for (QueryEngine engine : {QueryEngine::Vector, QueryEngine::Visitor}) {
-        const auto one_thread = runOneHop(*xpg, queries, 1,
-                                          QueryBinding::PerRound, engine);
-        EXPECT_EQ(one_thread.checksum, r_ref.checksum);
-    }
+    const auto one_thread = runOneHop(*xpg, queries, 1,
+                                      QueryBinding::PerRound);
+    EXPECT_EQ(one_thread.checksum, r_ref.checksum);
 }
 
 TEST(Analytics, SchedulePoliciesCoverTheSameVertices)
@@ -320,14 +300,24 @@ TEST(Analytics, SchedulePoliciesCoverTheSameVertices)
 TEST(Analytics, BalancedScheduleIsCheaperOnSkewedGraphs)
 {
     // The degree-balanced schedule exists to kill the straggler rounds
-    // that strided dealing produces on power-law graphs.
+    // that strided dealing produces on power-law graphs. Two drivers
+    // run the same in-edge sweep and differ only in the schedule; the
+    // first sweep builds the balanced plan, so the second is timed. At
+    // 8 workers over 300 vertices strided dealing spreads the hubs well
+    // enough to win; at the testbed's 96 it straggles.
     const Workload w = makeWorkload();
     auto xpg = makeXpgraph(w);
-    const auto strided = runPageRank(*xpg, 10, 8, QueryBinding::Auto,
-                                     QueryEngine::Vector);
-    const auto balanced = runPageRank(*xpg, 10, 8, QueryBinding::Auto,
-                                      QueryEngine::Visitor);
-    EXPECT_LT(balanced.simNs, strided.simNs);
+    auto sweepNs = [&](SchedulePolicy policy) {
+        QueryDriver driver(*xpg, 96, QueryBinding::Auto, policy);
+        const auto sweep = [&](vid_t v, unsigned) {
+            xpg->forEachNebrIn(v, [](vid_t) {});
+        };
+        driver.forAllVertices(sweep);
+        return driver.forAllVertices(sweep);
+    };
+    const uint64_t strided = sweepNs(SchedulePolicy::Strided);
+    const uint64_t balanced = sweepNs(SchedulePolicy::Balanced);
+    EXPECT_LT(balanced, strided);
 }
 
 } // namespace

@@ -285,32 +285,6 @@ TEST(IngestSession, DefaultMethodsForwardToBatch)
     EXPECT_EQ(nebrs, std::vector<vid_t>{3});
 }
 
-/** The deprecated addEdge/addEdges shims remain usable alongside
- *  (before/after, not during) session ingest; they route through a
- *  lazily opened internal session, which shows up in the stats. */
-TEST(IngestSession, DefaultShimCoexistsWithSessions)
-{
-    const vid_t nv = 64;
-    XPGraph graph(smallConfig(nv, 1000));
-    XPG_SUPPRESS_DEPRECATED_BEGIN
-    graph.addEdge(2, 5);
-    {
-        auto s = graph.session(1);
-        s->addEdge(2, 6);
-    }
-    graph.addEdge(2, 7);
-    XPG_SUPPRESS_DEPRECATED_END
-    graph.archiveAll();
-    std::vector<vid_t> nebrs;
-    graph.getNebrsOut(2, nebrs);
-    std::sort(nebrs.begin(), nebrs.end());
-    EXPECT_EQ(nebrs, (std::vector<vid_t>{5, 6, 7}));
-    const IngestStats s = graph.stats();
-    EXPECT_EQ(s.edgesLogged, 3u);
-    // The shim's internal session plus the explicit one.
-    EXPECT_EQ(s.sessionsOpened, 2u);
-}
-
 // --- crash recovery of a partially drained concurrent log ------------------
 
 class ConcurrentRecovery : public ::testing::Test

@@ -195,9 +195,9 @@ metricsPathFor(const std::string &trace_path)
 }
 
 /**
- * Arm the periodic exporter if --telemetry was given: long runs then
- * rewrite both files every few hundred query rounds, so a hung or
- * killed process still leaves a recent timeline behind.
+ * Prepare for --telemetry: warn when the build cannot honor it and name
+ * the main thread on the trace timeline. writeTelemetry() writes both
+ * files at exit.
  */
 void
 setupTelemetry(const Args &args)
@@ -212,8 +212,6 @@ setupTelemetry(const Args &args)
         return;
     }
     XPG_TEL_NAME_THREAD("main");
-    telemetry::Telemetry::instance().configurePeriodic(
-        metricsPathFor(path), path, /*periodTicks=*/256);
 }
 
 /**
@@ -724,15 +722,13 @@ cmdProfile(const Args &args)
     store->session(0)->addEdges(edges.data(), edges.size());
     store->archiveAll();
     if (queries > 0) {
-        // Materializing one-hops (the visitor engine would answer from
-        // the DRAM degree cache and leave no media trace) plus a BFS:
-        // enough adjacency reads for query_read to show in the table.
+        // One-hops plus a BFS: enough adjacency reads for query_read to
+        // show in the table.
         Rng rng(1);
         std::vector<vid_t> sources;
         for (uint64_t i = 0; i < queries; ++i)
             sources.push_back(edges[rng.nextBounded(edges.size())].src);
-        runOneHop(*store, sources, threads, QueryBinding::Auto,
-                  QueryEngine::Vector);
+        runOneHop(*store, sources, threads);
         runBfs(*store, edges[0].src, threads);
     }
 
