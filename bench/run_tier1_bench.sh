@@ -64,10 +64,12 @@
 # CLI pipeline with --telemetry and json.tool-validates the trace and
 # metrics files, runs the attribution profiler and asserts its per-cause
 # rows sum back to the device counters (≤0.1%), then builds a
-# -DXPG_TELEMETRY=OFF tree (<build-dir>-notel) and bounds the
-# median-of-five simulated-time drift between the fig20 flavors at 5%
-# (a single run jitters up to ~5% with thread scheduling on its own;
-# an unchanged tree measures up to ~2.4% median drift).
+# -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires seven
+# single-threaded CLI ingest/query runs to print byte-identical output
+# in both trees, and bounds the median-of-five simulated-time drift
+# between the fig20 flavors at 5% (a single run jitters up to ~5% with
+# thread scheduling on its own; an unchanged tree measures up to ~2.4%
+# median drift).
 #
 # Usage: bench/run_tier1_bench.sh [build-dir] [dataset...]
 #   build-dir  defaults to ./build
@@ -368,14 +370,18 @@ print("wedge scenario passed: watchdog flagged the stall and dumped "
 EOF
 rm -rf "${watch_dir}"
 
-# Telemetry stage (skip with XPG_TELEMETRY_STAGE=0). Three checks:
+# Telemetry stage (skip with XPG_TELEMETRY_STAGE=0). Four checks:
 #  1. The CLI pipeline run (ingest + archive + query + crash + recover)
 #     with --telemetry produces a Chrome trace and a metrics snapshot
 #     that real JSON parsers accept.
 #  2. A -DXPG_TELEMETRY=OFF tree compiles the whole library and test
 #     suite (the macros really collapse to no-ops) and still passes the
 #     Telemetry* tests, which use the classes directly.
-#  3. The OFF tree's fig20 runs report the same simulated ingest time
+#  3. Single-threaded CLI runs are deterministic, so the OFF tree must
+#     print byte-identical ingest and query results. The phase stats
+#     and kernel times are fed by OpScope records, whose stat update
+#     must survive with telemetry compiled out.
+#  4. The OFF tree's fig20 runs report the same simulated ingest time
 #     (median-of-five, <5% drift) — telemetry never charges SimClock,
 #     so simulated throughput must not depend on the build flavor.
 if [[ "${XPG_TELEMETRY_STAGE:-1}" == "1" ]]; then
@@ -418,9 +424,9 @@ EOF
     # Explain stage (DESIGN.md §15): `xpgraph_cli explain` on bfs and
     # cc must produce a parseable xpgraph-explain-v1 report whose
     # round-level media reads sum to the op's OpScope counter delta
-    # EXACTLY (continuous probe coverage on a quiesced store) and
-    # whose per-op attribution rows sum to the global AttributionTable
-    # delta within 0.1%. The CLI itself exits non-zero when its own
+    # EXACTLY (continuous probe coverage on a quiesced store), whose
+    # per-op attribution rows sum to the global AttributionTable
+    # delta within 0.1%, and whose op sim_ns is the kernel's. The CLI itself exits non-zero when its own
     # checks fail; the python pass re-derives both invariants from the
     # raw rows rather than trusting the embedded verdicts.
     for kernel in bfs cc; do
@@ -438,6 +444,9 @@ op_ops = doc["op"]["pcm"]["media_read_ops"]
 round_ops = sum(r["media_read_ops"] for r in doc["rounds"])
 assert round_ops == op_ops, (
     f"round media reads {round_ops} != op delta {op_ops}")
+assert doc["op"]["sim_ns"] == doc["result"]["sim_ns"], (
+    f"op sim_ns {doc['op']['sim_ns']} != kernel sim_ns "
+    f"{doc['result']['sim_ns']}")
 op_rows = doc["op"]["attribution"]
 glob_rows = doc["global_delta"]["attribution"]
 for field in ("media_bytes_read", "media_bytes_written",
@@ -457,9 +466,37 @@ EOF
     notel_dir="${build_dir}-notel"
     cmake -B "${notel_dir}" -S "${repo_root}" -DXPG_TELEMETRY=OFF
     cmake --build "${notel_dir}" -j "$(nproc)" \
-          --target fig20_ingest xpg_tests
+          --target fig20_ingest xpg_tests xpgraph_cli
     "${notel_dir}/tests/xpg_tests" \
         --gtest_filter='Telemetry*:Attribution*:Ops*:OpScope*:Explain*'
+
+    # Exact ON-vs-OFF stage: one generated edge file, three ingest
+    # systems and four query kernels on one thread each; any byte of
+    # difference in stdout fails.
+    exact_edges="$(mktemp --suffix=.bin)"
+    exact_on="$(mktemp)"
+    exact_off="$(mktemp)"
+    "${build_dir}/tools/xpgraph_cli" generate --dataset "${datasets[0]}" \
+        --out "${exact_edges}" > /dev/null
+    exact_runs() {
+        local cli="$1/tools/xpgraph_cli"
+        for system in xpgraph xpgraph-b graphone-p; do
+            "${cli}" ingest --in "${exact_edges}" --threads 1 \
+                --system "${system}"
+        done
+        for algo in bfs pr cc onehop; do
+            "${cli}" query --in "${exact_edges}" --threads 1 \
+                --algo "${algo}"
+        done
+    }
+    exact_runs "${build_dir}" > "${exact_on}"
+    exact_runs "${notel_dir}" > "${exact_off}"
+    if ! diff "${exact_on}" "${exact_off}"; then
+        echo "FAIL: CLI ingest/query output differs with telemetry OFF"
+        exit 1
+    fi
+    rm -f "${exact_edges}" "${exact_on}" "${exact_off}"
+    echo "exact ON-vs-OFF check passed (3 ingest systems, 4 kernels)"
     # Five interleaved runs per flavor: one fig20 run's aggregate
     # simulated time jitters up to ~5% run to run on the SAME binary
     # (which client thread coordinates each inline archive phase is

@@ -15,8 +15,8 @@ namespace xpg {
 
 namespace {
 
-/** The cost source a kernel's OpScope diffs: the store backing the
- *  view (null on synthetic test views — the scope then just stamps an
+/** The cost source a kernel's record diffs: the store backing the
+ *  view (null on synthetic test views — the record then just stamps an
  *  opId with zero deltas). */
 const telemetry::OpCostSource *
 costSource(const GraphView &view)
@@ -24,16 +24,13 @@ costSource(const GraphView &view)
     return view.backingStore();
 }
 
-/** Record a finished kernel's simulated wall into the per-algorithm
- *  latency histogram (no-op with telemetry OFF). */
-void
-noteKernel(const char *algo, uint64_t sim_ns)
+/** The per-algorithm latency histogram a kernel's record feeds (null
+ *  with telemetry OFF). */
+telemetry::ShardedHistogram *
+kernelHistogram(const char *algo)
 {
-    (void)algo;
-    XPG_TEL_RECORD(
-        XPG_TEL_HISTOGRAM("query.kernel_ns",
-                          (telemetry::Labels{.phase = algo})),
-        sim_ns);
+    return XPG_TEL_HISTOGRAM("query.kernel_ns",
+                             (telemetry::Labels{.phase = algo}));
 }
 
 } // namespace
@@ -44,23 +41,23 @@ runOneHop(GraphView &view, std::span<const vid_t> queries,
 {
     // The queries are random vertices, so strided dealing already
     // spreads the hubs — skip the balanced schedule's weight gather.
-    telemetry::OpScope opScope(costSource(view), "onehop",
-                               telemetry::OpClass::Query);
-    XPG_TRACE_SCOPE(kernelSpan, "onehop", "query");
+    telemetry::OpScope op(costSource(view), "onehop",
+                          telemetry::OpClass::Query, nullptr,
+                          kernelHistogram("onehop"));
     QueryDriver driver(view, num_threads, binding, SchedulePolicy::Strided);
     std::vector<uint64_t> partial(driver.numThreads(), 0);
 
     AnalyticsResult result;
-    result.simNs = driver.forEach(queries, [&](vid_t v, unsigned w) {
+    op.add(driver.forEach(queries, [&](vid_t v, unsigned w) {
         partial[w] += view.forEachNebrOut(v, [](vid_t) {});
-    });
+    }));
     result.iterations = 1;
     result.touched = queries.size();
     for (uint64_t p : partial)
         result.checksum += p;
     result.rounds = driver.takeRounds();
-    result.op = opScope.close();
-    noteKernel("onehop", result.simNs);
+    result.op = op.close();
+    result.simNs = result.op.simNs;
     return result;
 }
 
@@ -70,9 +67,9 @@ runBfs(GraphView &view, vid_t root, unsigned num_threads,
 {
     const vid_t nv = view.numVertices();
     XPG_ASSERT(root < nv, "BFS root out of range");
-    telemetry::OpScope opScope(costSource(view), "bfs",
-                               telemetry::OpClass::Query);
-    XPG_TRACE_SCOPE(kernelSpan, "bfs", "query");
+    telemetry::OpScope op(costSource(view), "bfs",
+                          telemetry::OpClass::Query, nullptr,
+                          kernelHistogram("bfs"));
     QueryDriver driver(view, num_threads, binding);
 
     auto visited = std::make_unique<std::atomic<uint8_t>[]>(nv);
@@ -94,14 +91,14 @@ runBfs(GraphView &view, vid_t root, unsigned num_threads,
     result.touched = 1;
     while (!frontier.empty()) {
         ++result.iterations;
-        result.simNs += driver.forEach(frontier, [&](vid_t v, unsigned w) {
+        op.add(driver.forEach(frontier, [&](vid_t v, unsigned w) {
             const uint32_t deg =
                 view.forEachNebrOut(v, [&](vid_t n) { expand(n, w); });
             // Auxiliary arrays (visited bitmap, ranks, labels) are tiny
             // at the session's reduced scale and stay cache-resident;
             // charge only the streaming touch, not DRAM misses.
             chargeDramSequential(deg / 8 + 1);
-        });
+        }));
 
         SimScope merge_scope;
         frontier.clear();
@@ -110,13 +107,13 @@ runBfs(GraphView &view, vid_t root, unsigned num_threads,
             chargeDramSequential(local.size() * sizeof(vid_t));
             local.clear();
         }
-        result.simNs += merge_scope.elapsed();
+        op.add(merge_scope.elapsed());
         result.touched += frontier.size();
     }
     result.checksum = result.touched;
     result.rounds = driver.takeRounds();
-    result.op = opScope.close();
-    noteKernel("bfs", result.simNs);
+    result.op = op.close();
+    result.simNs = result.op.simNs;
     return result;
 }
 
@@ -125,9 +122,9 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
             QueryBinding binding)
 {
     const vid_t nv = view.numVertices();
-    telemetry::OpScope opScope(costSource(view), "pagerank",
-                               telemetry::OpClass::Query);
-    XPG_TRACE_SCOPE(kernelSpan, "pagerank", "query");
+    telemetry::OpScope op(costSource(view), "pagerank",
+                          telemetry::OpClass::Query, nullptr,
+                          kernelHistogram("pagerank"));
     QueryDriver driver(view, num_threads, binding);
 
     std::vector<double> contrib(nv, 0.0);
@@ -139,8 +136,8 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
 
     AnalyticsResult result;
     // Degree pass: the live-degree cache answers in O(1) per vertex.
-    result.simNs += driver.forAllVertices(
-        [&](vid_t v, unsigned) { out_deg[v] = view.degreeOut(v); });
+    op.add(driver.forAllVertices(
+        [&](vid_t v, unsigned) { out_deg[v] = view.degreeOut(v); }));
 
     const double base = 0.15 / static_cast<double>(nv);
     for (vid_t v = 0; v < nv; ++v)
@@ -148,14 +145,14 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
 
     for (unsigned it = 0; it < iterations; ++it) {
         ++result.iterations;
-        result.simNs += driver.forAllVertices([&](vid_t v, unsigned) {
+        op.add(driver.forAllVertices([&](vid_t v, unsigned) {
             double sum = 0.0;
             const uint32_t deg =
                 view.forEachNebrIn(v, [&](vid_t u) { sum += contrib[u]; });
             // contrib[] is cache-resident at the session scale.
             chargeDramSequential(uint64_t{deg} * sizeof(vid_t));
             next[v] = base + 0.85 * sum;
-        });
+        }));
 
         // Re-normalize contributions only when another sweep will read
         // them; the ranks reported below are exactly next[] after the
@@ -167,7 +164,7 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
             for (vid_t v = 0; v < nv; ++v)
                 contrib[v] = next[v] / std::max(1u, out_deg[v]);
             chargeDramSequential(nv * sizeof(double) * 2);
-            result.simNs += swap_scope.elapsed();
+            op.add(swap_scope.elapsed());
         }
     }
 
@@ -177,8 +174,8 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
     result.checksum = static_cast<uint64_t>(rank_sum * 1e6);
     result.touched = nv;
     result.rounds = driver.takeRounds();
-    result.op = opScope.close();
-    noteKernel("pagerank", result.simNs);
+    result.op = op.close();
+    result.simNs = result.op.simNs;
     return result;
 }
 
@@ -187,9 +184,9 @@ runConnectedComponents(GraphView &view, unsigned num_threads,
                        QueryBinding binding, unsigned max_iterations)
 {
     const vid_t nv = view.numVertices();
-    telemetry::OpScope opScope(costSource(view), "cc",
-                               telemetry::OpClass::Query);
-    XPG_TRACE_SCOPE(kernelSpan, "cc", "query");
+    telemetry::OpScope op(costSource(view), "cc",
+                          telemetry::OpClass::Query, nullptr,
+                          kernelHistogram("cc"));
     QueryDriver driver(view, num_threads, binding);
 
     auto labels = std::make_unique<std::atomic<vid_t>[]>(nv);
@@ -202,7 +199,7 @@ runConnectedComponents(GraphView &view, unsigned num_threads,
            result.iterations < max_iterations) {
         changed.store(false, std::memory_order_relaxed);
         ++result.iterations;
-        result.simNs += driver.forAllVertices([&](vid_t v, unsigned) {
+        op.add(driver.forAllVertices([&](vid_t v, unsigned) {
             vid_t m = labels[v].load(std::memory_order_relaxed);
             auto fold = [&](vid_t n) {
                 m = std::min(m, labels[n].load(std::memory_order_relaxed));
@@ -214,7 +211,7 @@ runConnectedComponents(GraphView &view, unsigned num_threads,
                 labels[v].store(m, std::memory_order_relaxed);
                 changed.store(true, std::memory_order_relaxed);
             }
-        });
+        }));
     }
 
     // Components = vertices that kept their own label and have presence
@@ -226,8 +223,8 @@ runConnectedComponents(GraphView &view, unsigned num_threads,
     result.checksum = components;
     result.touched = nv;
     result.rounds = driver.takeRounds();
-    result.op = opScope.close();
-    noteKernel("cc", result.simNs);
+    result.op = op.close();
+    result.simNs = result.op.simNs;
     return result;
 }
 

@@ -27,7 +27,7 @@ namespace xpg {
 /** Outcome of one analytics run. */
 struct AnalyticsResult
 {
-    uint64_t simNs = 0;      ///< simulated completion time
+    uint64_t simNs = 0;      ///< simulated completion time (= op.simNs)
     uint64_t checksum = 0;   ///< digest for equivalence checks
     uint64_t iterations = 0; ///< rounds executed
     uint64_t touched = 0;    ///< vertices visited / queries answered
@@ -41,11 +41,12 @@ struct AnalyticsResult
     std::vector<RoundStats> rounds;
 
     /**
-     * The whole run's exact cost deltas, bracketed by an OpScope over
-     * view.backingStore() (opId 0 and all-zero deltas with telemetry
-     * OFF or on store-less synthetic views). On a quiescent store the
-     * per-round media reads in `rounds` sum to op.pcm.mediaReadOps
-     * exactly — the invariant `xpgraph_cli explain` checks.
+     * The run's OpScope record over view.backingStore(): its simNs is
+     * the kernel's simulated total in every build; its opId and cost
+     * deltas are 0 with telemetry OFF or on store-less synthetic
+     * views. On a quiescent store the per-round media reads in
+     * `rounds` sum to op.pcm.mediaReadOps exactly — the invariant
+     * `xpgraph_cli explain` checks.
      */
     telemetry::OpCost op;
 };

@@ -53,9 +53,12 @@ QueryDriver::QueryDriver(GraphView &view, unsigned num_threads,
 }
 
 void
-QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices)
+QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices,
+                       uint64_t host_start_ns)
 {
     XPG_TEL_RECORD(telRoundHist_, round_ns);
+    XPG_TRACE_EMIT("query_round", "query", host_start_ns,
+                   XPG_TEL_HOST_NOW() - host_start_ns, round_ns);
     if constexpr (!telemetry::kAttributionEnabled)
         return;
 
@@ -281,8 +284,8 @@ QueryDriver::forEach(std::span<const vid_t> vertices,
                      const std::function<void(vid_t, unsigned)> &fn)
 {
     const unsigned workers = executor_.numWorkers();
+    const uint64_t host_start_ns = XPG_TEL_HOST_NOW();
     uint64_t round_ns = 0;
-    XPG_TRACE_SCOPE(roundSpan, "query_round", "query");
 
     if (binding_ == QueryBinding::PerVertex) {
         // Anti-pattern: rebind to the data's node before every vertex.
@@ -360,7 +363,7 @@ QueryDriver::forEach(std::span<const vid_t> vertices,
     }
 
     totalNs_ += round_ns;
-    noteRound(round_ns, vertices.size());
+    noteRound(round_ns, vertices.size(), host_start_ns);
     return round_ns;
 }
 
@@ -374,13 +377,13 @@ QueryDriver::forAllVertices(const std::function<void(vid_t, unsigned)> &fn)
         allPlan_ = Plan{};
     }
     if (binding_ != QueryBinding::PerVertex && balancedActive()) {
-        XPG_TRACE_SCOPE(roundSpan, "query_round", "query");
+        const uint64_t host_start_ns = XPG_TEL_HOST_NOW();
         uint64_t round_ns = 0;
         if (!allPlan_.built)
             round_ns += buildPlan(allVertices_, allPlan_);
         round_ns += runPlan(allPlan_, fn);
         totalNs_ += round_ns;
-        noteRound(round_ns, allVertices_.size());
+        noteRound(round_ns, allVertices_.size(), host_start_ns);
         return round_ns;
     }
     return forEach(allVertices_, fn);

@@ -162,11 +162,13 @@ class QueryDriver
                                           unsigned parts) const;
     uint64_t runPlan(const Plan &plan,
                      const std::function<void(vid_t, unsigned)> &fn);
-    /** Per-round telemetry: record the round's simulated ns (a no-op
-     *  with telemetry OFF), then append this round's RoundStats (probe
-     *  deltas against the previous sample + the push/pull cost
-     *  estimate). */
-    void noteRound(uint64_t round_ns, uint64_t active_vertices);
+    /** Per-round telemetry: record the round's simulated ns in the
+     *  round histogram and as a `query_round` span that began at host
+     *  time @p host_start_ns (both no-ops with telemetry OFF), then
+     *  append this round's RoundStats (probe deltas against the
+     *  previous sample + the push/pull cost estimate). */
+    void noteRound(uint64_t round_ns, uint64_t active_vertices,
+                   uint64_t host_start_ns);
 
     GraphView &view_;
     QueryBinding binding_;

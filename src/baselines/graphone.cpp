@@ -294,14 +294,6 @@ GraphOne::initTelemetry()
     telRecoveryHist_ = XPG_TEL_HISTOGRAM(
         "recovery.step_ns",
         (telemetry::Labels{.store = "graphone", .phase = "rearchive"}));
-    telEdgesLogged_ = XPG_TEL_COUNTER(
-        "ingest.edges_logged", (telemetry::Labels{.store = "graphone"}));
-    telEdgesArchived_ = XPG_TEL_COUNTER(
-        "archive.edges_buffered",
-        (telemetry::Labels{.store = "graphone"}));
-    telArchivePhases_ = XPG_TEL_COUNTER(
-        "archive.buffering_phases",
-        (telemetry::Labels{.store = "graphone"}));
 }
 
 std::unique_ptr<GraphOne>
@@ -319,14 +311,17 @@ GraphOne::recover(const GraphOneConfig &config)
     auto graph = std::unique_ptr<GraphOne>(
         new GraphOne(config, /*recovering=*/true));
     // GraphOne recovery IS re-archiving: rebuild the DRAM adjacency
-    // chains from the durable log window.
-    {
-        XPG_TRACE_SCOPE(recoverSpan, "recovery.rearchive_log",
-                        "recovery");
-        SimScope scope;
-        graph->archiveAll();
-        XPG_TEL_RECORD(graph->telRecoveryHist_, scope.elapsed());
-    }
+    // chains from the durable log window. Each archive phase is its own
+    // record; the step reports the archiving time they added.
+    const uint64_t host_start = XPG_TEL_HOST_NOW();
+    const uint64_t before =
+        graph->archivingNs_.load(std::memory_order_relaxed);
+    graph->archiveAll();
+    const uint64_t rearchive_ns =
+        graph->archivingNs_.load(std::memory_order_relaxed) - before;
+    XPG_TEL_RECORD(graph->telRecoveryHist_, rearchive_ns);
+    XPG_TRACE_EMIT("recovery.rearchive_log", "recovery", host_start,
+                   XPG_TEL_HOST_NOW() - host_start, rearchive_ns);
     return graph;
 }
 
@@ -553,7 +548,6 @@ GraphOne::appendFromClient(const Edge *edges, uint64_t n,
     }
     loggingNs_.fetch_add(logging_ns, std::memory_order_relaxed);
     edgesLogged_.fetch_add(n, std::memory_order_relaxed);
-    XPG_TEL_ADD(telEdgesLogged_, n);
     return logging_ns;
 }
 
@@ -687,7 +681,8 @@ GraphOne::runArchivePhaseLocked()
 
     // Runs on whichever client crossed the threshold (GraphOne archives
     // inline) — the trace shows it serializing that session's stream.
-    XPG_TRACE_SCOPE(phaseSpan, "archive_phase", "archive");
+    telemetry::OpScope op(this, "archive_phase", telemetry::OpClass::Archive,
+                          &archivingNs_, telArchivePhaseHist_);
     SimScope serial_scope;
     batch_.clear();
     batch_.reserve(to - from);
@@ -732,13 +727,11 @@ GraphOne::runArchivePhaseLocked()
                static_cast<unsigned>(devices_.size()));
     for (auto &dev : devices_)
         dev->setDeclaredWriters(writers);
-    const uint64_t serial_ns = serial_scope.elapsed();
-    archivingNs_ += serial_ns;
+    op.add(serial_scope.elapsed());
 
     const ParallelResult result =
         executor_->run([this](unsigned w) { archiveWorker(w); });
-    const uint64_t parallel_ns = result.maxNanos();
-    archivingNs_ += parallel_ns;
+    op.add(result.maxNanos());
     // Between phases the stores come from the logging sessions (which
     // all target the shared log device).
     for (auto &dev : devices_)
@@ -748,9 +741,6 @@ GraphOne::runArchivePhaseLocked()
     archivedUpTo_.store(to, std::memory_order_release);
     edgesArchived_ += to - from;
     ++archivePhases_;
-    XPG_TEL_RECORD(telArchivePhaseHist_, serial_ns + parallel_ns);
-    XPG_TEL_ADD(telEdgesArchived_, to - from);
-    XPG_TEL_ADD(telArchivePhases_, 1);
 }
 
 // --- queries -----------------------------------------------------------------

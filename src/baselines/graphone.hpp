@@ -313,9 +313,6 @@ class GraphOne : public GraphStore
     telemetry::ShardedHistogram *telAppendHist_ = nullptr;
     telemetry::ShardedHistogram *telArchivePhaseHist_ = nullptr;
     telemetry::ShardedHistogram *telRecoveryHist_ = nullptr;
-    telemetry::Counter *telEdgesLogged_ = nullptr;
-    telemetry::Counter *telEdgesArchived_ = nullptr;
-    telemetry::Counter *telArchivePhases_ = nullptr;
 };
 
 } // namespace xpg

@@ -469,16 +469,6 @@ XPGraph::initTelemetry()
     telRecoveryReplayHist_ = XPG_TEL_HISTOGRAM(
         "recovery.step_ns",
         (telemetry::Labels{.store = "xpgraph", .phase = "replay"}));
-    telEdgesLogged_ = XPG_TEL_COUNTER(
-        "ingest.edges_logged", (telemetry::Labels{.store = "xpgraph"}));
-    telEdgesBuffered_ = XPG_TEL_COUNTER(
-        "archive.edges_buffered",
-        (telemetry::Labels{.store = "xpgraph"}));
-    telBufferingPhases_ = XPG_TEL_COUNTER(
-        "archive.buffering_phases",
-        (telemetry::Labels{.store = "xpgraph"}));
-    telFlushPhases_ = XPG_TEL_COUNTER(
-        "archive.flush_phases", (telemetry::Labels{.store = "xpgraph"}));
 }
 
 void
@@ -730,13 +720,14 @@ XPGraph::recover(const XPGraphConfig &config, RecoveryReport *report)
         return nullptr;
     graph->recoveryReport_ = nullptr; // report outlives only recover()
     {
-        // One op per recovery pass: the rebuild's events and traffic
-        // correlate to this id (the constructor's validation already
-        // ran; chain/index replay dominates recovery cost anyway).
-        XPG_OP_SCOPE(opScope, graph.get(), "recover", Recovery);
+        // Each rebuild step is its own Recovery record; the bracket
+        // keeps snapshotStats() from seeing one step's stats half done.
+        std::lock_guard<std::mutex> lock(graph->archiveMutex_);
+        graph->phaseEnterLocked();
         graph->rebuildFromDevices(report);
-        graph->bumpSuperblockGenerations();
+        graph->phaseExitLocked();
     }
+    graph->bumpSuperblockGenerations();
     if (report) {
         report->recoveryNs =
             graph->recoveryNs_.load(std::memory_order_relaxed);
@@ -831,11 +822,11 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
     const unsigned p = config_.numNodes;
     std::vector<ChainScan> scans(
         static_cast<size_t>(config_.archiveThreads) * p);
-    ParallelResult result;
     {
-        XPG_TRACE_SCOPE(rebuildSpan, "recovery.rebuild_chains",
-                        "recovery");
-        result = executor_->run([&](unsigned w) {
+        telemetry::OpScope op(this, "recovery.rebuild_chains",
+                              telemetry::OpClass::Recovery, &recoveryNs_,
+                              telRecoveryRebuildHist_);
+        const ParallelResult result = executor_->run([&](unsigned w) {
         // Scopes are thread-local, so the tag must be planted in each
         // worker body, not around the executor_->run() call.
         XPG_ATTR_SCOPE(attrScope, RecoveryReplay);
@@ -877,9 +868,8 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
             }
         });
         });
+        op.add(result.maxNanos());
     }
-    recoveryNs_ += result.maxNanos();
-    XPG_TEL_RECORD(telRecoveryRebuildHist_, result.maxNanos());
 
     // Merge the scans: repair the allocator tail wherever a durable
     // linked block sits past the persisted tail (its tail persist was
@@ -919,8 +909,10 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
     // edge in the published-but-unbuffered window truncates the head to
     // the last consistent prefix, and one in the replay window (already
     // consumed by a buffering phase; cannot be truncated) is skipped.
+    telemetry::OpScope op(this, "recovery.replay_log",
+                          telemetry::OpClass::Recovery, &recoveryNs_,
+                          telRecoveryReplayHist_);
     SimScope replay_scope;
-    XPG_TRACE_SCOPE(replaySpan, "recovery.replay_log", "recovery");
     XPG_ATTR_SCOPE(attrScope, RecoveryReplay);
     const auto edge_ok = [&](const Edge &e) {
         return !isDelete(e.src) && rawVid(e.src) < config_.maxVertices &&
@@ -971,8 +963,7 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
             }
         }
     }
-    recoveryNs_ += replay_scope.elapsed();
-    XPG_TEL_RECORD(telRecoveryReplayHist_, replay_scope.elapsed());
+    op.add(replay_scope.elapsed());
 }
 
 std::shared_ptr<FaultInjector>
@@ -1145,7 +1136,6 @@ XPGraph::appendFromClient(unsigned node, bool bind, const Edge *edges,
     }
     loggingNs_.fetch_add(cost.loggingNs, std::memory_order_relaxed);
     edgesLogged_.fetch_add(n, std::memory_order_relaxed);
-    XPG_TEL_ADD(telEdgesLogged_, n);
     return cost;
 }
 
@@ -1189,10 +1179,12 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
             // is never blocked by this stall.
             XPG_ASSERT(viewsPinned_,
                        "flush-all failed to reclaim log");
-            XPG_TRACE_SCOPE(viewWaitSpan, "log_view_pin_wait", "ingest");
+            const uint64_t wait_start = XPG_TEL_HOST_NOW();
             enterBackpressure(node);
             spaceCv_.wait(lock, [&] { return log.freeSlots() > 0; });
             exitBackpressure(node);
+            XPG_TRACE_EMIT("log_view_pin_wait", "ingest", wait_start,
+                           XPG_TEL_HOST_NOW() - wait_start, 0);
         }
         return;
     }
@@ -1202,7 +1194,7 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
     // Client stalled on a full log waiting for the pipelined archiver —
     // the backpressure the trace timeline and the watchdog's
     // backpressure probe should make visible.
-    XPG_TRACE_SCOPE(waitSpan, "log_full_wait", "ingest");
+    const uint64_t wait_start = XPG_TEL_HOST_NOW();
     enterBackpressure(node);
     // Judge the wake-up by what the predicate saw: tryReserve takes no
     // lock, so another session may reserve the freed slots before this
@@ -1213,6 +1205,8 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
         return had_space || archiverStop_;
     });
     exitBackpressure(node);
+    XPG_TRACE_EMIT("log_full_wait", "ingest", wait_start,
+                   XPG_TEL_HOST_NOW() - wait_start, 0);
     XPG_ASSERT(had_space,
                "store shut down while a session was blocked on log space");
 }
@@ -1257,21 +1251,17 @@ XPGraph::archiverLoop()
         archiveRequested_.store(false, std::memory_order_relaxed);
         const bool reclaim =
             reclaimRequested_.exchange(false, std::memory_order_relaxed);
-        {
-            XPG_TRACE_SCOPE(drainSpan, "archiver_drain", "archive");
-            runBufferingPhaseLocked(/*capped=*/true);
-            if (hbArchiver_)
-                hbArchiver_->beat(); // long drains: beat between phases
-            if (reclaim) {
-                // A session hit a full log: make sure space actually
-                // opened (battery mode frees at markBuffered; otherwise
-                // flush).
-                bool still_full = false;
-                for (const auto &part : parts_)
-                    still_full |= part.log->freeSlots() == 0;
-                if (still_full)
-                    runFlushAllLocked(/*release_buffers=*/false);
-            }
+        runBufferingPhaseLocked(/*capped=*/true);
+        if (hbArchiver_)
+            hbArchiver_->beat(); // long drains: beat between phases
+        if (reclaim) {
+            // A session hit a full log: make sure space actually opened
+            // (battery mode frees at markBuffered; otherwise flush).
+            bool still_full = false;
+            for (const auto &part : parts_)
+                still_full |= part.log->freeSlots() == 0;
+            if (still_full)
+                runFlushAllLocked(/*release_buffers=*/false);
         }
         spaceCv_.notify_all();
     }
@@ -1336,7 +1326,6 @@ XPGraph::compactorLoop()
         if (hbCompactor_)
             hbCompactor_->busy(true);
         compactRequested_.store(false, std::memory_order_relaxed);
-        XPG_TRACE_SCOPE(passSpan, "compaction_pass", "compact");
         compactCandidatesLocked();
     }
 }
@@ -1351,8 +1340,10 @@ XPGraph::runCompactionPass()
 uint64_t
 XPGraph::compactCandidatesLocked()
 {
-    XPG_OP_SCOPE(opScope, this, "compaction_pass", Compaction);
+    telemetry::OpScope op(this, "compaction_pass",
+                          telemetry::OpClass::Compaction);
     XPG_ATTR_SCOPE(attrScope, Compaction);
+    SimScope pass_scope;
     const double ratio = config_.compactTombstoneRatio;
     const uint32_t min_records = config_.compactMinRecords;
     uint64_t rewritten = 0;
@@ -1387,13 +1378,15 @@ XPGraph::compactCandidatesLocked()
             }
         }
     }
-    if (entered)
-        phaseExitLocked();
     compactionPasses_.fetch_add(1, std::memory_order_relaxed);
     if (rewritten > 0)
         XPG_EVENT(Info, Compaction, "compaction_pass", rewritten,
                   compactionBytesReclaimed_.load(
                       std::memory_order_relaxed));
+    op.add(pass_scope.elapsed());
+    op.close();
+    if (entered)
+        phaseExitLocked();
     return rewritten;
 }
 
@@ -1550,10 +1543,6 @@ void
 XPGraph::runBufferingPhaseLocked(bool capped)
 {
     phaseEnterLocked();
-    XPG_OP_SCOPE(opScope, this, "buffering_phase", Archive);
-    XPG_TRACE_SCOPE(phaseSpan, "buffering_phase", "archive");
-    const uint64_t phaseStartNs =
-        bufferingNs_.load(std::memory_order_relaxed);
     SimScope serial_scope;
     batch_.clear();
     uint64_t total = 0;
@@ -1578,9 +1567,14 @@ XPGraph::runBufferingPhaseLocked(bool capped)
         phaseExitLocked();
         return;
     }
+    // An empty drain is no phase: the record opens only once there is
+    // a window to buffer (the window scan above touches no device).
+    telemetry::OpScope op(this, "buffering_phase",
+                          telemetry::OpClass::Archive, &bufferingNs_,
+                          telBufferPhaseHist_);
     batch_.resize(total);
     declareArchiveConcurrency();
-    bufferingNs_ += serial_scope.elapsed();
+    op.add(serial_scope.elapsed());
 
     // Drain the windows with the node-local archive workers, each
     // reading a disjoint chunk of its node's log. A serial read would
@@ -1609,15 +1603,15 @@ XPGraph::runBufferingPhaseLocked(bool capped)
                     batch_.data() + base[node] + lo);
         });
     });
-    bufferingNs_ += read_result.maxNanos();
+    op.add(read_result.maxNanos());
 
     SimScope shard_scope;
     shardBatch();
-    bufferingNs_ += shard_scope.elapsed();
+    op.add(shard_scope.elapsed());
 
     const ParallelResult result =
         executor_->run([this](unsigned w) { bufferWorker(w); });
-    bufferingNs_ += result.maxNanos();
+    op.add(result.maxNanos());
     declareIdleWriters();
 
     for (unsigned node = 0; node < config_.numNodes; ++node) {
@@ -1627,13 +1621,10 @@ XPGraph::runBufferingPhaseLocked(bool capped)
     }
     ++bufferingPhases_;
     edgesBuffered_ += total;
-    XPG_TEL_ADD(telBufferingPhases_, 1);
-    XPG_TEL_ADD(telEdgesBuffered_, total);
-    XPG_TEL_RECORD(telBufferPhaseHist_,
-                   bufferingNs_.load(std::memory_order_relaxed) -
-                       phaseStartNs);
     XPG_EVENT(Info, Archive, "buffering_phase", total,
               bufferingPhases_.load(std::memory_order_relaxed));
+    // Close before a pressure flush: that flush is its own record.
+    op.close();
 
     const uint64_t flush_threshold = static_cast<uint64_t>(
         config_.flushThresholdFrac *
@@ -1702,16 +1693,14 @@ void
 XPGraph::runFlushAllLocked(bool release_buffers)
 {
     phaseEnterLocked();
-    XPG_OP_SCOPE(opScope, this, "flush_phase", Archive);
-    XPG_TRACE_SCOPE(phaseSpan, "flush_phase", "archive");
+    telemetry::OpScope op(this, "flush_phase", telemetry::OpClass::Archive,
+                          &flushingNs_, telFlushPhaseHist_);
     declareArchiveConcurrency();
     const ParallelResult result = executor_->run(
         [this, release_buffers](unsigned w) {
             flushWorker(w, release_buffers);
         });
-    flushingNs_ += result.maxNanos();
-    XPG_TEL_RECORD(telFlushPhaseHist_, result.maxNanos());
-    XPG_TEL_ADD(telFlushPhases_, 1);
+    op.add(result.maxNanos());
     declareIdleWriters();
     ++flushAllPhases_;
     XPG_EVENT(Info, Archive, "flush_phase", result.maxNanos(),
@@ -1725,6 +1714,7 @@ XPGraph::runFlushAllLocked(bool release_buffers)
         part.dev->quiesce();
     for (auto &part : parts_)
         part.log->markFlushed(part.log->bufferedUpTo());
+    op.close();
     phaseExitLocked();
 }
 

@@ -606,6 +606,7 @@ class XPGraph : public GraphStore
     std::atomic<uint64_t> bufferEdgesStreamNs_{0};  ///< + inline archiving
     std::atomic<uint64_t> sessionNsMax_{0};  ///< slowest session: logging
     std::atomic<uint64_t> streamNsMax_{0};   ///< + inline archiving
+    // Phase totals, each fed only by its phases' OpScope records.
     std::atomic<uint64_t> bufferingNs_{0};
     std::atomic<uint64_t> flushingNs_{0};
     std::atomic<uint64_t> recoveryNs_{0};
@@ -684,10 +685,6 @@ class XPGraph : public GraphStore
     telemetry::ShardedHistogram *telFlushPhaseHist_ = nullptr;
     telemetry::ShardedHistogram *telRecoveryRebuildHist_ = nullptr;
     telemetry::ShardedHistogram *telRecoveryReplayHist_ = nullptr;
-    telemetry::Counter *telEdgesLogged_ = nullptr;
-    telemetry::Counter *telEdgesBuffered_ = nullptr;
-    telemetry::Counter *telBufferingPhases_ = nullptr;
-    telemetry::Counter *telFlushPhases_ = nullptr;
 };
 
 } // namespace xpg

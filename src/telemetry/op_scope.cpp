@@ -1,7 +1,6 @@
 #include "telemetry/op_scope.hpp"
 
-#include "telemetry/trace.hpp"
-#include "util/sim_clock.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace xpg::telemetry {
 
@@ -53,16 +52,15 @@ OpCost::toJson() const
     return v;
 }
 
-OpScope::OpScope(const OpCostSource *source, const char *name,
-                 OpClass cls) noexcept
-    : source_(source)
+OpScope::OpScope(const OpCostSource *source, const char *name, OpClass cls,
+                 std::atomic<uint64_t> *stat,
+                 ShardedHistogram *hist) noexcept
+    : source_(source), stat_(stat), hist_(hist)
 {
     cost_.name = name;
     cost_.cls = cls;
-    if constexpr (!kOpScopeEnabled) {
-        closed_ = true; // OFF build: nothing to diff, nothing to restore
-        return;
-    }
+    if constexpr (!kOpScopeEnabled)
+        return; // OFF build: nothing to diff, no id to publish
     cost_.opId = nextOpId_.fetch_add(1, std::memory_order_relaxed);
     prevOpId_ = tlsCurrent_;
     tlsCurrent_ = cost_.opId;
@@ -72,7 +70,6 @@ OpScope::OpScope(const OpCostSource *source, const char *name,
         decode0_ = source_->opDecodeStats();
     }
     host0_ = hostNowNs();
-    sim0_ = SimClock::now();
 }
 
 OpScope::~OpScope() { close(); }
@@ -83,9 +80,11 @@ OpScope::close() noexcept
     if (closed_)
         return cost_;
     closed_ = true;
-    tlsCurrent_ = prevOpId_;
+    if (stat_ != nullptr)
+        stat_->fetch_add(cost_.simNs, std::memory_order_relaxed);
+    if constexpr (!kOpScopeEnabled)
+        return cost_;
     cost_.hostNs = hostNowNs() - host0_;
-    cost_.simNs = SimClock::now() - sim0_;
     if (source_ != nullptr) {
         cost_.pcm = source_->opPcmCounters() - pcm0_;
         cost_.attribution = source_->opAttribution() - attr0_;
@@ -93,6 +92,13 @@ OpScope::close() noexcept
         cost_.decodedBytes = now.decodedBytes - decode0_.decodedBytes;
         cost_.decodeCalls = now.decodeCalls - decode0_.decodeCalls;
     }
+    if (hist_ != nullptr)
+        hist_->record(cost_.simNs);
+    // Emit before restoring the previous id so the span carries ours.
+    Telemetry::instance().trace().emitComplete(
+        cost_.name, opClassName(cost_.cls), host0_, cost_.hostNs,
+        cost_.simNs);
+    tlsCurrent_ = prevOpId_;
     ClassCell &cell = g_classCells[static_cast<unsigned>(cost_.cls)];
     cell.ops.fetch_add(1, std::memory_order_relaxed);
     cell.mediaReadBytes.fetch_add(cost_.pcm.mediaBytesRead,

@@ -1,35 +1,45 @@
 /**
  * @file
- * Per-operation cost scopes: "what did *this* operation cost?"
+ * Per-operation records: "what did *this* operation cost?"
  *
  * The metrics registry, attribution profiler, and ops plane all answer
  * global questions — cumulative media traffic per device, aggregate
- * latency histograms, store health. An OpScope brackets ONE logical
- * operation (a BFS run, an archive pass, a compaction swing, recovery)
- * and yields the exact deltas of the store's PcmCounters, its
- * per-category AttributionSnapshot, and the adjacency codec's decode
- * counters between open and close. Because every one of those counters
- * is cumulative and monotonic, a delta over a quiescent store is exact,
- * not sampled.
+ * latency histograms, store health. An OpScope is the one record of ONE
+ * logical operation (a query kernel, an archive phase, a recovery step,
+ * a compaction pass). It yields the exact deltas of the store's
+ * PcmCounters, its per-category AttributionSnapshot, and the adjacency
+ * codec's decode counters between open and close. Because every one of
+ * those counters is cumulative and monotonic, a delta over a quiescent
+ * store is exact, not sampled.
  *
- * Each scope stamps a process-monotonic opId (ids start at 1; 0 means
- * "no operation"). The innermost open scope's id is published
+ * The operation's simulated time is not read off a clock: a phase that
+ * fans out over executor workers lasts the maximum over its workers
+ * (DESIGN.md §1), which no single thread's SimClock sees. The call site
+ * adds the phase's segments instead — each serial SimScope's elapsed()
+ * and each executor run's maxNanos() — and close() feeds that one
+ * total to every consumer: the stat the record names (an IngestStats
+ * field's counter; the kernels report it as AnalyticsResult::simNs),
+ * the phase histogram, the trace span, and classTotals(). Records do
+ * not nest at the engine's call sites, so each simulated ns and each
+ * media byte lands in a roll-up exactly once.
+ *
+ * Each record stamps a process-monotonic opId (ids start at 1; 0 means
+ * "no operation"). The innermost open record's id is published
  * thread-locally via currentOpId(), which the event log and the trace
  * ring read at emit time — so `xpgraph_cli watch` output and
  * flight-recorder dumps correlate back to the operation that caused
- * them. Scopes nest like AccessScope does: opening saves the previous
- * innermost id and closing (or unwinding) restores it.
+ * them. Opening saves the previous innermost id and closing (or
+ * unwinding) restores it.
  *
  * The cost source is the small OpCostSource interface rather than
  * GraphStore itself so this layer keeps telemetry's dependency
  * direction (GraphStore implements the interface; telemetry never
  * includes graph headers).
  *
- * Like the rest of the telemetry layer everything collapses under
- * -DXPG_TELEMETRY=OFF: the class still compiles (tests use it
- * directly) but construction takes no snapshots, assigns opId 0, and
- * close() returns an all-zero OpCost; the XPG_OP_SCOPE macro engine
- * code uses disappears entirely.
+ * Under -DXPG_TELEMETRY=OFF a record still sums its segments and adds
+ * the total to its stat — the engine's results depend on that — but
+ * takes no snapshots, records no histogram or span, assigns opId 0 and
+ * returns all-zero deltas.
  */
 
 #ifndef XPG_TELEMETRY_OP_SCOPE_HPP
@@ -48,15 +58,17 @@
 
 namespace xpg::telemetry {
 
+class ShardedHistogram;
+
 inline constexpr bool kOpScopeEnabled = XPG_TELEMETRY_ENABLED != 0;
 
 /** What kind of operation a scope brackets (JSON/event taxonomy). */
 enum class OpClass : uint8_t
 {
     Query = 0,  ///< one analytics kernel / query run
-    Archive,    ///< one buffering or flushing archive pass
-    Compaction, ///< one background compaction swing
-    Recovery,   ///< one post-crash recover() pass
+    Archive,    ///< one buffering, flushing or GraphOne archive phase
+    Compaction, ///< one compaction pass
+    Recovery,   ///< one step of XPGraph's post-crash recover()
     Ingest,     ///< a bracketed ingest region (tests, benches)
     Other,      ///< anything else
 };
@@ -97,18 +109,18 @@ class OpCostSource
 };
 
 /**
- * Process-wide roll-up of every closed scope of one class — the cheap
+ * Process-wide roll-up of every closed record of one class — the cheap
  * aggregate view serving benches read around a run ("how many archive
- * passes fired during this mix, and what media traffic did they
+ * phases fired during this mix, and what media traffic did they
  * cause?") without holding the individual OpCosts. All-zero in OFF
- * builds (no scope ever closes with a live id there).
+ * builds (no record ever closes with a live id there).
  */
 struct OpClassTotals
 {
-    uint64_t ops = 0;             ///< scopes of this class closed
+    uint64_t ops = 0;             ///< records of this class closed
     uint64_t mediaReadBytes = 0;  ///< summed pcm.mediaBytesRead deltas
     uint64_t mediaWriteBytes = 0; ///< summed pcm.mediaBytesWritten deltas
-    uint64_t simNs = 0;           ///< summed opening-thread sim deltas
+    uint64_t simNs = 0;           ///< summed simulated totals
 };
 
 /** Exact cost deltas of one closed operation. */
@@ -122,7 +134,7 @@ struct OpCost
     uint64_t decodedBytes = 0;    ///< codec decode output delta
     uint64_t decodeCalls = 0;     ///< codec decode call delta
     uint64_t hostNs = 0;          ///< host wall time open -> close
-    uint64_t simNs = 0;           ///< opening thread's SimClock delta
+    uint64_t simNs = 0;           ///< sum of the segments add()ed
 
     /** {"op_id":..,"name":..,"class":..,"pcm":{..},"attribution":{..},
      *  "decoded_bytes":..,"decode_calls":..,"host_ns":..,"sim_ns":..} */
@@ -130,36 +142,55 @@ struct OpCost
 };
 
 /**
- * RAII per-operation cost bracket. Constructing snapshots the source's
- * cumulative counters and publishes this scope's opId as the calling
- * thread's innermost; close() (idempotent, also run by the destructor,
- * including via exception unwind) computes the deltas and restores the
- * previous innermost id.
+ * RAII record of one operation. Constructing snapshots the source's
+ * cumulative counters and publishes this record's opId as the calling
+ * thread's innermost; add() accumulates the simulated total; close()
+ * (idempotent, also run by the destructor, including via exception
+ * unwind) computes the deltas, feeds the total to the stat, histogram,
+ * span and class roll-up, and restores the previous innermost id.
  *
- * A scope must be closed on the thread that opened it (the thread-local
- * id stack is per-thread, like AccessScope's category stack). The
- * counters it diffs are store-global, so an op's delta is exact when no
- * other operation touches the same store concurrently — the explain
- * path quiesces the store first for exactly this reason.
+ * A record must be closed on the thread that opened it (the
+ * thread-local id stack is per-thread, like AccessScope's category
+ * stack). The counters it diffs are store-global, so an op's delta is
+ * exact when no other operation touches the same store concurrently —
+ * the explain path quiesces the store first for exactly this reason.
+ * Engine phases close their record inside their phaseEnterLocked /
+ * phaseExitLocked bracket, so snapshotStats() never sees half a phase.
  */
 class OpScope
 {
   public:
+    /**
+     * @param stat Counter close() adds the simulated total to (null:
+     *             none). Updated in every build.
+     * @param hist Histogram close() records the total into (null: none,
+     *             which is what XPG_TEL_HISTOGRAM yields in OFF builds).
+     * The trace span is named @p name, with opClassName(@p cls) as its
+     * category.
+     */
     OpScope(const OpCostSource *source, const char *name,
-            OpClass cls = OpClass::Other) noexcept;
+            OpClass cls = OpClass::Other,
+            std::atomic<uint64_t> *stat = nullptr,
+            ShardedHistogram *hist = nullptr) noexcept;
     ~OpScope();
 
     OpScope(const OpScope &) = delete;
     OpScope &operator=(const OpScope &) = delete;
 
+    /** Add one segment of the operation's simulated time: a serial
+     *  SimScope's elapsed() or an executor run's maxNanos(). */
+    void add(uint64_t sim_ns) noexcept { cost_.simNs += sim_ns; }
+
     /**
-     * Close the scope: compute deltas, restore the previous innermost
-     * opId, and return this op's cost. Idempotent — later calls (and
-     * the destructor) return the same OpCost without re-diffing.
+     * Close the record: compute deltas, feed the simulated total to the
+     * stat, histogram, span and classTotals(), restore the previous
+     * innermost opId, and return this op's cost. Idempotent — later
+     * calls (and the destructor) return the same OpCost. In OFF builds
+     * only simNs is nonzero.
      */
     const OpCost &close() noexcept;
 
-    /** This scope's id (0 in OFF builds). Valid from construction. */
+    /** This record's id (0 in OFF builds). Valid from construction. */
     uint64_t opId() const noexcept { return cost_.opId; }
 
     bool closed() const noexcept { return closed_; }
@@ -167,22 +198,23 @@ class OpScope
     /** The calling thread's innermost open op (0 when none). */
     static uint64_t currentOpId() noexcept;
 
-    /** Total scopes ever opened process-wide (0 in OFF builds). */
+    /** Total records ever opened process-wide (0 in OFF builds). */
     static uint64_t opsOpened() noexcept;
 
-    /** Cumulative roll-up of closed scopes of @p cls (see
+    /** Cumulative roll-up of closed records of @p cls (see
      *  OpClassTotals). Deltas around a run are exact because every
      *  field is monotonic. */
     static OpClassTotals classTotals(OpClass cls) noexcept;
 
   private:
     const OpCostSource *source_;
+    std::atomic<uint64_t> *stat_;
+    ShardedHistogram *hist_;
     OpCost cost_;
     PcmCounters pcm0_;
     AttributionSnapshot attr0_;
     OpDecodeStats decode0_;
     uint64_t host0_ = 0;
-    uint64_t sim0_ = 0;
     uint64_t prevOpId_ = 0;
     bool closed_ = false;
 
@@ -191,21 +223,5 @@ class OpScope
 };
 
 } // namespace xpg::telemetry
-
-// ---------------------------------------------------------------------------
-// Call-site macro: engine phases use this so OFF builds carry no scope
-// code at all. Sites that need the resulting OpCost construct OpScope
-// directly (the class is a cheap no-op in OFF builds).
-// ---------------------------------------------------------------------------
-
-#if XPG_TELEMETRY_ENABLED
-/** Bracket the rest of the enclosing block as one operation. */
-#define XPG_OP_SCOPE(varName, sourcePtr, opName, opClass)                    \
-    ::xpg::telemetry::OpScope varName((sourcePtr), (opName),                 \
-                                      ::xpg::telemetry::OpClass::opClass)
-#else
-#define XPG_OP_SCOPE(varName, sourcePtr, opName, opClass)                    \
-    ((void)sizeof(sourcePtr), (void)sizeof(opName))
-#endif
 
 #endif // XPG_TELEMETRY_OP_SCOPE_HPP

@@ -7,9 +7,11 @@
  * Compile-time removal: the build defines XPG_TELEMETRY_ENABLED (1 by
  * default, 0 with -DXPG_TELEMETRY=OFF). The classes are compiled
  * either way — only the XPG_TEL_* / XPG_TRACE_* macros change. When
- * OFF, handle-returning macros evaluate to nullptr constants and the
- * recording macros collapse to no-ops, so instrumented hot paths
+ * OFF, the histogram handle macro evaluates to a nullptr constant and
+ * the recording macros collapse to no-ops, so instrumented hot paths
  * contain no telemetry code at all and the registry stays empty. The
+ * engine's phases, recovery steps and kernels are OpScope records
+ * (op_scope.hpp), which feed their histogram and span themselves. The
  * whole tree must be built one way (the CI telemetry stage keeps a
  * separate -notel build tree for the OFF configuration).
  *
@@ -117,36 +119,17 @@ class Telemetry
 
 #if XPG_TELEMETRY_ENABLED
 
-/// Handle lookups (construction-time; cache the pointer in a member).
-#define XPG_TEL_COUNTER(name, ...)                                          \
-    (&::xpg::telemetry::Telemetry::instance().counter((name), ##__VA_ARGS__))
-#define XPG_TEL_GAUGE(name, ...)                                            \
-    (&::xpg::telemetry::Telemetry::instance().gauge((name), ##__VA_ARGS__))
+/// Histogram handle lookup (construction-time; cache the pointer).
 #define XPG_TEL_HISTOGRAM(name, ...)                                        \
     (&::xpg::telemetry::Telemetry::instance().histogram((name),             \
                                                         ##__VA_ARGS__))
-
-/// Hot-path mutations through cached handles (null-safe by
-/// construction: handles are non-null whenever this branch compiles).
-#define XPG_TEL_ADD(counterPtr, n) ((counterPtr)->add(n))
-#define XPG_TEL_SET(counterPtr, v) ((counterPtr)->set(v))
-#define XPG_TEL_MAX(counterPtr, v) ((counterPtr)->max(v))
+/// Hot-path record through a cached handle (non-null whenever this
+/// branch compiles).
 #define XPG_TEL_RECORD(histogramPtr, v) ((histogramPtr)->record(v))
-
-/// RAII span on the trace timeline (name/cat must outlive the scope;
-/// string literals or internString results).
-#define XPG_TRACE_SCOPE(varName, spanName, category)                        \
-    ::xpg::telemetry::TraceScope varName(                                   \
-        &::xpg::telemetry::Telemetry::instance().trace(), (spanName),       \
-        (category))
-/// Instant marker at "now".
-#define XPG_TRACE_INSTANT(spanName, category)                               \
-    ::xpg::telemetry::Telemetry::instance().trace().emitInstant(            \
-        (spanName), (category), ::xpg::telemetry::hostNowNs())
 /// Host-clock read for hand-measured (conditional) spans.
 #define XPG_TEL_HOST_NOW() (::xpg::telemetry::hostNowNs())
-/// Emit a complete span from explicit measurements (for spans only
-/// emitted above a size threshold, where RAII doesn't fit).
+/// Emit a complete span from explicit measurements: spans that are not
+/// an OpScope record (appends above a size threshold, waits, rounds).
 #define XPG_TRACE_EMIT(spanName, category, hostStartNs, hostDurNs, simNs)   \
     ::xpg::telemetry::Telemetry::instance().trace().emitComplete(           \
         (spanName), (category), (hostStartNs), (hostDurNs), (simNs))
@@ -155,24 +138,12 @@ class Telemetry
 
 #else // XPG_TELEMETRY_ENABLED == 0: everything collapses to nothing
 
-#define XPG_TEL_COUNTER(name, ...)                                          \
-    (static_cast<::xpg::telemetry::Counter *>(nullptr))
-#define XPG_TEL_GAUGE(name, ...)                                            \
-    (static_cast<::xpg::telemetry::Counter *>(nullptr))
 #define XPG_TEL_HISTOGRAM(name, ...)                                        \
     (static_cast<::xpg::telemetry::ShardedHistogram *>(nullptr))
 /* sizeof keeps telemetry-only locals "used" without evaluating them,
  * so the OFF build stays warning-clean under -Wall -Wextra. */
-#define XPG_TEL_ADD(counterPtr, n)                                          \
-    ((void)sizeof(counterPtr), (void)sizeof(n))
-#define XPG_TEL_SET(counterPtr, v)                                          \
-    ((void)sizeof(counterPtr), (void)sizeof(v))
-#define XPG_TEL_MAX(counterPtr, v)                                          \
-    ((void)sizeof(counterPtr), (void)sizeof(v))
 #define XPG_TEL_RECORD(histogramPtr, v)                                     \
     ((void)sizeof(histogramPtr), (void)sizeof(v))
-#define XPG_TRACE_SCOPE(varName, spanName, category) ((void)0)
-#define XPG_TRACE_INSTANT(spanName, category) ((void)0)
 #define XPG_TEL_HOST_NOW() (uint64_t{0})
 #define XPG_TRACE_EMIT(spanName, category, hostStartNs, hostDurNs, simNs)   \
     ((void)sizeof(hostStartNs), (void)sizeof(hostDurNs),                    \

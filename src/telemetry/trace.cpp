@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "telemetry/op_scope.hpp"
-#include "util/sim_clock.hpp"
 
 namespace xpg::telemetry {
 
@@ -227,22 +226,6 @@ TraceBuffer::toJson() const
                 .set("emitted", emitted())
                 .set("capacity", static_cast<uint64_t>(capacity_)));
     return doc;
-}
-
-TraceScope::TraceScope(TraceBuffer *buffer, const char *name, const char *cat)
-    : buffer_(buffer), name_(name), cat_(cat),
-      startNs_(buffer != nullptr ? hostNowNs() : 0),
-      startSimNs_(buffer != nullptr ? SimClock::now() : 0)
-{
-}
-
-TraceScope::~TraceScope()
-{
-    if (buffer_ == nullptr)
-        return;
-    const uint64_t now = hostNowNs();
-    buffer_->emitComplete(name_, cat_, startNs_, now - startNs_,
-                          SimClock::now() - startSimNs_);
 }
 
 } // namespace xpg::telemetry

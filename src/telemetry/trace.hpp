@@ -124,25 +124,4 @@ class TraceBuffer
     std::atomic<uint64_t> head_{0}; ///< next ticket
 };
 
-/// RAII complete-span emitter. Measures host wall time between
-/// construction and destruction plus the calling thread's simulated-ns
-/// delta, then emits one 'X' event. A null buffer makes it a no-op, so
-/// instrumented code doesn't need its own guards.
-class TraceScope
-{
-  public:
-    TraceScope(TraceBuffer *buffer, const char *name, const char *cat);
-    ~TraceScope();
-
-    TraceScope(const TraceScope &) = delete;
-    TraceScope &operator=(const TraceScope &) = delete;
-
-  private:
-    TraceBuffer *buffer_;
-    const char *name_;
-    const char *cat_;
-    uint64_t startNs_;
-    uint64_t startSimNs_;
-};
-
 } // namespace xpg::telemetry

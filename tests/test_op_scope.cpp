@@ -1,12 +1,14 @@
 /**
  * @file
- * Per-operation cost scopes (DESIGN.md §15): opId stamping and
+ * Per-operation records (DESIGN.md §15): opId stamping and
  * thread-local nesting (including exception unwind), exactness of a
- * scope's deltas against the store-global counters, cross-thread opId
+ * record's deltas against the store-global counters, cross-thread opId
  * uniqueness/monotonicity, per-class roll-ups, the event-log/trace-ring
- * opId correlation, round-level QueryDriver stats summing to the
- * bracketing op's deltas (the `xpgraph_cli explain` invariant), and the
- * OFF-build no-op collapse. Suites are named OpScope* / Explain* so the
+ * opId correlation, one simulated total per phase feeding its
+ * IngestStats field, histogram, trace span and class roll-up alike,
+ * round-level QueryDriver stats summing to the kernel's deltas (the
+ * `xpgraph_cli explain` invariant), and the OFF build, where only the
+ * stat update survives. Suites are named OpScope* / Explain* so the
  * sanitizer and notel stages of bench/run_tier1_bench.sh pick them up
  * by filter.
  */
@@ -14,17 +16,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "analytics/algorithms.hpp"
+#include "baselines/graphone.hpp"
 #include "core/xpgraph.hpp"
 #include "graph/generators.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/op_scope.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace xpg {
 namespace {
@@ -244,6 +250,22 @@ TEST(OpScope, ClassTotalsRollUpClosedScopes)
     }
 }
 
+TEST(OpScope, CloseAddsTheSegmentTotalToItsStat)
+{
+    // The stat update is the engine's bookkeeping, so it runs in OFF
+    // builds too; nothing lands before close.
+    std::atomic<uint64_t> stat{5};
+    {
+        OpScope scope(nullptr, "segments", OpClass::Other, &stat);
+        scope.add(10);
+        scope.add(32);
+        EXPECT_EQ(stat.load(), 5u);
+        EXPECT_EQ(scope.close().simNs, 42u);
+        scope.close(); // neither this nor the destructor adds again
+    }
+    EXPECT_EQ(stat.load(), 47u);
+}
+
 // --- correlation: events and trace records carry the current opId ------
 
 TEST(OpScope, EventLogRecordsCurrentOpId)
@@ -273,6 +295,213 @@ TEST(OpScope, EventLogRecordsCurrentOpId)
     }
     EXPECT_TRUE(saw_in_scope);
     EXPECT_TRUE(saw_after);
+}
+
+// --- one record per phase: stat, histogram, span and roll-up agree ----
+
+/** Summed sim_ns of the spans named @p name emitted from ticket
+ *  @p first on (the ring must not have wrapped since). */
+uint64_t
+spanSimSum(uint64_t first, const char *name)
+{
+    const telemetry::TraceBuffer &trace =
+        telemetry::Telemetry::instance().trace();
+    EXPECT_LE(trace.emitted() - first, trace.capacity())
+        << "trace ring wrapped";
+    uint64_t sum = 0;
+    for (const telemetry::TraceEventView &ev : trace.collect())
+        if (ev.ticket >= first && std::strcmp(ev.name, name) == 0)
+            sum += ev.simNs;
+    return sum;
+}
+
+uint64_t
+histogramSum(const char *name)
+{
+    return telemetry::Telemetry::instance().mergedHistogram(name).sum;
+}
+
+uint64_t
+nextTicket()
+{
+    return telemetry::Telemetry::instance().trace().emitted();
+}
+
+/** One phase's invariant: its spans and its histogram hold exactly the
+ *  simulated total its IngestStats field gained. */
+void
+expectPhaseAgrees(const char *span, uint64_t first_ticket,
+                  const char *histogram, uint64_t histogram_before,
+                  uint64_t stat_delta)
+{
+    SCOPED_TRACE(span);
+    EXPECT_GT(stat_delta, 0u);
+    if (!kOpScopeEnabled)
+        return;
+    EXPECT_EQ(spanSimSum(first_ticket, span), stat_delta);
+    EXPECT_EQ(histogramSum(histogram) - histogram_before, stat_delta);
+}
+
+/** The Archive roll-up over a run: its simulated total is the
+ *  archiving time, and no media byte is counted twice. */
+void
+expectArchiveRollUp(const telemetry::OpClassTotals &before,
+                    const IngestStats &s0, const IngestStats &s1,
+                    const PcmCounters &pcm_delta)
+{
+    if (!kOpScopeEnabled)
+        return;
+    const telemetry::OpClassTotals after =
+        OpScope::classTotals(OpClass::Archive);
+    EXPECT_EQ(after.simNs - before.simNs,
+              s1.archivingNs() - s0.archivingNs());
+    EXPECT_EQ(after.ops - before.ops,
+              (s1.bufferingPhases - s0.bufferingPhases) +
+                  (s1.flushAllPhases - s0.flushAllPhases));
+    EXPECT_LE(after.mediaWriteBytes - before.mediaWriteBytes,
+              pcm_delta.mediaBytesWritten);
+}
+
+TEST(OpScopeRecords, XPGraphPressureFlushesAgreeWithIngestStats)
+{
+    const vid_t nv = 300;
+    std::vector<Edge> edges = generateRmat(9, 9000, RmatParams{}, 7);
+    foldVertices(edges, nv);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        XPGraphConfig c = XPGraphConfig::persistent(nv, 0);
+        c.elogCapacityEdges = 1 << 13;
+        c.bufferingThresholdEdges = 1 << 9;
+        c.archiveThreads = threads;
+        c.pmemBytesPerNode = recommendedBytesPerNode(c, edges.size());
+        XPGraph g(c);
+
+        const uint64_t first = nextTicket();
+        const uint64_t buffering0 =
+            histogramSum("archive.buffering_phase_ns");
+        const uint64_t flush0 = histogramSum("archive.flush_phase_ns");
+        const telemetry::OpClassTotals arch0 =
+            OpScope::classTotals(OpClass::Archive);
+        const IngestStats s0 = g.snapshotStats();
+        const PcmCounters pcm0 = g.pmemCounters();
+
+        // Inline archiving only: every flush here is triggered by log
+        // pressure from inside a buffering phase.
+        g.session(0)->addEdges(edges.data(), edges.size());
+
+        const IngestStats s1 = g.snapshotStats();
+        ASSERT_GT(s1.flushAllPhases, s0.flushAllPhases)
+            << "the run never hit a pressure-triggered flush";
+        expectPhaseAgrees("buffering_phase", first,
+                          "archive.buffering_phase_ns", buffering0,
+                          s1.bufferingNs - s0.bufferingNs);
+        expectPhaseAgrees("flush_phase", first, "archive.flush_phase_ns",
+                          flush0, s1.flushingNs - s0.flushingNs);
+        expectArchiveRollUp(arch0, s0, s1, g.pmemCounters() - pcm0);
+    }
+}
+
+TEST(OpScopeRecords, GraphOneArchivePassAgreesWithIngestStats)
+{
+    const vid_t nv = 300;
+    std::vector<Edge> edges = generateRmat(9, 4000, RmatParams{}, 11);
+    foldVertices(edges, nv);
+    GraphOneConfig c;
+    c.maxVertices = nv;
+    c.elogCapacityEdges = 1 << 14;
+    c.archiveThresholdEdges = 1 << 13; // above the stream: one pass
+    c.archiveThreads = 4;
+    c.bytesPerNode = graphoneRecommendedBytesPerNode(c, edges.size());
+    GraphOne g(c);
+    g.session(0)->addEdges(edges.data(), edges.size());
+
+    const uint64_t first = nextTicket();
+    const uint64_t hist0 = histogramSum("archive.archive_phase_ns");
+    const telemetry::OpClassTotals arch0 =
+        OpScope::classTotals(OpClass::Archive);
+    const IngestStats s0 = g.snapshotStats();
+    const PcmCounters pcm0 = g.pmemCounters();
+    g.archiveAll();
+    const IngestStats s1 = g.snapshotStats();
+
+    EXPECT_EQ(s1.bufferingPhases - s0.bufferingPhases, 1u);
+    expectPhaseAgrees("archive_phase", first, "archive.archive_phase_ns",
+                      hist0, s1.archivingNs() - s0.archivingNs());
+    expectArchiveRollUp(arch0, s0, s1, g.pmemCounters() - pcm0);
+}
+
+TEST(OpScopeRecords, RecoveryStepsAgreeWithRecoveryNs)
+{
+    const std::string dir =
+        ::testing::TempDir() + "/xpg_opscope_recovery";
+    std::filesystem::create_directories(dir);
+    const vid_t nv = 300;
+    std::vector<Edge> edges = generateRmat(9, 6000, RmatParams{}, 13);
+    foldVertices(edges, nv);
+    XPGraphConfig c = XPGraphConfig::persistent(nv, 0);
+    c.backingDir = dir;
+    c.elogCapacityEdges = 1 << 13;
+    c.bufferingThresholdEdges = 1 << 12;
+    c.archiveThreads = 4;
+    c.pmemBytesPerNode = recommendedBytesPerNode(c, edges.size());
+    {
+        XPGraph g(c);
+        auto session = g.session(0);
+        session->addEdges(edges.data(), edges.size() / 2);
+        g.archiveAll();
+        // Buffered but unflushed at the crash: recovery replays these.
+        session->addEdges(edges.data() + edges.size() / 2,
+                          edges.size() - edges.size() / 2);
+        g.bufferAllEdges();
+        g.syncBackings();
+    }
+
+    const uint64_t first = nextTicket();
+    const uint64_t hist0 = histogramSum("recovery.step_ns");
+    RecoveryReport report;
+    auto recovered = XPGraph::recover(c, &report);
+    ASSERT_TRUE(recovered);
+    ASSERT_TRUE(report.ok());
+    EXPECT_GT(report.edgesReplayed, 0u);
+    EXPECT_GT(report.recoveryNs, 0u);
+    EXPECT_EQ(recovered->stats().recoveryNs, report.recoveryNs);
+    if (kOpScopeEnabled) {
+        // Two steps, one record each, sharing recovery.step_ns.
+        const uint64_t rebuild =
+            spanSimSum(first, "recovery.rebuild_chains");
+        const uint64_t replay = spanSimSum(first, "recovery.replay_log");
+        EXPECT_GT(rebuild, 0u);
+        EXPECT_GT(replay, 0u);
+        EXPECT_EQ(rebuild + replay, report.recoveryNs);
+        EXPECT_EQ(histogramSum("recovery.step_ns") - hist0,
+                  report.recoveryNs);
+    }
+    recovered.reset();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(OpScopeRecords, KernelTotalsAgreeWithRounds)
+{
+    auto store = makeStore();
+    for (const char *algo : {"bfs", "pagerank"}) {
+        SCOPED_TRACE(algo);
+        const uint64_t first = nextTicket();
+        const uint64_t hist0 = histogramSum("query.kernel_ns");
+        const AnalyticsResult r = std::strcmp(algo, "bfs") == 0
+                                      ? runBfs(*store, 0, 4)
+                                      : runPageRank(*store, 3, 4);
+        EXPECT_GT(r.simNs, 0u);
+        EXPECT_EQ(r.op.simNs, r.simNs);
+        if (!kOpScopeEnabled)
+            continue;
+        uint64_t round_ns = 0;
+        for (const RoundStats &rs : r.rounds)
+            round_ns += rs.simNs;
+        EXPECT_GT(round_ns, 0u);
+        EXPECT_EQ(spanSimSum(first, "query_round"), round_ns);
+        EXPECT_EQ(spanSimSum(first, algo), r.simNs);
+        EXPECT_EQ(histogramSum("query.kernel_ns") - hist0, r.simNs);
+    }
 }
 
 // --- Explain*: round stats vs the bracketing op (the CLI invariant) ----
