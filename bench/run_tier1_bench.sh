@@ -64,7 +64,7 @@
 # CLI pipeline with --telemetry and json.tool-validates the trace and
 # metrics files, runs the attribution profiler and asserts its per-cause
 # rows sum back to the device counters (≤0.1%), then builds a
-# -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires seven
+# -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires thirteen
 # single-threaded CLI ingest/query runs to print byte-identical output
 # in both trees, and bounds the median-of-five simulated-time drift
 # between the fig20 flavors at 5% (a single run jitters up to ~5% with
@@ -470,9 +470,9 @@ EOF
     "${notel_dir}/tests/xpg_tests" \
         --gtest_filter='Telemetry*:Attribution*:Ops*:OpScope*:Explain*'
 
-    # Exact ON-vs-OFF stage: one generated edge file, three ingest
-    # systems and four query kernels on one thread each; any byte of
-    # difference in stdout fails.
+    # Exact ON-vs-OFF stage: one generated edge file, five ingest
+    # systems and four query kernels on two systems, one thread each;
+    # any byte of difference in stdout fails.
     exact_edges="$(mktemp --suffix=.bin)"
     exact_on="$(mktemp)"
     exact_off="$(mktemp)"
@@ -480,13 +480,16 @@ EOF
         --out "${exact_edges}" > /dev/null
     exact_runs() {
         local cli="$1/tools/xpgraph_cli"
-        for system in xpgraph xpgraph-b graphone-p; do
+        for system in xpgraph xpgraph-b graphone-p graphone-d \
+                      graphone-n; do
             "${cli}" ingest --in "${exact_edges}" --threads 1 \
                 --system "${system}"
         done
         for algo in bfs pr cc onehop; do
             "${cli}" query --in "${exact_edges}" --threads 1 \
                 --algo "${algo}"
+            "${cli}" query --in "${exact_edges}" --threads 1 \
+                --system graphone-p --algo "${algo}"
         done
     }
     exact_runs "${build_dir}" > "${exact_on}"
@@ -496,7 +499,7 @@ EOF
         exit 1
     fi
     rm -f "${exact_edges}" "${exact_on}" "${exact_off}"
-    echo "exact ON-vs-OFF check passed (3 ingest systems, 4 kernels)"
+    echo "exact ON-vs-OFF check passed (5 ingest systems, 4 kernels on 2 systems)"
     # Five interleaved runs per flavor: one fig20 run's aggregate
     # simulated time jitters up to ~5% run to run on the SAME binary
     # (which client thread coordinates each inline archive phase is

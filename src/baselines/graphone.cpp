@@ -1,12 +1,10 @@
 #include "baselines/graphone.hpp"
 
 #include <algorithm>
-#include <cstddef>
 #include <cstdio>
 
 #include "graph/snapshot.hpp"
 #include "graph/tombstones.hpp"
-#include "util/checksum.hpp"
 #include "pmem/dram_device.hpp"
 #include "pmem/memory_mode_device.hpp"
 #include "pmem/numa_topology.hpp"
@@ -20,7 +18,8 @@ namespace xpg {
 
 namespace {
 
-/** Device offset where the edge log region begins (after a header page). */
+/** Device offset of the edge log's first slot, after a header page whose
+ *  last two XPLines hold the log's header copies. */
 constexpr uint64_t kLogRegionOff = 4096;
 /** Fixed offset of the per-device allocator tail (DRAM-mirrored anyway;
  *  GraphOne has no persistent allocator, but the bump allocator wants a
@@ -31,110 +30,10 @@ constexpr uint64_t kAllocTailOff = 256;
 constexpr uint32_t kMinChunkRecords = 16;
 constexpr uint32_t kMaxChunkRecords = 16384;
 
-/**
- * Durable-log header for the file-backed Pmem variant: two alternating
- * copies one XPLine apart (a torn header write can never destroy the
- * only valid copy). The recorded head covers only persisted slots —
- * publishLog() persists the slot range before the publish CAS.
- */
-struct G1LogHeader
-{
-    uint64_t magic;
-    uint64_t capacityEdges;
-    uint64_t head;
-    uint64_t generation;
-    uint64_t checksum; ///< FNV-1a over all preceding fields
-
-    uint64_t
-    computeChecksum() const
-    {
-        return fnv1a64(this, offsetof(G1LogHeader, checksum));
-    }
-
-    bool
-    valid() const
-    {
-        return magic == 0x47314c4f47484452ull /* "G1LOGHDR" */ &&
-               capacityEdges > 0 && checksum == computeChecksum();
-    }
-};
-constexpr uint64_t kG1LogMagic = 0x47314c4f47484452ull;
-/** Copies at kLogHeaderOff and one XPLine above (both inside the header
- *  page, clear of the allocator tail slot at kAllocTailOff). */
-constexpr uint64_t kLogHeaderOff = 1024;
-
 /** Per-batch degree-increment scratch, reused across phases. */
 thread_local std::vector<vid_t> t_touched;
 
-/** Trace spans for chunked appends only: single-edge addEdge loops
- *  would flood the ring with sub-noise events. */
-constexpr uint64_t kTraceAppendMinEdges = 64;
-
-void
-atomicFetchMax(std::atomic<uint64_t> &target, uint64_t value)
-{
-    uint64_t cur = target.load(std::memory_order_relaxed);
-    while (cur < value &&
-           !target.compare_exchange_weak(cur, value,
-                                         std::memory_order_relaxed)) {
-    }
-}
-
 } // namespace
-
-/**
- * A client thread's handle onto the ONE shared edge log. GraphOne is
- * NUMA-oblivious: sessions never bind their thread, so accesses to the
- * single log device pay the unbound (topology-average) remote factor.
- */
-class GraphOne::Session final : public IngestSession
-{
-  public:
-    explicit Session(GraphOne &graph) : graph_(graph)
-    {
-        id_ = graph_.openSession();
-        telAppendHist_ = XPG_TEL_HISTOGRAM(
-            "ingest.session_append_ns",
-            (telemetry::Labels{.store = "graphone",
-                               .session = static_cast<int>(id_)}));
-    }
-
-    ~Session() override
-    {
-        graph_.closeSession(loggingNs_, loggingNs_ + inlineArchiveNs_);
-    }
-
-    uint64_t
-    addEdges(const Edge *edges, uint64_t n) override
-    {
-        if (!threadNamed_) {
-            XPG_TEL_NAME_THREAD("g1-session-" + std::to_string(id_));
-            threadNamed_ = true;
-        }
-        const uint64_t traceStart = XPG_TEL_HOST_NOW();
-        const uint64_t ns =
-            graph_.appendFromClient(edges, n, inlineArchiveNs_);
-        loggingNs_ += ns;
-        edgesLogged_ += n;
-        XPG_TEL_RECORD(telAppendHist_, ns);
-        if (n >= kTraceAppendMinEdges)
-            XPG_TRACE_EMIT("session_append", "ingest", traceStart,
-                           XPG_TEL_HOST_NOW() - traceStart, ns);
-        return n;
-    }
-
-    uint64_t edgesLogged() const override { return edgesLogged_; }
-    uint64_t loggingNs() const override { return loggingNs_; }
-
-  private:
-    GraphOne &graph_;
-    unsigned id_ = 0;
-    bool threadNamed_ = false;
-    telemetry::ShardedHistogram *telAppendHist_ = nullptr;
-    uint64_t edgesLogged_ = 0;
-    uint64_t loggingNs_ = 0;
-    uint64_t inlineArchiveNs_ = 0;
-};
 
 uint64_t
 graphoneRecommendedBytesPerNode(const GraphOneConfig &config,
@@ -160,7 +59,7 @@ GraphOne::GraphOne(const GraphOneConfig &config) : GraphOne(config, false)
 }
 
 GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
-    : config_(config)
+    : GraphStore("graphone"), config_(config)
 {
     XPG_ASSERT(config_.maxVertices > 0, "maxVertices must be set");
     XPG_ASSERT(config_.bytesPerNode > 0, "bytesPerNode must be set");
@@ -204,6 +103,7 @@ GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
                 static_cast<int>(node), config_.numNodes);
             break;
         }
+        registerDevice(*dev);
         devices_.push_back(std::move(dev));
     }
 
@@ -215,6 +115,7 @@ GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
                           config_.elogCapacityEdges * sizeof(Edge) + 4096,
             0, config_.numNodes);
         logDevice_ = novaLogDevice_.get();
+        registerDevice(*logDevice_);
     } else {
         logDevice_ = devices_[0].get();
         XPG_ASSERT(kLogRegionOff +
@@ -222,39 +123,33 @@ GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
                    config_.bytesPerNode,
                    "bytesPerNode too small for the edge log");
     }
-    logRegionOff_ = kLogRegionOff;
 
-    durableLog_ = !config_.backingDir.empty() &&
-                  config_.variant == GraphOneVariant::Pmem;
-    if (durableLog_ && recovering) {
-        // Adopt the checksum-valid header copy with the max generation.
-        XPG_ATTR_SCOPE(attrScope, RecoveryReplay);
-        const auto a = logDevice_->readPod<G1LogHeader>(kLogHeaderOff);
-        const auto b = logDevice_->readPod<G1LogHeader>(kLogHeaderOff +
-                                                        kXPLineSize);
-        const G1LogHeader *best = nullptr;
-        if (a.valid())
-            best = &a;
-        if (b.valid() && (!best || b.generation > best->generation))
-            best = &b;
-        if (!best || best->capacityEdges != config_.elogCapacityEdges) {
-            XPG_FATAL("graphone recovery: no valid log header copy on '" +
-                      logDevice_->name() + "'");
-        }
-        logGeneration_ = best->generation;
-        reservedHead_.store(best->head, std::memory_order_relaxed);
-        publishedHead_.store(best->head, std::memory_order_relaxed);
+    // The two header copies take the XPLines just below the slots, which
+    // start at kLogRegionOff.
+    const uint64_t log_region_off = kLogRegionOff - 2 * kXPLineSize;
+    if (recovering) {
+        std::string error;
+        auto log = CircularEdgeLog::tryRecover(
+            *logDevice_, log_region_off, /*battery_backed=*/true, &error);
+        if (!log)
+            XPG_FATAL("graphone recovery: " + error);
+        if (log->capacity() != config_.elogCapacityEdges)
+            XPG_FATAL("graphone recovery: log capacity does not match "
+                      "elogCapacityEdges");
+        log_ = std::make_unique<CircularEdgeLog>(std::move(*log));
         // Adjacency metadata is DRAM-resident, so everything still in
         // the log must be re-archived; edges the circular log already
         // overwrote (head beyond one capacity) are unrecoverable.
-        archivedUpTo_.store(best->head > config_.elogCapacityEdges
-                                ? best->head - config_.elogCapacityEdges
-                                : 0,
-                            std::memory_order_relaxed);
-    } else if (durableLog_) {
-        // Seed both header copies (generation 1 and 2, head 0).
-        persistLogHeader();
-        persistLogHeader();
+        const uint64_t head = log_->head();
+        log_->rewindBuffered(head > config_.elogCapacityEdges
+                                 ? head - config_.elogCapacityEdges
+                                 : 0);
+    } else {
+        log_ = std::make_unique<CircularEdgeLog>(
+            *logDevice_, log_region_off, config_.elogCapacityEdges,
+            /*battery_backed=*/true,
+            /*durable=*/!config_.backingDir.empty() &&
+                config_.variant == GraphOneVariant::Pmem);
     }
 
     for (unsigned node = 0; node < devices_.size(); ++node) {
@@ -325,26 +220,6 @@ GraphOne::recover(const GraphOneConfig &config)
     return graph;
 }
 
-std::shared_ptr<FaultInjector>
-GraphOne::injectFaults(const FaultPlan &plan)
-{
-    auto injector = std::make_shared<FaultInjector>(plan);
-    for (auto &dev : devices_)
-        dev->armFaults(injector);
-    if (novaLogDevice_)
-        novaLogDevice_->armFaults(injector);
-    return injector;
-}
-
-void
-GraphOne::powerCycle()
-{
-    for (auto &dev : devices_)
-        dev->powerCycle();
-    if (novaLogDevice_)
-        novaLogDevice_->powerCycle();
-}
-
 MemoryDevice &
 GraphOne::interleavedDevice(uint64_t counter) const
 {
@@ -374,25 +249,20 @@ std::unique_ptr<IngestSession>
 GraphOne::session(unsigned /*thread_hint*/)
 {
     // One shared log: every session lands on it regardless of the hint.
-    return std::make_unique<Session>(*this);
-}
-
-unsigned
-GraphOne::openSession()
-{
-    openSessions_.fetch_add(1, std::memory_order_relaxed);
-    const unsigned id = static_cast<unsigned>(
-        sessionsOpened_.fetch_add(1, std::memory_order_relaxed) + 1);
-    declareLogWriters();
-    return id;
+    // GraphOne is NUMA-oblivious, so sessions never bind their thread and
+    // log accesses pay the unbound (topology-average) remote factor.
+    return openSession(0);
 }
 
 void
-GraphOne::closeSession(uint64_t session_ns, uint64_t stream_ns)
+GraphOne::sessionOpened(unsigned /*node*/)
 {
-    atomicFetchMax(sessionNsMax_, session_ns);
-    atomicFetchMax(streamNsMax_, stream_ns);
-    openSessions_.fetch_sub(1, std::memory_order_relaxed);
+    declareLogWriters();
+}
+
+void
+GraphOne::sessionClosed(unsigned /*node*/)
+{
     declareLogWriters();
 }
 
@@ -401,106 +271,17 @@ GraphOne::declareLogWriters()
 {
     // Every session stores into the same log device — the shared-DIMM
     // write contention XPGraph's per-node logs avoid.
-    logDevice_->setDeclaredWriters(
-        std::max(1u, openSessions_.load(std::memory_order_relaxed)));
+    logDevice_->setDeclaredWriters(std::max(1u, openSessions()));
 }
 
-uint64_t
-GraphOne::tryReserveLog(uint64_t n, uint64_t &pos)
+AppendCost
+GraphOne::appendFromClient(unsigned /*node*/, const Edge *edges,
+                           uint64_t n)
 {
-    uint64_t cur = reservedHead_.load(std::memory_order_relaxed);
-    for (;;) {
-        const uint64_t archived =
-            archivedUpTo_.load(std::memory_order_acquire);
-        const uint64_t free =
-            config_.elogCapacityEdges - (cur - archived);
-        const uint64_t take = std::min(n, free);
-        if (take == 0)
-            return 0;
-        if (reservedHead_.compare_exchange_weak(
-                cur, cur + take, std::memory_order_relaxed,
-                std::memory_order_relaxed)) {
-            pos = cur;
-            return take;
-        }
-    }
-}
-
-void
-GraphOne::writeLog(uint64_t pos, const Edge *edges, uint64_t n)
-{
-    XPG_ATTR_SCOPE(attrScope, EdgeLogAppend);
-    uint64_t written = 0;
-    while (written < n) {
-        const uint64_t p = pos + written;
-        const uint64_t slot = p % config_.elogCapacityEdges;
-        const uint64_t run =
-            std::min(n - written, config_.elogCapacityEdges - slot);
-        logDevice_->write(logRegionOff_ + slot * sizeof(Edge),
-                          edges + written, run * sizeof(Edge));
-        written += run;
-    }
-}
-
-void
-GraphOne::publishLog(uint64_t pos, uint64_t n)
-{
-    // Durability fence: the slots must be on the media BEFORE the run
-    // becomes publishable — once our CAS lands, any later publisher may
-    // persist a header whose head covers this range.
-    if (durableLog_)
-        persistLogSlots(pos, n);
-    // Ordered publish: readers only ever see a contiguous prefix.
-    uint64_t expected = pos;
-    while (!publishedHead_.compare_exchange_weak(
-        expected, pos + n, std::memory_order_release,
-        std::memory_order_relaxed)) {
-        expected = pos;
-    }
-    if (durableLog_)
-        persistLogHeader();
-}
-
-void
-GraphOne::persistLogSlots(uint64_t pos, uint64_t n)
-{
-    XPG_ATTR_SCOPE(attrScope, EdgeLogAppend);
+    AppendCost cost;
     uint64_t done = 0;
     while (done < n) {
-        const uint64_t slot = (pos + done) % config_.elogCapacityEdges;
-        const uint64_t run =
-            std::min(n - done, config_.elogCapacityEdges - slot);
-        logDevice_->persist(logRegionOff_ + slot * sizeof(Edge),
-                            run * sizeof(Edge));
-        done += run;
-    }
-}
-
-void
-GraphOne::persistLogHeader()
-{
-    std::lock_guard<SpinLock> lock(logHeaderLock_);
-    XPG_ATTR_SCOPE(attrScope, Superblock);
-    G1LogHeader hdr{};
-    hdr.magic = kG1LogMagic;
-    hdr.capacityEdges = config_.elogCapacityEdges;
-    hdr.head = publishedHead_.load(std::memory_order_acquire);
-    hdr.generation = ++logGeneration_;
-    hdr.checksum = hdr.computeChecksum();
-    const uint64_t off =
-        kLogHeaderOff + (hdr.generation & 1 ? kXPLineSize : 0);
-    logDevice_->writePod<G1LogHeader>(off, hdr);
-    logDevice_->persist(off, sizeof(G1LogHeader));
-}
-
-uint64_t
-GraphOne::appendFromClient(const Edge *edges, uint64_t n,
-                           uint64_t &inline_archive_ns)
-{
-    uint64_t logging_ns = 0;
-    uint64_t done = 0;
-    while (done < n) {
-        const uint64_t pending = pendingEdges();
+        const uint64_t pending = log_->nonBuffered();
         uint64_t want = n - done;
         if (pending >= config_.archiveThresholdEdges) {
             std::unique_lock<std::mutex> lock(archiveMutex_,
@@ -509,7 +290,7 @@ GraphOne::appendFromClient(const Edge *edges, uint64_t n,
                 const uint64_t before =
                     archivingNs_.load(std::memory_order_relaxed);
                 runArchivePhaseLocked();
-                inline_archive_ns +=
+                cost.inlineArchiveNs +=
                     archivingNs_.load(std::memory_order_relaxed) -
                     before;
                 continue;
@@ -520,15 +301,15 @@ GraphOne::appendFromClient(const Edge *edges, uint64_t n,
                             config_.archiveThresholdEdges - pending);
         }
         uint64_t pos = 0;
-        const uint64_t take = tryReserveLog(want, pos);
+        const uint64_t take = log_->tryReserve(want, pos);
         if (take == 0) {
             // Log full: archive (blocking on whoever is already at it).
             std::lock_guard<std::mutex> lock(archiveMutex_);
-            if (logFreeSlots() == 0) {
+            if (log_->freeSlots() == 0) {
                 const uint64_t before =
                     archivingNs_.load(std::memory_order_relaxed);
                 runArchivePhaseLocked();
-                inline_archive_ns +=
+                cost.inlineArchiveNs +=
                     archivingNs_.load(std::memory_order_relaxed) -
                     before;
             }
@@ -536,27 +317,24 @@ GraphOne::appendFromClient(const Edge *edges, uint64_t n,
         }
         const uint64_t traceStart = XPG_TEL_HOST_NOW();
         SimScope scope;
-        writeLog(pos, edges + done, take);
-        publishLog(pos, take);
+        log_->writeReserved(pos, edges + done, take);
+        log_->publish(pos, take);
         const uint64_t append_ns = scope.elapsed();
-        logging_ns += append_ns;
+        cost.loggingNs += append_ns;
         XPG_TEL_RECORD(telAppendHist_, append_ns);
         if (take >= kTraceAppendMinEdges)
             XPG_TRACE_EMIT("log_append", "ingest", traceStart,
                            XPG_TEL_HOST_NOW() - traceStart, append_ns);
         done += take;
     }
-    loggingNs_.fetch_add(logging_ns, std::memory_order_relaxed);
-    edgesLogged_.fetch_add(n, std::memory_order_relaxed);
-    return logging_ns;
+    return cost;
 }
 
 void
 GraphOne::archiveAll()
 {
     std::lock_guard<std::mutex> lock(archiveMutex_);
-    while (archivedUpTo_.load(std::memory_order_acquire) <
-           publishedHead_.load(std::memory_order_acquire))
+    while (log_->nonBuffered() > 0)
         runArchivePhaseLocked();
 }
 
@@ -669,13 +447,12 @@ GraphOne::archiveWorker(unsigned w)
 void
 GraphOne::runArchivePhaseLocked()
 {
-    const uint64_t from = archivedUpTo_.load(std::memory_order_relaxed);
+    const uint64_t from = log_->bufferedUpTo();
     // Archive at most one threshold-sized batch per phase, as GraphOne
     // does in normal operation (archiveAll loops over phases). The
     // published head is the race-free snapshot of the log.
     const uint64_t to =
-        std::min(publishedHead_.load(std::memory_order_acquire),
-                 from + config_.archiveThresholdEdges);
+        std::min(log_->head(), from + config_.archiveThresholdEdges);
     if (from == to)
         return;
 
@@ -685,21 +462,10 @@ GraphOne::runArchivePhaseLocked()
                           &archivingNs_, telArchivePhaseHist_);
     SimScope serial_scope;
     batch_.clear();
-    batch_.reserve(to - from);
     {
         // Read the batch back from the log: archive traffic, not query.
         XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
-        uint64_t read = 0;
-        batch_.resize(to - from);
-        while (from + read < to) {
-            const uint64_t pos = from + read;
-            const uint64_t slot = pos % config_.elogCapacityEdges;
-            const uint64_t run = std::min(
-                to - pos, config_.elogCapacityEdges - slot);
-            logDevice_->read(logRegionOff_ + slot * sizeof(Edge),
-                             batch_.data() + read, run * sizeof(Edge));
-            read += run;
-        }
+        log_->readRange(from, to, batch_);
     }
 
     // Shard by src (out) and by dst (in) into temporary ranged edge lists.
@@ -738,7 +504,7 @@ GraphOne::runArchivePhaseLocked()
         dev->setDeclaredWriters(1);
     declareLogWriters();
 
-    archivedUpTo_.store(to, std::memory_order_release);
+    log_->markBuffered(to);
     edgesArchived_ += to - from;
     ++archivePhases_;
 }
@@ -863,18 +629,11 @@ GraphOne::openView()
 IngestStats
 GraphOne::stats() const
 {
-    IngestStats s;
-    s.loggingNs = loggingNs_.load(std::memory_order_relaxed);
-    s.loggingNsMax = sessionNsMax_.load(std::memory_order_relaxed);
-    if (s.loggingNsMax == 0)
-        s.loggingNsMax = s.loggingNs;
-    s.clientNsMax = streamNsMax_.load(std::memory_order_relaxed);
+    IngestStats s = sessionStats();
     // archiving fills the buffering slot
     s.bufferingNs = archivingNs_.load(std::memory_order_relaxed);
-    s.edgesLogged = edgesLogged_.load(std::memory_order_relaxed);
     s.edgesBuffered = edgesArchived_.load(std::memory_order_relaxed);
     s.bufferingPhases = archivePhases_.load(std::memory_order_relaxed);
-    s.sessionsOpened = sessionsOpened_.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -928,51 +687,6 @@ GraphOne::memoryUsage() const
         mu.pblkBytes += alloc->used();
     mu.elogBytes = config_.elogCapacityEdges * sizeof(Edge);
     return mu;
-}
-
-PcmCounters
-GraphOne::pmemCounters() const
-{
-    PcmCounters total;
-    for (const auto &dev : devices_)
-        total += dev->counters();
-    return total;
-}
-
-telemetry::AttributionSnapshot
-GraphOne::pmemAttribution() const
-{
-    telemetry::AttributionSnapshot total;
-    for (const auto &dev : devices_)
-        total += dev->attribution();
-    if (novaLogDevice_)
-        total += novaLogDevice_->attribution();
-    return total;
-}
-
-std::vector<telemetry::LineHeatTable::HotLine>
-GraphOne::hotLines(unsigned n) const
-{
-    std::vector<telemetry::LineHeatTable::HotLine> merged;
-    for (const auto &dev : devices_) {
-        const auto *pmem = dynamic_cast<const PmemDevice *>(dev.get());
-        if (!pmem)
-            continue;
-        const auto top = pmem->heat().top(n);
-        merged.insert(merged.end(), top.begin(), top.end());
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const telemetry::LineHeatTable::HotLine &a,
-                 const telemetry::LineHeatTable::HotLine &b) {
-                  const uint64_t ta = a.reads + a.writes;
-                  const uint64_t tb = b.reads + b.writes;
-                  if (ta != tb)
-                      return ta > tb;
-                  return a.line < b.line;
-              });
-    if (merged.size() > n)
-        merged.resize(n);
-    return merged;
 }
 
 } // namespace xpg

@@ -29,17 +29,16 @@
 #include <string>
 #include <vector>
 
+#include "core/circular_edge_log.hpp"
 #include "core/stats.hpp"
 #include "graph/edge_sharding.hpp"
 #include "graph/graph_store.hpp"
 #include "graph/types.hpp"
 #include "mempool/system_allocator_model.hpp"
-#include "pmem/fault_plan.hpp"
 #include "pmem/memory_device.hpp"
 #include "pmem/pmem_allocator.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
-#include "util/spinlock.hpp"
 
 namespace xpg {
 
@@ -69,10 +68,10 @@ struct GraphOneConfig
     unsigned shardsPerThread = 16;
     /**
      * Directory for the Pmem variant's backing file; empty = volatile.
-     * A file-backed GraphOne logs durably (slots + dual checksummed log
-     * header persisted at publish) so recover() can re-archive the log —
-     * GraphOne's adjacency metadata is DRAM-resident, so its recovery
-     * story IS re-archiving (FAST'19 S 3.4).
+     * A file-backed GraphOne logs durably (the edge log persists its
+     * slots and dual checksummed header) so recover() can re-archive the
+     * log — GraphOne's adjacency metadata is DRAM-resident, so its
+     * recovery story IS re-archiving (FAST'19 S 3.4).
      */
     std::string backingDir;
 };
@@ -97,23 +96,15 @@ class GraphOne : public GraphStore
     explicit GraphOne(const GraphOneConfig &config);
 
     /**
-     * Re-open a crashed, file-backed Pmem-variant instance: adopts the
-     * checksum-valid log header copy with the highest generation and
-     * re-archives the durable log window into fresh (DRAM) adjacency
-     * chains. Requires the log not to have wrapped past un-archivable
-     * edges (size elogCapacityEdges to the workload). Fatal on a corrupt
-     * header or missing backing file; @p config must match the crashed
-     * instance's.
+     * Re-open a crashed, file-backed Pmem-variant instance: re-attaches
+     * the edge log (CircularEdgeLog::tryRecover), rewinds its buffered
+     * marker to the oldest edge still in the ring, and re-archives that
+     * window into fresh (DRAM) adjacency chains. Requires the log not
+     * to have wrapped past un-archivable edges (size elogCapacityEdges
+     * to the workload). Fatal on a corrupt header or missing backing
+     * file; @p config must match the crashed instance's.
      */
     static std::unique_ptr<GraphOne> recover(const GraphOneConfig &config);
-
-    /** Arm every device with one shared machine-wide FaultInjector
-     *  (see XPGraph::injectFaults). */
-    std::shared_ptr<FaultInjector> injectFaults(const FaultPlan &plan);
-
-    /** Simulate the power loss on every device (see
-     *  XPGraph::powerCycle); destroy + recover() afterwards. */
-    void powerCycle();
 
     // --- updates (sessions) ---
 
@@ -172,17 +163,9 @@ class GraphOne : public GraphStore
     void publishTelemetry() const override;
 
     MemoryUsage memoryUsage() const override;
-    PcmCounters pmemCounters() const override;
-    /** Per-cause breakdown of pmemCounters(), summed over devices. */
-    telemetry::AttributionSnapshot pmemAttribution() const override;
-    /** Hottest XPLines merged across the chunk/log devices. */
-    std::vector<telemetry::LineHeatTable::HotLine>
-    hotLines(unsigned n) const override;
     const GraphOneConfig &config() const { return config_; }
 
   private:
-    class Session;
-    friend class Session;
     /** One chunk of a vertex's adjacency (metadata in DRAM). */
     struct Chunk
     {
@@ -216,39 +199,13 @@ class GraphOne : public GraphStore
     void ensureCapacity(Direction &dir, vid_t v, uint32_t increment);
     void appendRecord(Direction &dir, vid_t v, vid_t record);
 
-    // --- concurrent logging (sessions + default shim) ---
-    /** Published-but-unarchived edges. */
-    uint64_t
-    pendingEdges() const
-    {
-        return publishedHead_.load(std::memory_order_acquire) -
-               archivedUpTo_.load(std::memory_order_acquire);
-    }
-    /** Free log slots, counting reserved-but-unpublished as taken. */
-    uint64_t
-    logFreeSlots() const
-    {
-        return config_.elogCapacityEdges -
-               (reservedHead_.load(std::memory_order_relaxed) -
-                archivedUpTo_.load(std::memory_order_acquire));
-    }
-    uint64_t tryReserveLog(uint64_t n, uint64_t &pos);
-    void writeLog(uint64_t pos, const Edge *edges, uint64_t n);
-    void publishLog(uint64_t pos, uint64_t n);
-    /** Durable logging: persist the slot range [pos, pos+n). */
-    void persistLogSlots(uint64_t pos, uint64_t n);
-    /** Durable logging: persist the published head into the alternating
-     *  header copy (generation g -> copy g & 1). */
-    void persistLogHeader();
-    /** Shared client append path. @return simulated ns spent logging;
-     *  archive phases this client ran inline (they serialize into its
-     *  stream — a client cannot log while archiving) are added to
-     *  @p inline_archive_ns. */
-    uint64_t appendFromClient(const Edge *edges, uint64_t n,
-                              uint64_t &inline_archive_ns);
-    /** @return this session's 1-based ordinal (for telemetry labels). */
-    unsigned openSession();
-    void closeSession(uint64_t session_ns, uint64_t stream_ns);
+    // --- concurrent logging (sessions) ---
+    /** Append to the shared log; archive phases this client runs inline
+     *  (a client cannot log while archiving) land in inlineArchiveNs. */
+    AppendCost appendFromClient(unsigned node, const Edge *edges,
+                                uint64_t n) override;
+    void sessionOpened(unsigned node) override;
+    void sessionClosed(unsigned node) override;
     void declareLogWriters();
 
     void runArchivePhaseLocked();
@@ -269,22 +226,15 @@ class GraphOne : public GraphStore
     Direction out_;
     Direction in_;
 
-    // circular edge log state (DRAM mirrors; GraphOne persists lazily).
-    // One shared log: sessions reserve with a CAS on the tail and
-    // publish in order, exactly like XPGraph's per-node logs — but every
-    // thread contends on this one region.
-    uint64_t logRegionOff_ = 0;
-    std::atomic<uint64_t> reservedHead_{0};
-    std::atomic<uint64_t> publishedHead_{0};
-    std::atomic<uint64_t> archivedUpTo_{0};
+    /**
+     * The one shared edge log, XPGraph's CircularEdgeLog: sessions
+     * reserve with a CAS on the tail and publish in order, exactly like
+     * XPGraph's per-node logs — but every thread contends on this one
+     * region. Battery-backed semantics: an archive phase's markBuffered
+     * frees its slots.
+     */
+    std::unique_ptr<CircularEdgeLog> log_;
     std::atomic<uint64_t> chunkCounter_{0};
-
-    /** File-backed Pmem variant: persist slots + header at publish so
-     *  acknowledged edges survive a power loss. */
-    bool durableLog_ = false;
-    /** Serializes log-header persistence; guards logGeneration_. */
-    SpinLock logHeaderLock_;
-    uint64_t logGeneration_ = 0;
 
     /** Serializes archive phases and the scratch below. */
     mutable std::mutex archiveMutex_;
@@ -297,17 +247,9 @@ class GraphOne : public GraphStore
     std::vector<ShardAssignment> inAssign_;
 
     // stats (relaxed atomics: updated from concurrent sessions)
-    std::atomic<uint64_t> loggingNs_{0};
-    std::atomic<uint64_t> sessionNsMax_{0};
-    /** Slowest session stream wall: logging plus the archive phases
-     *  that client coordinated inline. */
-    std::atomic<uint64_t> streamNsMax_{0};
     std::atomic<uint64_t> archivingNs_{0};
-    std::atomic<uint64_t> edgesLogged_{0};
     std::atomic<uint64_t> edgesArchived_{0};
     std::atomic<uint64_t> archivePhases_{0};
-    std::atomic<uint64_t> sessionsOpened_{0};
-    std::atomic<unsigned> openSessions_{0};
 
     // telemetry handles (null with -DXPG_TELEMETRY=OFF)
     telemetry::ShardedHistogram *telAppendHist_ = nullptr;

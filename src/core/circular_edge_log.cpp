@@ -34,25 +34,25 @@ CircularEdgeLog::regionBytes(uint64_t capacity_edges)
 
 CircularEdgeLog::CircularEdgeLog(MemoryDevice &dev, uint64_t region_off,
                                  uint64_t capacity_edges,
-                                 bool battery_backed)
+                                 bool battery_backed, bool durable)
     : dev_(&dev), regionOff_(region_off), capacityEdges_(capacity_edges),
-      batteryBacked_(battery_backed)
+      batteryBacked_(battery_backed), durable_(durable)
 {
     XPG_ASSERT(capacity_edges > 0, "log capacity must be positive");
     XPG_ASSERT(region_off % kXPLineSize == 0,
                "log region must be XPLine-aligned");
-    std::lock_guard<SpinLock> guard(headerLock_);
     // Seed both copies so recovery never reads uninitialized memory as a
     // header candidate.
-    persistHeaderLocked();
-    persistHeaderLocked();
+    persistHeader();
+    persistHeader();
 }
 
 CircularEdgeLog::CircularEdgeLog(RecoverTag, MemoryDevice &dev,
                                  uint64_t region_off, bool battery_backed,
                                  const Header &h)
     : dev_(&dev), regionOff_(region_off), capacityEdges_(h.capacityEdges),
-      batteryBacked_(battery_backed), generation_(h.generation)
+      batteryBacked_(battery_backed), durable_(true),
+      generation_(h.generation)
 {
     reservedHead_.store(h.head, std::memory_order_relaxed);
     publishedHead_.store(h.head, std::memory_order_relaxed);
@@ -63,7 +63,7 @@ CircularEdgeLog::CircularEdgeLog(RecoverTag, MemoryDevice &dev,
 CircularEdgeLog::CircularEdgeLog(CircularEdgeLog &&other) noexcept
     : dev_(other.dev_), regionOff_(other.regionOff_),
       capacityEdges_(other.capacityEdges_),
-      batteryBacked_(other.batteryBacked_),
+      batteryBacked_(other.batteryBacked_), durable_(other.durable_),
       generation_(other.generation_)
 {
     reservedHead_.store(other.reservedHead_.load(std::memory_order_relaxed),
@@ -127,8 +127,11 @@ CircularEdgeLog::slotOff(uint64_t pos) const
 }
 
 void
-CircularEdgeLog::persistHeaderLocked()
+CircularEdgeLog::persistHeader()
 {
+    if (!durable_)
+        return;
+    std::lock_guard<SpinLock> guard(headerLock_);
     Header h{kMagic,
              capacityEdges_,
              publishedHead_.load(std::memory_order_acquire),
@@ -204,7 +207,8 @@ CircularEdgeLog::publish(uint64_t pos, uint64_t n)
     // publisher may immediately persist a header with head >= pos + n.
     // Persisting before the CAS keeps the invariant "every persisted
     // header describes only durable slots" (prefix consistency).
-    persistSlots(pos, n);
+    if (durable_)
+        persistSlots(pos, n);
     // Ordered publish: the published head is a contiguous prefix, so a
     // reservation waits for every earlier one. Reservations are
     // short-lived (reserve -> write -> publish), so the spin is bounded.
@@ -214,8 +218,7 @@ CircularEdgeLog::publish(uint64_t pos, uint64_t n)
         std::memory_order_relaxed)) {
         expected = pos;
     }
-    std::lock_guard<SpinLock> guard(headerLock_);
-    persistHeaderLocked();
+    persistHeader();
 }
 
 uint64_t
@@ -264,8 +267,7 @@ CircularEdgeLog::markBuffered(uint64_t up_to)
     XPG_ASSERT(up_to >= bufferedUpTo() && up_to <= head(),
                "markBuffered out of order");
     bufferedUpTo_.store(up_to, std::memory_order_release);
-    std::lock_guard<SpinLock> guard(headerLock_);
-    persistHeaderLocked();
+    persistHeader();
 }
 
 void
@@ -274,8 +276,7 @@ CircularEdgeLog::markFlushed(uint64_t up_to)
     XPG_ASSERT(up_to >= flushedUpTo() && up_to <= bufferedUpTo(),
                "markFlushed out of order");
     flushedUpTo_.store(up_to, std::memory_order_release);
-    std::lock_guard<SpinLock> guard(headerLock_);
-    persistHeaderLocked();
+    persistHeader();
 }
 
 void
@@ -285,8 +286,17 @@ CircularEdgeLog::truncateHead(uint64_t new_head)
                "truncateHead out of range");
     publishedHead_.store(new_head, std::memory_order_release);
     reservedHead_.store(new_head, std::memory_order_release);
-    std::lock_guard<SpinLock> guard(headerLock_);
-    persistHeaderLocked();
+    persistHeader();
+}
+
+void
+CircularEdgeLog::rewindBuffered(uint64_t up_to)
+{
+    XPG_ASSERT(up_to >= flushedUpTo() && up_to <= bufferedUpTo() &&
+                   head() - up_to <= capacityEdges_,
+               "rewindBuffered out of range");
+    bufferedUpTo_.store(up_to, std::memory_order_release);
+    persistHeader();
 }
 
 } // namespace xpg

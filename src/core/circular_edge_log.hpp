@@ -28,6 +28,9 @@
  *
  * The header (head + both positions) lives in the same PMEM region, so
  * recovery can locate the replay window [flushedUpTo, bufferedUpTo).
+ * A log built with durable = false (GraphOne on a volatile device or
+ * without a backing file) never writes that header and never persists
+ * its slots: it is the same ring, minus the durability traffic.
  */
 
 #ifndef XPG_CORE_CIRCULAR_EDGE_LOG_HPP
@@ -51,12 +54,19 @@ class CircularEdgeLog
     /** Bytes a log of @p capacity_edges needs (header + slots). */
     static uint64_t regionBytes(uint64_t capacity_edges);
 
-    /** Create a fresh log in [region_off, region_off+regionBytes()). */
+    /**
+     * Create a fresh log in [region_off, region_off+regionBytes()).
+     * @param battery_backed Reclaim slots at markBuffered() instead of
+     *        markFlushed().
+     * @param durable Persist slots and the header; false skips both in
+     *        every method (nothing to recover from).
+     */
     CircularEdgeLog(MemoryDevice &dev, uint64_t region_off,
-                    uint64_t capacity_edges, bool battery_backed);
+                    uint64_t capacity_edges, bool battery_backed,
+                    bool durable);
 
-    /** Re-attach to an existing log after a crash (fatal on a corrupt
-     *  header — use tryRecover() for a typed error). */
+    /** Re-attach to an existing (durable) log after a crash (fatal on a
+     *  corrupt header — use tryRecover() for a typed error). */
     static CircularEdgeLog recover(MemoryDevice &dev, uint64_t region_off,
                                    bool battery_backed);
 
@@ -193,6 +203,15 @@ class CircularEdgeLog
      */
     void truncateHead(uint64_t new_head);
 
+    /**
+     * Recovery-only repair: rewind bufferedUpTo to @p up_to (>=
+     * flushedUpTo, <= bufferedUpTo, at most one capacity below head)
+     * and persist the header, so the window [up_to, head) counts as
+     * non-buffered again. Used when the buffered state was lost with
+     * DRAM and must be rebuilt from the ring. Not thread-safe.
+     */
+    void rewindBuffered(uint64_t up_to);
+
   private:
     /**
      * On-device header, kept in two alternating copies (A at the region
@@ -220,8 +239,8 @@ class CircularEdgeLog
                     bool battery_backed, const Header &header);
 
     uint64_t slotOff(uint64_t pos) const;
-    /** Persist the header; caller must hold headerLock_. */
-    void persistHeaderLocked();
+    /** Persist the header (under headerLock_) when the log is durable. */
+    void persistHeader();
     /** Persist the published slot range [pos, pos+n) to the media. */
     void persistSlots(uint64_t pos, uint64_t n);
 
@@ -229,6 +248,7 @@ class CircularEdgeLog
     uint64_t regionOff_;
     uint64_t capacityEdges_;
     bool batteryBacked_;
+    bool durable_;
 
     // DRAM mirrors of the persistent header fields (atomic: appended and
     // advanced concurrently by sessions and the archiver).

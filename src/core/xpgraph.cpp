@@ -147,20 +147,6 @@ thread_local std::vector<vid_t> t_rawRecords;
 /** Per-thread scratch for a view's frozen log-window records. */
 thread_local std::vector<vid_t> t_viewWindow;
 
-/** Trace spans for chunked appends only: single-edge addEdge loops
- *  would flood the ring with sub-noise events. */
-constexpr uint64_t kTraceAppendMinEdges = 64;
-
-void
-atomicFetchMax(std::atomic<uint64_t> &target, uint64_t value)
-{
-    uint64_t cur = target.load(std::memory_order_relaxed);
-    while (cur < value &&
-           !target.compare_exchange_weak(cur, value,
-                                         std::memory_order_relaxed)) {
-    }
-}
-
 } // namespace
 
 const char *
@@ -230,70 +216,6 @@ recommendedBytesPerNode(const XPGraphConfig &config, uint64_t expected_edges)
            (32ull << 20);
 }
 
-// --- the ingestion session --------------------------------------------------
-
-/**
- * One client thread's handle onto its NUMA partition's edge log. The
- * session lazily binds its thread to the partition's node (when thread
- * binding is configured) and keeps per-stream statistics that fold into
- * the store on close.
- */
-class XPGraph::Session final : public IngestSession
-{
-  public:
-    Session(XPGraph &graph, unsigned node) : graph_(graph), node_(node)
-    {
-        id_ = graph_.openSession(node_);
-        telAppendHist_ = XPG_TEL_HISTOGRAM(
-            "ingest.session_append_ns",
-            (telemetry::Labels{.store = "xpgraph",
-                               .node = static_cast<int>(node_),
-                               .session = static_cast<int>(id_)}));
-    }
-
-    ~Session() override
-    {
-        graph_.closeSession(node_, loggingNs_, streamNs_);
-    }
-
-    uint64_t
-    addEdges(const Edge *edges, uint64_t n) override
-    {
-        if (!threadNamed_) {
-            XPG_TEL_NAME_THREAD("session-" + std::to_string(id_));
-            threadNamed_ = true;
-        }
-        const uint64_t traceStart = XPG_TEL_HOST_NOW();
-        const AppendCost cost =
-            graph_.appendFromClient(node_, /*bind=*/true, edges, n);
-        loggingNs_ += cost.loggingNs;
-        streamNs_ += cost.streamNs();
-        edgesLogged_ += n;
-        XPG_TEL_RECORD(telAppendHist_, cost.loggingNs);
-        if (n >= kTraceAppendMinEdges)
-            XPG_TRACE_EMIT("session_append", "ingest", traceStart,
-                           XPG_TEL_HOST_NOW() - traceStart,
-                           cost.streamNs());
-        return n;
-    }
-
-    unsigned node() const override { return node_; }
-    uint64_t edgesLogged() const override { return edgesLogged_; }
-    uint64_t loggingNs() const override { return loggingNs_; }
-    uint64_t streamNs() const override { return streamNs_; }
-
-  private:
-    XPGraph &graph_;
-    unsigned node_;
-    unsigned id_ = 0; ///< 1-based open order (stable telemetry label)
-    bool threadNamed_ = false;
-    telemetry::ShardedHistogram *telAppendHist_ = nullptr;
-    uint64_t edgesLogged_ = 0;
-    uint64_t loggingNs_ = 0;
-    /// loggingNs_ plus archive phases this session coordinated inline
-    uint64_t streamNs_ = 0;
-};
-
 // --- construction -----------------------------------------------------------
 
 XPGraph::XPGraph(const XPGraphConfig &config)
@@ -303,7 +225,8 @@ XPGraph::XPGraph(const XPGraphConfig &config)
 
 XPGraph::XPGraph(const XPGraphConfig &config, bool recovering,
                  RecoveryReport *report)
-    : config_(config.validated(recovering)), recoveryReport_(report)
+    : GraphStore("xpgraph"), config_(config.validated(recovering)),
+      recoveryReport_(report)
 {
     PoolConfig pool_config;
     pool_config.bulkSize = config_.poolBulkBytes;
@@ -490,7 +413,7 @@ XPGraph::phaseExitLocked()
 
 XPGraph::~XPGraph()
 {
-    XPG_ASSERT(openSessions_.load(std::memory_order_relaxed) == 0,
+    XPG_ASSERT(openSessions() == 0,
                "destroying XPGraph with open ingestion sessions");
     XPG_ASSERT(viewBoundaries_.empty(),
                "destroying XPGraph with open read views");
@@ -605,6 +528,7 @@ XPGraph::initPartitions(bool recovering)
             std::fclose(probe);
         }
         part.dev = makeDevice(node, recovering);
+        registerDevice(*part.dev);
         computeLayout(node, part);
 
         const uint64_t log_region_off = kSuperblockBytes;
@@ -683,7 +607,7 @@ XPGraph::initPartitions(bool recovering)
                 kAllocTailOff);
             part.log = std::make_unique<CircularEdgeLog>(
                 *part.dev, log_region_off, config_.elogCapacityEdges,
-                config_.batteryBacked);
+                config_.batteryBacked, /*durable=*/true);
         }
 
         const CompressionPolicy compression{config_.compressAdjacency,
@@ -966,22 +890,6 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
     op.add(replay_scope.elapsed());
 }
 
-std::shared_ptr<FaultInjector>
-XPGraph::injectFaults(const FaultPlan &plan)
-{
-    auto injector = std::make_shared<FaultInjector>(plan);
-    for (auto &part : parts_)
-        part.dev->armFaults(injector);
-    return injector;
-}
-
-void
-XPGraph::powerCycle()
-{
-    for (auto &part : parts_)
-        part.dev->powerCycle();
-}
-
 // --- placement -----------------------------------------------------------
 
 unsigned
@@ -1028,46 +936,23 @@ XPGraph::nodeOfIn(vid_t v) const
 
 // --- updating ------------------------------------------------------------
 
-uint64_t
-XPGraph::bufferEdges(const Edge *edges, uint64_t n)
-{
-    // Single-client convenience: node 0's log, no thread binding,
-    // accounted as one client stream of its own.
-    const AppendCost cost = appendFromClient(0, /*bind=*/false, edges, n);
-    bufferEdgesLoggingNs_.fetch_add(cost.loggingNs,
-                                    std::memory_order_relaxed);
-    bufferEdgesStreamNs_.fetch_add(cost.streamNs(),
-                                   std::memory_order_relaxed);
-    bufferAllEdges();
-    return n;
-}
-
 std::unique_ptr<IngestSession>
 XPGraph::session(unsigned thread_hint)
 {
-    return std::make_unique<Session>(*this,
-                                     thread_hint % config_.numNodes);
-}
-
-unsigned
-XPGraph::openSession(unsigned node)
-{
-    parts_[node].sessions.fetch_add(1, std::memory_order_relaxed);
-    openSessions_.fetch_add(1, std::memory_order_relaxed);
-    const unsigned id = static_cast<unsigned>(
-        sessionsOpened_.fetch_add(1, std::memory_order_relaxed) + 1);
-    declareIdleWriters();
-    return id;
+    return openSession(thread_hint % config_.numNodes);
 }
 
 void
-XPGraph::closeSession(unsigned node, uint64_t logging_ns,
-                      uint64_t stream_ns)
+XPGraph::sessionOpened(unsigned node)
 {
-    atomicFetchMax(sessionNsMax_, logging_ns);
-    atomicFetchMax(streamNsMax_, stream_ns);
+    parts_[node].sessions.fetch_add(1, std::memory_order_relaxed);
+    declareIdleWriters();
+}
+
+void
+XPGraph::sessionClosed(unsigned node)
+{
     parts_[node].sessions.fetch_sub(1, std::memory_order_relaxed);
-    openSessions_.fetch_sub(1, std::memory_order_relaxed);
     declareIdleWriters();
 }
 
@@ -1080,9 +965,8 @@ XPGraph::totalNonBuffered() const
     return n;
 }
 
-XPGraph::AppendCost
-XPGraph::appendFromClient(unsigned node, bool bind, const Edge *edges,
-                          uint64_t n)
+AppendCost
+XPGraph::appendFromClient(unsigned node, const Edge *edges, uint64_t n)
 {
     Partition &part = parts_[node];
     CircularEdgeLog &log = *part.log;
@@ -1093,7 +977,7 @@ XPGraph::appendFromClient(unsigned node, bool bind, const Edge *edges,
         XPG_ASSERT(rawVid(edges[i].src) < config_.maxVertices &&
                    rawVid(edges[i].dst) < config_.maxVertices,
                    "edge endpoint out of range");
-    if (bind && config_.bindThreads &&
+    if (config_.bindThreads &&
         config_.placement != NumaPlacement::None &&
         NumaBinding::currentNode() != static_cast<int>(node))
         NumaBinding::bindThread(static_cast<int>(node));
@@ -1134,8 +1018,6 @@ XPGraph::appendFromClient(unsigned node, bool bind, const Edge *edges,
                            XPG_TEL_HOST_NOW() - traceStart, appendNs);
         done += take;
     }
-    loggingNs_.fetch_add(cost.loggingNs, std::memory_order_relaxed);
-    edgesLogged_.fetch_add(n, std::memory_order_relaxed);
     return cost;
 }
 
@@ -2545,25 +2427,14 @@ XPGraph::declareQueryThreads(unsigned n)
 IngestStats
 XPGraph::stats() const
 {
-    IngestStats s;
-    s.loggingNs = loggingNs_.load(std::memory_order_relaxed);
-    s.loggingNsMax =
-        std::max(bufferEdgesLoggingNs_.load(std::memory_order_relaxed),
-                 sessionNsMax_.load(std::memory_order_relaxed));
-    if (s.loggingNsMax == 0)
-        s.loggingNsMax = s.loggingNs;
-    s.clientNsMax =
-        std::max(bufferEdgesStreamNs_.load(std::memory_order_relaxed),
-                 streamNsMax_.load(std::memory_order_relaxed));
+    IngestStats s = sessionStats();
     s.bufferingNs = bufferingNs_.load(std::memory_order_relaxed);
     s.flushingNs = flushingNs_.load(std::memory_order_relaxed);
     s.recoveryNs = recoveryNs_.load(std::memory_order_relaxed);
-    s.edgesLogged = edgesLogged_.load(std::memory_order_relaxed);
     s.edgesBuffered = edgesBuffered_.load(std::memory_order_relaxed);
     s.vbufFlushes = vbufFlushes_.load(std::memory_order_relaxed);
     s.bufferingPhases = bufferingPhases_.load(std::memory_order_relaxed);
     s.flushAllPhases = flushAllPhases_.load(std::memory_order_relaxed);
-    s.sessionsOpened = sessionsOpened_.load(std::memory_order_relaxed);
     s.compactionPasses =
         compactionPasses_.load(std::memory_order_relaxed);
     s.compactionSlots = compactionSlots_.load(std::memory_order_relaxed);
@@ -2656,15 +2527,6 @@ XPGraph::memoryUsage() const
     return mu;
 }
 
-PcmCounters
-XPGraph::pmemCounters() const
-{
-    PcmCounters total;
-    for (const auto &part : parts_)
-        total += part.dev->counters();
-    return total;
-}
-
 CompressionStats
 XPGraph::compressionStats() const
 {
@@ -2675,15 +2537,6 @@ XPGraph::compressionStats() const
                 total += side->store->compressionStats();
         }
     }
-    return total;
-}
-
-telemetry::AttributionSnapshot
-XPGraph::pmemAttribution() const
-{
-    telemetry::AttributionSnapshot total;
-    for (const auto &part : parts_)
-        total += part.dev->attribution();
     return total;
 }
 
@@ -2715,34 +2568,6 @@ XPGraph::sampleQueryProbe(QueryProbe &out) const
     // half of the out+in total).
     out.storedEdges = edgesBuffered_.load(std::memory_order_relaxed);
     return true;
-}
-
-std::vector<telemetry::LineHeatTable::HotLine>
-XPGraph::hotLines(unsigned n) const
-{
-    // Merge the per-node device tables. Line indices are device-local;
-    // entries from different nodes can share an index and are reported
-    // as separate rows (the profiler cares about heat, not identity).
-    std::vector<telemetry::LineHeatTable::HotLine> merged;
-    for (const auto &part : parts_) {
-        const auto *pmem = dynamic_cast<const PmemDevice *>(part.dev.get());
-        if (!pmem)
-            continue;
-        const auto top = pmem->heat().top(n);
-        merged.insert(merged.end(), top.begin(), top.end());
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const telemetry::LineHeatTable::HotLine &a,
-                 const telemetry::LineHeatTable::HotLine &b) {
-                  const uint64_t ta = a.reads + a.writes;
-                  const uint64_t tb = b.reads + b.writes;
-                  if (ta != tb)
-                      return ta > tb;
-                  return a.line < b.line;
-              });
-    if (merged.size() > n)
-        merged.resize(n);
-    return merged;
 }
 
 void

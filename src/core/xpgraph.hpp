@@ -50,7 +50,6 @@
 #include "core/config.hpp"
 #include "core/recovery.hpp"
 #include "core/stats.hpp"
-#include "pmem/fault_plan.hpp"
 #include "graph/edge_sharding.hpp"
 #include "graph/graph_store.hpp"
 #include "graph/types.hpp"
@@ -117,9 +116,6 @@ class XPGraph : public GraphStore
     ~XPGraph() override;
 
     // --- Graph updating interfaces (Table I; sessions) ---
-
-    /** Log a batch and immediately run a buffering phase over it. */
-    uint64_t bufferEdges(const Edge *edges, uint64_t n);
 
     /**
      * Open a concurrent ingestion session bound to NUMA partition
@@ -255,15 +251,8 @@ class XPGraph : public GraphStore
     telemetry::HealthReport health() const override;
 
     MemoryUsage memoryUsage() const override;
-    /** Aggregate device counters (PCM-equivalent, Fig.13). */
-    PcmCounters pmemCounters() const override;
-    /** Per-cause breakdown of pmemCounters(), summed over partitions. */
-    telemetry::AttributionSnapshot pmemAttribution() const override;
     /** Codec activity summed over every partition's out/in store. */
     CompressionStats compressionStats() const override;
-    /** Hottest XPLines merged across the per-node devices. */
-    std::vector<telemetry::LineHeatTable::HotLine>
-    hotLines(unsigned n) const override;
     /**
      * Cumulative query-path counters (sealed-chain vs vertex-buffer vs
      * log-window records streamed, decode output, per-device media
@@ -277,27 +266,7 @@ class XPGraph : public GraphStore
     /** msync all file backings (called before a simulated crash). */
     void syncBackings();
 
-    // --- fault injection (crash-sweep tests; see pmem/fault_plan.hpp) ---
-
-    /**
-     * Arm every partition device with one shared FaultInjector built from
-     * @p plan: a single machine-wide power loss, triggered by the Nth
-     * media write on any device. Returns the injector so the caller can
-     * poll crashed(). Volatile device kinds ignore the injection.
-     */
-    std::shared_ptr<FaultInjector> injectFaults(const FaultPlan &plan);
-
-    /**
-     * Simulate the power loss: every device discards its unflushed
-     * XPBuffer lines and reverts in-flight (post-crash) stores to the
-     * last media-durable image. The in-DRAM engine state is garbage
-     * afterwards — destroy this instance and call recover().
-     */
-    void powerCycle();
-
   private:
-    class Session;
-    friend class Session;
     class EpochView;
     friend class EpochView;
     struct EpochState;
@@ -367,25 +336,14 @@ class XPGraph : public GraphStore
     /** Total published-but-unbuffered edges across every node's log. */
     uint64_t totalNonBuffered() const;
 
-    /** Simulated time one appendFromClient call spent, split into the
-     *  pure log write and the archive phases it coordinated inline (a
-     *  client cannot log while it runs a phase itself, so its stream
-     *  wall-clock is the sum of both). */
-    struct AppendCost
-    {
-        uint64_t loggingNs = 0;
-        uint64_t inlineArchiveNs = 0;
-        uint64_t streamNs() const { return loggingNs + inlineArchiveNs; }
-    };
-
     /**
-     * The shared client append path (default session and IngestSessions):
-     * reserve + write + publish on @p node's log, triggering/notifying
-     * archiving at the thresholds and blocking only when the log is
-     * full.
+     * The session append path: binds the client thread to @p node (when
+     * thread binding is on), then reserve + write + publish on the
+     * node's log, triggering/notifying archiving at the thresholds and
+     * blocking only when the log is full.
      */
-    AppendCost appendFromClient(unsigned node, bool bind,
-                                const Edge *edges, uint64_t n);
+    AppendCost appendFromClient(unsigned node, const Edge *edges,
+                                uint64_t n) override;
 
     /**
      * Threshold crossing: inline mode runs a buffering phase if no other
@@ -399,10 +357,9 @@ class XPGraph : public GraphStore
      *  inline mode adds the phases this client ran to @p inline_ns. */
     void waitForLogSpace(unsigned node, uint64_t &inline_ns);
 
-    /** @return this session's unique id (1-based open order). */
-    unsigned openSession(unsigned node);
-    void closeSession(unsigned node, uint64_t logging_ns,
-                      uint64_t stream_ns);
+    /** Sessions count as writers on their partition's device. */
+    void sessionOpened(unsigned node) override;
+    void sessionClosed(unsigned node) override;
 
     // --- archiving phases (caller holds archiveMutex_) ---
 
@@ -601,22 +558,14 @@ class XPGraph : public GraphStore
     std::vector<std::vector<ShardAssignment>> inAssign_;
 
     // stats (relaxed atomics: sessions + archiver update concurrently)
-    std::atomic<uint64_t> loggingNs_{0};     ///< sum over all streams
-    std::atomic<uint64_t> bufferEdgesLoggingNs_{0}; ///< bufferEdges: logging
-    std::atomic<uint64_t> bufferEdgesStreamNs_{0};  ///< + inline archiving
-    std::atomic<uint64_t> sessionNsMax_{0};  ///< slowest session: logging
-    std::atomic<uint64_t> streamNsMax_{0};   ///< + inline archiving
     // Phase totals, each fed only by its phases' OpScope records.
     std::atomic<uint64_t> bufferingNs_{0};
     std::atomic<uint64_t> flushingNs_{0};
     std::atomic<uint64_t> recoveryNs_{0};
-    std::atomic<uint64_t> edgesLogged_{0};
     std::atomic<uint64_t> edgesBuffered_{0};
     std::atomic<uint64_t> bufferingPhases_{0};
     std::atomic<uint64_t> flushAllPhases_{0};
     std::atomic<uint64_t> vbufFlushes_{0};
-    std::atomic<uint64_t> sessionsOpened_{0};
-    std::atomic<unsigned> openSessions_{0};
     std::atomic<uint64_t> compactionPasses_{0};
     std::atomic<uint64_t> compactionSlots_{0};
     std::atomic<uint64_t> compactionBytesReclaimed_{0};

@@ -1,17 +1,150 @@
 #include "graph/graph_store.hpp"
 
-#include "graph/snapshot.hpp"
+#include <string>
+
+#include "pmem/pmem_device.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace xpg {
 
-std::unique_ptr<ReadView>
-GraphStore::openView()
+namespace {
+
+void
+atomicFetchMax(std::atomic<uint64_t> &target, uint64_t value)
 {
-    // Fallback for engines without epoch-tracked internals: materialize
-    // the view through the query surface. The GraphView overload is
-    // named explicitly — takeSnapshot(GraphStore&) is itself an
-    // openView() consumer and would recurse.
-    return takeSnapshot(static_cast<GraphView &>(*this), 1);
+    uint64_t cur = target.load(std::memory_order_relaxed);
+    while (cur < value &&
+           !target.compare_exchange_weak(cur, value,
+                                         std::memory_order_relaxed)) {
+    }
+}
+
+} // namespace
+
+// --- IngestSession -----------------------------------------------------------
+
+IngestSession::IngestSession(GraphStore &store, unsigned node)
+    : store_(store), node_(node)
+{
+    store_.openSessions_.fetch_add(1, std::memory_order_relaxed);
+    id_ = static_cast<unsigned>(
+        store_.sessionsOpened_.fetch_add(1, std::memory_order_relaxed) + 1);
+    store_.sessionOpened(node_);
+    telAppendHist_ = XPG_TEL_HISTOGRAM(
+        "ingest.session_append_ns",
+        (telemetry::Labels{.store = store_.storeLabel_,
+                           .node = static_cast<int>(node_),
+                           .session = static_cast<int>(id_)}));
+}
+
+IngestSession::~IngestSession()
+{
+    atomicFetchMax(store_.sessionNsMax_, loggingNs_);
+    atomicFetchMax(store_.streamNsMax_, streamNs_);
+    store_.openSessions_.fetch_sub(1, std::memory_order_relaxed);
+    store_.sessionClosed(node_);
+}
+
+uint64_t
+IngestSession::addEdges(const Edge *edges, uint64_t n)
+{
+    if (!threadNamed_) {
+        XPG_TEL_NAME_THREAD("session-" + std::to_string(id_));
+        threadNamed_ = true;
+    }
+    const uint64_t traceStart = XPG_TEL_HOST_NOW();
+    const AppendCost cost = store_.appendFromClient(node_, edges, n);
+    loggingNs_ += cost.loggingNs;
+    streamNs_ += cost.streamNs();
+    edgesLogged_ += n;
+    store_.loggingNs_.fetch_add(cost.loggingNs, std::memory_order_relaxed);
+    store_.edgesLogged_.fetch_add(n, std::memory_order_relaxed);
+    XPG_TEL_RECORD(telAppendHist_, cost.loggingNs);
+    if (n >= kTraceAppendMinEdges)
+        XPG_TRACE_EMIT("session_append", "ingest", traceStart,
+                       XPG_TEL_HOST_NOW() - traceStart, cost.streamNs());
+    return n;
+}
+
+// --- GraphStore ----------------------------------------------------------------
+
+std::unique_ptr<IngestSession>
+GraphStore::openSession(unsigned node)
+{
+    return std::unique_ptr<IngestSession>(new IngestSession(*this, node));
+}
+
+IngestStats
+GraphStore::sessionStats() const
+{
+    IngestStats s;
+    s.loggingNs = loggingNs_.load(std::memory_order_relaxed);
+    s.loggingNsMax = sessionNsMax_.load(std::memory_order_relaxed);
+    if (s.loggingNsMax == 0)
+        s.loggingNsMax = s.loggingNs;
+    s.clientNsMax = streamNsMax_.load(std::memory_order_relaxed);
+    s.edgesLogged = edgesLogged_.load(std::memory_order_relaxed);
+    s.sessionsOpened = sessionsOpened_.load(std::memory_order_relaxed);
+    return s;
+}
+
+PcmCounters
+GraphStore::pmemCounters() const
+{
+    PcmCounters total;
+    for (const MemoryDevice *dev : devices_)
+        total += dev->counters();
+    return total;
+}
+
+telemetry::AttributionSnapshot
+GraphStore::pmemAttribution() const
+{
+    telemetry::AttributionSnapshot total;
+    for (const MemoryDevice *dev : devices_)
+        total += dev->attribution();
+    return total;
+}
+
+std::vector<telemetry::LineHeatTable::HotLine>
+GraphStore::hotLines(unsigned n) const
+{
+    std::vector<telemetry::LineHeatTable::HotLine> merged;
+    for (const MemoryDevice *dev : devices_) {
+        const auto *pmem = dynamic_cast<const PmemDevice *>(dev);
+        if (!pmem)
+            continue;
+        const auto top = pmem->heat().top(n);
+        merged.insert(merged.end(), top.begin(), top.end());
+    }
+    std::sort(merged.begin(), merged.end(),
+              [](const telemetry::LineHeatTable::HotLine &a,
+                 const telemetry::LineHeatTable::HotLine &b) {
+                  const uint64_t ta = a.reads + a.writes;
+                  const uint64_t tb = b.reads + b.writes;
+                  if (ta != tb)
+                      return ta > tb;
+                  return a.line < b.line;
+              });
+    if (merged.size() > n)
+        merged.resize(n);
+    return merged;
+}
+
+std::shared_ptr<FaultInjector>
+GraphStore::injectFaults(const FaultPlan &plan)
+{
+    auto injector = std::make_shared<FaultInjector>(plan);
+    for (MemoryDevice *dev : devices_)
+        dev->armFaults(injector);
+    return injector;
+}
+
+void
+GraphStore::powerCycle()
+{
+    for (MemoryDevice *dev : devices_)
+        dev->powerCycle();
 }
 
 } // namespace xpg

@@ -23,14 +23,15 @@
 #define XPG_GRAPH_GRAPH_STORE_HPP
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
-
 #include <vector>
 
 #include "core/stats.hpp"
 #include "graph/graph_view.hpp"
 #include "graph/read_view.hpp"
 #include "graph/types.hpp"
+#include "pmem/fault_plan.hpp"
 #include "pmem/pcm_counters.hpp"
 #include "telemetry/attribution.hpp"
 #include "telemetry/op_scope.hpp"
@@ -38,20 +39,44 @@
 
 namespace xpg {
 
+class GraphStore;
+class MemoryDevice;
+
+/** Trace spans for chunked appends only: single-edge addEdge loops
+ *  would flood the ring with sub-noise events. */
+inline constexpr uint64_t kTraceAppendMinEdges = 64;
+
+/**
+ * Simulated time one engine append spent, split into the pure log
+ * write and the archive phases it coordinated inline (a client cannot
+ * log while it runs a phase itself, so its stream wall-clock is the
+ * sum of both).
+ */
+struct AppendCost
+{
+    uint64_t loggingNs = 0;
+    uint64_t inlineArchiveNs = 0;
+    uint64_t streamNs() const { return loggingNs + inlineArchiveNs; }
+};
+
 /**
  * A lightweight, single-threaded handle for one client thread's updates.
  * Different sessions may be used from different threads concurrently;
  * the store serializes internally (NUMA-sharded logs in XPGraph, atomic
- * log reservation in GraphOne). Closing (destroying) the session folds
- * its per-thread statistics into the store.
+ * log reservation in GraphOne). The engine supplies the log append
+ * (GraphStore's session hooks); the session keeps the per-stream
+ * statistics and folds them into the store on close (destruction).
  */
 class IngestSession
 {
   public:
-    virtual ~IngestSession() = default;
+    ~IngestSession();
+
+    IngestSession(const IngestSession &) = delete;
+    IngestSession &operator=(const IngestSession &) = delete;
 
     /** Log one edge insertion. */
-    virtual void
+    void
     addEdge(vid_t src, vid_t dst)
     {
         const Edge e{src, dst};
@@ -59,10 +84,10 @@ class IngestSession
     }
 
     /** Log a batch of edges. @return edges accepted (always n). */
-    virtual uint64_t addEdges(const Edge *edges, uint64_t n) = 0;
+    uint64_t addEdges(const Edge *edges, uint64_t n);
 
     /** Log one edge deletion (tombstone record). */
-    virtual void
+    void
     delEdge(vid_t src, vid_t dst)
     {
         const Edge e{src, asDelete(dst)};
@@ -78,7 +103,7 @@ class IngestSession
      * edges to delete with *plain* dst vids; the flagging happens here.
      * @return deletions accepted (always n).
      */
-    virtual uint64_t
+    uint64_t
     delEdges(const Edge *edges, uint64_t n)
     {
         // Flag in bounded chunks so arbitrarily large batches never
@@ -97,23 +122,35 @@ class IngestSession
     }
 
     /** NUMA node this session's edge log lives on (0 if unsharded). */
-    virtual unsigned node() const { return 0; }
+    unsigned node() const { return node_; }
 
     /** Edges this session has logged so far. */
-    virtual uint64_t edgesLogged() const = 0;
+    uint64_t edgesLogged() const { return edgesLogged_; }
 
     /** Simulated nanoseconds this session spent logging. */
-    virtual uint64_t loggingNs() const = 0;
+    uint64_t loggingNs() const { return loggingNs_; }
 
     /**
      * Simulated nanoseconds of this session's full ingest wall:
      * loggingNs() plus any archive phases the session coordinated
      * inline (a client cannot log while it runs a phase itself). The
      * serving bench derives client-observed write latency from deltas
-     * of this. Defaults to loggingNs() for engines without inline
-     * archiving.
+     * of this.
      */
-    virtual uint64_t streamNs() const { return loggingNs(); }
+    uint64_t streamNs() const { return streamNs_; }
+
+  private:
+    friend class GraphStore;
+    IngestSession(GraphStore &store, unsigned node);
+
+    GraphStore &store_;
+    unsigned node_;
+    unsigned id_ = 0; ///< 1-based open order (stable telemetry label)
+    bool threadNamed_ = false;
+    telemetry::ShardedHistogram *telAppendHist_ = nullptr;
+    uint64_t edgesLogged_ = 0;
+    uint64_t loggingNs_ = 0;
+    uint64_t streamNs_ = 0; ///< loggingNs_ + inline archive phases
 };
 
 /**
@@ -144,11 +181,10 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
      * call and may be queried from any number of threads while
      * sessions keep ingesting. Engines with epoch-tracked internals
      * (XPGraph) return zero-copy views whose readers never block
-     * writers; the default materializes the view through the query
-     * surface and therefore requires the store to be quiescent for the
-     * duration of this call (not for the view's lifetime).
+     * writers; GraphOne materializes the view through its query
+     * surface under its archive lock.
      */
-    virtual std::unique_ptr<ReadView> openView();
+    virtual std::unique_ptr<ReadView> openView() = 0;
 
     // --- Graph arranging interfaces ---
 
@@ -175,22 +211,20 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
      */
     virtual IngestStats snapshotStats() const { return ingestStats(); }
 
-    virtual PcmCounters pmemCounters() const = 0;
+    /** Device counters (PCM-equivalent, Fig.13) summed over every
+     *  registered device. */
+    PcmCounters pmemCounters() const;
     virtual MemoryUsage memoryUsage() const = 0;
 
     /**
      * Per-cause breakdown of the same traffic pmemCounters() reports:
-     * one row per AccessCategory, summed across this store's devices.
-     * The attribution increments live at the same code sites as the
+     * one row per AccessCategory, summed across the same devices. The
+     * attribution increments live at the same code sites as the
      * PcmCounters increments, so snapshot().total() matches
      * pmemCounters() exactly on a quiescent store. Empty (all-zero)
      * when built with -DXPG_TELEMETRY=OFF.
      */
-    virtual telemetry::AttributionSnapshot
-    pmemAttribution() const
-    {
-        return {};
-    }
+    telemetry::AttributionSnapshot pmemAttribution() const;
 
     /**
      * Cumulative compressed-adjacency-chunk activity (DESIGN.md §11):
@@ -202,15 +236,32 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
 
     /**
      * The hottest XPLines across this store's devices: top @p n by
-     * total touches, merged from the per-device heat tables. Empty for
-     * stores without an XPBuffer model (DRAM) or with telemetry OFF.
+     * total touches, merged from the per-device heat tables. Line
+     * indices are device-local, so entries from different devices can
+     * share an index and are reported as separate rows (the profiler
+     * cares about heat, not identity). Empty for stores without an
+     * XPBuffer model (DRAM) or with telemetry OFF.
      */
-    virtual std::vector<telemetry::LineHeatTable::HotLine>
-    hotLines(unsigned n) const
-    {
-        (void)n;
-        return {};
-    }
+    std::vector<telemetry::LineHeatTable::HotLine>
+    hotLines(unsigned n) const;
+
+    // --- fault injection (crash-sweep tests; see pmem/fault_plan.hpp) ---
+
+    /**
+     * Arm every device with one shared FaultInjector built from
+     * @p plan: a single machine-wide power loss, triggered by the Nth
+     * media write on any device. Returns the injector so the caller can
+     * poll crashed(). Volatile device kinds ignore the injection.
+     */
+    std::shared_ptr<FaultInjector> injectFaults(const FaultPlan &plan);
+
+    /**
+     * Simulate the power loss: every device discards its unflushed
+     * XPBuffer lines and reverts in-flight (post-crash) stores to the
+     * last media-durable image. The in-DRAM engine state is garbage
+     * afterwards — destroy the store and recover the engine.
+     */
+    void powerCycle();
 
     /**
      * Publish this store's cumulative stats and per-device counters
@@ -248,6 +299,59 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
         const CompressionStats cs = compressionStats();
         return {cs.decodedRecords * sizeof(vid_t), cs.decodeCalls};
     }
+
+  protected:
+    /** @param store_label The store's telemetry label ("xpgraph"). */
+    explicit GraphStore(const char *store_label) : storeLabel_(store_label)
+    {
+    }
+
+    /** Add @p dev to the devices the counters, attribution, heat and
+     *  fault surfaces above span. Engines register each device once,
+     *  at construction; the engine owns it and keeps it alive. */
+    void registerDevice(MemoryDevice &dev) { devices_.push_back(&dev); }
+
+    /** A session bound to @p node: what session() hands out. */
+    std::unique_ptr<IngestSession> openSession(unsigned node);
+
+    // --- session hooks: the engine's half of an IngestSession ---
+
+    /** A session bound to @p node opened (already counted open). */
+    virtual void sessionOpened(unsigned node) = 0;
+
+    /** Log @p n edges for a session bound to @p node, running or
+     *  waiting for archive phases as the engine's thresholds demand. */
+    virtual AppendCost appendFromClient(unsigned node, const Edge *edges,
+                                        uint64_t n) = 0;
+
+    /** A session bound to @p node closed (no longer counted open). */
+    virtual void sessionClosed(unsigned node) = 0;
+
+    /** Sessions currently open on this store. */
+    unsigned
+    openSessions() const
+    {
+        return openSessions_.load(std::memory_order_relaxed);
+    }
+
+    /** The session-fed IngestStats fields (logging totals, slowest
+     *  stream, sessions opened); the engine fills in the rest. */
+    IngestStats sessionStats() const;
+
+  private:
+    friend class IngestSession;
+
+    const char *storeLabel_;
+    std::vector<MemoryDevice *> devices_;
+
+    // Session bookkeeping (relaxed atomics: sessions open, append and
+    // close concurrently).
+    std::atomic<uint64_t> loggingNs_{0}; ///< sum over all streams
+    std::atomic<uint64_t> edgesLogged_{0};
+    std::atomic<uint64_t> sessionNsMax_{0}; ///< slowest session: logging
+    std::atomic<uint64_t> streamNsMax_{0};  ///< + inline archiving
+    std::atomic<uint64_t> sessionsOpened_{0};
+    std::atomic<unsigned> openSessions_{0};
 };
 
 } // namespace xpg

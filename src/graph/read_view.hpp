@@ -13,9 +13,8 @@
  * Views are obtained from GraphStore::openView(). Engines with
  * epoch-tracked internals (XPGraph) return zero-copy views that read
  * the live structures directly and pin their reclamation; engines
- * without (the GraphOne baselines, the default GraphStore fallback)
- * materialize the view instead. See DESIGN.md §12 for the epoch,
- * reclamation, and freshness semantics.
+ * without (the GraphOne baselines) materialize the view instead. See
+ * DESIGN.md §12 for the epoch, reclamation, and freshness semantics.
  */
 
 #ifndef XPG_GRAPH_READ_VIEW_HPP

@@ -91,15 +91,15 @@ std::unique_ptr<Snapshot> takeSnapshot(GraphView &view,
 /**
  * Snapshot a live store through a point-in-time view: opens
  * store.openView(), materializes it, and stamps the view's epoch on
- * the result. Safe to call while sessions keep ingesting on engines
- * whose openView() is concurrent (XPGraph); engines relying on the
- * materializing fallback inherit its quiescence requirement.
+ * the result. Safe to call while sessions keep ingesting: XPGraph's
+ * views are concurrent, and GraphOne materializes its view under its
+ * archive lock.
  */
 std::unique_ptr<Snapshot> takeSnapshot(GraphStore &store,
                                        unsigned num_threads);
 
 /**
- * Engine helper behind the materializing openView() fallbacks: pull
+ * Engine helper behind a materializing openView() (GraphOne's): pull
  * @p view through takeSnapshot(GraphView&) and stamp @p epoch on the
  * result. The caller provides whatever exclusion its query surface
  * needs during the copy (e.g. GraphOne holds its archive lock).

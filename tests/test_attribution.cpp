@@ -9,15 +9,22 @@
  *
  * Also pins PcmCounters::readAmplification() to its documented
  * definition (media bytes read per app byte READ) — the doc/code
- * mismatch fix must not regress silently.
+ * mismatch fix must not regress silently — and checks, on every engine,
+ * that a store's attribution total and its pmemCounters() span the same
+ * devices.
  */
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "analytics/algorithms.hpp"
+#include "baselines/graphone.hpp"
+#include "core/xpgraph.hpp"
+#include "graph/generators.hpp"
 #include "pmem/numa_topology.hpp"
 #include "pmem/pmem_device.hpp"
 #include "pmem/xpline.hpp"
@@ -339,6 +346,59 @@ TEST(AttributionHeat, CapacityBoundCountsOverflowInsteadOfGrowing)
     EXPECT_EQ(heat.trackedLines(), 0u);
     EXPECT_EQ(heat.untrackedTouches(), 0u);
     EXPECT_TRUE(heat.top(4).empty());
+}
+
+// --- Store level: one device list behind counters and attribution ------
+
+/** Ingest, archive and run one BFS on @p store, then require its
+ *  attribution total to equal its device counters. */
+void
+expectStoreSumsMatch(GraphStore &store, const std::vector<Edge> &edges)
+{
+    store.session(0)->addEdges(edges.data(), edges.size());
+    store.archiveAll();
+    runBfs(store, 0, 2);
+    const PcmCounters pcm = store.pmemCounters();
+    // Archiving reads every logged edge back, from whichever device
+    // holds the log.
+    EXPECT_GE(pcm.appBytesRead, edges.size() * sizeof(Edge));
+    if (kAttributionEnabled)
+        expectCountersEqual(store.pmemAttribution().total(), pcm);
+}
+
+TEST(AttributionStore, TotalsMatchPmemCountersOnEveryEngine)
+{
+    const vid_t nv = 1024;
+    const auto edges = generateUniform(nv, 20000, 5);
+    for (const bool dram : {false, true}) {
+        SCOPED_TRACE(dram ? "XPGraph-D" : "XPGraph");
+        XPGraphConfig c = dram ? XPGraphConfig::dramOnly(nv, 0)
+                               : XPGraphConfig::persistent(nv, 0);
+        c.elogCapacityEdges = 1 << 13;
+        c.bufferingThresholdEdges = 1 << 10;
+        c.archiveThreads = 2;
+        c.pmemBytesPerNode = recommendedBytesPerNode(c, edges.size());
+        XPGraph store(c);
+        expectStoreSumsMatch(store, edges);
+    }
+    // GraphOne-N logs into a DRAM device of its own, outside the
+    // adjacency devices.
+    const std::pair<GraphOneVariant, const char *> variants[] = {
+        {GraphOneVariant::Pmem, "GraphOne-P"},
+        {GraphOneVariant::Dram, "GraphOne-D"},
+        {GraphOneVariant::Nova, "GraphOne-N"}};
+    for (const auto &[variant, name] : variants) {
+        SCOPED_TRACE(name);
+        GraphOneConfig c;
+        c.maxVertices = nv;
+        c.variant = variant;
+        c.elogCapacityEdges = 1 << 13;
+        c.archiveThresholdEdges = 1 << 10;
+        c.archiveThreads = 2;
+        c.bytesPerNode = graphoneRecommendedBytesPerNode(c, edges.size());
+        GraphOne store(c);
+        expectStoreSumsMatch(store, edges);
+    }
 }
 
 // --- OFF-build collapse ------------------------------------------------

@@ -22,6 +22,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/graphone.hpp"
@@ -283,6 +284,41 @@ TEST(IngestSession, DefaultMethodsForwardToBatch)
     std::vector<vid_t> nebrs;
     EXPECT_EQ(graph.getNebrsOut(1, nebrs), 1u);
     EXPECT_EQ(nebrs, std::vector<vid_t>{3});
+}
+
+TEST(IngestSession, StreamNsCountsInlineArchivePhases)
+{
+    // A lone session with inline archiving runs every archive phase
+    // itself, so its stream wall is its logging plus all of the store's
+    // archiving — on both engines.
+    const vid_t nv = 4096;
+    const auto edges = generateUniform(nv, 40000, 23);
+    XPGraphConfig xc = XPGraphConfig::persistent(nv, 0);
+    xc.elogCapacityEdges = 1 << 14;
+    xc.bufferingThresholdEdges = 1 << 12;
+    xc.archiveThreads = 1;
+    xc.pmemBytesPerNode = recommendedBytesPerNode(xc, edges.size());
+    GraphOneConfig gc;
+    gc.maxVertices = nv;
+    gc.elogCapacityEdges = 1 << 14;
+    gc.archiveThresholdEdges = 1 << 12;
+    gc.archiveThreads = 1;
+    gc.bytesPerNode = graphoneRecommendedBytesPerNode(gc, edges.size());
+    XPGraph xpgraph(xc);
+    GraphOne graphone(gc);
+    const std::pair<GraphStore *, const char *> stores[] = {
+        {&xpgraph, "XPGraph"}, {&graphone, "GraphOne"}};
+    for (const auto &[store, name] : stores) {
+        SCOPED_TRACE(name);
+        auto session = store->session(0);
+        for (uint64_t off = 0; off < edges.size(); off += 1000)
+            session->addEdges(edges.data() + off,
+                              std::min<uint64_t>(1000, edges.size() - off));
+        const IngestStats s = store->ingestStats();
+        EXPECT_GE(s.bufferingPhases, 4u);
+        EXPECT_EQ(session->streamNs(),
+                  session->loggingNs() + s.archivingNs());
+    }
 }
 
 // --- crash recovery of a partially drained concurrent log ------------------

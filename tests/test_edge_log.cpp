@@ -27,7 +27,7 @@ makeEdges(uint64_t n, vid_t base = 0)
 TEST(CircularEdgeLog, AppendAndReadBack)
 {
     PmemDevice dev("t", 1 << 20, 0, 1);
-    CircularEdgeLog log(dev, 0, 128, false);
+    CircularEdgeLog log(dev, 0, 128, false, /*durable=*/true);
     const auto edges = makeEdges(10);
     EXPECT_EQ(log.append(edges.data(), edges.size()), 10u);
     EXPECT_EQ(log.head(), 10u);
@@ -39,7 +39,7 @@ TEST(CircularEdgeLog, AppendAndReadBack)
 TEST(CircularEdgeLog, AppendStopsAtUnflushedEdges)
 {
     PmemDevice dev("t", 1 << 20, 0, 1);
-    CircularEdgeLog log(dev, 0, 16, false);
+    CircularEdgeLog log(dev, 0, 16, false, /*durable=*/true);
     const auto edges = makeEdges(32);
     EXPECT_EQ(log.append(edges.data(), 32), 16u); // capacity bound
     EXPECT_EQ(log.freeSlots(), 0u);
@@ -53,7 +53,7 @@ TEST(CircularEdgeLog, AppendStopsAtUnflushedEdges)
 TEST(CircularEdgeLog, BatteryBackedReclaimsOnBuffering)
 {
     PmemDevice dev("t", 1 << 20, 0, 1);
-    CircularEdgeLog log(dev, 0, 16, true);
+    CircularEdgeLog log(dev, 0, 16, true, /*durable=*/true);
     const auto edges = makeEdges(16);
     log.append(edges.data(), 16);
     log.markBuffered(16);
@@ -63,7 +63,7 @@ TEST(CircularEdgeLog, BatteryBackedReclaimsOnBuffering)
 TEST(CircularEdgeLog, WrapAroundPreservesData)
 {
     PmemDevice dev("t", 1 << 20, 0, 1);
-    CircularEdgeLog log(dev, 0, 16, false);
+    CircularEdgeLog log(dev, 0, 16, false, /*durable=*/true);
     auto first = makeEdges(12, 0);
     log.append(first.data(), 12);
     log.markBuffered(12);
@@ -78,7 +78,7 @@ TEST(CircularEdgeLog, WrapAroundPreservesData)
 TEST(CircularEdgeLog, PointerOrderEnforced)
 {
     PmemDevice dev("t", 1 << 20, 0, 1);
-    CircularEdgeLog log(dev, 0, 16, false);
+    CircularEdgeLog log(dev, 0, 16, false, /*durable=*/true);
     auto edges = makeEdges(8);
     log.append(edges.data(), 8);
     EXPECT_DEATH(log.markBuffered(9), "out of order");
@@ -90,7 +90,7 @@ TEST(CircularEdgeLog, RecoverRestoresPointers)
 {
     PmemDevice dev("t", 1 << 20, 0, 1);
     {
-        CircularEdgeLog log(dev, 0, 64, false);
+        CircularEdgeLog log(dev, 0, 64, false, /*durable=*/true);
         auto edges = makeEdges(40);
         log.append(edges.data(), 40);
         log.markBuffered(30);
@@ -115,10 +115,54 @@ TEST(CircularEdgeLog, RecoverRejectsGarbage)
                 ::testing::ExitedWithCode(1), "magic");
 }
 
+TEST(CircularEdgeLog, NonDurableLogWritesOnlyItsSlots)
+{
+    // Every method that persists on a durable log: none may write a
+    // header byte or force a write-back when durable is false.
+    PmemDevice dev("t", 1 << 20, 0, 1);
+    CircularEdgeLog log(dev, 0, 128, true, /*durable=*/false);
+    const auto edges = makeEdges(10);
+    EXPECT_EQ(log.append(edges.data(), edges.size()), 10u);
+    log.markBuffered(10);
+    log.rewindBuffered(4);
+    log.markBuffered(10);
+    log.markFlushed(10);
+    log.truncateHead(10);
+    const PcmCounters c = dev.counters();
+    EXPECT_EQ(c.appBytesWritten, edges.size() * sizeof(Edge));
+    EXPECT_EQ(c.appBytesRead, 0u);
+    EXPECT_EQ(c.mediaWriteOps, 0u);
+    EXPECT_EQ(c.mediaBytesWritten, 0u);
+}
+
+TEST(CircularEdgeLog, RewindBufferedReopensTheWindow)
+{
+    PmemDevice dev("t", 1 << 20, 0, 1);
+    {
+        CircularEdgeLog log(dev, 0, 64, true, /*durable=*/true);
+        const auto edges = makeEdges(40);
+        log.append(edges.data(), 40);
+        log.markBuffered(30);
+        log.markFlushed(10);
+        EXPECT_EQ(log.nonBuffered(), 10u);
+        log.rewindBuffered(10);
+        EXPECT_EQ(log.bufferedUpTo(), 10u);
+        EXPECT_EQ(log.nonBuffered(), 30u);
+        EXPECT_EQ(log.freeSlots(), 34u); // battery: reclaim at buffered
+        EXPECT_DEATH(log.rewindBuffered(9), "out of range");
+        EXPECT_DEATH(log.rewindBuffered(11), "out of range");
+    }
+    // The rewound marker is what the persisted header holds.
+    auto log = CircularEdgeLog::recover(dev, 0, true);
+    EXPECT_EQ(log.head(), 40u);
+    EXPECT_EQ(log.bufferedUpTo(), 10u);
+    EXPECT_EQ(log.nonBuffered(), 30u);
+}
+
 TEST(CircularEdgeLog, SequentialAppendsDoNotAmplify)
 {
     PmemDevice dev("t", 8 << 20, 0, 1);
-    CircularEdgeLog log(dev, 0, 1 << 16, false);
+    CircularEdgeLog log(dev, 0, 1 << 16, false, /*durable=*/true);
     auto edges = makeEdges(1 << 14);
     log.append(edges.data(), edges.size());
     const auto c = dev.counters();

@@ -253,7 +253,7 @@ TEST_P(EdgeLogSweep, RandomSequenceKeepsInvariants)
 {
     const uint64_t capacity = GetParam();
     PmemDevice dev("t", 8 << 20, 0, 1);
-    CircularEdgeLog log(dev, 0, capacity, false);
+    CircularEdgeLog log(dev, 0, capacity, false, /*durable=*/true);
     Rng rng(capacity);
     uint64_t appended = 0;
     std::vector<Edge> shadow; // every edge ever appended, in order

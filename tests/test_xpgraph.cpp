@@ -493,17 +493,5 @@ TEST(XPGraph, PoolLimitTriggersFlushAll)
     EXPECT_LE(graph.pool().bytesReserved(), (1u << 18));
 }
 
-TEST(XPGraph, BufferEdgesArchivesImmediately)
-{
-    const vid_t nv = 32;
-    XPGraph graph(testConfig(nv, 100));
-    std::vector<Edge> edges{{1, 2}, {2, 3}};
-    graph.bufferEdges(edges.data(), edges.size());
-    std::vector<Edge> logged;
-    EXPECT_EQ(graph.getLoggedEdges(logged), 0u);
-    std::vector<vid_t> nebrs;
-    EXPECT_EQ(graph.getNebrsOut(1, nebrs), 1u);
-}
-
 } // namespace
 } // namespace xpg
