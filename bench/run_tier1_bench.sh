@@ -64,12 +64,12 @@
 # CLI pipeline with --telemetry and json.tool-validates the trace and
 # metrics files, runs the attribution profiler and asserts its per-cause
 # rows sum back to the device counters (≤0.1%), then builds a
-# -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires thirteen
-# single-threaded CLI ingest/query runs to print byte-identical output
-# in both trees, and bounds the median-of-five simulated-time drift
-# between the fig20 flavors at 5% (a single run jitters up to ~5% with
-# thread scheduling on its own; an unchanged tree measures up to ~2.4%
-# median drift).
+# -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires the thirteen
+# single-threaded CLI ingest/query runs of tools/exact_cli_runs.sh to
+# print byte-identical output in both trees, and bounds the
+# median-of-five simulated-time drift between the fig20 flavors at 5%
+# (a single run jitters up to ~5% with thread scheduling on its own; an
+# unchanged tree measures up to ~2.4% median drift).
 #
 # Usage: bench/run_tier1_bench.sh [build-dir] [dataset...]
 #   build-dir  defaults to ./build
@@ -470,35 +470,22 @@ EOF
     "${notel_dir}/tests/xpg_tests" \
         --gtest_filter='Telemetry*:Attribution*:Ops*:OpScope*:Explain*'
 
-    # Exact ON-vs-OFF stage: one generated edge file, five ingest
-    # systems and four query kernels on two systems, one thread each;
-    # any byte of difference in stdout fails.
-    exact_edges="$(mktemp --suffix=.bin)"
+    # Exact ON-vs-OFF stage: tools/exact_cli_runs.sh (five ingest
+    # systems and four query kernels on two systems, one thread each,
+    # on one generated edge file); any byte of difference in stdout
+    # fails. The ctest entry cli_exact_golden diffs the same TT runs
+    # against the committed golden.
     exact_on="$(mktemp)"
     exact_off="$(mktemp)"
-    "${build_dir}/tools/xpgraph_cli" generate --dataset "${datasets[0]}" \
-        --out "${exact_edges}" > /dev/null
-    exact_runs() {
-        local cli="$1/tools/xpgraph_cli"
-        for system in xpgraph xpgraph-b graphone-p graphone-d \
-                      graphone-n; do
-            "${cli}" ingest --in "${exact_edges}" --threads 1 \
-                --system "${system}"
-        done
-        for algo in bfs pr cc onehop; do
-            "${cli}" query --in "${exact_edges}" --threads 1 \
-                --algo "${algo}"
-            "${cli}" query --in "${exact_edges}" --threads 1 \
-                --system graphone-p --algo "${algo}"
-        done
-    }
-    exact_runs "${build_dir}" > "${exact_on}"
-    exact_runs "${notel_dir}" > "${exact_off}"
+    "${repo_root}/tools/exact_cli_runs.sh" \
+        "${build_dir}/tools/xpgraph_cli" "${datasets[0]}" > "${exact_on}"
+    "${repo_root}/tools/exact_cli_runs.sh" \
+        "${notel_dir}/tools/xpgraph_cli" "${datasets[0]}" > "${exact_off}"
     if ! diff "${exact_on}" "${exact_off}"; then
         echo "FAIL: CLI ingest/query output differs with telemetry OFF"
         exit 1
     fi
-    rm -f "${exact_edges}" "${exact_on}" "${exact_off}"
+    rm -f "${exact_on}" "${exact_off}"
     echo "exact ON-vs-OFF check passed (5 ingest systems, 4 kernels on 2 systems)"
     # Five interleaved runs per flavor: one fig20 run's aggregate
     # simulated time jitters up to ~5% run to run on the SAME binary

@@ -511,56 +511,42 @@ GraphOne::runArchivePhaseLocked()
 
 // --- queries -----------------------------------------------------------------
 
-/**
- * Stream v's live records through @p fn. Device/file charges match the
- * materializing path chunk for chunk; without tombstones the chunk
- * contents are emitted straight from zero-copy views.
- */
+/** Stream v's live records through visitLiveRecords: its chunks in
+ *  order, each charged as one file-system read of its records. */
 template <typename F>
 uint32_t
 GraphOne::visitDirection(const Direction &dir, vid_t v, F &&fn) const
 {
     XPG_ATTR_SCOPE(attrScope, QueryRead);
     const VertexMeta &meta = dir.meta[v];
-    if (meta.tombstones == 0) {
-        uint32_t n = 0;
-        for (const Chunk &chunk : meta.chunks) {
-            if (chunk.count == 0)
-                continue;
-            chargeFileIo(uint64_t{chunk.count} * sizeof(vid_t));
-            const auto *recs = reinterpret_cast<const vid_t *>(
-                devices_[chunk.device]->readView(
-                    chunk.off, uint64_t{chunk.count} * sizeof(vid_t)));
-            for (uint32_t i = 0; i < chunk.count; ++i)
-                fn(recs[i]);
-            n += chunk.count;
-        }
-        return n;
-    }
-    thread_local std::vector<vid_t> raw;
-    raw.clear();
-    for (const Chunk &chunk : meta.chunks) {
-        if (chunk.count == 0)
-            continue;
-        const size_t base = raw.size();
-        raw.resize(base + chunk.count);
-        chargeFileIo(uint64_t{chunk.count} * sizeof(vid_t));
-        devices_[chunk.device]->read(chunk.off, raw.data() + base,
-                                     uint64_t{chunk.count} *
-                                         sizeof(vid_t));
-    }
-    return cancelTombstonesVisit(raw, fn);
+    return visitLiveRecords(
+        meta.tombstones != 0,
+        [&](auto &&emit) {
+            uint32_t n = 0;
+            for (const Chunk &chunk : meta.chunks) {
+                if (chunk.count == 0)
+                    continue;
+                const uint64_t bytes = uint64_t{chunk.count} * sizeof(vid_t);
+                chargeFileIo(bytes);
+                const auto *recs = reinterpret_cast<const vid_t *>(
+                    devices_[chunk.device]->readView(chunk.off, bytes));
+                for (uint32_t i = 0; i < chunk.count; ++i)
+                    emit(recs[i]);
+                n += chunk.count;
+            }
+            return n;
+        },
+        fn);
 }
 
 uint32_t
 GraphOne::degreeOfDir(const Direction &dir, vid_t v) const
 {
     const VertexMeta &meta = dir.meta[v];
-    if (meta.tombstones == 0) {
-        chargeDramScattered(1); // one vertex-meta cache line
-        return meta.records;
-    }
-    return visitDirection(dir, v, [](vid_t) {});
+    if (meta.tombstones != 0)
+        return visitDirection(dir, v, [](vid_t) {}); // full charge
+    chargeDramScattered(1); // one vertex-meta cache line
+    return meta.records;
 }
 
 uint32_t

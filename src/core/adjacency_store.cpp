@@ -150,8 +150,9 @@ AdjacencyStore::writeBlock(const vid_t *nebrs, uint32_t n,
     hdr->next = kNullOffset;
     hdr->commit[0] = packCommit(n, sumRecords(nebrs, 0, n, 0));
     hdr->commit[1] = 0;
-    std::memcpy(t_blockScratch.data() + sizeof(BlockHeader), nebrs,
-                n * sizeof(vid_t));
+    if (n > 0) // a chain compacted to empty passes no records at all
+        std::memcpy(t_blockScratch.data() + sizeof(BlockHeader), nebrs,
+                    n * sizeof(vid_t));
     dev_->write(off, t_blockScratch.data(), init_bytes);
     if (proactiveFlush_ && init_bytes >= kXPLineSize)
         dev_->persist(off, init_bytes);
@@ -319,32 +320,6 @@ AdjacencyStore::append(uint64_t slot, const vid_t *nebrs, uint32_t n,
         cursor += take;
         remaining -= take;
     }
-}
-
-uint32_t
-AdjacencyStore::readRaw(const VertexChain &chain,
-                        std::vector<vid_t> &out) const
-{
-    uint32_t total = 0;
-    uint64_t off = chain.head;
-    while (off != kNullOffset) {
-        const auto hdr = dev_->readPod<BlockHeader>(off);
-        if (hdr.compressed()) {
-            total += visitCompressed(off, hdr,
-                                     [&](vid_t v) { out.push_back(v); });
-        } else {
-            const uint32_t count = hdr.liveCount();
-            const size_t base = out.size();
-            out.resize(base + count);
-            if (count > 0) {
-                dev_->read(off + sizeof(BlockHeader), out.data() + base,
-                           uint64_t{count} * sizeof(vid_t));
-            }
-            total += count;
-        }
-        off = hdr.next;
-    }
-    return total;
 }
 
 bool

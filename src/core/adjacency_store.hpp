@@ -219,20 +219,12 @@ class AdjacencyStore
                 VertexChain &chain);
 
     /**
-     * Read every record of @p slot's chain into @p out (appended),
-     * including delete tombstones. Compressed chunks are decoded;
-     * their records come out in ascending order (within the chunk).
-     * @return records appended.
-     */
-    uint32_t readRaw(const VertexChain &chain,
-                     std::vector<vid_t> &out) const;
-
-    /**
      * Stream every record of @p chain (including delete tombstones)
-     * through @p fn(vid_t) in place via zero-copy device views — the
-     * same modeled device reads as readRaw(), no copy-out. Compressed
+     * through @p fn(vid_t) in place via zero-copy device views (every
+     * device charges a view exactly like a copying read). Compressed
      * chunks decode in place from the (smaller) payload view, so
-     * queries read fewer media bytes than the raw format would.
+     * queries read fewer media bytes than the raw format would; their
+     * records come out in ascending order (within the chunk).
      * @return records visited.
      */
     template <typename F>
@@ -259,6 +251,13 @@ class AdjacencyStore
             off = hdr.next;
         }
         return total;
+    }
+
+    /** forEachRaw() appended to @p out. @return records appended. */
+    uint32_t
+    readRaw(const VertexChain &chain, std::vector<vid_t> &out) const
+    {
+        return forEachRaw(chain, [&out](vid_t v) { out.push_back(v); });
     }
 
     /**

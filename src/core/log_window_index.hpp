@@ -63,73 +63,27 @@ class LogWindowIndex
     void ensureCurrent();
 
     /**
-     * Visit the window's out-records of @p v, newest first (callers
-     * wanting log order reverse the collected result). Requires a
-     * preceding ensureCurrent() covering the window.
+     * Visit the @p out (else in) records of @p v whose log position lies
+     * in [low, high), newest first (callers wanting log order reverse
+     * the collected result). An in-record is the stored source,
+     * delete-flagged when the edge was a deletion. Positions at or above
+     * @p high (published after a view opened) are skipped by following
+     * the chain through them; traversal stops below @p low. The index
+     * must cover [low, high): live readers run ensureCurrent() and pass
+     * the log's bufferedUpTo() with kNoBound; a view passes the bounds
+     * indexed at open (openView does this under the archive lock) and
+     * pins the log's reclaim floor at or below @p low for the lifetime
+     * of the traversal.
      * @return records visited.
      */
     template <typename F>
     uint32_t
-    visitOut(vid_t v, F &&fn) const
-    {
-        return visitChain(outHead_.get(), v, true, log_->bufferedUpTo(),
-                          kNoBound, fn);
-    }
-
-    /** In-direction variant of visitOut(): emits the stored record
-     *  (src, delete-flagged when the edge was a deletion). */
-    template <typename F>
-    uint32_t
-    visitIn(vid_t v, F &&fn) const
-    {
-        return visitChain(inHead_.get(), v, false, log_->bufferedUpTo(),
-                          kNoBound, fn);
-    }
-
-    /**
-     * Bounded variant for point-in-time views: visit only the
-     * out-records of @p v whose log position lies in [low, high),
-     * newest first. Positions at or above @p high (published after the
-     * view opened) are skipped by following the chain through them;
-     * traversal stops below @p low. The caller must have run
-     * ensureCurrent() to at least @p high while @p low was still the
-     * log's buffered bound (openView does this under the archive lock),
-     * and must pin the log's reclaim floor at or below @p low for the
-     * lifetime of the traversal.
-     */
-    template <typename F>
-    uint32_t
-    visitOutWindow(vid_t v, uint64_t low, uint64_t high, F &&fn) const
-    {
-        return visitChain(outHead_.get(), v, true, low, high, fn);
-    }
-
-    /** In-direction variant of visitOutWindow(). */
-    template <typename F>
-    uint32_t
-    visitInWindow(vid_t v, uint64_t low, uint64_t high, F &&fn) const
-    {
-        return visitChain(inHead_.get(), v, false, low, high, fn);
-    }
-
-  private:
-    static constexpr uint64_t kNone = ~0ull;
-
-    struct Entry
-    {
-        Edge edge{};      ///< the logged edge (dst carries delete flag)
-        std::atomic<uint64_t> pos{kNone}; ///< log position in this slot
-        uint64_t prevOut = kNone; ///< previous window position of src
-        uint64_t prevIn = kNone;  ///< previous window pos of rawVid(dst)
-    };
-
-    template <typename F>
-    uint32_t
-    visitChain(const std::atomic<uint64_t> *heads, vid_t v, bool out,
-               uint64_t low, uint64_t high, F &&fn) const
+    visit(vid_t v, bool out, uint64_t low, uint64_t high, F &&fn) const
     {
         if (!built_.load(std::memory_order_acquire))
             return 0; // index never built: window was empty
+        const std::atomic<uint64_t> *heads =
+            out ? outHead_.get() : inHead_.get();
         chargeDramScattered(1); // head lookup
         uint32_t n = 0;
         uint64_t pos = heads[v].load(std::memory_order_acquire);
@@ -151,6 +105,17 @@ class LogWindowIndex
         }
         return n;
     }
+
+  private:
+    static constexpr uint64_t kNone = ~0ull;
+
+    struct Entry
+    {
+        Edge edge{};      ///< the logged edge (dst carries delete flag)
+        std::atomic<uint64_t> pos{kNone}; ///< log position in this slot
+        uint64_t prevOut = kNone; ///< previous window position of src
+        uint64_t prevIn = kNone;  ///< previous window pos of rawVid(dst)
+    };
 
     const CircularEdgeLog *log_;
     vid_t numVertices_;

@@ -143,7 +143,6 @@ clearCompactionJournal(MemoryDevice &dev, unsigned jslot)
     dev.persist(compactionJournalOff(jslot), sizeof(zero));
 }
 
-thread_local std::vector<vid_t> t_rawRecords;
 /** Per-thread scratch for a view's frozen log-window records. */
 thread_local std::vector<vid_t> t_viewWindow;
 
@@ -392,6 +391,21 @@ XPGraph::initTelemetry()
     telRecoveryReplayHist_ = XPG_TEL_HISTOGRAM(
         "recovery.step_ns",
         (telemetry::Labels{.store = "xpgraph", .phase = "replay"}));
+}
+
+template <typename F>
+void
+XPGraph::forWorkerSlots(unsigned w, F &&fn)
+{
+    const unsigned p = config_.numNodes;
+    for (unsigned s = w; s < virtualSlots(); s += config_.archiveThreads) {
+        const WorkerSlot slot{s % p, s / p, slotsOnNode(s % p)};
+        if (queryBindingEnabled())
+            NumaBinding::bindThread(static_cast<int>(slot.node), false);
+        else
+            NumaBinding::unbindThread();
+        fn(slot);
+    }
 }
 
 void
@@ -754,22 +768,13 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
         // Scopes are thread-local, so the tag must be planted in each
         // worker body, not around the executor_->run() call.
         XPG_ATTR_SCOPE(attrScope, RecoveryReplay);
-        forWorkerSlots(w, [&](unsigned node, unsigned local,
-                              unsigned slots_here) {
-            if (config_.bindThreads)
-                NumaBinding::bindThread(static_cast<int>(node), false);
-            Partition &part = parts_[node];
-            ChainScan &scan = scans[static_cast<size_t>(w) * p + node];
-            thread_local std::vector<vid_t> reload;
+        forWorkerSlots(w, [&](const WorkerSlot &ws) {
+            Partition &part = parts_[ws.node];
+            ChainScan &scan = scans[static_cast<size_t>(w) * p + ws.node];
             for (Side *side : {part.out.get(), part.in.get()}) {
                 if (!side)
                     continue;
-                const uint64_t slots = side->states.size();
-                const uint64_t per =
-                    (slots + slots_here - 1) / std::max(1u, slots_here);
-                const uint64_t begin =
-                    std::min<uint64_t>(slots, local * per);
-                const uint64_t end = std::min<uint64_t>(slots, begin + per);
+                const auto [begin, end] = ws.slice(side->states.size());
                 for (uint64_t slot = begin; slot < end; ++slot) {
                     VertexState &st = side->states[slot];
                     st.chain = side->store->loadChainValidated(slot, scan);
@@ -777,16 +782,13 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
                     // block contents are read back and the DRAM
                     // per-vertex state is rebuilt.
                     if (!st.chain.empty()) {
-                        reload.clear();
-                        side->store->readRaw(st.chain, reload);
-                        chargeDramScattered(2);
                         // Rebuild the degree cache from the same scan.
-                        st.records = st.chain.records;
                         st.tombstones = 0;
-                        for (vid_t rec : reload) {
-                            if (isDelete(rec))
-                                ++st.tombstones;
-                        }
+                        side->store->forEachRaw(st.chain, [&st](vid_t rec) {
+                            st.tombstones += isDelete(rec) ? 1 : 0;
+                        });
+                        chargeDramScattered(2);
+                        st.records = st.chain.records;
                     }
                 }
             }
@@ -970,13 +972,6 @@ XPGraph::appendFromClient(unsigned node, const Edge *edges, uint64_t n)
 {
     Partition &part = parts_[node];
     CircularEdgeLog &log = *part.log;
-    // Range-check at the API boundary, in the offending client's thread,
-    // before the record reaches the shared log (a plain CPU check, no
-    // simulated cost). The archive phases keep a backstop assert.
-    for (uint64_t i = 0; i < n; ++i)
-        XPG_ASSERT(rawVid(edges[i].src) < config_.maxVertices &&
-                   rawVid(edges[i].dst) < config_.maxVertices,
-                   "edge endpoint out of range");
     if (config_.bindThreads &&
         config_.placement != NumaPlacement::None &&
         NumaBinding::currentNode() != static_cast<int>(node))
@@ -1044,48 +1039,63 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
     CircularEdgeLog &log = *parts_[node].log;
     std::unique_lock<std::mutex> lock(archiveMutex_);
     if (!config_.pipelinedArchiving) {
-        if (log.freeSlots() > 0)
-            return; // another session already reclaimed space
-        const uint64_t before = archivePhaseNsLocked();
-        runBufferingPhaseLocked();
-        if (log.freeSlots() == 0) {
-            // Everything is buffered but the log is still full: flush.
-            runFlushAllLocked(/*release_buffers=*/false);
-        }
-        inline_ns += archivePhaseNsLocked() - before;
-        if (log.freeSlots() == 0) {
-            // Flush-all reclaimed nothing: an open read view pins the
-            // log's reclaim floor below the flushed frontier. Wait for
-            // it to close (closeView recomputes the floors and
-            // notifies); the wait releases archiveMutex_, so closing
-            // is never blocked by this stall.
+        // Inline: this session archives for itself. A flush-all that
+        // reclaims nothing means an open read view pins the log's
+        // reclaim floor below the flushed frontier: wait for a view to
+        // close (the wait releases archiveMutex_, so closing is never
+        // blocked by this stall), then archive again — another session
+        // may have taken the slots that close freed.
+        while (log.freeSlots() == 0) {
+            const uint64_t before = archivePhaseNsLocked();
+            runBufferingPhaseLocked();
+            if (log.freeSlots() == 0) {
+                // Everything is buffered but the log is still full: flush.
+                runFlushAllLocked(/*release_buffers=*/false);
+            }
+            inline_ns += archivePhaseNsLocked() - before;
+            if (log.freeSlots() > 0)
+                break;
             XPG_ASSERT(viewsPinned_,
                        "flush-all failed to reclaim log");
             const uint64_t wait_start = XPG_TEL_HOST_NOW();
+            const uint64_t closes = viewCloses_;
             enterBackpressure(node);
-            spaceCv_.wait(lock, [&] { return log.freeSlots() > 0; });
+            spaceCv_.wait(lock, [&] {
+                return log.freeSlots() > 0 || viewCloses_ != closes;
+            });
             exitBackpressure(node);
             XPG_TRACE_EMIT("log_view_pin_wait", "ingest", wait_start,
                            XPG_TEL_HOST_NOW() - wait_start, 0);
         }
         return;
     }
-    reclaimRequested_.store(true, std::memory_order_relaxed);
-    archiveRequested_.store(true, std::memory_order_relaxed);
-    archiveCv_.notify_one();
-    // Client stalled on a full log waiting for the pipelined archiver —
-    // the backpressure the trace timeline and the watchdog's
-    // backpressure probe should make visible.
+    // Pipelined: the background archiver frees the space (while anyone
+    // waits, a pass flushes every log it leaves full); the client stalls
+    // — the backpressure the trace timeline and the watchdog's probe
+    // show — until a pass ran or a view closed. tryReserve takes no
+    // lock, so another session may take the freed slots before this one
+    // re-reads them: then ask again, as long as a pass can still free
+    // slots of this log. Once everything up to its head is reclaimable
+    // only a view close frees space, and asking again would spin passes.
     const uint64_t wait_start = XPG_TEL_HOST_NOW();
     enterBackpressure(node);
-    // Judge the wake-up by what the predicate saw: tryReserve takes no
-    // lock, so another session may reserve the freed slots before this
-    // one re-reads them; the caller then simply waits again.
     bool had_space = false;
-    spaceCv_.wait(lock, [&] {
-        had_space = log.freeSlots() > 0;
-        return had_space || archiverStop_;
-    });
+    while (!had_space && !archiverStop_) {
+        // A pass can free slots here: records to buffer, or (without a
+        // battery) buffered records a flush would reclaim.
+        if (log.nonBuffered() > 0 ||
+            (!config_.batteryBacked && log.unflushed() > 0)) {
+            archiveRequested_.store(true, std::memory_order_relaxed);
+            archiveCv_.notify_one();
+        }
+        const uint64_t passes = archivePasses_;
+        const uint64_t closes = viewCloses_;
+        spaceCv_.wait(lock, [&] {
+            had_space = log.freeSlots() > 0;
+            return had_space || archiverStop_ ||
+                   archivePasses_ != passes || viewCloses_ != closes;
+        });
+    }
     exitBackpressure(node);
     XPG_TRACE_EMIT("log_full_wait", "ingest", wait_start,
                    XPG_TEL_HOST_NOW() - wait_start, 0);
@@ -1131,20 +1141,24 @@ XPGraph::archiverLoop()
         if (hbArchiver_)
             hbArchiver_->busy(true);
         archiveRequested_.store(false, std::memory_order_relaxed);
-        const bool reclaim =
-            reclaimRequested_.exchange(false, std::memory_order_relaxed);
         runBufferingPhaseLocked(/*capped=*/true);
         if (hbArchiver_)
             hbArchiver_->beat(); // long drains: beat between phases
-        if (reclaim) {
-            // A session hit a full log: make sure space actually opened
-            // (battery mode frees at markBuffered; otherwise flush).
-            bool still_full = false;
+        // A session waiting on a log this pass left full gets slots only
+        // from a flush (battery mode freed them at markBuffered). Flush
+        // now, whatever asked for the pass: the waiter's own request may
+        // have been served by an earlier pass whose freed slots another
+        // session took.
+        bool flush = false;
+        if (backpressureWaiters_.load(std::memory_order_relaxed) > 0 &&
+            !config_.batteryBacked) {
             for (const auto &part : parts_)
-                still_full |= part.log->freeSlots() == 0;
-            if (still_full)
-                runFlushAllLocked(/*release_buffers=*/false);
+                flush |= part.log->freeSlots() == 0 &&
+                         part.log->unflushed() > 0;
         }
+        if (flush)
+            runFlushAllLocked(/*release_buffers=*/false);
+        ++archivePasses_;
         spaceCv_.notify_all();
     }
     spaceCv_.notify_all();
@@ -1393,13 +1407,9 @@ XPGraph::declareIdleWriters()
 void
 XPGraph::bufferWorker(unsigned w)
 {
-    forWorkerSlots(w, [&](unsigned node, unsigned local, unsigned) {
-        if (config_.bindThreads &&
-            config_.placement != NumaPlacement::None)
-            NumaBinding::bindThread(static_cast<int>(node), false);
-        else
-            NumaBinding::unbindThread();
-
+    forWorkerSlots(w, [&](const WorkerSlot &ws) {
+        const unsigned node = ws.node;
+        const unsigned local = ws.local;
         Partition &part = parts_[node];
         if (part.out && local < outAssign_[node].size()) {
             const ShardAssignment &a = outAssign_[node][local];
@@ -1467,18 +1477,9 @@ XPGraph::runBufferingPhaseLocked(bool capped)
         // Log reads feeding an archive phase are archive traffic, not
         // query traffic (thread-local tag, so it lives in the worker).
         XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
-        forWorkerSlots(w, [&](unsigned node, unsigned local,
-                              unsigned slots_here) {
-            if (config_.bindThreads &&
-                config_.placement != NumaPlacement::None)
-                NumaBinding::bindThread(static_cast<int>(node), false);
-            else
-                NumaBinding::unbindThread();
-            const uint64_t n = phaseUpTo_[node] - from[node];
-            const uint64_t chunk =
-                (n + slots_here - 1) / std::max(1u, slots_here);
-            const uint64_t lo = std::min(n, local * chunk);
-            const uint64_t hi = std::min(n, lo + chunk);
+        forWorkerSlots(w, [&](const WorkerSlot &ws) {
+            const unsigned node = ws.node;
+            const auto [lo, hi] = ws.slice(phaseUpTo_[node] - from[node]);
             if (lo < hi)
                 parts_[node].log->readRangeInto(
                     from[node] + lo, from[node] + hi,
@@ -1533,23 +1534,12 @@ void
 XPGraph::flushWorker(unsigned w, bool release_buffers)
 {
     XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
-    forWorkerSlots(w, [&](unsigned node, unsigned local,
-                          unsigned slots_here) {
-        if (config_.bindThreads &&
-            config_.placement != NumaPlacement::None)
-            NumaBinding::bindThread(static_cast<int>(node), false);
-        else
-            NumaBinding::unbindThread();
-
-        Partition &part = parts_[node];
+    forWorkerSlots(w, [&](const WorkerSlot &ws) {
+        Partition &part = parts_[ws.node];
         for (Side *side : {part.out.get(), part.in.get()}) {
             if (!side)
                 continue;
-            const uint64_t slots = side->states.size();
-            const uint64_t per =
-                (slots + slots_here - 1) / std::max(1u, slots_here);
-            const uint64_t begin = std::min<uint64_t>(slots, local * per);
-            const uint64_t end = std::min<uint64_t>(slots, begin + per);
+            const auto [begin, end] = ws.slice(side->states.size());
             for (uint64_t slot = begin; slot < end; ++slot) {
                 VertexState &st = side->states[slot];
                 if (!st.buf)
@@ -1699,93 +1689,109 @@ XPGraph::flushVertex(Side &side, uint64_t slot, VertexState &st)
 
 // --- queries ---------------------------------------------------------------
 
+namespace {
+
 /**
- * Stream v's live records (chain + buffer, tombstones applied) through
- * @p fn in place. Device charges are identical to the materializing
- * path: chain blocks are read through zero-copy views (same per-block
- * header read + payload read), the buffer is one random DRAM touch.
+ * Vertex-buffer layer: stream the first @p cnt records of @p buf. A
+ * present buffer costs one random DRAM touch of its header and those
+ * records, even when it is empty; a view whose captured prefix is empty
+ * captured a null buffer.
  */
 template <typename F>
 uint32_t
-XPGraph::forEachLive(const Side *side, uint64_t slot, F &&fn) const
+streamBuffer(const std::byte *buf, uint32_t cnt, F &&fn)
 {
+    if (!buf)
+        return 0;
+    chargeDramRandom(sizeof(vbuf::Header) + cnt * sizeof(vid_t));
+    const vid_t *pay = vbuf::payload(buf);
+    for (uint32_t i = 0; i < cnt; ++i)
+        fn(pay[i]);
+    return cnt;
+}
+
+/** Records in @p st's vertex buffer right now (0 without a buffer). */
+uint32_t
+bufferedCount(const VertexState &st)
+{
+    return st.buf ? vbuf::header(st.buf)->cnt : 0;
+}
+
+} // namespace
+
+std::pair<const XPGraph::Side *, uint64_t>
+XPGraph::locate(vid_t v, bool out) const
+{
+    const Partition &part = parts_[out ? outOwner(v) : inOwner(v)];
+    return {out ? part.out.get() : part.in.get(),
+            out ? outSlot(v) : inSlot(v)};
+}
+
+template <typename F>
+uint32_t
+XPGraph::streamStored(const Side &side, const VertexChain &chain,
+                      bool frozen, const std::byte *buf, uint32_t buffered,
+                      F &&emit) const
+{
+    const uint32_t sealed = frozen ? side.store->forEachFrozen(chain, emit)
+                                   : side.store->forEachRaw(chain, emit);
+    noteQueryRecords(sealed, buffered);
+    return sealed + streamBuffer(buf, buffered, emit);
+}
+
+template <typename F>
+uint32_t
+XPGraph::forEachLive(vid_t v, bool out, F &&fn) const
+{
+    const auto [side, slot] = locate(v, out);
     if (!side)
         return 0;
     XPG_ATTR_SCOPE(attrScope, QueryRead);
     const VertexState &st = side->states[slot];
-    if (st.tombstones == 0) {
-        // No delete records anywhere in this vertex: every stored
-        // record is live — emit straight from the storage.
-        uint32_t n = side->store->forEachRaw(st.chain, fn);
-        noteQueryRecords(n, 0);
-        if (st.buf) {
-            const auto *hdr = vbuf::header(st.buf);
-            chargeDramRandom(sizeof(vbuf::Header) +
-                             hdr->cnt * sizeof(vid_t));
-            const vid_t *pay = vbuf::payload(st.buf);
-            for (uint32_t i = 0; i < hdr->cnt; ++i)
-                fn(pay[i]);
-            noteQueryRecords(0, hdr->cnt);
-            n += hdr->cnt;
-        }
-        return n;
-    }
-    // Tombstones pending: gather the raw records once (same device
-    // charges as above) and cancel through the small stack-set.
-    t_rawRecords.clear();
-    side->store->readRaw(st.chain, t_rawRecords);
-    noteQueryRecords(t_rawRecords.size(), 0);
-    if (st.buf) {
-        const auto *hdr = vbuf::header(st.buf);
-        chargeDramRandom(sizeof(vbuf::Header) + hdr->cnt * sizeof(vid_t));
-        const vid_t *pay = vbuf::payload(st.buf);
-        t_rawRecords.insert(t_rawRecords.end(), pay, pay + hdr->cnt);
-        noteQueryRecords(0, hdr->cnt);
-    }
-    return cancelTombstonesVisit(t_rawRecords, fn);
+    return visitLiveRecords(
+        st.tombstones != 0,
+        [&](auto &&emit) {
+            return streamStored(*side, st.chain, false, st.buf,
+                                bufferedCount(st), emit);
+        },
+        fn);
 }
 
 uint32_t
-XPGraph::degreeOf(const Side *side, uint64_t slot) const
+XPGraph::degreeOf(vid_t v, bool out) const
 {
+    const auto [side, slot] = locate(v, out);
     if (!side)
         return 0;
-    XPG_ATTR_SCOPE(attrScope, QueryRead);
     const VertexState &st = side->states[slot];
-    if (st.tombstones == 0) {
-        chargeDramScattered(1); // one vertex-state cache line
-        return st.records;
-    }
-    // Pending tombstones: count by visiting (full charge).
-    return forEachLive(side, slot, [](vid_t) {});
+    if (st.tombstones != 0)
+        return forEachLive(v, out, [](vid_t) {}); // full charge
+    chargeDramScattered(1); // one vertex-state cache line
+    return st.records;
 }
 
 uint32_t
 XPGraph::forEachNebrOut(vid_t v, NebrVisitor fn) const
 {
-    const Partition &part = parts_[outOwner(v)];
-    return forEachLive(part.out.get(), outSlot(v), fn);
+    return forEachLive(v, true, fn);
 }
 
 uint32_t
 XPGraph::forEachNebrIn(vid_t v, NebrVisitor fn) const
 {
-    const Partition &part = parts_[inOwner(v)];
-    return forEachLive(part.in.get(), inSlot(v), fn);
+    return forEachLive(v, false, fn);
 }
 
 uint32_t
 XPGraph::degreeOut(vid_t v) const
 {
-    const Partition &part = parts_[outOwner(v)];
-    return degreeOf(part.out.get(), outSlot(v));
+    return degreeOf(v, true);
 }
 
 uint32_t
 XPGraph::degreeIn(vid_t v) const
 {
-    const Partition &part = parts_[inOwner(v)];
-    return degreeOf(part.in.get(), inSlot(v));
+    return degreeOf(v, false);
 }
 
 uint64_t
@@ -1795,66 +1801,12 @@ XPGraph::vertexWeight(vid_t v) const
     // the out- and in-side state entries stream through DRAM.
     chargeDramSequential(2 * kCacheLineSize);
     uint64_t w = kVertexFixedWeight;
-    const Partition &po = parts_[outOwner(v)];
-    if (po.out)
-        w += po.out->states[outSlot(v)].records;
-    const Partition &pi = parts_[inOwner(v)];
-    if (pi.in)
-        w += pi.in->states[inSlot(v)].records;
+    for (const bool out : {true, false}) {
+        const auto [side, slot] = locate(v, out);
+        if (side)
+            w += side->states[slot].records;
+    }
     return w;
-}
-
-uint32_t
-XPGraph::getNebrsBufOut(vid_t v, std::vector<vid_t> &out) const
-{
-    const Partition &part = parts_[outOwner(v)];
-    if (!part.out)
-        return 0;
-    const VertexState &st = part.out->states[outSlot(v)];
-    if (!st.buf)
-        return 0;
-    const auto *hdr = vbuf::header(st.buf);
-    chargeDramRandom(sizeof(vbuf::Header) + hdr->cnt * sizeof(vid_t));
-    const vid_t *pay = vbuf::payload(st.buf);
-    out.insert(out.end(), pay, pay + hdr->cnt);
-    return hdr->cnt;
-}
-
-uint32_t
-XPGraph::getNebrsBufIn(vid_t v, std::vector<vid_t> &out) const
-{
-    const Partition &part = parts_[inOwner(v)];
-    if (!part.in)
-        return 0;
-    const VertexState &st = part.in->states[inSlot(v)];
-    if (!st.buf)
-        return 0;
-    const auto *hdr = vbuf::header(st.buf);
-    chargeDramRandom(sizeof(vbuf::Header) + hdr->cnt * sizeof(vid_t));
-    const vid_t *pay = vbuf::payload(st.buf);
-    out.insert(out.end(), pay, pay + hdr->cnt);
-    return hdr->cnt;
-}
-
-uint32_t
-XPGraph::getNebrsFlushOut(vid_t v, std::vector<vid_t> &out) const
-{
-    const Partition &part = parts_[outOwner(v)];
-    if (!part.out)
-        return 0;
-    XPG_ATTR_SCOPE(attrScope, QueryRead);
-    return part.out->store->readRaw(part.out->states[outSlot(v)].chain,
-                                    out);
-}
-
-uint32_t
-XPGraph::getNebrsFlushIn(vid_t v, std::vector<vid_t> &out) const
-{
-    const Partition &part = parts_[inOwner(v)];
-    if (!part.in)
-        return 0;
-    XPG_ATTR_SCOPE(attrScope, QueryRead);
-    return part.in->store->readRaw(part.in->states[inSlot(v)].chain, out);
 }
 
 LogWindowIndex &
@@ -1871,37 +1823,56 @@ XPGraph::logIndex(unsigned node) const
     return *logIndexes_[node];
 }
 
+template <typename Window>
 uint32_t
-XPGraph::getNebrsLogOut(vid_t v, std::vector<vid_t> &out) const
+XPGraph::gatherLogWindow(vid_t v, bool out, Window &&window,
+                         std::vector<vid_t> &recs) const
 {
-    // Per-log windows are scanned node by node: records of one session
-    // stream keep their order; streams from different nodes concatenate
-    // (concurrent sessions have no global order anyway).
-    XPG_ATTR_SCOPE(attrScope, QueryRead);
+    // Out-records of a vertex can sit in any node's log (sessions append
+    // NUMA-locally), so every node's window is walked. Records of one
+    // session stream keep their order; streams from different nodes
+    // concatenate (concurrent sessions have no global order anyway).
     uint32_t n = 0;
     for (unsigned node = 0; node < config_.numNodes; ++node) {
-        LogWindowIndex &index = logIndex(node);
-        const auto base = static_cast<std::ptrdiff_t>(out.size());
-        n += index.visitOut(v, [&](vid_t rec) { out.push_back(rec); });
-        std::reverse(out.begin() + base, out.end()); // newest-first chains
+        uint64_t low = 0;
+        uint64_t high = 0;
+        const LogWindowIndex *index = window(node, low, high);
+        if (!index)
+            continue;
+        const auto base = static_cast<std::ptrdiff_t>(recs.size());
+        n += index->visit(v, out, low, high,
+                          [&recs](vid_t rec) { recs.push_back(rec); });
+        std::reverse(recs.begin() + base, recs.end()); // newest-first chains
     }
-    noteQueryWindowRecords(n);
     return n;
 }
 
 uint32_t
-XPGraph::getNebrsLogIn(vid_t v, std::vector<vid_t> &out) const
+XPGraph::readLayer(Layer layer, vid_t v, bool out,
+                   std::vector<vid_t> &recs) const
 {
     XPG_ATTR_SCOPE(attrScope, QueryRead);
-    uint32_t n = 0;
-    for (unsigned node = 0; node < config_.numNodes; ++node) {
-        LogWindowIndex &index = logIndex(node);
-        const auto base = static_cast<std::ptrdiff_t>(out.size());
-        n += index.visitIn(v, [&](vid_t rec) { out.push_back(rec); });
-        std::reverse(out.begin() + base, out.end());
+    if (layer == Layer::LogWindow) {
+        const uint32_t n = gatherLogWindow(
+            v, out,
+            [this](unsigned node, uint64_t &low, uint64_t &high) {
+                const LogWindowIndex *index = &logIndex(node);
+                low = parts_[node].log->bufferedUpTo();
+                high = LogWindowIndex::kNoBound;
+                return index;
+            },
+            recs);
+        noteQueryWindowRecords(n);
+        return n;
     }
-    noteQueryWindowRecords(n);
-    return n;
+    const auto [side, slot] = locate(v, out);
+    if (!side)
+        return 0;
+    const VertexState &st = side->states[slot];
+    const auto push = [&recs](vid_t rec) { recs.push_back(rec); };
+    return layer == Layer::Buffer
+               ? streamBuffer(st.buf, bufferedCount(st), push)
+               : side->store->forEachRaw(st.chain, push);
 }
 
 uint64_t
@@ -1932,8 +1903,10 @@ struct XPGraph::EpochState
 {
     struct ViewVertex
     {
-        const std::byte *buf = nullptr; ///< captured vertex buffer
-        uint32_t bufCount = 0;          ///< its record count at capture
+        /// captured vertex buffer; null when its captured prefix is
+        /// empty, so a view charges no buffer touch for it
+        const std::byte *buf = nullptr;
+        uint32_t bufCount = 0; ///< its record count at capture
         VertexChain chain;              ///< captured chain mirror
         uint32_t records = 0;           ///< chain + buffer records
         uint32_t tombstones = 0;        ///< delete records among them
@@ -2058,100 +2031,53 @@ class XPGraph::EpochView final : public ReadView
     }
 
     /**
-     * Visit @p v's frozen log-window records in log order (per node),
-     * charging through the window index. Out-records of a vertex can
-     * sit in any node's log (sessions append NUMA-locally), so every
-     * non-empty window is walked.
-     * @return records appended to @p recs.
+     * Gather @p v's frozen log-window records [boundary, head) into
+     * t_viewWindow, in log order per node, charging through the window
+     * indexes (built at open for every non-empty window).
+     * @return whether any of them is a delete record.
      */
-    uint32_t
-    gatherWindow(vid_t v, bool out, std::vector<vid_t> &recs) const
+    bool
+    gatherWindow(vid_t v, bool out) const
     {
-        uint32_t n = 0;
-        for (unsigned node = 0; node < heads_.size(); ++node) {
-            const uint64_t low = state_->boundary[node];
-            const uint64_t high = heads_[node];
-            if (high <= low)
-                continue; // empty window: index may not even exist
-            const LogWindowIndex &index = *g_->logIndexes_[node];
-            const auto base =
-                static_cast<std::ptrdiff_t>(recs.size());
-            const auto push = [&recs](vid_t rec) {
-                recs.push_back(rec);
-            };
-            n += out ? index.visitOutWindow(v, low, high, push)
-                     : index.visitInWindow(v, low, high, push);
-            // newest-first per node -> log order
-            std::reverse(recs.begin() + base, recs.end());
-        }
-        return n;
+        t_viewWindow.clear();
+        g_->gatherLogWindow(
+            v, out,
+            [this](unsigned node, uint64_t &low,
+                   uint64_t &high) -> const LogWindowIndex * {
+                low = state_->boundary[node];
+                high = heads_[node];
+                // An empty window's index may not even exist.
+                return high > low ? g_->logIndexes_[node].get() : nullptr;
+            },
+            t_viewWindow);
+        return std::any_of(t_viewWindow.begin(), t_viewWindow.end(),
+                           [](vid_t rec) { return isDelete(rec); });
     }
 
+    /** Captured chain + buffer prefix + frozen window, in arrival
+     *  order, through visitLiveRecords. */
     uint32_t
     visit(vid_t v, bool out, NebrVisitor fn) const
     {
         XPG_ATTR_SCOPE(attrScope, QueryRead);
         chargeDramScattered(1); // captured-state slot
         const EpochState::ViewVertex *vv = vertex(v, out);
-
-        t_viewWindow.clear();
-        gatherWindow(v, out, t_viewWindow);
-        bool window_deletes = false;
-        for (vid_t rec : t_viewWindow)
-            if (isDelete(rec)) {
-                window_deletes = true;
-                break;
-            }
-
-        const AdjacencyStore *store = nullptr;
-        if (vv) {
-            const unsigned node = out ? g_->outOwner(v) : g_->inOwner(v);
-            const Partition &part = g_->parts_[node];
-            store = out ? part.out->store.get() : part.in->store.get();
-        }
-
+        const bool window_deletes = gatherWindow(v, out);
         g_->noteQueryWindowRecords(t_viewWindow.size());
-
-        if ((vv ? vv->tombstones : 0) == 0 && !window_deletes) {
-            // Insert-only: stream all three layers straight through.
-            uint32_t n = 0;
-            if (vv) {
-                const uint32_t sealed = store->forEachFrozen(vv->chain, fn);
-                n += sealed;
-                g_->noteQueryRecords(sealed, vv->bufCount);
-                if (vv->bufCount > 0) {
-                    chargeDramRandom(sizeof(vbuf::Header) +
-                                     vv->bufCount * sizeof(vid_t));
-                    const vid_t *pay = vbuf::payload(vv->buf);
-                    for (uint32_t i = 0; i < vv->bufCount; ++i)
-                        fn(pay[i]);
-                    n += vv->bufCount;
+        return visitLiveRecords(
+            window_deletes || (vv && vv->tombstones != 0),
+            [&](auto &&emit) {
+                uint32_t n = 0;
+                if (vv) {
+                    n = g_->streamStored(*g_->locate(v, out).first,
+                                         vv->chain, true, vv->buf,
+                                         vv->bufCount, emit);
                 }
-            }
-            for (vid_t rec : t_viewWindow)
-                fn(rec);
-            return n + static_cast<uint32_t>(t_viewWindow.size());
-        }
-
-        // Deletes present: assemble chain -> buffer -> window (arrival
-        // order) and fold the tombstones like the live path does.
-        t_rawRecords.clear();
-        if (vv) {
-            store->forEachFrozen(vv->chain, [](vid_t rec) {
-                t_rawRecords.push_back(rec);
-            });
-            g_->noteQueryRecords(t_rawRecords.size(), vv->bufCount);
-            if (vv->bufCount > 0) {
-                chargeDramRandom(sizeof(vbuf::Header) +
-                                 vv->bufCount * sizeof(vid_t));
-                const vid_t *pay = vbuf::payload(vv->buf);
-                t_rawRecords.insert(t_rawRecords.end(), pay,
-                                    pay + vv->bufCount);
-            }
-        }
-        t_rawRecords.insert(t_rawRecords.end(), t_viewWindow.begin(),
-                            t_viewWindow.end());
-        return cancelTombstonesVisit(t_rawRecords, fn);
+                for (vid_t rec : t_viewWindow)
+                    emit(rec);
+                return n + static_cast<uint32_t>(t_viewWindow.size());
+            },
+            fn);
     }
 
     uint32_t
@@ -2160,36 +2086,11 @@ class XPGraph::EpochView final : public ReadView
         XPG_ATTR_SCOPE(attrScope, QueryRead);
         chargeDramScattered(1); // captured-state slot
         const EpochState::ViewVertex *vv = vertex(v, out);
-        uint32_t window = 0;
-        bool window_deletes = false;
-        gatherWindowCount(v, out, window, window_deletes);
-        if ((vv ? vv->tombstones : 0) == 0 && !window_deletes)
-            return (vv ? vv->records : 0) + window;
+        if (!gatherWindow(v, out) && (!vv || vv->tombstones == 0))
+            return (vv ? vv->records : 0) +
+                   static_cast<uint32_t>(t_viewWindow.size());
         // Deletes present: degree needs the full visit.
         return visit(v, out, [](vid_t) {});
-    }
-
-    /** Count @p v's window records without materializing them. */
-    void
-    gatherWindowCount(vid_t v, bool out, uint32_t &n,
-                      bool &deletes) const
-    {
-        for (unsigned node = 0; node < heads_.size(); ++node) {
-            const uint64_t low = state_->boundary[node];
-            const uint64_t high = heads_[node];
-            if (high <= low)
-                continue;
-            const LogWindowIndex &index = *g_->logIndexes_[node];
-            const auto count = [&](vid_t rec) {
-                ++n;
-                if (isDelete(rec))
-                    deletes = true;
-            };
-            if (out)
-                index.visitOutWindow(v, low, high, count);
-            else
-                index.visitInWindow(v, low, high, count);
-        }
     }
 
     XPGraph *g_;
@@ -2228,9 +2129,8 @@ XPGraph::captureEpochLocked()
                  ++slot) {
                 const VertexState &st = side->states[slot];
                 auto &vv = dst[slot];
-                vv.buf = st.buf;
-                vv.bufCount =
-                    st.buf ? vbuf::header(st.buf)->cnt : 0;
+                vv.bufCount = bufferedCount(st);
+                vv.buf = vv.bufCount > 0 ? st.buf : nullptr;
                 vv.chain = st.chain;
                 vv.records = st.records;
                 vv.tombstones = st.tombstones;
@@ -2313,6 +2213,7 @@ XPGraph::closeView(uint64_t id)
     }
     recomputeReclaimFloorsLocked();
     // A session stalled on a full log may be waiting for this close.
+    ++viewCloses_;
     spaceCv_.notify_all();
 }
 
@@ -2376,23 +2277,14 @@ XPGraph::compactAllAdjs()
                "more archive threads than compaction journal slots");
     executor_->run([&](unsigned w) {
         XPG_ATTR_SCOPE(attrScope, Compaction);
-        forWorkerSlots(w, [&](unsigned node, unsigned local,
-                              unsigned slots_here) {
-            if (config_.bindThreads &&
-                config_.placement != NumaPlacement::None)
-                NumaBinding::bindThread(static_cast<int>(node), false);
-            Partition &part = parts_[node];
+        forWorkerSlots(w, [&](const WorkerSlot &ws) {
+            Partition &part = parts_[ws.node];
             for (int dir = 0; dir < 2; ++dir) {
                 const bool is_out = dir == 0;
                 Side *side = is_out ? part.out.get() : part.in.get();
                 if (!side)
                     continue;
-                const uint64_t slots = side->states.size();
-                const uint64_t per =
-                    (slots + slots_here - 1) / std::max(1u, slots_here);
-                const uint64_t begin =
-                    std::min<uint64_t>(slots, local * per);
-                const uint64_t end = std::min<uint64_t>(slots, begin + per);
+                const auto [begin, end] = ws.slice(side->states.size());
                 for (uint64_t slot = begin; slot < end; ++slot) {
                     compactSlotJournaled(part, *side, is_out, slot,
                                          side->states[slot],

@@ -42,6 +42,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/adjacency_store.hpp"
@@ -162,16 +163,40 @@ class XPGraph : public GraphStore
     uint64_t vertexWeight(vid_t v) const override;
 
     /** Raw records currently in v's DRAM vertex buffer. */
-    uint32_t getNebrsBufOut(vid_t v, std::vector<vid_t> &out) const;
-    uint32_t getNebrsBufIn(vid_t v, std::vector<vid_t> &out) const;
+    uint32_t
+    getNebrsBufOut(vid_t v, std::vector<vid_t> &out) const
+    {
+        return readLayer(Layer::Buffer, v, true, out);
+    }
+    uint32_t
+    getNebrsBufIn(vid_t v, std::vector<vid_t> &out) const
+    {
+        return readLayer(Layer::Buffer, v, false, out);
+    }
 
     /** Raw records in v's PMEM adjacency chain. */
-    uint32_t getNebrsFlushOut(vid_t v, std::vector<vid_t> &out) const;
-    uint32_t getNebrsFlushIn(vid_t v, std::vector<vid_t> &out) const;
+    uint32_t
+    getNebrsFlushOut(vid_t v, std::vector<vid_t> &out) const
+    {
+        return readLayer(Layer::Chain, v, true, out);
+    }
+    uint32_t
+    getNebrsFlushIn(vid_t v, std::vector<vid_t> &out) const
+    {
+        return readLayer(Layer::Chain, v, false, out);
+    }
 
     /** Out/in records of v among the non-buffered edges of the logs. */
-    uint32_t getNebrsLogOut(vid_t v, std::vector<vid_t> &out) const;
-    uint32_t getNebrsLogIn(vid_t v, std::vector<vid_t> &out) const;
+    uint32_t
+    getNebrsLogOut(vid_t v, std::vector<vid_t> &out) const
+    {
+        return readLayer(Layer::LogWindow, v, true, out);
+    }
+    uint32_t
+    getNebrsLogIn(vid_t v, std::vector<vid_t> &out) const
+    {
+        return readLayer(Layer::LogWindow, v, false, out);
+    }
 
     /** All non-buffered edges of the circular edge logs. */
     uint64_t getLoggedEdges(std::vector<Edge> &out) const;
@@ -431,16 +456,28 @@ class XPGraph : public GraphStore
         return virtualSlots() / p + (node < virtualSlots() % p ? 1 : 0);
     }
 
-    /** Run @p fn(node, local, slots_on_node) for worker w's slots. */
-    template <typename F>
-    void
-    forWorkerSlots(unsigned w, F &&fn)
+    /** One of an archive worker's virtual slots. */
+    struct WorkerSlot
     {
-        const unsigned p = config_.numNodes;
-        for (unsigned s = w; s < virtualSlots();
-             s += config_.archiveThreads)
-            fn(s % p, s / p, slotsOnNode(s % p));
-    }
+        unsigned node;  ///< partition the slot works on
+        unsigned local; ///< index among the node's virtual slots
+        unsigned slots; ///< virtual slots on the node (>= 1)
+
+        /** This slot's ceil-divided share [first, second) of @p n. */
+        std::pair<uint64_t, uint64_t>
+        slice(uint64_t n) const
+        {
+            const uint64_t per = (n + slots - 1) / slots;
+            const uint64_t begin = std::min<uint64_t>(n, local * per);
+            return {begin, std::min<uint64_t>(n, begin + per)};
+        }
+    };
+
+    /** Run @p fn(slot) for each of worker @p w's virtual slots, the
+     *  worker bound to the slot's node when queryBindingEnabled() and
+     *  unbound otherwise. */
+    template <typename F>
+    void forWorkerSlots(unsigned w, F &&fn);
 
     // per-edge work
     void insertBuffered(Side &side, uint64_t slot, vid_t nebr);
@@ -473,10 +510,37 @@ class XPGraph : public GraphStore
      *  reclamation and deserves an operator's attention. */
     telemetry::ComponentHealth viewPinProbe(uint64_t now_ns) const;
 
-    // query helpers
+    // --- query helpers: one stream per layer (DESIGN.md §6) ---
+
+    /** Where v's out (else in) records live: the side (null when its
+     *  partition has none) and the slot in it. */
+    std::pair<const Side *, uint64_t> locate(vid_t v, bool out) const;
+    /** Live records of v (chain + buffer) through visitLiveRecords. */
     template <typename F>
-    uint32_t forEachLive(const Side *side, uint64_t slot, F &&fn) const;
-    uint32_t degreeOf(const Side *side, uint64_t slot) const;
+    uint32_t forEachLive(vid_t v, bool out, F &&fn) const;
+    uint32_t degreeOf(vid_t v, bool out) const;
+    /**
+     * The stored records of one vertex, delete records included: its
+     * chain (a captured mirror for a view: @p frozen) then the first
+     * @p buffered records of @p buf. Bumps the query record counters.
+     */
+    template <typename F>
+    uint32_t streamStored(const Side &side, const VertexChain &chain,
+                          bool frozen, const std::byte *buf,
+                          uint32_t buffered, F &&emit) const;
+    /**
+     * Append v's out (else in) records in every node's log window to
+     * @p recs, in log order per node. @p window(node, low, high) sets
+     * the node's bounds and returns its index, or null to skip it.
+     * @return records appended.
+     */
+    template <typename Window>
+    uint32_t gatherLogWindow(vid_t v, bool out, Window &&window,
+                             std::vector<vid_t> &recs) const;
+    /** The Table I per-layer getters' raw records of one layer. */
+    enum class Layer { Buffer, Chain, LogWindow };
+    uint32_t readLayer(Layer layer, vid_t v, bool out,
+                       std::vector<vid_t> &recs) const;
     /** Bump the query-path record counters (no-op with telemetry OFF).
      *  One relaxed add per non-zero layer per vertex visit — counts
      *  are batched per visit, never per neighbor. */
@@ -540,7 +604,8 @@ class XPGraph : public GraphStore
     std::thread archiverThread_;
     bool archiverStop_ = false; ///< guarded by archiveMutex_
     std::atomic<bool> archiveRequested_{false};
-    std::atomic<bool> reclaimRequested_{false};
+    uint64_t archivePasses_ = 0; ///< archiver passes run (archiveMutex_)
+    uint64_t viewCloses_ = 0;    ///< views closed (archiveMutex_)
 
     // background compactor (mirrors the archiver's discipline)
     std::condition_variable compactCv_; ///< wakes the compactor

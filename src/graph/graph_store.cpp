@@ -4,6 +4,7 @@
 
 #include "pmem/pmem_device.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/logging.hpp"
 
 namespace xpg {
 
@@ -52,6 +53,14 @@ IngestSession::addEdges(const Edge *edges, uint64_t n)
         XPG_TEL_NAME_THREAD("session-" + std::to_string(id_));
         threadNamed_ = true;
     }
+    // Range-check at the ingest boundary, in the offending client's
+    // thread, before any record reaches a shared log (a plain CPU check,
+    // no simulated cost; a delete flags only dst). The engines' archive
+    // phases keep a backstop assert.
+    const vid_t nv = store_.numVertices();
+    for (uint64_t i = 0; i < n; ++i)
+        XPG_ASSERT(edges[i].src < nv && rawVid(edges[i].dst) < nv,
+                   "edge endpoint out of range");
     const uint64_t traceStart = XPG_TEL_HOST_NOW();
     const AppendCost cost = store_.appendFromClient(node_, edges, n);
     loggingNs_ += cost.loggingNs;

@@ -96,7 +96,9 @@ class GraphView
     /**
      * Invoke @p fn for each live out-neighbor of @p v without
      * materializing a neighbor vector, charging the store's modeled
-     * device reads. The one query primitive stores implement.
+     * device reads. The one query primitive stores implement. @p fn
+     * must not query the view itself: stores may stream the records
+     * from per-thread scratch.
      * @return the number of neighbors visited.
      */
     virtual uint32_t forEachNebrOut(vid_t v, NebrVisitor fn) const = 0;

@@ -9,6 +9,10 @@
  * hash map. Records whose id is never deleted are emitted immediately
  * in arrival order; tracked ids are emitted after the fold (the
  * relative order of survivors under deletes is unspecified, as before).
+ *
+ * visitLiveRecords is the read every store builds on it: a store
+ * describes one vertex's record stream, and the helper decides between
+ * streaming it straight through and gathering it for cancellation.
  */
 
 #ifndef XPG_GRAPH_TOMBSTONES_HPP
@@ -89,6 +93,14 @@ foldTracked(std::span<const vid_t> raw, TombstoneSlot *slots,
     return n;
 }
 
+/** visitLiveRecords' gather buffer: one per thread, all stores. */
+inline std::vector<vid_t> &
+liveScratch()
+{
+    thread_local std::vector<vid_t> raw;
+    return raw;
+}
+
 } // namespace detail
 
 /**
@@ -145,6 +157,29 @@ cancelTombstonesVisit(std::span<const vid_t> raw, F &&fn)
         heap_slots.push_back(detail::TombstoneSlot{id, 0});
     return detail::foldTracked(raw, heap_slots.data(), heap_slots.size(),
                                fn);
+}
+
+/**
+ * The one way a store reads a vertex. @p stream(emit) sends every record
+ * the store holds for the vertex, delete records included, to @p emit in
+ * arrival order and returns how many it sent. Without a delete record
+ * among them (@p has_deletes false) they stream straight to @p fn;
+ * otherwise they are gathered once into a per-thread scratch and
+ * cancelled with cancelTombstonesVisit. The stream runs exactly once on
+ * either path, so its modeled charges do not depend on the branch.
+ * @p fn must not read another vertex (the scratch is per thread).
+ * @return live neighbors emitted.
+ */
+template <typename Stream, typename F>
+inline uint32_t
+visitLiveRecords(bool has_deletes, Stream &&stream, F &&fn)
+{
+    if (!has_deletes)
+        return stream(fn);
+    std::vector<vid_t> &raw = detail::liveScratch();
+    raw.clear();
+    stream([&raw](vid_t rec) { raw.push_back(rec); });
+    return cancelTombstonesVisit(raw, fn);
 }
 
 /**

@@ -18,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
@@ -254,6 +256,70 @@ INSTANTIATE_TEST_SUITE_P(Sessions, ConcurrentIngest,
                          [](const auto &info) {
                              return std::to_string(info.param) + "s";
                          });
+
+// --- log-full waits ---------------------------------------------------------
+
+/**
+ * Two sessions with deletes share one node's log while the background
+ * compactor runs and the test thread churns views that pin the log's
+ * reclaim floor: interleavings in which one session takes the slots a
+ * pass freed for the other, so a session waiting for log space could
+ * be stranded. Each round must finish by a deadline; a stranded session
+ * fails the round instead of hanging the run (the test then frees the
+ * log itself, and a view close wakes every waiter, so the round can
+ * end). Rounds stop starting after a fixed wall-clock budget per
+ * archiving mode.
+ */
+TEST(ConcurrentIngest, LogFullWaitsAlwaysWake)
+{
+    using namespace std::chrono_literals;
+    using Clock = std::chrono::steady_clock;
+    const vid_t nv = 128;
+    const auto edges = generateUniform(nv, 20000, 0x5EED);
+    for (const bool pipelined : {true, false}) {
+        const auto budget = Clock::now() + 2s;
+        for (int round = 0; Clock::now() < budget; ++round) {
+            XPGraphConfig c = smallConfig(nv, 4 * edges.size());
+            c.archiveThreads = 2;
+            c.pipelinedArchiving = pipelined;
+            c.backgroundCompaction = true;
+            XPGraph graph(c);
+            const auto write = [&graph, &edges] {
+                auto session = graph.session(0);
+                for (size_t i = 0; i < edges.size(); i += 64) {
+                    const size_t n = std::min<size_t>(64, edges.size() - i);
+                    session->addEdges(&edges[i], n);
+                    if (i % 1024 == 0)
+                        session->delEdges(&edges[i], n / 2);
+                }
+            };
+            auto a = std::async(std::launch::async, write);
+            auto b = std::async(std::launch::async, write);
+            const auto done = [&] {
+                return a.wait_for(0s) == std::future_status::ready &&
+                       b.wait_for(0s) == std::future_status::ready;
+            };
+            const auto deadline = Clock::now() + 15s;
+            while (!done() && Clock::now() < deadline) {
+                auto view = graph.openView();
+                std::this_thread::sleep_for(1ms);
+            }
+            const bool stranded = !done();
+            if (stranded) {
+                graph.archiveAll();
+                graph.openView().reset();
+            }
+            a.get();
+            b.get();
+            ASSERT_FALSE(stranded)
+                << (pipelined ? "pipelined" : "inline") << " round "
+                << round << ": a session stayed parked on a full log";
+            graph.archiveAll();
+            const IngestStats s = graph.stats();
+            EXPECT_EQ(s.edgesBuffered, s.edgesLogged);
+        }
+    }
+}
 
 // --- session surface -------------------------------------------------------
 

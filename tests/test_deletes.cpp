@@ -294,6 +294,12 @@ TEST(CompactTest, BelowThresholdUntouched)
     graph.archiveAll();
     EXPECT_GE(graph.runCompactionPass(), 1u);
     EXPECT_EQ(graph.degreeOut(1), 0u);
+
+    // Compacting the now-empty chain again writes an empty block from
+    // no records at all; the vertex still reads back empty.
+    graph.compactAdjs(1);
+    EXPECT_EQ(graph.degreeOut(1), 0u);
+    EXPECT_TRUE(sortedNebrsOut(graph, 1).empty());
 }
 
 TEST(CompactTest, ViewSpansCompaction)

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "baselines/graphone.hpp"
 #include "core/xpgraph.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
@@ -164,10 +165,22 @@ TEST(EngineEdgeCases, MaxVertexIdIsUsable)
 
 TEST(EngineEdgeCases, OutOfRangeEdgePanics)
 {
-    XPGraph graph(smallConfig(10, 100));
-    // Range-checked at the append boundary, in the client's thread,
-    // before the record reaches the shared log.
-    EXPECT_DEATH(graph.session(0)->addEdge(10, 0), "out of range");
+    XPGraph xpgraph(smallConfig(10, 100));
+    GraphOneConfig gc;
+    gc.maxVertices = 10;
+    gc.elogCapacityEdges = 1 << 12;
+    gc.archiveThreads = 4;
+    gc.bytesPerNode = graphoneRecommendedBytesPerNode(gc, 100);
+    GraphOne graphone(gc);
+    // Range-checked at the ingest boundary, in the client's thread,
+    // before the record reaches the shared log, on every engine; a
+    // delete's flag passes the check, its endpoint does not.
+    for (GraphStore *graph : {static_cast<GraphStore *>(&xpgraph),
+                              static_cast<GraphStore *>(&graphone)}) {
+        EXPECT_DEATH(graph->session(0)->addEdge(10, 0), "out of range");
+        EXPECT_DEATH(graph->session(0)->delEdge(0, 10), "out of range");
+        graph->session(0)->delEdge(0, 9);
+    }
 }
 
 TEST(EngineEdgeCases, MissingConfigIsRejected)

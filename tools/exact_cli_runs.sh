@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Single-thread CLI exactness runs: generate one dataset's edge file,
+# then run xpgraph_cli thirteen times with --threads 1 — ingest on
+# xpgraph, xpgraph-b, graphone-p, graphone-d and graphone-n, and the
+# bfs/pr/cc/onehop kernels on the default system and on graphone-p.
+# The `loaded ... from <path>` line loses its (temporary) path, so the
+# output depends only on code and dataset.
+#
+#   tools/exact_cli_runs.sh <xpgraph_cli> <dataset>            print
+#   tools/exact_cli_runs.sh <xpgraph_cli> <dataset> <golden>   diff
+#
+# With one thread every simulated number is a pure function of code and
+# input: identical run to run, pinned or on all cores, and with
+# telemetry compiled in or out. The ctest entry `cli_exact_golden`
+# diffs the TT runs against tools/exact_cli_golden.txt; a change that
+# means to move a simulated number regenerates that file with
+#   tools/exact_cli_runs.sh build/tools/xpgraph_cli TT \
+#       > tools/exact_cli_golden.txt
+# and says why.
+set -euo pipefail
+
+cli="$1"
+dataset="$2"
+golden="${3:-}"
+
+work="$(mktemp -d)"
+trap 'rm -rf "${work}"' EXIT
+edges="${work}/edges.bin"
+"${cli}" generate --dataset "${dataset}" --out "${edges}" > /dev/null
+
+runs() {
+    for system in xpgraph xpgraph-b graphone-p graphone-d graphone-n; do
+        "${cli}" ingest --in "${edges}" --threads 1 --system "${system}"
+    done
+    for algo in bfs pr cc onehop; do
+        "${cli}" query --in "${edges}" --threads 1 --algo "${algo}"
+        "${cli}" query --in "${edges}" --threads 1 \
+            --system graphone-p --algo "${algo}"
+    done
+}
+
+runs | sed -E 's#^(loaded .*) from .*$#\1 from <edges>#' > "${work}/runs.txt"
+if [[ -z "${golden}" ]]; then
+    cat "${work}/runs.txt"
+else
+    diff -u "${golden}" "${work}/runs.txt"
+fi
