@@ -64,9 +64,10 @@
 # CLI pipeline with --telemetry and json.tool-validates the trace and
 # metrics files, runs the attribution profiler and asserts its per-cause
 # rows sum back to the device counters (≤0.1%), then builds a
-# -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires the thirteen
-# single-threaded CLI ingest/query runs of tools/exact_cli_runs.sh to
-# print byte-identical output in both trees, and bounds the
+# -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires the
+# single-threaded CLI ingest/query/recover runs of
+# tools/exact_cli_runs.sh to print byte-identical output in both trees,
+# and bounds the
 # median-of-five simulated-time drift between the fig20 flavors at 5%
 # (a single run jitters up to ~5% with thread scheduling on its own; an
 # unchanged tree measures up to ~2.4% median drift).
@@ -486,7 +487,7 @@ EOF
         exit 1
     fi
     rm -f "${exact_on}" "${exact_off}"
-    echo "exact ON-vs-OFF check passed (5 ingest systems, 4 kernels on 2 systems)"
+    echo "exact ON-vs-OFF check passed (5 ingest systems, 4 kernels on 2 systems, retention, recover)"
     # Five interleaved runs per flavor: one fig20 run's aggregate
     # simulated time jitters up to ~5% run to run on the SAME binary
     # (which client thread coordinates each inline archive phase is

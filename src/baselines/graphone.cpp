@@ -167,13 +167,12 @@ GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
     executor_ =
         std::make_unique<ParallelExecutor>(config_.archiveThreads);
     initTelemetry();
-    out_.meta.resize(config_.maxVertices);
-    in_.meta.resize(config_.maxVertices);
-
     const unsigned shards = std::max(
         1u, config_.shardsPerThread * config_.archiveThreads);
-    outShards_.resize(shards);
-    inShards_.resize(shards);
+    for (unsigned d = 0; d < 2; ++d) {
+        meta_[d].resize(config_.maxVertices);
+        shards_[d].resize(shards);
+    }
 }
 
 void
@@ -218,12 +217,6 @@ GraphOne::recover(const GraphOneConfig &config)
     XPG_TRACE_EMIT("recovery.rearchive_log", "recovery", host_start,
                    XPG_TEL_HOST_NOW() - host_start, rearchive_ns);
     return graph;
-}
-
-MemoryDevice &
-GraphOne::interleavedDevice(uint64_t counter) const
-{
-    return *devices_[counter % devices_.size()];
 }
 
 std::string
@@ -341,9 +334,8 @@ GraphOne::archiveAll()
 // --- archiving ---------------------------------------------------------------
 
 void
-GraphOne::ensureCapacity(Direction &dir, vid_t v, uint32_t increment)
+GraphOne::ensureCapacity(VertexMeta &meta, uint32_t increment)
 {
-    VertexMeta &meta = dir.meta[v];
     uint32_t free = 0;
     if (!meta.chunks.empty()) {
         const Chunk &tail = meta.chunks.back();
@@ -370,9 +362,8 @@ GraphOne::ensureCapacity(Direction &dir, vid_t v, uint32_t increment)
 }
 
 void
-GraphOne::appendRecord(Direction &dir, vid_t v, vid_t record)
+GraphOne::appendRecord(VertexMeta &meta, vid_t record)
 {
-    VertexMeta &meta = dir.meta[v];
     XPG_ASSERT(!meta.chunks.empty(), "append without capacity");
     Chunk *chunk = &meta.chunks.back();
     if (chunk->count == chunk->capacity) {
@@ -401,24 +392,22 @@ GraphOne::archiveWorker(unsigned w)
     XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
     NumaBinding::unbindThread();
 
-    // Out-direction: shards partition the src space, so this worker owns
-    // every vertex it touches. Same for in-direction by dst.
-    for (int dir_idx = 0; dir_idx < 2; ++dir_idx) {
-        const bool is_out = dir_idx == 0;
-        Direction &dir = is_out ? out_ : in_;
-        const auto &assign = is_out ? outAssign_ : inAssign_;
-        const auto &shards = is_out ? outShards_ : inShards_;
-        if (w >= assign.size())
+    // Shards partition the side vertices' space (src out, dst in), so
+    // this worker owns every vertex it touches.
+    for (unsigned d = 0; d < 2; ++d) {
+        const bool out = d == 0;
+        if (w >= assign_[d].size())
             continue;
-        const ShardAssignment &a = assign[w];
+        const ShardAssignment &a = assign_[d][w];
+        std::vector<VertexMeta> &meta = meta_[d];
 
         // Pass 1: per-vertex degree increments for this batch.
         t_touched.clear();
         thread_local std::vector<uint32_t> inc;
         inc.resize(config_.maxVertices, 0);
         for (unsigned s = a.firstShard; s < a.lastShard; ++s) {
-            for (const Edge &e : shards[s]) {
-                const vid_t v = is_out ? e.src : rawVid(e.dst);
+            for (const Edge &e : shards_[d][s]) {
+                const vid_t v = sideVertex(e, out);
                 chargeDramRandom(sizeof(uint32_t));
                 if (inc[v]++ == 0)
                     t_touched.push_back(v);
@@ -426,18 +415,11 @@ GraphOne::archiveWorker(unsigned w)
         }
         // Pass 2: allocate chunk space per touched vertex.
         for (vid_t v : t_touched)
-            ensureCapacity(dir, v, inc[v]);
+            ensureCapacity(meta[v], inc[v]);
         // Pass 3: append every edge's record individually.
         for (unsigned s = a.firstShard; s < a.lastShard; ++s) {
-            for (const Edge &e : shards[s]) {
-                if (is_out) {
-                    appendRecord(dir, e.src, e.dst);
-                } else {
-                    const vid_t rec =
-                        isDelete(e.dst) ? asDelete(e.src) : e.src;
-                    appendRecord(dir, rawVid(e.dst), rec);
-                }
-            }
+            for (const Edge &e : shards_[d][s])
+                appendRecord(meta[sideVertex(e, out)], sideRecord(e, out));
         }
         for (vid_t v : t_touched)
             inc[v] = 0;
@@ -469,22 +451,20 @@ GraphOne::runArchivePhaseLocked()
     }
 
     // Shard by src (out) and by dst (in) into temporary ranged edge lists.
-    for (auto &list : outShards_)
-        list.clear();
-    for (auto &list : inShards_)
-        list.clear();
+    for (auto &shards : shards_)
+        for (auto &list : shards)
+            list.clear();
     const uint64_t nv = config_.maxVertices;
     for (const Edge &e : batch_) {
         XPG_ASSERT(rawVid(e.src) < nv && rawVid(e.dst) < nv,
                    "edge endpoint out of range");
-        outShards_[(uint64_t{e.src} * outShards_.size()) / nv]
-            .push_back(e);
-        inShards_[(uint64_t{rawVid(e.dst)} * inShards_.size()) / nv]
-            .push_back(e);
+        for (unsigned d = 0; d < 2; ++d)
+            shards_[d][shardOf(sideVertex(e, d == 0), nv, shards_[d].size())]
+                .push_back(e);
     }
     chargeDramSequential(batch_.size() * sizeof(Edge) * 3);
-    outAssign_ = EdgeSharder::assign(outShards_, config_.archiveThreads);
-    inAssign_ = EdgeSharder::assign(inShards_, config_.archiveThreads);
+    for (unsigned d = 0; d < 2; ++d)
+        assign_[d] = assignShards(shards_[d], config_.archiveThreads);
 
     // Archive-write load spreads over the devices holding the chunks
     // (one for the mmap'd PMEM variants, all nodes when interleaved).
@@ -511,14 +491,13 @@ GraphOne::runArchivePhaseLocked()
 
 // --- queries -----------------------------------------------------------------
 
-/** Stream v's live records through visitLiveRecords: its chunks in
+/** Stream a vertex's live records through visitLiveRecords: its chunks in
  *  order, each charged as one file-system read of its records. */
 template <typename F>
 uint32_t
-GraphOne::visitDirection(const Direction &dir, vid_t v, F &&fn) const
+GraphOne::visitVertex(const VertexMeta &meta, F &&fn) const
 {
     XPG_ATTR_SCOPE(attrScope, QueryRead);
-    const VertexMeta &meta = dir.meta[v];
     return visitLiveRecords(
         meta.tombstones != 0,
         [&](auto &&emit) {
@@ -540,11 +519,10 @@ GraphOne::visitDirection(const Direction &dir, vid_t v, F &&fn) const
 }
 
 uint32_t
-GraphOne::degreeOfDir(const Direction &dir, vid_t v) const
+GraphOne::degreeOf(const VertexMeta &meta) const
 {
-    const VertexMeta &meta = dir.meta[v];
     if (meta.tombstones != 0)
-        return visitDirection(dir, v, [](vid_t) {}); // full charge
+        return visitVertex(meta, [](vid_t) {}); // full charge
     chargeDramScattered(1); // one vertex-meta cache line
     return meta.records;
 }
@@ -552,25 +530,25 @@ GraphOne::degreeOfDir(const Direction &dir, vid_t v) const
 uint32_t
 GraphOne::forEachNebrOut(vid_t v, NebrVisitor fn) const
 {
-    return visitDirection(out_, v, fn);
+    return visitVertex(meta_[0][v], fn);
 }
 
 uint32_t
 GraphOne::forEachNebrIn(vid_t v, NebrVisitor fn) const
 {
-    return visitDirection(in_, v, fn);
+    return visitVertex(meta_[1][v], fn);
 }
 
 uint32_t
 GraphOne::degreeOut(vid_t v) const
 {
-    return degreeOfDir(out_, v);
+    return degreeOf(meta_[0][v]);
 }
 
 uint32_t
 GraphOne::degreeIn(vid_t v) const
 {
-    return degreeOfDir(in_, v);
+    return degreeOf(meta_[1][v]);
 }
 
 uint64_t
@@ -579,8 +557,8 @@ GraphOne::vertexWeight(vid_t v) const
     // Gathered by the query scheduler in one ascending-id bulk sweep of
     // the per-vertex metadata.
     chargeDramSequential(2 * kCacheLineSize);
-    return kVertexFixedWeight + uint64_t{out_.meta[v].records} +
-           in_.meta[v].records;
+    return kVertexFixedWeight + uint64_t{meta_[0][v].records} +
+           meta_[1][v].records;
 }
 
 void
@@ -660,14 +638,14 @@ GraphOne::memoryUsage() const
 {
     std::lock_guard<std::mutex> lock(archiveMutex_);
     MemoryUsage mu;
-    for (const Direction *dir : {&out_, &in_}) {
-        mu.metaBytes += dir->meta.capacity() * sizeof(VertexMeta);
-        for (const auto &meta : dir->meta)
+    for (const auto &metas : meta_) {
+        mu.metaBytes += metas.capacity() * sizeof(VertexMeta);
+        for (const auto &meta : metas)
             mu.metaBytes += meta.chunks.capacity() * sizeof(Chunk);
     }
     mu.metaBytes += batch_.capacity() * sizeof(Edge);
-    for (const auto &shards : {&outShards_, &inShards_})
-        for (const auto &list : *shards)
+    for (const auto &shards : shards_)
+        for (const auto &list : shards)
             mu.metaBytes += list.capacity() * sizeof(Edge);
     for (const auto &alloc : allocators_)
         mu.pblkBytes += alloc->used();

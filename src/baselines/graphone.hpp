@@ -183,21 +183,15 @@ class GraphOne : public GraphStore
         uint32_t tombstones = 0; ///< delete records among them
     };
 
-    struct Direction
-    {
-        std::vector<VertexMeta> meta;
-    };
-
     GraphOne(const GraphOneConfig &config, bool recovering);
 
     /** Resolve cached telemetry handles (null with telemetry OFF). */
     void initTelemetry();
 
-    MemoryDevice &interleavedDevice(uint64_t counter) const;
     std::string backingPath(unsigned node) const;
     void chargeFileIo(uint64_t bytes) const;
-    void ensureCapacity(Direction &dir, vid_t v, uint32_t increment);
-    void appendRecord(Direction &dir, vid_t v, vid_t record);
+    void ensureCapacity(VertexMeta &meta, uint32_t increment);
+    void appendRecord(VertexMeta &meta, vid_t record);
 
     // --- concurrent logging (sessions) ---
     /** Append to the shared log; archive phases this client runs inline
@@ -211,8 +205,8 @@ class GraphOne : public GraphStore
     void runArchivePhaseLocked();
     void archiveWorker(unsigned w);
     template <typename F>
-    uint32_t visitDirection(const Direction &dir, vid_t v, F &&fn) const;
-    uint32_t degreeOfDir(const Direction &dir, vid_t v) const;
+    uint32_t visitVertex(const VertexMeta &meta, F &&fn) const;
+    uint32_t degreeOf(const VertexMeta &meta) const;
 
     GraphOneConfig config_;
     std::vector<std::unique_ptr<MemoryDevice>> devices_;
@@ -223,8 +217,8 @@ class GraphOne : public GraphStore
     std::unique_ptr<ParallelExecutor> executor_;
     SystemAllocatorModel sysAlloc_;
 
-    Direction out_;
-    Direction in_;
+    /// per direction (0 = out, 1 = in): per-vertex adjacency metadata
+    std::vector<VertexMeta> meta_[2];
 
     /**
      * The one shared edge log, XPGraph's CircularEdgeLog: sessions
@@ -239,12 +233,11 @@ class GraphOne : public GraphStore
     /** Serializes archive phases and the scratch below. */
     mutable std::mutex archiveMutex_;
 
-    // archive-phase scratch (guarded by archiveMutex_)
+    // archive-phase scratch (guarded by archiveMutex_); the shard lists
+    // and their worker assignment are per direction, like meta_
     std::vector<Edge> batch_;
-    std::vector<std::vector<Edge>> outShards_;
-    std::vector<std::vector<Edge>> inShards_;
-    std::vector<ShardAssignment> outAssign_;
-    std::vector<ShardAssignment> inAssign_;
+    std::vector<std::vector<Edge>> shards_[2];
+    std::vector<ShardAssignment> assign_[2];
 
     // stats (relaxed atomics: updated from concurrent sessions)
     std::atomic<uint64_t> archivingNs_{0};

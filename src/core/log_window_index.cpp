@@ -37,13 +37,10 @@ LogWindowIndex::ensureCurrent()
 
     if (!built_.load(std::memory_order_relaxed)) {
         ring_ = std::make_unique<Entry[]>(capacity_);
-        outHead_ =
-            std::make_unique<std::atomic<uint64_t>[]>(numVertices_);
-        inHead_ =
-            std::make_unique<std::atomic<uint64_t>[]>(numVertices_);
-        for (vid_t v = 0; v < numVertices_; ++v) {
-            outHead_[v].store(kNone, std::memory_order_relaxed);
-            inHead_[v].store(kNone, std::memory_order_relaxed);
+        for (auto &heads : heads_) {
+            heads = std::make_unique<std::atomic<uint64_t>[]>(numVertices_);
+            for (vid_t v = 0; v < numVertices_; ++v)
+                heads[v].store(kNone, std::memory_order_relaxed);
         }
         built_.store(true, std::memory_order_release);
     }
@@ -63,12 +60,13 @@ LogWindowIndex::ensureCurrent()
         // slot being rewritten is never concurrently readable — its old
         // position is below the log's reclaim floor (lap safety).
         e.edge = edge;
-        e.prevOut = outHead_[edge.src].load(std::memory_order_relaxed);
-        const vid_t dst = rawVid(edge.dst);
-        e.prevIn = inHead_[dst].load(std::memory_order_relaxed);
+        for (unsigned d = 0; d < 2; ++d)
+            e.prev[d] = heads_[d][sideVertex(edge, d == 0)].load(
+                std::memory_order_relaxed);
         e.pos.store(pos, std::memory_order_release);
-        outHead_[edge.src].store(pos, std::memory_order_release);
-        inHead_[dst].store(pos, std::memory_order_release);
+        for (unsigned d = 0; d < 2; ++d)
+            heads_[d][sideVertex(edge, d == 0)].store(
+                pos, std::memory_order_release);
     }
     indexedUpTo_.store(target, std::memory_order_release);
 }

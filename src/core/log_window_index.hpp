@@ -5,10 +5,11 @@
  * used to pay per queried vertex.
  *
  * Layout: a DRAM ring of Entry records, one slot per log position
- * (slot = pos % capacity), plus per-vertex newest-position heads for the
- * out and in directions. Each entry chains to the previous log position
- * of the same source (prevOut) and destination (prevIn), so a vertex's
- * window records are reachable in O(degree-in-window).
+ * (slot = pos % capacity), plus per-vertex newest-position heads for
+ * each direction. Each entry chains, per direction, to the previous log
+ * position of the same side vertex (sideVertex: the source, or the
+ * destination), so a vertex's window records are reachable in
+ * O(degree-in-window).
  *
  * The index is maintained incrementally and lazily: ensureCurrent()
  * extends it from the last indexed position to head() (reading only the
@@ -63,10 +64,9 @@ class LogWindowIndex
     void ensureCurrent();
 
     /**
-     * Visit the @p out (else in) records of @p v whose log position lies
-     * in [low, high), newest first (callers wanting log order reverse
-     * the collected result). An in-record is the stored source,
-     * delete-flagged when the edge was a deletion. Positions at or above
+     * Visit the @p out (else in) records (sideRecord) of @p v whose log
+     * position lies in [low, high), newest first (callers wanting log
+     * order reverse the collected result). Positions at or above
      * @p high (published after a view opened) are skipped by following
      * the chain through them; traversal stops below @p low. The index
      * must cover [low, high): live readers run ensureCurrent() and pass
@@ -82,26 +82,20 @@ class LogWindowIndex
     {
         if (!built_.load(std::memory_order_acquire))
             return 0; // index never built: window was empty
-        const std::atomic<uint64_t> *heads =
-            out ? outHead_.get() : inHead_.get();
+        const unsigned d = out ? 0 : 1;
         chargeDramScattered(1); // head lookup
         uint32_t n = 0;
-        uint64_t pos = heads[v].load(std::memory_order_acquire);
+        uint64_t pos = heads_[d][v].load(std::memory_order_acquire);
         while (pos != kNone && pos >= low) {
             const Entry &e = ring_[pos % capacity_];
             if (e.pos.load(std::memory_order_acquire) != pos)
                 break; // slot reused by a lapped position: chain stale
             chargeDramScattered(1); // random ring-slot access
             if (pos < high) {
-                if (out) {
-                    fn(e.edge.dst);
-                } else {
-                    fn(isDelete(e.edge.dst) ? asDelete(e.edge.src)
-                                            : e.edge.src);
-                }
+                fn(sideRecord(e.edge, out));
                 ++n;
             }
-            pos = out ? e.prevOut : e.prevIn;
+            pos = e.prev[d];
         }
         return n;
     }
@@ -113,8 +107,9 @@ class LogWindowIndex
     {
         Edge edge{};      ///< the logged edge (dst carries delete flag)
         std::atomic<uint64_t> pos{kNone}; ///< log position in this slot
-        uint64_t prevOut = kNone; ///< previous window position of src
-        uint64_t prevIn = kNone;  ///< previous window pos of rawVid(dst)
+        /// per direction (0 = out, 1 = in): previous window position of
+        /// the edge's side vertex
+        uint64_t prev[2] = {kNone, kNone};
     };
 
     const CircularEdgeLog *log_;
@@ -124,8 +119,8 @@ class LogWindowIndex
     /** Set (release) once ring_/heads are allocated; readers acquire. */
     std::atomic<bool> built_{false};
     std::unique_ptr<Entry[]> ring_; ///< slot = pos % capacity_
-    std::unique_ptr<std::atomic<uint64_t>[]> outHead_; ///< newest/src
-    std::unique_ptr<std::atomic<uint64_t>[]> inHead_;  ///< newest/dst
+    /// per direction: newest window position per side vertex
+    std::unique_ptr<std::atomic<uint64_t>[]> heads_[2];
     std::atomic<uint64_t> indexedUpTo_{0};
     std::mutex buildMutex_;
     std::vector<Edge> buildScratch_;

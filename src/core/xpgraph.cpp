@@ -225,7 +225,7 @@ XPGraph::XPGraph(const XPGraphConfig &config)
 XPGraph::XPGraph(const XPGraphConfig &config, bool recovering,
                  RecoveryReport *report)
     : GraphStore("xpgraph"), config_(config.validated(recovering)),
-      recoveryReport_(report)
+      recoveryReport_(report), parts_(config_.numNodes)
 {
     PoolConfig pool_config;
     pool_config.bulkSize = config_.poolBulkBytes;
@@ -243,22 +243,39 @@ XPGraph::XPGraph(const XPGraphConfig &config, bool recovering,
     const unsigned p = config_.numNodes;
     logIndexes_.resize(p);
     phaseUpTo_.resize(p, 0);
-    outShards_.resize(p);
-    inShards_.resize(p);
-    outAssign_.resize(p);
-    inAssign_.resize(p);
-    for (unsigned node = 0; node < p; ++node) {
-        const unsigned shards =
-            std::max(1u, config_.shardsPerThread * slotsOnNode(node));
-        outShards_[node].resize(shards);
-        inShards_[node].resize(shards);
+    for (unsigned d = 0; d < 2; ++d) {
+        shards_[d].resize(p);
+        assign_[d].resize(p);
+        for (unsigned node = 0; node < p; ++node)
+            shards_[d][node].resize(
+                std::max(1u, config_.shardsPerThread * slotsOnNode(node)));
     }
 
     initWatchdog();
     if (config_.pipelinedArchiving)
-        startArchiver();
-    if (config_.backgroundCompaction)
-        startCompactor();
+        startBackground(archiver_, "archiver",
+                        [this](std::unique_lock<std::mutex> &) {
+                            archivePassLocked();
+                        });
+    if (config_.backgroundCompaction) {
+        // debugWedgeCompactor (watchdog tests, `xpgraph_cli watch
+        // --wedge-compactor`): the first pass, requested at once, stays
+        // busy without beating until stop — exactly what a wedged loop
+        // looks like from the outside. Still stoppable, so teardown
+        // stays clean.
+        compactor_.requested = config_.debugWedgeCompactor;
+        startBackground(compactor_, "compactor",
+                        [this](std::unique_lock<std::mutex> &lock) {
+                            if (!config_.debugWedgeCompactor) {
+                                compactCandidatesLocked();
+                                return;
+                            }
+                            XPG_EVENT(Warn, Compaction, "compactor_wedged",
+                                      0, 0);
+                            compactor_.cv.wait(
+                                lock, [&] { return compactor_.stop; });
+                        });
+    }
     if (config_.watchdogMonitor)
         watchdog_.start(uint64_t{config_.watchdogIntervalMs} * 1'000'000);
 }
@@ -268,9 +285,9 @@ XPGraph::initWatchdog()
 {
     const uint64_t stall_ns = uint64_t{config_.watchdogStallMs} * 1'000'000;
     if (config_.pipelinedArchiving)
-        hbArchiver_ = watchdog_.registerHeartbeat("archiver", stall_ns);
+        archiver_.hb = watchdog_.registerHeartbeat("archiver", stall_ns);
     if (config_.backgroundCompaction)
-        hbCompactor_ = watchdog_.registerHeartbeat("compactor", stall_ns);
+        compactor_.hb = watchdog_.registerHeartbeat("compactor", stall_ns);
     // One shared cell for every ingest session: beat-only (sessions
     // never toggle busy — a shared flag would flap across threads), so
     // it can never read as Stalled by itself; blocked writers surface
@@ -395,10 +412,10 @@ XPGraph::initTelemetry()
 
 template <typename F>
 void
-XPGraph::forWorkerSlots(unsigned w, F &&fn)
+XPGraph::forWorkerSlots(unsigned w, unsigned workers, F &&fn)
 {
     const unsigned p = config_.numNodes;
-    for (unsigned s = w; s < virtualSlots(); s += config_.archiveThreads) {
+    for (unsigned s = w; s < virtualSlots(); s += workers) {
         const WorkerSlot slot{s % p, s / p, slotsOnNode(s % p)};
         if (queryBindingEnabled())
             NumaBinding::bindThread(static_cast<int>(slot.node), false);
@@ -429,11 +446,10 @@ XPGraph::~XPGraph()
 {
     XPG_ASSERT(openSessions() == 0,
                "destroying XPGraph with open ingestion sessions");
-    XPG_ASSERT(viewBoundaries_.empty(),
-               "destroying XPGraph with open read views");
+    XPG_ASSERT(views_.empty(), "destroying XPGraph with open read views");
     watchdog_.stop(); // monitor first: no health checks during teardown
-    stopCompactor();
-    stopArchiver();
+    stopBackground(compactor_);
+    stopBackground(archiver_);
 }
 
 std::string
@@ -479,20 +495,12 @@ XPGraph::makeDevice(unsigned node, bool recovering) const
 void
 XPGraph::computeLayout(unsigned node, Partition &part) const
 {
+    // OutInGraph keeps each side whole on its owner node (one node holds
+    // both); the other placements give every node its share of both.
     const unsigned p = config_.numNodes;
-    uint64_t out_slots;
-    uint64_t in_slots;
-    if (config_.placement == NumaPlacement::OutInGraph && p == 2) {
-        out_slots = node == 0 ? config_.maxVertices : 0;
-        in_slots = node == 1 ? config_.maxVertices : 0;
-    } else if (config_.placement == NumaPlacement::OutInGraph) {
-        out_slots = config_.maxVertices;
-        in_slots = config_.maxVertices;
-    } else {
-        const uint64_t per = (config_.maxVertices + p - 1) / p;
-        out_slots = per;
-        in_slots = per;
-    }
+    const bool out_in = config_.placement == NumaPlacement::OutInGraph;
+    const uint64_t per =
+        out_in ? config_.maxVertices : (config_.maxVertices + p - 1) / p;
 
     // Every node hosts its own edge log (S III-D): the sessions bound to
     // the node append locally, so remote log traffic disappears.
@@ -500,13 +508,14 @@ XPGraph::computeLayout(unsigned node, Partition &part) const
     cursor += alignUp(
         CircularEdgeLog::regionBytes(config_.elogCapacityEdges),
         kXPLineSize);
-    part.outSlots = out_slots;
-    part.inSlots = in_slots;
-    part.outIndexOff = cursor;
-    cursor += alignUp(AdjacencyStore::indexBytes(out_slots), kXPLineSize);
-    part.inIndexOff = cursor;
-    cursor += alignUp(AdjacencyStore::indexBytes(in_slots), kXPLineSize);
-    part.indexBytes = cursor - part.outIndexOff;
+    const uint64_t index_start = cursor;
+    for (unsigned d = 0; d < 2; ++d) {
+        part.slots[d] = out_in && owner(0, d == 0) != node ? 0 : per;
+        part.indexOff[d] = cursor;
+        cursor += alignUp(AdjacencyStore::indexBytes(part.slots[d]),
+                          kXPLineSize);
+    }
+    part.indexBytes = cursor - index_start;
 
     if (cursor >= config_.pmemBytesPerNode) {
         XPG_FATAL("pmemBytesPerNode too small for metadata; use "
@@ -527,7 +536,6 @@ XPGraph::recoveryFail(RecoveryStatus status, const std::string &msg)
 bool
 XPGraph::initPartitions(bool recovering)
 {
-    parts_.resize(config_.numNodes);
     for (unsigned node = 0; node < config_.numNodes; ++node) {
         Partition &part = parts_[node];
         if (recovering && !config_.backingDir.empty()) {
@@ -546,11 +554,7 @@ XPGraph::initPartitions(bool recovering)
         computeLayout(node, part);
 
         const uint64_t log_region_off = kSuperblockBytes;
-        const uint64_t alloc_start = alignUp(
-            part.inIndexOff +
-                alignUp(AdjacencyStore::indexBytes(part.inSlots),
-                        kXPLineSize),
-            kXPLineSize);
+        const uint64_t alloc_start = part.indexOff[0] + part.indexBytes;
 
         if (recovering) {
             XPG_ATTR_SCOPE(attrScope, RecoveryReplay);
@@ -602,10 +606,10 @@ XPGraph::initPartitions(bool recovering)
             sb.maxVertices = config_.maxVertices;
             sb.logOff = log_region_off;
             sb.logCapacityEdges = config_.elogCapacityEdges;
-            sb.outIndexOff = part.outIndexOff;
-            sb.outSlots = part.outSlots;
-            sb.inIndexOff = part.inIndexOff;
-            sb.inSlots = part.inSlots;
+            sb.outIndexOff = part.indexOff[0];
+            sb.outSlots = part.slots[0];
+            sb.inIndexOff = part.indexOff[1];
+            sb.inSlots = part.slots[1];
             sb.allocStart = alloc_start;
             sb.configFingerprint = config_.geometryFingerprint();
             sb.generation = 1;
@@ -626,21 +630,16 @@ XPGraph::initPartitions(bool recovering)
 
         const CompressionPolicy compression{config_.compressAdjacency,
                                             config_.compressMinDegree};
-        if (part.outSlots > 0) {
-            part.out = std::make_unique<Side>();
-            part.out->store = std::make_unique<AdjacencyStore>(
-                *part.dev, *part.alloc, part.outIndexOff, part.outSlots,
+        for (unsigned d = 0; d < 2; ++d) {
+            if (part.slots[d] == 0)
+                continue;
+            auto &side = part.sides[d];
+            side = std::make_unique<Side>();
+            side->store = std::make_unique<AdjacencyStore>(
+                *part.dev, *part.alloc, part.indexOff[d], part.slots[d],
                 config_.proactiveFlush && config_.memKind == MemKind::Pmem,
                 compression);
-            part.out->states.resize(part.outSlots);
-        }
-        if (part.inSlots > 0) {
-            part.in = std::make_unique<Side>();
-            part.in->store = std::make_unique<AdjacencyStore>(
-                *part.dev, *part.alloc, part.inIndexOff, part.inSlots,
-                config_.proactiveFlush && config_.memKind == MemKind::Pmem,
-                compression);
-            part.in->states.resize(part.inSlots);
+            side->states.resize(part.slots[d]);
         }
     }
     return true;
@@ -721,7 +720,7 @@ XPGraph::scanCompactionJournals(RecoveryReport *report)
                 continue;
             }
             ++in_flight;
-            Side *side = e.side == 0 ? part.out.get() : part.in.get();
+            Side *side = e.side < 2 ? part.sides[e.side].get() : nullptr;
             if (report && side && e.slot < side->states.size()) {
                 // Committed iff the persisted index head reached the
                 // new chain; the old chain is then unreachable garbage
@@ -768,10 +767,9 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
         // Scopes are thread-local, so the tag must be planted in each
         // worker body, not around the executor_->run() call.
         XPG_ATTR_SCOPE(attrScope, RecoveryReplay);
-        forWorkerSlots(w, [&](const WorkerSlot &ws) {
-            Partition &part = parts_[ws.node];
+        forWorkerSlots(w, config_.archiveThreads, [&](const WorkerSlot &ws) {
             ChainScan &scan = scans[static_cast<size_t>(w) * p + ws.node];
-            for (Side *side : {part.out.get(), part.in.get()}) {
+            for (const auto &side : parts_[ws.node].sides) {
                 if (!side)
                     continue;
                 const auto [begin, end] = ws.slice(side->states.size());
@@ -866,26 +864,20 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
                     ++report->logEdgesSkipped;
                 continue;
             }
-            {
-                Side &side = *parts_[outOwner(e.src)].out;
-                const uint64_t slot = outSlot(e.src);
-                VertexState &st = side.states[slot];
-                if (!side.store->contains(st.chain, e.dst)) {
-                    insertBuffered(side, slot, e.dst);
-                    if (report)
+            // The out-side record decides the replay counters.
+            for (unsigned d = 0; d < 2; ++d) {
+                const bool out = d == 0;
+                const vid_t v = sideVertex(e, out);
+                const vid_t rec = sideRecord(e, out);
+                Side &side = *parts_[owner(v, out)].sides[d];
+                const uint64_t slot = slotOf(v);
+                if (!side.store->contains(side.states[slot].chain, rec)) {
+                    insertBuffered(side, slot, rec);
+                    if (out && report)
                         ++report->edgesReplayed;
-                } else if (report) {
+                } else if (out && report) {
                     ++report->edgesDeduped;
                 }
-            }
-            {
-                const vid_t in_rec =
-                    isDelete(e.dst) ? asDelete(e.src) : e.src;
-                Side &side = *parts_[inOwner(rawVid(e.dst))].in;
-                const uint64_t slot = inSlot(rawVid(e.dst));
-                VertexState &st = side.states[slot];
-                if (!side.store->contains(st.chain, in_rec))
-                    insertBuffered(side, slot, in_rec);
             }
         }
     }
@@ -895,45 +887,31 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
 // --- placement -----------------------------------------------------------
 
 unsigned
-XPGraph::outOwner(vid_t v) const
+XPGraph::owner(vid_t v, bool out) const
 {
     if (config_.placement == NumaPlacement::OutInGraph)
-        return 0;
-    return rawVid(v) % config_.numNodes;
-}
-
-unsigned
-XPGraph::inOwner(vid_t v) const
-{
-    if (config_.placement == NumaPlacement::OutInGraph)
-        return config_.numNodes >= 2 ? 1 : 0;
+        return out || config_.numNodes < 2 ? 0 : 1;
     return rawVid(v) % config_.numNodes;
 }
 
 uint64_t
-XPGraph::outSlot(vid_t v) const
+XPGraph::slotOf(vid_t v) const
 {
     if (config_.placement == NumaPlacement::OutInGraph)
         return rawVid(v);
     return rawVid(v) / config_.numNodes;
 }
 
-uint64_t
-XPGraph::inSlot(vid_t v) const
-{
-    return outSlot(v);
-}
-
 int
 XPGraph::nodeOfOut(vid_t v) const
 {
-    return static_cast<int>(outOwner(v));
+    return static_cast<int>(owner(v, true));
 }
 
 int
 XPGraph::nodeOfIn(vid_t v) const
 {
-    return static_cast<int>(inOwner(v));
+    return static_cast<int>(owner(v, false));
 }
 
 // --- updating ------------------------------------------------------------
@@ -1020,8 +998,7 @@ bool
 XPGraph::requestArchive(uint64_t &inline_ns)
 {
     if (config_.pipelinedArchiving) {
-        archiveRequested_.store(true, std::memory_order_relaxed);
-        archiveCv_.notify_one();
+        archiver_.request();
         return false;
     }
     std::unique_lock<std::mutex> lock(archiveMutex_, std::try_to_lock);
@@ -1055,8 +1032,7 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
             inline_ns += archivePhaseNsLocked() - before;
             if (log.freeSlots() > 0)
                 break;
-            XPG_ASSERT(viewsPinned_,
-                       "flush-all failed to reclaim log");
+            XPG_ASSERT(!views_.empty(), "flush-all failed to reclaim log");
             const uint64_t wait_start = XPG_TEL_HOST_NOW();
             const uint64_t closes = viewCloses_;
             enterBackpressure(node);
@@ -1080,19 +1056,17 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
     const uint64_t wait_start = XPG_TEL_HOST_NOW();
     enterBackpressure(node);
     bool had_space = false;
-    while (!had_space && !archiverStop_) {
+    while (!had_space && !archiver_.stop) {
         // A pass can free slots here: records to buffer, or (without a
         // battery) buffered records a flush would reclaim.
         if (log.nonBuffered() > 0 ||
-            (!config_.batteryBacked && log.unflushed() > 0)) {
-            archiveRequested_.store(true, std::memory_order_relaxed);
-            archiveCv_.notify_one();
-        }
+            (!config_.batteryBacked && log.unflushed() > 0))
+            archiver_.request();
         const uint64_t passes = archivePasses_;
         const uint64_t closes = viewCloses_;
         spaceCv_.wait(lock, [&] {
             had_space = log.freeSlots() > 0;
-            return had_space || archiverStop_ ||
+            return had_space || archiver_.stop ||
                    archivePasses_ != passes || viewCloses_ != closes;
         });
     }
@@ -1103,127 +1077,67 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
                "store shut down while a session was blocked on log space");
 }
 
-// --- background archiver ---------------------------------------------------
+// --- background passes: the archiver, the compactor (DESIGN.md §13) ------
 
 void
-XPGraph::startArchiver()
+XPGraph::startBackground(Background &bg, const char *name, Pass pass)
 {
-    archiverThread_ = std::thread([this] { archiverLoop(); });
-}
-
-void
-XPGraph::stopArchiver()
-{
-    if (!archiverThread_.joinable())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(archiveMutex_);
-        archiverStop_ = true;
-    }
-    archiveCv_.notify_all();
-    archiverThread_.join();
-}
-
-void
-XPGraph::archiverLoop()
-{
-    XPG_TEL_NAME_THREAD("archiver");
-    std::unique_lock<std::mutex> lock(archiveMutex_);
-    while (!archiverStop_) {
-        if (hbArchiver_)
-            hbArchiver_->busy(false); // parked = healthy, however long
-        archiveCv_.wait(lock, [&] {
-            return archiverStop_ ||
-                   archiveRequested_.load(std::memory_order_relaxed);
-        });
-        if (archiverStop_)
-            break;
-        if (hbArchiver_)
-            hbArchiver_->busy(true);
-        archiveRequested_.store(false, std::memory_order_relaxed);
-        runBufferingPhaseLocked(/*capped=*/true);
-        if (hbArchiver_)
-            hbArchiver_->beat(); // long drains: beat between phases
-        // A session waiting on a log this pass left full gets slots only
-        // from a flush (battery mode freed them at markBuffered). Flush
-        // now, whatever asked for the pass: the waiter's own request may
-        // have been served by an earlier pass whose freed slots another
-        // session took.
-        bool flush = false;
-        if (backpressureWaiters_.load(std::memory_order_relaxed) > 0 &&
-            !config_.batteryBacked) {
-            for (const auto &part : parts_)
-                flush |= part.log->freeSlots() == 0 &&
-                         part.log->unflushed() > 0;
+    bg.thread = std::thread([this, &bg, name, pass = std::move(pass)] {
+        XPG_TEL_NAME_THREAD(name);
+        std::unique_lock<std::mutex> lock(archiveMutex_);
+        while (!bg.stop) {
+            if (bg.hb)
+                bg.hb->busy(false); // parked = healthy, however long
+            bg.cv.wait(lock, [&] {
+                return bg.stop ||
+                       bg.requested.load(std::memory_order_relaxed);
+            });
+            if (bg.stop)
+                break;
+            if (bg.hb)
+                bg.hb->busy(true);
+            bg.requested.store(false, std::memory_order_relaxed);
+            pass(lock);
         }
-        if (flush)
-            runFlushAllLocked(/*release_buffers=*/false);
-        ++archivePasses_;
-        spaceCv_.notify_all();
-    }
-    spaceCv_.notify_all();
-}
-
-// --- background compactor (DESIGN.md §13) ---------------------------------
-
-void
-XPGraph::startCompactor()
-{
-    compactorThread_ = std::thread([this] { compactorLoop(); });
+    });
 }
 
 void
-XPGraph::stopCompactor()
+XPGraph::stopBackground(Background &bg)
 {
-    if (!compactorThread_.joinable())
+    if (!bg.thread.joinable())
         return;
     {
         std::lock_guard<std::mutex> lock(archiveMutex_);
-        compactorStop_ = true;
+        bg.stop = true;
     }
-    compactCv_.notify_all();
-    compactorThread_.join();
+    bg.cv.notify_all();
+    bg.thread.join();
+    spaceCv_.notify_all(); // log-space waiters give up on a stopped archiver
 }
 
 void
-XPGraph::kickCompactorLocked()
+XPGraph::archivePassLocked()
 {
-    if (!compactorThread_.joinable())
-        return;
-    compactRequested_.store(true, std::memory_order_relaxed);
-    compactCv_.notify_one();
-}
-
-void
-XPGraph::compactorLoop()
-{
-    XPG_TEL_NAME_THREAD("compactor");
-    std::unique_lock<std::mutex> lock(archiveMutex_);
-    if (config_.debugWedgeCompactor) {
-        // Deliberate stall (watchdog tests, `xpgraph_cli watch
-        // --wedge-compactor`): declare busy, then never beat or take
-        // work again — exactly what a wedged loop looks like from the
-        // outside. Still stoppable, so teardown stays clean.
-        if (hbCompactor_)
-            hbCompactor_->busy(true);
-        XPG_EVENT(Warn, Compaction, "compactor_wedged", 0, 0);
-        compactCv_.wait(lock, [&] { return compactorStop_; });
-        return;
+    runBufferingPhaseLocked(/*capped=*/true);
+    if (archiver_.hb)
+        archiver_.hb->beat(); // long drains: beat between phases
+    // A session waiting on a log this pass left full gets slots only
+    // from a flush (battery mode freed them at markBuffered). Flush
+    // now, whatever asked for the pass: the waiter's own request may
+    // have been served by an earlier pass whose freed slots another
+    // session took.
+    bool flush = false;
+    if (backpressureWaiters_.load(std::memory_order_relaxed) > 0 &&
+        !config_.batteryBacked) {
+        for (const auto &part : parts_)
+            flush |= part.log->freeSlots() == 0 &&
+                     part.log->unflushed() > 0;
     }
-    while (!compactorStop_) {
-        if (hbCompactor_)
-            hbCompactor_->busy(false);
-        compactCv_.wait(lock, [&] {
-            return compactorStop_ ||
-                   compactRequested_.load(std::memory_order_relaxed);
-        });
-        if (compactorStop_)
-            break;
-        if (hbCompactor_)
-            hbCompactor_->busy(true);
-        compactRequested_.store(false, std::memory_order_relaxed);
-        compactCandidatesLocked();
-    }
+    if (flush)
+        runFlushAllLocked(/*release_buffers=*/false);
+    ++archivePasses_;
+    spaceCv_.notify_all();
 }
 
 uint64_t
@@ -1248,13 +1162,12 @@ XPGraph::compactCandidatesLocked()
     // cache that open views share.
     bool entered = false;
     for (auto &part : parts_) {
-        for (int dir = 0; dir < 2; ++dir) {
-            const bool is_out = dir == 0;
-            Side *side = is_out ? part.out.get() : part.in.get();
+        for (unsigned d = 0; d < 2; ++d) {
+            const Side *side = part.sides[d].get();
             if (!side)
                 continue;
             for (uint64_t slot = 0; slot < side->states.size(); ++slot) {
-                VertexState &st = side->states[slot];
+                const VertexState &st = side->states[slot];
                 // Candidate = enough records to be worth a rewrite AND
                 // a tombstone share past the threshold. Delete-free
                 // chains never qualify, so a workload without deletes
@@ -1268,8 +1181,7 @@ XPGraph::compactCandidatesLocked()
                     phaseEnterLocked();
                     entered = true;
                 }
-                compactSlotJournaled(part, *side, is_out, slot, st,
-                                     /*jslot=*/0);
+                compactSlotJournaled(part, d, slot, /*jslot=*/0);
                 ++rewritten;
             }
         }
@@ -1287,20 +1199,19 @@ XPGraph::compactCandidatesLocked()
 }
 
 void
-XPGraph::compactSlotJournaled(Partition &part, Side &side, bool is_out,
-                              uint64_t slot, VertexState &st,
+XPGraph::compactSlotJournaled(Partition &part, unsigned d, uint64_t slot,
                               unsigned jslot)
 {
+    Side &side = *part.sides[d];
+    VertexState &st = side.states[slot];
     if (st.buf && vbuf::header(st.buf)->cnt > 0)
         flushVertex(side, slot, st);
     if (!st.chain.empty()) {
         MemoryDevice &dev = *part.dev;
         CompactHooks hooks;
-        hooks.preCommit = [&dev, is_out, jslot](uint64_t s,
-                                                uint64_t old_head,
-                                                uint64_t new_head) {
-            armCompactionJournal(dev, jslot, is_out ? 0 : 1, s, old_head,
-                                 new_head);
+        hooks.preCommit = [&dev, d, jslot](uint64_t s, uint64_t old_head,
+                                           uint64_t new_head) {
+            armCompactionJournal(dev, jslot, d, s, old_head, new_head);
         };
         hooks.postCommit = [&dev, jslot](uint64_t) {
             clearCompactionJournal(dev, jslot);
@@ -1326,46 +1237,30 @@ XPGraph::compactSlotJournaled(Partition &part, Side &side, bool is_out,
 void
 XPGraph::shardBatch()
 {
-    const unsigned p = config_.numNodes;
-    for (unsigned node = 0; node < p; ++node) {
-        for (auto &list : outShards_[node])
-            list.clear();
-        for (auto &list : inShards_[node])
-            list.clear();
-    }
+    for (auto &side_shards : shards_)
+        for (auto &lists : side_shards)
+            for (auto &list : lists)
+                list.clear();
     for (const Edge &e : batch_) {
         XPG_ASSERT(rawVid(e.src) < config_.maxVertices &&
                    rawVid(e.dst) < config_.maxVertices,
                    "edge endpoint out of range");
-        {
-            const unsigned node = outOwner(e.src);
-            auto &lists = outShards_[node];
-            const uint64_t slots = parts_[node].outSlots;
-            const unsigned s = static_cast<unsigned>(
-                (outSlot(e.src) * lists.size()) / std::max<uint64_t>(
-                    1, slots));
-            lists[s].push_back(e);
-        }
-        {
-            const unsigned node = inOwner(rawVid(e.dst));
-            auto &lists = inShards_[node];
-            const uint64_t slots = parts_[node].inSlots;
-            const unsigned s = static_cast<unsigned>(
-                (inSlot(rawVid(e.dst)) * lists.size()) /
-                std::max<uint64_t>(1, slots));
-            lists[s].push_back(e);
+        for (unsigned d = 0; d < 2; ++d) {
+            const vid_t v = sideVertex(e, d == 0);
+            const unsigned node = owner(v, d == 0);
+            auto &lists = shards_[d][node];
+            lists[shardOf(slotOf(v), parts_[node].slots[d], lists.size())]
+                .push_back(e);
         }
     }
     // The temporary ranged edge lists are DRAM streams (batch read + two
     // sharded copies).
     chargeDramSequential(batch_.size() * sizeof(Edge) * 3);
 
-    for (unsigned node = 0; node < p; ++node) {
-        outAssign_[node] =
-            EdgeSharder::assign(outShards_[node], slotsOnNode(node));
-        inAssign_[node] =
-            EdgeSharder::assign(inShards_[node], slotsOnNode(node));
-    }
+    for (unsigned d = 0; d < 2; ++d)
+        for (unsigned node = 0; node < config_.numNodes; ++node)
+            assign_[d][node] =
+                assignShards(shards_[d][node], slotsOnNode(node));
 }
 
 void
@@ -1407,25 +1302,19 @@ XPGraph::declareIdleWriters()
 void
 XPGraph::bufferWorker(unsigned w)
 {
-    forWorkerSlots(w, [&](const WorkerSlot &ws) {
-        const unsigned node = ws.node;
-        const unsigned local = ws.local;
-        Partition &part = parts_[node];
-        if (part.out && local < outAssign_[node].size()) {
-            const ShardAssignment &a = outAssign_[node][local];
+    forWorkerSlots(w, config_.archiveThreads, [&](const WorkerSlot &ws) {
+        Partition &part = parts_[ws.node];
+        for (unsigned d = 0; d < 2; ++d) {
+            const bool out = d == 0;
+            const auto &assign = assign_[d][ws.node];
+            if (!part.sides[d] || ws.local >= assign.size())
+                continue;
+            const ShardAssignment &a = assign[ws.local];
             for (unsigned s = a.firstShard; s < a.lastShard; ++s) {
-                for (const Edge &e : outShards_[node][s])
-                    insertBuffered(*part.out, outSlot(e.src), e.dst);
-            }
-        }
-        if (part.in && local < inAssign_[node].size()) {
-            const ShardAssignment &a = inAssign_[node][local];
-            for (unsigned s = a.firstShard; s < a.lastShard; ++s) {
-                for (const Edge &e : inShards_[node][s]) {
-                    const vid_t rec =
-                        isDelete(e.dst) ? asDelete(e.src) : e.src;
-                    insertBuffered(*part.in, inSlot(rawVid(e.dst)), rec);
-                }
+                for (const Edge &e : shards_[d][ws.node][s])
+                    insertBuffered(*part.sides[d],
+                                   slotOf(sideVertex(e, out)),
+                                   sideRecord(e, out));
             }
         }
     });
@@ -1477,7 +1366,7 @@ XPGraph::runBufferingPhaseLocked(bool capped)
         // Log reads feeding an archive phase are archive traffic, not
         // query traffic (thread-local tag, so it lives in the worker).
         XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
-        forWorkerSlots(w, [&](const WorkerSlot &ws) {
+        forWorkerSlots(w, config_.archiveThreads, [&](const WorkerSlot &ws) {
             const unsigned node = ws.node;
             const auto [lo, hi] = ws.slice(phaseUpTo_[node] - from[node]);
             if (lo < hi)
@@ -1525,7 +1414,7 @@ XPGraph::runBufferingPhaseLocked(bool capped)
     // tombstone threshold; every archive path (inline, sync point,
     // background archiver) funnels through here, so this is the one
     // wake-up site the compactor needs.
-    kickCompactorLocked();
+    compactor_.request();
 }
 
 // --- flushing ------------------------------------------------------------
@@ -1534,9 +1423,8 @@ void
 XPGraph::flushWorker(unsigned w, bool release_buffers)
 {
     XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
-    forWorkerSlots(w, [&](const WorkerSlot &ws) {
-        Partition &part = parts_[ws.node];
-        for (Side *side : {part.out.get(), part.in.get()}) {
+    forWorkerSlots(w, config_.archiveThreads, [&](const WorkerSlot &ws) {
+        for (const auto &side : parts_[ws.node].sides) {
             if (!side)
                 continue;
             const auto [begin, end] = ws.slice(side->states.size());
@@ -1549,7 +1437,7 @@ XPGraph::flushWorker(unsigned w, bool release_buffers)
                 // flushVertex may already have parked the buffer in the
                 // view limbo (st.buf nulled); only free what remains.
                 if (release_buffers && st.buf) {
-                    if (viewsPinned_)
+                    if (!views_.empty())
                         retireBufferToLimbo(st.buf, st.bufBytes);
                     else
                         pool_->free(st.buf, st.bufBytes);
@@ -1660,7 +1548,7 @@ XPGraph::growBuffer(VertexState &st)
     std::byte *grown = pool_->alloc(new_bytes);
     vbuf::migrate(grown, new_bytes, st.buf);
     chargeDramSequential(st.bufBytes);
-    if (viewsPinned_)
+    if (!views_.empty())
         retireBufferToLimbo(st.buf, st.bufBytes);
     else
         pool_->free(st.buf, st.bufBytes);
@@ -1674,7 +1562,7 @@ XPGraph::flushVertex(Side &side, uint64_t slot, VertexState &st)
     auto *hdr = vbuf::header(st.buf);
     side.store->append(slot, vbuf::payload(st.buf), hdr->cnt, st.chain);
     chargeDramSequential(hdr->cnt * sizeof(vid_t));
-    if (viewsPinned_) {
+    if (!views_.empty()) {
         // An open view captured this buffer's payload: park it in the
         // limbo (drained when the last view closes) instead of resetting
         // it in place. st.bufBytes is kept so the vertex restarts on the
@@ -1722,9 +1610,7 @@ bufferedCount(const VertexState &st)
 std::pair<const XPGraph::Side *, uint64_t>
 XPGraph::locate(vid_t v, bool out) const
 {
-    const Partition &part = parts_[out ? outOwner(v) : inOwner(v)];
-    return {out ? part.out.get() : part.in.get(),
-            out ? outSlot(v) : inSlot(v)};
+    return {parts_[owner(v, out)].sides[out ? 0 : 1].get(), slotOf(v)};
 }
 
 template <typename F>
@@ -1914,9 +1800,9 @@ struct XPGraph::EpochState
 
     uint64_t epoch = 0;             ///< phaseEpoch_ at capture (even)
     std::vector<uint64_t> boundary; ///< per node: bufferedUpTo at capture
-    /// per node: captured slots (empty when the side is absent there)
-    std::vector<std::vector<ViewVertex>> out;
-    std::vector<std::vector<ViewVertex>> in;
+    /// per side (0 = out, 1 = in), per node: captured slots (empty when
+    /// the side is absent there)
+    std::vector<std::vector<ViewVertex>> sides[2];
     uint64_t archivedOutRecords = 0; ///< sum of out-side records
 };
 
@@ -2022,12 +1908,10 @@ class XPGraph::EpochView final : public ReadView
     const EpochState::ViewVertex *
     vertex(vid_t v, bool out) const
     {
-        const unsigned node = out ? g_->outOwner(v) : g_->inOwner(v);
-        const auto &slots =
-            out ? state_->out[node] : state_->in[node];
+        const auto &slots = state_->sides[out ? 0 : 1][g_->owner(v, out)];
         if (slots.empty())
             return nullptr;
-        return &slots[out ? g_->outSlot(v) : g_->inSlot(v)];
+        return &slots[g_->slotOf(v)];
     }
 
     /**
@@ -2113,17 +1997,16 @@ XPGraph::captureEpochLocked()
     state->epoch = epoch;
     const unsigned p = config_.numNodes;
     state->boundary.resize(p);
-    state->out.resize(p);
-    state->in.resize(p);
+    for (auto &captured : state->sides)
+        captured.resize(p);
     for (unsigned node = 0; node < p; ++node) {
         const Partition &part = parts_[node];
         state->boundary[node] = part.log->bufferedUpTo();
-        for (int dir = 0; dir < 2; ++dir) {
-            const Side *side =
-                dir == 0 ? part.out.get() : part.in.get();
+        for (unsigned d = 0; d < 2; ++d) {
+            const Side *side = part.sides[d].get();
             if (!side)
                 continue;
-            auto &dst = dir == 0 ? state->out[node] : state->in[node];
+            auto &dst = state->sides[d][node];
             dst.resize(side->states.size());
             for (uint64_t slot = 0; slot < side->states.size();
                  ++slot) {
@@ -2134,7 +2017,7 @@ XPGraph::captureEpochLocked()
                 vv.chain = st.chain;
                 vv.records = st.records;
                 vv.tombstones = st.tombstones;
-                if (dir == 0)
+                if (d == 0)
                     state->archivedOutRecords += vv.records;
             }
         }
@@ -2161,20 +2044,16 @@ XPGraph::openView()
         window_edges += heads[node] - state->boundary[node];
     }
 
-    // Register before anything can archive again: the registry pins
-    // each log's reclaim floor at the view's boundary so the frozen
-    // window stays readable in the ring for the view's lifetime.
+    // Register before anything can archive again: the pin floors each
+    // log's reclamation at the view's boundary so the frozen window
+    // stays readable in the ring for the view's lifetime. Its open time
+    // feeds the watchdog's view-pin probe, which reads only the atomic,
+    // so it never needs archiveMutex_.
     const uint64_t id = nextViewId_++;
-    viewBoundaries_.emplace(id, state->boundary);
-    viewsPinned_ = true;
+    views_.emplace(id, ViewPin{state->boundary, telemetry::hostNowNs()});
     recomputeReclaimFloorsLocked();
-
-    // Epoch-pin bookkeeping for the watchdog's view-pin probe: the
-    // probe reads only the atomic, so it never needs archiveMutex_.
-    const uint64_t opened_ns = telemetry::hostNowNs();
-    viewOpenedNs_.emplace(id, opened_ns);
-    if (oldestViewNs_.load(std::memory_order_relaxed) == 0)
-        oldestViewNs_.store(opened_ns, std::memory_order_relaxed);
+    oldestViewNs_.store(views_.begin()->second.openedNs,
+                        std::memory_order_relaxed);
 
     // Index the frozen windows while bufferedUpTo is still the captured
     // boundary (we hold the archive lock, so no phase can advance it
@@ -2192,14 +2071,10 @@ void
 XPGraph::closeView(uint64_t id)
 {
     std::lock_guard<std::mutex> lock(archiveMutex_);
-    viewBoundaries_.erase(id);
-    viewOpenedNs_.erase(id);
-    uint64_t oldest = 0; // oldest remaining open timestamp (0 = none)
-    for (const auto &[vid, ns] : viewOpenedNs_)
-        oldest = oldest == 0 ? ns : std::min(oldest, ns);
-    oldestViewNs_.store(oldest, std::memory_order_relaxed);
-    if (viewBoundaries_.empty()) {
-        viewsPinned_ = false;
+    views_.erase(id);
+    oldestViewNs_.store(views_.empty() ? 0 : views_.begin()->second.openedNs,
+                        std::memory_order_relaxed);
+    if (views_.empty()) {
         // The capture cache references buffers that may sit in the
         // limbo; drop it before returning them to the pool.
         epochCache_.reset();
@@ -2220,17 +2095,16 @@ XPGraph::closeView(uint64_t id)
 void
 XPGraph::recomputeReclaimFloorsLocked()
 {
+    // New views open at the current bufferedUpTo (>= every older
+    // boundary), so the oldest view holds the lowest boundary and the
+    // per-log floor never decreases while set — the monotonicity the
+    // log's reservation path relies on.
     for (unsigned node = 0; node < config_.numNodes; ++node) {
-        uint64_t floor = ~0ull;
-        for (const auto &[id, boundary] : viewBoundaries_)
-            floor = std::min(floor, boundary[node]);
-        // New views open at the current bufferedUpTo (>= every older
-        // boundary), so the per-log floor never decreases while set —
-        // the monotonicity the log's reservation path relies on.
-        if (floor == ~0ull)
-            parts_[node].log->clearReclaimFloor();
+        CircularEdgeLog &log = *parts_[node].log;
+        if (views_.empty())
+            log.clearReclaimFloor();
         else
-            parts_[node].log->setReclaimFloor(floor);
+            log.setReclaimFloor(views_.begin()->second.boundary[node]);
     }
 }
 
@@ -2252,15 +2126,10 @@ XPGraph::compactAdjs(vid_t v)
     // epoch bump invalidates any cached view capture. Open views keep
     // serving the abandoned blocks (the allocator never reuses space).
     phaseEnterLocked();
-    for (int dir = 0; dir < 2; ++dir) {
-        const bool is_out = dir == 0;
-        Partition &part = parts_[is_out ? outOwner(v) : inOwner(v)];
-        Side *side = is_out ? part.out.get() : part.in.get();
-        if (!side)
-            continue;
-        const uint64_t slot = is_out ? outSlot(v) : inSlot(v);
-        compactSlotJournaled(part, *side, is_out, slot,
-                             side->states[slot], /*jslot=*/0);
+    for (unsigned d = 0; d < 2; ++d) {
+        Partition &part = parts_[owner(v, d == 0)];
+        if (part.sides[d])
+            compactSlotJournaled(part, d, slotOf(v), /*jslot=*/0);
     }
     phaseExitLocked();
 }
@@ -2271,26 +2140,25 @@ XPGraph::compactAllAdjs()
     std::lock_guard<std::mutex> lock(archiveMutex_);
     phaseEnterLocked(); // epoch bump: invalidates cached view captures
     declareArchiveConcurrency();
-    // Every worker arms its own compaction-journal entry; the journal
-    // region sizes the concurrency it can witness.
-    XPG_ASSERT(config_.archiveThreads <= kCompactionJournalSlots,
-               "more archive threads than compaction journal slots");
+    // Every rewriting worker arms its own compaction-journal entry, and
+    // the journal region sizes the concurrency it can witness: at most
+    // kCompactionJournalSlots workers rewrite, sharing out every
+    // virtual slot.
+    const unsigned writers =
+        std::min(config_.archiveThreads, kCompactionJournalSlots);
     executor_->run([&](unsigned w) {
+        if (w >= writers)
+            return;
         XPG_ATTR_SCOPE(attrScope, Compaction);
-        forWorkerSlots(w, [&](const WorkerSlot &ws) {
+        forWorkerSlots(w, writers, [&](const WorkerSlot &ws) {
             Partition &part = parts_[ws.node];
-            for (int dir = 0; dir < 2; ++dir) {
-                const bool is_out = dir == 0;
-                Side *side = is_out ? part.out.get() : part.in.get();
-                if (!side)
+            for (unsigned d = 0; d < 2; ++d) {
+                if (!part.sides[d])
                     continue;
-                const auto [begin, end] = ws.slice(side->states.size());
-                for (uint64_t slot = begin; slot < end; ++slot) {
-                    compactSlotJournaled(part, *side, is_out, slot,
-                                         side->states[slot],
-                                         /*jslot=*/w %
-                                             kCompactionJournalSlots);
-                }
+                const auto [begin, end] =
+                    ws.slice(part.sides[d]->states.size());
+                for (uint64_t slot = begin; slot < end; ++slot)
+                    compactSlotJournaled(part, d, slot, /*jslot=*/w);
             }
         });
     });
@@ -2400,7 +2268,7 @@ XPGraph::memoryUsage() const
     std::lock_guard<std::mutex> lock(archiveMutex_);
     MemoryUsage mu;
     for (const auto &part : parts_) {
-        for (const Side *side : {part.out.get(), part.in.get()}) {
+        for (const auto &side : part.sides) {
             if (side)
                 mu.metaBytes +=
                     side->states.capacity() * sizeof(VertexState);
@@ -2408,11 +2276,12 @@ XPGraph::memoryUsage() const
         mu.pblkBytes += part.alloc->used() + part.indexBytes;
     }
     mu.metaBytes += batch_.capacity() * sizeof(Edge);
-    for (const auto &node_shards : {outShards_, inShards_}) {
-        for (const auto &lists : node_shards)
+    // Shard lists count size(), not capacity() as batch_ and GraphOne
+    // do; which rule to keep is an open ROADMAP item.
+    for (const auto &side_shards : shards_)
+        for (const auto &lists : side_shards)
             for (const auto &list : lists)
-                mu.metaBytes += list.capacity() * sizeof(Edge);
-    }
+                mu.metaBytes += list.size() * sizeof(Edge);
     mu.vbufBytes = pool_->peakLive();
     mu.elogBytes = config_.numNodes *
                    CircularEdgeLog::regionBytes(config_.elogCapacityEdges);
@@ -2424,7 +2293,7 @@ XPGraph::compressionStats() const
 {
     CompressionStats total;
     for (const auto &part : parts_) {
-        for (const Side *side : {part.out.get(), part.in.get()}) {
+        for (const auto &side : part.sides) {
             if (side)
                 total += side->store->compressionStats();
         }

@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -303,34 +304,22 @@ class XPGraph : public GraphStore
         std::vector<VertexState> states;
     };
 
-    /** One NUMA partition: device, allocator, log, and its sides. */
+    /**
+     * One NUMA partition: device, allocator, log, and its sides. Every
+     * per-direction member is indexed 0 = out, 1 = in (the compaction
+     * journal's side encoding).
+     */
     struct Partition
     {
         std::unique_ptr<MemoryDevice> dev;
         std::unique_ptr<PmemAllocator> alloc;
         std::unique_ptr<CircularEdgeLog> log;
-        std::unique_ptr<Side> out;
-        std::unique_ptr<Side> in;
-        uint64_t outIndexOff = 0;
-        uint64_t inIndexOff = 0;
-        uint64_t outSlots = 0;
-        uint64_t inSlots = 0;
-        uint64_t indexBytes = 0;
+        std::unique_ptr<Side> sides[2]; ///< null where the side is absent
+        uint64_t indexOff[2] = {0, 0};  ///< persistent vertex index
+        uint64_t slots[2] = {0, 0};     ///< vertex slots per side
+        uint64_t indexBytes = 0;        ///< both indexes, aligned
         /// Sessions currently bound to this partition (write contention).
         std::atomic<unsigned> sessions{0};
-
-        Partition() = default;
-        // The atomic deletes the implicit move (only used while the
-        // partitions vector is resized at construction, single-threaded).
-        Partition(Partition &&other) noexcept
-            : dev(std::move(other.dev)), alloc(std::move(other.alloc)),
-              log(std::move(other.log)), out(std::move(other.out)),
-              in(std::move(other.in)), outIndexOff(other.outIndexOff),
-              inIndexOff(other.inIndexOff), outSlots(other.outSlots),
-              inSlots(other.inSlots), indexBytes(other.indexBytes),
-              sessions(other.sessions.load(std::memory_order_relaxed))
-        {
-        }
     };
 
     XPGraph(const XPGraphConfig &config, bool recovering,
@@ -350,11 +339,10 @@ class XPGraph : public GraphStore
      *  generation stamp. */
     void bumpSuperblockGenerations();
 
-    // placement
-    unsigned outOwner(vid_t v) const;
-    unsigned inOwner(vid_t v) const;
-    uint64_t outSlot(vid_t v) const;
-    uint64_t inSlot(vid_t v) const;
+    // placement: the partition holding v's out (else in) side, and v's
+    // slot there (the same on both sides)
+    unsigned owner(vid_t v, bool out) const;
+    uint64_t slotOf(vid_t v) const;
 
     // --- logging (sessions; thread-safe) ---
 
@@ -408,28 +396,43 @@ class XPGraph : public GraphStore
     /** Writers per device between phases: the bound session count. */
     void declareIdleWriters();
 
-    // --- background archiver (config.pipelinedArchiving) ---
+    // --- background passes: the pipelined archiver and the compactor ---
 
-    void startArchiver();
-    void stopArchiver();
-    void archiverLoop();
+    /**
+     * A background thread that parks on @c cv under archiveMutex_ until
+     * a pass is requested or it is stopped, then runs one pass with the
+     * lock held. The heartbeat is null when the thread is off.
+     */
+    struct Background
+    {
+        std::thread thread;
+        std::condition_variable cv;
+        bool stop = false; ///< guarded by archiveMutex_
+        std::atomic<bool> requested{false};
+        telemetry::Heartbeat *hb = nullptr;
 
-    // --- background compactor (config.backgroundCompaction; §13) ---
+        /** Ask for a pass (no effect while the thread is off). */
+        void
+        request()
+        {
+            requested.store(true, std::memory_order_relaxed);
+            cv.notify_one();
+        }
+    };
+    /** One pass, run with archiveMutex_ held through @p lock. */
+    using Pass = std::function<void(std::unique_lock<std::mutex> &lock)>;
 
-    void startCompactor();
-    void stopCompactor();
-    void compactorLoop();
-    /** Wake the compactor after a phase that may have minted candidates
-     *  (caller holds archiveMutex_); no-op when the thread is off. */
-    void kickCompactorLocked();
+    void startBackground(Background &bg, const char *name, Pass pass);
+    void stopBackground(Background &bg);
+    /** One archiver pass (caller holds archiveMutex_). */
+    void archivePassLocked();
     /** The candidate scan + rewrites behind runCompactionPass() and the
      *  compactor thread (caller holds archiveMutex_). */
     uint64_t compactCandidatesLocked();
-    /** Journaled COW rewrite of one slot's chain (caller holds
-     *  archiveMutex_ inside a phase). @p jslot names the per-worker
-     *  compaction-journal entry armed across the commit. */
-    void compactSlotJournaled(Partition &part, Side &side, bool is_out,
-                              uint64_t slot, VertexState &st,
+    /** Journaled COW rewrite of the chain in @p slot of @p part's side
+     *  @p d (caller holds archiveMutex_ inside a phase). @p jslot names
+     *  the per-worker compaction-journal entry armed across the commit. */
+    void compactSlotJournaled(Partition &part, unsigned d, uint64_t slot,
                               unsigned jslot);
     /** Resolve armed compaction-journal entries after a crash: count
      *  them into @p report (CompactionTorn), classify committed vs
@@ -473,11 +476,12 @@ class XPGraph : public GraphStore
         }
     };
 
-    /** Run @p fn(slot) for each of worker @p w's virtual slots, the
+    /** Run @p fn(slot) for each virtual slot worker @p w of the
+     *  @p workers sharing them out executes (w, w + workers, ...), the
      *  worker bound to the slot's node when queryBindingEnabled() and
      *  unbound otherwise. */
     template <typename F>
-    void forWorkerSlots(unsigned w, F &&fn);
+    void forWorkerSlots(unsigned w, unsigned workers, F &&fn);
 
     // per-edge work
     void insertBuffered(Side &side, uint64_t slot, vid_t nebr);
@@ -577,7 +581,7 @@ class XPGraph : public GraphStore
     /** Unregister view @p id, recompute log floors, and at the last
      *  close drain the buffer limbo and drop the epoch cache. */
     void closeView(uint64_t id);
-    /** Re-derive every log's reclaim floor from the open views. */
+    /** Re-derive every log's reclaim floor from the oldest open view. */
     void recomputeReclaimFloorsLocked();
     /** Park a vertex buffer an open view may reference (phase workers
      *  call this concurrently; limbo_ has its own tiny lock). */
@@ -599,28 +603,19 @@ class XPGraph : public GraphStore
      * or when their log is full. The logging fast path is lock-free.
      */
     mutable std::mutex archiveMutex_;
-    std::condition_variable archiveCv_; ///< wakes the archiver
-    std::condition_variable spaceCv_;   ///< wakes log-full sessions
-    std::thread archiverThread_;
-    bool archiverStop_ = false; ///< guarded by archiveMutex_
-    std::atomic<bool> archiveRequested_{false};
+    std::condition_variable spaceCv_; ///< wakes log-full sessions
+    Background archiver_;  ///< config.pipelinedArchiving
+    Background compactor_; ///< config.backgroundCompaction (§13)
     uint64_t archivePasses_ = 0; ///< archiver passes run (archiveMutex_)
     uint64_t viewCloses_ = 0;    ///< views closed (archiveMutex_)
-
-    // background compactor (mirrors the archiver's discipline)
-    std::condition_variable compactCv_; ///< wakes the compactor
-    std::thread compactorThread_;
-    bool compactorStop_ = false; ///< guarded by archiveMutex_
-    std::atomic<bool> compactRequested_{false};
 
     // buffering-phase scratch (guarded by archiveMutex_)
     std::vector<Edge> batch_;
     std::vector<uint64_t> phaseUpTo_; ///< per-node markBuffered target
-    /// per (node): shard lists for out- and in-side inserts
-    std::vector<std::vector<std::vector<Edge>>> outShards_;
-    std::vector<std::vector<std::vector<Edge>>> inShards_;
-    std::vector<std::vector<ShardAssignment>> outAssign_;
-    std::vector<std::vector<ShardAssignment>> inAssign_;
+    /// per (side, node): the shard lists of the side's inserts, and
+    /// their assignment to the node's virtual slots
+    std::vector<std::vector<std::vector<Edge>>> shards_[2];
+    std::vector<std::vector<ShardAssignment>> assign_[2];
 
     // stats (relaxed atomics: sessions + archiver update concurrently)
     // Phase totals, each fed only by its phases' OpScope records.
@@ -658,13 +653,22 @@ class XPGraph : public GraphStore
     /** Last captured epoch state, reused while phaseEpoch_ is unchanged
      *  (many views of one quiescent epoch share a single capture). */
     std::shared_ptr<const EpochState> epochCache_;
-    /** Open views' per-node log boundaries, keyed by view id. */
-    std::map<uint64_t, std::vector<uint64_t>> viewBoundaries_;
+    /** An open view's pin: its per-node log boundaries and host open
+     *  time. */
+    struct ViewPin
+    {
+        std::vector<uint64_t> boundary;
+        uint64_t openedNs = 0;
+    };
+    /**
+     * Open views by id. A later view opens at a later epoch and host
+     * time, so begin() is the oldest: it sets the reclaim floors and
+     * oldestViewNs_. Phase workers test empty() while the coordinator
+     * holds archiveMutex_, which every writer needs, so those reads
+     * race with nothing.
+     */
+    std::map<uint64_t, ViewPin> views_;
     uint64_t nextViewId_ = 1;
-    /** viewBoundaries_ non-empty; plain bool: phase workers read it
-     *  while the coordinator holds archiveMutex_, which every writer
-     *  needs, so reads during a phase race with nothing. */
-    bool viewsPinned_ = false;
     /** Vertex buffers retired while views were open: freed to the pool
      *  when the last view closes. Pushed concurrently by flush workers
      *  under limboMutex_; drained under archiveMutex_. */
@@ -676,9 +680,7 @@ class XPGraph : public GraphStore
     /** Per-store health registry; heartbeats registered in
      *  initWatchdog(), monitor thread only if config.watchdogMonitor. */
     telemetry::Watchdog watchdog_;
-    telemetry::Heartbeat *hbArchiver_ = nullptr;  ///< null: inline mode
-    telemetry::Heartbeat *hbCompactor_ = nullptr; ///< null: no compactor
-    telemetry::Heartbeat *hbIngest_ = nullptr;    ///< shared by sessions
+    telemetry::Heartbeat *hbIngest_ = nullptr; ///< shared by sessions
     /** Host ns when the current log-full backpressure window opened
      *  (0 = no writer blocked). Maintained by enter/exitBackpressure. */
     std::atomic<uint64_t> backpressureSinceNs_{0};
@@ -689,8 +691,6 @@ class XPGraph : public GraphStore
      *  probe reads it lock-free so the monitor never blocks on the
      *  archive lock. */
     std::atomic<uint64_t> oldestViewNs_{0};
-    /** Open views' open timestamps (guarded by archiveMutex_). */
-    std::map<uint64_t, uint64_t> viewOpenedNs_;
 
     // cached telemetry handles (null when -DXPG_TELEMETRY=OFF); the
     // per-node append histograms are indexed by partition.

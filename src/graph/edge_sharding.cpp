@@ -1,34 +1,12 @@
 #include "graph/edge_sharding.hpp"
 
-#include "pmem/dram_device.hpp"
 #include "util/logging.hpp"
 
 namespace xpg {
 
-EdgeSharder::EdgeSharder(vid_t max_vertices, unsigned num_shards)
-    : maxVertices_(max_vertices), numShards_(num_shards)
-{
-    XPG_ASSERT(max_vertices > 0, "vertex space must be non-empty");
-    XPG_ASSERT(num_shards > 0, "need at least one shard");
-}
-
-void
-EdgeSharder::shard(std::span<const Edge> edges,
-                   std::vector<std::vector<Edge>> &out) const
-{
-    out.resize(numShards_);
-    for (auto &list : out)
-        list.clear();
-    for (const Edge &e : edges)
-        out[shardOf(e.src)].push_back(e);
-    // Temporary ranged edge lists live in DRAM: one streaming read of the
-    // batch plus one streaming write of the copies.
-    chargeDramSequential(edges.size() * sizeof(Edge) * 2);
-}
-
 std::vector<ShardAssignment>
-EdgeSharder::assign(const std::vector<std::vector<Edge>> &shards,
-                    unsigned num_workers)
+assignShards(const std::vector<std::vector<Edge>> &shards,
+             unsigned num_workers)
 {
     XPG_ASSERT(num_workers > 0, "need at least one worker");
     uint64_t total = 0;

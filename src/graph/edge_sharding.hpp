@@ -2,7 +2,7 @@
  * @file
  * Edge-sharding for load-balanced multi-threaded buffering/archiving
  * (paper S IV-A, inherited from GraphOne): a batch of edges is split into
- * ranged edge lists by source-vertex range; contiguous runs of shards are
+ * ranged edge lists by vertex range; contiguous runs of shards are
  * assigned to threads so each gets an approximately equal edge count, and
  * no two threads ever touch the same vertex — so no atomics are needed in
  * the per-vertex structures.
@@ -11,8 +11,8 @@
 #ifndef XPG_GRAPH_EDGE_SHARDING_HPP
 #define XPG_GRAPH_EDGE_SHARDING_HPP
 
+#include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -26,48 +26,23 @@ struct ShardAssignment
     unsigned lastShard; ///< exclusive
 };
 
-/**
- * Splits batches into ranged edge lists and balances them over workers.
- * Shard count should exceed the worker count (the paper uses a multiple)
- * so that skewed ranges can be balanced.
- */
-class EdgeSharder
+/** Ranged shard of @p index in [0, @p range) split into @p shards. */
+constexpr unsigned
+shardOf(uint64_t index, uint64_t range, uint64_t shards)
 {
-  public:
-    /**
-     * @param max_vertices Size of the vertex-id space.
-     * @param num_shards Ranged-edge-list count (>= workers).
-     */
-    EdgeSharder(vid_t max_vertices, unsigned num_shards);
+    return static_cast<unsigned>((index * shards) /
+                                 std::max<uint64_t>(1, range));
+}
 
-    unsigned numShards() const { return numShards_; }
-
-    /** Shard index of @p v. */
-    unsigned
-    shardOf(vid_t v) const
-    {
-        return static_cast<unsigned>(
-            (static_cast<uint64_t>(rawVid(v)) * numShards_) / maxVertices_);
-    }
-
-    /**
-     * Distribute @p edges into per-shard lists (cleared and refilled).
-     * Charges the DRAM cost of the temporary ranged edge lists.
-     */
-    void shard(std::span<const Edge> edges,
-               std::vector<std::vector<Edge>> &out) const;
-
-    /**
-     * Assign contiguous shard runs to @p num_workers workers such that
-     * each run holds roughly equal edges.
-     */
-    static std::vector<ShardAssignment> assign(
-        const std::vector<std::vector<Edge>> &shards, unsigned num_workers);
-
-  private:
-    uint64_t maxVertices_;
-    unsigned numShards_;
-};
+/**
+ * Assign contiguous shard runs to @p num_workers workers such that
+ * each run holds roughly equal edges. Shard count should exceed the
+ * worker count (the paper uses a multiple) so that skewed ranges can be
+ * balanced.
+ */
+std::vector<ShardAssignment>
+assignShards(const std::vector<std::vector<Edge>> &shards,
+             unsigned num_workers);
 
 } // namespace xpg
 

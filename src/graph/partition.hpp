@@ -8,8 +8,6 @@
 #ifndef XPG_GRAPH_PARTITION_HPP
 #define XPG_GRAPH_PARTITION_HPP
 
-#include "graph/types.hpp"
-
 namespace xpg {
 
 /** How graph data is spread across NUMA nodes. */
@@ -21,24 +19,6 @@ enum class NumaPlacement
     OutInGraph,
     /** Hash-partitioned sub-graph per node ("NUMA-bind-SG", default). */
     SubGraph,
-};
-
-/** Hash partitioner: vertex -> owning partition (v % P). */
-class HashPartitioner
-{
-  public:
-    explicit HashPartitioner(unsigned num_parts) : numParts_(num_parts) {}
-
-    unsigned numParts() const { return numParts_; }
-
-    unsigned
-    partOf(vid_t v) const
-    {
-        return rawVid(v) % numParts_;
-    }
-
-  private:
-    unsigned numParts_;
 };
 
 } // namespace xpg

@@ -53,6 +53,28 @@ struct Edge
 
 static_assert(sizeof(Edge) == 8, "edge records are 8 bytes");
 
+/**
+ * The edge→side rule: every edge is stored twice, in the out-adjacency
+ * of its source and the in-adjacency of its destination. This is the
+ * vertex whose @p out (else in) adjacency holds @p e.
+ */
+constexpr vid_t
+sideVertex(const Edge &e, bool out)
+{
+    return out ? e.src : rawVid(e.dst);
+}
+
+/** The record @p e leaves there: the destination (delete flag
+ *  included), or on the in-side the source carrying the edge's delete
+ *  flag. */
+constexpr vid_t
+sideRecord(const Edge &e, bool out)
+{
+    if (out)
+        return e.dst;
+    return isDelete(e.dst) ? asDelete(e.src) : e.src;
+}
+
 } // namespace xpg
 
 #endif // XPG_GRAPH_TYPES_HPP

@@ -245,19 +245,4 @@ LineHeatTable::reset()
     }
 }
 
-json::JsonValue
-LineHeatTable::topJson(unsigned n) const
-{
-    json::JsonValue arr = json::JsonValue::array();
-    for (const HotLine &h : top(n)) {
-        json::JsonValue e = json::JsonValue::object();
-        e.set("line", h.line);
-        e.set("reads", h.reads);
-        e.set("writes", h.writes);
-        e.set("owner", accessCategoryName(h.owner));
-        arr.push(std::move(e));
-    }
-    return arr;
-}
-
 } // namespace xpg::telemetry

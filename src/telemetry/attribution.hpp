@@ -312,9 +312,6 @@ class LineHeatTable
     uint64_t untrackedTouches() const;
     void reset();
 
-    /** Array of {line, reads, writes, owner} for the top @p n lines. */
-    json::JsonValue topJson(unsigned n) const;
-
   private:
     /** Line index of an empty slot (real indices stay below 2^56). */
     static constexpr uint64_t kNoLine = ~uint64_t{0};

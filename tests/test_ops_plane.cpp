@@ -499,8 +499,8 @@ TEST(OpsHealth, WedgedCompactorFlaggedWithinDeadline)
         EXPECT_TRUE(wedge_event)
             << "wedge must announce itself on the event stream";
     }
-    // Destructor must still stop the wedged thread cleanly (the wait
-    // honors compactorStop_); reaching TearDown proves it.
+    // Destructor must still stop the wedged thread cleanly (the wedged
+    // pass waits for the stop); reaching TearDown proves it.
 }
 
 TEST(OpsHealth, ViewPinProbeDegradesAndRecovers)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Edge sharding (partition purity, completeness, balanced assignment)
- * and the CSR reference builder (ordering, deletes, reverse edges,
- * sizes), plus the hash partitioner and edge I/O round trip.
+ * Edge sharding (monotone ranged shards, balanced assignment) and the
+ * CSR reference builder (ordering, deletes, reverse edges, sizes), plus
+ * the edge I/O round trip.
  */
 
 #include <gtest/gtest.h>
@@ -15,42 +15,25 @@
 #include "graph/edge_io.hpp"
 #include "graph/edge_sharding.hpp"
 #include "graph/generators.hpp"
-#include "graph/partition.hpp"
 
 namespace xpg {
 namespace {
 
-TEST(EdgeSharder, ShardsCoverAllEdgesExactlyOnce)
+/** Split @p edges into @p n ranged lists by source, as both engines do. */
+std::vector<std::vector<Edge>>
+shardBySource(const std::vector<Edge> &edges, vid_t nv, unsigned n)
 {
-    const vid_t nv = 1000;
-    const auto edges = generateUniform(nv, 5000, 11);
-    EdgeSharder sharder(nv, 16);
-    std::vector<std::vector<Edge>> shards;
-    sharder.shard(edges, shards);
-    uint64_t total = 0;
-    for (const auto &s : shards)
-        total += s.size();
-    EXPECT_EQ(total, edges.size());
-}
-
-TEST(EdgeSharder, ShardsAreVertexRangePure)
-{
-    const vid_t nv = 1000;
-    const auto edges = generateUniform(nv, 5000, 11);
-    EdgeSharder sharder(nv, 8);
-    std::vector<std::vector<Edge>> shards;
-    sharder.shard(edges, shards);
-    for (unsigned s = 0; s < shards.size(); ++s)
-        for (const Edge &e : shards[s])
-            EXPECT_EQ(sharder.shardOf(e.src), s);
+    std::vector<std::vector<Edge>> shards(n);
+    for (const Edge &e : edges)
+        shards[shardOf(e.src, nv, n)].push_back(e);
+    return shards;
 }
 
 TEST(EdgeSharder, ShardOfIsMonotoneInVertex)
 {
-    EdgeSharder sharder(1000, 8);
     unsigned prev = 0;
     for (vid_t v = 0; v < 1000; ++v) {
-        const unsigned s = sharder.shardOf(v);
+        const unsigned s = shardOf(v, 1000, 8);
         EXPECT_GE(s, prev);
         EXPECT_LT(s, 8u);
         prev = s;
@@ -62,10 +45,8 @@ TEST(EdgeSharder, AssignCoversAllShardsContiguously)
 {
     const vid_t nv = 512;
     const auto edges = generateRmat(9, 20000, RmatParams{}, 13);
-    EdgeSharder sharder(nv, 32);
-    std::vector<std::vector<Edge>> shards;
-    sharder.shard(edges, shards);
-    const auto assign = EdgeSharder::assign(shards, 4);
+    const auto shards = shardBySource(edges, nv, 32);
+    const auto assign = assignShards(shards, 4);
     unsigned cursor = 0;
     for (const auto &a : assign) {
         EXPECT_EQ(a.firstShard, cursor);
@@ -79,10 +60,8 @@ TEST(EdgeSharder, AssignBalancesEdgeCounts)
 {
     const vid_t nv = 4096;
     const auto edges = generateUniform(nv, 40000, 17);
-    EdgeSharder sharder(nv, 64);
-    std::vector<std::vector<Edge>> shards;
-    sharder.shard(edges, shards);
-    const auto assign = EdgeSharder::assign(shards, 8);
+    const auto shards = shardBySource(edges, nv, 64);
+    const auto assign = assignShards(shards, 8);
     uint64_t max_load = 0;
     for (const auto &a : assign) {
         uint64_t load = 0;
@@ -99,21 +78,11 @@ TEST(EdgeSharder, AssignHandlesMoreWorkersThanShards)
     std::vector<std::vector<Edge>> shards(2);
     shards[0].push_back({0, 1});
     shards[1].push_back({1, 2});
-    const auto assign = EdgeSharder::assign(shards, 8);
+    const auto assign = assignShards(shards, 8);
     uint64_t covered = 0;
     for (const auto &a : assign)
         covered += a.lastShard - a.firstShard;
     EXPECT_EQ(covered, 2u);
-}
-
-TEST(HashPartitioner, BalancesVerticesAcrossParts)
-{
-    HashPartitioner part(4);
-    std::vector<unsigned> counts(4, 0);
-    for (vid_t v = 0; v < 1000; ++v)
-        ++counts[part.partOf(v)];
-    for (unsigned c : counts)
-        EXPECT_EQ(c, 250u);
 }
 
 TEST(Csr, NeighborsAreSortedAndComplete)

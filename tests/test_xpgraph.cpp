@@ -162,6 +162,10 @@ INSTANTIATE_TEST_SUITE_P(
                    MemKind::Pmem, false, 8},
         ConfigCase{"outin", 2, NumaPlacement::OutInGraph, true, true, 64,
                    MemKind::Pmem, false, 4},
+        ConfigCase{"outin1", 1, NumaPlacement::OutInGraph, true, true, 64,
+                   MemKind::Pmem, false, 4},
+        ConfigCase{"subgraph3", 3, NumaPlacement::SubGraph, true, true, 64,
+                   MemKind::Pmem, false, 4},
         ConfigCase{"nobind", 2, NumaPlacement::None, false, true, 64,
                    MemKind::Pmem, false, 4},
         ConfigCase{"fixed16", 2, NumaPlacement::SubGraph, true, false, 16,
@@ -420,6 +424,58 @@ TEST(XPGraph, CompactMergesChains)
     std::sort(before.begin(), before.end());
     std::sort(after.begin(), after.end());
     EXPECT_EQ(before, after);
+}
+
+TEST(XPGraph, CompactAllAdjsWithMoreThreadsThanJournalSlots)
+{
+    // 64 archive threads: more workers than compaction-journal entries
+    // (48 per device), so the workers that rewrite share out the slots.
+    const vid_t nv = 512;
+    XPGraphConfig c = testConfig(nv, 20000);
+    c.archiveThreads = 64;
+    XPGraph graph(c);
+    auto edges = generateUniform(nv, 12000, 29);
+    auto session = graph.session(0);
+    session->addEdges(edges.data(), edges.size());
+    std::vector<Edge> live;
+    for (uint64_t i = 0; i < edges.size(); ++i) {
+        if (i % 3 == 0)
+            session->delEdge(edges[i].src, edges[i].dst);
+        else
+            live.push_back(edges[i]);
+    }
+    graph.archiveAll();
+    graph.compactAllAdjs();
+
+    expectMatchesCsr(graph, nv, live);
+    std::vector<vid_t> recs;
+    for (vid_t v = 0; v < nv; ++v) {
+        recs.clear();
+        graph.getNebrsFlushOut(v, recs);
+        graph.getNebrsFlushIn(v, recs);
+        graph.getNebrsBufOut(v, recs);
+        graph.getNebrsBufIn(v, recs);
+        EXPECT_TRUE(std::none_of(recs.begin(), recs.end(),
+                                 [](vid_t rec) { return isDelete(rec); }))
+            << "tombstone left in the chains of " << v;
+    }
+}
+
+TEST(XPGraph, SubGraphPlacementBalancesVerticesAcrossNodes)
+{
+    const vid_t nv = 1000;
+    XPGraphConfig c = testConfig(nv, 100);
+    c.numNodes = 4;
+    c.placement = NumaPlacement::SubGraph;
+    c.pmemBytesPerNode = recommendedBytesPerNode(c, 100);
+    XPGraph graph(c);
+    std::vector<unsigned> counts(4, 0);
+    for (vid_t v = 0; v < nv; ++v) {
+        EXPECT_EQ(graph.nodeOfIn(v), graph.nodeOfOut(v));
+        ++counts[graph.nodeOfOut(v)];
+    }
+    for (unsigned n : counts)
+        EXPECT_EQ(n, 250u);
 }
 
 TEST(XPGraph, StatsCountEdges)

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Single-thread CLI exactness runs: generate one dataset's edge file,
-# then run xpgraph_cli thirteen times with --threads 1 — ingest on
-# xpgraph, xpgraph-b, graphone-p, graphone-d and graphone-n, and the
-# bfs/pr/cc/onehop kernels on the default system and on graphone-p.
-# The `loaded ... from <path>` line loses its (temporary) path, so the
-# output depends only on code and dataset.
+# then run xpgraph_cli with --threads 1 — ingest on xpgraph, xpgraph-b,
+# graphone-p, graphone-d and graphone-n; the bfs/pr/cc/onehop kernels
+# on the default system and on graphone-p; an ingest with
+# --retain-window (deletes plus a compaction pass); and a file-backed
+# ingest followed by `recover --json -` on its image (the rebuild
+# path). The `loaded ... from <path>` line loses its (temporary) path,
+# so the output depends only on code and dataset.
 #
 #   tools/exact_cli_runs.sh <xpgraph_cli> <dataset>            print
 #   tools/exact_cli_runs.sh <xpgraph_cli> <dataset> <golden>   diff
@@ -37,6 +39,16 @@ runs() {
         "${cli}" query --in "${edges}" --threads 1 \
             --system graphone-p --algo "${algo}"
     done
+    "${cli}" ingest --in "${edges}" --threads 1 --retain-window 100000
+    "${cli}" ingest --in "${edges}" --threads 1 --backing "${work}/image" \
+        | tee "${work}/image.txt"
+    # recover must see the ingest's geometry: its vertex and edge counts.
+    local nv ne
+    read -r ne nv < <(sed -nE \
+        's/^loaded ([0-9]+) edges over ([0-9]+) vertices.*/\1 \2/p' \
+        "${work}/image.txt")
+    "${cli}" recover --backing "${work}/image" --vertices "${nv}" \
+        --edges "${ne}" --threads 1 --json -
 }
 
 runs | sed -E 's#^(loaded .*) from .*$#\1 from <edges>#' > "${work}/runs.txt"
