@@ -66,7 +66,8 @@
 # rows sum back to the device counters (≤0.1%), then builds a
 # -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires the
 # single-threaded CLI ingest/query/recover runs of
-# tools/exact_cli_runs.sh to print byte-identical output in both trees,
+# tools/exact_cli_runs.sh (PMEM, DRAM and SSD devices) to print
+# byte-identical output in both trees,
 # and bounds the
 # median-of-five simulated-time drift between the fig20 flavors at 5%
 # (a single run jitters up to ~5% with thread scheduling on its own; an
@@ -472,9 +473,10 @@ EOF
         --gtest_filter='Telemetry*:Attribution*:Ops*:OpScope*:Explain*'
 
     # Exact ON-vs-OFF stage: tools/exact_cli_runs.sh (five ingest
-    # systems and four query kernels on two systems, one thread each,
-    # on one generated edge file); any byte of difference in stdout
-    # fails. The ctest entry cli_exact_golden diffs the same TT runs
+    # systems and four query kernels on two systems, the retention and
+    # recover runs, and ingest plus the four kernels on xpgraph-d and
+    # xpgraph-ssd, one thread each, on one generated edge file); any
+    # byte of difference in stdout fails. The ctest entry cli_exact_golden diffs the same TT runs
     # against the committed golden.
     exact_on="$(mktemp)"
     exact_off="$(mktemp)"
@@ -487,7 +489,7 @@ EOF
         exit 1
     fi
     rm -f "${exact_on}" "${exact_off}"
-    echo "exact ON-vs-OFF check passed (5 ingest systems, 4 kernels on 2 systems, retention, recover)"
+    echo "exact ON-vs-OFF check passed (5 ingest systems, 4 kernels on 2 systems, retention, recover, xpgraph-d and xpgraph-ssd ingest + 4 kernels)"
     # Five interleaved runs per flavor: one fig20 run's aggregate
     # simulated time jitters up to ~5% run to run on the SAME binary
     # (which client thread coordinates each inline archive phase is

@@ -6,9 +6,7 @@
 #include "graph/snapshot.hpp"
 #include "graph/tombstones.hpp"
 #include "pmem/dram_device.hpp"
-#include "pmem/memory_mode_device.hpp"
 #include "pmem/numa_topology.hpp"
-#include "pmem/pmem_device.hpp"
 #include "pmem/xpline.hpp"
 #include "telemetry/attribution.hpp"
 #include "util/logging.hpp"
@@ -75,9 +73,12 @@ GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
         config_.variant == GraphOneVariant::Nova;
     const unsigned num_devices =
         single_device ? 1 : config_.numNodes;
+    const MemKind kind =
+        config_.variant == GraphOneVariant::Dram ? MemKind::Dram
+        : config_.variant == GraphOneVariant::MemoryMode
+            ? MemKind::MemoryMode
+            : MemKind::Pmem;
     for (unsigned node = 0; node < num_devices; ++node) {
-        const std::string name = "g1-node" + std::to_string(node);
-        std::unique_ptr<MemoryDevice> dev;
         std::string path;
         if (!config_.backingDir.empty() &&
             config_.variant == GraphOneVariant::Pmem) {
@@ -85,34 +86,19 @@ GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
             if (!recovering)
                 std::remove(path.c_str()); // fresh instance: discard file
         }
-        switch (config_.variant) {
-          case GraphOneVariant::Dram:
-            dev = std::make_unique<DramDevice>(name, config_.bytesPerNode,
-                                               static_cast<int>(node),
-                                               config_.numNodes);
-            break;
-          case GraphOneVariant::Pmem:
-          case GraphOneVariant::Nova:
-            dev = std::make_unique<PmemDevice>(name, config_.bytesPerNode,
-                                               static_cast<int>(node),
-                                               config_.numNodes, path);
-            break;
-          case GraphOneVariant::MemoryMode:
-            dev = std::make_unique<MemoryModeDevice>(
-                name, config_.bytesPerNode, config_.memoryModeCacheBytes,
-                static_cast<int>(node), config_.numNodes);
-            break;
-        }
-        registerDevice(*dev);
-        devices_.push_back(std::move(dev));
+        devices_.push_back(makeDevice(
+            kind, "g1-node" + std::to_string(node), config_.bytesPerNode,
+            static_cast<int>(node), config_.numNodes, path,
+            config_.memoryModeCacheBytes));
+        registerDevice(*devices_.back());
     }
 
     // GraphOne-N stores only the adjacency lists in (NOVA) files; the
     // edge log stays in DRAM. The others log into device 0.
     if (config_.variant == GraphOneVariant::Nova) {
-        novaLogDevice_ = std::make_unique<DramDevice>(
-            "g1-log", kLogRegionOff +
-                          config_.elogCapacityEdges * sizeof(Edge) + 4096,
+        novaLogDevice_ = makeDevice(
+            MemKind::Dram, "g1-log",
+            kLogRegionOff + config_.elogCapacityEdges * sizeof(Edge) + 4096,
             0, config_.numNodes);
         logDevice_ = novaLogDevice_.get();
         registerDevice(*logDevice_);

@@ -459,46 +459,6 @@ AdjacencyStore::countChainBlocks(uint64_t head) const
     return n;
 }
 
-VertexChain
-AdjacencyStore::loadChain(uint64_t slot) const
-{
-    const auto entry = dev_->readPod<IndexEntry>(indexEntryOff(slot));
-    VertexChain chain;
-    chain.head = entry.head;
-    // Walk the chain to rebuild counts and validate tail linkage.
-    uint64_t off = entry.head;
-    uint64_t prev = kNullOffset;
-    while (off != kNullOffset) {
-        const auto hdr = dev_->readPod<BlockHeader>(off);
-        const uint32_t count = hdr.liveCount();
-        chain.records += count;
-        prev = off;
-        if (hdr.next == kNullOffset) {
-            chain.tail = off;
-            chain.tailCount = count;
-            if (hdr.compressed()) {
-                // Sealed chunk: full by definition, commit[0] only.
-                chain.tailCapacity = count;
-                chain.tailCommitSlot = 0;
-                chain.tailSum =
-                    static_cast<uint32_t>(hdr.commit[0] >> 32);
-            } else {
-                chain.tailCapacity = hdr.capacity;
-                const uint8_t tail_slot =
-                    static_cast<uint32_t>(hdr.commit[1]) >
-                    static_cast<uint32_t>(hdr.commit[0]) ? 1 : 0;
-                chain.tailCommitSlot = tail_slot;
-                chain.tailSum =
-                    static_cast<uint32_t>(hdr.commit[tail_slot] >> 32);
-            }
-        }
-        off = hdr.next;
-    }
-    if (chain.head != kNullOffset && chain.tail == kNullOffset)
-        chain.tail = prev;
-    return chain;
-}
-
 bool
 AdjacencyStore::validateBlock(uint64_t off, BlockHeader &hdr,
                               uint32_t &count, uint32_t &sum,

@@ -354,18 +354,15 @@ class AdjacencyStore
                           telemetry::AccessCategory cat =
                               telemetry::AccessCategory::AdjacencyArchive);
 
-    /** Rebuild the DRAM chain mirror of @p slot from the device
-     *  (trusting it — use loadChainValidated() after a crash). */
-    VertexChain loadChain(uint64_t slot) const;
-
     /**
-     * Crash-safe chain rebuild: validates every block (magic, bounds,
-     * commit checksum — for compressed chunks the checksum covers the
-     * encoded payload and the varint stream must decode cleanly) and
-     * truncates the chain at the first invalid one, repairing the
-     * dangling link / index entry on the device so a later crash cannot
-     * resurrect the garbage. Thread-safe for distinct slots; @p scan
-     * accumulates what was found (caller merges).
+     * Rebuild the DRAM chain mirror of @p slot from the device, crash-safe:
+     * validates every block (magic, bounds, commit checksum — for
+     * compressed chunks the checksum covers the encoded payload and the
+     * varint stream must decode cleanly) and truncates the chain at the
+     * first invalid one, repairing the dangling link / index entry on the
+     * device so a later crash cannot resurrect the garbage. Thread-safe
+     * for distinct slots; @p scan accumulates what was found (caller
+     * merges).
      */
     VertexChain loadChainValidated(uint64_t slot, ChainScan &scan);
 

@@ -24,18 +24,9 @@
 
 #include "graph/partition.hpp"
 #include "graph/types.hpp"
+#include "pmem/memory_device.hpp"
 
 namespace xpg {
-
-/** What device model backs the graph data. */
-enum class MemKind
-{
-    Pmem,       ///< App-Direct PMEM model (persistent)
-    Dram,       ///< DRAM model (volatile; XPGraph-D / GraphOne-D)
-    MemoryMode, ///< Optane Memory Mode model (volatile, Fig.12 "MM")
-    Ssd,        ///< NVMe SSD model (persistent; the paper's future-work
-                ///  "SSD-supported XPGraph" substrate)
-};
 
 /** Engine configuration; see the paper sections referenced per field. */
 struct XPGraphConfig

@@ -9,9 +9,7 @@
 #include "util/checksum.hpp"
 #include "graph/tombstones.hpp"
 #include "pmem/dram_device.hpp"
-#include "pmem/memory_mode_device.hpp"
 #include "pmem/numa_topology.hpp"
-#include "pmem/pmem_device.hpp"
 #include "pmem/ssd_device.hpp"
 #include "pmem/xpline.hpp"
 #include "telemetry/attribution.hpp"
@@ -459,39 +457,6 @@ XPGraph::backingPath(unsigned node) const
            ".pmem";
 }
 
-std::unique_ptr<MemoryDevice>
-XPGraph::makeDevice(unsigned node, bool recovering) const
-{
-    std::string path;
-    if (!config_.backingDir.empty()) {
-        path = backingPath(node);
-        if (!recovering)
-            std::remove(path.c_str()); // fresh instance: discard stale file
-    }
-    const std::string name = "pmem-node" + std::to_string(node);
-    switch (config_.memKind) {
-      case MemKind::Pmem:
-        return std::make_unique<PmemDevice>(name, config_.pmemBytesPerNode,
-                                            static_cast<int>(node),
-                                            config_.numNodes, path);
-      case MemKind::Dram:
-        return std::make_unique<DramDevice>(name, config_.pmemBytesPerNode,
-                                            static_cast<int>(node),
-                                            config_.numNodes);
-      case MemKind::MemoryMode:
-        return std::make_unique<MemoryModeDevice>(
-            name, config_.pmemBytesPerNode, config_.memoryModeCacheBytes,
-            static_cast<int>(node), config_.numNodes);
-      case MemKind::Ssd:
-        return std::make_unique<SsdDevice>(name, config_.pmemBytesPerNode,
-                                           static_cast<int>(node),
-                                           config_.numNodes, path,
-                                           SsdParams{},
-                                           config_.ssdCacheBlocks);
-    }
-    XPG_PANIC("unreachable mem kind");
-}
-
 void
 XPGraph::computeLayout(unsigned node, Partition &part) const
 {
@@ -549,7 +514,19 @@ XPGraph::initPartitions(bool recovering)
             }
             std::fclose(probe);
         }
-        part.dev = makeDevice(node, recovering);
+        std::string path;
+        if (!config_.backingDir.empty()) {
+            path = backingPath(node);
+            if (!recovering)
+                std::remove(path.c_str()); // fresh instance: discard stale file
+        }
+        part.dev = makeDevice(
+            config_.memKind, "pmem-node" + std::to_string(node),
+            config_.pmemBytesPerNode, static_cast<int>(node),
+            config_.numNodes, path,
+            config_.memKind == MemKind::Ssd
+                ? config_.ssdCacheBlocks * kSsdBlockSize
+                : config_.memoryModeCacheBytes);
         registerDevice(*part.dev);
         computeLayout(node, part);
 

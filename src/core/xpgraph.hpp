@@ -327,8 +327,6 @@ class XPGraph : public GraphStore
 
     // layout / construction
     std::string backingPath(unsigned node) const;
-    std::unique_ptr<MemoryDevice> makeDevice(unsigned node,
-                                             bool recovering) const;
     void computeLayout(unsigned node, Partition &part) const;
     /** @return false on a typed recovery failure (report filled). */
     bool initPartitions(bool recovering);

@@ -31,29 +31,14 @@ DramDevice::chargeAccess(uint64_t size, bool is_write)
 }
 
 void
-DramDevice::read(uint64_t off, void *dst, uint64_t size)
+DramDevice::chargeLoad(uint64_t, uint64_t size)
 {
-    std::memcpy(dst, readView(off, size), size);
-}
-
-const std::byte *
-DramDevice::readView(uint64_t off, uint64_t size)
-{
-    checkRange(off, size);
-    if (size == 0)
-        return raw(off);
-    count(telemetry::AttrField::AppBytesRead, size);
     chargeAccess(size, false);
-    return raw(off);
 }
 
 void
-DramDevice::write(uint64_t off, const void *src, uint64_t size)
+DramDevice::store(uint64_t off, const std::byte *src, uint64_t size)
 {
-    checkRange(off, size);
-    if (size == 0)
-        return;
-    count(telemetry::AttrField::AppBytesWritten, size);
     chargeAccess(size, true);
     std::memcpy(raw(off), src, size);
 }

@@ -28,11 +28,9 @@ class DramDevice : public MemoryDevice
                unsigned num_nodes = 2,
                const CostParams *params = nullptr);
 
-    void read(uint64_t off, void *dst, uint64_t size) override;
-    const std::byte *readView(uint64_t off, uint64_t size) override;
-    void write(uint64_t off, const void *src, uint64_t size) override;
-
-    const CostParams &params() const { return *params_; }
+  protected:
+    void chargeLoad(uint64_t off, uint64_t size) override;
+    void store(uint64_t off, const std::byte *src, uint64_t size) override;
 
   private:
     void chargeAccess(uint64_t size, bool is_write);

@@ -5,10 +5,12 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <type_traits>
-#include <vector>
 
+#include "pmem/dram_device.hpp"
+#include "pmem/memory_mode_device.hpp"
 #include "pmem/numa_topology.hpp"
+#include "pmem/pmem_device.hpp"
+#include "pmem/ssd_device.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/logging.hpp"
 
@@ -63,11 +65,30 @@ MemoryDevice::MemoryDevice(std::string name, uint64_t capacity, int node,
 const std::byte *
 MemoryDevice::readView(uint64_t off, uint64_t size)
 {
-    thread_local std::vector<std::byte> scratch;
-    if (scratch.size() < size)
-        scratch.resize(size);
-    read(off, scratch.data(), size);
-    return scratch.data();
+    checkRange(off, size);
+    if (size != 0) {
+        count(telemetry::AttrField::AppBytesRead, size);
+        chargeLoad(off, size);
+    }
+    return raw(off);
+}
+
+void
+MemoryDevice::read(uint64_t off, void *dst, uint64_t size)
+{
+    const std::byte *src = readView(off, size);
+    if (size != 0)
+        std::memcpy(dst, src, size);
+}
+
+void
+MemoryDevice::write(uint64_t off, const void *src, uint64_t size)
+{
+    checkRange(off, size);
+    if (size == 0)
+        return;
+    count(telemetry::AttrField::AppBytesWritten, size);
+    store(off, static_cast<const std::byte *>(src), size);
 }
 
 void
@@ -140,6 +161,29 @@ MemoryDevice::publishTelemetry(const char *store, int node_label) const
         tel.gauge(prefix + "sub_line_stores", labels)
             .set(row.subLineStores);
     }
+}
+
+std::unique_ptr<MemoryDevice>
+makeDevice(MemKind kind, std::string name, uint64_t capacity, int node,
+           unsigned num_nodes, const std::string &path,
+           uint64_t cache_bytes)
+{
+    switch (kind) {
+      case MemKind::Pmem:
+        return std::make_unique<PmemDevice>(std::move(name), capacity,
+                                            node, num_nodes, path);
+      case MemKind::Dram:
+        return std::make_unique<DramDevice>(std::move(name), capacity,
+                                            node, num_nodes);
+      case MemKind::MemoryMode:
+        return std::make_unique<MemoryModeDevice>(
+            std::move(name), capacity, cache_bytes, node, num_nodes);
+      case MemKind::Ssd:
+        return std::make_unique<SsdDevice>(
+            std::move(name), capacity, node, num_nodes, path, SsdParams{},
+            cache_bytes / kSsdBlockSize);
+    }
+    XPG_PANIC("unreachable mem kind");
 }
 
 } // namespace xpg

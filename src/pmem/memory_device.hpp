@@ -1,17 +1,19 @@
 /**
  * @file
- * Abstract modeled memory device plus its mmap-based backing store.
+ * Abstract modeled memory device, its mmap-based backing store, and the
+ * factory that builds every device kind.
  *
  * Every byte an engine keeps "in PMEM" (or in modeled DRAM for the volatile
  * variants) lives behind a MemoryDevice and is accessed exclusively through
- * read()/write()/persist(). That discipline is what makes the traffic
- * counters and simulated-time charges complete by construction (DESIGN.md
- * S4.1).
+ * read()/readView()/write()/persist(). That discipline is what makes the
+ * traffic counters and simulated-time charges complete by construction
+ * (DESIGN.md S5).
  */
 
 #ifndef XPG_PMEM_MEMORY_DEVICE_HPP
 #define XPG_PMEM_MEMORY_DEVICE_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -23,6 +25,16 @@
 #include "telemetry/attribution.hpp"
 
 namespace xpg {
+
+/** What device model backs a store's data. */
+enum class MemKind
+{
+    Pmem,       ///< App-Direct PMEM model (persistent)
+    Dram,       ///< DRAM model (volatile; XPGraph-D / GraphOne-D)
+    MemoryMode, ///< Optane Memory Mode model (volatile, Fig.12 "MM")
+    Ssd,        ///< NVMe SSD model (persistent; the paper's future-work
+                ///  "SSD-supported XPGraph" substrate)
+};
 
 /**
  * Owns the address space of a device: an anonymous mapping, or a shared
@@ -58,8 +70,11 @@ class DeviceBacking
 };
 
 /**
- * Base class of all modeled devices. Subclasses implement the cost and
- * counter behaviour; data movement itself is a host-side memcpy.
+ * Base class of all modeled devices. read(), readView() and write() are
+ * the one access path of every kind: they range-check, return on zero
+ * bytes, count the app bytes and copy. For them a device kind supplies
+ * only the cost of a load (chargeLoad) and of a store (store, which also
+ * lands the bytes), walking the lines it models with forEachLine.
  */
 class MemoryDevice
 {
@@ -79,21 +94,18 @@ class MemoryDevice
     MemoryDevice &operator=(const MemoryDevice &) = delete;
 
     /** Copy @p size bytes at @p off into @p dst, charging modeled cost. */
-    virtual void read(uint64_t off, void *dst, uint64_t size) = 0;
+    void read(uint64_t off, void *dst, uint64_t size);
 
     /**
      * Zero-copy read: charge exactly like read() but return a pointer to
      * the range instead of copying it out. The pointer stays valid until
      * the next write to the range (queries never run concurrently with
-     * updates). The base implementation copies into a thread-local
-     * scratch via read(), so the returned view is additionally
-     * invalidated by the thread's next readView() call; device
-     * subclasses override with a true in-place view.
+     * updates).
      */
-    virtual const std::byte *readView(uint64_t off, uint64_t size);
+    const std::byte *readView(uint64_t off, uint64_t size);
 
     /** Copy @p size bytes from @p src to @p off, charging modeled cost. */
-    virtual void write(uint64_t off, const void *src, uint64_t size) = 0;
+    void write(uint64_t off, const void *src, uint64_t size);
 
     /** clwb-style explicit write-back of the range (default: no-op). */
     virtual void persist(uint64_t off, uint64_t size) {}
@@ -187,6 +199,34 @@ class MemoryDevice
     void syncBacking() { backing_.sync(); }
 
   protected:
+    /** Charge a load of the in-range, non-empty [@p off, +@p size). */
+    virtual void chargeLoad(uint64_t off, uint64_t size) = 0;
+
+    /** Charge a store of the in-range, non-empty [@p off, +@p size) and
+     *  land @p src's bytes there. */
+    virtual void store(uint64_t off, const std::byte *src,
+                       uint64_t size) = 0;
+
+    /**
+     * The one line walk: call @p fn(line, starts_at_base, at, chunk) for
+     * each @p granule-sized line the non-empty [@p off, +@p size)
+     * touches, in address order. @p at is the range's first byte in the
+     * line and @p chunk its byte count there; starts_at_base is true when
+     * @p at is the line's base (every line but possibly the first).
+     */
+    template <typename Fn>
+    static void
+    forEachLine(uint64_t off, uint64_t size, uint64_t granule, Fn &&fn)
+    {
+        const uint64_t end = off + size;
+        for (uint64_t at = off; at < end;) {
+            const uint64_t line = at / granule;
+            const uint64_t chunk = std::min(end, (line + 1) * granule) - at;
+            fn(line, at == line * granule, at, chunk);
+            at += chunk;
+        }
+    }
+
     /** Raw pointer into the backing (subclass memcpy only). */
     std::byte *raw(uint64_t off) { return backing_.data() + off; }
 
@@ -283,6 +323,24 @@ class MemoryDevice
     std::atomic<unsigned> declaredReaders_{1};
     DeviceBacking backing_;
 };
+
+/**
+ * Build a device of kind @p kind: the one place a store gets its devices.
+ * @param name Device name for diagnostics.
+ * @param capacity Address-space size in bytes.
+ * @param node NUMA node the device belongs to.
+ * @param num_nodes Total node count of the modeled topology.
+ * @param path Backing file of a persistent kind (Pmem, Ssd); empty means
+ *        volatile. The volatile kinds ignore it.
+ * @param cache_bytes Cache in front of the media: Memory Mode's DRAM
+ *        cache, or the SSD's page cache (4 KiB blocks). Pmem and Dram
+ *        ignore it.
+ */
+std::unique_ptr<MemoryDevice> makeDevice(MemKind kind, std::string name,
+                                         uint64_t capacity, int node,
+                                         unsigned num_nodes,
+                                         const std::string &path = "",
+                                         uint64_t cache_bytes = 0);
 
 } // namespace xpg
 

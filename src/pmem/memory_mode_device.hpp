@@ -9,55 +9,41 @@
 #ifndef XPG_PMEM_MEMORY_MODE_DEVICE_HPP
 #define XPG_PMEM_MEMORY_MODE_DEVICE_HPP
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "pmem/cost_model.hpp"
 #include "pmem/memory_device.hpp"
-#include "util/spinlock.hpp"
+#include "pmem/xpbuffer.hpp"
 
 namespace xpg {
 
 /**
- * Memory-Mode device: every access first probes the DRAM cache; hits cost
- * DRAM latency, misses add an XPLine media read, and dirty conflict
- * evictions add a media write. Tags are direct-mapped with sharded locks.
+ * Memory-Mode device: every access first probes the DRAM cache, an
+ * XPBuffer with one way per set; hits cost DRAM latency, misses add an
+ * XPLine media read, and dirty conflict evictions add a media write. A
+ * write miss always fetches the line before merging the store.
  */
 class MemoryModeDevice : public MemoryDevice
 {
   public:
     /**
-     * @param dram_cache_bytes Size of the DRAM near-memory cache.
+     * @param dram_cache_bytes Size of the DRAM near-memory cache; its
+     *        line count is rounded down to a power of two.
      */
     MemoryModeDevice(std::string name, uint64_t capacity,
                      uint64_t dram_cache_bytes, int node = 0,
                      unsigned num_nodes = 2,
                      const CostParams *params = nullptr);
 
-    void read(uint64_t off, void *dst, uint64_t size) override;
-    const std::byte *readView(uint64_t off, uint64_t size) override;
-    void write(uint64_t off, const void *src, uint64_t size) override;
-
-    /** Fraction of line accesses served from the DRAM cache. */
-    double hitRate() const;
+  protected:
+    void chargeLoad(uint64_t off, uint64_t size) override;
+    void store(uint64_t off, const std::byte *src, uint64_t size) override;
 
   private:
-    static constexpr unsigned kLockShards = 64;
+    /** Charge one line's cache outcome of a load or a store. */
+    void chargeOutcome(const XPAccessOutcome &out, bool is_write);
 
-    /** Probe/refill one line; charges costs; returns true on DRAM hit. */
-    bool access(uint64_t line, bool is_write);
-
-    struct Tag
-    {
-        uint64_t line = ~0ull;
-        bool valid = false;
-        bool dirty = false;
-        uint8_t owner = 0; ///< attribution tag of the last dirtying store
-    };
-
-    std::vector<Tag> tags_;
-    std::unique_ptr<SpinLock[]> locks_;
+    XPBuffer cache_; ///< the DRAM cache, direct-mapped
     const CostParams *params_;
 };
 

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <mutex>
 #include <vector>
-
-#include "pmem/xpline.hpp"
 #include "util/sim_clock.hpp"
 
 namespace xpg {
@@ -32,62 +30,30 @@ PmemDevice::initTelemetryHandles()
 }
 
 void
-PmemDevice::chargeStoreOutcome(const XPAccessOutcome &out)
+PmemDevice::chargeOutcome(const XPAccessOutcome &out, bool is_write)
 {
     using telemetry::AttrField;
     const CostParams &p = *params_;
+    SimClock::charge(p.pmemBufferHitNs);
     if (out.hit) {
         count(AttrField::BufferHits, 1);
-        SimClock::charge(p.pmemBufferHitNs);
         return;
     }
-    SimClock::charge(p.pmemBufferHitNs);
-    const double remote = remoteFactor(p.pmemRemoteWriteMult);
+    const double remote = remoteFactor(is_write ? p.pmemRemoteWriteMult
+                                                : p.pmemRemoteReadMult);
     if (out.rmwRead) {
-        // The sub-line-store detector: this media read exists only
-        // because a store began off the line base, so the full line of
-        // read amplification is blamed on the storing category.
+        // A store's miss fetches the line only because the store began
+        // off the line base (the sub-line-store detector): the full line
+        // of read amplification is blamed on the storing category. A
+        // load miss moves the same bytes but is not an RMW.
         countMediaRead(kXPLineSize);
-        count(AttrField::RmwReads, 1);
-        const uint64_t readNs = CostParams::scaledNs(p.pmemMediaReadNs,
-                                                     remote);
-        SimClock::charge(readNs);
-        XPG_TEL_RECORD(telMediaReadHist_, readNs);
-    }
-    if (out.evictWrite) {
-        countMediaWrite(out.evictedOwner, kXPLineSize);
-        const uint64_t base =
-            out.evictSeq ? p.pmemMediaWriteSeqNs : p.pmemMediaWriteNs;
-        const double slope = out.evictSeq ? p.pmemSeqWriteContentionSlope
-                                          : p.pmemWriteContentionSlope;
-        const double contention = CostParams::contentionMult(
-            declaredWriters(), p.pmemWriteFairThreads, slope);
-        const uint64_t writeNs =
-            CostParams::scaledNs(base, remote * contention);
-        SimClock::charge(writeNs);
-        XPG_TEL_RECORD(telWritebackHist_, writeNs);
-    }
-}
-
-void
-PmemDevice::chargeLoadOutcome(const XPAccessOutcome &out)
-{
-    using telemetry::AttrField;
-    const CostParams &p = *params_;
-    if (out.hit) {
-        count(AttrField::BufferHits, 1);
-        SimClock::charge(p.pmemBufferHitNs);
-        return;
-    }
-    SimClock::charge(p.pmemBufferHitNs);
-    const double remote = remoteFactor(p.pmemRemoteReadMult);
-    if (out.rmwRead) {
-        // A load miss, not an RMW: media read bytes land in the loading
-        // category but rmwReads stays untouched.
-        countMediaRead(kXPLineSize);
-        const double contention = CostParams::contentionMult(
-            declaredReaders(), p.pmemReadFairThreads,
-            p.pmemReadContentionSlope);
+        if (is_write)
+            count(AttrField::RmwReads, 1);
+        const double contention =
+            is_write ? 1.0
+                     : CostParams::contentionMult(declaredReaders(),
+                                                  p.pmemReadFairThreads,
+                                                  p.pmemReadContentionSlope);
         const uint64_t readNs =
             CostParams::scaledNs(p.pmemMediaReadNs, remote * contention);
         SimClock::charge(readNs);
@@ -97,7 +63,14 @@ PmemDevice::chargeLoadOutcome(const XPAccessOutcome &out)
         countMediaWrite(out.evictedOwner, kXPLineSize);
         const uint64_t base =
             out.evictSeq ? p.pmemMediaWriteSeqNs : p.pmemMediaWriteNs;
-        const uint64_t writeNs = CostParams::scaledNs(base, remote);
+        const double slope = out.evictSeq ? p.pmemSeqWriteContentionSlope
+                                          : p.pmemWriteContentionSlope;
+        const double contention =
+            is_write ? CostParams::contentionMult(
+                           declaredWriters(), p.pmemWriteFairThreads, slope)
+                     : 1.0;
+        const uint64_t writeNs =
+            CostParams::scaledNs(base, remote * contention);
         SimClock::charge(writeNs);
         XPG_TEL_RECORD(telWritebackHist_, writeNs);
     }
@@ -144,64 +117,28 @@ PmemDevice::noteMediaWrite(uint64_t line, const XPLineImage &image)
 }
 
 void
-PmemDevice::chargeRead(uint64_t off, uint64_t size)
+PmemDevice::chargeLoad(uint64_t off, uint64_t size)
 {
-    count(telemetry::AttrField::AppBytesRead, size);
     const bool armed = faultsArmed();
     XPLineImage victim;
-    const uint64_t first = xplineOf(off);
-    const uint64_t last = xplineOf(off + size - 1);
-    for (uint64_t line = first; line <= last; ++line) {
+    forEachLine(off, size, kXPLineSize, [&](uint64_t line, auto...) {
         heat_.touch(line, scopeCategory(), false);
-        const XPAccessOutcome out = buffer_.load(line, armed ? &victim
-                                                             : nullptr);
-        chargeLoadOutcome(out);
+        const XPAccessOutcome out =
+            buffer_.load(line, armed ? &victim : nullptr);
+        chargeOutcome(out, false);
         if (armed && out.evictWrite)
             noteMediaWrite(out.evictedLine, victim);
-    }
+    });
 }
 
 void
-PmemDevice::read(uint64_t off, void *dst, uint64_t size)
+PmemDevice::store(uint64_t off, const std::byte *src, uint64_t size)
 {
-    checkRange(off, size);
-    if (size == 0)
-        return;
-    chargeRead(off, size);
-    std::memcpy(dst, raw(off), size);
-}
-
-const std::byte *
-PmemDevice::readView(uint64_t off, uint64_t size)
-{
-    checkRange(off, size);
-    if (size != 0)
-        chargeRead(off, size);
-    return raw(off);
-}
-
-void
-PmemDevice::write(uint64_t off, const void *src, uint64_t size)
-{
-    checkRange(off, size);
-    if (size == 0)
-        return;
-    count(telemetry::AttrField::AppBytesWritten, size);
     const uint8_t owner = ownerTag();
     const bool armed = faultsArmed();
     XPLineImage victim;
-    // Per-line store + copy: an eviction caused by a later line of this
-    // same write must write back the *final* content of the evicted line,
-    // so each line's bytes land in the backing before the next line's
-    // store can pick it as a victim.
-    const std::byte *cursor_src = static_cast<const std::byte *>(src);
-    uint64_t cursor = off;
-    const uint64_t end = off + size;
-    while (cursor < end) {
-        const uint64_t line = xplineOf(cursor);
-        const uint64_t line_end = (line + 1) * kXPLineSize;
-        const uint64_t chunk = std::min(end, line_end) - cursor;
-        const bool starts_at_base = (cursor == line * kXPLineSize);
+    forEachLine(off, size, kXPLineSize, [&](uint64_t line, bool starts_at_base,
+                                            uint64_t at, uint64_t chunk) {
         if (!starts_at_base)
             count(telemetry::AttrField::SubLineStores, 1);
         heat_.touch(line, ownerCategory(owner), true);
@@ -209,13 +146,13 @@ PmemDevice::write(uint64_t off, const void *src, uint64_t size)
         // image when it goes clean -> dirty.
         const XPAccessOutcome out = buffer_.store(
             line, starts_at_base, owner, armed ? &victim : nullptr);
-        chargeStoreOutcome(out);
+        chargeOutcome(out, true);
         if (armed && out.evictWrite)
             noteMediaWrite(out.evictedLine, victim);
-        std::memcpy(raw(cursor), cursor_src, chunk);
-        cursor_src += chunk;
-        cursor += chunk;
-    }
+        // Land the line's bytes before the next line's store can pick it
+        // as a victim: a write-back carries the line's final content.
+        std::memcpy(raw(at), src + (at - off), chunk);
+    });
 }
 
 void
@@ -242,22 +179,19 @@ PmemDevice::persist(uint64_t off, uint64_t size)
     const CostParams &p = *params_;
     const bool armed = faultsArmed();
     XPLineImage image;
-    const uint64_t first = xplineOf(off);
-    const uint64_t last = xplineOf(off + size - 1);
-    for (uint64_t line = first; line <= last; ++line) {
+    forEachLine(off, size, kXPLineSize, [&](uint64_t line, auto...) {
         uint8_t owner = ownerTag();
-        if (buffer_.flushLine(line, &owner, armed ? &image : nullptr)) {
-            countMediaWrite(owner, kXPLineSize);
-            if (armed)
-                noteMediaWrite(line, image);
-            const double remote = remoteFactor(p.pmemRemoteWriteMult);
-            const double contention = CostParams::contentionMult(
-                declaredWriters(), p.pmemWriteFairThreads,
-                p.pmemSeqWriteContentionSlope);
-            SimClock::chargeScaled(p.pmemMediaWriteSeqNs,
-                                   remote * contention);
-        }
-    }
+        if (!buffer_.flushLine(line, &owner, armed ? &image : nullptr))
+            return;
+        countMediaWrite(owner, kXPLineSize);
+        if (armed)
+            noteMediaWrite(line, image);
+        const double remote = remoteFactor(p.pmemRemoteWriteMult);
+        const double contention = CostParams::contentionMult(
+            declaredWriters(), p.pmemWriteFairThreads,
+            p.pmemSeqWriteContentionSlope);
+        SimClock::chargeScaled(p.pmemMediaWriteSeqNs, remote * contention);
+    });
 }
 
 void
@@ -281,13 +215,6 @@ PmemDevice::armFaults(std::shared_ptr<FaultInjector> injector)
     faults_ = std::move(injector);
     faultsArmed_.store(faults_ != nullptr, std::memory_order_relaxed);
     return true;
-}
-
-bool
-PmemDevice::crashTriggered() const
-{
-    std::lock_guard<SpinLock> guard(faultsLock_);
-    return faults_ && faults_->crashed();
 }
 
 } // namespace xpg

@@ -26,12 +26,21 @@ namespace xpg {
 /**
  * App-Direct PMEM device model.
  *
- * Cost charging per XPLine touched:
+ * The base class's access path hands each load and store to chargeLoad()
+ * and store(), which walk the XPLines with forEachLine (the one place
+ * that decides whether a store starts at a line base) and charge each
+ * line's XPBuffer outcome in chargeOutcome():
  *  - buffer hit: pmemBufferHitNs
- *  - RMW / load-miss media read: pmemMediaReadNs x remote x read-contention
+ *  - load miss: a media read at pmemMediaReadNs x remote x read-contention
+ *  - store miss off the line base (RMW): a media read at pmemMediaReadNs
+ *    x remote
  *  - dirty eviction: pmemMediaWriteNs (or the sequential rate for
- *    stream-allocated lines) x remote x write-contention
+ *    stream-allocated lines) x remote, and x write-contention when a
+ *    store evicts
  *  - persist(): explicit clwb write-back at the sequential rate
+ * A store copies each line's bytes before the next line's store can
+ * evict that line, so a write-back always carries the line's final
+ * content.
  */
 class PmemDevice : public MemoryDevice
 {
@@ -50,9 +59,6 @@ class PmemDevice : public MemoryDevice
                const XPBufferConfig &buffer_config = XPBufferConfig{},
                const CostParams *params = nullptr);
 
-    void read(uint64_t off, void *dst, uint64_t size) override;
-    const std::byte *readView(uint64_t off, uint64_t size) override;
-    void write(uint64_t off, const void *src, uint64_t size) override;
     void persist(uint64_t off, uint64_t size) override;
     void quiesce() override;
 
@@ -69,14 +75,12 @@ class PmemDevice : public MemoryDevice
     /** Arm counter-driven crash injection (see FaultPlan). */
     bool armFaults(std::shared_ptr<FaultInjector> injector) override;
 
-    /** True once an armed fault plan has tripped on this device's
-     *  injector (all writes since then are volatile). */
-    bool crashTriggered() const;
-
-    const CostParams &params() const { return *params_; }
-
     /** Bounded per-XPLine heat map (empty with -DXPG_TELEMETRY=OFF). */
     const telemetry::LineHeatTable &heat() const { return heat_; }
+
+  protected:
+    void chargeLoad(uint64_t off, uint64_t size) override;
+    void store(uint64_t off, const std::byte *src, uint64_t size) override;
 
   private:
     /** Lazily-resolved per-node telemetry histograms (null with
@@ -85,9 +89,8 @@ class PmemDevice : public MemoryDevice
      *  aggregates. */
     void initTelemetryHandles();
 
-    void chargeStoreOutcome(const XPAccessOutcome &out);
-    void chargeLoadOutcome(const XPAccessOutcome &out);
-    void chargeRead(uint64_t off, uint64_t size);
+    /** Charge one line's XPBuffer outcome of a load or a store. */
+    void chargeOutcome(const XPAccessOutcome &out, bool is_write);
     /** True while a fault plan is armed: write-backs then report their
      *  images to noteMediaWrite(). */
     bool

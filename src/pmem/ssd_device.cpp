@@ -8,12 +8,6 @@ namespace xpg {
 
 namespace {
 
-constexpr uint64_t
-blockOf(uint64_t off)
-{
-    return off / kSsdBlockSize;
-}
-
 XPBufferConfig
 cacheConfig(uint64_t cache_blocks)
 {
@@ -63,42 +57,24 @@ SsdDevice::chargeOutcome(const XPAccessOutcome &out, bool is_write)
 }
 
 void
-SsdDevice::read(uint64_t off, void *dst, uint64_t size)
+SsdDevice::chargeLoad(uint64_t off, uint64_t size)
 {
-    std::memcpy(dst, readView(off, size), size);
-}
-
-const std::byte *
-SsdDevice::readView(uint64_t off, uint64_t size)
-{
-    checkRange(off, size);
-    if (size == 0)
-        return raw(off);
-    count(telemetry::AttrField::AppBytesRead, size);
-    const uint64_t first = blockOf(off);
-    const uint64_t last = blockOf(off + size - 1);
-    for (uint64_t block = first; block <= last; ++block)
+    forEachLine(off, size, kSsdBlockSize, [&](uint64_t block, auto...) {
         chargeOutcome(cache_.load(block), false);
-    return raw(off);
+    });
 }
 
 void
-SsdDevice::write(uint64_t off, const void *src, uint64_t size)
+SsdDevice::store(uint64_t off, const std::byte *src, uint64_t size)
 {
-    checkRange(off, size);
-    if (size == 0)
-        return;
-    count(telemetry::AttrField::AppBytesWritten, size);
-    const uint64_t first = blockOf(off);
-    const uint64_t last = blockOf(off + size - 1);
-    uint64_t cursor = off;
-    for (uint64_t block = first; block <= last; ++block) {
-        const bool starts_at_base = cursor == block * kSsdBlockSize;
-        if (!starts_at_base)
-            count(telemetry::AttrField::SubLineStores, 1);
-        chargeOutcome(cache_.store(block, starts_at_base, ownerTag()), true);
-        cursor = (block + 1) * kSsdBlockSize;
-    }
+    forEachLine(off, size, kSsdBlockSize,
+                [&](uint64_t block, bool starts_at_base, auto...) {
+                    if (!starts_at_base)
+                        count(telemetry::AttrField::SubLineStores, 1);
+                    chargeOutcome(
+                        cache_.store(block, starts_at_base, ownerTag()),
+                        true);
+                });
     std::memcpy(raw(off), src, size);
 }
 
@@ -108,15 +84,13 @@ SsdDevice::persist(uint64_t off, uint64_t size)
     if (size == 0)
         return;
     checkRange(off, size);
-    const uint64_t first = blockOf(off);
-    const uint64_t last = blockOf(off + size - 1);
-    for (uint64_t block = first; block <= last; ++block) {
+    forEachLine(off, size, kSsdBlockSize, [&](uint64_t block, auto...) {
         uint8_t owner = ownerTag();
         if (cache_.flushLine(block, &owner)) {
             countMediaWrite(owner, kSsdBlockSize);
             SimClock::charge(params_.writeBlockNs);
         }
-    }
+    });
 }
 
 void

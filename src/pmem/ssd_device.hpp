@@ -54,13 +54,12 @@ class SsdDevice : public MemoryDevice
               const SsdParams &params = SsdParams{},
               uint64_t cache_blocks = 1024);
 
-    void read(uint64_t off, void *dst, uint64_t size) override;
-    const std::byte *readView(uint64_t off, uint64_t size) override;
-    void write(uint64_t off, const void *src, uint64_t size) override;
     void persist(uint64_t off, uint64_t size) override;
     void quiesce() override;
 
-    const SsdParams &params() const { return params_; }
+  protected:
+    void chargeLoad(uint64_t off, uint64_t size) override;
+    void store(uint64_t off, const std::byte *src, uint64_t size) override;
 
   private:
     void chargeOutcome(const XPAccessOutcome &out, bool is_write);

@@ -77,7 +77,7 @@ class XPBuffer
      * @param media When non-null, the bytes the lines live in (line L at
      *        media + L * kXPLineSize): dirty entries then keep crash
      *        images (see the file comment). Null keeps none (the SSD
-     *        page cache).
+     *        page cache, Memory Mode's DRAM cache).
      */
     explicit XPBuffer(const XPBufferConfig &config = XPBufferConfig{},
                       std::byte *media = nullptr);

@@ -20,6 +20,33 @@
 namespace xpg {
 namespace {
 
+/**
+ * Reload @p slot through the crash-safe loader and check it found the
+ * chain intact: nothing dropped, nothing truncated.
+ */
+VertexChain
+reloadIntact(AdjacencyStore &store, uint64_t slot)
+{
+    ChainScan scan;
+    const VertexChain loaded = store.loadChainValidated(slot, scan);
+    EXPECT_EQ(scan.blocksDropped, 0u);
+    EXPECT_EQ(scan.recordsTruncated, 0u);
+    return loaded;
+}
+
+/** A reloaded intact chain reproduces its DRAM mirror field by field. */
+void
+expectMirrors(const VertexChain &loaded, const VertexChain &mirror)
+{
+    EXPECT_EQ(loaded.head, mirror.head);
+    EXPECT_EQ(loaded.tail, mirror.tail);
+    EXPECT_EQ(loaded.records, mirror.records);
+    EXPECT_EQ(loaded.tailCount, mirror.tailCount);
+    EXPECT_EQ(loaded.tailCapacity, mirror.tailCapacity);
+    EXPECT_EQ(loaded.tailSum, mirror.tailSum);
+    EXPECT_EQ(loaded.tailCommitSlot, mirror.tailCommitSlot);
+}
+
 class StoreFixture : public ::testing::Test
 {
   protected:
@@ -151,12 +178,8 @@ TEST_F(StoreFixture, LoadChainRebuildsFromIndex)
         auto nebrs = seq(80, i * 1000);
         store_.append(7, nebrs.data(), 80, chain);
     }
-    const VertexChain loaded = store_.loadChain(7);
-    EXPECT_EQ(loaded.head, chain.head);
-    EXPECT_EQ(loaded.tail, chain.tail);
-    EXPECT_EQ(loaded.records, chain.records);
-    EXPECT_EQ(loaded.tailCount, chain.tailCount);
-    EXPECT_EQ(loaded.tailCapacity, chain.tailCapacity);
+    const VertexChain loaded = reloadIntact(store_, 7);
+    expectMirrors(loaded, chain);
 
     std::vector<vid_t> a, b;
     store_.readRaw(chain, a);
@@ -166,7 +189,7 @@ TEST_F(StoreFixture, LoadChainRebuildsFromIndex)
 
 TEST_F(StoreFixture, LoadChainOfUntouchedSlotIsEmpty)
 {
-    EXPECT_TRUE(store_.loadChain(63).empty());
+    EXPECT_TRUE(reloadIntact(store_, 63).empty());
 }
 
 TEST_F(StoreFixture, DistinctSlotsAreIndependent)
@@ -373,12 +396,9 @@ TEST_F(CompressedStoreFixture, LoadChainMatchesDramMirror)
     store_.append(8, b.data(), 400, chain);
     ASSERT_TRUE(headerAt(chain.tail).compressed());
 
-    const VertexChain loaded = store_.loadChain(8);
-    EXPECT_EQ(loaded.head, chain.head);
-    EXPECT_EQ(loaded.tail, chain.tail);
-    EXPECT_EQ(loaded.records, chain.records);
-    EXPECT_EQ(loaded.tailCount, chain.tailCount);
-    EXPECT_EQ(loaded.tailCapacity, chain.tailCapacity)
+    const VertexChain loaded = reloadIntact(store_, 8);
+    expectMirrors(loaded, chain);
+    EXPECT_EQ(loaded.tailCapacity, loaded.tailCount)
         << "compressed tails must load as sealed (capacity == count)";
 
     std::vector<vid_t> x, y;
@@ -554,7 +574,8 @@ TEST_P(AppendPattern, ReadBackMatchesAllAppends)
     EXPECT_EQ(chain.records, expect.size());
 
     // The persistent index agrees after a simulated restart.
-    const VertexChain loaded = store.loadChain(0);
+    const VertexChain loaded = reloadIntact(store, 0);
+    expectMirrors(loaded, chain);
     std::vector<vid_t> out2;
     store.readRaw(loaded, out2);
     EXPECT_EQ(out2, expect);

@@ -3,9 +3,10 @@
 # then run xpgraph_cli with --threads 1 — ingest on xpgraph, xpgraph-b,
 # graphone-p, graphone-d and graphone-n; the bfs/pr/cc/onehop kernels
 # on the default system and on graphone-p; an ingest with
-# --retain-window (deletes plus a compaction pass); and a file-backed
+# --retain-window (deletes plus a compaction pass); a file-backed
 # ingest followed by `recover --json -` on its image (the rebuild
-# path). The `loaded ... from <path>` line loses its (temporary) path,
+# path); and ingest plus the four kernels on xpgraph-d and xpgraph-ssd
+# (the DRAM and SSD device models). The `loaded ... from <path>` line loses its (temporary) path,
 # so the output depends only on code and dataset.
 #
 #   tools/exact_cli_runs.sh <xpgraph_cli> <dataset>            print
@@ -49,6 +50,13 @@ runs() {
         "${work}/image.txt")
     "${cli}" recover --backing "${work}/image" --vertices "${nv}" \
         --edges "${ne}" --threads 1 --json -
+    for system in xpgraph-d xpgraph-ssd; do
+        "${cli}" ingest --in "${edges}" --threads 1 --system "${system}"
+        for algo in bfs pr cc onehop; do
+            "${cli}" query --in "${edges}" --threads 1 \
+                --system "${system}" --algo "${algo}"
+        done
+    done
 }
 
 runs | sed -E 's#^(loaded .*) from .*$#\1 from <edges>#' > "${work}/runs.txt"

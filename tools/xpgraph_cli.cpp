@@ -35,15 +35,17 @@
  *             [--wedge-compactor 0|1]
  *             The live operations plane (DESIGN.md §14): run a churn
  *             workload (concurrent sessions, pipelined archiver,
- *             background compactor, rolling deletes) with the health
- *             watchdog monitoring and print one `[watch] ...` line per
- *             interval with the component health verdicts. --ops-jsonl
- *             and --prom arm the periodic exporter (JSONL time series +
- *             Prometheus text exposition); --events dumps the
- *             structured event log on exit; --flight-dir arms the crash
- *             flight recorder. --wedge-compactor 1 deliberately wedges
- *             the compactor thread so the watchdog's Stalled escalation
- *             (and the resulting flight record) can be demonstrated.
+ *             background compactor, rolling deletes; the sessions stop
+ *             logging at the 2^22 records the store is sized for) with
+ *             the health watchdog monitoring and print one `[watch] ...`
+ *             line per interval with the component health verdicts.
+ *             --ops-jsonl and --prom arm the periodic exporter (JSONL
+ *             time series + Prometheus text exposition); --events dumps
+ *             the structured event log on exit; --flight-dir arms the
+ *             crash flight recorder. --wedge-compactor 1 deliberately
+ *             wedges the compactor thread so the watchdog's Stalled
+ *             escalation (and the resulting flight record) can be
+ *             demonstrated.
  *
  *   pipeline  [--dataset TT] [--shift N] [--sessions S] [--threads T]
  *             [--backing DIR]
@@ -528,6 +530,11 @@ cmdRecover(const Args &args)
     return 0;
 }
 
+/** Records (inserts plus deletes) the watch store is sized for. The
+ *  churn clients stop logging at this count: the bump allocator never
+ *  reuses space, so a fast host would otherwise exhaust the device. */
+constexpr uint64_t kWatchRecordBudget = 1ull << 22;
+
 int
 cmdWatch(const Args &args)
 {
@@ -554,7 +561,7 @@ cmdWatch(const Args &args)
     c.backingDir = args.get("backing");
     if (!c.backingDir.empty())
         std::filesystem::create_directories(c.backingDir);
-    c.pmemBytesPerNode = recommendedBytesPerNode(c, 1ull << 22);
+    c.pmemBytesPerNode = recommendedBytesPerNode(c, kWatchRecordBudget);
 
     const std::string flight_dir = args.get("flight-dir");
     if (!flight_dir.empty()) {
@@ -587,13 +594,22 @@ cmdWatch(const Args &args)
     // Churn workload: every background component gets real work.
     // Sessions insert random batches and tombstone half of each fourth
     // batch, so the archiver drains continuously and the compactor
-    // keeps minting candidates (unless deliberately wedged).
+    // keeps minting candidates (unless deliberately wedged). A client
+    // reserves each batch's records from the shared budget before
+    // logging it, and idles with its session open once the budget is
+    // spent.
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> ingested{0};
+    std::atomic<uint64_t> logged{0};
     std::vector<std::thread> clients;
     for (unsigned t = 0; t < sessions; ++t) {
-        clients.emplace_back([&graph, &stop, &ingested, nv, t] {
+        clients.emplace_back([&graph, &stop, &ingested, &logged, nv, t] {
             auto session = graph.session(t);
+            // Reserve n records of the budget; false once it is spent.
+            const auto reserve = [&logged](uint64_t n) {
+                return logged.fetch_add(n, std::memory_order_relaxed) + n <=
+                       kWatchRecordBudget;
+            };
             Rng rng(t + 1);
             std::vector<Edge> batch(2048);
             uint64_t round = 0;
@@ -602,12 +618,19 @@ cmdWatch(const Args &args)
                     e.src = static_cast<vid_t>(rng.nextBounded(nv));
                     e.dst = static_cast<vid_t>(rng.nextBounded(nv));
                 }
+                if (!reserve(batch.size()))
+                    break;
                 session->addEdges(batch.data(), batch.size());
                 ingested.fetch_add(batch.size(),
                                    std::memory_order_relaxed);
-                if (++round % 4 == 0)
+                if (++round % 4 == 0) {
+                    if (!reserve(batch.size() / 2))
+                        break;
                     session->delEdges(batch.data(), batch.size() / 2);
+                }
             }
+            while (!stop.load(std::memory_order_relaxed))
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
         });
     }
 
