@@ -162,6 +162,33 @@ BM_PoolGrowChain(benchmark::State &state)
 BENCHMARK(BM_PoolGrowChain);
 
 void
+BM_PoolMassFree(benchmark::State &state)
+{
+    // A view-limbo drain: N parked vertex buffers of the 16..256 B layers
+    // go back to the pool in retirement order, which is not allocation
+    // order (flush workers retire by vertex slot). Time per free must not
+    // grow with the number of free blocks.
+    const uint64_t n = static_cast<uint64_t>(state.range(0));
+    VertexBufferPool pool;
+    std::vector<std::pair<std::byte *, uint32_t>> parked(n);
+    for (auto _ : state) {
+        state.PauseTiming();
+        Rng rng(5);
+        for (auto &[buf, bytes] : parked) {
+            bytes = 16u << rng.nextBounded(5);
+            buf = pool.alloc(bytes);
+        }
+        for (uint64_t i = n - 1; i > 0; --i)
+            std::swap(parked[i], parked[rng.nextBounded(i + 1)]);
+        state.ResumeTiming();
+        for (const auto &[buf, bytes] : parked)
+            pool.free(buf, bytes);
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_PoolMassFree)->Arg(1 << 13)->Arg(1 << 15);
+
+void
 BM_GetNebrsVector(benchmark::State &state)
 {
     // Materializing Table-I read: every call copies the adjacency into

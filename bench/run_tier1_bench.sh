@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 benchmark driver: configures and builds the tree, runs the
 # fig14 query bench (one-hop / BFS / PageRank / CC on GraphOne-P and
-# XPGraph), the query-primitive and
-# device-model microbenchmarks (the host cost of one modeled PMEM store,
-# alone and with four threads sharing a device), the concurrent-ingest
+# XPGraph), the query-primitive, device-model and vertex-buffer-pool
+# microbenchmarks (the host cost of one modeled PMEM store, alone and
+# with four threads sharing a device; of one pool alloc/free pair; and
+# of one free in a mass drain of parked buffers), the concurrent-ingest
 # scaling bench, and the
 # recovery-depth bench, and leaves the machine-readable numbers in
 # BENCH_query.json / BENCH_ingest.json / BENCH_recovery.json (override
@@ -22,7 +23,9 @@
 # -DXPG_SANITIZE=address and the recovery/crash suites (device crash
 # model, allocator recovery, XPGraph recovery, crash sweep) run under
 # AddressSanitizer — recovery code walks raw device images, exactly
-# where an out-of-bounds read would hide.
+# where an out-of-bounds read would hide — together with the read-view
+# and pool suites: the vertex-buffer pool poisons the blocks on its free
+# lists there, so a view reading a reclaimed buffer trips ASAN.
 #
 # After the recovery bench, the fig13 traffic bench runs and its report
 # is gated twice with tools/bench_diff: the paper's write-amplification
@@ -88,7 +91,7 @@ if [[ "${XPG_TSAN:-0}" == "1" ]]; then
     cmake -B "${tsan_dir}" -S "${repo_root}" -DXPG_SANITIZE=thread
     cmake --build "${tsan_dir}" -j "$(nproc)" --target xpg_tests
     "${tsan_dir}/tests/xpg_tests" \
-        --gtest_filter='Sessions/*:ConcurrentIngest*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:PmemDeviceTest.ConcurrentAccessesCountExactly:XPBuffer.*:ReadView*:Delete*:Compact*:Ops*:OpScope*:Explain*'
+        --gtest_filter='Sessions/*:ConcurrentIngest*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:PmemDeviceTest.ConcurrentAccessesCountExactly:XPBuffer.*:ReadView*:Delete*:Compact*:Ops*:OpScope*:Explain*:VertexBufferPool.*'
 fi
 
 if [[ "${XPG_ASAN:-0}" == "1" ]]; then
@@ -97,7 +100,7 @@ if [[ "${XPG_ASAN:-0}" == "1" ]]; then
     cmake --build "${asan_dir}" -j "$(nproc)" \
           --target xpg_tests xpg_crash_tests
     "${asan_dir}/tests/xpg_tests" \
-        --gtest_filter='PmemDeviceTest.*:PmemAllocator.*:RecoveryTest.*:XPBuffer.*:CompressedStoreFixture.*:AdjacencyCodec.*:ReadView.*:Delete*:Compact*:Ops*:OpScope*:Explain*'
+        --gtest_filter='PmemDeviceTest.*:PmemAllocator.*:RecoveryTest.*:XPBuffer.*:CompressedStoreFixture.*:AdjacencyCodec.*:ReadView.*:Delete*:Compact*:Ops*:OpScope*:Explain*:VertexBufferPool.*'
     "${asan_dir}/tests/xpg_crash_tests"
 fi
 
@@ -163,7 +166,7 @@ else
 fi
 
 "${build_dir}/bench/micro_primitives" \
-    --benchmark_filter='BM_(GetNebrs|Degree|LogWindow|AdjCodec|AdjRawCopy|TombstoneFold|PmemDevice|XPBuffer).*' \
+    --benchmark_filter='BM_(GetNebrs|Degree|LogWindow|AdjCodec|AdjRawCopy|TombstoneFold|PmemDevice|XPBuffer|Pool).*' \
     --benchmark_min_time=0.05
 
 export XPG_BENCH_INGEST_JSON="${XPG_BENCH_INGEST_JSON:-${repo_root}/BENCH_ingest.json}"

@@ -1,6 +1,7 @@
 #include "core/xpgraph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -617,6 +618,8 @@ XPGraph::initPartitions(bool recovering)
                 config_.proactiveFlush && config_.memKind == MemKind::Pmem,
                 compression);
             side->states.resize(part.slots[d]);
+            side->tombstoned =
+                std::vector<std::atomic<uint64_t>>((part.slots[d] + 63) / 64);
         }
     }
     return true;
@@ -764,6 +767,8 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
                         });
                         chargeDramScattered(2);
                         st.records = st.chain.records;
+                        if (st.tombstones != 0)
+                            side->markTombstoned(slot);
                     }
                 }
             }
@@ -1061,19 +1066,21 @@ XPGraph::startBackground(Background &bg, const char *name, Pass pass)
 {
     bg.thread = std::thread([this, &bg, name, pass = std::move(pass)] {
         XPG_TEL_NAME_THREAD(name);
-        std::unique_lock<std::mutex> lock(archiveMutex_);
-        while (!bg.stop) {
-            if (bg.hb)
-                bg.hb->busy(false); // parked = healthy, however long
-            bg.cv.wait(lock, [&] {
-                return bg.stop ||
-                       bg.requested.load(std::memory_order_relaxed);
-            });
-            if (bg.stop)
-                break;
+        for (;;) {
+            {
+                std::unique_lock<std::mutex> park(bg.park);
+                if (bg.hb)
+                    bg.hb->busy(false); // parked = healthy, however long
+                bg.cv.wait(park, [&] { return bg.stop || bg.requested; });
+                if (bg.stop)
+                    return;
+                bg.requested = false;
+            }
             if (bg.hb)
                 bg.hb->busy(true);
-            bg.requested.store(false, std::memory_order_relaxed);
+            std::unique_lock<std::mutex> lock(archiveMutex_);
+            if (bg.stop)
+                return;
             pass(lock);
         }
     });
@@ -1086,6 +1093,7 @@ XPGraph::stopBackground(Background &bg)
         return;
     {
         std::lock_guard<std::mutex> lock(archiveMutex_);
+        std::lock_guard<std::mutex> park(bg.park);
         bg.stop = true;
     }
     bg.cv.notify_all();
@@ -1143,23 +1151,29 @@ XPGraph::compactCandidatesLocked()
             const Side *side = part.sides[d].get();
             if (!side)
                 continue;
-            for (uint64_t slot = 0; slot < side->states.size(); ++slot) {
-                const VertexState &st = side->states[slot];
-                // Candidate = enough records to be worth a rewrite AND
-                // a tombstone share past the threshold. Delete-free
-                // chains never qualify, so a workload without deletes
-                // is byte-identical with the compactor on or off.
-                if (st.tombstones == 0 || st.records < min_records)
-                    continue;
-                if (static_cast<double>(st.tombstones) <
-                    ratio * static_cast<double>(st.records))
-                    continue;
-                if (!entered) {
-                    phaseEnterLocked();
-                    entered = true;
+            // Only slots holding a tombstone can qualify: visit their
+            // bits in ascending slot order. Delete-free chains never
+            // qualify, so a workload without deletes is byte-identical
+            // with the compactor on or off.
+            for (size_t w = 0; w < side->tombstoned.size(); ++w) {
+                for (uint64_t bits =
+                         side->tombstoned[w].load(std::memory_order_relaxed);
+                     bits != 0; bits &= bits - 1) {
+                    const uint64_t slot = w * 64 + std::countr_zero(bits);
+                    const VertexState &st = side->states[slot];
+                    // Candidate = enough records to be worth a rewrite
+                    // AND a tombstone share past the threshold.
+                    if (st.records < min_records ||
+                        static_cast<double>(st.tombstones) <
+                            ratio * static_cast<double>(st.records))
+                        continue;
+                    if (!entered) {
+                        phaseEnterLocked();
+                        entered = true;
+                    }
+                    compactSlotJournaled(part, d, slot, /*jslot=*/0);
+                    ++rewritten;
                 }
-                compactSlotJournaled(part, d, slot, /*jslot=*/0);
-                ++rewritten;
             }
         }
     }
@@ -1206,7 +1220,11 @@ XPGraph::compactSlotJournaled(Partition &part, unsigned d, uint64_t slot,
     }
     // Every tombstone was applied; the buffer drained into the chain.
     st.records = st.chain.records;
-    st.tombstones = 0;
+    if (st.tombstones != 0) {
+        st.tombstones = 0;
+        side.tombstoned[slot / 64].fetch_and(~(uint64_t{1} << (slot % 64)),
+                                             std::memory_order_relaxed);
+    }
 }
 
 // --- buffering phase -----------------------------------------------------
@@ -1491,8 +1509,8 @@ XPGraph::insertBuffered(Side &side, uint64_t slot, vid_t nebr)
     // with the stored data (same cache line as the state slot already
     // charged above).
     ++st.records;
-    if (isDelete(nebr))
-        ++st.tombstones;
+    if (isDelete(nebr) && st.tombstones++ == 0)
+        side.markTombstoned(slot);
 
     if (!st.buf) {
         st.bufBytes = config_.hierarchicalBuffers
@@ -1541,9 +1559,9 @@ XPGraph::flushVertex(Side &side, uint64_t slot, VertexState &st)
     chargeDramSequential(hdr->cnt * sizeof(vid_t));
     if (!views_.empty()) {
         // An open view captured this buffer's payload: park it in the
-        // limbo (drained when the last view closes) instead of resetting
-        // it in place. st.bufBytes is kept so the vertex restarts on the
-        // same layer.
+        // limbo (freed once no open view predates this phase) instead of
+        // resetting it in place. st.bufBytes is kept so the vertex
+        // restarts on the same layer.
         retireBufferToLimbo(st.buf, st.bufBytes);
         st.buf = nullptr;
     } else {
@@ -2027,7 +2045,8 @@ XPGraph::openView()
     // feeds the watchdog's view-pin probe, which reads only the atomic,
     // so it never needs archiveMutex_.
     const uint64_t id = nextViewId_++;
-    views_.emplace(id, ViewPin{state->boundary, telemetry::hostNowNs()});
+    views_.emplace(id, ViewPin{state->boundary, state->epoch,
+                               telemetry::hostNowNs()});
     recomputeReclaimFloorsLocked();
     oldestViewNs_.store(views_.begin()->second.openedNs,
                         std::memory_order_relaxed);
@@ -2051,17 +2070,23 @@ XPGraph::closeView(uint64_t id)
     views_.erase(id);
     oldestViewNs_.store(views_.empty() ? 0 : views_.begin()->second.openedNs,
                         std::memory_order_relaxed);
-    if (views_.empty()) {
-        // The capture cache references buffers that may sit in the
-        // limbo; drop it before returning them to the pool.
+    // A capture references only buffers live at its epoch, and the
+    // oldest open view has the oldest capture (the epoch cache is the
+    // newest), so every buffer retired before that capture goes back
+    // to the pool. The limbo is in epoch order: that is a prefix. The
+    // last close frees them all, and first drops the cache, which may
+    // reference buffers retired since its capture.
+    uint64_t reclaim_before = ~uint64_t{0};
+    if (!views_.empty())
+        reclaim_before = views_.begin()->second.epoch;
+    else
         epochCache_.reset();
-        std::vector<std::pair<std::byte *, uint32_t>> parked;
-        {
-            std::lock_guard<std::mutex> limbo_lock(limboMutex_);
-            parked.swap(limbo_);
+    {
+        std::lock_guard<std::mutex> limbo_lock(limboMutex_);
+        while (!limbo_.empty() && limbo_.front().epoch < reclaim_before) {
+            pool_->free(limbo_.front().buf, limbo_.front().bytes);
+            limbo_.pop_front();
         }
-        for (const auto &[buf, bytes] : parked)
-            pool_->free(buf, bytes);
     }
     recomputeReclaimFloorsLocked();
     // A session stalled on a full log may be waiting for this close.
@@ -2088,8 +2113,9 @@ XPGraph::recomputeReclaimFloorsLocked()
 void
 XPGraph::retireBufferToLimbo(std::byte *buf, uint32_t bytes)
 {
+    const uint64_t epoch = phaseEpoch_.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(limboMutex_);
-    limbo_.emplace_back(buf, bytes);
+    limbo_.push_back({buf, bytes, epoch});
 }
 
 // --- arranging -------------------------------------------------------------

@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -149,11 +150,13 @@ class XPGraph : public GraphStore
      * lock briefly (capture is O(maxVertices), amortized by an epoch
      * cache across views of the same epoch); afterwards readers are
      * lock-free and never block IngestSessions. While any view is
-     * open, log reclamation is floored at the view's boundary (a
-     * full log makes writers wait for the view to close — size the
+     * open, log reclamation is floored at the oldest view's boundary
+     * (a full log makes writers wait for a view to close — size the
      * log for the ingest burst, see waitForLogSpace) and retired
-     * vertex buffers go to a limbo list drained when the last view
-     * closes. Views must be destroyed before the store.
+     * vertex buffers park in a limbo list tagged with the phase epoch
+     * that retired them; each close returns to the pool every buffer
+     * retired before the oldest still-open view's capture. Views must
+     * be destroyed before the store.
      */
     std::unique_ptr<ReadView> openView() override;
 
@@ -302,6 +305,17 @@ class XPGraph : public GraphStore
     {
         std::unique_ptr<AdjacencyStore> store;
         std::vector<VertexState> states;
+        /// one bit per slot, set while its tombstones count is non-zero
+        /// (the compactor's candidates); concurrent buffer workers share
+        /// words, so bits are set and cleared with relaxed atomics
+        std::vector<std::atomic<uint64_t>> tombstoned;
+
+        void
+        markTombstoned(uint64_t slot)
+        {
+            tombstoned[slot / 64].fetch_or(uint64_t{1} << (slot % 64),
+                                           std::memory_order_relaxed);
+        }
     };
 
     /**
@@ -397,23 +411,30 @@ class XPGraph : public GraphStore
     // --- background passes: the pipelined archiver and the compactor ---
 
     /**
-     * A background thread that parks on @c cv under archiveMutex_ until
-     * a pass is requested or it is stopped, then runs one pass with the
-     * lock held. The heartbeat is null when the thread is off.
+     * A background thread that parks on @c cv under its own @c park
+     * mutex until a pass is requested or it is stopped, then runs one
+     * pass with archiveMutex_ held. A request takes only @c park, so it
+     * is never lost between the thread's predicate check and its sleep,
+     * and a logging session never waits for a running pass. The
+     * heartbeat is null when the thread is off.
      */
     struct Background
     {
         std::thread thread;
+        std::mutex park;
         std::condition_variable cv;
-        bool stop = false; ///< guarded by archiveMutex_
-        std::atomic<bool> requested{false};
+        bool stop = false;      ///< written under archiveMutex_ and park
+        bool requested = false; ///< guarded by park
         telemetry::Heartbeat *hb = nullptr;
 
         /** Ask for a pass (no effect while the thread is off). */
         void
         request()
         {
-            requested.store(true, std::memory_order_relaxed);
+            {
+                std::lock_guard<std::mutex> lock(park);
+                requested = true;
+            }
             cv.notify_one();
         }
     };
@@ -576,8 +597,9 @@ class XPGraph : public GraphStore
     /** Capture (or reuse from epochCache_) the per-vertex state at the
      *  current epoch; caller holds archiveMutex_, no phase running. */
     std::shared_ptr<const EpochState> captureEpochLocked();
-    /** Unregister view @p id, recompute log floors, and at the last
-     *  close drain the buffer limbo and drop the epoch cache. */
+    /** Unregister view @p id, recompute log floors, and free every
+     *  parked buffer no open view can reference (at the last close:
+     *  all of them, and the epoch cache is dropped). */
     void closeView(uint64_t id);
     /** Re-derive every log's reclaim floor from the oldest open view. */
     void recomputeReclaimFloorsLocked();
@@ -651,27 +673,38 @@ class XPGraph : public GraphStore
     /** Last captured epoch state, reused while phaseEpoch_ is unchanged
      *  (many views of one quiescent epoch share a single capture). */
     std::shared_ptr<const EpochState> epochCache_;
-    /** An open view's pin: its per-node log boundaries and host open
-     *  time. */
+    /** An open view's pin: its per-node log boundaries, its capture's
+     *  phase epoch and its host open time. */
     struct ViewPin
     {
         std::vector<uint64_t> boundary;
+        uint64_t epoch = 0;
         uint64_t openedNs = 0;
     };
     /**
-     * Open views by id. A later view opens at a later epoch and host
-     * time, so begin() is the oldest: it sets the reclaim floors and
-     * oldestViewNs_. Phase workers test empty() while the coordinator
-     * holds archiveMutex_, which every writer needs, so those reads
-     * race with nothing.
+     * Open views by id. A later view opens at a later (or the same)
+     * epoch and host time, so begin() is the oldest: it sets the
+     * reclaim floors, the limbo's reclaim epoch and oldestViewNs_.
+     * Phase workers test empty() while the coordinator holds
+     * archiveMutex_, which every writer needs, so those reads race
+     * with nothing.
      */
     std::map<uint64_t, ViewPin> views_;
     uint64_t nextViewId_ = 1;
-    /** Vertex buffers retired while views were open: freed to the pool
-     *  when the last view closes. Pushed concurrently by flush workers
-     *  under limboMutex_; drained under archiveMutex_. */
+    /** A vertex buffer retired while views were open, and the (odd)
+     *  phase epoch that retired it. */
+    struct Parked
+    {
+        std::byte *buf;
+        uint32_t bytes;
+        uint64_t epoch;
+    };
+    /** Parked buffers in retirement order, so in epoch order: phases
+     *  run one at a time. Pushed concurrently by a phase's workers
+     *  under limboMutex_; closeView frees a prefix under
+     *  archiveMutex_. */
     mutable std::mutex limboMutex_;
-    std::vector<std::pair<std::byte *, uint32_t>> limbo_;
+    std::deque<Parked> limbo_;
 
     // --- ops plane (DESIGN.md §14) ---
 

@@ -10,6 +10,18 @@
  * lock contention (arena state is per-thread; cross-thread frees take a
  * short per-arena spinlock), and freed-buffer recycling.
  *
+ * Every list operation is O(1) and allocates nothing per block:
+ *  - the per-class free lists are LIFO vectors, and a listed block
+ *    (but its list's tail) stores its own list position in its first 8
+ *    bytes, so a merge removes its buddy by moving the list's last entry
+ *    into its place;
+ *  - each bulk keeps one bitmap per size class answering "is the block
+ *    at this address free at this size" (the tail by comparison);
+ *  - bulks are bulk-size aligned, so free() finds a block's bulk (and its
+ *    owning arena) from the aligned address through a lock-free directory.
+ * Under AddressSanitizer a listed block is poisoned except for those 8
+ * bytes, so a reader of a returned buffer trips ASAN.
+ *
  * A pool-size limit supports the scalability experiment (Fig.19): when the
  * pool is nearly full the engine flushes all vertex buffers and the space
  * is recycled.
@@ -18,11 +30,11 @@
 #ifndef XPG_MEMPOOL_VERTEX_BUFFER_POOL_HPP
 #define XPG_MEMPOOL_VERTEX_BUFFER_POOL_HPP
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "pmem/cost_model.hpp"
@@ -35,7 +47,7 @@ struct PoolConfig
 {
     uint64_t bulkSize = 16ull << 20;  ///< per-acquisition bulk (16 MiB)
     uint64_t poolLimit = ~0ull;       ///< max bytes the pool may reserve
-    uint32_t minBlock = 16;           ///< smallest size class
+    uint32_t minBlock = 16;           ///< smallest size class (>= 8)
 };
 
 /**
@@ -85,19 +97,25 @@ class VertexBufferPool
 
   private:
     struct Arena;
+    struct Bulk;
 
     /** Per-thread arena lookup/creation for this pool. */
     Arena &myArena();
 
-    /** Arena owning @p ptr (registered bulk ranges). */
-    Arena &arenaOf(const std::byte *ptr) const;
+    /** Bulk holding @p ptr (lock-free directory lookup). */
+    Bulk &bulkOf(const std::byte *ptr) const;
 
-    /** Acquire a fresh bulk for @p arena; registers its range. */
+    /** Acquire a fresh bulk for @p arena and publish it. */
     void acquireBulk(Arena &arena);
 
     PoolConfig config_;
     const CostParams *params_;
     unsigned numClasses_;
+    unsigned minShift_;  ///< log2(minBlock)
+    unsigned bulkShift_; ///< log2(bulkSize)
+    /// per class: the first bit of its free bitmap in a bulk's bitmaps
+    std::vector<uint64_t> classFirstBit_;
+    uint64_t bulkBitWords_ = 0; ///< words of one bulk's bitmaps
     /** Process-unique id: keys the per-thread arena cache safely even
      *  when a new pool reuses a destroyed pool's address. */
     uint64_t poolId_;
@@ -105,14 +123,14 @@ class VertexBufferPool
     mutable SpinLock arenasLock_;
     std::vector<std::unique_ptr<Arena>> arenas_;
 
-    struct BulkRange
-    {
-        uintptr_t begin;
-        uintptr_t end;
-        Arena *owner;
-    };
-    mutable SpinLock bulksLock_;
-    std::vector<BulkRange> bulks_;
+    /**
+     * Bulk directory: hash buckets keyed by the bulk-aligned address,
+     * each the head of a chain of bulks. A bulk is pushed once (CAS) and
+     * never unlinked before the pool dies, so lookups take no lock.
+     */
+    static constexpr unsigned kDirectoryBits = 10;
+    std::array<std::atomic<Bulk *>, 1u << kDirectoryBits> directory_{};
+    std::atomic<size_t> bulkCount_{0};
 
     std::atomic<uint64_t> bytesLive_{0};
     std::atomic<uint64_t> bytesReserved_{0};

@@ -321,6 +321,38 @@ TEST(ConcurrentIngest, LogFullWaitsAlwaysWake)
     }
 }
 
+/**
+ * A pipelined session that crosses the buffering threshold once and then
+ * idles must still get its window buffered: its one request to the
+ * archiver cannot be lost, even when it lands while the archiver is
+ * between checking for work and falling asleep (a fresh store's archiver
+ * does that just as the session logs). Rounds run for a fixed wall-clock
+ * budget; each must see the window buffered by a deadline.
+ */
+TEST(ConcurrentIngest, IdleSessionWindowIsBuffered)
+{
+    using namespace std::chrono_literals;
+    using Clock = std::chrono::steady_clock;
+    const vid_t nv = 128;
+    XPGraphConfig c = smallConfig(nv, 1 << 14);
+    c.pipelinedArchiving = true;
+    const uint64_t threshold = c.bufferingThresholdEdges;
+    const auto edges = generateUniform(nv, threshold + 1, /*seed=*/0x1D1E);
+    const auto budget = Clock::now() + 1s;
+    for (int round = 0; Clock::now() < budget; ++round) {
+        XPGraph graph(c);
+        auto session = graph.session(0);
+        session->addEdges(edges.data(), edges.size());
+        const auto deadline = Clock::now() + 10s;
+        while (graph.stats().edgesBuffered < threshold &&
+               Clock::now() < deadline)
+            std::this_thread::sleep_for(100us);
+        ASSERT_GE(graph.stats().edgesBuffered, threshold)
+            << "round " << round
+            << ": the archiver slept through the session's request";
+    }
+}
+
 // --- session surface -------------------------------------------------------
 
 TEST(IngestSession, BindsToHintedNumaNode)

@@ -20,6 +20,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analytics/algorithms.hpp"
@@ -28,6 +29,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph_store.hpp"
 #include "graph/snapshot.hpp"
+#include "util/rng.hpp"
 
 namespace xpg {
 namespace {
@@ -48,6 +50,16 @@ struct AdjDump
 {
     std::vector<std::vector<vid_t>> out;
     std::vector<std::vector<vid_t>> in;
+
+    /** A reference's lists, sorted. */
+    AdjDump(std::vector<std::vector<vid_t>> o,
+            std::vector<std::vector<vid_t>> i)
+        : out(std::move(o)), in(std::move(i))
+    {
+        for (auto *lists : {&out, &in})
+            for (auto &list : *lists)
+                std::sort(list.begin(), list.end());
+    }
 
     explicit AdjDump(const GraphView &view)
         : out(view.numVertices()), in(view.numVertices())
@@ -312,6 +324,86 @@ TEST(ReadView, PinnedLogBlocksWriterUntilClose)
     writer.join();
     graph.archiveAll();
     EXPECT_EQ(graph.stats().edgesLogged, head.size() + tail.size());
+}
+
+TEST(ReadView, RotatingViewsReclaimRetiredBuffers)
+{
+    // A serving loop's rotation: open the next view, then close the
+    // previous one, while one session inserts (growing vertex buffers
+    // through their layers), deletes, runs compaction passes and crosses
+    // the log-pressure flush threshold, also while both views are open.
+    // A close may return only the buffers no open view can read, and
+    // later phases reuse those blocks: right before it closes, every view
+    // must still read what it read at open, and the pool's live bytes
+    // must stay bounded however many views rotated.
+    const vid_t nv = 256;
+    const int rotations = 40;
+    XPGraphConfig c = smallConfig(nv, 4 * rotations * 1250);
+    c.compactMinRecords = 8;
+    XPGraph graph(c);
+    auto session = graph.session(0);
+    // Every vertex holds at most one buffer per side, of the top layer.
+    // A close leaves parked what the phases since the surviving view's
+    // open retired: at most a flush-all's worth plus the layers buffer
+    // growth left behind.
+    const uint64_t live_bound = 2ull * nv * c.maxVertexBufBytes;
+    const uint64_t bound = 3 * live_bound;
+
+    std::vector<std::vector<vid_t>> out(nv);
+    std::vector<std::vector<vid_t>> in(nv);
+    std::vector<Edge> present;
+    Rng rng(0x2077);
+    uint64_t compacted = 0;
+    const auto write = [&](uint64_t inserts, uint64_t deletes,
+                           uint64_t seed, bool compact) {
+        const auto batch = generateUniform(nv, inserts, seed);
+        session->addEdges(batch.data(), batch.size());
+        for (const Edge &e : batch) {
+            out[e.src].push_back(e.dst);
+            in[e.dst].push_back(e.src);
+            present.push_back(e);
+        }
+        const auto drop = [](std::vector<vid_t> &list, vid_t v) {
+            *std::find(list.begin(), list.end(), v) = list.back();
+            list.pop_back();
+        };
+        std::vector<Edge> dels;
+        for (uint64_t i = 0; i < deletes; ++i) {
+            std::swap(present[rng.nextBounded(present.size())],
+                      present.back());
+            const Edge e = present.back();
+            present.pop_back();
+            drop(out[e.src], e.dst);
+            drop(in[e.dst], e.src);
+            dels.push_back(e);
+        }
+        session->delEdges(dels.data(), dels.size());
+        if (compact)
+            compacted += graph.runCompactionPass();
+    };
+    const uint64_t flushes_before = graph.stats().flushAllPhases;
+
+    auto view = graph.openView();
+    AdjDump opened(*view);
+    for (int r = 0; r < rotations; ++r) {
+        write(600, 150, 1000 + 2 * r, r % 3 == 0);
+        auto next = graph.openView();
+        const AdjDump next_opened(*next);
+        ASSERT_TRUE(next_opened == AdjDump(out, in))
+            << "round " << r << ": a fresh view misses the reference";
+        // Phases with both views open retire buffers the next view
+        // captured: they must outlive the previous view's close.
+        write(400, 100, 1001 + 2 * r, r % 3 == 1);
+        ASSERT_TRUE(AdjDump(*view) == opened)
+            << "round " << r << ": the closing view changed while open";
+        view = std::move(next); // closes the previous view
+        opened = next_opened;
+        ASSERT_LE(graph.pool().bytesLive(), bound)
+            << "round " << r << ": retired buffers outlive their views";
+    }
+    EXPECT_TRUE(AdjDump(*view) == opened);
+    EXPECT_GT(compacted, 0u);
+    EXPECT_GT(graph.stats().flushAllPhases, flushes_before);
 }
 
 TEST(ReadView, EpochAdvancesAcrossArchivePhases)
