@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the substrate primitives: modeled
  * device accesses (host-side overhead of the simulation itself), the
- * XPBuffer, the buddy vertex-buffer pool vs the system allocator, and
- * edge generation. These measure HOST time (the cost of running the
+ * XPBuffer, the buddy vertex-buffer pool, one session append on each
+ * engine, the query primitives, and edge generation. These measure HOST time (the cost of running the
  * model), unlike the figure/table benches which report simulated time.
  */
 
@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "baselines/graphone.hpp"
 #include "core/adjacency_codec.hpp"
 #include "core/xpgraph.hpp"
 #include "graph/generators.hpp"
@@ -187,6 +188,52 @@ BM_PoolMassFree(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_PoolMassFree)->Arg(1 << 13)->Arg(1 << 15);
+
+/** Iterations of BM_SessionAppend64: its stores are sized for exactly
+ *  this many 64-edge writes, so no run length can exhaust PMEM. */
+constexpr uint64_t kSessionAppendCalls = 1 << 13;
+
+void
+BM_SessionAppend64(benchmark::State &state)
+{
+    // The serving write (fig_serving, perfbench serving): one 64-edge
+    // addEdges through a session, amortizing the inline archive phases
+    // the calls trigger. Arg 0 = XPGraph, 1 = GraphOne-P. Real time:
+    // the phases' workers run on the archive executor's threads.
+    const vid_t nv = 1 << 14;
+    const uint64_t total = kSessionAppendCalls * 64;
+    const auto edges = generateRmat(14, total, RmatParams{}, 88);
+    std::unique_ptr<GraphStore> store;
+    if (state.range(0) == 0) {
+        XPGraphConfig c = XPGraphConfig::persistent(nv, 0);
+        c.elogCapacityEdges = 1 << 16;
+        c.bufferingThresholdEdges = 1 << 12;
+        c.archiveThreads = 4;
+        c.pmemBytesPerNode = recommendedBytesPerNode(c, total);
+        store = std::make_unique<XPGraph>(c);
+    } else {
+        GraphOneConfig c;
+        c.maxVertices = nv;
+        c.elogCapacityEdges = 1 << 16;
+        c.archiveThresholdEdges = 1 << 12;
+        c.archiveThreads = 4;
+        c.bytesPerNode = graphoneRecommendedBytesPerNode(c, total);
+        store = std::make_unique<GraphOne>(c);
+    }
+    auto session = store->session(0);
+    const Edge *next = edges.data();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(session->addEdges(next, 64));
+        next += 64;
+    }
+    state.SetItemsProcessed(state.iterations() * 64);
+    state.SetLabel(state.range(0) == 0 ? "xpgraph" : "graphone-p");
+}
+BENCHMARK(BM_SessionAppend64)
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(kSessionAppendCalls)
+    ->UseRealTime();
 
 void
 BM_GetNebrsVector(benchmark::State &state)

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 benchmark driver: configures and builds the tree, runs the
 # fig14 query bench (one-hop / BFS / PageRank / CC on GraphOne-P and
-# XPGraph), the query-primitive, device-model and vertex-buffer-pool
-# microbenchmarks (the host cost of one modeled PMEM store, alone and
-# with four threads sharing a device; of one pool alloc/free pair; and
-# of one free in a mass drain of parked buffers), the concurrent-ingest
+# XPGraph), the query-primitive, device-model, vertex-buffer-pool and
+# session-append microbenchmarks (the host cost of one modeled PMEM
+# store, alone and with four threads sharing a device; of one pool
+# alloc/free pair; of one free in a mass drain of parked buffers; and
+# of one 64-edge session write per engine), the concurrent-ingest
 # scaling bench, and the
 # recovery-depth bench, and leaves the machine-readable numbers in
 # BENCH_query.json / BENCH_ingest.json / BENCH_recovery.json (override
@@ -24,8 +25,9 @@
 # model, allocator recovery, XPGraph recovery, crash sweep) run under
 # AddressSanitizer — recovery code walks raw device images, exactly
 # where an out-of-bounds read would hide — together with the read-view
-# and pool suites: the vertex-buffer pool poisons the blocks on its free
-# lists there, so a view reading a reclaimed buffer trips ASAN.
+# and pool suites (the vertex-buffer pool poisons the blocks on its free
+# lists there, so a view reading a reclaimed buffer trips ASAN) and the
+# edge-log and session suites, which cover the one append loop.
 #
 # After the recovery bench, the fig13 traffic bench runs and its report
 # is gated twice with tools/bench_diff: the paper's write-amplification
@@ -100,7 +102,7 @@ if [[ "${XPG_ASAN:-0}" == "1" ]]; then
     cmake --build "${asan_dir}" -j "$(nproc)" \
           --target xpg_tests xpg_crash_tests
     "${asan_dir}/tests/xpg_tests" \
-        --gtest_filter='PmemDeviceTest.*:PmemAllocator.*:RecoveryTest.*:XPBuffer.*:CompressedStoreFixture.*:AdjacencyCodec.*:ReadView.*:Delete*:Compact*:Ops*:OpScope*:Explain*:VertexBufferPool.*'
+        --gtest_filter='PmemDeviceTest.*:PmemAllocator.*:RecoveryTest.*:XPBuffer.*:CompressedStoreFixture.*:AdjacencyCodec.*:ReadView.*:Delete*:Compact*:Ops*:OpScope*:Explain*:VertexBufferPool.*:CircularEdgeLog.*:IngestSession*'
     "${asan_dir}/tests/xpg_crash_tests"
 fi
 
@@ -166,7 +168,7 @@ else
 fi
 
 "${build_dir}/bench/micro_primitives" \
-    --benchmark_filter='BM_(GetNebrs|Degree|LogWindow|AdjCodec|AdjRawCopy|TombstoneFold|PmemDevice|XPBuffer|Pool).*' \
+    --benchmark_filter='BM_(GetNebrs|Degree|LogWindow|AdjCodec|AdjRawCopy|TombstoneFold|PmemDevice|XPBuffer|Pool|SessionAppend).*' \
     --benchmark_min_time=0.05
 
 export XPG_BENCH_INGEST_JSON="${XPG_BENCH_INGEST_JSON:-${repo_root}/BENCH_ingest.json}"

@@ -5,6 +5,7 @@
 
 #include "graph/snapshot.hpp"
 #include "graph/tombstones.hpp"
+#include "pmem/cost_model.hpp"
 #include "pmem/dram_device.hpp"
 #include "pmem/numa_topology.hpp"
 #include "pmem/xpline.hpp"
@@ -137,6 +138,7 @@ GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
             /*durable=*/!config_.backingDir.empty() &&
                 config_.variant == GraphOneVariant::Pmem);
     }
+    registerEdgeLog(*log_);
 
     for (unsigned node = 0; node < devices_.size(); ++node) {
         // Chunk space starts after the log region on device 0.
@@ -153,8 +155,8 @@ GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
     executor_ =
         std::make_unique<ParallelExecutor>(config_.archiveThreads);
     initTelemetry();
-    const unsigned shards = std::max(
-        1u, config_.shardsPerThread * config_.archiveThreads);
+    const unsigned shards =
+        std::max(1u, kShardsPerThread * config_.archiveThreads);
     for (unsigned d = 0; d < 2; ++d) {
         meta_[d].resize(config_.maxVertices);
         shards_[d].resize(shards);
@@ -166,8 +168,6 @@ GraphOne::initTelemetry()
 {
     // Handles resolve to nullptr with -DXPG_TELEMETRY=OFF (and the
     // macros swallow every recording site, so they never dereference).
-    telAppendHist_ = XPG_TEL_HISTOGRAM(
-        "ingest.log_append_ns", (telemetry::Labels{.store = "graphone"}));
     telArchivePhaseHist_ = XPG_TEL_HISTOGRAM(
         "archive.archive_phase_ns",
         (telemetry::Labels{.store = "graphone", .phase = "archive"}));
@@ -253,60 +253,29 @@ GraphOne::declareLogWriters()
     logDevice_->setDeclaredWriters(std::max(1u, openSessions()));
 }
 
-AppendCost
-GraphOne::appendFromClient(unsigned /*node*/, const Edge *edges,
-                           uint64_t n)
+bool
+GraphOne::requestArchive(uint64_t &inline_ns)
 {
-    AppendCost cost;
-    uint64_t done = 0;
-    while (done < n) {
-        const uint64_t pending = log_->nonBuffered();
-        uint64_t want = n - done;
-        if (pending >= config_.archiveThresholdEdges) {
-            std::unique_lock<std::mutex> lock(archiveMutex_,
-                                              std::try_to_lock);
-            if (lock.owns_lock()) {
-                const uint64_t before =
-                    archivingNs_.load(std::memory_order_relaxed);
-                runArchivePhaseLocked();
-                cost.inlineArchiveNs +=
-                    archivingNs_.load(std::memory_order_relaxed) -
-                    before;
-                continue;
-            }
-            // Another session is archiving: keep logging meanwhile.
-        } else {
-            want = std::min(want,
-                            config_.archiveThresholdEdges - pending);
-        }
-        uint64_t pos = 0;
-        const uint64_t take = log_->tryReserve(want, pos);
-        if (take == 0) {
-            // Log full: archive (blocking on whoever is already at it).
-            std::lock_guard<std::mutex> lock(archiveMutex_);
-            if (log_->freeSlots() == 0) {
-                const uint64_t before =
-                    archivingNs_.load(std::memory_order_relaxed);
-                runArchivePhaseLocked();
-                cost.inlineArchiveNs +=
-                    archivingNs_.load(std::memory_order_relaxed) -
-                    before;
-            }
-            continue;
-        }
-        const uint64_t traceStart = XPG_TEL_HOST_NOW();
-        SimScope scope;
-        log_->writeReserved(pos, edges + done, take);
-        log_->publish(pos, take);
-        const uint64_t append_ns = scope.elapsed();
-        cost.loggingNs += append_ns;
-        XPG_TEL_RECORD(telAppendHist_, append_ns);
-        if (take >= kTraceAppendMinEdges)
-            XPG_TRACE_EMIT("log_append", "ingest", traceStart,
-                           XPG_TEL_HOST_NOW() - traceStart, append_ns);
-        done += take;
-    }
-    return cost;
+    std::unique_lock<std::mutex> lock(archiveMutex_, std::try_to_lock);
+    if (!lock.owns_lock())
+        return false; // another session is archiving: keep logging
+    const uint64_t before = archivingNs_.load(std::memory_order_relaxed);
+    runArchivePhaseLocked();
+    inline_ns += archivingNs_.load(std::memory_order_relaxed) - before;
+    return true;
+}
+
+void
+GraphOne::waitForLogSpace(unsigned /*node*/, uint64_t &inline_ns)
+{
+    // Archive (blocking on whoever is already at it) unless that
+    // archiver already freed slots.
+    std::lock_guard<std::mutex> lock(archiveMutex_);
+    if (log_->freeSlots() > 0)
+        return;
+    const uint64_t before = archivingNs_.load(std::memory_order_relaxed);
+    runArchivePhaseLocked();
+    inline_ns += archivingNs_.load(std::memory_order_relaxed) - before;
 }
 
 void
@@ -340,9 +309,12 @@ GraphOne::ensureCapacity(VertexMeta &meta, uint32_t increment)
     const unsigned dev_idx = static_cast<unsigned>(
         chunkCounter_.fetch_add(1, std::memory_order_relaxed) %
         devices_.size());
-    const uint64_t off = allocators_[dev_idx]->alloc(
-        uint64_t{capacity} * sizeof(vid_t), kCacheLineSize);
-    sysAlloc_.chargeAlloc(uint64_t{capacity} * sizeof(vid_t));
+    const uint64_t bytes = uint64_t{capacity} * sizeof(vid_t);
+    const uint64_t off = allocators_[dev_idx]->alloc(bytes, kCacheLineSize);
+    // GraphOne mallocs every chunk: the call, plus the kernel page-ins
+    // of a large one.
+    SimClock::charge(globalCostParams().sysAllocNs +
+                     (bytes > 64 * 1024 ? (bytes / 4096) * 40 : 0));
     chargeFileIo(0); // file append: metadata update
     meta.chunks.push_back(Chunk{off, capacity, 0, dev_idx});
 }

@@ -29,12 +29,11 @@
 #include <string>
 #include <vector>
 
-#include "core/circular_edge_log.hpp"
 #include "core/stats.hpp"
+#include "graph/circular_edge_log.hpp"
 #include "graph/edge_sharding.hpp"
 #include "graph/graph_store.hpp"
 #include "graph/types.hpp"
-#include "mempool/system_allocator_model.hpp"
 #include "pmem/memory_device.hpp"
 #include "pmem/pmem_allocator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -65,7 +64,6 @@ struct GraphOneConfig
      *  2^27 reproduces GraphOne's recovery-style bulk archiving). */
     uint64_t archiveThresholdEdges = 1ull << 16;
     unsigned archiveThreads = 16;
-    unsigned shardsPerThread = 16;
     /**
      * Directory for the Pmem variant's backing file; empty = volatile.
      * A file-backed GraphOne logs durably (the edge log persists its
@@ -193,11 +191,21 @@ class GraphOne : public GraphStore
     void ensureCapacity(VertexMeta &meta, uint32_t increment);
     void appendRecord(VertexMeta &meta, vid_t record);
 
-    // --- concurrent logging (sessions) ---
-    /** Append to the shared log; archive phases this client runs inline
-     *  (a client cannot log while archiving) land in inlineArchiveNs. */
-    AppendCost appendFromClient(unsigned node, const Edge *edges,
-                                uint64_t n) override;
+    // --- session hooks (the session runs the append loop) ---
+
+    uint64_t
+    archiveThreshold() const override
+    {
+        return config_.archiveThresholdEdges;
+    }
+
+    /** Threshold crossing: run an archive phase inline unless another
+     *  session is archiving (then keep logging). */
+    bool requestArchive(uint64_t &inline_ns) override;
+
+    /** Shared log full: archive, waiting for whoever already is. */
+    void waitForLogSpace(unsigned node, uint64_t &inline_ns) override;
+
     void sessionOpened(unsigned node) override;
     void sessionClosed(unsigned node) override;
     void declareLogWriters();
@@ -215,7 +223,6 @@ class GraphOne : public GraphStore
     std::unique_ptr<MemoryDevice> novaLogDevice_;
     MemoryDevice *logDevice_ = nullptr;
     std::unique_ptr<ParallelExecutor> executor_;
-    SystemAllocatorModel sysAlloc_;
 
     /// per direction (0 = out, 1 = in): per-vertex adjacency metadata
     std::vector<VertexMeta> meta_[2];
@@ -245,7 +252,6 @@ class GraphOne : public GraphStore
     std::atomic<uint64_t> archivePhases_{0};
 
     // telemetry handles (null with -DXPG_TELEMETRY=OFF)
-    telemetry::ShardedHistogram *telAppendHist_ = nullptr;
     telemetry::ShardedHistogram *telArchivePhaseHist_ = nullptr;
     telemetry::ShardedHistogram *telRecoveryHist_ = nullptr;
 };

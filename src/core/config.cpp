@@ -1,6 +1,6 @@
 #include "core/config.hpp"
 
-#include "core/circular_edge_log.hpp"
+#include "graph/circular_edge_log.hpp"
 #include "util/checksum.hpp"
 #include "util/logging.hpp"
 
@@ -102,9 +102,6 @@ XPGraphConfig::validate(bool for_recovery) const
 
     if (archiveThreads < 1)
         bad("archiveThreads is 0: archiving needs at least one worker");
-    if (shardsPerThread < 1)
-        bad("shardsPerThread is 0: the edge sharder needs at least one "
-            "shard per archive slot");
 
     if (compressAdjacency && compressMinDegree < 2)
         bad("compressMinDegree must be >= 2: a compressed chunk needs "

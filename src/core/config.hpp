@@ -76,7 +76,6 @@ struct XPGraphConfig
 
     // --- archiving (S IV-A) ---
     unsigned archiveThreads = 16;
-    unsigned shardsPerThread = 16;
     /** Proactively clwb adjacency writes >= one XPLine (S IV-A). */
     bool proactiveFlush = true;
     /**

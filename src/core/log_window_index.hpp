@@ -38,7 +38,7 @@
 #include <mutex>
 #include <vector>
 
-#include "core/circular_edge_log.hpp"
+#include "graph/circular_edge_log.hpp"
 #include "graph/types.hpp"
 #include "pmem/dram_device.hpp"
 

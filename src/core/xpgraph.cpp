@@ -246,8 +246,7 @@ XPGraph::XPGraph(const XPGraphConfig &config, bool recovering,
         shards_[d].resize(p);
         assign_[d].resize(p);
         for (unsigned node = 0; node < p; ++node)
-            shards_[d][node].resize(
-                std::max(1u, config_.shardsPerThread * slotsOnNode(node)));
+            shards_[d][node].resize(kShardsPerThread * slotsOnNode(node));
     }
 
     initWatchdog();
@@ -291,7 +290,7 @@ XPGraph::initWatchdog()
     // never toggle busy — a shared flag would flap across threads), so
     // it can never read as Stalled by itself; blocked writers surface
     // through the backpressure probe instead.
-    hbIngest_ = watchdog_.registerHeartbeat("ingest", 0);
+    registerIngestHeartbeat(*watchdog_.registerHeartbeat("ingest", 0));
     watchdog_.registerProbe(
         [this](uint64_t now_ns) { return backpressureProbe(now_ns); });
     watchdog_.registerProbe(
@@ -389,12 +388,6 @@ XPGraph::initTelemetry()
     // Handles resolve to nullptr when built with -DXPG_TELEMETRY=OFF
     // (the macros swallow every recording site too, so the null
     // pointers are never dereferenced).
-    telAppendHist_.resize(config_.numNodes, nullptr);
-    for (unsigned node = 0; node < config_.numNodes; ++node)
-        telAppendHist_[node] = XPG_TEL_HISTOGRAM(
-            "ingest.log_append_ns",
-            (telemetry::Labels{.store = "xpgraph",
-                               .node = static_cast<int>(node)}));
     telBufferPhaseHist_ = XPG_TEL_HISTOGRAM(
         "archive.buffering_phase_ns",
         (telemetry::Labels{.store = "xpgraph", .phase = "buffering"}));
@@ -605,6 +598,7 @@ XPGraph::initPartitions(bool recovering)
                 *part.dev, log_region_off, config_.elogCapacityEdges,
                 config_.batteryBacked, /*durable=*/true);
         }
+        registerEdgeLog(*part.log);
 
         const CompressionPolicy compression{config_.compressAdjacency,
                                             config_.compressMinDegree};
@@ -863,6 +857,7 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
             }
         }
     }
+    noteVbufPeakLocked();
     op.add(replay_scope.elapsed());
 }
 
@@ -916,64 +911,6 @@ XPGraph::sessionClosed(unsigned node)
 {
     parts_[node].sessions.fetch_sub(1, std::memory_order_relaxed);
     declareIdleWriters();
-}
-
-uint64_t
-XPGraph::totalNonBuffered() const
-{
-    uint64_t n = 0;
-    for (const auto &part : parts_)
-        n += part.log->nonBuffered();
-    return n;
-}
-
-AppendCost
-XPGraph::appendFromClient(unsigned node, const Edge *edges, uint64_t n)
-{
-    Partition &part = parts_[node];
-    CircularEdgeLog &log = *part.log;
-    if (config_.bindThreads &&
-        config_.placement != NumaPlacement::None &&
-        NumaBinding::currentNode() != static_cast<int>(node))
-        NumaBinding::bindThread(static_cast<int>(node));
-
-    AppendCost cost;
-    uint64_t done = 0;
-    if (hbIngest_)
-        hbIngest_->beat(); // shared liveness cell, beat-only (see init)
-    while (done < n) {
-        const uint64_t non_buffered = totalNonBuffered();
-        uint64_t want = n - done;
-        if (non_buffered >= config_.bufferingThresholdEdges) {
-            if (requestArchive(cost.inlineArchiveNs))
-                continue; // archived inline: re-evaluate the threshold
-            // Someone else (a session or the background archiver) is
-            // draining the logs — keep logging; that is the pipeline.
-        } else {
-            // Stop at the threshold so the batch that crosses it
-            // triggers archiving at the same point a lone client would.
-            want = std::min(want, config_.bufferingThresholdEdges -
-                                      non_buffered);
-        }
-        uint64_t pos = 0;
-        const uint64_t take = log.tryReserve(want, pos);
-        if (take == 0) {
-            waitForLogSpace(node, cost.inlineArchiveNs);
-            continue;
-        }
-        const uint64_t traceStart = XPG_TEL_HOST_NOW();
-        SimScope scope;
-        log.writeReserved(pos, edges + done, take);
-        log.publish(pos, take);
-        const uint64_t appendNs = scope.elapsed();
-        cost.loggingNs += appendNs;
-        XPG_TEL_RECORD(telAppendHist_[node], appendNs);
-        if (take >= kTraceAppendMinEdges)
-            XPG_TRACE_EMIT("log_append", "ingest", traceStart,
-                           XPG_TEL_HOST_NOW() - traceStart, appendNs);
-        done += take;
-    }
-    return cost;
 }
 
 bool
@@ -1380,6 +1317,7 @@ XPGraph::runBufferingPhaseLocked(bool capped)
         executor_->run([this](unsigned w) { bufferWorker(w); });
     op.add(result.maxNanos());
     declareIdleWriters();
+    noteVbufPeakLocked();
 
     for (unsigned node = 0; node < config_.numNodes; ++node) {
         CircularEdgeLog &log = *parts_[node].log;
@@ -2285,7 +2223,7 @@ XPGraph::memoryUsage() const
         for (const auto &lists : side_shards)
             for (const auto &list : lists)
                 mu.metaBytes += list.size() * sizeof(Edge);
-    mu.vbufBytes = pool_->peakLive();
+    mu.vbufBytes = vbufPeakBytes_;
     mu.elogBytes = config_.numNodes *
                    CircularEdgeLog::regionBytes(config_.elogCapacityEdges);
     return mu;

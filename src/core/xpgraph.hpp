@@ -48,11 +48,11 @@
 #include <vector>
 
 #include "core/adjacency_store.hpp"
-#include "core/circular_edge_log.hpp"
 #include "core/log_window_index.hpp"
 #include "core/config.hpp"
 #include "core/recovery.hpp"
 #include "core/stats.hpp"
+#include "graph/circular_edge_log.hpp"
 #include "graph/edge_sharding.hpp"
 #include "graph/graph_store.hpp"
 #include "graph/types.hpp"
@@ -356,19 +356,13 @@ class XPGraph : public GraphStore
     unsigned owner(vid_t v, bool out) const;
     uint64_t slotOf(vid_t v) const;
 
-    // --- logging (sessions; thread-safe) ---
+    // --- session hooks (the session runs the append loop) ---
 
-    /** Total published-but-unbuffered edges across every node's log. */
-    uint64_t totalNonBuffered() const;
-
-    /**
-     * The session append path: binds the client thread to @p node (when
-     * thread binding is on), then reserve + write + publish on the
-     * node's log, triggering/notifying archiving at the thresholds and
-     * blocking only when the log is full.
-     */
-    AppendCost appendFromClient(unsigned node, const Edge *edges,
-                                uint64_t n) override;
+    uint64_t
+    archiveThreshold() const override
+    {
+        return config_.bufferingThresholdEdges;
+    }
 
     /**
      * Threshold crossing: inline mode runs a buffering phase if no other
@@ -376,11 +370,11 @@ class XPGraph : public GraphStore
      * cost to @p inline_ns); pipelined mode wakes the background
      * archiver (returns false — keep logging).
      */
-    bool requestArchive(uint64_t &inline_ns);
+    bool requestArchive(uint64_t &inline_ns) override;
 
     /** Block until @p node's log has a free slot (archive/flush runs);
      *  inline mode adds the phases this client ran to @p inline_ns. */
-    void waitForLogSpace(unsigned node, uint64_t &inline_ns);
+    void waitForLogSpace(unsigned node, uint64_t &inline_ns) override;
 
     /** Sessions count as writers on their partition's device. */
     void sessionOpened(unsigned node) override;
@@ -504,6 +498,20 @@ class XPGraph : public GraphStore
 
     // per-edge work
     void insertBuffered(Side &side, uint64_t slot, vid_t nebr);
+    /**
+     * Fold the pool's live bytes into vbufPeakBytes_. Only
+     * insertBuffered() allocates buffers, in buffering phases and in
+     * recovery's replay, and live bytes only fall between those; so a
+     * sample at the end of each, before a pressure flush or a view
+     * close can free, is the high-water mark (short of the old block a
+     * concurrent growBuffer() briefly holds twice), taken on the
+     * coordinating thread whatever order the workers ran in.
+     */
+    void
+    noteVbufPeakLocked()
+    {
+        vbufPeakBytes_ = std::max(vbufPeakBytes_, pool_->bytesLive());
+    }
     void growBuffer(VertexState &st);
     void flushVertex(Side &side, uint64_t slot, VertexState &st);
 
@@ -650,6 +658,8 @@ class XPGraph : public GraphStore
     std::atomic<uint64_t> compactionSlots_{0};
     std::atomic<uint64_t> compactionBytesReclaimed_{0};
     std::atomic<uint64_t> compactionRecordsDropped_{0};
+    /// high-water vertex-buffer bytes (guarded by archiveMutex_)
+    uint64_t vbufPeakBytes_ = 0;
 
     // --- query-path counters (round observability, DESIGN.md §15) ---
     // Mutable: bumped on the const query paths (forEachLive, the view
@@ -711,7 +721,6 @@ class XPGraph : public GraphStore
     /** Per-store health registry; heartbeats registered in
      *  initWatchdog(), monitor thread only if config.watchdogMonitor. */
     telemetry::Watchdog watchdog_;
-    telemetry::Heartbeat *hbIngest_ = nullptr; ///< shared by sessions
     /** Host ns when the current log-full backpressure window opened
      *  (0 = no writer blocked). Maintained by enter/exitBackpressure. */
     std::atomic<uint64_t> backpressureSinceNs_{0};
@@ -723,9 +732,7 @@ class XPGraph : public GraphStore
      *  archive lock. */
     std::atomic<uint64_t> oldestViewNs_{0};
 
-    // cached telemetry handles (null when -DXPG_TELEMETRY=OFF); the
-    // per-node append histograms are indexed by partition.
-    std::vector<telemetry::ShardedHistogram *> telAppendHist_;
+    // cached telemetry handles (null when -DXPG_TELEMETRY=OFF)
     telemetry::ShardedHistogram *telBufferPhaseHist_ = nullptr;
     telemetry::ShardedHistogram *telFlushPhaseHist_ = nullptr;
     telemetry::ShardedHistogram *telRecoveryRebuildHist_ = nullptr;

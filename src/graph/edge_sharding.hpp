@@ -34,11 +34,15 @@ shardOf(uint64_t index, uint64_t range, uint64_t shards)
                                  std::max<uint64_t>(1, range));
 }
 
+/** Shards per archive worker (or per virtual slot): enough that
+ *  assignShards() can balance skewed vertex ranges. */
+inline constexpr unsigned kShardsPerThread = 16;
+
 /**
  * Assign contiguous shard runs to @p num_workers workers such that
  * each run holds roughly equal edges. Shard count should exceed the
- * worker count (the paper uses a multiple) so that skewed ranges can be
- * balanced.
+ * worker count (kShardsPerThread times it) so that skewed ranges can
+ * be balanced.
  */
 std::vector<ShardAssignment>
 assignShards(const std::vector<std::vector<Edge>> &shards,

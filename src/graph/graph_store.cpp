@@ -2,9 +2,12 @@
 
 #include <string>
 
+#include "graph/circular_edge_log.hpp"
+#include "pmem/numa_topology.hpp"
 #include "pmem/pmem_device.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/logging.hpp"
+#include "util/sim_clock.hpp"
 
 namespace xpg {
 
@@ -27,6 +30,8 @@ atomicFetchMax(std::atomic<uint64_t> &target, uint64_t value)
 IngestSession::IngestSession(GraphStore &store, unsigned node)
     : store_(store), node_(node)
 {
+    XPG_ASSERT(node_ < store_.logs_.size(),
+               "session bound to a node without an edge log");
     store_.openSessions_.fetch_add(1, std::memory_order_relaxed);
     id_ = static_cast<unsigned>(
         store_.sessionsOpened_.fetch_add(1, std::memory_order_relaxed) + 1);
@@ -62,16 +67,54 @@ IngestSession::addEdges(const Edge *edges, uint64_t n)
         XPG_ASSERT(edges[i].src < nv && rawVid(edges[i].dst) < nv,
                    "edge endpoint out of range");
     const uint64_t traceStart = XPG_TEL_HOST_NOW();
-    const AppendCost cost = store_.appendFromClient(node_, edges, n);
-    loggingNs_ += cost.loggingNs;
-    streamNs_ += cost.streamNs();
+    // A NUMA-aware store pins the client thread to its log's node (any
+    // migration charge lands outside the logging time).
+    if (store_.queryBindingEnabled() &&
+        NumaBinding::currentNode() != static_cast<int>(node_))
+        NumaBinding::bindThread(static_cast<int>(node_));
+    if (store_.ingestHeartbeat_)
+        store_.ingestHeartbeat_->beat();
+
+    CircularEdgeLog &log = *store_.logs_[node_];
+    uint64_t logging_ns = 0;
+    uint64_t inline_ns = 0; // archive phases this client ran itself
+    uint64_t done = 0;
+    while (done < n) {
+        uint64_t non_buffered = 0;
+        for (const CircularEdgeLog *l : store_.logs_)
+            non_buffered += l->nonBuffered();
+        const uint64_t threshold = store_.archiveThreshold();
+        uint64_t want = n - done;
+        if (non_buffered >= threshold) {
+            if (store_.requestArchive(inline_ns))
+                continue; // archived inline: re-test the threshold
+            // Someone else (a session or a background archiver) is
+            // draining the logs: keep logging, that is the pipeline.
+        } else {
+            // Stop at the threshold so the batch that crosses it
+            // triggers archiving at the same point a lone client would.
+            want = std::min(want, threshold - non_buffered);
+        }
+        SimScope scope;
+        const uint64_t take = log.append(edges + done, want);
+        if (take == 0) {
+            store_.waitForLogSpace(node_, inline_ns);
+            continue;
+        }
+        logging_ns += scope.elapsed();
+        done += take;
+    }
+
+    loggingNs_ += logging_ns;
+    streamNs_ += logging_ns + inline_ns;
     edgesLogged_ += n;
-    store_.loggingNs_.fetch_add(cost.loggingNs, std::memory_order_relaxed);
+    store_.loggingNs_.fetch_add(logging_ns, std::memory_order_relaxed);
     store_.edgesLogged_.fetch_add(n, std::memory_order_relaxed);
-    XPG_TEL_RECORD(telAppendHist_, cost.loggingNs);
+    XPG_TEL_RECORD(telAppendHist_, logging_ns);
     if (n >= kTraceAppendMinEdges)
         XPG_TRACE_EMIT("session_append", "ingest", traceStart,
-                       XPG_TEL_HOST_NOW() - traceStart, cost.streamNs());
+                       XPG_TEL_HOST_NOW() - traceStart,
+                       logging_ns + inline_ns);
     return n;
 }
 

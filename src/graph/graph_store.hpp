@@ -39,33 +39,25 @@
 
 namespace xpg {
 
+class CircularEdgeLog;
 class GraphStore;
 class MemoryDevice;
 
-/** Trace spans for chunked appends only: single-edge addEdge loops
- *  would flood the ring with sub-noise events. */
+/** Trace spans only for appends of at least this many edges:
+ *  single-edge addEdge loops would flood the ring with sub-noise
+ *  events. */
 inline constexpr uint64_t kTraceAppendMinEdges = 64;
-
-/**
- * Simulated time one engine append spent, split into the pure log
- * write and the archive phases it coordinated inline (a client cannot
- * log while it runs a phase itself, so its stream wall-clock is the
- * sum of both).
- */
-struct AppendCost
-{
-    uint64_t loggingNs = 0;
-    uint64_t inlineArchiveNs = 0;
-    uint64_t streamNs() const { return loggingNs + inlineArchiveNs; }
-};
 
 /**
  * A lightweight, single-threaded handle for one client thread's updates.
  * Different sessions may be used from different threads concurrently;
- * the store serializes internally (NUMA-sharded logs in XPGraph, atomic
- * log reservation in GraphOne). The engine supplies the log append
- * (GraphStore's session hooks); the session keeps the per-stream
- * statistics and folds them into the store on close (destruction).
+ * they append to the store's registered edge logs with an atomic
+ * reservation (one log per NUMA node in XPGraph, one shared log in
+ * GraphOne). The session runs the append loop for every engine; the
+ * engine supplies only what happens at the archive threshold and on a
+ * full log (GraphStore's session hooks). The session keeps the
+ * per-stream statistics and folds them into the store on close
+ * (destruction).
  */
 class IngestSession
 {
@@ -311,6 +303,19 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
      *  at construction; the engine owns it and keeps it alive. */
     void registerDevice(MemoryDevice &dev) { devices_.push_back(&dev); }
 
+    /** Add @p log as the edge log of node logs_.size(): sessions bound
+     *  to that node append to it, and the archive threshold counts its
+     *  non-buffered edges. Engines register each log once, at
+     *  construction, in node order; the engine owns it. */
+    void registerEdgeLog(CircularEdgeLog &log) { logs_.push_back(&log); }
+
+    /** A liveness cell every session beats once per append call. */
+    void
+    registerIngestHeartbeat(telemetry::Heartbeat &hb)
+    {
+        ingestHeartbeat_ = &hb;
+    }
+
     /** A session bound to @p node: what session() hands out. */
     std::unique_ptr<IngestSession> openSession(unsigned node);
 
@@ -319,10 +324,22 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
     /** A session bound to @p node opened (already counted open). */
     virtual void sessionOpened(unsigned node) = 0;
 
-    /** Log @p n edges for a session bound to @p node, running or
-     *  waiting for archive phases as the engine's thresholds demand. */
-    virtual AppendCost appendFromClient(unsigned node, const Edge *edges,
-                                        uint64_t n) = 0;
+    /** Non-buffered edges, summed over the registered logs, at which a
+     *  session calls requestArchive() before appending more. */
+    virtual uint64_t archiveThreshold() const = 0;
+
+    /**
+     * The logs reached archiveThreshold(). Either archive inline on the
+     * calling session's thread, add the phases' simulated ns to
+     * @p inline_ns and return true (the session re-tests the
+     * threshold), or leave the draining to someone else and return
+     * false (the session keeps logging).
+     */
+    virtual bool requestArchive(uint64_t &inline_ns) = 0;
+
+    /** @p node's log is full: return once a slot may be free, adding
+     *  the simulated ns of any phases run inline to @p inline_ns. */
+    virtual void waitForLogSpace(unsigned node, uint64_t &inline_ns) = 0;
 
     /** A session bound to @p node closed (no longer counted open). */
     virtual void sessionClosed(unsigned node) = 0;
@@ -343,6 +360,8 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
 
     const char *storeLabel_;
     std::vector<MemoryDevice *> devices_;
+    std::vector<CircularEdgeLog *> logs_; ///< indexed by session node
+    telemetry::Heartbeat *ingestHeartbeat_ = nullptr;
 
     // Session bookkeeping (relaxed atomics: sessions open, append and
     // close concurrently).

@@ -359,13 +359,7 @@ VertexBufferPool::alloc(uint32_t size)
     }
     unpoison(block.ptr, size);
 
-    const uint64_t live =
-        bytesLive_.fetch_add(size, std::memory_order_relaxed) + size;
-    uint64_t peak = peakLive_.load(std::memory_order_relaxed);
-    while (live > peak &&
-           !peakLive_.compare_exchange_weak(peak, live,
-                                            std::memory_order_relaxed)) {
-    }
+    bytesLive_.fetch_add(size, std::memory_order_relaxed);
     return block.ptr;
 }
 
@@ -404,12 +398,6 @@ uint64_t
 VertexBufferPool::bytesReserved() const
 {
     return bytesReserved_.load(std::memory_order_relaxed);
-}
-
-uint64_t
-VertexBufferPool::peakLive() const
-{
-    return peakLive_.load(std::memory_order_relaxed);
 }
 
 bool

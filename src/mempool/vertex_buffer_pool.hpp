@@ -83,9 +83,6 @@ class VertexBufferPool
     /** Bytes acquired from the OS (bulks). */
     uint64_t bytesReserved() const;
 
-    /** High-water mark of bytesLive. */
-    uint64_t peakLive() const;
-
     /**
      * True when the next bulk acquisition would exceed the pool limit —
      * the engine should flush all vertex buffers (Fig.19 mechanism).
@@ -134,7 +131,6 @@ class VertexBufferPool
 
     std::atomic<uint64_t> bytesLive_{0};
     std::atomic<uint64_t> bytesReserved_{0};
-    std::atomic<uint64_t> peakLive_{0};
 };
 
 } // namespace xpg

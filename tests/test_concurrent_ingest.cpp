@@ -32,6 +32,7 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_store.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace xpg {
 namespace {
@@ -416,6 +417,68 @@ TEST(IngestSession, StreamNsCountsInlineArchivePhases)
         EXPECT_GE(s.bufferingPhases, 4u);
         EXPECT_EQ(session->streamNs(),
                   session->loggingNs() + s.archivingNs());
+    }
+}
+
+TEST(IngestSession, OneAppendRecordPerCall)
+{
+    // The session runs the append loop for every engine: one addEdges
+    // call that crosses the archive threshold mid-batch (two log chunks
+    // around the archive request) leaves exactly one session_append span
+    // and one ingest.session_append_ns sample, and no per-chunk span.
+    if (!telemetry::kEnabled)
+        GTEST_SKIP() << "spans and histograms are compiled out";
+    const vid_t nv = 1024;
+    const uint64_t threshold = 256;
+    const uint64_t prefill = threshold - 100; // the call crosses at 100
+    const auto edges = generateUniform(nv, prefill + 200, 41);
+
+    XPGraphConfig inline_cfg = XPGraphConfig::persistent(nv, 0);
+    inline_cfg.elogCapacityEdges = 1 << 12;
+    inline_cfg.bufferingThresholdEdges = threshold;
+    inline_cfg.archiveThreads = 2;
+    inline_cfg.pmemBytesPerNode =
+        recommendedBytesPerNode(inline_cfg, edges.size());
+    XPGraphConfig pipelined_cfg = inline_cfg;
+    pipelined_cfg.pipelinedArchiving = true;
+    GraphOneConfig graphone_cfg;
+    graphone_cfg.maxVertices = nv;
+    graphone_cfg.elogCapacityEdges = 1 << 12;
+    graphone_cfg.archiveThresholdEdges = threshold;
+    graphone_cfg.archiveThreads = 2;
+    graphone_cfg.bytesPerNode =
+        graphoneRecommendedBytesPerNode(graphone_cfg, edges.size());
+
+    std::vector<std::pair<std::unique_ptr<GraphStore>, const char *>> stores;
+    stores.emplace_back(std::make_unique<XPGraph>(inline_cfg),
+                        "XPGraph inline");
+    stores.emplace_back(std::make_unique<XPGraph>(pipelined_cfg),
+                        "XPGraph pipelined");
+    stores.emplace_back(std::make_unique<GraphOne>(graphone_cfg),
+                        "GraphOne-P");
+    telemetry::Telemetry &tel = telemetry::Telemetry::instance();
+    for (const auto &[store, name] : stores) {
+        SCOPED_TRACE(name);
+        auto session = store->session(0);
+        session->addEdges(edges.data(), prefill);
+        const uint64_t first_ticket = tel.trace().emitted();
+        const uint64_t samples =
+            tel.mergedHistogram("ingest.session_append_ns").count;
+        session->addEdges(edges.data() + prefill, 200);
+        EXPECT_EQ(tel.mergedHistogram("ingest.session_append_ns").count,
+                  samples + 1);
+        unsigned session_spans = 0;
+        unsigned log_spans = 0;
+        for (const auto &ev : tel.trace().collect()) {
+            if (ev.ticket < first_ticket || !ev.name)
+                continue;
+            session_spans += std::string(ev.name) == "session_append";
+            log_spans += std::string(ev.name) == "log_append";
+        }
+        EXPECT_EQ(session_spans, 1u);
+        EXPECT_EQ(log_spans, 0u);
+        store->archiveAll();
+        EXPECT_EQ(store->ingestStats().edgesLogged, edges.size());
     }
 }
 

@@ -121,9 +121,6 @@ TEST(Config, ArchiveWorkersRequired)
     XPGraphConfig c = goodConfig();
     c.archiveThreads = 0;
     EXPECT_TRUE(mentions(c.validate(), "archiveThreads"));
-    c = goodConfig();
-    c.shardsPerThread = 0;
-    EXPECT_TRUE(mentions(c.validate(), "shardsPerThread"));
 }
 
 TEST(Config, OutInPlacementNeedsTwoNodes)

@@ -6,9 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
-#include "core/circular_edge_log.hpp"
+#include "graph/circular_edge_log.hpp"
 #include "pmem/pmem_device.hpp"
 
 namespace xpg {
@@ -96,14 +97,16 @@ TEST(CircularEdgeLog, RecoverRestoresPointers)
         log.markBuffered(30);
         log.markFlushed(10);
     }
-    auto log = CircularEdgeLog::recover(dev, 0, false);
-    EXPECT_EQ(log.head(), 40u);
-    EXPECT_EQ(log.bufferedUpTo(), 30u);
-    EXPECT_EQ(log.flushedUpTo(), 10u);
-    EXPECT_EQ(log.nonBuffered(), 10u);
-    EXPECT_EQ(log.unflushed(), 20u);
+    std::string error;
+    auto log = CircularEdgeLog::tryRecover(dev, 0, false, &error);
+    ASSERT_TRUE(log.has_value()) << error;
+    EXPECT_EQ(log->head(), 40u);
+    EXPECT_EQ(log->bufferedUpTo(), 30u);
+    EXPECT_EQ(log->flushedUpTo(), 10u);
+    EXPECT_EQ(log->nonBuffered(), 10u);
+    EXPECT_EQ(log->unflushed(), 20u);
     std::vector<Edge> window;
-    log.readRange(10, 30, window);
+    log->readRange(10, 30, window);
     EXPECT_EQ(window.size(), 20u);
     EXPECT_EQ(window.front().src, 10u);
 }
@@ -111,8 +114,12 @@ TEST(CircularEdgeLog, RecoverRestoresPointers)
 TEST(CircularEdgeLog, RecoverRejectsGarbage)
 {
     PmemDevice dev("t", 1 << 20, 0, 1);
-    EXPECT_EXIT(CircularEdgeLog::recover(dev, 0, false),
-                ::testing::ExitedWithCode(1), "magic");
+    std::string error;
+    uint64_t rejected = 0;
+    EXPECT_FALSE(
+        CircularEdgeLog::tryRecover(dev, 0, false, &error, &rejected));
+    EXPECT_NE(error.find("header corrupt"), std::string::npos) << error;
+    EXPECT_EQ(rejected, 2u);
 }
 
 TEST(CircularEdgeLog, NonDurableLogWritesOnlyItsSlots)
@@ -153,10 +160,11 @@ TEST(CircularEdgeLog, RewindBufferedReopensTheWindow)
         EXPECT_DEATH(log.rewindBuffered(11), "out of range");
     }
     // The rewound marker is what the persisted header holds.
-    auto log = CircularEdgeLog::recover(dev, 0, true);
-    EXPECT_EQ(log.head(), 40u);
-    EXPECT_EQ(log.bufferedUpTo(), 10u);
-    EXPECT_EQ(log.nonBuffered(), 30u);
+    auto log = CircularEdgeLog::tryRecover(dev, 0, true, nullptr);
+    ASSERT_TRUE(log.has_value());
+    EXPECT_EQ(log->head(), 40u);
+    EXPECT_EQ(log->bufferedUpTo(), 10u);
+    EXPECT_EQ(log->nonBuffered(), 30u);
 }
 
 TEST(CircularEdgeLog, SequentialAppendsDoNotAmplify)

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "baselines/graphone.hpp"
-#include "core/circular_edge_log.hpp"
 #include "core/xpgraph.hpp"
+#include "graph/circular_edge_log.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "pmem/pmem_device.hpp"

@@ -196,7 +196,6 @@ TEST(VertexBufferPool, LiveAccountingTracksAllocations)
     EXPECT_EQ(pool.bytesLive(), 64u);
     pool.free(b, 64);
     EXPECT_EQ(pool.bytesLive(), 0u);
-    EXPECT_EQ(pool.peakLive(), 192u);
 }
 
 TEST(VertexBufferPool, ReservedGrowsByBulks)

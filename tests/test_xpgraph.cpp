@@ -509,6 +509,53 @@ TEST(XPGraph, MemoryUsageBreakdownIsPopulated)
     EXPECT_GT(mu.pblkBytes, 0u);
 }
 
+TEST(XPGraph, VbufBytesIsTheBufferHighWaterMark)
+{
+    // Vertex buffers reach known layers (a 16 B buffer holds 3 records,
+    // a 32 B one 7): out(0) holds 4 records (32 B) and in(1..4) one each
+    // (4 x 16 B); out(8) and in(9) hold 4 each (2 x 32 B); out(10) and
+    // in(11) one each (2 x 16 B). 192 B at the phase's end, whichever
+    // worker inserted what — and still the figure after a pool-pressure
+    // flush (a one-bulk pool limit) has freed every buffer.
+    const std::vector<Edge> edges = {{0, 1}, {0, 2}, {0, 3}, {0, 4},
+                                     {8, 9}, {8, 9}, {8, 9}, {8, 9},
+                                     {10, 11}};
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " archive threads");
+        XPGraphConfig c = testConfig(16, edges.size());
+        c.archiveThreads = threads;
+        c.poolBulkBytes = 1 << 16;
+        c.poolLimitBytes = 1 << 16;
+        XPGraph graph(c);
+        graph.session(0)->addEdges(edges.data(), edges.size());
+        graph.archiveAll();
+        EXPECT_EQ(graph.pool().bytesLive(), 0u);
+        EXPECT_EQ(graph.memoryUsage().vbufBytes, 192u);
+    }
+}
+
+TEST(XPGraph, VbufBytesDoesNotDependOnArchiveThreads)
+{
+    // Per-vertex buffer sizes do not depend on which worker inserts, so
+    // the DRAM figure of one stream is one number for any worker count.
+    const vid_t nv = 1 << 10;
+    const auto edges = generateRmat(10, 40000, RmatParams{}, 17);
+    uint64_t expect = 0;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " archive threads");
+        XPGraphConfig c = testConfig(nv, edges.size());
+        c.archiveThreads = threads;
+        XPGraph graph(c);
+        graph.session(0)->addEdges(edges.data(), edges.size());
+        graph.archiveAll();
+        const uint64_t vbuf = graph.memoryUsage().vbufBytes;
+        EXPECT_GT(graph.stats().bufferingPhases, 4u);
+        if (threads == 1)
+            expect = vbuf;
+        EXPECT_EQ(vbuf, expect);
+    }
+}
+
 TEST(XPGraph, PmemCountersShowWrites)
 {
     const vid_t nv = 256;
