@@ -177,9 +177,9 @@ telemetryPhaseSeries()
     json::JsonValue out = json::JsonValue::object();
     if (!telemetry::kEnabled)
         return out;
-    auto &tel = telemetry::Telemetry::instance();
-    for (const std::string &name : tel.histogramNames()) {
-        const telemetry::Histogram h = tel.mergedHistogram(name);
+    const auto &metrics = telemetry::Telemetry::instance().metrics();
+    for (const std::string &name : metrics.histogramNames()) {
+        const telemetry::Histogram h = metrics.mergedHistogram(name);
         if (h.count == 0)
             continue;
         out.set(name, h.toJson());

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "telemetry/events.hpp"
 #include "util/rng.hpp"
 
 using namespace xpg;
@@ -57,8 +56,8 @@ struct ChurnRow
     IngestStats stats;
     uint64_t pblkBytes = 0;
     uint64_t checksum = 0;
-    /// Compaction activity as the structured event stream saw it:
-    /// passes that rewrote chains, and the chains they reported.
+    /// Compaction activity as the trace ring saw it: passes that
+    /// rewrote chains, and the chains their spans reported.
     uint64_t eventPasses = 0;
     uint64_t eventSwings = 0;
 
@@ -106,9 +105,10 @@ runMix(const XPGraphConfig &base, const Dataset &ds, unsigned delete_pct,
     ChurnRow row;
     row.deletePct = delete_pct;
     row.compactOn = compact_on;
-    // Event-stream correlation: everything emitted from here on
-    // belongs to this run (the log is process-wide, so filter by seq).
-    const uint64_t ev_before = telemetry::EventLog::instance().emitted();
+    // Trace-ring correlation: every record from this ticket on belongs
+    // to this run (the ring is process-wide, so filter by ticket).
+    telemetry::TraceBuffer &trace = telemetry::Telemetry::instance().trace();
+    const uint64_t first_ticket = trace.emitted();
     row.label = std::string("mix") + std::to_string(100 - delete_pct) +
                 "_" + std::to_string(delete_pct) +
                 (compact_on ? "_compact_on" : "_compact_off");
@@ -180,14 +180,12 @@ runMix(const XPGraphConfig &base, const Dataset &ds, unsigned delete_pct,
     row.stats = graph.stats();
     row.pblkBytes = graph.memoryUsage().pblkBytes;
     row.checksum = liveChecksum(graph, ds.numVertices);
-    // Fold this run's compaction events out of the process-wide ring:
-    // one "compaction_pass" event per pass that rewrote anything, a0 =
-    // chains rewritten. The acceptance check correlates these against
-    // the engine's own compaction counters.
-    for (const telemetry::EventView &ev :
-         telemetry::EventLog::instance().collect()) {
-        if (ev.seq < ev_before ||
-            ev.category != telemetry::EventCategory::Compaction ||
+    // Fold this run's compaction passes out of the process-wide ring:
+    // one "compaction_pass" span per pass, a0 = chains rewritten; the
+    // passes that rewrote anything count. The acceptance check
+    // correlates these against the engine's own compaction counters.
+    for (const telemetry::TraceEventView &ev : trace.collect()) {
+        if (ev.ticket < first_ticket || ev.a0 == 0 ||
             std::strcmp(ev.name, "compaction_pass") != 0)
             continue;
         ++row.eventPasses;
@@ -293,9 +291,9 @@ main(int argc, char **argv)
             ok = false;
         }
     }
-    // Event-stream correlation (compact-on rows, telemetry builds):
-    // the structured event log must have witnessed the compaction the
-    // engine counters report — at least one pass event, reporting at
+    // Trace-ring correlation (compact-on rows, telemetry builds): the
+    // ring must have witnessed the compaction the engine counters
+    // report — at least one pass span that rewrote chains, reporting at
     // least as many swings as chains the engine says it rewrote (a
     // candidate whose chain emptied in-buffer counts as a swing but
     // not a slot, so >=, never <).
@@ -307,9 +305,9 @@ main(int argc, char **argv)
                 r.eventSwings < r.stats.compactionSlots) {
                 std::fprintf(
                     stderr,
-                    "FAIL: %s compacted %llu chains but the event "
-                    "stream saw %llu swings in %llu passes — ops "
-                    "events out of sync with the engine\n",
+                    "FAIL: %s compacted %llu chains but the trace "
+                    "ring saw %llu swings in %llu passes — compaction "
+                    "spans out of sync with the engine\n",
                     r.label.c_str(),
                     static_cast<unsigned long long>(
                         r.stats.compactionSlots),

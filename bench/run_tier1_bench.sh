@@ -67,9 +67,10 @@
 #
 # The closing telemetry stage (skip with XPG_TELEMETRY_STAGE=0) runs the
 # CLI pipeline with --telemetry and json.tool-validates the trace and
-# metrics files, runs the attribution profiler and asserts its per-cause
-# rows sum back to the device counters (≤0.1%), then builds a
-# -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires the
+# metrics files, checks the trace for the recovery event instant and
+# the buffering spans' edge counts, runs the attribution profiler and
+# asserts its per-cause rows sum back to the device counters (≤0.1%),
+# then builds a -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires the
 # single-threaded CLI ingest/query/recover runs of
 # tools/exact_cli_runs.sh (PMEM, DRAM and SSD devices) to print
 # byte-identical output in both trees,
@@ -380,7 +381,8 @@ rm -rf "${watch_dir}"
 # Telemetry stage (skip with XPG_TELEMETRY_STAGE=0). Four checks:
 #  1. The CLI pipeline run (ingest + archive + query + crash + recover)
 #     with --telemetry produces a Chrome trace and a metrics snapshot
-#     that real JSON parsers accept.
+#     that real JSON parsers accept; the trace holds the recovery
+#     event instant and edge counts on its buffering_phase spans.
 #  2. A -DXPG_TELEMETRY=OFF tree compiles the whole library and test
 #     suite (the macros really collapse to no-ops) and still passes the
 #     Telemetry* tests, which use the classes directly.
@@ -399,6 +401,25 @@ if [[ "${XPG_TELEMETRY_STAGE:-1}" == "1" ]]; then
     python3 -m json.tool "${trace_json}" > /dev/null
     python3 -m json.tool "${trace_json%.json}.metrics.json" > /dev/null
     echo "telemetry: ${trace_json} and ${trace_json%.json}.metrics.json parse"
+    # Events on the timeline: the pipeline recovers with a report, so
+    # its trace holds a recovery instant, and every buffering_phase
+    # span carries the edges it buffered as its a0 argument.
+    python3 - "${trace_json}" <<'EOF'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+recovery = [e for e in events
+            if e.get("ph") == "i" and e.get("cat") == "recovery"]
+assert recovery, "pipeline trace holds no recovery instant"
+for e in recovery:
+    assert e["name"] in ("recovery_clean", "recovery_repairs"), e
+buffering = [e for e in events
+             if e.get("ph") == "X" and e.get("name") == "buffering_phase"]
+assert buffering, "pipeline trace holds no buffering_phase span"
+for e in buffering:
+    assert e["args"].get("a0", 0) > 0, f"no edge count on {e}"
+print(f"telemetry: {len(recovery)} recovery instant(s), "
+      f"{len(buffering)} buffering_phase spans with edge counts")
+EOF
 
     # Attribution profile stage: the profiler's per-cause rows must sum
     # back to the device-wide PCM counters (≤0.1% slack — in-process

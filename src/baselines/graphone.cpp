@@ -574,7 +574,7 @@ GraphOne::publishTelemetry() const
 {
     if (!telemetry::kEnabled)
         return;
-    auto &tel = telemetry::Telemetry::instance();
+    auto &tel = telemetry::Telemetry::instance().metrics();
     const telemetry::Labels store{.store = "graphone"};
     const IngestStats s = snapshotStats();
     tel.gauge("ingest.logging_ns", store).set(s.loggingNs);

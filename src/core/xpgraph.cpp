@@ -14,7 +14,6 @@
 #include "pmem/ssd_device.hpp"
 #include "pmem/xpline.hpp"
 #include "telemetry/attribution.hpp"
-#include "telemetry/events.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "util/logging.hpp"
 #include "util/sim_clock.hpp"
@@ -268,7 +267,7 @@ XPGraph::XPGraph(const XPGraphConfig &config, bool recovering,
                                 compactCandidatesLocked();
                                 return;
                             }
-                            XPG_EVENT(Warn, Compaction, "compactor_wedged",
+                            XPG_EVENT(Warn, "compaction", "compactor_wedged",
                                       0, 0);
                             compactor_.cv.wait(
                                 lock, [&] { return compactor_.stop; });
@@ -366,7 +365,7 @@ XPGraph::enterBackpressure(unsigned node)
         backpressureSinceNs_.store(telemetry::hostNowNs(),
                                    std::memory_order_relaxed);
         backpressureEpisodes_.fetch_add(1, std::memory_order_relaxed);
-        XPG_EVENT(Warn, Backpressure, "log_full_enter", node,
+        XPG_EVENT(Warn, "backpressure", "log_full_enter", node,
                   parts_[node].log->freeSlots());
     }
 }
@@ -377,7 +376,7 @@ XPGraph::exitBackpressure(unsigned node)
     if (backpressureWaiters_.fetch_sub(1, std::memory_order_acq_rel) ==
         1) {
         backpressureSinceNs_.store(0, std::memory_order_relaxed);
-        XPG_EVENT(Info, Backpressure, "log_full_exit", node,
+        XPG_EVENT(Info, "backpressure", "log_full_exit", node,
                   backpressureEpisodes_.load(std::memory_order_relaxed));
     }
 }
@@ -647,13 +646,13 @@ XPGraph::recover(const XPGraphConfig &config, RecoveryReport *report)
             // the event stream and freeze a postmortem flight record
             // carrying the full report (no-op unless a recorder
             // directory is configured).
-            XPG_EVENT(Warn, Recovery, "recovery_repairs",
+            XPG_EVENT(Warn, "recovery", "recovery_repairs",
                       report->edgesReplayed, report->logEdgesTruncated +
                                                  report->blocksDropped);
             telemetry::FlightRecorder::instance().dump(
                 "recovery_repairs", "recovery", report->toJson());
         } else {
-            XPG_EVENT(Info, Recovery, "recovery_clean",
+            XPG_EVENT(Info, "recovery", "recovery_clean",
                       report->edgesReplayed, report->recoveryNs);
         }
     }
@@ -1078,6 +1077,8 @@ XPGraph::compactCandidatesLocked()
     SimScope pass_scope;
     const double ratio = config_.compactTombstoneRatio;
     const uint32_t min_records = config_.compactMinRecords;
+    const uint64_t reclaimed0 =
+        compactionBytesReclaimed_.load(std::memory_order_relaxed);
     uint64_t rewritten = 0;
     // The phase (epoch bump, view-capture invalidation) opens lazily so
     // an empty scan — the common steady state — never churns the epoch
@@ -1115,10 +1116,9 @@ XPGraph::compactCandidatesLocked()
         }
     }
     compactionPasses_.fetch_add(1, std::memory_order_relaxed);
-    if (rewritten > 0)
-        XPG_EVENT(Info, Compaction, "compaction_pass", rewritten,
-                  compactionBytesReclaimed_.load(
-                      std::memory_order_relaxed));
+    op.args(rewritten,
+            compactionBytesReclaimed_.load(std::memory_order_relaxed) -
+                reclaimed0);
     op.add(pass_scope.elapsed());
     op.close();
     if (entered)
@@ -1326,8 +1326,7 @@ XPGraph::runBufferingPhaseLocked(bool capped)
     }
     ++bufferingPhases_;
     edgesBuffered_ += total;
-    XPG_EVENT(Info, Archive, "buffering_phase", total,
-              bufferingPhases_.load(std::memory_order_relaxed));
+    op.args(total);
     // Close before a pressure flush: that flush is its own record.
     op.close();
 
@@ -1396,8 +1395,6 @@ XPGraph::runFlushAllLocked(bool release_buffers)
     op.add(result.maxNanos());
     declareIdleWriters();
     ++flushAllPhases_;
-    XPG_EVENT(Info, Archive, "flush_phase", result.maxNanos(),
-              flushAllPhases_.load(std::memory_order_relaxed));
     // Durability fence: markFlushed lets the log reclaim these edges, so
     // every adjacency write of this phase (blocks, commit words, index
     // entries still sitting in the XPBuffer) must reach the media first —
@@ -2171,7 +2168,7 @@ XPGraph::publishTelemetry() const
 {
     if (!telemetry::kEnabled)
         return;
-    auto &tel = telemetry::Telemetry::instance();
+    auto &tel = telemetry::Telemetry::instance().metrics();
     const telemetry::Labels store{.store = "xpgraph"};
     const IngestStats s = snapshotStats();
     tel.gauge("ingest.logging_ns", store).set(s.loggingNs);

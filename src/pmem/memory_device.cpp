@@ -126,7 +126,7 @@ MemoryDevice::publishTelemetry(const char *store, int node_label) const
 {
     if (!telemetry::kEnabled)
         return;
-    auto &tel = telemetry::Telemetry::instance();
+    auto &tel = telemetry::Telemetry::instance().metrics();
     const telemetry::Labels labels{.store = store, .node = node_label};
     const PcmCounters c = counters();
     tel.gauge("pmem.app_bytes_read", labels).set(c.appBytesRead);

@@ -1,12 +1,9 @@
 #include "telemetry/exporter.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <tuple>
 #include <vector>
 
-#include "telemetry/events.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace xpg::telemetry {
@@ -173,7 +170,7 @@ MetricsExporter::start()
         std::lock_guard<std::mutex> lock(samplerMu_);
         stop_ = false;
     }
-    XPG_EVENT(Info, Exporter, "exporter_start", periodMs, 0);
+    XPG_EVENT(Info, "exporter", "exporter_start", periodMs, 0);
     sampler_ = std::thread([this, periodMs] { samplerLoop(periodMs); });
 }
 
@@ -189,7 +186,7 @@ MetricsExporter::stop()
     samplerCv_.notify_all();
     sampler_.join();
     sampleOnce(); // final sample: short runs still get a series
-    XPG_EVENT(Info, Exporter, "exporter_stop", samples(), 0);
+    XPG_EVENT(Info, "exporter", "exporter_stop", samples(), 0);
 }
 
 void
@@ -225,41 +222,27 @@ MetricsExporter::lastSample() const
 std::string
 MetricsExporter::prometheusText(const MetricsRegistry &registry)
 {
-    struct Row
-    {
-        MetricInfo info;
-        uint64_t value;
-    };
-    std::vector<Row> rows;
-    registry.forEach([&rows](const MetricInfo &info, uint64_t value) {
-        rows.push_back(Row{info, value});
-    });
-    std::sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
-        return std::tie(a.info.name, a.info.store, a.info.node,
-                        a.info.session, a.info.phase) <
-               std::tie(b.info.name, b.info.store, b.info.node,
-                        b.info.session, b.info.phase);
-    });
     std::string out;
-    const std::string *lastName = nullptr;
-    for (const Row &row : rows) {
-        const std::string name = promName(row.info.name);
-        if (lastName == nullptr || *lastName != row.info.name) {
+    std::string lastName;
+    registry.forEach([&](const MetricSeries &s) {
+        if (s.info.kind != MetricKind::Gauge)
+            return;
+        const std::string name = promName(s.info.name);
+        if (s.info.name != lastName) {
             out += "# TYPE ";
             out += name;
-            out += row.info.kind == MetricKind::Counter ? " counter\n"
-                                                        : " gauge\n";
-            lastName = &row.info.name;
+            out += " gauge\n";
+            lastName = s.info.name;
         }
         out += name;
-        promLabels(out, row.info);
+        promLabels(out, s.info);
         out.push_back(' ');
         char buf[24];
         std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(row.value));
+                      static_cast<unsigned long long>(s.gauge.value()));
         out += buf;
         out.push_back('\n');
-    }
+    });
     return out;
 }
 

@@ -3,15 +3,16 @@
  * Periodic metrics exporter: a background sampler that turns the
  * pull-at-end-of-run telemetry snapshot into a live operational feed.
  *
- * Each sample snapshots the metrics registry and histograms (via the
- * Telemetry facade, in sorted deterministic key order), plus an
- * optional owner-supplied extra section (attribution tables,
+ * Each sample snapshots the metrics registry — gauges and histograms,
+ * in its sorted deterministic key order — plus an optional
+ * owner-supplied extra section (attribution tables,
  * compression/compaction stats), and writes two artifacts:
  *
  *  - an append-only JSONL time series (one compact JSON object per
  *    line) — the per-second operational trace fig_serving runs emit;
- *  - a Prometheus-style text exposition file, rewritten atomically
- *    (tmp + rename) each sample so a scraper never reads a torn file.
+ *  - a Prometheus-style text exposition of the gauges, rewritten
+ *    atomically (tmp + rename) each sample so a scraper never reads a
+ *    torn file.
  *
  * The sampler thread only *reads* telemetry state and never charges
  * SimClock, so simulated time — and every simulated-latency number the
@@ -87,8 +88,8 @@ class MetricsExporter
     /** Copy of the most recent sample (Null before the first). */
     json::JsonValue lastSample() const;
 
-    /** Render @p registry as Prometheus text exposition (exposed for
-     *  tests; sorted, names sanitized to [a-zA-Z0-9_:]). */
+    /** Render @p registry's gauges as Prometheus text exposition
+     *  (exposed for tests; sorted, names sanitized to [a-zA-Z0-9_:]). */
     static std::string prometheusText(const MetricsRegistry &registry);
 
   private:

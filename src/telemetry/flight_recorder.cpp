@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "telemetry/attribution.hpp"
-#include "telemetry/events.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace xpg::telemetry {
@@ -99,30 +98,36 @@ FlightRecorder::dump(const char *reason, const char *extraKey,
             accessCategoryName(AccessScope::current()));
     doc.set("host_ns", hostNowNs());
 
+    // One pass over the ring: the newest kTailEvents instants (the
+    // event tail) and the newest kTailEvents spans (the trace tail).
+    const std::vector<TraceEventView> records =
+        Telemetry::instance().trace().collect();
+    std::vector<const TraceEventView *> instants;
+    std::vector<const TraceEventView *> spans;
+    for (auto it = records.rbegin(); it != records.rend(); ++it) {
+        auto &tail = it->ph == 'i' ? instants : spans;
+        if (tail.size() < kTailEvents)
+            tail.push_back(&*it);
+    }
     json::JsonValue eventTail = json::JsonValue::array();
-    for (const EventView &e : EventLog::instance().tail(kTailEvents))
-        eventTail.push(EventLog::eventValue(e));
+    for (auto it = instants.rbegin(); it != instants.rend(); ++it)
+        eventTail.push(eventJson(**it));
     doc.set("event_tail", std::move(eventTail));
-
     json::JsonValue traceTail = json::JsonValue::array();
-    {
-        const std::vector<TraceEventView> events =
-            Telemetry::instance().trace().collect();
-        const size_t start =
-            events.size() > kTailEvents ? events.size() - kTailEvents : 0;
-        for (size_t i = start; i < events.size(); ++i) {
-            const TraceEventView &e = events[i];
-            json::JsonValue v = json::JsonValue::object();
-            v.set("ticket", e.ticket);
-            v.set("name", e.name);
-            v.set("cat", e.cat);
-            v.set("ph", std::string(1, e.ph));
-            v.set("tid", e.tid);
-            v.set("ts_ns", e.tsNs);
-            v.set("dur_ns", e.durNs);
-            v.set("sim_ns", e.simNs);
-            traceTail.push(std::move(v));
-        }
+    for (auto it = spans.rbegin(); it != spans.rend(); ++it) {
+        const TraceEventView &e = **it;
+        json::JsonValue v = json::JsonValue::object();
+        v.set("ticket", e.ticket);
+        v.set("name", e.name);
+        v.set("cat", e.cat);
+        v.set("ph", std::string(1, e.ph));
+        v.set("tid", e.tid);
+        v.set("ts_ns", e.tsNs);
+        v.set("dur_ns", e.durNs);
+        v.set("sim_ns", e.simNs);
+        v.set("a0", e.a0);
+        v.set("a1", e.a1);
+        traceTail.push(std::move(v));
     }
     doc.set("trace_tail", std::move(traceTail));
 

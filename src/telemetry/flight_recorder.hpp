@@ -12,9 +12,9 @@
  *  - the health watchdog reaching a Stalled verdict (the record
  *    carries the HealthReport).
  *
- * The record bundles the tails of the two in-memory rings (trace ring,
- * event log), the exporter's last sample when one is wired, and the
- * trigger-specific payload. Dumps are atomic (tmp + rename), so a
+ * The record bundles the trace ring's newest instants (the event tail)
+ * and newest spans (the trace tail), the exporter's last sample when
+ * one is wired, and the trigger-specific payload. Dumps are atomic (tmp + rename), so a
  * reader never sees a torn record; successive incidents overwrite —
  * the record answers "what just happened", the JSONL series answers
  * "what happened over time".
@@ -43,7 +43,7 @@ namespace xpg::telemetry {
 class FlightRecorder
 {
   public:
-    static constexpr size_t kTailEvents = 64; ///< ring tails per record
+    static constexpr size_t kTailEvents = 64; ///< per tail, per record
 
     static FlightRecorder &instance();
 

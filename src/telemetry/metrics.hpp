@@ -1,19 +1,20 @@
 /**
  * @file
- * Named metrics registry: relaxed-atomic counters and gauges with
- * hierarchical labels (store, NUMA node, session, phase).
+ * Named metrics registry: set-to-latest gauges and latency histograms
+ * with hierarchical labels (store, NUMA node, session, phase).
  *
- * Registration (looking a metric up by name+labels) takes a mutex and
- * returns a stable Counter& whose address never moves for the life of
- * the registry; hot paths cache the pointer once and then mutate it
- * with single relaxed atomic ops. This is the same split the device
- * cost model uses: locked slow path to wire things up, lock-free
- * counters on the data path.
+ * Registration (looking a series up by name+labels) takes a mutex and
+ * returns a stable Gauge& or ShardedHistogram& whose address never
+ * moves for the life of the registry; hot paths cache the pointer once
+ * and then update it lock-free. This is the same split the device cost
+ * model uses: locked slow path to wire things up, lock-free cells on
+ * the data path.
  *
- * Counters are monotonic adders (ingest.edges_logged); gauges are
- * set-to-latest values (pmem.media_bytes_written published from the
- * device counters at snapshot time). Both share the Counter storage —
- * the kind only changes how exporters label them.
+ * Gauges are set-to-latest values (pmem.media_bytes_written published
+ * from the device counters at snapshot time); histograms hold the
+ * simulated ns of each phase, round or media access. Both kinds share
+ * one key (kind, name and labels), one index and one sorted walk, which
+ * the JSON snapshot and the Prometheus exposition both read.
  */
 #pragma once
 
@@ -21,16 +22,19 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
+#include "telemetry/histogram.hpp"
 #include "util/json_writer.hpp"
 
 namespace xpg::telemetry {
 
-/// Label set attached to a metric at registration time. Unset fields
+/// Label set attached to a series at registration time. Unset fields
 /// (nullptr / -1) are omitted from exports. The char pointers are
 /// copied into owned strings on registration, so string literals and
 /// temporaries are both fine.
@@ -42,28 +46,21 @@ struct Labels
     const char *phase = nullptr; ///< "logging", "buffering", ...
 };
 
-/// One relaxed-atomic cell. Stable address once registered.
-class Counter
+/// One relaxed-atomic set-to-latest cell. Stable address once
+/// registered.
+class Gauge
 {
   public:
-    void add(uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
     void set(uint64_t v) { value_.store(v, std::memory_order_relaxed); }
-    void max(uint64_t v)
-    {
-        uint64_t seen = value_.load(std::memory_order_relaxed);
-        while (v > seen && !value_.compare_exchange_weak(
-                               seen, v, std::memory_order_relaxed))
-            ;
-    }
     uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
   private:
     std::atomic<uint64_t> value_{0};
 };
 
-enum class MetricKind { Counter, Gauge };
+enum class MetricKind { Gauge, Histogram };
 
-/// Export-time view of one registered metric.
+/// Name, kind and labels of one registered series.
 struct MetricInfo
 {
     std::string name;
@@ -72,6 +69,14 @@ struct MetricInfo
     int node;          ///< -1 when unset
     int session;       ///< -1 when unset
     std::string phase; ///< empty when unset
+};
+
+/// One registered series: a gauge, or a histogram.
+struct MetricSeries
+{
+    MetricInfo info;
+    Gauge gauge;                                 ///< kind Gauge
+    std::unique_ptr<ShardedHistogram> histogram; ///< kind Histogram
 };
 
 class MetricsRegistry
@@ -84,39 +89,40 @@ class MetricsRegistry
     /// Find-or-create. The returned reference stays valid for the
     /// registry's lifetime; repeated calls with equal name+labels
     /// return the same cell.
-    Counter &counter(std::string_view name, const Labels &labels = {});
-    Counter &gauge(std::string_view name, const Labels &labels = {});
+    Gauge &gauge(std::string_view name, const Labels &labels = {});
+    ShardedHistogram &histogram(std::string_view name,
+                                const Labels &labels = {});
 
-    /// Visit every registered metric (locked; values read relaxed).
-    void forEach(
-        const std::function<void(const MetricInfo &, uint64_t)> &fn) const;
+    /// Visit every series sorted by name then labels — not
+    /// registration order, which depends on thread timing — so exports
+    /// are deterministic across runs (locked; values read relaxed).
+    void forEach(const std::function<void(const MetricSeries &)> &fn) const;
 
-    /// Zero every value, keeping registrations (and thus cached
-    /// Counter pointers) intact.
+    /// Merge every histogram registered under @p name (across all
+    /// label sets) into one plain Histogram.
+    Histogram mergedHistogram(std::string_view name) const;
+
+    /// Distinct registered histogram names, in registration order.
+    std::vector<std::string> histogramNames() const;
+
+    /// Zero every gauge and histogram, keeping registrations (and thus
+    /// cached handles) intact.
     void resetValues();
 
     size_t size() const;
 
-    /// [{"name":..,"kind":..,"labels":{..},"value":..}, ...] sorted by
-    /// name then labels, so exports are deterministic across runs
-    /// (registration order depends on thread timing).
-    json::JsonValue toJson() const;
+    /// Set @p doc's "metrics" ([{"name","kind","labels","value"}, ..],
+    /// the gauges) and "histograms" ([{"name","labels","count","sum",
+    /// "mean","p50","p95","p99","max"}, ..]) from one sorted walk.
+    void toJson(json::JsonValue &doc) const;
 
   private:
-    struct Entry
-    {
-        MetricInfo info;
-        Counter cell;
-    };
-
-    Counter &findOrCreate(std::string_view name, const Labels &labels,
-                          MetricKind kind);
-
-    static std::string keyFor(std::string_view name, const Labels &labels);
+    MetricSeries &findOrCreate(std::string_view name, const Labels &labels,
+                               MetricKind kind);
 
     mutable std::mutex mu_;
-    std::deque<Entry> entries_; ///< deque: stable element addresses
-    std::unordered_map<std::string, Entry *> index_;
+    std::deque<MetricSeries> series_; ///< deque: stable element addresses
+    std::unordered_map<std::string, MetricSeries *> index_;
 };
 
 } // namespace xpg::telemetry

@@ -97,7 +97,7 @@ OpScope::close() noexcept
     // Emit before restoring the previous id so the span carries ours.
     Telemetry::instance().trace().emitComplete(
         cost_.name, opClassName(cost_.cls), host0_, cost_.hostNs,
-        cost_.simNs);
+        cost_.simNs, a0_, a1_);
     tlsCurrent_ = prevOpId_;
     ClassCell &cell = g_classCells[static_cast<unsigned>(cost_.cls)];
     cell.ops.fetch_add(1, std::memory_order_relaxed);

@@ -25,10 +25,10 @@
  *
  * Each record stamps a process-monotonic opId (ids start at 1; 0 means
  * "no operation"). The innermost open record's id is published
- * thread-locally via currentOpId(), which the event log and the trace
- * ring read at emit time — so `xpgraph_cli watch` output and
- * flight-recorder dumps correlate back to the operation that caused
- * them. Opening saves the previous innermost id and closing (or
+ * thread-locally via currentOpId(), which the trace ring reads at emit
+ * time for every span and event instant — so `xpgraph_cli watch`
+ * output and flight-recorder dumps correlate back to the operation that
+ * caused them. Opening saves the previous innermost id and closing (or
  * unwinding) restores it.
  *
  * The cost source is the small OpCostSource interface rather than
@@ -181,6 +181,14 @@ class OpScope
      *  SimScope's elapsed() or an executor run's maxNanos(). */
     void add(uint64_t sim_ns) noexcept { cost_.simNs += sim_ns; }
 
+    /** The two arguments close() attaches to the span (what the phase
+     *  did: edges buffered, chains rewritten and bytes reclaimed). */
+    void args(uint64_t a0, uint64_t a1 = 0) noexcept
+    {
+        a0_ = a0;
+        a1_ = a1;
+    }
+
     /**
      * Close the record: compute deltas, feed the simulated total to the
      * stat, histogram, span and classTotals(), restore the previous
@@ -215,6 +223,8 @@ class OpScope
     AttributionSnapshot attr0_;
     OpDecodeStats decode0_;
     uint64_t host0_ = 0;
+    uint64_t a0_ = 0;
+    uint64_t a1_ = 0;
     uint64_t prevOpId_ = 0;
     bool closed_ = false;
 

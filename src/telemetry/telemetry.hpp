@@ -1,15 +1,16 @@
 /**
  * @file
  * Telemetry facade: process-wide singleton bundling the metrics
- * registry, the named latency histograms, and the trace ring buffer,
- * plus the instrumentation macros the engines use.
+ * registry (gauges and latency histograms) and the trace ring (spans
+ * and event instants), plus the instrumentation macros the engines use.
  *
  * Compile-time removal: the build defines XPG_TELEMETRY_ENABLED (1 by
  * default, 0 with -DXPG_TELEMETRY=OFF). The classes are compiled
- * either way — only the XPG_TEL_* / XPG_TRACE_* macros change. When
- * OFF, the histogram handle macro evaluates to a nullptr constant and
- * the recording macros collapse to no-ops, so instrumented hot paths
- * contain no telemetry code at all and the registry stays empty. The
+ * either way — only the XPG_TEL_* / XPG_TRACE_* / XPG_EVENT macros
+ * change. When OFF, the histogram handle macro evaluates to a nullptr
+ * constant and the recording macros collapse to no-ops, so instrumented
+ * hot paths contain no telemetry code at all and the registry stays
+ * empty. The
  * engine's phases, recovery steps and kernels are OpScope records
  * (op_scope.hpp), which feed their histogram and span themselves. The
  * whole tree must be built one way (the CI telemetry stage keeps a
@@ -23,14 +24,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <unordered_map>
-#include <vector>
 
-#include "telemetry/histogram.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/json_writer.hpp"
@@ -53,27 +48,8 @@ class Telemetry
     MetricsRegistry &metrics() { return metrics_; }
     TraceBuffer &trace() { return trace_; }
 
-    /// Handle lookups (locked; cache the result).
-    Counter &counter(std::string_view name, const Labels &labels = {})
-    {
-        return metrics_.counter(name, labels);
-    }
-    Counter &gauge(std::string_view name, const Labels &labels = {})
-    {
-        return metrics_.gauge(name, labels);
-    }
-    ShardedHistogram &histogram(std::string_view name,
-                                const Labels &labels = {});
-
-    /// Merge every histogram registered under @p name (across all
-    /// label sets) into one plain Histogram.
-    Histogram mergedHistogram(std::string_view name) const;
-
-    /// Distinct registered histogram names, in registration order.
-    std::vector<std::string> histogramNames() const;
-
     /// Snapshot of everything except the trace ring:
-    /// {"schema":..,"enabled":..,"counters"/"gauges" via metrics,
+    /// {"schema":..,"enabled":..,"metrics":[gauges],
     ///  "histograms":[{name,labels,count,p50,p95,p99,max},..]}
     json::JsonValue snapshotValue() const;
     std::string snapshotJson() const { return snapshotValue().dump(); }
@@ -89,23 +65,13 @@ class Telemetry
         return traceValue().writeFile(path);
     }
 
-    /// Zero metric values, zero histogram shards, drop trace events.
-    /// Registrations (and cached handles) survive. Callers must be
-    /// quiescent for the trace part.
+    /// Zero gauges and histograms, drop trace records. Registrations
+    /// (and cached handles) survive. Callers must be quiescent for the
+    /// trace part.
     void reset();
 
   private:
     Telemetry() = default;
-
-    struct HistogramEntry
-    {
-        MetricInfo info; ///< kind unused; reuses the label plumbing
-        ShardedHistogram histogram;
-    };
-
-    mutable std::mutex histoMu_;
-    std::deque<HistogramEntry> histograms_;
-    std::unordered_map<std::string, HistogramEntry *> histoIndex_;
 
     MetricsRegistry metrics_;
     TraceBuffer trace_;
@@ -121,8 +87,8 @@ class Telemetry
 
 /// Histogram handle lookup (construction-time; cache the pointer).
 #define XPG_TEL_HISTOGRAM(name, ...)                                        \
-    (&::xpg::telemetry::Telemetry::instance().histogram((name),             \
-                                                        ##__VA_ARGS__))
+    (&::xpg::telemetry::Telemetry::instance().metrics().histogram(          \
+        (name), ##__VA_ARGS__))
 /// Hot-path record through a cached handle (non-null whenever this
 /// branch compiles).
 #define XPG_TEL_RECORD(histogramPtr, v) ((histogramPtr)->record(v))
@@ -135,6 +101,11 @@ class Telemetry
         (spanName), (category), (hostStartNs), (hostDurNs), (simNs))
 #define XPG_TEL_NAME_THREAD(nameStr)                                        \
     ::xpg::telemetry::nameCurrentThread(nameStr)
+/// Record an ops-plane event as an instant in the trace ring:
+/// XPG_EVENT(Warn, "backpressure", "log_full_enter", node, free_slots)
+#define XPG_EVENT(level, category, name, a0, a1)                            \
+    ::xpg::telemetry::Telemetry::instance().trace().emitInstant(            \
+        ::xpg::telemetry::EventLevel::level, (name), (category), (a0), (a1))
 
 #else // XPG_TELEMETRY_ENABLED == 0: everything collapses to nothing
 
@@ -149,5 +120,7 @@ class Telemetry
     ((void)sizeof(hostStartNs), (void)sizeof(hostDurNs),                    \
      (void)sizeof(simNs))
 #define XPG_TEL_NAME_THREAD(nameStr) ((void)0)
+#define XPG_EVENT(level, category, name, a0, a1)                            \
+    ((void)sizeof(a0), (void)sizeof(a1))
 
 #endif // XPG_TELEMETRY_ENABLED

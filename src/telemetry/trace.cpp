@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -17,13 +17,12 @@ std::atomic<uint32_t> g_nextThreadId{0};
 
 thread_local uint32_t t_threadId = 0; ///< 0 = unassigned; ids start at 1
 
-/// tid -> display name, plus interned dynamic strings. Registration
-/// paths only; never on the event hot path.
+/// tid -> display name. Registration paths only; never on the event
+/// hot path.
 struct NameTables
 {
     std::mutex mu;
     std::map<uint32_t, std::string> threadNames;
-    std::deque<std::string> interned;
 };
 
 NameTables &
@@ -63,12 +62,29 @@ nameCurrentThread(const std::string &name)
 }
 
 const char *
-internString(const std::string &s)
+eventLevelName(EventLevel level)
 {
-    NameTables &tables = nameTables();
-    std::lock_guard<std::mutex> lock(tables.mu);
-    tables.interned.push_back(s);
-    return tables.interned.back().c_str();
+    switch (level) {
+      case EventLevel::Info: return "info";
+      case EventLevel::Warn: return "warn";
+      case EventLevel::Error: return "error";
+    }
+    return "unknown";
+}
+
+json::JsonValue
+eventJson(const TraceEventView &e)
+{
+    json::JsonValue v = json::JsonValue::object();
+    v.set("seq", e.ticket);
+    v.set("level", eventLevelName(e.level));
+    v.set("category", e.cat);
+    v.set("name", e.name);
+    v.set("host_ns", e.tsNs);
+    v.set("a0", e.a0);
+    v.set("a1", e.a1);
+    v.set("op_id", e.opId);
+    return v;
 }
 
 TraceBuffer::TraceBuffer(size_t capacity)
@@ -78,8 +94,7 @@ TraceBuffer::TraceBuffer(size_t capacity)
 }
 
 void
-TraceBuffer::emit(const char *name, const char *cat, char ph, uint64_t tsNs,
-                  uint64_t durNs, uint64_t simNs)
+TraceBuffer::emit(const TraceEventView &rec)
 {
     const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
     Slot &slot = slots_[ticket % capacity_];
@@ -105,13 +120,16 @@ TraceBuffer::emit(const char *name, const char *cat, char ph, uint64_t tsNs,
             break;
     }
 
-    slot.name.store(name, std::memory_order_relaxed);
-    slot.cat.store(cat, std::memory_order_relaxed);
-    slot.ph.store(ph, std::memory_order_relaxed);
+    slot.name.store(rec.name, std::memory_order_relaxed);
+    slot.cat.store(rec.cat, std::memory_order_relaxed);
+    slot.ph.store(rec.ph, std::memory_order_relaxed);
+    slot.level.store(rec.level, std::memory_order_relaxed);
     slot.tid.store(currentThreadId(), std::memory_order_relaxed);
-    slot.tsNs.store(tsNs, std::memory_order_relaxed);
-    slot.durNs.store(durNs, std::memory_order_relaxed);
-    slot.simNs.store(simNs, std::memory_order_relaxed);
+    slot.tsNs.store(rec.tsNs, std::memory_order_relaxed);
+    slot.durNs.store(rec.durNs, std::memory_order_relaxed);
+    slot.simNs.store(rec.simNs, std::memory_order_relaxed);
+    slot.a0.store(rec.a0, std::memory_order_relaxed);
+    slot.a1.store(rec.a1, std::memory_order_relaxed);
     slot.opId.store(OpScope::currentOpId(), std::memory_order_relaxed);
 
     // Publish. No other writer claims a slot while its seq is odd, so
@@ -121,16 +139,19 @@ TraceBuffer::emit(const char *name, const char *cat, char ph, uint64_t tsNs,
 
 void
 TraceBuffer::emitComplete(const char *name, const char *cat, uint64_t tsNs,
-                          uint64_t durNs, uint64_t simNs)
+                          uint64_t durNs, uint64_t simNs, uint64_t a0,
+                          uint64_t a1)
 {
-    emit(name, cat, 'X', tsNs, durNs, simNs);
+    emit({.name = name, .cat = cat, .tsNs = tsNs, .durNs = durNs,
+          .simNs = simNs, .a0 = a0, .a1 = a1});
 }
 
 void
-TraceBuffer::emitInstant(const char *name, const char *cat, uint64_t tsNs,
-                         uint64_t simNs)
+TraceBuffer::emitInstant(EventLevel level, const char *name,
+                         const char *cat, uint64_t a0, uint64_t a1)
 {
-    emit(name, cat, 'i', tsNs, 0, simNs);
+    emit({.name = name, .cat = cat, .ph = 'i', .level = level,
+          .tsNs = hostNowNs(), .a0 = a0, .a1 = a1});
 }
 
 std::vector<TraceEventView>
@@ -148,10 +169,13 @@ TraceBuffer::collect() const
         ev.name = slot.name.load(std::memory_order_relaxed);
         ev.cat = slot.cat.load(std::memory_order_relaxed);
         ev.ph = slot.ph.load(std::memory_order_relaxed);
+        ev.level = slot.level.load(std::memory_order_relaxed);
         ev.tid = slot.tid.load(std::memory_order_relaxed);
         ev.tsNs = slot.tsNs.load(std::memory_order_relaxed);
         ev.durNs = slot.durNs.load(std::memory_order_relaxed);
         ev.simNs = slot.simNs.load(std::memory_order_relaxed);
+        ev.a0 = slot.a0.load(std::memory_order_relaxed);
+        ev.a1 = slot.a1.load(std::memory_order_relaxed);
         ev.opId = slot.opId.load(std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_acquire);
         if (slot.seq.load(std::memory_order_relaxed) != s1)
@@ -206,12 +230,18 @@ TraceBuffer::toJson() const
         // Chrome trace timestamps are microseconds; keep sub-us detail
         // in the fraction.
         e.set("ts", static_cast<double>(ev.tsNs) / 1000.0);
-        if (ev.ph == 'X')
-            e.set("dur", static_cast<double>(ev.durNs) / 1000.0);
-        else
-            e.set("s", "t"); // instant scope: thread
         json::JsonValue args = json::JsonValue::object();
-        args.set("sim_ns", ev.simNs);
+        if (ev.ph == 'X') {
+            e.set("dur", static_cast<double>(ev.durNs) / 1000.0);
+            args.set("sim_ns", ev.simNs);
+        } else {
+            e.set("s", "t"); // instant scope: thread
+            args.set("level", eventLevelName(ev.level));
+        }
+        if (ev.ph == 'i' || ev.a0 != 0 || ev.a1 != 0) {
+            args.set("a0", ev.a0);
+            args.set("a1", ev.a1);
+        }
         if (ev.opId != 0)
             args.set("op_id", ev.opId);
         e.set("args", std::move(args));
@@ -226,6 +256,23 @@ TraceBuffer::toJson() const
                 .set("emitted", emitted())
                 .set("capacity", static_cast<uint64_t>(capacity_)));
     return doc;
+}
+
+bool
+TraceBuffer::writeEventsJsonl(const std::string &path) const
+{
+    FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        return false;
+    bool ok = true;
+    for (const TraceEventView &ev : collect()) {
+        if (ev.ph != 'i')
+            continue;
+        const std::string line = eventJson(ev).dump(0) + "\n";
+        ok = std::fwrite(line.data(), 1, line.size(), f) == line.size() &&
+             ok;
+    }
+    return std::fclose(f) == 0 && ok;
 }
 
 } // namespace xpg::telemetry

@@ -1,7 +1,16 @@
 /**
  * @file
- * Bounded lock-free trace-event ring buffer with Chrome trace_event
- * JSON export (loadable in about:tracing / Perfetto).
+ * Bounded lock-free trace ring with Chrome trace_event JSON export
+ * (loadable in about:tracing / Perfetto) — the process's one record
+ * ring. It holds two kinds of record: complete spans ('X': a phase,
+ * a compaction pass, a query round, a session append) and instants
+ * ('i': the ops-plane events — backpressure entered, recovery repaired
+ * damage, health changed). An instant carries a level; both kinds
+ * carry a category and two event-specific arguments, a0 and a1.
+ *
+ * Retention: the ring keeps the newest capacity() records of either
+ * kind. Readers that want one run's records remember emitted() at the
+ * run's start and keep tickets at or above it.
  *
  * Writers take a monotonic ticket (one fetch_add) and claim the slot
  * ticket % capacity with a per-slot sequence CAS: seq 2*ticket+1 marks
@@ -10,7 +19,7 @@
  * filling yields until it is published — so two writers never store
  * into one slot. A writer that finds its slot already claimed by a
  * *newer* ticket (ring wrapped a full lap while it was stalled) drops
- * its event instead of corrupting the newer one. Readers validate
+ * its record instead of corrupting the newer one. Readers validate
  * seq-even-and-unchanged around the payload reads, so a slot being
  * rewritten is skipped, never misreported. All payload fields are
  * relaxed atomics, which keeps the whole protocol data-race-free under
@@ -44,24 +53,36 @@ uint32_t currentThreadId();
 /// "M" (metadata) events so about:tracing shows named rows.
 void nameCurrentThread(const std::string &name);
 
-/// Copy @p s into process-lifetime storage and return a stable
-/// pointer. For dynamic span names (e.g. "session-3"); string
-/// literals don't need it.
-const char *internString(const std::string &s);
+/// Severity of an instant (spans are Info).
+enum class EventLevel : uint8_t
+{
+    Info = 0,
+    Warn,
+    Error,
+};
 
-/// One consistent event read out of the ring.
+const char *eventLevelName(EventLevel level);
+
+/// One consistent record read out of the ring.
 struct TraceEventView
 {
-    uint64_t ticket; ///< global emission order
-    const char *name;
-    const char *cat;
-    char ph; ///< 'X' complete span, 'i' instant
-    uint32_t tid;
-    uint64_t tsNs;  ///< host ns since process start
-    uint64_t durNs; ///< host ns (0 for instants)
-    uint64_t simNs; ///< simulated ns attached as an arg
-    uint64_t opId;  ///< innermost OpScope at emit time (0 = none)
+    uint64_t ticket = 0; ///< global emission order
+    const char *name = nullptr;
+    const char *cat = nullptr;
+    char ph = 'X'; ///< 'X' complete span, 'i' instant
+    EventLevel level = EventLevel::Info;
+    uint32_t tid = 0;
+    uint64_t tsNs = 0;  ///< host ns since process start
+    uint64_t durNs = 0; ///< host ns (0 for instants)
+    uint64_t simNs = 0; ///< simulated ns attached as an arg
+    uint64_t a0 = 0;    ///< event-specific argument
+    uint64_t a1 = 0;    ///< event-specific argument
+    uint64_t opId = 0;  ///< innermost OpScope at emit time (0 = none)
 };
+
+/// One instant under the xpgraph-events-v1 keys: seq (the ticket),
+/// level, category, name, host_ns, a0, a1, op_id.
+json::JsonValue eventJson(const TraceEventView &e);
 
 class TraceBuffer
 {
@@ -76,17 +97,19 @@ class TraceBuffer
     /// Emit a complete ('X') span. Lock-free apart from the slot claim,
     /// which waits while an older ticket is still filling the slot.
     void emitComplete(const char *name, const char *cat, uint64_t tsNs,
-                      uint64_t durNs, uint64_t simNs);
+                      uint64_t durNs, uint64_t simNs, uint64_t a0 = 0,
+                      uint64_t a1 = 0);
 
-    /// Emit an instant ('i') event at @p tsNs.
-    void emitInstant(const char *name, const char *cat, uint64_t tsNs,
-                     uint64_t simNs = 0);
+    /// Emit an instant ('i') stamped now. @p name and @p cat must
+    /// outlive the ring (literals).
+    void emitInstant(EventLevel level, const char *name, const char *cat,
+                     uint64_t a0 = 0, uint64_t a1 = 0);
 
-    /// All consistent events currently in the ring, sorted by ticket.
+    /// All consistent records currently in the ring, sorted by ticket.
     /// Safe concurrently with writers (in-flight slots are skipped).
     std::vector<TraceEventView> collect() const;
 
-    /// Total events ever emitted (including ones the ring evicted).
+    /// Total records ever emitted (including ones the ring evicted).
     uint64_t emitted() const
     {
         return head_.load(std::memory_order_relaxed);
@@ -94,13 +117,17 @@ class TraceBuffer
 
     size_t capacity() const { return capacity_; }
 
-    /// Drop all events. Callers must be quiescent (no concurrent
+    /// Drop all records. Callers must be quiescent (no concurrent
     /// writers); used between bench rows and in tests.
     void clear();
 
     /// Chrome trace_event JSON: {"traceEvents":[...],"displayTimeUnit"}
     /// including thread-name metadata events.
     json::JsonValue toJson() const;
+
+    /// The ring's instants, oldest first, one eventJson() object per
+    /// line. @return false on I/O failure.
+    bool writeEventsJsonl(const std::string &path) const;
 
   private:
     struct Slot
@@ -109,15 +136,19 @@ class TraceBuffer
         std::atomic<const char *> name{nullptr};
         std::atomic<const char *> cat{nullptr};
         std::atomic<char> ph{'X'};
+        std::atomic<EventLevel> level{EventLevel::Info};
         std::atomic<uint32_t> tid{0};
         std::atomic<uint64_t> tsNs{0};
         std::atomic<uint64_t> durNs{0};
         std::atomic<uint64_t> simNs{0};
+        std::atomic<uint64_t> a0{0};
+        std::atomic<uint64_t> a1{0};
         std::atomic<uint64_t> opId{0};
     };
 
-    void emit(const char *name, const char *cat, char ph, uint64_t tsNs,
-              uint64_t durNs, uint64_t simNs);
+    /// Store @p rec's payload under a fresh ticket (rec's ticket, tid
+    /// and opId are filled here).
+    void emit(const TraceEventView &rec);
 
     const size_t capacity_;
     std::unique_ptr<Slot[]> slots_;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 
-#include "telemetry/events.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace xpg::telemetry {
@@ -190,7 +189,7 @@ Watchdog::monitorLoop(uint64_t intervalNs)
         const HealthReport report = checkNow();
         const HealthStatus now = report.overall();
         if (now != last) {
-            XPG_EVENT(Warn, Watchdog, "health_transition",
+            XPG_EVENT(Warn, "watchdog", "health_transition",
                       static_cast<uint64_t>(last),
                       static_cast<uint64_t>(now));
             StalledFn fn;

@@ -33,6 +33,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph_store.hpp"
 #include "telemetry/telemetry.hpp"
+#include "temp_dir.hpp"
 
 namespace xpg {
 namespace {
@@ -463,10 +464,11 @@ TEST(IngestSession, OneAppendRecordPerCall)
         session->addEdges(edges.data(), prefill);
         const uint64_t first_ticket = tel.trace().emitted();
         const uint64_t samples =
-            tel.mergedHistogram("ingest.session_append_ns").count;
+            tel.metrics().mergedHistogram("ingest.session_append_ns").count;
         session->addEdges(edges.data() + prefill, 200);
-        EXPECT_EQ(tel.mergedHistogram("ingest.session_append_ns").count,
-                  samples + 1);
+        EXPECT_EQ(
+            tel.metrics().mergedHistogram("ingest.session_append_ns").count,
+            samples + 1);
         unsigned session_spans = 0;
         unsigned log_spans = 0;
         for (const auto &ev : tel.trace().collect()) {
@@ -490,11 +492,10 @@ class ConcurrentRecovery : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = ::testing::TempDir() + "/xpg_conc_recovery_" +
-               ::testing::UnitTest::GetInstance()
-                   ->current_test_info()
-                   ->name();
-        std::filesystem::create_directories(dir_);
+        dir_ = makeTempDir(std::string("xpg_conc_recovery_") +
+                           ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name());
     }
 
     void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -29,6 +29,7 @@
 #include "graph/generators.hpp"
 #include "mini_json.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "temp_dir.hpp"
 #include "util/logging.hpp"
 
 namespace xpg {
@@ -138,11 +139,10 @@ class CrashSweepTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = ::testing::TempDir() + "/xpg_crash_" +
-               ::testing::UnitTest::GetInstance()
-                   ->current_test_info()
-                   ->name();
-        std::filesystem::create_directories(dir_);
+        dir_ = makeTempDir(std::string("xpg_crash_") +
+                           ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name());
     }
 
     void TearDown() override { std::filesystem::remove_all(dir_); }

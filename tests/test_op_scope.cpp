@@ -28,9 +28,9 @@
 #include "baselines/graphone.hpp"
 #include "core/xpgraph.hpp"
 #include "graph/generators.hpp"
-#include "telemetry/events.hpp"
 #include "telemetry/op_scope.hpp"
 #include "telemetry/telemetry.hpp"
+#include "temp_dir.hpp"
 
 namespace xpg {
 namespace {
@@ -272,18 +272,21 @@ TEST(OpScope, EventLogRecordsCurrentOpId)
 {
     if (!kOpScopeEnabled)
         GTEST_SKIP() << "telemetry OFF";
-    auto &log = telemetry::EventLog::instance();
+    const telemetry::TraceBuffer &ring =
+        telemetry::Telemetry::instance().trace();
+    const uint64_t first = ring.emitted();
     uint64_t id = 0;
     {
         OpScope scope(nullptr, "evented", OpClass::Other);
         id = scope.opId();
-        XPG_EVENT(Info, Other, "op_scope_correlation", id, 0);
+        XPG_EVENT(Info, "other", "op_scope_correlation", id, 0);
     }
-    XPG_EVENT(Info, Other, "op_scope_after", 0, 0);
-    const auto recent = log.tail(8);
+    XPG_EVENT(Info, "other", "op_scope_after", 0, 0);
     bool saw_in_scope = false;
     bool saw_after = false;
-    for (const auto &e : recent) {
+    for (const auto &e : ring.collect()) {
+        if (e.ticket < first || e.ph != 'i')
+            continue;
         if (std::string(e.name) == "op_scope_correlation") {
             EXPECT_EQ(e.opId, id);
             saw_in_scope = true;
@@ -315,10 +318,27 @@ spanSimSum(uint64_t first, const char *name)
     return sum;
 }
 
+/** The last span named @p name emitted from ticket @p first on, with
+ *  the summed a0 of all of them in @p a0_sum. */
+telemetry::TraceEventView
+lastSpan(uint64_t first, const char *name, uint64_t &a0_sum)
+{
+    telemetry::TraceEventView last;
+    a0_sum = 0;
+    for (const telemetry::TraceEventView &ev :
+         telemetry::Telemetry::instance().trace().collect()) {
+        if (ev.ticket < first || std::strcmp(ev.name, name) != 0)
+            continue;
+        a0_sum += ev.a0;
+        last = ev;
+    }
+    return last;
+}
+
 uint64_t
 histogramSum(const char *name)
 {
-    return telemetry::Telemetry::instance().mergedHistogram(name).sum;
+    return telemetry::Telemetry::instance().metrics().mergedHistogram(name).sum;
 }
 
 uint64_t
@@ -401,6 +421,45 @@ TEST(OpScopeRecords, XPGraphPressureFlushesAgreeWithIngestStats)
     }
 }
 
+TEST(OpScopeRecords, PhaseSpansCarryWhatThePhaseDid)
+{
+    if (!kOpScopeEnabled)
+        GTEST_SKIP() << "telemetry OFF";
+    XPGraphConfig c = XPGraphConfig::persistent(64, 0);
+    c.elogCapacityEdges = 1 << 13;
+    c.bufferingThresholdEdges = 1 << 9;
+    c.archiveThreads = 2;
+    c.pmemBytesPerNode = recommendedBytesPerNode(c, 4000);
+    XPGraph g(c);
+    auto session = g.session(0);
+    const uint64_t first = nextTicket();
+    for (vid_t d = 0; d < 200; ++d)
+        session->addEdge(1, d % 32);
+    g.archiveAll();
+    for (vid_t d = 0; d < 120; ++d)
+        session->delEdge(1, d % 32);
+    g.archiveAll();
+
+    // Buffering: a0 = edges the phase buffered.
+    uint64_t buffered = 0;
+    lastSpan(first, "buffering_phase", buffered);
+    EXPECT_EQ(buffered, g.stats().edgesBuffered);
+
+    // Compaction: a0 = chains rewritten, a1 = bytes this pass reclaimed.
+    const uint64_t reclaimed0 = g.stats().compactionBytesReclaimed;
+    const uint64_t pass_first = nextTicket();
+    const uint64_t rewritten = g.runCompactionPass();
+    ASSERT_GE(rewritten, 1u);
+    uint64_t rewritten_sum = 0;
+    const telemetry::TraceEventView pass =
+        lastSpan(pass_first, "compaction_pass", rewritten_sum);
+    EXPECT_EQ(pass.ph, 'X');
+    EXPECT_STREQ(pass.cat, "compaction");
+    EXPECT_EQ(pass.a0, rewritten);
+    EXPECT_EQ(pass.a1, g.stats().compactionBytesReclaimed - reclaimed0);
+    EXPECT_GT(pass.a1, 0u);
+}
+
 TEST(OpScopeRecords, GraphOneArchivePassAgreesWithIngestStats)
 {
     const vid_t nv = 300;
@@ -432,9 +491,7 @@ TEST(OpScopeRecords, GraphOneArchivePassAgreesWithIngestStats)
 
 TEST(OpScopeRecords, RecoveryStepsAgreeWithRecoveryNs)
 {
-    const std::string dir =
-        ::testing::TempDir() + "/xpg_opscope_recovery";
-    std::filesystem::create_directories(dir);
+    const std::string dir = makeTempDir("xpg_opscope_recovery");
     const vid_t nv = 300;
     std::vector<Edge> edges = generateRmat(9, 6000, RmatParams{}, 13);
     foldVertices(edges, nv);

@@ -2,10 +2,11 @@
  * @file
  * Live operations plane tests (DESIGN.md §14): the health watchdog's
  * pure check() verdicts (explicit clocks, no sleeps for the logic
- * itself), the structured event-log ring, the periodic metrics
- * exporter's artifacts, the crash flight recorder's record shape, and
- * the store-level health() surface — wedged compactor, log-space
- * backpressure, view-pin aging — driven against live XPGraph stores.
+ * itself), events as instants in the trace ring (retention, the events
+ * writer), the periodic metrics exporter's artifacts, the crash flight
+ * recorder's record shape, and the store-level health() surface —
+ * wedged compactor, log-space backpressure, view-pin aging — driven
+ * against live XPGraph stores.
  *
  * Everything here must pass identically in the default build and in a
  * -DXPG_TELEMETRY=OFF tree (the classes compile in both flavors; only
@@ -30,11 +31,11 @@
 #include "core/xpgraph.hpp"
 #include "graph/generators.hpp"
 #include "mini_json.hpp"
-#include "telemetry/events.hpp"
 #include "telemetry/exporter.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/watchdog.hpp"
+#include "temp_dir.hpp"
 
 namespace xpg {
 namespace {
@@ -42,15 +43,15 @@ namespace {
 using minijson::MiniJson;
 using minijson::parseOrDie;
 using telemetry::ComponentHealth;
-using telemetry::EventCategory;
 using telemetry::EventLevel;
-using telemetry::EventLog;
-using telemetry::EventView;
 using telemetry::FlightRecorder;
 using telemetry::Heartbeat;
 using telemetry::HealthReport;
 using telemetry::HealthStatus;
 using telemetry::MetricsExporter;
+using telemetry::Telemetry;
+using telemetry::TraceBuffer;
+using telemetry::TraceEventView;
 using telemetry::Watchdog;
 
 std::string
@@ -72,6 +73,18 @@ lines(const std::string &text)
         if (!line.empty())
             out.push_back(line);
     return out;
+}
+
+/** Whether the process ring holds, from ticket @p first on, an instant
+ *  named @p name in category @p cat. */
+bool
+sawInstant(uint64_t first, const char *cat, const char *name)
+{
+    for (const TraceEventView &ev : Telemetry::instance().trace().collect())
+        if (ev.ticket >= first && ev.ph == 'i' &&
+            std::string(ev.cat) == cat && std::string(ev.name) == name)
+            return true;
+    return false;
 }
 
 const ComponentHealth *
@@ -217,71 +230,174 @@ TEST(OpsWatchdog, MonitorFiresOnStalledOncePerTransition)
 }
 
 // ---------------------------------------------------------------------------
-// Event log: ring semantics and export round-trips.
+// Events: instants in the trace ring, its retention rule, the writer.
 // ---------------------------------------------------------------------------
+
+/** The xpgraph-events-v1 keys, exactly. */
+const std::vector<std::string> kEventKeys = {
+    "a0", "a1", "category", "host_ns", "level", "name", "op_id", "seq"};
+
+std::vector<std::string>
+keysOf(const MiniJson &obj)
+{
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : obj.obj)
+        keys.push_back(key);
+    return keys;
+}
 
 TEST(OpsEventLog, RingKeepsNewestWithStableSeqs)
 {
-    EventLog log(8);
+    TraceBuffer ring(8);
     for (uint64_t i = 0; i < 20; ++i)
-        log.emit(EventLevel::Info, EventCategory::Other, "tick", i,
-                 i * 2);
-    EXPECT_EQ(log.emitted(), 20u);
-    const auto events = log.collect();
-    ASSERT_EQ(events.size(), 8u);
+        ring.emitInstant(EventLevel::Info, "tick", "other", i, i * 2);
+    EXPECT_EQ(ring.emitted(), 20u);
+    const auto events = ring.collect();
+    ASSERT_EQ(events.size(), 8u); // clamped to the ring
     for (size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(events[i].seq, 12 + i); // oldest surviving first
-        EXPECT_EQ(events[i].a0, 12 + i);  // payload rides with the seq
+        EXPECT_EQ(events[i].ticket, 12 + i); // oldest surviving first
+        EXPECT_EQ(events[i].a0, 12 + i);     // payload rides with it
+        EXPECT_EQ(events[i].a1, 2 * (12 + i));
+        EXPECT_EQ(events[i].ph, 'i');
         EXPECT_STREQ(events[i].name, "tick");
     }
-    const auto last3 = log.tail(3);
-    ASSERT_EQ(last3.size(), 3u);
-    EXPECT_EQ(last3.front().seq, 17u);
-    EXPECT_EQ(last3.back().seq, 19u);
-    EXPECT_EQ(log.tail(100).size(), 8u); // clamped to the ring
+    EXPECT_EQ(events.back().ticket, 19u); // the newest is kept
 
-    log.clear();
-    EXPECT_TRUE(log.collect().empty());
+    ring.clear();
+    EXPECT_TRUE(ring.collect().empty());
 }
 
 TEST(OpsEventLog, JsonAndJsonlExportsParse)
 {
-    EventLog log(16);
-    log.emit(EventLevel::Warn, EventCategory::Backpressure,
-             "log_full_enter", 0, 42);
-    log.emit(EventLevel::Info, EventCategory::Compaction,
-             "compaction_pass", 7, 4096);
+    const std::string dir = makeTempDir("xpg_ops_events");
+    TraceBuffer ring(16);
+    ring.emitInstant(EventLevel::Warn, "log_full_enter", "backpressure", 0,
+                     42);
+    ring.emitComplete("compaction_pass", "compaction", /*tsNs=*/10,
+                      /*durNs=*/5, /*simNs=*/3, /*a0=*/7, /*a1=*/4096);
+    ring.emitInstant(EventLevel::Info, "recovery_clean", "recovery", 7,
+                     4096);
 
-    const MiniJson doc = parseOrDie(log.toJson().dump());
-    EXPECT_EQ(doc.at("schema").str, "xpgraph-events-v1");
-    EXPECT_EQ(static_cast<uint64_t>(doc.at("emitted").num), 2u);
-    ASSERT_EQ(doc.at("events").arr.size(), 2u);
-    EXPECT_EQ(doc.at("events").arr[0].at("category").str, "backpressure");
-    EXPECT_EQ(doc.at("events").arr[0].at("level").str, "warn");
+    // The Chrome trace carries both kinds; the instant's level and
+    // arguments ride in its args.
+    const MiniJson doc = parseOrDie(ring.toJson().dump());
+    EXPECT_EQ(static_cast<uint64_t>(doc.at("otherData").at("emitted").num),
+              3u);
+    bool found_instant = false;
+    for (const MiniJson &e : doc.at("traceEvents").arr) {
+        if (e.at("name").str != "log_full_enter")
+            continue;
+        found_instant = true;
+        EXPECT_EQ(e.at("ph").str, "i");
+        EXPECT_EQ(e.at("cat").str, "backpressure");
+        EXPECT_EQ(e.at("args").at("level").str, "warn");
+        EXPECT_EQ(static_cast<uint64_t>(e.at("args").at("a1").num), 42u);
+    }
+    EXPECT_TRUE(found_instant);
 
-    const auto jsonl = lines(log.toJsonl());
+    // The events writer lists the instants only.
+    const std::string path = dir + "/events.jsonl";
+    ASSERT_TRUE(ring.writeEventsJsonl(path));
+    const auto jsonl = lines(slurp(path));
     ASSERT_EQ(jsonl.size(), 2u);
+    const MiniJson line0 = parseOrDie(jsonl[0]);
+    EXPECT_EQ(line0.at("category").str, "backpressure");
+    EXPECT_EQ(line0.at("level").str, "warn");
     const MiniJson line1 = parseOrDie(jsonl[1]);
-    EXPECT_EQ(line1.at("name").str, "compaction_pass");
+    EXPECT_EQ(line1.at("name").str, "recovery_clean");
+    EXPECT_EQ(static_cast<uint64_t>(line1.at("seq").num), 2u);
     EXPECT_EQ(static_cast<uint64_t>(line1.at("a0").num), 7u);
     EXPECT_EQ(static_cast<uint64_t>(line1.at("a1").num), 4096u);
     EXPECT_TRUE(line1.has("host_ns"));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(OpsEventLog, MacroFeedsProcessLogOnlyWhenEnabled)
 {
-    EventLog &global = EventLog::instance();
-    const uint64_t before = global.emitted();
-    XPG_EVENT(Info, Other, "ops_plane_macro_probe", 11, 22);
+    TraceBuffer &ring = Telemetry::instance().trace();
+    const uint64_t before = ring.emitted();
+    XPG_EVENT(Info, "other", "ops_plane_macro_probe", 11, 22);
     if (telemetry::kEnabled) {
-        EXPECT_EQ(global.emitted(), before + 1);
-        const auto tail = global.tail(1);
-        ASSERT_EQ(tail.size(), 1u);
-        EXPECT_STREQ(tail[0].name, "ops_plane_macro_probe");
-        EXPECT_EQ(tail[0].a0, 11u);
+        EXPECT_EQ(ring.emitted(), before + 1);
+        const auto records = ring.collect();
+        ASSERT_FALSE(records.empty());
+        EXPECT_EQ(records.back().ticket, before);
+        EXPECT_EQ(records.back().ph, 'i');
+        EXPECT_STREQ(records.back().name, "ops_plane_macro_probe");
+        EXPECT_EQ(records.back().a0, 11u);
     } else {
-        EXPECT_EQ(global.emitted(), before);
+        EXPECT_EQ(ring.emitted(), before);
     }
+}
+
+TEST(OpsEventLog, InstantSurvivesCapacityMinusOneLaterSpans)
+{
+    // The retention rule: the ring keeps the newest capacity() records
+    // of either kind, so a rare event outlives capacity - 1 spans.
+    constexpr size_t kCap = 64;
+    TraceBuffer ring(kCap);
+    ring.emitInstant(EventLevel::Warn, "recovery_repairs", "recovery", 1,
+                     2);
+    const auto holds_instant = [&ring] {
+        for (const TraceEventView &ev : ring.collect())
+            if (ev.ph == 'i')
+                return true;
+        return false;
+    };
+    for (uint64_t i = 0; i + 1 < kCap; ++i)
+        ring.emitComplete("session_append", "ingest", i, 1, i);
+    EXPECT_TRUE(holds_instant());
+    ring.emitComplete("session_append", "ingest", kCap, 1, kCap);
+    EXPECT_FALSE(holds_instant());
+}
+
+TEST(OpsEventLog, TicketsStayStrictlyIncreasingAcrossKinds)
+{
+    TraceBuffer ring(32);
+    for (uint64_t i = 0; i < 100; ++i) {
+        if (i % 3 == 0)
+            ring.emitInstant(EventLevel::Info, "tick", "other", i);
+        else
+            ring.emitComplete("span", "test", i, 1, i, i);
+    }
+    const auto records = ring.collect();
+    ASSERT_EQ(records.size(), ring.capacity());
+    for (size_t i = 1; i < records.size(); ++i)
+        EXPECT_EQ(records[i].ticket, records[i - 1].ticket + 1);
+    EXPECT_EQ(records.back().ticket, 99u);
+}
+
+TEST(OpsEventLog, EventsWriterListsOnlyInstantsWithV1Keys)
+{
+    const std::string dir = makeTempDir("xpg_ops_events_v1");
+    TraceBuffer ring(64);
+    size_t instants = 0;
+    for (uint64_t i = 0; i < 40; ++i) {
+        if (i % 4 == 0) {
+            ring.emitInstant(EventLevel::Error, "health_transition",
+                             "watchdog", i, i + 1);
+            ++instants;
+        } else {
+            ring.emitComplete("buffering_phase", "archive", i, 1, i, i);
+        }
+    }
+    const std::string path = dir + "/events.jsonl";
+    ASSERT_TRUE(ring.writeEventsJsonl(path));
+    const auto jsonl = lines(slurp(path));
+    ASSERT_EQ(jsonl.size(), instants);
+    uint64_t prev_seq = 0;
+    for (size_t i = 0; i < jsonl.size(); ++i) {
+        const MiniJson ev = parseOrDie(jsonl[i]);
+        EXPECT_EQ(keysOf(ev), kEventKeys) << jsonl[i];
+        EXPECT_EQ(ev.at("name").str, "health_transition");
+        EXPECT_EQ(ev.at("level").str, "error");
+        EXPECT_EQ(ev.at("category").str, "watchdog");
+        const auto seq = static_cast<uint64_t>(ev.at("seq").num);
+        EXPECT_TRUE(i == 0 || seq > prev_seq);
+        EXPECT_EQ(static_cast<uint64_t>(ev.at("a0").num), seq);
+        prev_seq = seq;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,8 +406,7 @@ TEST(OpsEventLog, MacroFeedsProcessLogOnlyWhenEnabled)
 
 TEST(OpsExporter, SampleOnceWritesParseableArtifacts)
 {
-    const std::string dir = ::testing::TempDir() + "/xpg_ops_exporter";
-    std::filesystem::create_directories(dir);
+    const std::string dir = makeTempDir("xpg_ops_exporter");
     const std::string jsonl = dir + "/ops.jsonl";
     const std::string prom = dir + "/metrics.prom";
 
@@ -356,26 +471,28 @@ TEST(OpsExporter, SampleOnceWritesParseableArtifacts)
 TEST(OpsExporter, PrometheusTextSanitizesAndSortsNames)
 {
     telemetry::MetricsRegistry reg;
-    reg.counter("zeta.ops-count").add(3);
+    reg.gauge("zeta.ops-count").set(3);
     reg.gauge("alpha.depth").set(9);
+    reg.histogram("beta.latency_ns").record(5);
     const std::string text = MetricsExporter::prometheusText(reg);
     const std::string::size_type alpha = text.find("xpg_alpha_depth");
     const std::string::size_type zeta = text.find("xpg_zeta_ops_count");
     ASSERT_NE(alpha, std::string::npos) << text;
     ASSERT_NE(zeta, std::string::npos) << text;
     EXPECT_LT(alpha, zeta) << "exposition must be name-sorted";
-    EXPECT_NE(text.find("# TYPE xpg_zeta_ops_count counter"),
+    EXPECT_NE(text.find("# TYPE xpg_zeta_ops_count gauge"),
               std::string::npos)
         << text;
     EXPECT_NE(text.find("# TYPE xpg_alpha_depth gauge"),
               std::string::npos)
         << text;
+    // Histograms share the registry but not the exposition.
+    EXPECT_EQ(text.find("beta"), std::string::npos) << text;
 }
 
 TEST(OpsExporter, StopTakesFinalSample)
 {
-    const std::string dir = ::testing::TempDir() + "/xpg_ops_final";
-    std::filesystem::create_directories(dir);
+    const std::string dir = makeTempDir("xpg_ops_final");
     MetricsExporter exporter;
     telemetry::ExporterOptions opt;
     opt.jsonlPath = dir + "/ops.jsonl";
@@ -404,8 +521,7 @@ TEST(OpsFlightRecorder, UnconfiguredDumpIsANoop)
 
 TEST(OpsFlightRecorder, DumpWritesParseableRecord)
 {
-    const std::string dir = ::testing::TempDir() + "/xpg_ops_flight";
-    std::filesystem::create_directories(dir);
+    const std::string dir = makeTempDir("xpg_ops_flight");
     FlightRecorder &flight = FlightRecorder::instance();
     flight.configure(dir);
     EXPECT_TRUE(flight.enabled());
@@ -439,6 +555,42 @@ TEST(OpsFlightRecorder, DumpWritesParseableRecord)
     std::filesystem::remove_all(dir);
 }
 
+TEST(OpsFlightRecorder, TailsSplitInstantsFromSpans)
+{
+    const std::string dir = makeTempDir("xpg_ops_flight_tails");
+    FlightRecorder &flight = FlightRecorder::instance();
+    flight.configure(dir);
+    // More spans than one tail holds, with instants between them.
+    TraceBuffer &ring = Telemetry::instance().trace();
+    for (uint64_t i = 0; i < 2 * FlightRecorder::kTailEvents; ++i) {
+        ring.emitComplete("flight_tail_span", "test", i, 1, i);
+        if (i % 8 == 0)
+            ring.emitInstant(EventLevel::Info, "flight_tail_event", "test",
+                             i);
+    }
+    ASSERT_TRUE(flight.dump("test_tails"));
+    const MiniJson rec = parseOrDie(slurp(flight.lastPath()));
+    flight.disable();
+
+    const auto &events = rec.at("event_tail").arr;
+    const auto &spans = rec.at("trace_tail").arr;
+    ASSERT_FALSE(events.empty());
+    EXPECT_LE(events.size(), FlightRecorder::kTailEvents);
+    EXPECT_EQ(spans.size(), FlightRecorder::kTailEvents);
+    for (const MiniJson &ev : events)
+        EXPECT_EQ(keysOf(ev), kEventKeys);
+    for (const MiniJson &sp : spans)
+        EXPECT_EQ(sp.at("ph").str, "X");
+    // Each tail ends with the newest record of its kind.
+    EXPECT_EQ(events.back().at("name").str, "flight_tail_event");
+    EXPECT_EQ(static_cast<uint64_t>(events.back().at("a0").num),
+              2 * FlightRecorder::kTailEvents - 8);
+    EXPECT_EQ(spans.back().at("name").str, "flight_tail_span");
+    EXPECT_EQ(static_cast<uint64_t>(spans.back().at("sim_ns").num),
+              2 * FlightRecorder::kTailEvents - 1);
+    std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Store-level health(): probes and the wedged compactor.
 // ---------------------------------------------------------------------------
@@ -468,6 +620,7 @@ TEST(OpsHealth, WedgedCompactorFlaggedWithinDeadline)
     c.backgroundCompaction = true;
     c.debugWedgeCompactor = true;
     c.watchdogStallMs = 50;
+    const uint64_t first = Telemetry::instance().trace().emitted();
     const auto t0 = std::chrono::steady_clock::now();
     XPGraph graph(c);
 
@@ -492,11 +645,7 @@ TEST(OpsHealth, WedgedCompactorFlaggedWithinDeadline)
         << report.brief();
 
     if (telemetry::kEnabled) {
-        bool wedge_event = false;
-        for (const EventView &ev : EventLog::instance().collect())
-            wedge_event |= ev.category == EventCategory::Compaction &&
-                           std::string(ev.name) == "compactor_wedged";
-        EXPECT_TRUE(wedge_event)
+        EXPECT_TRUE(sawInstant(first, "compaction", "compactor_wedged"))
             << "wedge must announce itself on the event stream";
     }
     // Destructor must still stop the wedged thread cleanly (the wedged
@@ -548,7 +697,7 @@ TEST(OpsHealth, BackpressureProbeFlagsBlockedWriter)
     // the log capacity must block in waitForLogSpace until the view
     // closes — exactly what the backpressure probe surfaces.
     auto view = graph.openView();
-    const uint64_t before_events = EventLog::instance().emitted();
+    const uint64_t before_events = Telemetry::instance().trace().emitted();
     std::thread writer([&graph, &edges] {
         auto session = graph.session(0);
         for (size_t i = 1000; i < edges.size(); ++i)
@@ -578,12 +727,8 @@ TEST(OpsHealth, BackpressureProbeFlagsBlockedWriter)
         << drained.brief();
 
     if (telemetry::kEnabled) {
-        bool entered = false;
-        for (const EventView &ev : EventLog::instance().collect())
-            entered |= ev.seq >= before_events &&
-                       ev.category == EventCategory::Backpressure &&
-                       std::string(ev.name) == "log_full_enter";
-        EXPECT_TRUE(entered)
+        EXPECT_TRUE(
+            sawInstant(before_events, "backpressure", "log_full_enter"))
             << "backpressure must announce itself on the event stream";
     }
 }
@@ -623,8 +768,7 @@ TEST(TelemetryTraceRingLive, WraparoundUnderCompactionAndViews)
     // compactor interleave their spans.
     std::thread filler([&trace, target] {
         while (trace.emitted() < target)
-            trace.emitInstant("ops_wrap_filler", "test",
-                              telemetry::hostNowNs());
+            trace.emitInstant(EventLevel::Info, "ops_wrap_filler", "test");
     });
 
     // Main thread: churn views and read the ring concurrently. Every

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstring>
+#include <filesystem>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "pmem/pmem_device.hpp"
 #include "pmem/xpline.hpp"
 #include "telemetry/attribution.hpp"
+#include "temp_dir.hpp"
 #include "util/rng.hpp"
 #include "util/sim_clock.hpp"
 
@@ -152,8 +154,8 @@ TEST_F(PmemDeviceTest, WriteContentionSlowsRandomStores)
 
 TEST_F(PmemDeviceTest, FileBackingSurvivesReopen)
 {
-    const std::string path = ::testing::TempDir() + "/pmem_backing.bin";
-    std::remove(path.c_str());
+    const std::string dir = makeTempDir("xpg_pmem_backing");
+    const std::string path = dir + "/pmem_backing.bin";
     {
         PmemDevice dev("t", 1 << 20, 0, 1, path);
         uint64_t v = 0xdeadbeefcafef00dull;
@@ -166,7 +168,7 @@ TEST_F(PmemDeviceTest, FileBackingSurvivesReopen)
         dev.read(4096, &v, 8);
         EXPECT_EQ(v, 0xdeadbeefcafef00dull);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST_F(PmemDeviceTest, OutOfRangeAccessPanics)

@@ -19,6 +19,7 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "pmem/pmem_device.hpp"
+#include "temp_dir.hpp"
 #include "util/rng.hpp"
 
 namespace xpg {
@@ -311,9 +312,8 @@ TEST_P(CrashPointSweep, RecoversWhatWasIngested)
 {
     const unsigned batches = GetParam();
     const vid_t nv = 100;
-    const std::string dir = ::testing::TempDir() + "/xpg_crash_sweep_" +
-                            std::to_string(batches);
-    std::filesystem::create_directories(dir);
+    const std::string dir =
+        makeTempDir("xpg_crash_sweep_" + std::to_string(batches));
 
     // Distinct edges, deterministic.
     std::vector<Edge> edges;

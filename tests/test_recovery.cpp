@@ -17,6 +17,7 @@
 #include "core/xpgraph.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "temp_dir.hpp"
 
 namespace xpg {
 namespace {
@@ -27,11 +28,10 @@ class RecoveryTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = ::testing::TempDir() + "/xpg_recovery_" +
-               ::testing::UnitTest::GetInstance()
-                   ->current_test_info()
-                   ->name();
-        std::filesystem::create_directories(dir_);
+        dir_ = makeTempDir(std::string("xpg_recovery_") +
+                           ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name());
     }
 
     void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <numeric>
 #include <vector>
 
@@ -15,6 +15,7 @@
 #include "graph/edge_io.hpp"
 #include "graph/edge_sharding.hpp"
 #include "graph/generators.hpp"
+#include "temp_dir.hpp"
 
 namespace xpg {
 namespace {
@@ -129,12 +130,13 @@ TEST(Csr, SizeBytesCountsOffsetsAndAdjacency)
 
 TEST(EdgeIo, RoundTrip)
 {
-    const std::string path = ::testing::TempDir() + "/edges.bin";
+    const std::string dir = makeTempDir("xpg_edge_io");
+    const std::string path = dir + "/edges.bin";
     const auto edges = generateUniform(100, 1000, 3);
     saveEdgeList(path, edges);
     const auto back = loadEdgeList(path);
     EXPECT_EQ(edges, back);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(EdgeIo, MissingFileIsFatal)

@@ -4,7 +4,8 @@
  * quantiles and merging; concurrent sharded recording; trace-ring
  * wraparound under concurrent writers (run under TSAN by the CI's
  * XPG_TSAN stage via the Telemetry* filter); metrics-registry handle
- * stability; and snapshot / trace JSON round-trips through a minimal
+ * stability for gauges and histograms; and snapshot / trace JSON
+ * round-trips through a minimal
  * in-test JSON parser — proving the exported documents are really
  * parseable, not just printf-shaped.
  *
@@ -33,8 +34,10 @@
 namespace xpg {
 namespace {
 
+using telemetry::EventLevel;
 using telemetry::Histogram;
 using telemetry::Labels;
+using telemetry::MetricSeries;
 using telemetry::MetricsRegistry;
 using telemetry::ShardedHistogram;
 using telemetry::TraceBuffer;
@@ -248,27 +251,36 @@ TEST(TelemetryTraceRing, ConcurrentWritersAndReaders)
 TEST(TelemetryMetrics, FindOrCreateReturnsStableCells)
 {
     MetricsRegistry reg;
-    telemetry::Counter &a =
-        reg.counter("edges", Labels{.store = "xpgraph", .node = 0});
-    telemetry::Counter &a_again =
-        reg.counter("edges", Labels{.store = "xpgraph", .node = 0});
-    telemetry::Counter &b =
-        reg.counter("edges", Labels{.store = "xpgraph", .node = 1});
+    telemetry::Gauge &a =
+        reg.gauge("edges", Labels{.store = "xpgraph", .node = 0});
+    telemetry::Gauge &a_again =
+        reg.gauge("edges", Labels{.store = "xpgraph", .node = 0});
+    telemetry::Gauge &b =
+        reg.gauge("edges", Labels{.store = "xpgraph", .node = 1});
     EXPECT_EQ(&a, &a_again); // same name+labels: same cell
     EXPECT_NE(&a, &b);       // different node label: distinct cell
 
-    a.add(5);
-    a.add(7);
+    // A histogram under the same name and labels is a series of its
+    // own, found again the same way.
+    ShardedHistogram &h =
+        reg.histogram("edges", Labels{.store = "xpgraph", .node = 0});
+    EXPECT_EQ(&h, &reg.histogram("edges",
+                                 Labels{.store = "xpgraph", .node = 0}));
+
+    a.set(5);
+    a.set(12); // set-to-latest
     b.set(100);
-    b.max(50); // max() never lowers
+    h.record(7);
     EXPECT_EQ(a.value(), 12u);
     EXPECT_EQ(b.value(), 100u);
+    EXPECT_EQ(h.snapshot().count, 1u);
 
-    EXPECT_EQ(reg.size(), 2u);
+    EXPECT_EQ(reg.size(), 3u);
     reg.resetValues();
     EXPECT_EQ(a.value(), 0u); // zeroed in place, handle still valid
-    EXPECT_EQ(reg.size(), 2u);
-    a.add(3);
+    EXPECT_EQ(h.snapshot().count, 0u);
+    EXPECT_EQ(reg.size(), 3u);
+    a.set(3);
     EXPECT_EQ(a.value(), 3u);
 }
 
@@ -278,18 +290,21 @@ TEST(TelemetryMetrics, ForEachExportsLabels)
     reg.gauge("g", Labels{.store = "graphone", .session = 4,
                           .phase = "archive"})
         .set(9);
-    bool seen = false;
-    reg.forEach([&](const telemetry::MetricInfo &info, uint64_t value) {
-        seen = true;
-        EXPECT_EQ(info.name, "g");
-        EXPECT_EQ(info.kind, telemetry::MetricKind::Gauge);
-        EXPECT_EQ(info.store, "graphone");
-        EXPECT_EQ(info.node, -1); // unset stays -1 (omitted on export)
-        EXPECT_EQ(info.session, 4);
-        EXPECT_EQ(info.phase, "archive");
-        EXPECT_EQ(value, 9u);
+    reg.histogram("a_ns").record(1);
+    std::vector<std::string> order;
+    reg.forEach([&](const MetricSeries &s) {
+        order.push_back(s.info.name);
+        if (s.info.name != "g")
+            return;
+        EXPECT_EQ(s.info.kind, telemetry::MetricKind::Gauge);
+        EXPECT_EQ(s.info.store, "graphone");
+        EXPECT_EQ(s.info.node, -1); // unset stays -1 (omitted on export)
+        EXPECT_EQ(s.info.session, 4);
+        EXPECT_EQ(s.info.phase, "archive");
+        EXPECT_EQ(s.gauge.value(), 9u);
     });
-    EXPECT_TRUE(seen);
+    // One walk over both kinds, sorted by name.
+    EXPECT_EQ(order, (std::vector<std::string>{"a_ns", "g"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -300,9 +315,11 @@ TEST(TelemetrySnapshot, MetricsJsonRoundTrip)
 {
     auto &tel = telemetry::Telemetry::instance();
     tel.reset();
-    tel.counter("test.rt_edges", Labels{.store = "test"}).add(42);
-    tel.gauge("test.rt_depth", Labels{.store = "test", .node = 1}).set(7);
-    auto &h = tel.histogram(
+    tel.metrics().gauge("test.rt_edges", Labels{.store = "test"}).set(42);
+    tel.metrics()
+        .gauge("test.rt_depth", Labels{.store = "test", .node = 1})
+        .set(7);
+    auto &h = tel.metrics().histogram(
         "test.rt_ns",
         Labels{.store = "test", .node = 1, .session = 2, .phase = "unit"});
     for (uint64_t v : {100u, 200u, 400u, 800u, 1600u})
@@ -313,17 +330,17 @@ TEST(TelemetrySnapshot, MetricsJsonRoundTrip)
     EXPECT_EQ(doc.at("enabled").boolean, telemetry::kEnabled);
 
     // Other suites in this binary register metrics too; search by name.
-    bool found_counter = false;
+    bool found_gauge = false;
     for (const MiniJson &m : doc.at("metrics").arr) {
         if (m.at("name").str != "test.rt_edges")
             continue;
-        found_counter = true;
-        EXPECT_EQ(m.at("kind").str, "counter");
+        found_gauge = true;
+        EXPECT_EQ(m.at("kind").str, "gauge");
         EXPECT_EQ(m.at("labels").at("store").str, "test");
         EXPECT_FALSE(m.at("labels").has("node")); // unset: omitted
         EXPECT_DOUBLE_EQ(m.at("value").num, 42.0);
     }
-    EXPECT_TRUE(found_counter);
+    EXPECT_TRUE(found_gauge);
 
     bool found_histo = false;
     for (const MiniJson &m : doc.at("histograms").arr) {
@@ -351,7 +368,7 @@ TEST(TelemetrySnapshot, TraceJsonRoundTrip)
     TraceBuffer ring(32);
     ring.emitComplete("flush_phase", "archive", /*tsNs=*/2500,
                       /*durNs=*/1500, /*simNs=*/900);
-    ring.emitInstant("crash", "recovery", /*tsNs=*/5000);
+    ring.emitInstant(EventLevel::Warn, "crash", "recovery", /*a0=*/3);
 
     const MiniJson doc = parseOrDie(ring.toJson().dump());
     EXPECT_EQ(doc.at("displayTimeUnit").str, "ns");
@@ -371,6 +388,8 @@ TEST(TelemetrySnapshot, TraceJsonRoundTrip)
             found_instant = true;
             EXPECT_EQ(e.at("ph").str, "i");
             EXPECT_EQ(e.at("s").str, "t");
+            EXPECT_EQ(e.at("args").at("level").str, "warn");
+            EXPECT_DOUBLE_EQ(e.at("args").at("a0").num, 3.0);
         }
     }
     EXPECT_TRUE(found_span);

@@ -41,11 +41,11 @@
  *             line per interval with the component health verdicts.
  *             --ops-jsonl and --prom arm the periodic exporter (JSONL
  *             time series + Prometheus text exposition); --events dumps
- *             the structured event log on exit; --flight-dir arms the
- *             crash flight recorder. --wedge-compactor 1 deliberately
- *             wedges the compactor thread so the watchdog's Stalled
- *             escalation (and the resulting flight record) can be
- *             demonstrated.
+ *             the trace ring's event instants on exit; --flight-dir
+ *             arms the crash flight recorder. --wedge-compactor 1
+ *             deliberately wedges the compactor thread so the
+ *             watchdog's Stalled escalation (and the resulting flight
+ *             record) can be demonstrated.
  *
  *   pipeline  [--dataset TT] [--shift N] [--sessions S] [--threads T]
  *             [--backing DIR]
@@ -115,7 +115,6 @@
 #include "graph/datasets.hpp"
 #include "graph/edge_io.hpp"
 #include "graph/retention.hpp"
-#include "telemetry/events.hpp"
 #include "telemetry/exporter.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
@@ -645,12 +644,12 @@ cmdWatch(const Args &args)
         const double elapsed =
             std::chrono::duration<double>(now - t0).count();
         const telemetry::HealthReport report = graph.health();
-        std::printf("[watch] t=%5.1fs edges=%llu events=%llu %s\n",
+        std::printf("[watch] t=%5.1fs edges=%llu records=%llu %s\n",
                     elapsed,
                     static_cast<unsigned long long>(
                         ingested.load(std::memory_order_relaxed)),
                     static_cast<unsigned long long>(
-                        telemetry::EventLog::instance().emitted()),
+                        telemetry::Telemetry::instance().trace().emitted()),
                     report.brief().c_str());
         std::fflush(stdout);
         if (now >= deadline)
@@ -674,7 +673,8 @@ cmdWatch(const Args &args)
     }
     const std::string events_path = args.get("events");
     if (!events_path.empty()) {
-        if (!telemetry::EventLog::instance().writeJsonl(events_path))
+        if (!telemetry::Telemetry::instance().trace().writeEventsJsonl(
+                events_path))
             XPG_FATAL("cannot write " + events_path);
         std::printf("wrote event log %s\n", events_path.c_str());
     }
