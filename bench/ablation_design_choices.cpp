@@ -41,13 +41,13 @@ main(int argc, char **argv)
         {"full", [](XPGraphConfig &) {}},
         {"no-buffering",
          [](XPGraphConfig &c) {
-             c.hierarchicalBuffers = false;
-             c.fixedVertexBufBytes = 8;
+             c.minVertexBufBytes = 8;
+             c.maxVertexBufBytes = 8;
          }},
         {"no-hierarchy (fixed-256)",
          [](XPGraphConfig &c) {
-             c.hierarchicalBuffers = false;
-             c.fixedVertexBufBytes = 256;
+             c.minVertexBufBytes = 256;
+             c.maxVertexBufBytes = 256;
          }},
         {"no-binding",
          [](XPGraphConfig &c) { c.bindThreads = false; }},

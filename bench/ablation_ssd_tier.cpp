@@ -54,8 +54,6 @@ main(int argc, char **argv)
     for (const Tier &tier : tiers) {
         XPGraphConfig c = xpgraphConfig(ds, 16);
         c.memKind = tier.kind;
-        if (tier.kind != MemKind::Pmem)
-            c.proactiveFlush = false;
         auto graph = buildXpgraph(ds, c);
         Rng rng(0x55D);
         const vid_t root =

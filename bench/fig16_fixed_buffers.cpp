@@ -37,8 +37,8 @@ main(int argc, char **argv)
 
     for (uint32_t bytes : {8u, 16u, 32u, 64u, 128u, 256u, 512u}) {
         XPGraphConfig c = xpgraphConfig(ds, 16);
-        c.hierarchicalBuffers = false;
-        c.fixedVertexBufBytes = bytes;
+        c.minVertexBufBytes = bytes; // min = max: one fixed layer
+        c.maxVertexBufBytes = bytes;
         const auto o = ingestXpgraph(ds, c, "fixed");
         const bool oom = o.mem.vbufBytes > vbuf_budget;
         table.row({std::to_string(bytes) + " B",

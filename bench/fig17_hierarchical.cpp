@@ -33,8 +33,8 @@ main(int argc, char **argv)
     // Fixed reference points from Fig.16's sweet spot.
     for (uint32_t fixed : {64u, 128u}) {
         XPGraphConfig c = xpgraphConfig(ds, 16);
-        c.hierarchicalBuffers = false;
-        c.fixedVertexBufBytes = fixed;
+        c.minVertexBufBytes = fixed; // min = max: one fixed layer
+        c.maxVertexBufBytes = fixed;
         const auto o = ingestXpgraph(ds, c, "fixed");
         table.row({"fixed-" + std::to_string(fixed),
                    TablePrinter::seconds(o.ingestNs()),
@@ -45,7 +45,6 @@ main(int argc, char **argv)
 
     for (uint32_t max_bytes : {32u, 64u, 128u, 256u, 512u}) {
         XPGraphConfig c = xpgraphConfig(ds, 16);
-        c.hierarchicalBuffers = true;
         c.minVertexBufBytes = 16;
         c.maxVertexBufBytes = max_bytes;
         const auto o = ingestXpgraph(ds, c, "hier");

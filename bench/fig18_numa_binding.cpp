@@ -73,7 +73,7 @@ main(int argc, char **argv)
     }
 
     const Setting settings[] = {
-        {"no-bind", NumaPlacement::None, false},
+        {"no-bind", NumaPlacement::SubGraph, false},
         {"NUMA-bind-OIG", NumaPlacement::OutInGraph, true},
         {"NUMA-bind-SG", NumaPlacement::SubGraph, true},
     };

@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the substrate primitives: modeled
  * device accesses (host-side overhead of the simulation itself), the
  * XPBuffer, the buddy vertex-buffer pool, one session append on each
- * engine, the query primitives, and edge generation. These measure HOST time (the cost of running the
+ * engine, an idle compaction pass, the query primitives, and edge
+ * generation. These measure HOST time (the cost of running the
  * model), unlike the figure/table benches which report simulated time.
  */
 
@@ -234,6 +235,41 @@ BENCHMARK(BM_SessionAppend64)
     ->Arg(1)
     ->Iterations(kSessionAppendCalls)
     ->UseRealTime();
+
+void
+BM_CompactionPassIdle(benchmark::State &state)
+{
+    // A compaction pass with nothing to rewrite: every slot of both
+    // sides holds a tombstone, but none reaches the record floor (16
+    // inserts and one delete per vertex), so no chain qualifies. The
+    // store is built once; every iteration is one more idle pass.
+    static std::unique_ptr<XPGraph> graph = [] {
+        const vid_t nv = 1 << 15;
+        constexpr vid_t kDegree = 16;
+        std::vector<Edge> edges;
+        std::vector<Edge> deletes;
+        for (vid_t v = 0; v < nv; ++v) {
+            for (vid_t k = 0; k < kDegree; ++k)
+                edges.push_back({v, (v * 7 + k * 131 + 1) % nv});
+            deletes.push_back(edges[v * kDegree + v % kDegree]);
+        }
+        XPGraphConfig c = XPGraphConfig::persistent(nv, 0);
+        c.elogCapacityEdges = 1 << 20;
+        c.bufferingThresholdEdges = 1 << 16;
+        c.archiveThreads = 4;
+        c.pmemBytesPerNode =
+            recommendedBytesPerNode(c, edges.size() + deletes.size());
+        auto g = std::make_unique<XPGraph>(c);
+        g->session(0)->addEdges(edges.data(), edges.size());
+        g->session(0)->delEdges(deletes.data(), deletes.size());
+        g->archiveAll();
+        g->runCompactionPass();
+        return g;
+    }();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(graph->runCompactionPass());
+}
+BENCHMARK(BM_CompactionPassIdle);
 
 void
 BM_GetNebrsVector(benchmark::State &state)

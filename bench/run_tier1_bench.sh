@@ -4,8 +4,9 @@
 # XPGraph), the query-primitive, device-model, vertex-buffer-pool and
 # session-append microbenchmarks (the host cost of one modeled PMEM
 # store, alone and with four threads sharing a device; of one pool
-# alloc/free pair; of one free in a mass drain of parked buffers; and
-# of one 64-edge session write per engine), the concurrent-ingest
+# alloc/free pair; of one free in a mass drain of parked buffers; of
+# one 64-edge session write per engine; and of one compaction pass with
+# nothing to rewrite), the concurrent-ingest
 # scaling bench, and the
 # recovery-depth bench, and leaves the machine-readable numbers in
 # BENCH_query.json / BENCH_ingest.json / BENCH_recovery.json (override
@@ -169,7 +170,7 @@ else
 fi
 
 "${build_dir}/bench/micro_primitives" \
-    --benchmark_filter='BM_(GetNebrs|Degree|LogWindow|AdjCodec|AdjRawCopy|TombstoneFold|PmemDevice|XPBuffer|Pool|SessionAppend).*' \
+    --benchmark_filter='BM_(GetNebrs|Degree|LogWindow|AdjCodec|AdjRawCopy|TombstoneFold|PmemDevice|XPBuffer|Pool|SessionAppend|Compaction).*' \
     --benchmark_min_time=0.05
 
 export XPG_BENCH_INGEST_JSON="${XPG_BENCH_INGEST_JSON:-${repo_root}/BENCH_ingest.json}"

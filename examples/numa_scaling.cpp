@@ -75,7 +75,7 @@ main(int argc, char **argv)
     };
     const Case cases[] = {
         {"1 node (no NUMA)", 1, NumaPlacement::SubGraph, true},
-        {"2 nodes, no binding", 2, NumaPlacement::None, false},
+        {"2 nodes, no binding", 2, NumaPlacement::SubGraph, false},
         {"2 nodes, out/in split", 2, NumaPlacement::OutInGraph, true},
         {"2 nodes, sub-graphs", 2, NumaPlacement::SubGraph, true},
         {"4 nodes, sub-graphs", 4, NumaPlacement::SubGraph, true},

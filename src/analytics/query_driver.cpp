@@ -230,13 +230,12 @@ QueryDriver::buildPlan(std::span<const vid_t> vertices, Plan &plan)
     SimScope scan_scope;
     chargeDramSequential(vertices.size() * sizeof(uint64_t));
 
-    // Virtual slots: every node gets at least one chunk even when there
-    // are fewer workers than nodes (workers then sweep several nodes).
-    const unsigned slots = std::max(workers, nodes);
+    // Bound: one chunk per virtual slot, so every node gets at least one
+    // even when there are fewer workers than nodes (workers then sweep
+    // several nodes).
+    const VirtualSlots slots{workers, nodes};
     for (unsigned node = 0; node < nodes; ++node) {
-        const unsigned parts =
-            plan.bound ? slots / nodes + (node < slots % nodes ? 1 : 0)
-                       : workers;
+        const unsigned parts = plan.bound ? slots.onNode(node) : workers;
         plan.bounds[node] = chunkBoundaries(
             weights[node], plan.lists[node].size(), parts);
     }
@@ -264,17 +263,16 @@ QueryDriver::runPlan(const Plan &plan,
                     fn(list[i], w);
             return;
         }
-        const unsigned slots = std::max(workers, nodes);
-        for (unsigned s = w; s < slots; s += workers) {
-            const unsigned node = s % nodes;
-            const unsigned local = s / nodes;
-            NumaBinding::bindThread(static_cast<int>(node), true);
-            const auto &list = plan.lists[node];
-            const auto &b = plan.bounds[node];
-            if (local + 1 < b.size())
-                for (uint64_t i = b[local]; i < b[local + 1]; ++i)
-                    fn(list[i], w);
-        }
+        VirtualSlots{workers, nodes}.forEach(
+            w, workers, [&](const VirtualSlots::Slot &slot) {
+                NumaBinding::bindThread(static_cast<int>(slot.node), true);
+                const auto &list = plan.lists[slot.node];
+                const auto &b = plan.bounds[slot.node];
+                if (slot.local + 1 < b.size())
+                    for (uint64_t i = b[slot.local]; i < b[slot.local + 1];
+                         ++i)
+                        fn(list[i], w);
+            });
     });
     return result.maxNanos();
 }
@@ -344,20 +342,17 @@ QueryDriver::forEach(std::span<const vid_t> vertices,
         // Virtual slots cover every node even when workers < nodes (a
         // worker then serves several nodes in turn); with workers >=
         // nodes this degenerates to the one-slot-per-worker layout.
-        const unsigned slots = std::max(workers, nodes);
         const ParallelResult result = executor_.run([&](unsigned w) {
             XPG_ATTR_SCOPE(attrScope, QueryRead);
-            for (unsigned s = w; s < slots; s += workers) {
-                const unsigned node = s % nodes;
-                const unsigned local = s / nodes;
-                const unsigned slots_here =
-                    slots / nodes + (node < slots % nodes ? 1 : 0);
-                NumaBinding::bindThread(static_cast<int>(node), true);
-                const auto &list = perNode_[node];
-                const unsigned stride = std::max(1u, slots_here);
-                for (uint64_t i = local; i < list.size(); i += stride)
-                    fn(list[i], w);
-            }
+            VirtualSlots{workers, nodes}.forEach(
+                w, workers, [&](const VirtualSlots::Slot &slot) {
+                    NumaBinding::bindThread(static_cast<int>(slot.node),
+                                            true);
+                    const auto &list = perNode_[slot.node];
+                    for (uint64_t i = slot.local; i < list.size();
+                         i += slot.slots)
+                        fn(list[i], w);
+                });
         });
         round_ns += result.maxNanos();
     }

@@ -140,17 +140,6 @@ decodeRun(const std::byte *payload, uint64_t payload_bytes, F &&fn)
     return p == end; // trailing garbage bytes are a malformation too
 }
 
-/** Record count an encoded payload declares (0 when malformed). */
-inline uint32_t
-runCount(const std::byte *payload, uint64_t payload_bytes)
-{
-    if (payload_bytes < sizeof(RunHeader))
-        return 0;
-    RunHeader hdr;
-    std::memcpy(&hdr, payload, sizeof(hdr));
-    return hdr.count;
-}
-
 /**
  * Position-mixed checksum over an encoded payload, the compressed
  * counterpart of the raw blocks' per-record sum: stored in the block

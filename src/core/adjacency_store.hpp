@@ -202,10 +202,6 @@ class AdjacencyStore
                    uint64_t index_off, uint64_t num_slots,
                    bool proactive_flush, CompressionPolicy policy = {});
 
-    uint64_t numSlots() const { return numSlots_; }
-
-    const CompressionPolicy &compressionPolicy() const { return policy_; }
-
     /** Cumulative codec activity of this store (encode + decode). */
     CompressionStats compressionStats() const;
 

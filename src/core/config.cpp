@@ -86,14 +86,10 @@ XPGraphConfig::validate(bool for_recovery) const
             ") is below minVertexBufBytes (" +
             std::to_string(minVertexBufBytes) +
             "): the hierarchical layers L0..Lmax are empty");
-    if (!isPow2(fixedVertexBufBytes) || fixedVertexBufBytes < 8)
-        bad("fixedVertexBufBytes must be a power of two >= 8");
-    const uint32_t largest_buf =
-        hierarchicalBuffers ? maxVertexBufBytes : fixedVertexBufBytes;
-    if (poolBulkBytes < largest_buf)
+    if (poolBulkBytes < maxVertexBufBytes)
         bad("poolBulkBytes (" + std::to_string(poolBulkBytes) +
             ") is smaller than the largest vertex buffer (" +
-            std::to_string(largest_buf) +
+            std::to_string(maxVertexBufBytes) +
             "): one pool bulk must fit at least one buffer");
     if (poolLimitBytes < poolBulkBytes)
         bad("poolLimitBytes (" + std::to_string(poolLimitBytes) +
@@ -115,9 +111,6 @@ XPGraphConfig::validate(bool for_recovery) const
         bad("compactMinRecords must be >= 1: a zero floor would make "
             "every touched vertex a compaction candidate");
 
-    if (watchdogMonitor && watchdogIntervalMs == 0)
-        bad("watchdogIntervalMs is 0: the monitor thread needs a check "
-            "period");
     if (watchdogStallMs == 0)
         bad("watchdogStallMs is 0: a zero deadline would flag every "
             "busy component as stalled instantly");

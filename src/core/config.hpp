@@ -7,7 +7,8 @@
  *  - XPGraph-B  : PMEM devices, battery-backed DRAM — buffered edges may
  *                 be overwritten in the log.
  *  - XPGraph-D  : modeled DRAM (or Optane Memory Mode) devices, fixed
- *                 64-byte vertex buffers, no consistency requirements.
+ *                 64-byte vertex buffers (min = max), no consistency
+ *                 requirements.
  *
  * validate()/validated() centralize the range and consistency checks
  * that used to live as ad-hoc asserts in the constructors: callers can
@@ -38,7 +39,8 @@ struct XPGraphConfig
     MemKind memKind = MemKind::Pmem;
     unsigned numNodes = 2;
     NumaPlacement placement = NumaPlacement::SubGraph;
-    /** Bind archiving/flushing threads to the data's node. */
+    /** Bind archive, session and query threads to the data's node;
+     *  false is the no-binding baseline of Fig.18. */
     bool bindThreads = true;
     /** Per-node device capacity in bytes (required). */
     uint64_t pmemBytesPerNode = 0;
@@ -50,14 +52,13 @@ struct XPGraphConfig
     std::string backingDir;
 
     // --- vertex buffering (S III-B, S III-C) ---
-    /** Hierarchical buffers (L0..Lmax); false = fixed-size (Fig.16). */
-    bool hierarchicalBuffers = true;
+    // A vertex starts on a minVertexBufBytes buffer and doubles it while
+    // it is below maxVertexBufBytes (the hierarchical layers L0..Lmax);
+    // min = max is the fixed-size buffering of Fig.16.
     /** Smallest (L0) buffer size in bytes. */
     uint32_t minVertexBufBytes = 16;
     /** Largest buffer size in bytes; flush target granularity. */
     uint32_t maxVertexBufBytes = 256;
-    /** Fixed mode: every vertex buffer is this size. */
-    uint32_t fixedVertexBufBytes = 64;
 
     // --- vertex buffer memory pool (S III-C, Fig.19) ---
     uint64_t poolBulkBytes = 16ull << 20;
@@ -76,7 +77,8 @@ struct XPGraphConfig
 
     // --- archiving (S IV-A) ---
     unsigned archiveThreads = 16;
-    /** Proactively clwb adjacency writes >= one XPLine (S IV-A). */
+    /** Proactively clwb adjacency writes >= one XPLine (S IV-A); takes
+     *  effect on MemKind::Pmem only. */
     bool proactiveFlush = true;
     /**
      * Run archiving (buffering + flushing) on a dedicated background
@@ -117,16 +119,7 @@ struct XPGraphConfig
     uint32_t compactMinRecords = 64;
 
     // --- operations plane (DESIGN.md §14) ---
-    /**
-     * Run the health watchdog's monitor thread: periodic checks that
-     * emit watchdog events on state transitions and dump a crash
-     * flight record on a Stalled verdict. health() works either way —
-     * with the monitor off it evaluates on demand. All ops-plane knobs
-     * are tuning, not geometry: they may change across restarts.
-     */
-    bool watchdogMonitor = false;
-    /** Monitor check period (host milliseconds). */
-    uint32_t watchdogIntervalMs = 250;
+    // Tuning, not geometry: these may change across restarts.
     /** A busy component whose heartbeat is older than this is Stalled
      *  (Degraded past half). Host milliseconds. */
     uint32_t watchdogStallMs = 2000;
@@ -195,9 +188,9 @@ struct XPGraphConfig
         XPGraphConfig c = persistent(max_vertices, bytes_per_node);
         c.memKind = MemKind::Dram;
         c.batteryBacked = true; // no log-overwrite restrictions
-        c.hierarchicalBuffers = false;
-        c.fixedVertexBufBytes = 64; // paper: fixed 64 B, no migration
-        c.proactiveFlush = false;
+        // paper: fixed 64 B buffers, no migration
+        c.minVertexBufBytes = 64;
+        c.maxVertexBufBytes = 64;
         return c;
     }
 };

@@ -245,7 +245,8 @@ XPGraph::XPGraph(const XPGraphConfig &config, bool recovering,
         shards_[d].resize(p);
         assign_[d].resize(p);
         for (unsigned node = 0; node < p; ++node)
-            shards_[d][node].resize(kShardsPerThread * slotsOnNode(node));
+            shards_[d][node].resize(kShardsPerThread *
+                                    archiveSlots().onNode(node));
     }
 
     initWatchdog();
@@ -273,8 +274,6 @@ XPGraph::XPGraph(const XPGraphConfig &config, bool recovering,
                                 lock, [&] { return compactor_.stop; });
                         });
     }
-    if (config_.watchdogMonitor)
-        watchdog_.start(uint64_t{config_.watchdogIntervalMs} * 1'000'000);
 }
 
 void
@@ -294,8 +293,8 @@ XPGraph::initWatchdog()
         [this](uint64_t now_ns) { return backpressureProbe(now_ns); });
     watchdog_.registerProbe(
         [this](uint64_t now_ns) { return viewPinProbe(now_ns); });
-    // Monitor-thread reaction to a Stalled transition: freeze a flight
-    // record naming the wedged component. Safe from the monitor thread:
+    // health()'s reaction to a Stalled transition: freeze a flight
+    // record naming the wedged component. Safe from any reader thread:
     // dump() takes only telemetry-internal locks, never archiveMutex_.
     watchdog_.onStalled([](const telemetry::HealthReport &report) {
         telemetry::FlightRecorder::instance().dump(
@@ -354,7 +353,7 @@ XPGraph::viewPinProbe(uint64_t now_ns) const
 telemetry::HealthReport
 XPGraph::health() const
 {
-    return watchdog_.checkNow();
+    return watchdog_.react(telemetry::hostNowNs());
 }
 
 void
@@ -405,15 +404,13 @@ template <typename F>
 void
 XPGraph::forWorkerSlots(unsigned w, unsigned workers, F &&fn)
 {
-    const unsigned p = config_.numNodes;
-    for (unsigned s = w; s < virtualSlots(); s += workers) {
-        const WorkerSlot slot{s % p, s / p, slotsOnNode(s % p)};
+    archiveSlots().forEach(w, workers, [&](const Slot &slot) {
         if (queryBindingEnabled())
             NumaBinding::bindThread(static_cast<int>(slot.node), false);
         else
             NumaBinding::unbindThread();
         fn(slot);
-    }
+    });
 }
 
 void
@@ -438,7 +435,6 @@ XPGraph::~XPGraph()
     XPG_ASSERT(openSessions() == 0,
                "destroying XPGraph with open ingestion sessions");
     XPG_ASSERT(views_.empty(), "destroying XPGraph with open read views");
-    watchdog_.stop(); // monitor first: no health checks during teardown
     stopBackground(compactor_);
     stopBackground(archiver_);
 }
@@ -611,7 +607,7 @@ XPGraph::initPartitions(bool recovering)
                 config_.proactiveFlush && config_.memKind == MemKind::Pmem,
                 compression);
             side->states.resize(part.slots[d]);
-            side->tombstoned =
+            side->dirty =
                 std::vector<std::atomic<uint64_t>>((part.slots[d] + 63) / 64);
         }
     }
@@ -740,7 +736,7 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
         // Scopes are thread-local, so the tag must be planted in each
         // worker body, not around the executor_->run() call.
         XPG_ATTR_SCOPE(attrScope, RecoveryReplay);
-        forWorkerSlots(w, config_.archiveThreads, [&](const WorkerSlot &ws) {
+        forWorkerSlots(w, config_.archiveThreads, [&](const Slot &ws) {
             ChainScan &scan = scans[static_cast<size_t>(w) * p + ws.node];
             for (const auto &side : parts_[ws.node].sides) {
                 if (!side)
@@ -761,7 +757,7 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
                         chargeDramScattered(2);
                         st.records = st.chain.records;
                         if (st.tombstones != 0)
-                            side->markTombstoned(slot);
+                            side->markDirty(slot);
                     }
                 }
             }
@@ -1086,16 +1082,21 @@ XPGraph::compactCandidatesLocked()
     bool entered = false;
     for (auto &part : parts_) {
         for (unsigned d = 0; d < 2; ++d) {
-            const Side *side = part.sides[d].get();
+            Side *side = part.sides[d].get();
             if (!side)
                 continue;
-            // Only slots holding a tombstone can qualify: visit their
-            // bits in ascending slot order. Delete-free chains never
-            // qualify, so a workload without deletes is byte-identical
-            // with the compactor on or off.
-            for (size_t w = 0; w < side->tombstoned.size(); ++w) {
-                for (uint64_t bits =
-                         side->tombstoned[w].load(std::memory_order_relaxed);
+            // A slot qualifies on its records and tombstones alone, and
+            // only an insert changes those between passes, so a slot
+            // this pass did not rewrite can qualify later only after
+            // an insert sets its dirty bit again: visit (and clear) the
+            // dirty bits in ascending slot order. Delete-free chains
+            // never qualify, so a workload without deletes is
+            // byte-identical with the compactor on or off.
+            for (size_t w = 0; w < side->dirty.size(); ++w) {
+                if (side->dirty[w].load(std::memory_order_relaxed) == 0)
+                    continue;
+                for (uint64_t bits = side->dirty[w].exchange(
+                         0, std::memory_order_relaxed);
                      bits != 0; bits &= bits - 1) {
                     const uint64_t slot = w * 64 + std::countr_zero(bits);
                     const VertexState &st = side->states[slot];
@@ -1157,11 +1158,7 @@ XPGraph::compactSlotJournaled(Partition &part, unsigned d, uint64_t slot,
     }
     // Every tombstone was applied; the buffer drained into the chain.
     st.records = st.chain.records;
-    if (st.tombstones != 0) {
-        st.tombstones = 0;
-        side.tombstoned[slot / 64].fetch_and(~(uint64_t{1} << (slot % 64)),
-                                             std::memory_order_relaxed);
-    }
+    st.tombstones = 0;
 }
 
 // --- buffering phase -----------------------------------------------------
@@ -1192,7 +1189,7 @@ XPGraph::shardBatch()
     for (unsigned d = 0; d < 2; ++d)
         for (unsigned node = 0; node < config_.numNodes; ++node)
             assign_[d][node] =
-                assignShards(shards_[d][node], slotsOnNode(node));
+                assignShards(shards_[d][node], archiveSlots().onNode(node));
 }
 
 void
@@ -1205,15 +1202,14 @@ XPGraph::declareArchiveConcurrency()
     // logging into its device while a pipelined phase runs, so they add
     // to the declared store pressure.
     for (unsigned node = 0; node < config_.numNodes; ++node) {
-        const unsigned archive_workers =
-            std::min(slotsOnNode(node), config_.archiveThreads);
+        // One worker per slot on the node: >= 1, and never more than
+        // the archive threads.
+        const unsigned archive_workers = archiveSlots().onNode(node);
         const unsigned loggers =
             parts_[node].sessions.load(std::memory_order_relaxed);
-        parts_[node].dev->setDeclaredWriters(
-            std::max(1u, archive_workers + loggers));
+        parts_[node].dev->setDeclaredWriters(archive_workers + loggers);
         // The same workers drain the node's log window in parallel.
-        parts_[node].dev->setDeclaredReaders(
-            std::max(1u, archive_workers));
+        parts_[node].dev->setDeclaredReaders(archive_workers);
     }
 }
 
@@ -1234,7 +1230,7 @@ XPGraph::declareIdleWriters()
 void
 XPGraph::bufferWorker(unsigned w)
 {
-    forWorkerSlots(w, config_.archiveThreads, [&](const WorkerSlot &ws) {
+    forWorkerSlots(w, config_.archiveThreads, [&](const Slot &ws) {
         Partition &part = parts_[ws.node];
         for (unsigned d = 0; d < 2; ++d) {
             const bool out = d == 0;
@@ -1298,7 +1294,7 @@ XPGraph::runBufferingPhaseLocked(bool capped)
         // Log reads feeding an archive phase are archive traffic, not
         // query traffic (thread-local tag, so it lives in the worker).
         XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
-        forWorkerSlots(w, config_.archiveThreads, [&](const WorkerSlot &ws) {
+        forWorkerSlots(w, config_.archiveThreads, [&](const Slot &ws) {
             const unsigned node = ws.node;
             const auto [lo, hi] = ws.slice(phaseUpTo_[node] - from[node]);
             if (lo < hi)
@@ -1355,7 +1351,7 @@ void
 XPGraph::flushWorker(unsigned w, bool release_buffers)
 {
     XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
-    forWorkerSlots(w, config_.archiveThreads, [&](const WorkerSlot &ws) {
+    forWorkerSlots(w, config_.archiveThreads, [&](const Slot &ws) {
         for (const auto &side : parts_[ws.node].sides) {
             if (!side)
                 continue;
@@ -1367,13 +1363,9 @@ XPGraph::flushWorker(unsigned w, bool release_buffers)
                 if (vbuf::header(st.buf)->cnt > 0)
                     flushVertex(*side, slot, st);
                 // flushVertex may already have parked the buffer in the
-                // view limbo (st.buf nulled); only free what remains.
+                // view limbo (st.buf nulled); only release what remains.
                 if (release_buffers && st.buf) {
-                    if (!views_.empty())
-                        retireBufferToLimbo(st.buf, st.bufBytes);
-                    else
-                        pool_->free(st.buf, st.bufBytes);
-                    st.buf = nullptr;
+                    retireBuffer(st, /*keep=*/false);
                     st.bufBytes = 0;
                 }
             }
@@ -1444,19 +1436,18 @@ XPGraph::insertBuffered(Side &side, uint64_t slot, vid_t nebr)
     // with the stored data (same cache line as the state slot already
     // charged above).
     ++st.records;
-    if (isDelete(nebr) && st.tombstones++ == 0)
-        side.markTombstoned(slot);
+    if (isDelete(nebr))
+        ++st.tombstones;
+    if (st.tombstones != 0)
+        side.markDirty(slot); // the next compaction pass re-checks it
 
     if (!st.buf) {
-        st.bufBytes = config_.hierarchicalBuffers
-                          ? config_.minVertexBufBytes
-                          : config_.fixedVertexBufBytes;
+        st.bufBytes = config_.minVertexBufBytes;
         st.buf = pool_->alloc(st.bufBytes);
         vbuf::init(st.buf, st.bufBytes);
     }
     if (vbuf::full(st.buf)) {
-        if (config_.hierarchicalBuffers &&
-            st.bufBytes < config_.maxVertexBufBytes) {
+        if (st.bufBytes < config_.maxVertexBufBytes) {
             growBuffer(st);
         } else {
             flushVertex(side, slot, st);
@@ -1478,10 +1469,7 @@ XPGraph::growBuffer(VertexState &st)
     std::byte *grown = pool_->alloc(new_bytes);
     vbuf::migrate(grown, new_bytes, st.buf);
     chargeDramSequential(st.bufBytes);
-    if (!views_.empty())
-        retireBufferToLimbo(st.buf, st.bufBytes);
-    else
-        pool_->free(st.buf, st.bufBytes);
+    retireBuffer(st, /*keep=*/false);
     st.buf = grown;
     st.bufBytes = new_bytes;
 }
@@ -1492,17 +1480,32 @@ XPGraph::flushVertex(Side &side, uint64_t slot, VertexState &st)
     auto *hdr = vbuf::header(st.buf);
     side.store->append(slot, vbuf::payload(st.buf), hdr->cnt, st.chain);
     chargeDramSequential(hdr->cnt * sizeof(vid_t));
-    if (!views_.empty()) {
-        // An open view captured this buffer's payload: park it in the
-        // limbo (freed once no open view predates this phase) instead of
-        // resetting it in place. st.bufBytes is kept so the vertex
-        // restarts on the same layer.
-        retireBufferToLimbo(st.buf, st.bufBytes);
-        st.buf = nullptr;
-    } else {
-        hdr->cnt = 0;
-    }
+    retireBuffer(st, /*keep=*/true);
     vbufFlushes_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void
+XPGraph::retireBuffer(VertexState &st, bool keep)
+{
+    // A capture flags every buffer it takes, and every open view reads
+    // one of those captures: a buffer allocated after the newest
+    // capture, or empty at each (captured as null), is no view's. A
+    // flag left by views that have all closed parks needlessly, never
+    // unsafely. Phases hold archiveMutex_, so views_ cannot change
+    // under the workers.
+    const bool held = st.captured && !views_.empty();
+    st.captured = false;
+    if (held) {
+        const uint64_t epoch = phaseEpoch_.load(std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(limboMutex_);
+        limbo_.push_back({st.buf, st.bufBytes, epoch});
+    } else if (keep) {
+        vbuf::header(st.buf)->cnt = 0;
+        return;
+    } else {
+        pool_->free(st.buf, st.bufBytes);
+    }
+    st.buf = nullptr;
 }
 
 // --- queries ---------------------------------------------------------------
@@ -1711,8 +1714,8 @@ XPGraph::getLoggedEdges(std::vector<Edge> &out) const
  * immutable after capture by construction: chains/buffers only mutate
  * during archive phases (which run under archiveMutex_ and bump the
  * epoch), the captured buffer prefix [0, bufCount) is never rewritten
- * (vbuf::push appends beyond it; flush/grow park the buffer in the
- * limbo while views are open), and captured chain blocks are only ever
+ * (vbuf::push appends beyond it; flush/grow park a buffer the capture
+ * flagged while views are open), and captured chain blocks are only ever
  * appended past the captured tailCount (see forEachFrozen).
  */
 struct XPGraph::EpochState
@@ -1930,20 +1933,24 @@ XPGraph::captureEpochLocked()
     for (auto &captured : state->sides)
         captured.resize(p);
     for (unsigned node = 0; node < p; ++node) {
-        const Partition &part = parts_[node];
+        Partition &part = parts_[node];
         state->boundary[node] = part.log->bufferedUpTo();
         for (unsigned d = 0; d < 2; ++d) {
-            const Side *side = part.sides[d].get();
+            Side *side = part.sides[d].get();
             if (!side)
                 continue;
             auto &dst = state->sides[d][node];
             dst.resize(side->states.size());
             for (uint64_t slot = 0; slot < side->states.size();
                  ++slot) {
-                const VertexState &st = side->states[slot];
+                VertexState &st = side->states[slot];
                 auto &vv = dst[slot];
                 vv.bufCount = bufferedCount(st);
                 vv.buf = vv.bufCount > 0 ? st.buf : nullptr;
+                // Flag what this capture holds for retireBuffer (a
+                // store only where the flag is new).
+                if (vv.buf && !st.captured)
+                    st.captured = true;
                 vv.chain = st.chain;
                 vv.records = st.records;
                 vv.tombstones = st.tombstones;
@@ -2045,14 +2052,6 @@ XPGraph::recomputeReclaimFloorsLocked()
     }
 }
 
-void
-XPGraph::retireBufferToLimbo(std::byte *buf, uint32_t bytes)
-{
-    const uint64_t epoch = phaseEpoch_.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(limboMutex_);
-    limbo_.push_back({buf, bytes, epoch});
-}
-
 // --- arranging -------------------------------------------------------------
 
 void
@@ -2088,7 +2087,7 @@ XPGraph::compactAllAdjs()
         if (w >= writers)
             return;
         XPG_ATTR_SCOPE(attrScope, Compaction);
-        forWorkerSlots(w, writers, [&](const WorkerSlot &ws) {
+        forWorkerSlots(w, writers, [&](const Slot &ws) {
             Partition &part = parts_[ws.node];
             for (unsigned d = 0; d < 2; ++d) {
                 if (!part.sides[d])

@@ -68,6 +68,10 @@ struct VertexState
 {
     std::byte *buf = nullptr; ///< pool-allocated vertex buffer
     uint32_t bufBytes = 0;    ///< current buffer layer size (0 = none)
+    /// set when an epoch capture took buf (it held records then), so a
+    /// retire while views are open must park it; cleared whenever the
+    /// vertex's buffer is reset or replaced
+    bool captured = false;
     VertexChain chain;        ///< DRAM mirror of the PMEM chain
 
     /**
@@ -81,6 +85,9 @@ struct VertexState
     uint32_t records = 0;
     uint32_t tombstones = 0;
 };
+
+// One cache line per vertex: memoryUsage().metaBytes counts these.
+static_assert(sizeof(VertexState) == 64, "VertexState is one cache line");
 
 /** Device capacity per node that comfortably fits the given workload. */
 uint64_t recommendedBytesPerNode(const XPGraphConfig &config,
@@ -153,10 +160,10 @@ class XPGraph : public GraphStore
      * open, log reclamation is floored at the oldest view's boundary
      * (a full log makes writers wait for a view to close — size the
      * log for the ingest burst, see waitForLogSpace) and retired
-     * vertex buffers park in a limbo list tagged with the phase epoch
-     * that retired them; each close returns to the pool every buffer
-     * retired before the oldest still-open view's capture. Views must
-     * be destroyed before the store.
+     * vertex buffers a capture holds park in a limbo list tagged with
+     * the phase epoch that retired them; each close returns to the
+     * pool every buffer retired before the oldest still-open view's
+     * capture. Views must be destroyed before the store.
      */
     std::unique_ptr<ReadView> openView() override;
 
@@ -237,12 +244,7 @@ class XPGraph : public GraphStore
     int nodeOfOut(vid_t v) const override;
     int nodeOfIn(vid_t v) const override;
     unsigned numNodes() const override { return config_.numNodes; }
-    bool
-    queryBindingEnabled() const override
-    {
-        return config_.bindThreads &&
-               config_.placement != NumaPlacement::None;
-    }
+    bool queryBindingEnabled() const override { return config_.bindThreads; }
 
     /** Declare the number of concurrent query threads (read contention).
      *  Also a sync point: waits out any in-flight archive phase. */
@@ -273,9 +275,11 @@ class XPGraph : public GraphStore
     /**
      * Liveness verdict for the background components (archiver,
      * compactor, ingest path) plus the backpressure and view-pin
-     * probes (DESIGN.md §14). Evaluated on demand against the host
-     * clock; the watchdog monitor thread (config.watchdogMonitor)
-     * merely polls this periodically and reacts to transitions.
+     * probes (DESIGN.md §14), evaluated against the host clock. A
+     * change of the overall verdict since the previous call emits a
+     * health_transition instant, and entering Stalled dumps a flight
+     * record, once per transition: the caller's polling period is the
+     * watchdog's.
      */
     telemetry::HealthReport health() const override;
 
@@ -305,16 +309,19 @@ class XPGraph : public GraphStore
     {
         std::unique_ptr<AdjacencyStore> store;
         std::vector<VertexState> states;
-        /// one bit per slot, set while its tombstones count is non-zero
-        /// (the compactor's candidates); concurrent buffer workers share
-        /// words, so bits are set and cleared with relaxed atomics
-        std::vector<std::atomic<uint64_t>> tombstoned;
+        /// one bit per slot that holds a tombstone and gained a record
+        /// since the last compaction pass (the only slots whose
+        /// candidacy can have changed); the pass clears what it visits.
+        /// Concurrent buffer workers share words: relaxed atomics
+        std::vector<std::atomic<uint64_t>> dirty;
 
         void
-        markTombstoned(uint64_t slot)
+        markDirty(uint64_t slot)
         {
-            tombstoned[slot / 64].fetch_or(uint64_t{1} << (slot % 64),
-                                           std::memory_order_relaxed);
+            const uint64_t bit = uint64_t{1} << (slot % 64);
+            std::atomic<uint64_t> &word = dirty[slot / 64];
+            if ((word.load(std::memory_order_relaxed) & bit) == 0)
+                word.fetch_or(bit, std::memory_order_relaxed);
         }
     };
 
@@ -452,44 +459,15 @@ class XPGraph : public GraphStore
      *  in-flight by the persisted index head, and scrub the entries. */
     void scanCompactionJournals(RecoveryReport *report);
 
-    /**
-     * Archive work is organized in "virtual slots": one per archive
-     * thread, but never fewer than one per node, so every partition is
-     * covered even when threads < nodes. Real worker w executes virtual
-     * slots w, w+T, w+2T, ...; slot s maps to (node s%P, local s/P).
-     */
-    unsigned
-    virtualSlots() const
+    /** Archive work's virtual slots: archiveThreads over the nodes. */
+    using Slot = VirtualSlots::Slot;
+    VirtualSlots
+    archiveSlots() const
     {
-        return std::max(config_.archiveThreads, config_.numNodes);
+        return {config_.archiveThreads, config_.numNodes};
     }
 
-    /** Virtual slots assigned to @p node (>= 1). */
-    unsigned
-    slotsOnNode(unsigned node) const
-    {
-        const unsigned p = config_.numNodes;
-        return virtualSlots() / p + (node < virtualSlots() % p ? 1 : 0);
-    }
-
-    /** One of an archive worker's virtual slots. */
-    struct WorkerSlot
-    {
-        unsigned node;  ///< partition the slot works on
-        unsigned local; ///< index among the node's virtual slots
-        unsigned slots; ///< virtual slots on the node (>= 1)
-
-        /** This slot's ceil-divided share [first, second) of @p n. */
-        std::pair<uint64_t, uint64_t>
-        slice(uint64_t n) const
-        {
-            const uint64_t per = (n + slots - 1) / slots;
-            const uint64_t begin = std::min<uint64_t>(n, local * per);
-            return {begin, std::min<uint64_t>(n, begin + per)};
-        }
-    };
-
-    /** Run @p fn(slot) for each virtual slot worker @p w of the
+    /** Run @p fn(slot) for each archive slot worker @p w of the
      *  @p workers sharing them out executes (w, w + workers, ...), the
      *  worker bound to the slot's node when queryBindingEnabled() and
      *  unbound otherwise. */
@@ -514,6 +492,15 @@ class XPGraph : public GraphStore
     }
     void growBuffer(VertexState &st);
     void flushVertex(Side &side, uint64_t slot, VertexState &st);
+    /**
+     * Retire @p st's buffer, at a flush (@p keep: the vertex goes on
+     * using it) or on replacement. A buffer an open view's capture
+     * holds parks in the limbo and leaves the vertex without one
+     * (st.bufBytes kept, so it restarts on the same layer); any other
+     * is reset in place when kept and returned to the pool otherwise.
+     * Phase workers call this concurrently: limbo_ has its own lock.
+     */
+    void retireBuffer(VertexState &st, bool keep);
 
     // --- telemetry / snapshot consistency ---
 
@@ -611,9 +598,6 @@ class XPGraph : public GraphStore
     void closeView(uint64_t id);
     /** Re-derive every log's reclaim floor from the oldest open view. */
     void recomputeReclaimFloorsLocked();
-    /** Park a vertex buffer an open view may reference (phase workers
-     *  call this concurrently; limbo_ has its own tiny lock). */
-    void retireBufferToLimbo(std::byte *buf, uint32_t bytes);
 
     XPGraphConfig config_;
     /** recover()'s report while the recovering constructor runs; null on
@@ -701,8 +685,8 @@ class XPGraph : public GraphStore
      */
     std::map<uint64_t, ViewPin> views_;
     uint64_t nextViewId_ = 1;
-    /** A vertex buffer retired while views were open, and the (odd)
-     *  phase epoch that retired it. */
+    /** A vertex buffer retired while an open view's capture held it,
+     *  and the (odd) phase epoch that retired it. */
     struct Parked
     {
         std::byte *buf;
@@ -719,8 +703,8 @@ class XPGraph : public GraphStore
     // --- ops plane (DESIGN.md §14) ---
 
     /** Per-store health registry; heartbeats registered in
-     *  initWatchdog(), monitor thread only if config.watchdogMonitor. */
-    telemetry::Watchdog watchdog_;
+     *  initWatchdog(). Mutable: health() reacts to transitions. */
+    mutable telemetry::Watchdog watchdog_;
     /** Host ns when the current log-full backpressure window opened
      *  (0 = no writer blocked). Maintained by enter/exitBackpressure. */
     std::atomic<uint64_t> backpressureSinceNs_{0};
@@ -728,7 +712,7 @@ class XPGraph : public GraphStore
     std::atomic<uint64_t> backpressureEpisodes_{0};
     /** Host ns when the oldest currently-open view was opened (0 =
      *  none). Written under archiveMutex_ at open/close; the view-pin
-     *  probe reads it lock-free so the monitor never blocks on the
+     *  probe reads it lock-free so health() never blocks on the
      *  archive lock. */
     std::atomic<uint64_t> oldestViewNs_{0};
 

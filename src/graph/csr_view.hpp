@@ -66,9 +66,6 @@ class CsrView : public GraphView
                in_.neighbors(v).size();
     }
 
-    const Csr &outCsr() const { return out_; }
-    const Csr &inCsr() const { return in_; }
-
   private:
     Csr out_;
     Csr in_;

@@ -266,9 +266,9 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
     /**
      * Current liveness verdict per background component (archiver,
      * compactor, ingest path, backpressure, epoch pins), evaluated on
-     * demand — the watchdog monitor thread does not need to be
-     * running. The default (engines without a watchdog) reports no
-     * components, which reads as overall Ok.
+     * demand; an engine with a watchdog reacts here to a change of the
+     * overall verdict. The default (engines without a watchdog)
+     * reports no components, which reads as overall Ok.
      */
     virtual telemetry::HealthReport health() const { return {}; }
 

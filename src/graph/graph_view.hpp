@@ -44,13 +44,6 @@ struct QueryProbe
     uint64_t mediaReadBytes = 0;   ///< XPLine bytes fetched, summed
     std::vector<uint64_t> mediaReadOpsPerDevice; ///< per NUMA device
     uint64_t storedEdges = 0;      ///< live edge records (level, not delta)
-
-    /** Total adjacency records streamed to visitors. */
-    uint64_t
-    recordsVisited() const
-    {
-        return sealedRecords + bufferRecords + logWindowRecords;
-    }
 };
 
 /**

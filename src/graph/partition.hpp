@@ -10,15 +10,18 @@
 
 namespace xpg {
 
-/** How graph data is spread across NUMA nodes. */
+/**
+ * How graph data is spread across NUMA nodes. Whether threads bind to
+ * the data's node is a separate choice (XPGraphConfig::bindThreads):
+ * the paper's "no binding" baseline is SubGraph without binding. The
+ * values are persisted in the superblock and the geometry fingerprint.
+ */
 enum class NumaPlacement
 {
-    /** Everything on node 0 equivalents; threads unbound (baseline). */
-    None,
     /** Out-graph on node 0, in-graph on node 1 ("NUMA-bind-OIG"). */
-    OutInGraph,
+    OutInGraph = 1,
     /** Hash-partitioned sub-graph per node ("NUMA-bind-SG", default). */
-    SubGraph,
+    SubGraph = 2,
 };
 
 } // namespace xpg

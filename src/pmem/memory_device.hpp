@@ -57,7 +57,6 @@ class DeviceBacking
     std::byte *data() { return data_; }
     const std::byte *data() const { return data_; }
     uint64_t capacity() const { return capacity_; }
-    bool fileBacked() const { return !path_.empty(); }
 
     /** msync the mapping (used before a simulated crash). */
     void sync();

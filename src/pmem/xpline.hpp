@@ -23,13 +23,6 @@ xplineOf(uint64_t off)
     return off / kXPLineSize;
 }
 
-/** First byte offset of the line containing @p off. */
-constexpr uint64_t
-xplineBase(uint64_t off)
-{
-    return off & ~(kXPLineSize - 1);
-}
-
 /** Round @p v up to a multiple of @p align (power of two). */
 constexpr uint64_t
 alignUp(uint64_t v, uint64_t align)

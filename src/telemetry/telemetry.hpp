@@ -52,7 +52,6 @@ class Telemetry
     /// {"schema":..,"enabled":..,"metrics":[gauges],
     ///  "histograms":[{name,labels,count,p50,p95,p99,max},..]}
     json::JsonValue snapshotValue() const;
-    std::string snapshotJson() const { return snapshotValue().dump(); }
 
     json::JsonValue traceValue() const { return trace_.toJson(); }
 

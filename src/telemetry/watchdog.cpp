@@ -1,7 +1,6 @@
 #include "telemetry/watchdog.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "telemetry/telemetry.hpp"
@@ -143,65 +142,25 @@ Watchdog::check(uint64_t nowNs) const
 }
 
 HealthReport
-Watchdog::checkNow() const
+Watchdog::react(uint64_t nowNs)
 {
-    return check(hostNowNs());
-}
-
-void
-Watchdog::start(uint64_t intervalNs)
-{
-    if (monitor_.joinable() || intervalNs == 0)
-        return;
-    {
-        std::lock_guard<std::mutex> lock(monitorMu_);
-        stop_ = false;
-    }
-    monitor_ = std::thread([this, intervalNs] { monitorLoop(intervalNs); });
-}
-
-void
-Watchdog::stop()
-{
-    if (!monitor_.joinable())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(monitorMu_);
-        stop_ = true;
-    }
-    monitorCv_.notify_all();
-    monitor_.join();
-}
-
-void
-Watchdog::monitorLoop(uint64_t intervalNs)
-{
-    XPG_TEL_NAME_THREAD("watchdog");
-    HealthStatus last = HealthStatus::Ok;
-    for (;;) {
+    HealthReport report = check(nowNs);
+    const HealthStatus now = report.overall();
+    const HealthStatus last = last_.exchange(now, std::memory_order_acq_rel);
+    if (now == last)
+        return report;
+    XPG_EVENT(Warn, "watchdog", "health_transition",
+              static_cast<uint64_t>(last), static_cast<uint64_t>(now));
+    if (now == HealthStatus::Stalled) {
+        StalledFn fn;
         {
-            std::unique_lock<std::mutex> lock(monitorMu_);
-            monitorCv_.wait_for(lock, std::chrono::nanoseconds(intervalNs),
-                                [this] { return stop_; });
-            if (stop_)
-                return;
+            std::lock_guard<std::mutex> lock(mu_);
+            fn = onStalled_;
         }
-        const HealthReport report = checkNow();
-        const HealthStatus now = report.overall();
-        if (now != last) {
-            XPG_EVENT(Warn, "watchdog", "health_transition",
-                      static_cast<uint64_t>(last),
-                      static_cast<uint64_t>(now));
-            StalledFn fn;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                fn = onStalled_;
-            }
-            if (now == HealthStatus::Stalled && fn)
-                fn(report);
-            last = now;
-        }
+        if (fn)
+            fn(report);
     }
+    return report;
 }
 
 } // namespace xpg::telemetry

@@ -1,7 +1,7 @@
 /**
  * @file
- * Health watchdog: a heartbeat registry plus an optional monitor
- * thread that turns liveness signals into a typed HealthReport.
+ * Health watchdog: a heartbeat registry that turns liveness signals
+ * into a typed HealthReport.
  *
  * Two kinds of component feed it:
  *
@@ -19,30 +19,28 @@
  *    the checking thread, so they must be cheap and lock-light.
  *
  * check(nowNs) is a pure function of the registered state — tests pass
- * explicit clocks and assert exact verdicts. start() runs a monitor
- * thread that checks periodically, emits watchdog events on overall
- * state transitions, and fires the onStalled callback (flight-record
- * dump) on each transition *into* Stalled.
+ * explicit clocks and assert exact verdicts. react(nowNs) is the check
+ * a reader runs: on a change of the overall status since the previous
+ * react() it emits one health_transition instant, and on a transition
+ * *into* Stalled it fires the onStalled callback (flight-record dump).
+ * There is no monitor thread: whoever polls health (`xpgraph_cli
+ * watch`, an embedder's probe) drives the reactions at its own period.
  *
- * The watchdog is owned per store instance (not process-wide): every
- * XPGraph carries one so health() works with the monitor thread off.
- * The classes compile identically in both telemetry build flavors —
- * health reporting is engine behaviour, not instrumentation — but the
- * monitor's event emission collapses with the rest under
- * -DXPG_TELEMETRY=OFF.
+ * The watchdog is owned per store instance (not process-wide). The
+ * classes compile identically in both telemetry build flavors — health
+ * reporting is engine behaviour, not instrumentation — but the
+ * transition instant collapses with the rest under -DXPG_TELEMETRY=OFF.
  */
 
 #ifndef XPG_TELEMETRY_WATCHDOG_HPP
 #define XPG_TELEMETRY_WATCHDOG_HPP
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/json_writer.hpp"
@@ -128,52 +126,45 @@ class Watchdog
     using StalledFn = std::function<void(const HealthReport &)>;
 
     Watchdog() = default;
-    ~Watchdog() { stop(); }
 
     Watchdog(const Watchdog &) = delete;
     Watchdog &operator=(const Watchdog &) = delete;
 
     /**
      * Register a named heartbeat with a busy-stall deadline. The
-     * returned pointer is stable for the watchdog's lifetime. Must
-     * happen before start() (registration is construction-time wiring,
-     * not hot-path).
+     * returned pointer is stable for the watchdog's lifetime
+     * (registration is construction-time wiring, not hot-path).
      */
     Heartbeat *registerHeartbeat(std::string name, uint64_t deadlineNs);
 
     /** Register a health probe (evaluated on every check). */
     void registerProbe(Probe probe);
 
-    /** Callback fired by the monitor on each transition into Stalled.
-     *  Set before start(). */
+    /** Callback react() fires on each transition into Stalled. */
     void onStalled(StalledFn fn);
 
     /**
      * Evaluate every heartbeat and probe against @p nowNs (host ns,
-     * hostNowNs() timebase). Deterministic: no clocks are read here.
+     * hostNowNs() timebase). Deterministic: no clocks are read here,
+     * and nothing reacts.
      */
     HealthReport check(uint64_t nowNs) const;
 
-    /** check() against the host clock now. */
-    HealthReport checkNow() const;
-
-    /** Start the monitor thread (no-op if running or interval is 0). */
-    void start(uint64_t intervalNs);
-    void stop();
-    bool running() const { return monitor_.joinable(); }
+    /**
+     * check(@p nowNs), then react to a change of the overall status
+     * since the previous react(): one health_transition instant (old,
+     * new status), and onStalled when the new status is Stalled. The
+     * last verdict is swapped atomically, so concurrent readers react
+     * to each transition once.
+     */
+    HealthReport react(uint64_t nowNs);
 
   private:
-    void monitorLoop(uint64_t intervalNs);
-
     mutable std::mutex mu_; ///< guards registration lists
     std::deque<Heartbeat> heartbeats_; ///< deque: stable addresses
     std::vector<Probe> probes_;
     StalledFn onStalled_;
-
-    std::thread monitor_;
-    std::mutex monitorMu_;
-    std::condition_variable monitorCv_;
-    bool stop_ = false; ///< guarded by monitorMu_
+    std::atomic<HealthStatus> last_{HealthStatus::Ok}; ///< react()'s
 };
 
 } // namespace xpg::telemetry

@@ -83,18 +83,4 @@ ParallelExecutor::run(const std::function<void(unsigned)> &fn)
     return result;
 }
 
-ParallelResult
-ParallelExecutor::runChunked(
-    uint64_t n,
-    const std::function<void(uint64_t, uint64_t, unsigned)> &fn)
-{
-    const uint64_t per = (n + numWorkers_ - 1) / std::max(1u, numWorkers_);
-    return run([&](unsigned w) {
-        const uint64_t begin = std::min(n, static_cast<uint64_t>(w) * per);
-        const uint64_t end = std::min(n, begin + per);
-        if (begin < end)
-            fn(begin, end, w);
-    });
-}
-
 } // namespace xpg

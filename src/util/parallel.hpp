@@ -20,9 +20,59 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace xpg {
+
+/**
+ * How a parallel phase's workers cover the NUMA nodes, for archive and
+ * query workers alike: max(workers, nodes) virtual slots, so every
+ * node gets one even when workers are fewer than nodes. Slot s goes to
+ * node s % nodes as that node's local index s / nodes; worker w runs
+ * slots w, w + workers, w + 2 * workers, ... Binding to the slot's node
+ * is the caller's choice.
+ */
+struct VirtualSlots
+{
+    unsigned workers;
+    unsigned nodes;
+
+    /** One virtual slot. */
+    struct Slot
+    {
+        unsigned node;  ///< node the slot works on
+        unsigned local; ///< index among the node's slots
+        unsigned slots; ///< slots on the node (>= 1)
+
+        /** This slot's ceil-divided share [first, second) of @p n. */
+        std::pair<uint64_t, uint64_t>
+        slice(uint64_t n) const
+        {
+            const uint64_t per = (n + slots - 1) / slots;
+            const uint64_t begin = std::min<uint64_t>(n, local * per);
+            return {begin, std::min<uint64_t>(n, begin + per)};
+        }
+    };
+
+    unsigned count() const { return std::max(workers, nodes); }
+
+    /** Slots on @p node (>= 1). */
+    unsigned
+    onNode(unsigned node) const
+    {
+        return count() / nodes + (node < count() % nodes ? 1 : 0);
+    }
+
+    /** Run @p fn(slot) for slots @p first, first + stride, ... */
+    template <typename F>
+    void
+    forEach(unsigned first, unsigned stride, F &&fn) const
+    {
+        for (unsigned s = first; s < count(); s += stride)
+            fn(Slot{s % nodes, s / nodes, onNode(s % nodes)});
+    }
+};
 
 /** Result of a parallel region: per-worker simulated deltas. */
 struct ParallelResult
@@ -37,16 +87,6 @@ struct ParallelResult
         for (uint64_t ns : workerNanos)
             m = std::max(m, ns);
         return m;
-    }
-
-    /** Total simulated work across all workers. */
-    uint64_t
-    sumNanos() const
-    {
-        uint64_t s = 0;
-        for (uint64_t ns : workerNanos)
-            s += ns;
-        return s;
     }
 };
 
@@ -71,14 +111,6 @@ class ParallelExecutor
      * @return per-worker simulated nanosecond deltas.
      */
     ParallelResult run(const std::function<void(unsigned)> &fn);
-
-    /**
-     * Convenience: statically partition [0, n) across workers and run
-     * @p fn(begin, end, worker_id) on each non-empty chunk.
-     */
-    ParallelResult runChunked(
-        uint64_t n,
-        const std::function<void(uint64_t, uint64_t, unsigned)> &fn);
 
   private:
     void workerLoop(unsigned w);

@@ -302,6 +302,38 @@ TEST(CompactTest, BelowThresholdUntouched)
     EXPECT_TRUE(sortedNebrsOut(graph, 1).empty());
 }
 
+TEST(CompactTest, InsertsLiftingASlotOverTheFloorMakeItACandidate)
+{
+    // 20 inserts + 20 deletes: half the records are tombstones, but 40
+    // records sit below the 64-record floor, so no pass rewrites it.
+    const vid_t nv = 64;
+    XPGraphConfig c = smallConfig(nv, 2000);
+    ASSERT_EQ(c.compactMinRecords, 64u);
+    XPGraph graph(c);
+    auto session = graph.session(0);
+    for (vid_t d = 0; d < 20; ++d)
+        session->addEdge(1, d);
+    for (vid_t d = 0; d < 20; ++d)
+        session->delEdge(1, d);
+    graph.archiveAll();
+    EXPECT_EQ(graph.runCompactionPass(), 0u);
+    EXPECT_EQ(graph.runCompactionPass(), 0u);
+
+    // Plain inserts alone lift it over the floor (70 records, 20
+    // tombstones: still past the 0.25 ratio), so the next pass must
+    // look at it again although it gained no tombstone.
+    for (vid_t d = 20; d < 50; ++d)
+        session->addEdge(1, d);
+    graph.archiveAll();
+    EXPECT_EQ(graph.runCompactionPass(), 1u);
+    EXPECT_EQ(graph.degreeOut(1), 30u);
+    EXPECT_EQ(graph.stats().compactionSlots, 1u);
+
+    // Nothing changed since: a pass straight after rewrites nothing.
+    EXPECT_EQ(graph.runCompactionPass(), 0u);
+    EXPECT_EQ(graph.stats().compactionSlots, 1u);
+}
+
 TEST(CompactTest, ViewSpansCompaction)
 {
     // A view opened before deletes + compaction keeps serving the

@@ -1,9 +1,10 @@
 /**
  * @file
  * Live operations plane tests (DESIGN.md §14): the health watchdog's
- * pure check() verdicts (explicit clocks, no sleeps for the logic
- * itself), events as instants in the trace ring (retention, the events
- * writer), the periodic metrics exporter's artifacts, the crash flight
+ * pure check() verdicts and react()'s once-per-transition reactions
+ * (explicit clocks, no sleeps for the logic itself), events as
+ * instants in the trace ring (retention, the events writer), the
+ * periodic metrics exporter's artifacts, the crash flight
  * recorder's record shape, and the store-level health() surface —
  * wedged compactor, log-space backpressure, view-pin aging — driven
  * against live XPGraph stores.
@@ -108,7 +109,7 @@ opsConfig(vid_t num_vertices, uint64_t num_edges)
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog: pure check() verdicts against explicit clocks.
+// Watchdog: pure check() verdicts and react() against explicit clocks.
 // ---------------------------------------------------------------------------
 
 TEST(OpsWatchdog, EmptyWatchdogIsOk)
@@ -207,26 +208,51 @@ TEST(OpsWatchdog, ReportJsonParsesAndBriefNamesComponents)
 
 TEST(OpsWatchdog, MonitorFiresOnStalledOncePerTransition)
 {
+    constexpr uint64_t kDeadline = 1'000'000; // 1 ms
     Watchdog dog;
-    Heartbeat *hb = dog.registerHeartbeat("wedged", 1'000'000); // 1ms
-    std::atomic<int> fired{0};
+    Heartbeat *hb = dog.registerHeartbeat("wedged", kDeadline);
+    int fired = 0;
     dog.onStalled([&](const HealthReport &report) {
         EXPECT_EQ(report.overall(), HealthStatus::Stalled);
-        fired.fetch_add(1);
+        ++fired;
     });
     hb->busy(true);
-    dog.start(2'000'000); // 2ms checks
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (fired.load() == 0 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_GE(fired.load(), 1) << "monitor never flagged the stall";
-    // The state holds Stalled: the callback fires on the transition
-    // *into* Stalled, not on every check.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_EQ(fired.load(), 1);
-    dog.stop();
+    TraceBuffer &ring = Telemetry::instance().trace();
+    const auto transitions = [&](uint64_t first) {
+        unsigned n = 0;
+        for (const TraceEventView &ev : ring.collect())
+            n += ev.ticket >= first && ev.ph == 'i' &&
+                 std::string(ev.cat) == "watchdog" &&
+                 std::string(ev.name) == "health_transition";
+        return n;
+    };
+    const uint64_t first = ring.emitted();
+    const unsigned per = telemetry::kEnabled ? 1 : 0;
+
+    const uint64_t t0 = hb->lastBeatNs();
+    EXPECT_EQ(dog.react(t0).overall(), HealthStatus::Ok);
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(transitions(first), 0u);
+
+    // Past the deadline: one transition into Stalled, one callback.
+    EXPECT_EQ(dog.react(t0 + kDeadline + 1).overall(),
+              HealthStatus::Stalled);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(transitions(first), per);
+    // check() stays pure: it neither fires nor emits.
+    EXPECT_EQ(dog.check(t0 + 2 * kDeadline).overall(),
+              HealthStatus::Stalled);
+    // Still Stalled later: nothing reacts again.
+    EXPECT_EQ(dog.react(t0 + 10 * kDeadline).overall(),
+              HealthStatus::Stalled);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(transitions(first), per);
+
+    // A beat recovers it: Ok again, with one more instant.
+    hb->beat();
+    EXPECT_EQ(dog.react(hb->lastBeatNs()).overall(), HealthStatus::Ok);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(transitions(first), 2 * per);
 }
 
 // ---------------------------------------------------------------------------

@@ -406,6 +406,56 @@ TEST(ReadView, RotatingViewsReclaimRetiredBuffers)
     EXPECT_GT(graph.stats().flushAllPhases, flushes_before);
 }
 
+TEST(ReadView, GrowthAfterTheCaptureParksOnlyTheCapturedBuffer)
+{
+    // One node, one archive thread: vertex v's slot is v and the pool
+    // hands out exactly the requested power-of-two blocks, so live
+    // bytes are known to the byte.
+    const vid_t nv = 32;
+    XPGraphConfig c = smallConfig(nv, 64);
+    c.numNodes = 1;
+    c.archiveThreads = 1;
+    c.pmemBytesPerNode = recommendedBytesPerNode(c, 64);
+    XPGraph graph(c);
+    auto session = graph.session(0);
+    session->addEdge(1, 2);
+    session->addEdge(1, 3);
+    graph.bufferAllEdges();
+    // Vertex 1's out buffer (16 B, 2 records) and the in buffers of 2
+    // and 3 (16 B, 1 record each).
+    ASSERT_EQ(graph.pool().bytesLive(), 3u * 16);
+
+    std::vector<std::unique_ptr<ReadView>> views;
+    std::vector<AdjDump> opened;
+    for (int i = 0; i < 2; ++i) { // two views of one capture
+        views.push_back(graph.openView());
+        opened.emplace_back(*views.back());
+    }
+
+    // One phase grows vertex 1's buffer twice, 16 -> 32 -> 64 B. The
+    // views captured the 16 B buffer, so it parks; the 32 B one lived
+    // only inside the phase and goes straight back to the pool.
+    for (vid_t d = 10; d < 18; ++d)
+        session->addEdge(1, d);
+    graph.bufferAllEdges();
+    const uint64_t fresh = 64 + 8 * 16; // out buffer + new in buffers
+    const uint64_t captured_in = 2 * 16;
+    EXPECT_EQ(graph.pool().bytesLive(), 16 + fresh + captured_in);
+    for (size_t i = 0; i < views.size(); ++i)
+        EXPECT_TRUE(AdjDump(*views[i]) == opened[i]) << "view " << i;
+
+    // A flush parks the two in buffers the views captured and resets
+    // the fresh ones in place.
+    graph.flushAllVbufs();
+    EXPECT_EQ(graph.pool().bytesLive(), 16 + fresh + captured_in);
+    for (size_t i = 0; i < views.size(); ++i)
+        EXPECT_TRUE(AdjDump(*views[i]) == opened[i]) << "view " << i;
+
+    // The last close frees what the limbo held.
+    views.clear();
+    EXPECT_EQ(graph.pool().bytesLive(), fresh);
+}
+
 TEST(ReadView, EpochAdvancesAcrossArchivePhases)
 {
     const vid_t nv = 128;

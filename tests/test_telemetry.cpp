@@ -325,7 +325,7 @@ TEST(TelemetrySnapshot, MetricsJsonRoundTrip)
     for (uint64_t v : {100u, 200u, 400u, 800u, 1600u})
         h.record(v);
 
-    const MiniJson doc = parseOrDie(tel.snapshotJson());
+    const MiniJson doc = parseOrDie(tel.snapshotValue().dump());
     EXPECT_EQ(doc.at("schema").str, "xpgraph-telemetry-v1");
     EXPECT_EQ(doc.at("enabled").boolean, telemetry::kEnabled);
 

@@ -54,7 +54,6 @@ TEST(ParallelExecutor, ReportsPerWorkerDeltas)
     for (unsigned w = 0; w < 4; ++w)
         EXPECT_EQ(result.workerNanos[w], (w + 1) * 100u);
     EXPECT_EQ(result.maxNanos(), 400u);
-    EXPECT_EQ(result.sumNanos(), 1000u);
 }
 
 TEST(ParallelExecutor, WorkersPersistAcrossRuns)
@@ -97,17 +96,32 @@ TEST(ParallelExecutor, SingleWorkerRunsInline)
     EXPECT_EQ(result.maxNanos(), 9u);
 }
 
-TEST(ParallelExecutor, RunChunkedCoversRange)
+TEST(VirtualSlots, EveryNodeGetsASlotAndWorkersStrideThem)
 {
-    ParallelExecutor ex(4);
-    std::atomic<uint64_t> sum{0};
-    ex.runChunked(1000, [&](uint64_t begin, uint64_t end, unsigned) {
-        uint64_t local = 0;
-        for (uint64_t i = begin; i < end; ++i)
-            local += i;
-        sum.fetch_add(local);
+    // Fewer workers than nodes: one slot per node, all on worker 0.
+    const VirtualSlots few{1, 3};
+    EXPECT_EQ(few.count(), 3u);
+    std::vector<unsigned> nodes;
+    few.forEach(0, 1, [&](const VirtualSlots::Slot &slot) {
+        EXPECT_EQ(slot.local, 0u);
+        EXPECT_EQ(slot.slots, 1u);
+        nodes.push_back(slot.node);
     });
-    EXPECT_EQ(sum.load(), 999u * 1000u / 2);
+    EXPECT_EQ(nodes, (std::vector<unsigned>{0, 1, 2}));
+
+    // Five workers over two nodes: slot s is (node s % 2, local s / 2),
+    // node 0 holds slots 0, 2, 4.
+    const VirtualSlots many{5, 2};
+    EXPECT_EQ(many.onNode(0), 3u);
+    EXPECT_EQ(many.onNode(1), 2u);
+    std::vector<std::pair<unsigned, unsigned>> seen;
+    many.forEach(3, 5, [&](const VirtualSlots::Slot &slot) {
+        seen.emplace_back(slot.node, slot.local);
+        EXPECT_EQ(slot.slots, 2u);
+        EXPECT_EQ(slot.slice(10),
+                  (std::pair<uint64_t, uint64_t>{5, 10}));
+    });
+    EXPECT_EQ(seen, (std::vector<std::pair<unsigned, unsigned>>{{1, 1}}));
 }
 
 TEST(ParallelExecutor, ManyWorkersAllRun)

@@ -106,8 +106,8 @@ struct ConfigCase
     unsigned numNodes;
     NumaPlacement placement;
     bool bind;
-    bool hierarchical;
-    uint32_t fixedBytes;
+    uint32_t minBufBytes; ///< min = max: fixed-size buffers
+    uint32_t maxBufBytes;
     MemKind memKind;
     bool battery;
     unsigned threads;
@@ -139,8 +139,8 @@ TEST_P(XPGraphConfigSweep, MatchesCsr)
     c.numNodes = cc.numNodes;
     c.placement = cc.placement;
     c.bindThreads = cc.bind;
-    c.hierarchicalBuffers = cc.hierarchical;
-    c.fixedVertexBufBytes = cc.fixedBytes;
+    c.minVertexBufBytes = cc.minBufBytes;
+    c.maxVertexBufBytes = cc.maxBufBytes;
     c.memKind = cc.memKind;
     c.batteryBacked = cc.battery;
     c.archiveThreads = cc.threads;
@@ -156,32 +156,32 @@ TEST_P(XPGraphConfigSweep, MatchesCsr)
 INSTANTIATE_TEST_SUITE_P(
     Configs, XPGraphConfigSweep,
     ::testing::Values(
-        ConfigCase{"subgraph2", 2, NumaPlacement::SubGraph, true, true, 64,
+        ConfigCase{"subgraph2", 2, NumaPlacement::SubGraph, true, 16, 256,
                    MemKind::Pmem, false, 4},
-        ConfigCase{"subgraph4", 4, NumaPlacement::SubGraph, true, true, 64,
+        ConfigCase{"subgraph4", 4, NumaPlacement::SubGraph, true, 16, 256,
                    MemKind::Pmem, false, 8},
-        ConfigCase{"outin", 2, NumaPlacement::OutInGraph, true, true, 64,
+        ConfigCase{"outin", 2, NumaPlacement::OutInGraph, true, 16, 256,
                    MemKind::Pmem, false, 4},
-        ConfigCase{"outin1", 1, NumaPlacement::OutInGraph, true, true, 64,
+        ConfigCase{"outin1", 1, NumaPlacement::OutInGraph, true, 16, 256,
                    MemKind::Pmem, false, 4},
-        ConfigCase{"subgraph3", 3, NumaPlacement::SubGraph, true, true, 64,
+        ConfigCase{"subgraph3", 3, NumaPlacement::SubGraph, true, 16, 256,
                    MemKind::Pmem, false, 4},
-        ConfigCase{"nobind", 2, NumaPlacement::None, false, true, 64,
+        ConfigCase{"nobind", 2, NumaPlacement::SubGraph, false, 16, 256,
                    MemKind::Pmem, false, 4},
-        ConfigCase{"fixed16", 2, NumaPlacement::SubGraph, true, false, 16,
+        ConfigCase{"fixed16", 2, NumaPlacement::SubGraph, true, 16, 16,
                    MemKind::Pmem, false, 4},
-        ConfigCase{"fixed256", 2, NumaPlacement::SubGraph, true, false,
-                   256, MemKind::Pmem, false, 4},
-        ConfigCase{"battery", 2, NumaPlacement::SubGraph, true, true, 64,
+        ConfigCase{"fixed256", 2, NumaPlacement::SubGraph, true, 256, 256,
+                   MemKind::Pmem, false, 4},
+        ConfigCase{"battery", 2, NumaPlacement::SubGraph, true, 16, 256,
                    MemKind::Pmem, true, 4},
-        ConfigCase{"dram", 2, NumaPlacement::SubGraph, true, false, 64,
+        ConfigCase{"dram", 2, NumaPlacement::SubGraph, true, 64, 64,
                    MemKind::Dram, true, 4},
-        ConfigCase{"memorymode", 2, NumaPlacement::SubGraph, true, false,
-                   64, MemKind::MemoryMode, true, 4},
-        ConfigCase{"singlethread", 1, NumaPlacement::SubGraph, true, true,
-                   64, MemKind::Pmem, false, 1},
-        ConfigCase{"manythreads", 2, NumaPlacement::SubGraph, true, true,
-                   64, MemKind::Pmem, false, 16}),
+        ConfigCase{"memorymode", 2, NumaPlacement::SubGraph, true, 64, 64,
+                   MemKind::MemoryMode, true, 4},
+        ConfigCase{"singlethread", 1, NumaPlacement::SubGraph, true, 16,
+                   256, MemKind::Pmem, false, 1},
+        ConfigCase{"manythreads", 2, NumaPlacement::SubGraph, true, 16,
+                   256, MemKind::Pmem, false, 16}),
     [](const ::testing::TestParamInfo<ConfigCase> &info) {
         return info.param.name;
     });

@@ -36,9 +36,10 @@
  *             The live operations plane (DESIGN.md §14): run a churn
  *             workload (concurrent sessions, pipelined archiver,
  *             background compactor, rolling deletes; the sessions stop
- *             logging at the 2^22 records the store is sized for) with
- *             the health watchdog monitoring and print one `[watch] ...`
- *             line per interval with the component health verdicts.
+ *             logging at the 2^22 records the store is sized for),
+ *             check the store's health once per interval (the check
+ *             reacts to verdict transitions) and print one `[watch] ...`
+ *             line per check with the component health verdicts.
  *             --ops-jsonl and --prom arm the periodic exporter (JSONL
  *             time series + Prometheus text exposition); --events dumps
  *             the trace ring's event instants on exit; --flight-dir
@@ -304,7 +305,6 @@ xpgraphConfigFor(const std::string &system, vid_t nv, uint64_t edges,
         c = XPGraphConfig::dramOnly(nv, 0);
     } else if (system == "xpgraph-ssd") {
         c.memKind = MemKind::Ssd;
-        c.proactiveFlush = false;
     }
     c.archiveThreads =
         static_cast<unsigned>(args.getInt("threads", 16));
@@ -549,9 +549,6 @@ cmdWatch(const Args &args)
         static_cast<unsigned>(args.getInt("threads", 8));
     c.pipelinedArchiving = true;
     c.backgroundCompaction = true;
-    c.watchdogMonitor = true;
-    c.watchdogIntervalMs = static_cast<uint32_t>(
-        args.getInt("watchdog-interval-ms", 100));
     c.watchdogStallMs =
         static_cast<uint32_t>(args.getInt("stall-ms", 2000));
     c.watchdogBackpressureMs = static_cast<uint32_t>(
