@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the substrate primitives: modeled
  * device accesses (host-side overhead of the simulation itself), the
- * XPBuffer, the buddy vertex-buffer pool, one session append on each
+ * XPBuffer, the heat table and histogram every access records into, the
+ * buddy vertex-buffer pool, one session append on each
  * engine, an idle compaction pass, the query primitives, and edge
  * generation. These measure HOST time (the cost of running the
  * model), unlike the figure/table benches which report simulated time.
@@ -24,6 +25,8 @@
 #include "pmem/dram_device.hpp"
 #include "pmem/pmem_device.hpp"
 #include "pmem/xpbuffer.hpp"
+#include "telemetry/attribution.hpp"
+#include "telemetry/histogram.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -128,6 +131,69 @@ BM_XPBufferStore(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_XPBufferStore);
+
+/**
+ * One heat-table touch on a full table (every shard tracks its share):
+ * of a tracked line (the shard lock and probe) and of a line the table
+ * never admitted (the filter fast path). Telemetry OFF compiles both to
+ * nothing.
+ */
+telemetry::LineHeatTable &
+fullHeatTable()
+{
+    static std::unique_ptr<telemetry::LineHeatTable> heat = [] {
+        auto h = std::make_unique<telemetry::LineHeatTable>();
+        // Shard s admits s, s + 16, ... in order: lines below the
+        // capacity are the tracked ones.
+        for (uint64_t line = 0; line < 2 * h->kDefaultCapacity; ++line)
+            h->touch(line, telemetry::AccessCategory::Other, true);
+        return h;
+    }();
+    return *heat;
+}
+
+void
+BM_LineHeatTouchAdmitted(benchmark::State &state)
+{
+    telemetry::LineHeatTable &heat = fullHeatTable();
+    Rng rng(4);
+    for (auto _ : state) {
+        heat.touch(rng.nextBounded(telemetry::LineHeatTable::kDefaultCapacity),
+                   telemetry::AccessCategory::QueryRead, false);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LineHeatTouchAdmitted);
+
+void
+BM_LineHeatTouchNotAdmitted(benchmark::State &state)
+{
+    telemetry::LineHeatTable &heat = fullHeatTable();
+    Rng rng(5);
+    for (auto _ : state) {
+        heat.touch(telemetry::LineHeatTable::kDefaultCapacity +
+                       rng.nextBounded(uint64_t{1} << 24),
+                   telemetry::AccessCategory::QueryRead, false);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LineHeatTouchNotAdmitted);
+
+/** One sample into a sharded histogram (every media event records one). */
+void
+BM_HistogramRecord(benchmark::State &state)
+{
+    telemetry::ShardedHistogram hist;
+    Rng rng(6);
+    for (auto _ : state) {
+        hist.record(rng.nextBounded(4096));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramRecord);
 
 void
 BM_PoolAllocFree(benchmark::State &state)

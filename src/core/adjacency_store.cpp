@@ -87,14 +87,12 @@ CompressionStats
 AdjacencyStore::compressionStats() const
 {
     CompressionStats s;
-    s.chunksCompressed =
-        chunksCompressed_.load(std::memory_order_relaxed);
-    s.recordsCompressed =
-        recordsCompressed_.load(std::memory_order_relaxed);
+    s.chunksCompressed = codec_.sum(kChunksCompressed);
+    s.recordsCompressed = codec_.sum(kRecordsCompressed);
     s.rawBytes = s.recordsCompressed * sizeof(vid_t);
-    s.encodedBytes = encodedBytes_.load(std::memory_order_relaxed);
-    s.decodeCalls = decodeCalls_.load(std::memory_order_relaxed);
-    s.decodedRecords = decodedRecords_.load(std::memory_order_relaxed);
+    s.encodedBytes = codec_.sum(kEncodedBytes);
+    s.decodeCalls = codec_.sum(kDecodeCalls);
+    s.decodedRecords = codec_.sum(kDecodedRecords);
     return s;
 }
 
@@ -221,9 +219,9 @@ AdjacencyStore::writeCompressedBlock(const vid_t *nebrs, uint32_t n,
             dev_->persist(off, init_bytes);
     }
 
-    chunksCompressed_.fetch_add(1, std::memory_order_relaxed);
-    recordsCompressed_.fetch_add(n, std::memory_order_relaxed);
-    encodedBytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
+    codec_.add(kChunksCompressed, 1);
+    codec_.add(kRecordsCompressed, n);
+    codec_.add(kEncodedBytes, payload_bytes);
     return off;
 }
 

@@ -25,7 +25,6 @@
 #ifndef XPG_CORE_ADJACENCY_STORE_HPP
 #define XPG_CORE_ADJACENCY_STORE_HPP
 
-#include <atomic>
 #include <functional>
 #include <vector>
 
@@ -35,6 +34,7 @@
 #include "pmem/memory_device.hpp"
 #include "pmem/pmem_allocator.hpp"
 #include "telemetry/attribution.hpp"
+#include "util/thread_shards.hpp"
 
 namespace xpg {
 
@@ -428,8 +428,8 @@ class AdjacencyStore
             fn(v);
             ++emitted;
         });
-        decodeCalls_.fetch_add(1, std::memory_order_relaxed);
-        decodedRecords_.fetch_add(emitted, std::memory_order_relaxed);
+        codec_.add(kDecodeCalls, 1);
+        codec_.add(kDecodedRecords, emitted);
         return emitted;
     }
 
@@ -440,13 +440,17 @@ class AdjacencyStore
     bool proactiveFlush_;
     CompressionPolicy policy_;
 
-    // codec accounting (relaxed: archiver shards are disjoint, queries
-    // run on many threads; exact totals in any order)
-    std::atomic<uint64_t> chunksCompressed_{0};
-    std::atomic<uint64_t> recordsCompressed_{0};
-    std::atomic<uint64_t> encodedBytes_{0};
-    mutable std::atomic<uint64_t> decodeCalls_{0};
-    mutable std::atomic<uint64_t> decodedRecords_{0};
+    // codec accounting in per-thread cells (archive workers encode,
+    // queries decode on many threads; exact totals in any order)
+    enum : unsigned
+    {
+        kChunksCompressed,
+        kRecordsCompressed,
+        kEncodedBytes,
+        kDecodeCalls,
+        kDecodedRecords,
+    };
+    mutable ShardedCounters<5> codec_;
 };
 
 } // namespace xpg

@@ -60,6 +60,11 @@ constexpr uint64_t kSuperblockBytes = 4096;
 /** Device offset of the allocator's persistent tail pointer. */
 constexpr uint64_t kAllocTailOff = 512;
 
+/** How many records ahead a buffering worker prefetches the VertexState
+ *  and, once that has arrived, the vertex buffer's header. */
+constexpr size_t kPrefetchStateAhead = 16;
+constexpr size_t kPrefetchBufAhead = 8;
+
 // --- compaction journal (DESIGN.md §13) ---
 //
 // Lives in the spare superblock tail [kCompactionJournalOff,
@@ -1238,11 +1243,27 @@ XPGraph::bufferWorker(unsigned w)
             if (!part.sides[d] || ws.local >= assign.size())
                 continue;
             const ShardAssignment &a = assign[ws.local];
+            Side &side = *part.sides[d];
             for (unsigned s = a.firstShard; s < a.lastShard; ++s) {
-                for (const Edge &e : shards_[d][ws.node][s])
-                    insertBuffered(*part.sides[d],
-                                   slotOf(sideVertex(e, out)),
-                                   sideRecord(e, out));
+                const std::vector<Edge> &list = shards_[d][ws.node][s];
+                const auto state = [&](size_t i) -> VertexState & {
+                    return side.states[slotOf(sideVertex(list[i], out))];
+                };
+                // Each insert does one scattered VertexState load and one
+                // scattered buffer-header load: start both early. This
+                // worker alone writes these states, so reading a later
+                // record's buf is race-free (and a stale one only wastes
+                // the hint).
+                for (size_t i = 0; i < list.size(); ++i) {
+                    if (i + kPrefetchStateAhead < list.size())
+                        __builtin_prefetch(&state(i + kPrefetchStateAhead),
+                                           1);
+                    if (i + kPrefetchBufAhead < list.size())
+                        __builtin_prefetch(state(i + kPrefetchBufAhead).buf,
+                                           1);
+                    insertBuffered(side, slotOf(sideVertex(list[i], out)),
+                                   sideRecord(list[i], out));
+                }
             }
         }
     });
@@ -2243,12 +2264,9 @@ XPGraph::sampleQueryProbe(QueryProbe &out) const
 {
     if constexpr (!telemetry::kAttributionEnabled)
         return false;
-    out.sealedRecords =
-        querySealedRecords_.load(std::memory_order_relaxed);
-    out.bufferRecords =
-        queryBufferRecords_.load(std::memory_order_relaxed);
-    out.logWindowRecords =
-        queryLogWindowRecords_.load(std::memory_order_relaxed);
+    out.sealedRecords = queryRecords_.sum(kSealedRecords);
+    out.bufferRecords = queryRecords_.sum(kBufferRecords);
+    out.logWindowRecords = queryRecords_.sum(kLogWindowRecords);
     const CompressionStats cs = compressionStats();
     out.decodedBytes = cs.decodedRecords * sizeof(vid_t);
     out.mediaReadOps = 0;

@@ -60,6 +60,7 @@
 #include "pmem/pcm_counters.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
+#include "util/thread_shards.hpp"
 
 namespace xpg {
 
@@ -560,18 +561,16 @@ class XPGraph : public GraphStore
     uint32_t readLayer(Layer layer, vid_t v, bool out,
                        std::vector<vid_t> &recs) const;
     /** Bump the query-path record counters (no-op with telemetry OFF).
-     *  One relaxed add per non-zero layer per vertex visit — counts
-     *  are batched per visit, never per neighbor. */
+     *  One thread-private add per non-zero layer per vertex visit —
+     *  counts are batched per visit, never per neighbor. */
     void
     noteQueryRecords(uint64_t sealed, uint64_t buffered) const
     {
         if constexpr (telemetry::kAttributionEnabled) {
             if (sealed != 0)
-                querySealedRecords_.fetch_add(sealed,
-                                              std::memory_order_relaxed);
+                queryRecords_.add(kSealedRecords, sealed);
             if (buffered != 0)
-                queryBufferRecords_.fetch_add(buffered,
-                                              std::memory_order_relaxed);
+                queryRecords_.add(kBufferRecords, buffered);
         }
     }
     /** Same, for records served from the frozen log window. */
@@ -580,8 +579,7 @@ class XPGraph : public GraphStore
     {
         if constexpr (telemetry::kAttributionEnabled) {
             if (n != 0)
-                queryLogWindowRecords_.fetch_add(
-                    n, std::memory_order_relaxed);
+                queryRecords_.add(kLogWindowRecords, n);
         }
     }
     /** Lazily create + extend node's log-window index (first query). */
@@ -647,11 +645,16 @@ class XPGraph : public GraphStore
 
     // --- query-path counters (round observability, DESIGN.md §15) ---
     // Mutable: bumped on the const query paths (forEachLive, the view
-    // visit paths). Compiled to dead loads with -DXPG_TELEMETRY=OFF
-    // (the increments are guarded, sampleQueryProbe returns false).
-    mutable std::atomic<uint64_t> querySealedRecords_{0};
-    mutable std::atomic<uint64_t> queryBufferRecords_{0};
-    mutable std::atomic<uint64_t> queryLogWindowRecords_{0};
+    // visit paths), in per-thread cells summed on read. Never bumped
+    // with -DXPG_TELEMETRY=OFF (the adds are guarded,
+    // sampleQueryProbe returns false).
+    enum : unsigned
+    {
+        kSealedRecords,
+        kBufferRecords,
+        kLogWindowRecords,
+    };
+    mutable ShardedCounters<3> queryRecords_;
 
     /**
      * Archive-phase epoch for snapshotStats(): odd while an archive

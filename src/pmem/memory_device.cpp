@@ -24,6 +24,11 @@ DeviceBacking::DeviceBacking(uint64_t capacity, const std::string &path)
     if (path_.empty()) {
         mem = ::mmap(nullptr, capacity_, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+        // Best-effort hint: huge pages cut the first-touch faults of a
+        // fresh image and widen the TLB's reach over it. Nothing
+        // depends on it being honoured (DESIGN.md §5).
+        if (mem != MAP_FAILED)
+            ::madvise(mem, capacity_, MADV_HUGEPAGE);
     } else {
         fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
         if (fd_ < 0)

@@ -37,9 +37,10 @@ enum class MemKind
 };
 
 /**
- * Owns the address space of a device: an anonymous mapping, or a shared
- * file mapping when a path is given (used by crash/recovery experiments —
- * the file survives while all DRAM state is discarded).
+ * Owns the address space of a device: an anonymous mapping (advised to
+ * use huge pages), or a shared file mapping when a path is given (used by
+ * crash/recovery experiments — the file survives while all DRAM state is
+ * discarded).
  */
 class DeviceBacking
 {

@@ -148,7 +148,9 @@ class XPBuffer
         uint8_t owner = 0; ///< attribution tag of the last store
     };
 
-    struct Set
+    /** One set per cache line, so neighbouring sets' locks never share
+     *  one. */
+    struct alignas(64) Set
     {
         std::vector<Entry> entries;
         /** Media image per way (crash images only; else empty). */

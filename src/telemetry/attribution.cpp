@@ -132,8 +132,11 @@ AttributionTable::total() const
 
 LineHeatTable::LineHeatTable(unsigned capacity)
     : perShardCapacity_(std::max(1u, capacity / kShards)),
-      slotsPerShard_(std::bit_ceil(2 * perShardCapacity_))
+      slotsPerShard_(std::bit_ceil(2 * perShardCapacity_)),
+      filterShift_(64 - std::countr_zero(
+                            std::bit_ceil(16 * kShards * perShardCapacity_)))
 {
+    filter_ = std::make_unique<std::atomic<uint64_t>[]>(filterWords());
     for (Shard &shard : shards_)
         shard.slots = std::make_unique<Slot[]>(slotsPerShard_);
 }
@@ -153,18 +156,23 @@ LineHeatTable::probe(Shard &shard, uint64_t line) const
 }
 
 void
-LineHeatTable::touchSlow(uint64_t line, AccessCategory cat, bool is_write)
+LineHeatTable::touchLocked(uint64_t line, AccessCategory cat, bool is_write)
 {
-    Shard &shard = shards_[line % kShards];
+    const unsigned s = line % kShards;
+    Shard &shard = shards_[s];
     std::lock_guard<SpinLock> guard(shard.lock);
     Slot &slot = probe(shard, line);
     if (slot.line == kNoLine) {
         if (shard.used == perShardCapacity_) {
-            ++shard.untracked;
+            untracked_.add(0, 1);
             return;
         }
         slot.line = line;
-        ++shard.used;
+        const uint64_t bit = filterBit(line);
+        filter_[bit / 64].fetch_or(uint64_t{1} << (bit % 64),
+                                   std::memory_order_relaxed);
+        if (++shard.used == perShardCapacity_)
+            fullShards_.fetch_or(1u << s, std::memory_order_release);
     }
     if (is_write)
         ++slot.writes;
@@ -226,23 +234,20 @@ LineHeatTable::trackedLines() const
 uint64_t
 LineHeatTable::untrackedTouches() const
 {
-    uint64_t untracked = 0;
-    for (const Shard &shard : shards_) {
-        std::lock_guard<SpinLock> guard(shard.lock);
-        untracked += shard.untracked;
-    }
-    return untracked;
+    return untracked_.sum(0);
 }
 
 void
 LineHeatTable::reset()
 {
+    fullShards_.store(0, std::memory_order_relaxed);
+    std::fill_n(filter_.get(), filterWords(), 0);
     for (Shard &shard : shards_) {
         std::lock_guard<SpinLock> guard(shard.lock);
         std::fill_n(shard.slots.get(), slotsPerShard_, Slot{});
         shard.used = 0;
-        shard.untracked = 0;
     }
+    untracked_.reset();
 }
 
 } // namespace xpg::telemetry

@@ -239,12 +239,9 @@ class AttributionTable
     void
     add(AccessCategory c, AttrField f, uint64_t n)
     {
-        std::atomic<uint64_t> &cell =
-            shards_.local()
-                .cells[static_cast<unsigned>(c)][static_cast<unsigned>(f)];
-        // Only this thread writes its shard: no locked read-modify-write.
-        cell.store(cell.load(std::memory_order_relaxed) + n,
-                   std::memory_order_relaxed);
+        addToOwnCell(shards_.local().cells[static_cast<unsigned>(c)]
+                                          [static_cast<unsigned>(f)],
+                     n);
     }
 
     /** Per-category rows (all-zero with -DXPG_TELEMETRY=OFF). */
@@ -271,9 +268,16 @@ class AttributionTable
  * split, so the hottest lines can name their owning category. Sixteen
  * spinlocked shards, each a fixed open-addressed slot array sized at
  * construction; once a shard tracks its share of the capacity, touches of
- * *new* lines are counted in the shard's untracked count instead of
- * growing the table, which keeps the hot path allocation-free and the
- * memory bound hard. touch() is a no-op with -DXPG_TELEMETRY=OFF.
+ * *new* lines are counted as untracked instead of growing the table,
+ * which keeps the hot path allocation-free and the memory bound hard.
+ *
+ * Most touches of a busy device are to lines that found their shard full,
+ * so those skip the shard: a read-mostly bit filter holds every admitted
+ * line (a bit is set under the shard lock before the shard's full bit is
+ * published), and a touch whose shard is full and whose filter bit is
+ * clear counts itself in a per-thread cell, with no lock and no probe.
+ * The admitted set and every count are those of the locked probe alone.
+ * touch() is a no-op with -DXPG_TELEMETRY=OFF.
  */
 class LineHeatTable
 {
@@ -293,9 +297,12 @@ class LineHeatTable
     void
     touch(uint64_t line, AccessCategory cat, bool is_write)
     {
-        if constexpr (kAttributionEnabled)
-            touchSlow(line, cat, is_write);
-        else {
+        if constexpr (kAttributionEnabled) {
+            if (untrackable(line))
+                untracked_.add(0, 1);
+            else
+                touchLocked(line, cat, is_write);
+        } else {
             (void)line;
             (void)cat;
             (void)is_write;
@@ -310,6 +317,7 @@ class LineHeatTable
 
     uint64_t trackedLines() const;
     uint64_t untrackedTouches() const;
+    /** Forget every line; only while no thread touches. */
     void reset();
 
   private:
@@ -329,21 +337,59 @@ class LineHeatTable
     struct alignas(64) Shard
     {
         mutable SpinLock lock;
-        unsigned used = 0;       ///< tracked lines
-        uint64_t untracked = 0;  ///< touches that found the shard full
+        unsigned used = 0; ///< tracked lines
         std::unique_ptr<Slot[]> slots;
     };
 
-    void touchSlow(uint64_t line, AccessCategory cat, bool is_write);
+    static constexpr unsigned kShards = 16;
+
+    /** True when @p line's shard is full and the filter proves the line
+     *  was never admitted: the locked probe would count it untracked. */
+    bool
+    untrackable(uint64_t line) const
+    {
+        const unsigned full = fullShards_.load(std::memory_order_acquire);
+        if (!(full >> (line % kShards) & 1u))
+            return false;
+        const uint64_t bit = filterBit(line);
+        return !(filter_[bit / 64].load(std::memory_order_relaxed) >>
+                     (bit % 64) &
+                 1u);
+    }
+
+    uint64_t
+    filterBit(uint64_t line) const
+    {
+        return (line * 0x9E3779B97F4A7C15ull) >> filterShift_;
+    }
+
+    size_t
+    filterWords() const
+    {
+        return (size_t{1} << (64 - filterShift_)) / 64;
+    }
+
+    void touchLocked(uint64_t line, AccessCategory cat, bool is_write);
     /** The slot tracking @p line, else the empty slot it would take. */
     Slot &probe(Shard &shard, uint64_t line) const;
 
-    static constexpr unsigned kShards = 16;
     unsigned perShardCapacity_;
     /** Slots per shard: a power of two at least twice the capacity, so
      *  a probe always reaches an empty slot. */
     unsigned slotsPerShard_;
+
+    // Read on every touch, written only while shards fill: kept off the
+    // shards' lock lines.
+    /** Bit s set: shard s tracks its full share (release-published after
+     *  the filter bits of all its lines). */
+    alignas(64) std::atomic<unsigned> fullShards_{0};
+    /** Admission filter: 16 bits per tracked line, Fibonacci-hashed. */
+    unsigned filterShift_;
+    std::unique_ptr<std::atomic<uint64_t>[]> filter_;
+
     std::array<Shard, kShards> shards_;
+    /** Touches that found their shard full, per thread. */
+    ShardedCounters<1> untracked_;
 };
 
 } // namespace xpg::telemetry

@@ -16,11 +16,12 @@
  *    thread lazily acquires a private shard (a ThreadShards shard of
  *    relaxed-atomic buckets, so a concurrent snapshot() is race-free
  *    under TSAN); snapshot() merges all shards into a plain Histogram.
- *    The hot path is one thread-local vector lookup plus three relaxed
- *    atomic adds — no locks, no CAS loops.
+ *    The hot path is one thread-local vector lookup plus plain loads
+ *    and stores to the thread's own shard — no locks, no locked
+ *    read-modify-writes.
  *
  * Shards live as long as their histogram (resetValues() zeroes them
- * instead of freeing them).
+ * instead of freeing them, and runs only while no thread records).
  */
 #pragma once
 
@@ -111,18 +112,17 @@ class ShardedHistogram
     ShardedHistogram &operator=(const ShardedHistogram &) = delete;
 
     /// Record one sample. Lock-free after the calling thread's first
-    /// record into this histogram (which allocates its shard).
+    /// record into this histogram (which allocates its shard); only
+    /// this thread writes its shard, so every field is a plain load +
+    /// store, never a locked read-modify-write.
     void record(uint64_t v)
     {
         Shard &s = shards_.local();
-        s.buckets[Histogram::bucketFor(v)].fetch_add(
-            1, std::memory_order_relaxed);
-        s.count.fetch_add(1, std::memory_order_relaxed);
-        s.sum.fetch_add(v, std::memory_order_relaxed);
-        uint64_t seen = s.maxValue.load(std::memory_order_relaxed);
-        while (v > seen && !s.maxValue.compare_exchange_weak(
-                               seen, v, std::memory_order_relaxed))
-            ;
+        addToOwnCell(s.buckets[Histogram::bucketFor(v)], 1);
+        addToOwnCell(s.count, 1);
+        addToOwnCell(s.sum, v);
+        if (v > s.maxValue.load(std::memory_order_relaxed))
+            s.maxValue.store(v, std::memory_order_relaxed);
     }
 
     /// Merge every shard into a plain histogram. Safe concurrently
@@ -132,7 +132,8 @@ class ShardedHistogram
     Histogram snapshot() const;
 
     /// Zero all shards in place (shards stay allocated so cached
-    /// thread-local pointers never dangle).
+    /// thread-local pointers never dangle). Call it only while nothing
+    /// records: a record racing the reset stores its stale sum back.
     void resetValues();
 
   private:

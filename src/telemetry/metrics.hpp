@@ -106,7 +106,8 @@ class MetricsRegistry
     std::vector<std::string> histogramNames() const;
 
     /// Zero every gauge and histogram, keeping registrations (and thus
-    /// cached handles) intact.
+    /// cached handles) intact. Callers must be quiescent: a histogram
+    /// record racing the reset can store its stale sum back.
     void resetValues();
 
     size_t size() const;

@@ -65,8 +65,8 @@ class Telemetry
     }
 
     /// Zero gauges and histograms, drop trace records. Registrations
-    /// (and cached handles) survive. Callers must be quiescent for the
-    /// trace part.
+    /// (and cached handles) survive. Callers must be quiescent: no
+    /// histogram records and no trace emits while it runs.
     void reset();
 
   private:

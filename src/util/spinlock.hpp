@@ -12,7 +12,11 @@
 
 namespace xpg {
 
-/** Tiny TTAS spinlock satisfying the Lockable requirements. */
+/**
+ * Tiny TTAS spinlock satisfying the Lockable requirements: one atomic
+ * flag, claimed with test_and_set and watched with plain loads while it
+ * is held, so waiters spin in their own cache instead of on the bus.
+ */
 class SpinLock
 {
   public:
@@ -24,32 +28,22 @@ class SpinLock
     lock()
     {
         while (flag_.test_and_set(std::memory_order_acquire)) {
-            while (locked_.load(std::memory_order_relaxed)) {
-                // spin on the cached value to avoid bus traffic
+            while (flag_.test(std::memory_order_relaxed)) {
+                // spin on the cached value until the holder releases
             }
         }
-        locked_.store(true, std::memory_order_relaxed);
     }
 
     bool
     try_lock()
     {
-        if (flag_.test_and_set(std::memory_order_acquire))
-            return false;
-        locked_.store(true, std::memory_order_relaxed);
-        return true;
+        return !flag_.test_and_set(std::memory_order_acquire);
     }
 
-    void
-    unlock()
-    {
-        locked_.store(false, std::memory_order_relaxed);
-        flag_.clear(std::memory_order_release);
-    }
+    void unlock() { flag_.clear(std::memory_order_release); }
 
   private:
     std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
-    std::atomic<bool> locked_{false};
 };
 
 } // namespace xpg

@@ -38,6 +38,17 @@ inline thread_local std::vector<void *> t_threadShards;
 } // namespace detail
 
 /**
+ * Add @p n to a shard cell only the calling thread writes: a plain load
+ * + store, never a locked read-modify-write.
+ */
+inline void
+addToOwnCell(std::atomic<uint64_t> &cell, uint64_t n)
+{
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+}
+
+/**
  * Per-thread @p Shard instances of one owner. @p Shard must be
  * default-constructible; declare it alignas(64) so shards of different
  * threads never share a cache line.
@@ -100,6 +111,53 @@ class ThreadShards
     const uint32_t id_;
     mutable std::mutex mu_; ///< guards shards_ growth and visits
     std::vector<std::unique_ptr<Shard>> shards_;
+};
+
+/**
+ * @p N counters in per-thread shards: add() is a plain load + store to
+ * the calling thread's own cell (no shared cache line, no locked
+ * read-modify-write), sum() adds up every thread's cell. A sum taken
+ * while writers run may miss their latest adds; once they are joined it
+ * is exact.
+ */
+template <unsigned N>
+class ShardedCounters
+{
+  public:
+    void
+    add(unsigned i, uint64_t n)
+    {
+        addToOwnCell(shards_.local().cells[i], n);
+    }
+
+    uint64_t
+    sum(unsigned i) const
+    {
+        uint64_t total = 0;
+        shards_.forEach([&](const Shard &shard) {
+            total += shard.cells[i].load(std::memory_order_relaxed);
+        });
+        return total;
+    }
+
+    /** Zero every cell; only while no thread adds (an add racing the
+     *  reset stores its stale sum back). */
+    void
+    reset()
+    {
+        shards_.forEach([](Shard &shard) {
+            for (std::atomic<uint64_t> &cell : shard.cells)
+                cell.store(0, std::memory_order_relaxed);
+        });
+    }
+
+  private:
+    struct alignas(64) Shard
+    {
+        std::atomic<uint64_t> cells[N] = {};
+    };
+
+    ThreadShards<Shard> shards_;
 };
 
 } // namespace xpg

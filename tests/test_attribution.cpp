@@ -16,7 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <barrier>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -346,6 +352,202 @@ TEST(AttributionHeat, CapacityBoundCountsOverflowInsteadOfGrowing)
     EXPECT_EQ(heat.trackedLines(), 0u);
     EXPECT_EQ(heat.untrackedTouches(), 0u);
     EXPECT_TRUE(heat.top(4).empty());
+}
+
+/**
+ * The heat table's admission rule replayed without its fast path: per
+ * shard (line % 16), the first max(1, capacity / 16) distinct lines are
+ * admitted in touch order; a touch of any other line is untracked.
+ */
+class HeatReference
+{
+  public:
+    explicit HeatReference(unsigned capacity)
+        : perShard_(std::max(1u, capacity / 16))
+    {
+    }
+
+    void
+    touch(uint64_t line, AccessCategory cat, bool is_write)
+    {
+        auto it = lines_.find(line);
+        if (it == lines_.end()) {
+            if (used_[line % 16] == perShard_) {
+                ++untracked_;
+                return;
+            }
+            ++used_[line % 16];
+            it = lines_.emplace(line, Counts{}).first;
+        }
+        ++(is_write ? it->second.writes : it->second.reads);
+        ++it->second.byCat[static_cast<unsigned>(cat)];
+    }
+
+    /** Every admitted line, hottest first, ties toward the lower line;
+     *  the owner is the most-touched category, ties toward the lower. */
+    std::vector<LineHeatTable::HotLine>
+    top() const
+    {
+        std::vector<LineHeatTable::HotLine> all;
+        for (const auto &[line, counts] : lines_) {
+            LineHeatTable::HotLine h;
+            h.line = line;
+            h.reads = counts.reads;
+            h.writes = counts.writes;
+            const auto best = std::max_element(counts.byCat.begin(),
+                                               counts.byCat.end());
+            h.owner = static_cast<AccessCategory>(best -
+                                                  counts.byCat.begin());
+            all.push_back(h);
+        }
+        std::stable_sort(all.begin(), all.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.reads + a.writes > b.reads + b.writes;
+                         });
+        return all;
+    }
+
+    uint64_t trackedLines() const { return lines_.size(); }
+    uint64_t untrackedTouches() const { return untracked_; }
+
+  private:
+    struct Counts
+    {
+        uint64_t reads = 0;
+        uint64_t writes = 0;
+        std::array<uint64_t, telemetry::kAccessCategoryCount> byCat = {};
+    };
+
+    unsigned perShard_;
+    std::map<uint64_t, Counts> lines_;
+    std::array<unsigned, 16> used_ = {};
+    uint64_t untracked_ = 0;
+};
+
+void
+expectHeatMatches(const LineHeatTable &heat, const HeatReference &ref)
+{
+    EXPECT_EQ(heat.trackedLines(), ref.trackedLines());
+    EXPECT_EQ(heat.untrackedTouches(), ref.untrackedTouches());
+    const auto got = heat.top(~0u);
+    const auto want = ref.top();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("rank " + std::to_string(i));
+        EXPECT_EQ(got[i].line, want[i].line);
+        EXPECT_EQ(got[i].reads, want[i].reads);
+        EXPECT_EQ(got[i].writes, want[i].writes);
+        EXPECT_EQ(got[i].owner, want[i].owner);
+    }
+}
+
+TEST(AttributionHeat, FastPathAdmitsAndCountsLikeTheLockedProbe)
+{
+    if (!kAttributionEnabled)
+        GTEST_SKIP() << "heat table compiled out";
+    for (const unsigned capacity : {64u, LineHeatTable::kDefaultCapacity}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        // Seeded touches over 10x the capacity in lines: a hot set that
+        // keeps touching lines admitted early (they must keep counting
+        // once their shard is full) and a long tail that mostly finds
+        // its shard full (untracked, some through a filter collision).
+        LineHeatTable heat(capacity);
+        HeatReference ref(capacity);
+        Rng rng(capacity);
+        const uint64_t lines = 10 * uint64_t{capacity};
+        for (uint64_t i = 0; i < 40 * uint64_t{capacity}; ++i) {
+            const uint64_t line = rng.nextBounded(4) == 0
+                                      ? rng.nextBounded(capacity / 2) * 3
+                                      : rng.nextBounded(lines);
+            const auto cat = static_cast<AccessCategory>(
+                rng.nextBounded(telemetry::kAccessCategoryCount));
+            const bool is_write = rng.nextBounded(2) == 0;
+            heat.touch(line, cat, is_write);
+            ref.touch(line, cat, is_write);
+        }
+        expectHeatMatches(heat, ref);
+        EXPECT_EQ(heat.trackedLines(), capacity);
+        EXPECT_GT(heat.untrackedTouches(), 0u);
+
+        // After a reset the table admits afresh, filter included.
+        heat.reset();
+        HeatReference again(capacity);
+        for (uint64_t line = lines; line-- > 0;) {
+            heat.touch(line, AccessCategory::QueryRead, false);
+            again.touch(line, AccessCategory::QueryRead, false);
+        }
+        expectHeatMatches(heat, again);
+    }
+
+    // Shards that fill while other threads already take the fast path:
+    // a thread that sees a shard full must also see the filter bit of
+    // the line that filled it, or it counts that line's touches as
+    // untracked. With capacity 16 each shard tracks one line; every
+    // round the threads race through the shards, touching each shard's
+    // line and then, on the fast path, lines the full shard never
+    // admitted. Threads doing different amounts of fast-path work drift
+    // across each other's admissions.
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kRounds = 3000;
+    LineHeatTable heat(16);
+    unsigned bad_rounds = 0;
+    const auto check_and_reset = [&heat, &bad_rounds]() noexcept {
+        // Runs while every thread waits at the barrier.
+        const auto top = heat.top(~0u);
+        bool ok = top.size() == 16 &&
+                  heat.untrackedTouches() == 16 * kThreads * (kThreads + 1) / 2;
+        for (const auto &h : top)
+            ok = ok && h.reads == kThreads;
+        bad_rounds += ok ? 0 : 1;
+        heat.reset();
+    };
+    std::barrier sync(kThreads, check_and_reset);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&heat, &sync, t] {
+            for (unsigned round = 0; round < kRounds; ++round) {
+                for (unsigned s = 0; s < 16; ++s) {
+                    heat.touch(16 * 100 + s, AccessCategory::QueryRead,
+                               false);
+                    for (unsigned j = 0; j <= t; ++j)
+                        heat.touch(16 * (200 + j) + s, AccessCategory::Other,
+                                   false);
+                }
+                sync.arrive_and_wait();
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(bad_rounds, 0u) << "of " << kRounds << " rounds";
+}
+
+TEST(AttributionHeat, ConcurrentTouchesCountEveryTouch)
+{
+    if (!kAttributionEnabled)
+        GTEST_SKIP() << "heat table compiled out";
+    // Four threads touch overlapping seeded line sets while the shards
+    // fill: whichever thread admits a line, every touch is counted once,
+    // on its line or as untracked.
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kPerThread = 50000;
+    LineHeatTable heat(256);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&heat, t] {
+            Rng rng(7 + t);
+            for (unsigned i = 0; i < kPerThread; ++i)
+                heat.touch(rng.nextBounded(rng.nextBounded(2) ? 200 : 5000),
+                           AccessCategory::AdjacencyArchive,
+                           rng.nextBounded(2) == 0);
+        });
+    for (std::thread &th : threads)
+        th.join();
+    uint64_t tracked = 0;
+    for (const auto &h : heat.top(~0u))
+        tracked += h.reads + h.writes;
+    EXPECT_EQ(heat.trackedLines(), 256u);
+    EXPECT_EQ(tracked + heat.untrackedTouches(),
+              uint64_t{kThreads} * kPerThread);
 }
 
 // --- Store level: one device list behind counters and attribution ------

@@ -30,6 +30,7 @@
 #include "mini_json.hpp"
 #include "pmem/pcm_counters.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
 
 namespace xpg {
 namespace {
@@ -172,6 +173,43 @@ TEST(TelemetryHistogram, ShardedConcurrentRecording)
 
     sh.resetValues();
     EXPECT_EQ(sh.snapshot().count, 0u);
+}
+
+TEST(TelemetryHistogram, ShardedRecordIsExactAcrossThreads)
+{
+    // Each thread writes its own shard with plain loads and stores; once
+    // the threads are joined the merge must be exact in every field, not
+    // only close. Seeded samples span many buckets, and each thread has
+    // its own maximum so the merged max comes from one shard.
+    constexpr unsigned kThreads = 6;
+    constexpr unsigned kPerThread = 30000;
+    const auto sample = [](Rng &rng, unsigned t) {
+        return rng.nextBounded(uint64_t{1} << (4 + 3 * t));
+    };
+    ShardedHistogram sh;
+    std::vector<std::thread> writers;
+    for (unsigned t = 0; t < kThreads; ++t)
+        writers.emplace_back([&sh, &sample, t] {
+            Rng rng(100 + t);
+            for (unsigned i = 0; i < kPerThread; ++i)
+                sh.record(sample(rng, t));
+        });
+    for (std::thread &w : writers)
+        w.join();
+
+    Histogram expected;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        Rng rng(100 + t);
+        for (unsigned i = 0; i < kPerThread; ++i)
+            expected.record(sample(rng, t));
+    }
+    const Histogram merged = sh.snapshot();
+    EXPECT_EQ(merged.count, uint64_t{kThreads} * kPerThread);
+    EXPECT_EQ(merged.count, expected.count);
+    EXPECT_EQ(merged.sum, expected.sum);
+    EXPECT_EQ(merged.maxValue, expected.maxValue);
+    for (unsigned b = 0; b < Histogram::kBuckets; ++b)
+        EXPECT_EQ(merged.buckets[b], expected.buckets[b]) << "bucket " << b;
 }
 
 // ---------------------------------------------------------------------------
