@@ -175,8 +175,6 @@ json::JsonValue
 telemetryPhaseSeries()
 {
     json::JsonValue out = json::JsonValue::object();
-    if (!telemetry::kEnabled)
-        return out;
     const auto &metrics = telemetry::Telemetry::instance().metrics();
     for (const std::string &name : metrics.histogramNames()) {
         const telemetry::Histogram h = metrics.mergedHistogram(name);

@@ -146,8 +146,8 @@ bool writeJsonReport(const json::JsonValue &doc, const char *env_var,
  * Merged (all label sets) quantile summary of every registered
  * telemetry histogram whose name starts with one of ingest./archive./
  * pmem./query./recovery. — the per-phase latency series the figure
- * reports attach per row. Returns an empty object with telemetry OFF
- * or when nothing was recorded.
+ * reports attach per row. Returns an empty object when nothing was
+ * recorded.
  */
 json::JsonValue telemetryPhaseSeries();
 

@@ -9,9 +9,9 @@
  * XPGraph; GraphOne-N an order of magnitude worse.
  *
  * Emits BENCH_traffic.json (XPG_BENCH_TRAFFIC_JSON to override): per
- * (dataset, system) the full PCM counter set plus — with telemetry
- * compiled in — the per-phase latency quantiles of that run, splitting
- * the traffic's time cost into logging vs archiving.
+ * (dataset, system) the full PCM counter set plus the per-phase
+ * latency quantiles of that run, splitting the traffic's time cost
+ * into logging vs archiving.
  */
 
 #include <cstdio>
@@ -54,16 +54,14 @@ main(int argc, char **argv)
         // Each run gets its own telemetry window so the phase series
         // attributes the traffic's time cost to logging vs archiving.
         auto measured = [&](auto &&run) {
-            if (telemetry::kEnabled)
-                telemetry::Telemetry::instance().reset();
+            telemetry::Telemetry::instance().reset();
             IngestOutcome o = run();
             json::JsonValue row = json::JsonValue::object();
             row.set("dataset", ds.spec.abbrev);
             row.set("system", o.system);
             row.set("ingest_ns", o.ingestNs());
             row.set("counters", o.counters.toJson());
-            if (telemetry::kAttributionEnabled)
-                row.set("attribution", o.attribution.toJson());
+            row.set("attribution", o.attribution.toJson());
             if (o.compression.chunksCompressed > 0) {
                 row.set("chunks_compressed",
                         o.compression.chunksCompressed);

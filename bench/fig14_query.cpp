@@ -49,9 +49,9 @@ struct Measurement
     uint64_t checksum = 0;
     uint64_t mediaReadBytes = 0;
     uint64_t appReadBytes = 0;
-    // Round-level shape (from the kernel's RoundStats; zero with
-    // telemetry OFF): multi-run kernels (BFS over three roots) sum
-    // rounds and edges and keep the max frontier.
+    // Round-level shape (from the kernel's RoundStats): multi-run
+    // kernels (BFS over three roots) sum rounds and edges and keep the
+    // max frontier.
     uint64_t rounds = 0;
     uint64_t frontierPeak = 0;
     uint64_t edgesScanned = 0;
@@ -121,7 +121,7 @@ writeJson(const std::vector<JsonRow> &rows,
         arr.push(std::move(row));
     }
     doc.set("rows", std::move(arr));
-    if (telemetry::kAttributionEnabled && !attrs.empty()) {
+    if (!attrs.empty()) {
         // Per-store lifetime split: how much of each store's media
         // traffic the queries caused vs the ingest that built it.
         json::JsonValue attr_arr = json::JsonValue::array();
@@ -135,7 +135,7 @@ writeJson(const std::vector<JsonRow> &rows,
         doc.set("store_attribution", std::move(attr_arr));
     }
     // Kernel/round latency quantiles accumulated across every run of
-    // the bench (telemetry ON; absent otherwise).
+    // the bench.
     const json::JsonValue phases = telemetryPhaseSeries();
     if (phases.size() != 0)
         doc.set("phase_latency_ns", phases);

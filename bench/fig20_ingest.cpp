@@ -71,8 +71,7 @@ writeJson(const std::vector<Row> &rows, const Dataset &ds)
         row.set("media_write_bytes", r.o.counters.mediaBytesWritten);
         row.set("media_read_bytes", r.o.counters.mediaBytesRead);
         row.set("sessions_opened", r.o.stats.sessionsOpened);
-        if (telemetry::kAttributionEnabled)
-            row.set("attribution", r.o.attribution.toJson());
+        row.set("attribution", r.o.attribution.toJson());
         if (r.phases.size() != 0)
             row.set("phase_latency_ns", r.phases);
         arr.push(std::move(row));
@@ -119,8 +118,7 @@ main(int argc, char **argv)
         for (unsigned sessions : session_counts) {
             // Per-row telemetry window: zero the histograms so this
             // row's phase quantiles cover exactly this run.
-            if (telemetry::kEnabled)
-                telemetry::Telemetry::instance().reset();
+            telemetry::Telemetry::instance().reset();
             IngestOutcome o;
             if (kind.graphone) {
                 GraphOne store(graphoneConfig(

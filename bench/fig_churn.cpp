@@ -291,30 +291,26 @@ main(int argc, char **argv)
             ok = false;
         }
     }
-    // Trace-ring correlation (compact-on rows, telemetry builds): the
-    // ring must have witnessed the compaction the engine counters
-    // report — at least one pass span that rewrote chains, reporting at
-    // least as many swings as chains the engine says it rewrote (a
-    // candidate whose chain emptied in-buffer counts as a swing but
-    // not a slot, so >=, never <).
-    if (telemetry::kEnabled) {
-        for (const ChurnRow &r : rows) {
-            if (!r.compactOn || r.stats.compactionSlots == 0)
-                continue;
-            if (r.eventPasses == 0 ||
-                r.eventSwings < r.stats.compactionSlots) {
-                std::fprintf(
-                    stderr,
-                    "FAIL: %s compacted %llu chains but the trace "
-                    "ring saw %llu swings in %llu passes — compaction "
-                    "spans out of sync with the engine\n",
-                    r.label.c_str(),
-                    static_cast<unsigned long long>(
-                        r.stats.compactionSlots),
-                    static_cast<unsigned long long>(r.eventSwings),
-                    static_cast<unsigned long long>(r.eventPasses));
-                ok = false;
-            }
+    // Trace-ring correlation (compact-on rows): the ring must have
+    // witnessed the compaction the engine counters report — at least
+    // one pass span that rewrote chains, reporting at least as many
+    // swings as chains the engine says it rewrote (a candidate whose
+    // chain emptied in-buffer counts as a swing but not a slot, so >=,
+    // never <).
+    for (const ChurnRow &r : rows) {
+        if (!r.compactOn || r.stats.compactionSlots == 0)
+            continue;
+        if (r.eventPasses == 0 || r.eventSwings < r.stats.compactionSlots) {
+            std::fprintf(
+                stderr,
+                "FAIL: %s compacted %llu chains but the trace "
+                "ring saw %llu swings in %llu passes — compaction "
+                "spans out of sync with the engine\n",
+                r.label.c_str(),
+                static_cast<unsigned long long>(r.stats.compactionSlots),
+                static_cast<unsigned long long>(r.eventSwings),
+                static_cast<unsigned long long>(r.eventPasses));
+            ok = false;
         }
     }
     return ok ? 0 : 1;

@@ -109,10 +109,10 @@ struct Row
     uint64_t interarrivalNs = 0;
     uint64_t finalVisibleEdges = 0;
 
-    // Per-op-class OpScope roll-up deltas over the run (zero with
-    // telemetry OFF): how many archive passes the write stream's
-    // inline coordination fired and what media writes they caused,
-    // plus any compaction swings that ran.
+    // Per-op-class OpScope roll-up deltas over the run: how many
+    // archive passes the write stream's inline coordination fired and
+    // what media writes they caused, plus any compaction swings that
+    // ran.
     uint64_t archiveOps = 0;
     uint64_t archiveMediaWriteBytes = 0;
     uint64_t archiveSimNs = 0;
@@ -170,7 +170,7 @@ serve(XPGraph &graph, const ServePlan &plan, const Dataset &ds,
     std::vector<vid_t> nebrs;
     // Per-op latency lands in the sharded telemetry histograms too
     // (one label set per mix); telemetryPhaseSeries() folds them into
-    // the JSON report. Null (and swallowed) with -DXPG_TELEMETRY=OFF.
+    // the JSON report.
     auto *read_hist = XPG_TEL_HISTOGRAM(
         "query.serving.read_ns",
         (telemetry::Labels{.store = "xpgraph", .phase = label.c_str()}));
@@ -262,7 +262,7 @@ serve(XPGraph &graph, const ServePlan &plan, const Dataset &ds,
         ++seg_ops;
         const uint64_t latency = vclock - arrival;
         (is_write ? write_lat : read_lat).push_back(latency);
-        XPG_TEL_RECORD(is_write ? write_hist : read_hist, latency);
+        (is_write ? write_hist : read_hist)->record(latency);
     }
 
     row.read = LatencyStats::of(read_lat);
@@ -417,8 +417,7 @@ writeJson(const std::vector<Row> &rows,
     }
     doc.set("rows", std::move(arr));
     // Full per-mix latency quantile series from the sharded telemetry
-    // histograms (query.serving.* / ingest.serving.*; absent with
-    // telemetry OFF).
+    // histograms (query.serving.* / ingest.serving.*).
     const json::JsonValue phases = telemetryPhaseSeries();
     if (phases.size() != 0)
         doc.set("phase_latency_ns", phases);

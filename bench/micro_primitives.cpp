@@ -54,14 +54,26 @@ queryGraph()
     return *graph;
 }
 
+/** A device whose image pages have all been written once, so the
+ *  timed loop of a random-write row never takes a first-touch fault. */
+std::unique_ptr<PmemDevice>
+warmDevice(uint64_t bytes)
+{
+    auto dev = std::make_unique<PmemDevice>("bm", bytes, 0, 1);
+    const uint32_t v = 0;
+    for (uint64_t page = 0; page < bytes; page += 4096)
+        dev->write(page, &v, 4);
+    return dev;
+}
+
 void
 BM_PmemDeviceRandomWrite4B(benchmark::State &state)
 {
-    PmemDevice dev("bm", 64 << 20, 0, 1);
+    static const std::unique_ptr<PmemDevice> dev = warmDevice(64 << 20);
     Rng rng(1);
     uint32_t v = 0;
     for (auto _ : state) {
-        dev.write(4 + 256 * rng.nextBounded((64 << 20) / 256 - 1), &v, 4);
+        dev->write(4 + 256 * rng.nextBounded((64 << 20) / 256 - 1), &v, 4);
         ++v;
     }
     state.SetItemsProcessed(state.iterations());
@@ -76,11 +88,10 @@ BENCHMARK(BM_PmemDeviceRandomWrite4B);
 void
 BM_PmemDeviceSharedRandomWrite4B(benchmark::State &state)
 {
+    constexpr unsigned kThreads = 4;
     constexpr uint64_t kLinesPerThread = (16 << 20) / 256;
-    static std::unique_ptr<PmemDevice> dev;
-    if (state.thread_index() == 0)
-        dev = std::make_unique<PmemDevice>(
-            "bm", state.threads() * kLinesPerThread * 256, 0, 1);
+    static const std::unique_ptr<PmemDevice> dev =
+        warmDevice(kThreads * kLinesPerThread * 256);
     Rng rng(1 + state.thread_index());
     const uint64_t base = state.thread_index() * kLinesPerThread;
     uint32_t v = 0;
@@ -90,10 +101,23 @@ BM_PmemDeviceSharedRandomWrite4B(benchmark::State &state)
         ++v;
     }
     state.SetItemsProcessed(state.iterations());
-    if (state.thread_index() == 0)
-        dev.reset();
 }
 BENCHMARK(BM_PmemDeviceSharedRandomWrite4B)->Threads(4)->UseRealTime();
+
+/**
+ * What the warm rows leave out: mapping a fresh 64 MiB image and taking
+ * the first-touch fault of each of its 4 KiB pages. Host time that
+ * depends on the host's huge-page mode, so the micro stage does not
+ * gate it.
+ */
+void
+BM_PmemImageFirstTouch(benchmark::State &state)
+{
+    for (auto _ : state)
+        benchmark::DoNotOptimize(warmDevice(64 << 20));
+    state.SetItemsProcessed(state.iterations() * ((64 << 20) / 4096));
+}
+BENCHMARK(BM_PmemImageFirstTouch)->Unit(benchmark::kMillisecond);
 
 void
 BM_PmemDeviceSequentialWrite256B(benchmark::State &state)
@@ -135,8 +159,7 @@ BENCHMARK(BM_XPBufferStore);
 /**
  * One heat-table touch on a full table (every shard tracks its share):
  * of a tracked line (the shard lock and probe) and of a line the table
- * never admitted (the filter fast path). Telemetry OFF compiles both to
- * nothing.
+ * never admitted (the filter fast path).
  */
 telemetry::LineHeatTable &
 fullHeatTable()

@@ -73,14 +73,11 @@
 # metrics files, checks the trace for the recovery event instant and
 # the buffering spans' edge counts, runs the attribution profiler and
 # asserts its per-cause rows sum back to the device counters (≤0.1%),
-# then builds a -DXPG_TELEMETRY=OFF tree (<build-dir>-notel), requires the
-# single-threaded CLI ingest/query/recover runs of
-# tools/exact_cli_runs.sh (PMEM, DRAM and SSD devices) to print
-# byte-identical output in both trees,
-# and bounds the
-# median-of-five simulated-time drift between the fig20 flavors at 5%
-# (a single run jitters up to ~5% with thread scheduling on its own; an
-# unchanged tree measures up to ~2.4% median drift).
+# then checks `xpgraph_cli explain bfs|cc` exactness. Telemetry is
+# always compiled in; that it never changes a simulated number is
+# checked by the Telemetry.RecordingNeverChargesSimClock and
+# Telemetry.ReadersLeaveSimulatedResultsUnchanged tests, and the ctest
+# entry cli_exact_golden pins every single-threaded CLI number.
 #
 # Usage: bench/run_tier1_bench.sh [build-dir] [dataset...]
 #   build-dir  defaults to ./build
@@ -174,14 +171,15 @@ fi
 # Micro stage: five repetitions of each primitive; BENCH_micro.json keeps
 # their median aggregates. The device model's rows are gated against
 # the committed baseline at 25%, above the worst of ten runs of an
-# unchanged tree on the 4-core host (+12.4%): they are host time, so a
-# different host needs a new baseline. The two random-write rows are
-# not gated: each run maps a fresh 64 MiB image, and when the benchmark
-# settles on a few hundred iterations its huge-page first-touch faults
-# dominate (3 of those 10 runs read 100-144 us instead of ~0.5 us).
+# unchanged tree against it on the 4-core host (+13%): they are host
+# time, so a different host needs a new baseline. The random-write rows
+# time a device image whose pages were all touched before the timed
+# loop. Two rows stay ungated: the four-thread shared scatter, which
+# spread 147-285 ns over those ten runs, and BM_PmemImageFirstTouch,
+# which keeps the first-touch cost of a fresh image visible.
 export XPG_BENCH_MICRO_JSON="${XPG_BENCH_MICRO_JSON:-${repo_root}/BENCH_micro.json}"
 "${build_dir}/bench/micro_primitives" \
-    --benchmark_filter='BM_(GetNebrs|Degree|LogWindow|AdjCodec|AdjRawCopy|TombstoneFold|PmemDevice|XPBuffer|LineHeat|Histogram|Pool|SessionAppend|Compaction).*' \
+    --benchmark_filter='BM_(GetNebrs|Degree|LogWindow|AdjCodec|AdjRawCopy|TombstoneFold|Pmem|XPBuffer|LineHeat|Histogram|Pool|SessionAppend|Compaction).*' \
     --benchmark_min_time=0.05 --benchmark_repetitions=5 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out="${XPG_BENCH_MICRO_JSON}" --benchmark_out_format=json
@@ -189,7 +187,7 @@ if baseline_micro="$(git -C "${repo_root}" show HEAD:BENCH_micro.json \
                          2>/dev/null)"; then
     "${repo_root}/tools/bench_diff" \
         <(printf '%s' "${baseline_micro}") "${XPG_BENCH_MICRO_JSON}" \
-        --rows 'benchmark=BM_(PmemDeviceSequential|XPBuffer|LineHeat)' \
+        --rows 'benchmark=BM_(PmemDevice(RandomWrite|Sequential)|XPBuffer|LineHeat)' \
         --threshold 25
 else
     echo "bench_diff: no committed BENCH_micro.json baseline; skipping"
@@ -401,21 +399,15 @@ print("wedge scenario passed: watchdog flagged the stall and dumped "
 EOF
 rm -rf "${watch_dir}"
 
-# Telemetry stage (skip with XPG_TELEMETRY_STAGE=0). Four checks:
+# Telemetry stage (skip with XPG_TELEMETRY_STAGE=0). Three checks:
 #  1. The CLI pipeline run (ingest + archive + query + crash + recover)
 #     with --telemetry produces a Chrome trace and a metrics snapshot
 #     that real JSON parsers accept; the trace holds the recovery
 #     event instant and edge counts on its buffering_phase spans.
-#  2. A -DXPG_TELEMETRY=OFF tree compiles the whole library and test
-#     suite (the macros really collapse to no-ops) and still passes the
-#     Telemetry* tests, which use the classes directly.
-#  3. Single-threaded CLI runs are deterministic, so the OFF tree must
-#     print byte-identical ingest and query results. The phase stats
-#     and kernel times are fed by OpScope records, whose stat update
-#     must survive with telemetry compiled out.
-#  4. The OFF tree's fig20 runs report the same simulated ingest time
-#     (median-of-five, <5% drift) — telemetry never charges SimClock,
-#     so simulated throughput must not depend on the build flavor.
+#  2. The attribution profiler's per-cause rows sum to the device
+#     counters.
+#  3. `xpgraph_cli explain` rounds and attribution rows sum to the
+#     op's deltas.
 if [[ "${XPG_TELEMETRY_STAGE:-1}" == "1" ]]; then
     cmake --build "${build_dir}" -j "$(nproc)" --target xpgraph_cli
     trace_json="${XPG_BENCH_TRACE_JSON:-${repo_root}/BENCH_trace.json}"
@@ -513,70 +505,6 @@ print(f"explain {doc['algo']}: {len(doc['rounds'])} rounds, "
       f"the global delta")
 EOF
     done
-
-    notel_dir="${build_dir}-notel"
-    cmake -B "${notel_dir}" -S "${repo_root}" -DXPG_TELEMETRY=OFF
-    cmake --build "${notel_dir}" -j "$(nproc)" \
-          --target fig20_ingest xpg_tests xpgraph_cli
-    "${notel_dir}/tests/xpg_tests" \
-        --gtest_filter='Telemetry*:Attribution*:Ops*:OpScope*:Explain*'
-
-    # Exact ON-vs-OFF stage: tools/exact_cli_runs.sh (five ingest
-    # systems and four query kernels on two systems, the retention and
-    # recover runs, and ingest plus the four kernels on xpgraph-d and
-    # xpgraph-ssd, one thread each, on one generated edge file); any
-    # byte of difference in stdout fails. The ctest entry cli_exact_golden diffs the same TT runs
-    # against the committed golden.
-    exact_on="$(mktemp)"
-    exact_off="$(mktemp)"
-    "${repo_root}/tools/exact_cli_runs.sh" \
-        "${build_dir}/tools/xpgraph_cli" "${datasets[0]}" > "${exact_on}"
-    "${repo_root}/tools/exact_cli_runs.sh" \
-        "${notel_dir}/tools/xpgraph_cli" "${datasets[0]}" > "${exact_off}"
-    if ! diff "${exact_on}" "${exact_off}"; then
-        echo "FAIL: CLI ingest/query output differs with telemetry OFF"
-        exit 1
-    fi
-    rm -f "${exact_on}" "${exact_off}"
-    echo "exact ON-vs-OFF check passed (5 ingest systems, 4 kernels on 2 systems, retention, recover, xpgraph-d and xpgraph-ssd ingest + 4 kernels)"
-    # Five interleaved runs per flavor: one fig20 run's aggregate
-    # simulated time jitters up to ~5% run to run on the SAME binary
-    # (which client thread coordinates each inline archive phase is
-    # scheduling-dependent), so two single-binary medians can sit >3%
-    # apart on noise alone — measured 2.4% ON-vs-OFF drift on an
-    # unchanged tree. A real telemetry overhead would shift every run
-    # in one direction rather than wash out, and charging SimClock from
-    # any telemetry hook would blow far past 5%, so median-of-5 at a 5%
-    # bound keeps the check meaningful without flaking on scheduling.
-    notel_json="${repo_root}/BENCH_ingest_notel.json"
-    XPG_BENCH_INGEST_JSON="${notel_json}" \
-        "${notel_dir}/bench/fig20_ingest" "${datasets[0]}"
-    for rep in 2 3 4 5; do
-        XPG_BENCH_INGEST_JSON="${XPG_BENCH_INGEST_JSON%.json}.r${rep}.json" \
-            "${build_dir}/bench/fig20_ingest" "${datasets[0]}" > /dev/null
-        XPG_BENCH_INGEST_JSON="${notel_json%.json}.r${rep}.json" \
-            "${notel_dir}/bench/fig20_ingest" "${datasets[0]}" > /dev/null
-    done
-    python3 - "${XPG_BENCH_INGEST_JSON}" "${notel_json}" <<'EOF'
-import json, statistics, sys
-def totals(path):
-    paths = [path] + [path[:-5] + f".r{i}.json" for i in (2, 3, 4, 5)]
-    out = []
-    for p in paths:
-        doc = json.load(open(p))
-        out.append(sum(r["ingest_ns"] for r in doc["rows"]))
-    return out
-on_t, off_t = totals(sys.argv[1]), totals(sys.argv[2])
-on_med, off_med = statistics.median(on_t), statistics.median(off_t)
-drift = abs(on_med - off_med) / max(off_med, 1)
-if drift > 0.05:
-    sys.exit(f"FAIL: telemetry simulated-time overhead {drift:.2%} "
-             f"(median {on_med} vs {off_med} ns; runs {on_t} vs {off_t})")
-print(f"telemetry overhead check passed (median simulated-time drift "
-      f"{drift:.4%}; runs {on_t} vs {off_t})")
-EOF
-    rm -f "${XPG_BENCH_INGEST_JSON%.json}".r{2,3,4,5}.json \
-          "${notel_json%.json}".r{2,3,4,5}.json
 fi
 
 echo

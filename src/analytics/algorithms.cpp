@@ -24,8 +24,7 @@ costSource(const GraphView &view)
     return view.backingStore();
 }
 
-/** The per-algorithm latency histogram a kernel's record feeds (null
- *  with telemetry OFF). */
+/** The per-algorithm latency histogram a kernel's record feeds. */
 telemetry::ShardedHistogram *
 kernelHistogram(const char *algo)
 {

@@ -35,18 +35,17 @@ struct AnalyticsResult
     /**
      * Per-round cost records from the kernel's QueryDriver, in
      * execution order (a kernel's setup sweep — e.g. PageRank's degree
-     * pass — counts as a round). Empty with -DXPG_TELEMETRY=OFF.
-     * Media-level fields are zero on views without a query probe.
+     * pass — counts as a round). Rounds on views without a query
+     * probe are not probed (RoundStats::probed).
      */
     std::vector<RoundStats> rounds;
 
     /**
      * The run's OpScope record over view.backingStore(): its simNs is
-     * the kernel's simulated total in every build; its opId and cost
-     * deltas are 0 with telemetry OFF or on store-less synthetic
-     * views. On a quiescent store the per-round media reads in
-     * `rounds` sum to op.pcm.mediaReadOps exactly — the invariant
-     * `xpgraph_cli explain` checks.
+     * the kernel's simulated total; its cost deltas are 0 on
+     * store-less synthetic views. On a quiescent store the per-round
+     * media reads in `rounds` sum to op.pcm.mediaReadOps exactly — the
+     * invariant `xpgraph_cli explain` checks.
      */
     telemetry::OpCost op;
 };

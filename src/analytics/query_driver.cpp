@@ -17,6 +17,9 @@ RoundStats::toJson() const
     json::JsonValue v = json::JsonValue::object();
     v.set("round", round);
     v.set("active_vertices", activeVertices);
+    v.set("sim_ns", simNs);
+    if (!probed)
+        return v;
     v.set("edges_scanned", edgesScanned);
     v.set("sealed_records", sealedRecords);
     v.set("buffer_records", bufferRecords);
@@ -28,7 +31,6 @@ RoundStats::toJson() const
     for (uint64_t ops : mediaReadOpsPerDevice)
         per_dev.push(ops);
     v.set("media_read_ops_per_device", std::move(per_dev));
-    v.set("sim_ns", simNs);
     v.set("push_cost_ns", pushCostNs);
     v.set("pull_cost_ns", pullCostNs);
     v.set("direction_switch_gain", directionSwitchGain);
@@ -48,52 +50,40 @@ QueryDriver::QueryDriver(GraphView &view, unsigned num_threads,
     // counters NOW so round 1's delta starts at driver construction —
     // continuous coverage is what makes the per-round deltas sum to
     // the bracketing OpScope's deltas exactly.
-    if constexpr (telemetry::kAttributionEnabled)
-        probeActive_ = view_.sampleQueryProbe(probeLast_);
+    probeActive_ = view_.sampleQueryProbe(probeLast_);
 }
 
 void
 QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices,
                        uint64_t host_start_ns)
 {
-    XPG_TEL_RECORD(telRoundHist_, round_ns);
+    telRoundHist_->record(round_ns);
     XPG_TRACE_EMIT("query_round", "query", host_start_ns,
-                   XPG_TEL_HOST_NOW() - host_start_ns, round_ns);
-    if constexpr (!telemetry::kAttributionEnabled)
-        return;
+                   telemetry::hostNowNs() - host_start_ns, round_ns);
 
-    RoundStats rs;
-    rs.round = static_cast<uint32_t>(rounds_.size() + 1);
+    RoundStats &rs = rounds_.emplace_back();
+    rs.round = static_cast<uint32_t>(rounds_.size());
     rs.activeVertices = active_vertices;
     rs.simNs = round_ns;
 
-    uint64_t stored_edges = 0;
-    if (probeActive_) {
-        QueryProbe now;
-        if (view_.sampleQueryProbe(now)) {
-            rs.sealedRecords = now.sealedRecords - probeLast_.sealedRecords;
-            rs.bufferRecords = now.bufferRecords - probeLast_.bufferRecords;
-            rs.logWindowRecords =
-                now.logWindowRecords - probeLast_.logWindowRecords;
-            rs.edgesScanned = rs.sealedRecords + rs.bufferRecords +
-                              rs.logWindowRecords;
-            rs.decodedBytes = now.decodedBytes - probeLast_.decodedBytes;
-            rs.mediaReadOps = now.mediaReadOps - probeLast_.mediaReadOps;
-            rs.mediaReadBytes =
-                now.mediaReadBytes - probeLast_.mediaReadBytes;
-            rs.mediaReadOpsPerDevice.resize(
-                now.mediaReadOpsPerDevice.size(), 0);
-            for (size_t d = 0; d < now.mediaReadOpsPerDevice.size(); ++d) {
-                const uint64_t prev =
-                    d < probeLast_.mediaReadOpsPerDevice.size()
-                        ? probeLast_.mediaReadOpsPerDevice[d]
-                        : 0;
-                rs.mediaReadOpsPerDevice[d] =
-                    now.mediaReadOpsPerDevice[d] - prev;
-            }
-            stored_edges = now.storedEdges;
-            probeLast_ = std::move(now);
-        }
+    QueryProbe now;
+    if (!probeActive_ || !view_.sampleQueryProbe(now))
+        return; // not probed: the fields below stay unmeasured
+    rs.probed = true;
+    rs.sealedRecords = now.sealedRecords - probeLast_.sealedRecords;
+    rs.bufferRecords = now.bufferRecords - probeLast_.bufferRecords;
+    rs.logWindowRecords = now.logWindowRecords - probeLast_.logWindowRecords;
+    rs.edgesScanned =
+        rs.sealedRecords + rs.bufferRecords + rs.logWindowRecords;
+    rs.decodedBytes = now.decodedBytes - probeLast_.decodedBytes;
+    rs.mediaReadOps = now.mediaReadOps - probeLast_.mediaReadOps;
+    rs.mediaReadBytes = now.mediaReadBytes - probeLast_.mediaReadBytes;
+    rs.mediaReadOpsPerDevice.resize(now.mediaReadOpsPerDevice.size(), 0);
+    for (size_t d = 0; d < now.mediaReadOpsPerDevice.size(); ++d) {
+        const uint64_t prev = d < probeLast_.mediaReadOpsPerDevice.size()
+                                  ? probeLast_.mediaReadOpsPerDevice[d]
+                                  : 0;
+        rs.mediaReadOpsPerDevice[d] = now.mediaReadOpsPerDevice[d] - prev;
     }
 
     // Direction-switch opportunity (ALPHA-PIM / Ligra-style signal):
@@ -114,12 +104,11 @@ QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices,
                     static_cast<double>(rs.edgesScanned) * random_rec;
     rs.pullCostNs =
         static_cast<double>(view_.numVertices()) * per_vertex +
-        static_cast<double>(stored_edges) * seq_rec;
+        static_cast<double>(now.storedEdges) * seq_rec;
     if (rs.pushCostNs > 0.0)
         rs.directionSwitchGain =
             (rs.pushCostNs - rs.pullCostNs) / rs.pushCostNs;
-
-    rounds_.push_back(std::move(rs));
+    probeLast_ = std::move(now);
 }
 
 bool
@@ -282,7 +271,7 @@ QueryDriver::forEach(std::span<const vid_t> vertices,
                      const std::function<void(vid_t, unsigned)> &fn)
 {
     const unsigned workers = executor_.numWorkers();
-    const uint64_t host_start_ns = XPG_TEL_HOST_NOW();
+    const uint64_t host_start_ns = telemetry::hostNowNs();
     uint64_t round_ns = 0;
 
     if (binding_ == QueryBinding::PerVertex) {
@@ -372,7 +361,7 @@ QueryDriver::forAllVertices(const std::function<void(vid_t, unsigned)> &fn)
         allPlan_ = Plan{};
     }
     if (binding_ != QueryBinding::PerVertex && balancedActive()) {
-        const uint64_t host_start_ns = XPG_TEL_HOST_NOW();
+        const uint64_t host_start_ns = telemetry::hostNowNs();
         uint64_t round_ns = 0;
         if (!allPlan_.built)
             round_ns += buildPlan(allVertices_, allPlan_);

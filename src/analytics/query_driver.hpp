@@ -42,6 +42,12 @@ namespace xpg {
  * numbers sum to the bracketing OpScope's deltas exactly on a
  * quiescent store.
  *
+ * Only round, activeVertices and simNs are measured on every view.
+ * The rest come from the view's query probe: on a view without one
+ * (GraphOne, synthetic views) the record is not probed, those fields
+ * are not measured, and toJson() leaves them out rather than report
+ * them as zero.
+ *
  * pushCostNs/pullCostNs are cost-model estimates of running this round
  * frontier-directed (touch activeVertices, random-read their
  * adjacency) vs. pull-directed (sweep every vertex, stream the whole
@@ -54,6 +60,8 @@ struct RoundStats
 {
     uint32_t round = 0;            ///< 1-based index within the driver
     uint64_t activeVertices = 0;   ///< vertices processed this round
+    uint64_t simNs = 0;            ///< simulated ns of the round
+    bool probed = false;           ///< the fields below were measured
     uint64_t edgesScanned = 0;     ///< adjacency records streamed
     uint64_t sealedRecords = 0;    ///< ... from archived chain blocks
     uint64_t bufferRecords = 0;    ///< ... from DRAM vertex buffers
@@ -62,7 +70,6 @@ struct RoundStats
     uint64_t mediaReadOps = 0;     ///< XPLine fetches, all devices
     uint64_t mediaReadBytes = 0;   ///< XPLine bytes fetched
     std::vector<uint64_t> mediaReadOpsPerDevice; ///< per NUMA device
-    uint64_t simNs = 0;            ///< simulated ns of the round
     double pushCostNs = 0.0;       ///< modeled frontier-directed cost
     double pullCostNs = 0.0;       ///< modeled full-sweep pull cost
     double directionSwitchGain = 0.0; ///< (push-pull)/push; >0: pull wins
@@ -130,9 +137,9 @@ class QueryDriver
 
     /**
      * Per-round cost records, one per forEach/forAllVertices call so
-     * far. Empty with -DXPG_TELEMETRY=OFF. Media-level fields are zero
-     * when the view has no query probe (GraphOne, synthetic views);
-     * activeVertices/simNs and the cost estimates are always filled.
+     * far. When the view has no query probe (GraphOne, synthetic
+     * views) a record is not probed: only round, activeVertices and
+     * simNs are measured, and toJson() leaves the rest out.
      */
     const std::vector<RoundStats> &rounds() const { return rounds_; }
 
@@ -164,9 +171,9 @@ class QueryDriver
                      const std::function<void(vid_t, unsigned)> &fn);
     /** Per-round telemetry: record the round's simulated ns in the
      *  round histogram and as a `query_round` span that began at host
-     *  time @p host_start_ns (both no-ops with telemetry OFF), then
-     *  append this round's RoundStats (probe deltas against the
-     *  previous sample + the push/pull cost estimate). */
+     *  time @p host_start_ns, then append this round's RoundStats
+     *  (probe deltas against the previous sample + the push/pull cost
+     *  estimate). */
     void noteRound(uint64_t round_ns, uint64_t active_vertices,
                    uint64_t host_start_ns);
 

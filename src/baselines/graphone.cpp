@@ -166,8 +166,6 @@ GraphOne::GraphOne(const GraphOneConfig &config, bool recovering)
 void
 GraphOne::initTelemetry()
 {
-    // Handles resolve to nullptr with -DXPG_TELEMETRY=OFF (and the
-    // macros swallow every recording site, so they never dereference).
     telArchivePhaseHist_ = XPG_TEL_HISTOGRAM(
         "archive.archive_phase_ns",
         (telemetry::Labels{.store = "graphone", .phase = "archive"}));
@@ -193,15 +191,15 @@ GraphOne::recover(const GraphOneConfig &config)
     // GraphOne recovery IS re-archiving: rebuild the DRAM adjacency
     // chains from the durable log window. Each archive phase is its own
     // record; the step reports the archiving time they added.
-    const uint64_t host_start = XPG_TEL_HOST_NOW();
+    const uint64_t host_start = telemetry::hostNowNs();
     const uint64_t before =
         graph->archivingNs_.load(std::memory_order_relaxed);
     graph->archiveAll();
     const uint64_t rearchive_ns =
         graph->archivingNs_.load(std::memory_order_relaxed) - before;
-    XPG_TEL_RECORD(graph->telRecoveryHist_, rearchive_ns);
+    graph->telRecoveryHist_->record(rearchive_ns);
     XPG_TRACE_EMIT("recovery.rearchive_log", "recovery", host_start,
-                   XPG_TEL_HOST_NOW() - host_start, rearchive_ns);
+                   telemetry::hostNowNs() - host_start, rearchive_ns);
     return graph;
 }
 
@@ -572,8 +570,6 @@ GraphOne::snapshotStats() const
 void
 GraphOne::publishTelemetry() const
 {
-    if (!telemetry::kEnabled)
-        return;
     auto &tel = telemetry::Telemetry::instance().metrics();
     const telemetry::Labels store{.store = "graphone"};
     const IngestStats s = snapshotStats();

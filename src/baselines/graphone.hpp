@@ -157,7 +157,7 @@ class GraphOne : public GraphStore
     IngestStats snapshotStats() const override;
 
     /** Push stats + per-device counters into the telemetry registry as
-     *  store="graphone" gauges (no-op with -DXPG_TELEMETRY=OFF). */
+     *  store="graphone" gauges. */
     void publishTelemetry() const override;
 
     MemoryUsage memoryUsage() const override;
@@ -183,7 +183,7 @@ class GraphOne : public GraphStore
 
     GraphOne(const GraphOneConfig &config, bool recovering);
 
-    /** Resolve cached telemetry handles (null with telemetry OFF). */
+    /** Resolve cached telemetry handles. */
     void initTelemetry();
 
     std::string backingPath(unsigned node) const;
@@ -251,7 +251,7 @@ class GraphOne : public GraphStore
     std::atomic<uint64_t> edgesArchived_{0};
     std::atomic<uint64_t> archivePhases_{0};
 
-    // telemetry handles (null with -DXPG_TELEMETRY=OFF)
+    // telemetry handles
     telemetry::ShardedHistogram *telArchivePhaseHist_ = nullptr;
     telemetry::ShardedHistogram *telRecoveryHist_ = nullptr;
 };

@@ -71,6 +71,8 @@ struct IngestStats
             client_wall = loggingNsMax > 0 ? loggingNsMax : loggingNs;
         return std::max(client_wall, archivingNs());
     }
+
+    bool operator==(const IngestStats &) const = default;
 };
 
 /**
@@ -134,6 +136,8 @@ struct MemoryUsage
     uint64_t vbufBytes = 0;  ///< DRAM: vertex buffer pool (peak live)
     uint64_t elogBytes = 0;  ///< PMEM: circular edge log region
     uint64_t pblkBytes = 0;  ///< PMEM: adjacency blocks + vertex index
+
+    bool operator==(const MemoryUsage &) const = default;
 };
 
 } // namespace xpg

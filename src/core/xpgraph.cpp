@@ -388,9 +388,6 @@ XPGraph::exitBackpressure(unsigned node)
 void
 XPGraph::initTelemetry()
 {
-    // Handles resolve to nullptr when built with -DXPG_TELEMETRY=OFF
-    // (the macros swallow every recording site too, so the null
-    // pointers are never dereferenced).
     telBufferPhaseHist_ = XPG_TEL_HISTOGRAM(
         "archive.buffering_phase_ns",
         (telemetry::Labels{.store = "xpgraph", .phase = "buffering"}));
@@ -952,7 +949,7 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
             if (log.freeSlots() > 0)
                 break;
             XPG_ASSERT(!views_.empty(), "flush-all failed to reclaim log");
-            const uint64_t wait_start = XPG_TEL_HOST_NOW();
+            const uint64_t wait_start = telemetry::hostNowNs();
             const uint64_t closes = viewCloses_;
             enterBackpressure(node);
             spaceCv_.wait(lock, [&] {
@@ -960,7 +957,7 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
             });
             exitBackpressure(node);
             XPG_TRACE_EMIT("log_view_pin_wait", "ingest", wait_start,
-                           XPG_TEL_HOST_NOW() - wait_start, 0);
+                           telemetry::hostNowNs() - wait_start, 0);
         }
         return;
     }
@@ -972,7 +969,7 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
     // re-reads them: then ask again, as long as a pass can still free
     // slots of this log. Once everything up to its head is reclaimable
     // only a view close frees space, and asking again would spin passes.
-    const uint64_t wait_start = XPG_TEL_HOST_NOW();
+    const uint64_t wait_start = telemetry::hostNowNs();
     enterBackpressure(node);
     bool had_space = false;
     while (!had_space && !archiver_.stop) {
@@ -991,7 +988,7 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
     }
     exitBackpressure(node);
     XPG_TRACE_EMIT("log_full_wait", "ingest", wait_start,
-                   XPG_TEL_HOST_NOW() - wait_start, 0);
+                   telemetry::hostNowNs() - wait_start, 0);
     XPG_ASSERT(had_space,
                "store shut down while a session was blocked on log space");
 }
@@ -1002,7 +999,7 @@ void
 XPGraph::startBackground(Background &bg, const char *name, Pass pass)
 {
     bg.thread = std::thread([this, &bg, name, pass = std::move(pass)] {
-        XPG_TEL_NAME_THREAD(name);
+        telemetry::nameCurrentThread(name);
         for (;;) {
             {
                 std::unique_lock<std::mutex> park(bg.park);
@@ -2186,8 +2183,6 @@ XPGraph::snapshotStats() const
 void
 XPGraph::publishTelemetry() const
 {
-    if (!telemetry::kEnabled)
-        return;
     auto &tel = telemetry::Telemetry::instance().metrics();
     const telemetry::Labels store{.store = "xpgraph"};
     const IngestStats s = snapshotStats();
@@ -2262,8 +2257,6 @@ XPGraph::compressionStats() const
 bool
 XPGraph::sampleQueryProbe(QueryProbe &out) const
 {
-    if constexpr (!telemetry::kAttributionEnabled)
-        return false;
     out.sealedRecords = queryRecords_.sum(kSealedRecords);
     out.bufferRecords = queryRecords_.sum(kBufferRecords);
     out.logWindowRecords = queryRecords_.sum(kLogWindowRecords);

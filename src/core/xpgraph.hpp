@@ -261,15 +261,14 @@ class XPGraph : public GraphStore
      * around the field reads, so the copy never mixes a phase's
      * partial updates (counter bumped, ns not yet added). Lock-free
      * unless phases run back-to-back, then falls back to the archive
-     * lock. Works identically with telemetry compiled out.
+     * lock.
      */
     IngestStats snapshotStats() const override;
 
     /**
      * Push the cumulative stats and every partition device's traffic
-     * counters into the telemetry registry as labeled gauges (no-op
-     * when built with -DXPG_TELEMETRY=OFF). Call before exporting a
-     * snapshot.
+     * counters into the telemetry registry as labeled gauges. Call
+     * before exporting a snapshot.
      */
     void publishTelemetry() const override;
 
@@ -290,8 +289,7 @@ class XPGraph : public GraphStore
     /**
      * Cumulative query-path counters (sealed-chain vs vertex-buffer vs
      * log-window records streamed, decode output, per-device media
-     * reads) for round-level observability (DESIGN.md §15). Lock-free;
-     * returns false with -DXPG_TELEMETRY=OFF.
+     * reads) for round-level observability (DESIGN.md §15). Lock-free.
      */
     bool sampleQueryProbe(QueryProbe &out) const override;
     const XPGraphConfig &config() const { return config_; }
@@ -560,27 +558,23 @@ class XPGraph : public GraphStore
     enum class Layer { Buffer, Chain, LogWindow };
     uint32_t readLayer(Layer layer, vid_t v, bool out,
                        std::vector<vid_t> &recs) const;
-    /** Bump the query-path record counters (no-op with telemetry OFF).
-     *  One thread-private add per non-zero layer per vertex visit —
-     *  counts are batched per visit, never per neighbor. */
+    /** Bump the query-path record counters. One thread-private add
+     *  per non-zero layer per vertex visit — counts are batched per
+     *  visit, never per neighbor. */
     void
     noteQueryRecords(uint64_t sealed, uint64_t buffered) const
     {
-        if constexpr (telemetry::kAttributionEnabled) {
-            if (sealed != 0)
-                queryRecords_.add(kSealedRecords, sealed);
-            if (buffered != 0)
-                queryRecords_.add(kBufferRecords, buffered);
-        }
+        if (sealed != 0)
+            queryRecords_.add(kSealedRecords, sealed);
+        if (buffered != 0)
+            queryRecords_.add(kBufferRecords, buffered);
     }
     /** Same, for records served from the frozen log window. */
     void
     noteQueryWindowRecords(uint64_t n) const
     {
-        if constexpr (telemetry::kAttributionEnabled) {
-            if (n != 0)
-                queryRecords_.add(kLogWindowRecords, n);
-        }
+        if (n != 0)
+            queryRecords_.add(kLogWindowRecords, n);
     }
     /** Lazily create + extend node's log-window index (first query). */
     LogWindowIndex &logIndex(unsigned node) const;
@@ -645,9 +639,7 @@ class XPGraph : public GraphStore
 
     // --- query-path counters (round observability, DESIGN.md §15) ---
     // Mutable: bumped on the const query paths (forEachLive, the view
-    // visit paths), in per-thread cells summed on read. Never bumped
-    // with -DXPG_TELEMETRY=OFF (the adds are guarded,
-    // sampleQueryProbe returns false).
+    // visit paths), in per-thread cells summed on read.
     enum : unsigned
     {
         kSealedRecords,
@@ -719,7 +711,7 @@ class XPGraph : public GraphStore
      *  archive lock. */
     std::atomic<uint64_t> oldestViewNs_{0};
 
-    // cached telemetry handles (null when -DXPG_TELEMETRY=OFF)
+    // cached telemetry handles
     telemetry::ShardedHistogram *telBufferPhaseHist_ = nullptr;
     telemetry::ShardedHistogram *telFlushPhaseHist_ = nullptr;
     telemetry::ShardedHistogram *telRecoveryRebuildHist_ = nullptr;

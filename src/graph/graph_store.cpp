@@ -55,7 +55,7 @@ uint64_t
 IngestSession::addEdges(const Edge *edges, uint64_t n)
 {
     if (!threadNamed_) {
-        XPG_TEL_NAME_THREAD("session-" + std::to_string(id_));
+        telemetry::nameCurrentThread("session-" + std::to_string(id_));
         threadNamed_ = true;
     }
     // Range-check at the ingest boundary, in the offending client's
@@ -66,7 +66,7 @@ IngestSession::addEdges(const Edge *edges, uint64_t n)
     for (uint64_t i = 0; i < n; ++i)
         XPG_ASSERT(edges[i].src < nv && rawVid(edges[i].dst) < nv,
                    "edge endpoint out of range");
-    const uint64_t traceStart = XPG_TEL_HOST_NOW();
+    const uint64_t traceStart = telemetry::hostNowNs();
     // A NUMA-aware store pins the client thread to its log's node (any
     // migration charge lands outside the logging time).
     if (store_.queryBindingEnabled() &&
@@ -110,10 +110,10 @@ IngestSession::addEdges(const Edge *edges, uint64_t n)
     edgesLogged_ += n;
     store_.loggingNs_.fetch_add(logging_ns, std::memory_order_relaxed);
     store_.edgesLogged_.fetch_add(n, std::memory_order_relaxed);
-    XPG_TEL_RECORD(telAppendHist_, logging_ns);
+    telAppendHist_->record(logging_ns);
     if (n >= kTraceAppendMinEdges)
         XPG_TRACE_EMIT("session_append", "ingest", traceStart,
-                       XPG_TEL_HOST_NOW() - traceStart,
+                       telemetry::hostNowNs() - traceStart,
                        logging_ns + inline_ns);
     return n;
 }

@@ -213,8 +213,7 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
      * one row per AccessCategory, summed across the same devices. The
      * attribution increments live at the same code sites as the
      * PcmCounters increments, so snapshot().total() matches
-     * pmemCounters() exactly on a quiescent store. Empty (all-zero)
-     * when built with -DXPG_TELEMETRY=OFF.
+     * pmemCounters() exactly on a quiescent store.
      */
     telemetry::AttributionSnapshot pmemAttribution() const;
 
@@ -232,7 +231,7 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
      * indices are device-local, so entries from different devices can
      * share an index and are reported as separate rows (the profiler
      * cares about heat, not identity). Empty for stores without an
-     * XPBuffer model (DRAM) or with telemetry OFF.
+     * XPBuffer model (DRAM).
      */
     std::vector<telemetry::LineHeatTable::HotLine>
     hotLines(unsigned n) const;
@@ -257,9 +256,9 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
 
     /**
      * Publish this store's cumulative stats and per-device counters
-     * into the telemetry registry as gauges (no-op by default and with
-     * -DXPG_TELEMETRY=OFF). Exporters call this right before taking a
-     * metrics snapshot so gauges reflect the moment of export.
+     * into the telemetry registry as gauges (no-op by default).
+     * Exporters call this right before taking a metrics snapshot so
+     * gauges reflect the moment of export.
      */
     virtual void publishTelemetry() const {}
 

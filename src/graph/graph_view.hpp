@@ -173,8 +173,8 @@ class GraphView
 
     /**
      * Sample the store's cumulative query-path counters into @p out.
-     * Stores without the instrumentation (and OFF builds) return false
-     * and leave @p out untouched; consumers then skip media-level round
+     * Stores without the instrumentation return false and leave
+     * @p out untouched; consumers then skip media-level round
      * stats. Views (ReadView) delegate to their owning store — the
      * counters are store-global.
      */

@@ -129,8 +129,6 @@ MemoryDevice::remoteFactor(double remote_mult)
 void
 MemoryDevice::publishTelemetry(const char *store, int node_label) const
 {
-    if (!telemetry::kEnabled)
-        return;
     auto &tel = telemetry::Telemetry::instance().metrics();
     const telemetry::Labels labels{.store = store, .node = node_label};
     const PcmCounters c = counters();

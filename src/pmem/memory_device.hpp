@@ -181,7 +181,7 @@ class MemoryDevice
      * Per-category attribution of those same counters: a subclass counts
      * each increment in the row of the calling thread's AccessScope
      * category, and counters() is the rows summed, so they reproduce it
-     * exactly. All-zero with -DXPG_TELEMETRY=OFF.
+     * exactly.
      */
     telemetry::AttributionSnapshot attribution() const
     {
@@ -190,8 +190,8 @@ class MemoryDevice
 
     /**
      * Publish counters() into the telemetry registry as per-node
-     * gauges labeled {store, node} (no-op with -DXPG_TELEMETRY=OFF).
-     * Engines call this from their publishTelemetry() hook.
+     * gauges labeled {store, node}. Engines call this from their
+     * publishTelemetry() hook.
      */
     void publishTelemetry(const char *store, int node_label) const;
 
@@ -253,21 +253,11 @@ class MemoryDevice
         return declaredReaders_.load(std::memory_order_relaxed);
     }
 
-    /** The calling scope's category (Other with -DXPG_TELEMETRY=OFF). */
-    static telemetry::AccessCategory
-    scopeCategory()
-    {
-        if constexpr (telemetry::kAttributionEnabled)
-            return telemetry::AccessScope::current();
-        else
-            return telemetry::AccessCategory::Other;
-    }
-
     /** Count @p n into field @p f of the calling scope's category. */
     void
     count(telemetry::AttrField f, uint64_t n)
     {
-        attr_.add(scopeCategory(), f, n);
+        attr_.add(telemetry::AccessScope::current(), f, n);
     }
 
     /** Count into an explicit category (eviction blame). */
@@ -300,7 +290,7 @@ class MemoryDevice
     static uint8_t
     ownerTag()
     {
-        return static_cast<uint8_t>(scopeCategory());
+        return static_cast<uint8_t>(telemetry::AccessScope::current());
     }
 
     /** Owner tag back to a category (bad tags fall back to Other). */

@@ -57,7 +57,7 @@ PmemDevice::chargeOutcome(const XPAccessOutcome &out, bool is_write)
         const uint64_t readNs =
             CostParams::scaledNs(p.pmemMediaReadNs, remote * contention);
         SimClock::charge(readNs);
-        XPG_TEL_RECORD(telMediaReadHist_, readNs);
+        telMediaReadHist_->record(readNs);
     }
     if (out.evictWrite) {
         countMediaWrite(out.evictedOwner, kXPLineSize);
@@ -72,7 +72,7 @@ PmemDevice::chargeOutcome(const XPAccessOutcome &out, bool is_write)
         const uint64_t writeNs =
             CostParams::scaledNs(base, remote * contention);
         SimClock::charge(writeNs);
-        XPG_TEL_RECORD(telWritebackHist_, writeNs);
+        telWritebackHist_->record(writeNs);
     }
 }
 
@@ -122,7 +122,7 @@ PmemDevice::chargeLoad(uint64_t off, uint64_t size)
     const bool armed = faultsArmed();
     XPLineImage victim;
     forEachLine(off, size, kXPLineSize, [&](uint64_t line, auto...) {
-        heat_.touch(line, scopeCategory(), false);
+        heat_.touch(line, telemetry::AccessScope::current(), false);
         const XPAccessOutcome out =
             buffer_.load(line, armed ? &victim : nullptr);
         chargeOutcome(out, false);

@@ -75,7 +75,7 @@ class PmemDevice : public MemoryDevice
     /** Arm counter-driven crash injection (see FaultPlan). */
     bool armFaults(std::shared_ptr<FaultInjector> injector) override;
 
-    /** Bounded per-XPLine heat map (empty with -DXPG_TELEMETRY=OFF). */
+    /** Bounded per-XPLine heat map. */
     const telemetry::LineHeatTable &heat() const { return heat_; }
 
   protected:
@@ -83,10 +83,9 @@ class PmemDevice : public MemoryDevice
     void store(uint64_t off, const std::byte *src, uint64_t size) override;
 
   private:
-    /** Lazily-resolved per-node telemetry histograms (null with
-     *  -DXPG_TELEMETRY=OFF): modeled ns of each XPLine media
-     *  write-back / fetch, the per-operation view under the phase
-     *  aggregates. */
+    /** Lazily-resolved per-node telemetry histograms: modeled ns of
+     *  each XPLine media write-back / fetch, the per-operation view
+     *  under the phase aggregates. */
     void initTelemetryHandles();
 
     /** Charge one line's XPBuffer outcome of a load or a store. */

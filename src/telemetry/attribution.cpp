@@ -106,7 +106,7 @@ rowOf(const std::atomic<uint64_t> (&cells)[kAttrFieldCount])
 } // namespace
 
 AttributionSnapshot
-AttributionTable::sum() const
+AttributionTable::snapshot() const
 {
     AttributionSnapshot s;
     shards_.forEach([&s](const Shard &shard) {
@@ -114,20 +114,6 @@ AttributionTable::sum() const
             s.rows[c] += rowOf(shard.cells[c]);
     });
     return s;
-}
-
-AttributionSnapshot
-AttributionTable::snapshot() const
-{
-    if constexpr (!kAttributionEnabled)
-        return AttributionSnapshot{};
-    return sum();
-}
-
-PcmCounters
-AttributionTable::total() const
-{
-    return sum().total();
 }
 
 LineHeatTable::LineHeatTable(unsigned capacity)

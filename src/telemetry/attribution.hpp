@@ -31,11 +31,7 @@
  *  - LineHeatTable: bounded per-XPLine touch counts with the owning
  *    category (top-N hottest lines; overflow is counted, never resized).
  *
- * Like the rest of the telemetry layer, everything here collapses under
- * -DXPG_TELEMETRY=OFF: the classes still compile (tests use them
- * directly) but the table reports all-zero rows, the heat mutator and
- * the XPG_ATTR_SCOPE macro become no-ops, and nothing here ever charges
- * SimClock in any build.
+ * Nothing here ever charges SimClock.
  */
 
 #ifndef XPG_TELEMETRY_ATTRIBUTION_HPP
@@ -52,13 +48,7 @@
 #include "util/spinlock.hpp"
 #include "util/thread_shards.hpp"
 
-#ifndef XPG_TELEMETRY_ENABLED
-#define XPG_TELEMETRY_ENABLED 1
-#endif
-
 namespace xpg::telemetry {
-
-inline constexpr bool kAttributionEnabled = XPG_TELEMETRY_ENABLED != 0;
 
 /**
  * What an access is doing, from the engine's point of view. Other is the
@@ -96,9 +86,7 @@ const std::array<AccessCategory, kAccessCategoryCount> &allAccessCategories();
  * VertexMeta scope inside its AdjacencyArchive scope and the inner bytes
  * land under VertexMeta.
  *
- * Engine call sites use the XPG_ATTR_SCOPE macro so -DXPG_TELEMETRY=OFF
- * compiles them away entirely; the class itself stays functional in both
- * builds for direct (test) use.
+ * Engine call sites open one through the XPG_ATTR_SCOPE macro.
  */
 class AccessScope
 {
@@ -229,9 +217,7 @@ struct AttributionSnapshot
  * Per-device attribution matrix, mutated on the device charge paths: one
  * (category, field) cell per counted increment. The cells sit in
  * per-thread shards (ThreadShards) that snapshot() and total() sum, so an
- * add() is a thread-private store. Cells count in every build — total()
- * is the device's PcmCounters — but snapshot() reports all-zero rows
- * with -DXPG_TELEMETRY=OFF.
+ * add() is a thread-private store. total() is the device's PcmCounters.
  */
 class AttributionTable
 {
@@ -244,11 +230,11 @@ class AttributionTable
                      n);
     }
 
-    /** Per-category rows (all-zero with -DXPG_TELEMETRY=OFF). */
+    /** Every category's row, summed over shards. */
     AttributionSnapshot snapshot() const;
 
-    /** The PcmCounters fields summed over every category (all builds). */
-    PcmCounters total() const;
+    /** The PcmCounters fields summed over every category. */
+    PcmCounters total() const { return snapshot().total(); }
 
   private:
     struct alignas(64) Shard
@@ -256,9 +242,6 @@ class AttributionTable
         std::atomic<uint64_t> cells[kAccessCategoryCount][kAttrFieldCount] =
             {};
     };
-
-    /** Every category's row, summed over shards. */
-    AttributionSnapshot sum() const;
 
     ThreadShards<Shard> shards_;
 };
@@ -277,7 +260,6 @@ class AttributionTable
  * published), and a touch whose shard is full and whose filter bit is
  * clear counts itself in a per-thread cell, with no lock and no probe.
  * The admitted set and every count are those of the locked probe alone.
- * touch() is a no-op with -DXPG_TELEMETRY=OFF.
  */
 class LineHeatTable
 {
@@ -297,16 +279,10 @@ class LineHeatTable
     void
     touch(uint64_t line, AccessCategory cat, bool is_write)
     {
-        if constexpr (kAttributionEnabled) {
-            if (untrackable(line))
-                untracked_.add(0, 1);
-            else
-                touchLocked(line, cat, is_write);
-        } else {
-            (void)line;
-            (void)cat;
-            (void)is_write;
-        }
+        if (untrackable(line))
+            untracked_.add(0, 1);
+        else
+            touchLocked(line, cat, is_write);
     }
 
     /**
@@ -398,7 +374,6 @@ class LineHeatTable
 // Call-site macro: the only attribution surface engine code uses.
 // ---------------------------------------------------------------------------
 
-#if XPG_TELEMETRY_ENABLED
 /** Open a category scope for the rest of the enclosing block. */
 #define XPG_ATTR_SCOPE(varName, category)                                    \
     ::xpg::telemetry::AccessScope varName(                                   \
@@ -408,9 +383,5 @@ class LineHeatTable
  *  writers under AdjacencyArchive vs Compaction. */
 #define XPG_ATTR_SCOPE_DYN(varName, categoryExpr)                            \
     ::xpg::telemetry::AccessScope varName(categoryExpr)
-#else
-#define XPG_ATTR_SCOPE(varName, category) ((void)0)
-#define XPG_ATTR_SCOPE_DYN(varName, categoryExpr) ((void)(categoryExpr))
-#endif
 
 #endif // XPG_TELEMETRY_ATTRIBUTION_HPP

@@ -192,7 +192,7 @@ MetricsExporter::stop()
 void
 MetricsExporter::samplerLoop(uint64_t periodMs)
 {
-    XPG_TEL_NAME_THREAD("exporter");
+    nameCurrentThread("exporter");
     for (;;) {
         {
             std::unique_lock<std::mutex> lock(samplerMu_);

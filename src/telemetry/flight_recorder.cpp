@@ -92,8 +92,7 @@ FlightRecorder::dump(const char *reason, const char *extraKey,
     doc.set("reason", reason);
     // The hook runs synchronously on the triggering thread, so its
     // innermost attribution scope is the phase in flight at the
-    // incident ("other" for threads outside instrumented paths or when
-    // telemetry is compiled out).
+    // incident ("other" for threads outside instrumented paths).
     doc.set("in_flight_phase",
             accessCategoryName(AccessScope::current()));
     doc.set("host_ns", hostNowNs());

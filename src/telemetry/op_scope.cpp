@@ -59,8 +59,6 @@ OpScope::OpScope(const OpCostSource *source, const char *name, OpClass cls,
 {
     cost_.name = name;
     cost_.cls = cls;
-    if constexpr (!kOpScopeEnabled)
-        return; // OFF build: nothing to diff, no id to publish
     cost_.opId = nextOpId_.fetch_add(1, std::memory_order_relaxed);
     prevOpId_ = tlsCurrent_;
     tlsCurrent_ = cost_.opId;
@@ -82,8 +80,6 @@ OpScope::close() noexcept
     closed_ = true;
     if (stat_ != nullptr)
         stat_->fetch_add(cost_.simNs, std::memory_order_relaxed);
-    if constexpr (!kOpScopeEnabled)
-        return cost_;
     cost_.hostNs = hostNowNs() - host0_;
     if (source_ != nullptr) {
         cost_.pcm = source_->opPcmCounters() - pcm0_;
@@ -113,8 +109,6 @@ OpClassTotals
 OpScope::classTotals(OpClass cls) noexcept
 {
     OpClassTotals t;
-    if constexpr (!kOpScopeEnabled)
-        return t;
     const ClassCell &cell = g_classCells[static_cast<unsigned>(cls)];
     t.ops = cell.ops.load(std::memory_order_relaxed);
     t.mediaReadBytes =
@@ -128,16 +122,12 @@ OpScope::classTotals(OpClass cls) noexcept
 uint64_t
 OpScope::currentOpId() noexcept
 {
-    if constexpr (!kOpScopeEnabled)
-        return 0;
     return tlsCurrent_;
 }
 
 uint64_t
 OpScope::opsOpened() noexcept
 {
-    if constexpr (!kOpScopeEnabled)
-        return 0;
     return nextOpId_.load(std::memory_order_relaxed) - 1;
 }
 

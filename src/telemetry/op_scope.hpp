@@ -35,11 +35,6 @@
  * GraphStore itself so this layer keeps telemetry's dependency
  * direction (GraphStore implements the interface; telemetry never
  * includes graph headers).
- *
- * Under -DXPG_TELEMETRY=OFF a record still sums its segments and adds
- * the total to its stat — the engine's results depend on that — but
- * takes no snapshots, records no histogram or span, assigns opId 0 and
- * returns all-zero deltas.
  */
 
 #ifndef XPG_TELEMETRY_OP_SCOPE_HPP
@@ -52,15 +47,9 @@
 #include "telemetry/attribution.hpp"
 #include "util/json_writer.hpp"
 
-#ifndef XPG_TELEMETRY_ENABLED
-#define XPG_TELEMETRY_ENABLED 1
-#endif
-
 namespace xpg::telemetry {
 
 class ShardedHistogram;
-
-inline constexpr bool kOpScopeEnabled = XPG_TELEMETRY_ENABLED != 0;
 
 /** What kind of operation a scope brackets (JSON/event taxonomy). */
 enum class OpClass : uint8_t
@@ -112,8 +101,7 @@ class OpCostSource
  * Process-wide roll-up of every closed record of one class — the cheap
  * aggregate view serving benches read around a run ("how many archive
  * phases fired during this mix, and what media traffic did they
- * cause?") without holding the individual OpCosts. All-zero in OFF
- * builds (no record ever closes with a live id there).
+ * cause?") without holding the individual OpCosts.
  */
 struct OpClassTotals
 {
@@ -162,9 +150,9 @@ class OpScope
   public:
     /**
      * @param stat Counter close() adds the simulated total to (null:
-     *             none). Updated in every build.
-     * @param hist Histogram close() records the total into (null: none,
-     *             which is what XPG_TEL_HISTOGRAM yields in OFF builds).
+     *             none).
+     * @param hist Histogram close() records the total into (null:
+     *             none).
      * The trace span is named @p name, with opClassName(@p cls) as its
      * category.
      */
@@ -193,12 +181,11 @@ class OpScope
      * Close the record: compute deltas, feed the simulated total to the
      * stat, histogram, span and classTotals(), restore the previous
      * innermost opId, and return this op's cost. Idempotent — later
-     * calls (and the destructor) return the same OpCost. In OFF builds
-     * only simNs is nonzero.
+     * calls (and the destructor) return the same OpCost.
      */
     const OpCost &close() noexcept;
 
-    /** This record's id (0 in OFF builds). Valid from construction. */
+    /** This record's id. Valid from construction. */
     uint64_t opId() const noexcept { return cost_.opId; }
 
     bool closed() const noexcept { return closed_; }
@@ -206,7 +193,7 @@ class OpScope
     /** The calling thread's innermost open op (0 when none). */
     static uint64_t currentOpId() noexcept;
 
-    /** Total records ever opened process-wide (0 in OFF builds). */
+    /** Total records ever opened process-wide. */
     static uint64_t opsOpened() noexcept;
 
     /** Cumulative roll-up of closed records of @p cls (see

@@ -14,7 +14,6 @@ Telemetry::snapshotValue() const
 {
     json::JsonValue doc = json::JsonValue::object();
     doc.set("schema", "xpgraph-telemetry-v1");
-    doc.set("enabled", kEnabled);
     metrics_.toJson(doc);
     doc.set("trace_events_emitted", trace_.emitted());
     return doc;

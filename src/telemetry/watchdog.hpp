@@ -26,10 +26,7 @@
  * There is no monitor thread: whoever polls health (`xpgraph_cli
  * watch`, an embedder's probe) drives the reactions at its own period.
  *
- * The watchdog is owned per store instance (not process-wide). The
- * classes compile identically in both telemetry build flavors — health
- * reporting is engine behaviour, not instrumentation — but the
- * transition instant collapses with the rest under -DXPG_TELEMETRY=OFF.
+ * The watchdog is owned per store instance (not process-wide).
  */
 
 #ifndef XPG_TELEMETRY_WATCHDOG_HPP

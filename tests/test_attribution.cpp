@@ -3,9 +3,9 @@
  * Media-traffic attribution layer (DESIGN.md §10): AccessScope nesting
  * and exception-safety, per-thread scope independence, the exact-sum
  * invariant (category rows partition the device's PcmCounters), RMW and
- * eviction blame, the bounded per-XPLine heat table, and the OFF-build
- * no-op collapse. Every suite here is named Attribution* so the TSAN
- * stage of bench/run_tier1_bench.sh picks all of it up with one filter.
+ * eviction blame, the bounded per-XPLine heat table, and the bare
+ * mutators. Every suite here is named Attribution* so the TSAN stage of
+ * bench/run_tier1_bench.sh picks all of it up with one filter.
  *
  * Also pins PcmCounters::readAmplification() to its documented
  * definition (media bytes read per app byte READ) — the doc/code
@@ -43,7 +43,6 @@ namespace {
 using telemetry::AccessCategory;
 using telemetry::AccessScope;
 using telemetry::AttributionSnapshot;
-using telemetry::kAttributionEnabled;
 using telemetry::LineHeatTable;
 
 /** All eight PcmCounters fields, not just the byte counters. */
@@ -168,25 +167,17 @@ TEST(AttributionDevice, CategoryRowsSumToDeviceCountersExactly)
     dev.quiesce(); // drains outside any scope; blame goes to the owners
 
     const AttributionSnapshot snap = dev.attribution();
-    if (kAttributionEnabled) {
-        expectCountersEqual(snap.total(), dev.counters());
-        // The workload above drove every category it tagged.
-        EXPECT_GT(snap[AccessCategory::EdgeLogAppend].pcm.appBytesWritten,
-                  0u);
-        EXPECT_GT(
-            snap[AccessCategory::AdjacencyArchive].pcm.appBytesWritten,
-            0u);
-        EXPECT_GT(snap[AccessCategory::QueryRead].pcm.appBytesRead, 0u);
-        EXPECT_EQ(snap[AccessCategory::Other].pcm.appBytesWritten, 4u);
-    } else {
-        expectCountersEqual(snap.total(), PcmCounters{});
-    }
+    expectCountersEqual(snap.total(), dev.counters());
+    // The workload above drove every category it tagged.
+    EXPECT_GT(snap[AccessCategory::EdgeLogAppend].pcm.appBytesWritten, 0u);
+    EXPECT_GT(snap[AccessCategory::AdjacencyArchive].pcm.appBytesWritten,
+              0u);
+    EXPECT_GT(snap[AccessCategory::QueryRead].pcm.appBytesRead, 0u);
+    EXPECT_EQ(snap[AccessCategory::Other].pcm.appBytesWritten, 4u);
 }
 
 TEST(AttributionDevice, SubLineScatterBlamesRmwOnTheStoringCategory)
 {
-    if (!kAttributionEnabled)
-        GTEST_SKIP() << "attribution compiled out";
     NumaBinding::unbindThread();
     PmemDevice dev("t", 64 << 20, 0, 1);
     Rng rng(3);
@@ -216,8 +207,6 @@ TEST(AttributionDevice, SubLineScatterBlamesRmwOnTheStoringCategory)
 
 TEST(AttributionDevice, WriteBackBlamesTheOwnerNotTheFlusher)
 {
-    if (!kAttributionEnabled)
-        GTEST_SKIP() << "attribution compiled out";
     NumaBinding::unbindThread();
     PmemDevice dev("t", 1 << 20, 0, 1);
     {
@@ -271,23 +260,16 @@ TEST(AttributionDevice, ConcurrentTaggedWritersStaySeparated)
         th.join();
     dev.quiesce();
     const AttributionSnapshot snap = dev.attribution();
-    if (kAttributionEnabled) {
-        expectCountersEqual(snap.total(), dev.counters());
-        for (const AccessCategory c : cats)
-            EXPECT_EQ(snap[c].pcm.appBytesWritten,
-                      uint64_t{kWritesPerThread} * 4);
-        EXPECT_TRUE(snap[AccessCategory::Other].empty());
-    } else {
-        expectCountersEqual(snap.total(), PcmCounters{});
-    }
+    expectCountersEqual(snap.total(), dev.counters());
+    for (const AccessCategory c : cats)
+        EXPECT_EQ(snap[c].pcm.appBytesWritten, uint64_t{kWritesPerThread} * 4);
+    EXPECT_TRUE(snap[AccessCategory::Other].empty());
 }
 
 // --- LineHeatTable -----------------------------------------------------
 
 TEST(AttributionHeat, TopNOrderIsDeterministic)
 {
-    if (!kAttributionEnabled)
-        GTEST_SKIP() << "heat table compiled out";
     LineHeatTable heat;
     // Touch counts descend with the line index; lines 40/41 tie.
     for (unsigned line = 0; line < 8; ++line)
@@ -317,8 +299,6 @@ TEST(AttributionHeat, TopNOrderIsDeterministic)
 
 TEST(AttributionHeat, OwnerIsTheDominantCategory)
 {
-    if (!kAttributionEnabled)
-        GTEST_SKIP() << "heat table compiled out";
     LineHeatTable heat;
     for (unsigned i = 0; i < 9; ++i)
         heat.touch(5, AccessCategory::AdjacencyArchive, true);
@@ -334,8 +314,6 @@ TEST(AttributionHeat, OwnerIsTheDominantCategory)
 
 TEST(AttributionHeat, CapacityBoundCountsOverflowInsteadOfGrowing)
 {
-    if (!kAttributionEnabled)
-        GTEST_SKIP() << "heat table compiled out";
     LineHeatTable heat(/*capacity=*/64);
     for (uint64_t line = 0; line < 10000; ++line)
         heat.touch(line, AccessCategory::Other, true);
@@ -443,8 +421,6 @@ expectHeatMatches(const LineHeatTable &heat, const HeatReference &ref)
 
 TEST(AttributionHeat, FastPathAdmitsAndCountsLikeTheLockedProbe)
 {
-    if (!kAttributionEnabled)
-        GTEST_SKIP() << "heat table compiled out";
     for (const unsigned capacity : {64u, LineHeatTable::kDefaultCapacity}) {
         SCOPED_TRACE("capacity " + std::to_string(capacity));
         // Seeded touches over 10x the capacity in lines: a hot set that
@@ -523,8 +499,6 @@ TEST(AttributionHeat, FastPathAdmitsAndCountsLikeTheLockedProbe)
 
 TEST(AttributionHeat, ConcurrentTouchesCountEveryTouch)
 {
-    if (!kAttributionEnabled)
-        GTEST_SKIP() << "heat table compiled out";
     // Four threads touch overlapping seeded line sets while the shards
     // fill: whichever thread admits a line, every touch is counted once,
     // on its line or as untracked.
@@ -564,8 +538,7 @@ expectStoreSumsMatch(GraphStore &store, const std::vector<Edge> &edges)
     // Archiving reads every logged edge back, from whichever device
     // holds the log.
     EXPECT_GE(pcm.appBytesRead, edges.size() * sizeof(Edge));
-    if (kAttributionEnabled)
-        expectCountersEqual(store.pmemAttribution().total(), pcm);
+    expectCountersEqual(store.pmemAttribution().total(), pcm);
 }
 
 TEST(AttributionStore, TotalsMatchPmemCountersOnEveryEngine)
@@ -603,28 +576,20 @@ TEST(AttributionStore, TotalsMatchPmemCountersOnEveryEngine)
     }
 }
 
-// --- OFF-build collapse ------------------------------------------------
+// --- bare mutators -----------------------------------------------------
 
-TEST(AttributionOffBuild, MutatorsAreNoOpsWhenCompiledOut)
+TEST(AttributionTable, BareMutatorsCount)
 {
-    // The same source compiles in both flavors; with -DXPG_TELEMETRY=OFF
-    // the table and heat map must stay empty no matter what runs, and
-    // with telemetry ON they must not (guarding against a macro typo
-    // silently disabling attribution everywhere).
+    // The table and heat map count on their own, outside any device: a
+    // change that silently disabled attribution everywhere fails here.
     telemetry::AttributionTable table;
     table.add(AccessCategory::QueryRead,
               telemetry::AttrField::AppBytesRead, 64);
     LineHeatTable heat;
     heat.touch(1, AccessCategory::QueryRead, false);
     const AttributionSnapshot snap = table.snapshot();
-    if (kAttributionEnabled) {
-        EXPECT_EQ(snap[AccessCategory::QueryRead].pcm.appBytesRead, 64u);
-        EXPECT_EQ(heat.trackedLines(), 1u);
-    } else {
-        expectCountersEqual(snap.total(), PcmCounters{});
-        EXPECT_EQ(heat.trackedLines(), 0u);
-        EXPECT_EQ(heat.untrackedTouches(), 0u);
-    }
+    EXPECT_EQ(snap[AccessCategory::QueryRead].pcm.appBytesRead, 64u);
+    EXPECT_EQ(heat.trackedLines(), 1u);
 }
 
 // --- PcmCounters::readAmplification() pin ------------------------------

@@ -427,8 +427,6 @@ TEST(IngestSession, OneAppendRecordPerCall)
     // call that crosses the archive threshold mid-batch (two log chunks
     // around the archive request) leaves exactly one session_append span
     // and one ingest.session_append_ns sample, and no per-chunk span.
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "spans and histograms are compiled out";
     const vid_t nv = 1024;
     const uint64_t threshold = 256;
     const uint64_t prefill = threshold - 100; // the call crosses at 100

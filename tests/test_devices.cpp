@@ -155,13 +155,11 @@ TEST_F(DeviceTest, MemoryModeMatchesDirectMappedReference)
     EXPECT_EQ(c.bufferHits, hits);
     EXPECT_EQ(c.mediaReadOps, reads);
     EXPECT_EQ(c.mediaWriteOps, writes);
-    if (telemetry::kAttributionEnabled) {
-        const telemetry::AttributionSnapshot a = dev.attribution();
-        uint64_t rmw_reads = 0;
-        for (const telemetry::AttributionRow &row : a.rows)
-            rmw_reads += row.rmwReads;
-        EXPECT_EQ(rmw_reads, rmw);
-    }
+    const telemetry::AttributionSnapshot a = dev.attribution();
+    uint64_t rmw_reads = 0;
+    for (const telemetry::AttributionRow &row : a.rows)
+        rmw_reads += row.rmwReads;
+    EXPECT_EQ(rmw_reads, rmw);
 }
 
 TEST_F(DeviceTest, MemoryModeIsSlowerThanDramFasterThanNothing)

@@ -7,10 +7,10 @@
  * opId correlation, one simulated total per phase feeding its
  * IngestStats field, histogram, trace span and class roll-up alike,
  * round-level QueryDriver stats summing to the kernel's deltas (the
- * `xpgraph_cli explain` invariant), and the OFF build, where only the
- * stat update survives. Suites are named OpScope* / Explain* so the
- * sanitizer and notel stages of bench/run_tier1_bench.sh pick them up
- * by filter.
+ * `xpgraph_cli explain` invariant), and round records that leave out
+ * what a probe-less view did not measure. Suites are named OpScope* /
+ * Explain* so the sanitizer stages of bench/run_tier1_bench.sh pick
+ * them up by filter.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include "baselines/graphone.hpp"
 #include "core/xpgraph.hpp"
 #include "graph/generators.hpp"
+#include "mini_json.hpp"
 #include "telemetry/op_scope.hpp"
 #include "telemetry/telemetry.hpp"
 #include "temp_dir.hpp"
@@ -35,7 +36,8 @@
 namespace xpg {
 namespace {
 
-using telemetry::kOpScopeEnabled;
+using minijson::MiniJson;
+using minijson::parseOrDie;
 using telemetry::OpClass;
 using telemetry::OpCost;
 using telemetry::OpScope;
@@ -74,13 +76,6 @@ expectZeroCost(const OpCost &cost)
 
 TEST(OpScope, StampsMonotonicIdsAndPublishesInnermost)
 {
-    if (!kOpScopeEnabled) {
-        OpScope scope(nullptr, "off", OpClass::Other);
-        EXPECT_EQ(scope.opId(), 0u);
-        EXPECT_EQ(OpScope::currentOpId(), 0u);
-        expectZeroCost(scope.close());
-        return;
-    }
     EXPECT_EQ(OpScope::currentOpId(), 0u);
     OpScope outer(nullptr, "outer", OpClass::Other);
     EXPECT_GT(outer.opId(), 0u);
@@ -97,8 +92,6 @@ TEST(OpScope, StampsMonotonicIdsAndPublishesInnermost)
 
 TEST(OpScope, ExceptionUnwindRestoresPreviousId)
 {
-    if (!kOpScopeEnabled)
-        GTEST_SKIP() << "telemetry OFF";
     OpScope outer(nullptr, "outer", OpClass::Other);
     try {
         OpScope inner(nullptr, "inner", OpClass::Other);
@@ -143,12 +136,6 @@ TEST(OpScope, DeltaMatchesGlobalCountersOnQuiescedStore)
         store->getNebrsOut(v, nebrs);
     const OpCost &cost = scope.close();
     const PcmCounters delta = store->pmemCounters() - before;
-    if (!kOpScopeEnabled) {
-        // The device counters still move in OFF builds; only the
-        // scope's snapshot machinery is compiled out.
-        expectZeroCost(cost);
-        return;
-    }
     EXPECT_EQ(cost.pcm.mediaBytesRead, delta.mediaBytesRead);
     EXPECT_EQ(cost.pcm.mediaReadOps, delta.mediaReadOps);
     EXPECT_EQ(cost.pcm.appBytesRead, delta.appBytesRead);
@@ -185,35 +172,20 @@ TEST(OpScope, ConcurrentOpsOnSeparateStoresStayExact)
                 g.getNebrsOut(v, nebrs);
             const OpCost &cost = scope.close();
             const PcmCounters delta = g.pmemCounters() - before;
-            // OFF builds: the scope reports zero while the store's
-            // counters still move, so only demand exactness when the
-            // scope machinery is compiled in.
-            exact[t] = !kOpScopeEnabled
-                           ? cost.pcm.mediaBytesRead == 0 &&
-                                 cost.pcm.appBytesRead == 0
-                           : cost.pcm.mediaBytesRead ==
-                                     delta.mediaBytesRead &&
-                                 cost.pcm.mediaReadOps ==
-                                     delta.mediaReadOps &&
-                                 cost.pcm.appBytesRead ==
-                                     delta.appBytesRead;
+            exact[t] = cost.pcm.mediaBytesRead == delta.mediaBytesRead &&
+                       cost.pcm.mediaReadOps == delta.mediaReadOps &&
+                       cost.pcm.appBytesRead == delta.appBytesRead;
         });
     }
     for (std::thread &th : threads)
         th.join();
     for (unsigned t = 0; t < kThreads; ++t)
         EXPECT_TRUE(exact[t]) << "thread " << t;
-    if (kOpScopeEnabled) {
-        std::vector<uint64_t> sorted = ids;
-        std::sort(sorted.begin(), sorted.end());
-        EXPECT_EQ(std::unique(sorted.begin(), sorted.end()),
-                  sorted.end())
-            << "opIds must be unique across threads";
-        EXPECT_GT(sorted.front(), 0u);
-    } else {
-        for (uint64_t id : ids)
-            EXPECT_EQ(id, 0u);
-    }
+    std::vector<uint64_t> sorted = ids;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end())
+        << "opIds must be unique across threads";
+    EXPECT_GT(sorted.front(), 0u);
 }
 
 TEST(OpScope, OpsOpenedCounterAdvances)
@@ -223,10 +195,7 @@ TEST(OpScope, OpsOpenedCounterAdvances)
         OpScope a(nullptr, "a", OpClass::Other);
         OpScope b(nullptr, "b", OpClass::Other);
     }
-    if (kOpScopeEnabled)
-        EXPECT_GE(OpScope::opsOpened(), before + 2);
-    else
-        EXPECT_EQ(OpScope::opsOpened(), 0u);
+    EXPECT_GE(OpScope::opsOpened(), before + 2);
 }
 
 TEST(OpScope, ClassTotalsRollUpClosedScopes)
@@ -242,12 +211,8 @@ TEST(OpScope, ClassTotalsRollUpClosedScopes)
     }
     const telemetry::OpClassTotals after =
         OpScope::classTotals(OpClass::Ingest);
-    if (kOpScopeEnabled) {
-        EXPECT_EQ(after.ops, before.ops + 1);
-        EXPECT_GE(after.mediaReadBytes, before.mediaReadBytes);
-    } else {
-        EXPECT_EQ(after.ops, 0u);
-    }
+    EXPECT_EQ(after.ops, before.ops + 1);
+    EXPECT_GE(after.mediaReadBytes, before.mediaReadBytes);
 }
 
 TEST(OpScope, CloseAddsTheSegmentTotalToItsStat)
@@ -270,8 +235,6 @@ TEST(OpScope, CloseAddsTheSegmentTotalToItsStat)
 
 TEST(OpScope, EventLogRecordsCurrentOpId)
 {
-    if (!kOpScopeEnabled)
-        GTEST_SKIP() << "telemetry OFF";
     const telemetry::TraceBuffer &ring =
         telemetry::Telemetry::instance().trace();
     const uint64_t first = ring.emitted();
@@ -356,8 +319,6 @@ expectPhaseAgrees(const char *span, uint64_t first_ticket,
 {
     SCOPED_TRACE(span);
     EXPECT_GT(stat_delta, 0u);
-    if (!kOpScopeEnabled)
-        return;
     EXPECT_EQ(spanSimSum(first_ticket, span), stat_delta);
     EXPECT_EQ(histogramSum(histogram) - histogram_before, stat_delta);
 }
@@ -369,8 +330,6 @@ expectArchiveRollUp(const telemetry::OpClassTotals &before,
                     const IngestStats &s0, const IngestStats &s1,
                     const PcmCounters &pcm_delta)
 {
-    if (!kOpScopeEnabled)
-        return;
     const telemetry::OpClassTotals after =
         OpScope::classTotals(OpClass::Archive);
     EXPECT_EQ(after.simNs - before.simNs,
@@ -423,8 +382,6 @@ TEST(OpScopeRecords, XPGraphPressureFlushesAgreeWithIngestStats)
 
 TEST(OpScopeRecords, PhaseSpansCarryWhatThePhaseDid)
 {
-    if (!kOpScopeEnabled)
-        GTEST_SKIP() << "telemetry OFF";
     XPGraphConfig c = XPGraphConfig::persistent(64, 0);
     c.elogCapacityEdges = 1 << 13;
     c.bufferingThresholdEdges = 1 << 9;
@@ -522,17 +479,13 @@ TEST(OpScopeRecords, RecoveryStepsAgreeWithRecoveryNs)
     EXPECT_GT(report.edgesReplayed, 0u);
     EXPECT_GT(report.recoveryNs, 0u);
     EXPECT_EQ(recovered->stats().recoveryNs, report.recoveryNs);
-    if (kOpScopeEnabled) {
-        // Two steps, one record each, sharing recovery.step_ns.
-        const uint64_t rebuild =
-            spanSimSum(first, "recovery.rebuild_chains");
-        const uint64_t replay = spanSimSum(first, "recovery.replay_log");
-        EXPECT_GT(rebuild, 0u);
-        EXPECT_GT(replay, 0u);
-        EXPECT_EQ(rebuild + replay, report.recoveryNs);
-        EXPECT_EQ(histogramSum("recovery.step_ns") - hist0,
-                  report.recoveryNs);
-    }
+    // Two steps, one record each, sharing recovery.step_ns.
+    const uint64_t rebuild = spanSimSum(first, "recovery.rebuild_chains");
+    const uint64_t replay = spanSimSum(first, "recovery.replay_log");
+    EXPECT_GT(rebuild, 0u);
+    EXPECT_GT(replay, 0u);
+    EXPECT_EQ(rebuild + replay, report.recoveryNs);
+    EXPECT_EQ(histogramSum("recovery.step_ns") - hist0, report.recoveryNs);
     recovered.reset();
     std::filesystem::remove_all(dir);
 }
@@ -549,8 +502,6 @@ TEST(OpScopeRecords, KernelTotalsAgreeWithRounds)
                                       : runPageRank(*store, 3, 4);
         EXPECT_GT(r.simNs, 0u);
         EXPECT_EQ(r.op.simNs, r.simNs);
-        if (!kOpScopeEnabled)
-            continue;
         uint64_t round_ns = 0;
         for (const RoundStats &rs : r.rounds)
             round_ns += rs.simNs;
@@ -567,11 +518,6 @@ TEST(ExplainRounds, RoundMediaReadsSumToOpDelta)
 {
     auto store = makeStore();
     const AnalyticsResult r = runBfs(*store, 0, 4);
-    if (!kOpScopeEnabled) {
-        EXPECT_TRUE(r.rounds.empty());
-        expectZeroCost(r.op);
-        return;
-    }
     ASSERT_FALSE(r.rounds.empty());
     uint64_t media_ops = 0, media_bytes = 0, active = 0;
     for (const RoundStats &rs : r.rounds) {
@@ -597,8 +543,6 @@ TEST(ExplainRounds, AttributionRowsSumToOpPcm)
     const telemetry::AttributionSnapshot g0 = store->pmemAttribution();
     const AnalyticsResult r = runConnectedComponents(*store, 4);
     const telemetry::AttributionSnapshot g1 = store->pmemAttribution();
-    if (!kOpScopeEnabled)
-        return;
     // The op's attribution rows mirror its own pcm delta (rows sum to
     // device counters by construction) AND the global table's movement
     // while the op ran (the store is otherwise quiesced).
@@ -614,10 +558,6 @@ TEST(ExplainRounds, CostEstimatesFilledEveryRound)
 {
     auto store = makeStore();
     const AnalyticsResult r = runPageRank(*store, 3, 4);
-    if (!kOpScopeEnabled) {
-        EXPECT_TRUE(r.rounds.empty());
-        return;
-    }
     // Degree pass + 3 sweeps.
     ASSERT_EQ(r.rounds.size(), 4u);
     for (size_t i = 0; i < r.rounds.size(); ++i) {
@@ -632,6 +572,44 @@ TEST(ExplainRounds, CostEstimatesFilledEveryRound)
     // edge (gain bounded above by 1 by construction).
     for (const RoundStats &rs : r.rounds)
         EXPECT_LE(rs.directionSwitchGain, 1.0);
+}
+
+TEST(ExplainRounds, UnprobedRoundsLeaveProbeFieldsOut)
+{
+    // GraphOne has no query probe: its rounds measure active vertices
+    // and simulated time only, and leave the probe-derived fields out
+    // instead of reporting them as zero.
+    const vid_t nv = 300;
+    std::vector<Edge> edges = generateRmat(9, 4000, RmatParams{}, 11);
+    foldVertices(edges, nv);
+    GraphOneConfig c;
+    c.maxVertices = nv;
+    c.archiveThreads = 4;
+    c.bytesPerNode = graphoneRecommendedBytesPerNode(c, edges.size());
+    GraphOne graphone(c);
+    graphone.session(0)->addEdges(edges.data(), edges.size());
+    graphone.archiveAll();
+    auto xpgraph = makeStore();
+
+    for (GraphStore *store : {static_cast<GraphStore *>(&graphone),
+                              static_cast<GraphStore *>(xpgraph.get())}) {
+        const bool probed = store == xpgraph.get();
+        SCOPED_TRACE(probed ? "xpgraph" : "graphone");
+        const AnalyticsResult r = runBfs(*store, edges[0].src, 4);
+        ASSERT_FALSE(r.rounds.empty());
+        for (const RoundStats &rs : r.rounds) {
+            EXPECT_EQ(rs.probed, probed);
+            const MiniJson doc = parseOrDie(rs.toJson().dump());
+            EXPECT_TRUE(doc.has("active_vertices"));
+            EXPECT_TRUE(doc.has("sim_ns"));
+            for (const char *key :
+                 {"edges_scanned", "sealed_records", "buffer_records",
+                  "log_window_records", "decoded_bytes", "media_read_ops",
+                  "media_read_bytes", "media_read_ops_per_device",
+                  "push_cost_ns", "pull_cost_ns", "direction_switch_gain"})
+                EXPECT_EQ(doc.has(key), probed) << key;
+        }
+    }
 }
 
 } // namespace

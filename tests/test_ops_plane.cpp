@@ -9,11 +9,8 @@
  * wedged compactor, log-space backpressure, view-pin aging — driven
  * against live XPGraph stores.
  *
- * Everything here must pass identically in the default build and in a
- * -DXPG_TELEMETRY=OFF tree (the classes compile in both flavors; only
- * macro-emitted events disappear), so event-stream assertions are
- * gated on telemetry::kEnabled. The TelemetryTraceRingLive test also
- * runs under the CI's TSAN stage via the Telemetry* and Ops* filters.
+ * The TelemetryTraceRingLive test also runs under the CI's TSAN stage
+ * via the Telemetry* and Ops* filters.
  */
 
 #include <gtest/gtest.h>
@@ -227,7 +224,6 @@ TEST(OpsWatchdog, MonitorFiresOnStalledOncePerTransition)
         return n;
     };
     const uint64_t first = ring.emitted();
-    const unsigned per = telemetry::kEnabled ? 1 : 0;
 
     const uint64_t t0 = hb->lastBeatNs();
     EXPECT_EQ(dog.react(t0).overall(), HealthStatus::Ok);
@@ -238,7 +234,7 @@ TEST(OpsWatchdog, MonitorFiresOnStalledOncePerTransition)
     EXPECT_EQ(dog.react(t0 + kDeadline + 1).overall(),
               HealthStatus::Stalled);
     EXPECT_EQ(fired, 1);
-    EXPECT_EQ(transitions(first), per);
+    EXPECT_EQ(transitions(first), 1u);
     // check() stays pure: it neither fires nor emits.
     EXPECT_EQ(dog.check(t0 + 2 * kDeadline).overall(),
               HealthStatus::Stalled);
@@ -246,13 +242,13 @@ TEST(OpsWatchdog, MonitorFiresOnStalledOncePerTransition)
     EXPECT_EQ(dog.react(t0 + 10 * kDeadline).overall(),
               HealthStatus::Stalled);
     EXPECT_EQ(fired, 1);
-    EXPECT_EQ(transitions(first), per);
+    EXPECT_EQ(transitions(first), 1u);
 
     // A beat recovers it: Ok again, with one more instant.
     hb->beat();
     EXPECT_EQ(dog.react(hb->lastBeatNs()).overall(), HealthStatus::Ok);
     EXPECT_EQ(fired, 1);
-    EXPECT_EQ(transitions(first), 2 * per);
+    EXPECT_EQ(transitions(first), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -343,17 +339,13 @@ TEST(OpsEventLog, MacroFeedsProcessLogOnlyWhenEnabled)
     TraceBuffer &ring = Telemetry::instance().trace();
     const uint64_t before = ring.emitted();
     XPG_EVENT(Info, "other", "ops_plane_macro_probe", 11, 22);
-    if (telemetry::kEnabled) {
-        EXPECT_EQ(ring.emitted(), before + 1);
-        const auto records = ring.collect();
-        ASSERT_FALSE(records.empty());
-        EXPECT_EQ(records.back().ticket, before);
-        EXPECT_EQ(records.back().ph, 'i');
-        EXPECT_STREQ(records.back().name, "ops_plane_macro_probe");
-        EXPECT_EQ(records.back().a0, 11u);
-    } else {
-        EXPECT_EQ(ring.emitted(), before);
-    }
+    EXPECT_EQ(ring.emitted(), before + 1);
+    const auto records = ring.collect();
+    ASSERT_FALSE(records.empty());
+    EXPECT_EQ(records.back().ticket, before);
+    EXPECT_EQ(records.back().ph, 'i');
+    EXPECT_STREQ(records.back().name, "ops_plane_macro_probe");
+    EXPECT_EQ(records.back().a0, 11u);
 }
 
 TEST(OpsEventLog, InstantSurvivesCapacityMinusOneLaterSpans)
@@ -478,13 +470,10 @@ TEST(OpsExporter, SampleOnceWritesParseableArtifacts)
                   std::string::npos)
             << line;
     }
-    if (telemetry::kEnabled) {
-        // publishTelemetry populated the registry, so the exposition
-        // carries real series (e.g. the ingest edge counter).
-        EXPECT_NE(text.find("# TYPE xpg_"), std::string::npos);
-        EXPECT_NE(text.find("xpg_ingest_edges_logged_total"),
-                  std::string::npos);
-    }
+    // publishTelemetry populated the registry, so the exposition
+    // carries real series (e.g. the ingest edge counter).
+    EXPECT_NE(text.find("# TYPE xpg_"), std::string::npos);
+    EXPECT_NE(text.find("xpg_ingest_edges_logged_total"), std::string::npos);
 
     // Reconfiguring truncates the series: each run is self-contained.
     telemetry::ExporterOptions again;
@@ -670,10 +659,8 @@ TEST(OpsHealth, WedgedCompactorFlaggedWithinDeadline)
               std::string::npos)
         << report.brief();
 
-    if (telemetry::kEnabled) {
-        EXPECT_TRUE(sawInstant(first, "compaction", "compactor_wedged"))
-            << "wedge must announce itself on the event stream";
-    }
+    EXPECT_TRUE(sawInstant(first, "compaction", "compactor_wedged"))
+        << "wedge must announce itself on the event stream";
     // Destructor must still stop the wedged thread cleanly (the wedged
     // pass waits for the stop); reaching TearDown proves it.
 }
@@ -752,11 +739,8 @@ TEST(OpsHealth, BackpressureProbeFlagsBlockedWriter)
               HealthStatus::Ok)
         << drained.brief();
 
-    if (telemetry::kEnabled) {
-        EXPECT_TRUE(
-            sawInstant(before_events, "backpressure", "log_full_enter"))
-            << "backpressure must announce itself on the event stream";
-    }
+    EXPECT_TRUE(sawInstant(before_events, "backpressure", "log_full_enter"))
+        << "backpressure must announce itself on the event stream";
 }
 
 // ---------------------------------------------------------------------------
@@ -822,14 +806,12 @@ TEST(TelemetryTraceRingLive, WraparoundUnderCompactionAndViews)
     const auto final_events = trace.collect();
     EXPECT_LE(final_events.size(), trace.capacity());
     EXPECT_FALSE(final_events.empty());
-    if (telemetry::kEnabled) {
-        // The engine's own spans survive alongside the filler's.
-        bool engine_span = false;
-        for (const auto &ev : final_events)
-            engine_span |=
-                std::string(ev.name ? ev.name : "") != "ops_wrap_filler";
-        EXPECT_TRUE(engine_span);
-    }
+    // The engine's own spans survive alongside the filler's.
+    bool engine_span = false;
+    for (const auto &ev : final_events)
+        engine_span |=
+            std::string(ev.name ? ev.name : "") != "ops_wrap_filler";
+    EXPECT_TRUE(engine_span);
 }
 
 } // namespace

@@ -525,28 +525,24 @@ TEST_F(PmemDeviceTest, ConcurrentAccessesCountExactly)
     for (unsigned t = 0; t < kThreads; ++t) {
         read += sums[t].read;
         written += sums[t].written;
-        if (telemetry::kAttributionEnabled) {
-            const telemetry::AttributionRow &row = snap[cats[t]];
-            EXPECT_EQ(row.pcm.appBytesRead, sums[t].read) << t;
-            EXPECT_EQ(row.pcm.appBytesWritten, sums[t].written) << t;
-            EXPECT_EQ(row.subLineStores, sums[t].subLine) << t;
-        }
+        const telemetry::AttributionRow &row = snap[cats[t]];
+        EXPECT_EQ(row.pcm.appBytesRead, sums[t].read) << t;
+        EXPECT_EQ(row.pcm.appBytesWritten, sums[t].written) << t;
+        EXPECT_EQ(row.subLineStores, sums[t].subLine) << t;
     }
     EXPECT_EQ(c.appBytesRead, read);
     EXPECT_EQ(c.appBytesWritten, written);
     EXPECT_GT(c.remoteAccesses, 0u); // unbound threads on a 2-node box
-    if (telemetry::kAttributionEnabled) {
-        const PcmCounters rows = snap.total();
-        EXPECT_EQ(rows.appBytesRead, c.appBytesRead);
-        EXPECT_EQ(rows.appBytesWritten, c.appBytesWritten);
-        EXPECT_EQ(rows.mediaBytesRead, c.mediaBytesRead);
-        EXPECT_EQ(rows.mediaBytesWritten, c.mediaBytesWritten);
-        EXPECT_EQ(rows.mediaReadOps, c.mediaReadOps);
-        EXPECT_EQ(rows.mediaWriteOps, c.mediaWriteOps);
-        EXPECT_EQ(rows.bufferHits, c.bufferHits);
-        EXPECT_EQ(rows.remoteAccesses, c.remoteAccesses);
-        EXPECT_TRUE(snap[AccessCategory::Other].empty());
-    }
+    const PcmCounters rows = snap.total();
+    EXPECT_EQ(rows.appBytesRead, c.appBytesRead);
+    EXPECT_EQ(rows.appBytesWritten, c.appBytesWritten);
+    EXPECT_EQ(rows.mediaBytesRead, c.mediaBytesRead);
+    EXPECT_EQ(rows.mediaBytesWritten, c.mediaBytesWritten);
+    EXPECT_EQ(rows.mediaReadOps, c.mediaReadOps);
+    EXPECT_EQ(rows.mediaWriteOps, c.mediaWriteOps);
+    EXPECT_EQ(rows.bufferHits, c.bufferHits);
+    EXPECT_EQ(rows.remoteAccesses, c.remoteAccesses);
+    EXPECT_TRUE(snap[AccessCategory::Other].empty());
 }
 
 } // namespace

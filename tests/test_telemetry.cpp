@@ -9,10 +9,8 @@
  * in-test JSON parser — proving the exported documents are really
  * parseable, not just printf-shaped.
  *
- * The tests drive the telemetry classes directly (not the XPG_TEL_*
- * macros), so they pass identically in the default build and in a
- * -DXPG_TELEMETRY=OFF tree: compile-time removal only strips the
- * macros, never the library.
+ * Two tests pin what telemetry must never do: charge SimClock, or
+ * change a simulated result when its readers run between steps.
  */
 
 #include <gtest/gtest.h>
@@ -21,16 +19,22 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analytics/algorithms.hpp"
 #include "core/xpgraph.hpp"
 #include "graph/generators.hpp"
 #include "mini_json.hpp"
+#include "pmem/numa_topology.hpp"
 #include "pmem/pcm_counters.hpp"
+#include "telemetry/exporter.hpp"
+#include "telemetry/op_scope.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
+#include "util/sim_clock.hpp"
 
 namespace xpg {
 namespace {
@@ -365,7 +369,6 @@ TEST(TelemetrySnapshot, MetricsJsonRoundTrip)
 
     const MiniJson doc = parseOrDie(tel.snapshotValue().dump());
     EXPECT_EQ(doc.at("schema").str, "xpgraph-telemetry-v1");
-    EXPECT_EQ(doc.at("enabled").boolean, telemetry::kEnabled);
 
     // Other suites in this binary register metrics too; search by name.
     bool found_gauge = false;
@@ -497,6 +500,166 @@ TEST(TelemetrySnapshot, SnapshotStatsConsistentUnderConcurrentArchiving)
     const IngestStats fin = graph.snapshotStats();
     EXPECT_EQ(fin.edgesLogged, edges.size());
     EXPECT_EQ(fin.edgesBuffered, edges.size());
+}
+
+// ---------------------------------------------------------------------------
+// Telemetry never changes what is simulated.
+// ---------------------------------------------------------------------------
+
+/** One small RMAT store: 1 archive thread, so every simulated number
+ *  is a pure function of the stream. */
+std::unique_ptr<XPGraph>
+makeSingleArchiverStore(const std::vector<Edge> &edges, vid_t nv)
+{
+    XPGraphConfig c = XPGraphConfig::persistent(nv, 0);
+    c.elogCapacityEdges = 1 << 13;
+    c.bufferingThresholdEdges = 1 << 9;
+    c.archiveThreads = 1;
+    c.compactMinRecords = 8;
+    c.compactTombstoneRatio = 0.1;
+    c.pmemBytesPerNode = recommendedBytesPerNode(c, 2 * edges.size());
+    return std::make_unique<XPGraph>(c);
+}
+
+std::vector<Edge>
+rmatStream(vid_t nv)
+{
+    std::vector<Edge> edges = generateRmat(9, 3000, RmatParams{}, 11);
+    foldVertices(edges, nv);
+    return edges;
+}
+
+/** Sample @p graph's gauges into @p exporter, as `watch` does. */
+void
+exportFrom(telemetry::MetricsExporter &exporter, const XPGraph &graph)
+{
+    telemetry::ExporterOptions opt;
+    opt.prePublish = [&graph] { graph.publishTelemetry(); };
+    exporter.configure(std::move(opt));
+}
+
+/** Every reader an exporter, `xpgraph_cli watch` or `explain` runs
+ *  against a live store. */
+void
+readEverything(const XPGraph &graph, telemetry::MetricsExporter &exporter)
+{
+    graph.publishTelemetry();
+    telemetry::Telemetry::instance().snapshotValue();
+    telemetry::Telemetry::instance().traceValue();
+    graph.pmemAttribution();
+    graph.hotLines(16);
+    QueryProbe probe;
+    graph.sampleQueryProbe(probe);
+    graph.health();
+    exporter.sampleOnce();
+}
+
+TEST(Telemetry, RecordingNeverChargesSimClock)
+{
+    const vid_t nv = 512;
+    const std::vector<Edge> edges = rmatStream(nv);
+    auto graph = makeSingleArchiverStore(edges, nv);
+    graph->session(0)->addEdges(edges.data(), edges.size());
+    graph->archiveAll();
+    telemetry::MetricsExporter exporter;
+    exportFrom(exporter, *graph);
+
+    const SimScope scope;
+    XPG_TEL_HISTOGRAM("test.sim_clock_ns")->record(123);
+    XPG_TRACE_EMIT("test_span", "test", telemetry::hostNowNs(), 1, 0);
+    XPG_EVENT(Info, "test", "test_instant", 1, 2);
+    {
+        telemetry::OpScope op(graph.get(), "test_op");
+        XPG_ATTR_SCOPE(tag, QueryRead);
+        op.close();
+    }
+    readEverything(*graph, exporter);
+    EXPECT_EQ(scope.elapsed(), 0u);
+}
+
+/** What one run of a stream simulated. */
+struct SimulatedRun
+{
+    IngestStats stats;
+    std::string pcm;
+    MemoryUsage memory;
+    std::vector<std::pair<uint64_t, uint64_t>> kernels; ///< simNs, checksum
+};
+
+/**
+ * The same stream on a fresh store: 64-edge insert batches, every
+ * fourth followed by a delete batch, a view opened and closed mid-stream,
+ * then archiveAll, a compaction pass and four kernels at 1 query thread.
+ * With @p read_between_steps every telemetry reader runs after each step.
+ */
+SimulatedRun
+runStream(bool read_between_steps)
+{
+    NumaBinding::unbindThread(); // both runs start from the same thread
+    const vid_t nv = 512;
+    const std::vector<Edge> edges = rmatStream(nv);
+    auto graph = makeSingleArchiverStore(edges, nv);
+    telemetry::MetricsExporter exporter;
+    exportFrom(exporter, *graph);
+    const auto step = [&] {
+        if (read_between_steps)
+            readEverything(*graph, exporter);
+    };
+
+    auto session = graph->session(0);
+    const uint64_t batches = (edges.size() + 63) / 64;
+    std::unique_ptr<ReadView> view;
+    for (uint64_t b = 0; b < batches; ++b) {
+        const uint64_t first = b * 64;
+        session->addEdges(&edges[first],
+                          std::min<uint64_t>(64, edges.size() - first));
+        step();
+        if (b % 4 == 3) {
+            session->delEdges(&edges[first - 64], 64);
+            step();
+        }
+        if (b == batches / 2) {
+            view = graph->openView();
+            step();
+        } else if (b == batches / 2 + 5) {
+            view.reset();
+            step();
+        }
+    }
+    graph->archiveAll();
+    step();
+    graph->runCompactionPass();
+    step();
+
+    SimulatedRun run;
+    std::vector<vid_t> queries;
+    for (uint64_t i = 0; i < edges.size(); i += 7)
+        queries.push_back(edges[i].src);
+    for (unsigned k = 0; k < 4; ++k) {
+        const AnalyticsResult r =
+            k == 0   ? runBfs(*graph, edges[0].src, 1)
+            : k == 1 ? runPageRank(*graph, 3, 1)
+            : k == 2 ? runConnectedComponents(*graph, 1)
+                     : runOneHop(*graph, queries, 1);
+        run.kernels.emplace_back(r.simNs, r.checksum);
+        step();
+    }
+    run.stats = graph->stats();
+    run.pcm = graph->pmemCounters().toJson().dump();
+    run.memory = graph->memoryUsage();
+    return run;
+}
+
+TEST(Telemetry, ReadersLeaveSimulatedResultsUnchanged)
+{
+    const SimulatedRun quiet = runStream(false);
+    const SimulatedRun read = runStream(true);
+    EXPECT_GT(quiet.stats.compactionSlots, 0u) << "the pass rewrote nothing";
+    EXPECT_TRUE(read.stats == quiet.stats);
+    EXPECT_EQ(read.stats.ingestNs(), quiet.stats.ingestNs());
+    EXPECT_EQ(read.pcm, quiet.pcm);
+    EXPECT_TRUE(read.memory == quiet.memory);
+    EXPECT_EQ(read.kernels, quiet.kernels);
 }
 
 } // namespace

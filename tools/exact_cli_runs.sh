@@ -13,10 +13,10 @@
 #   tools/exact_cli_runs.sh <xpgraph_cli> <dataset> <golden>   diff
 #
 # With one thread every simulated number is a pure function of code and
-# input: identical run to run, pinned or on all cores, and with
-# telemetry compiled in or out. The ctest entry `cli_exact_golden`
-# diffs the TT runs against tools/exact_cli_golden.txt; a change that
-# means to move a simulated number regenerates that file with
+# input: identical run to run, pinned or on all cores. The ctest entry
+# `cli_exact_golden` diffs the TT runs against
+# tools/exact_cli_golden.txt; a change that means to move a simulated
+# number regenerates that file with
 #   tools/exact_cli_runs.sh build/tools/xpgraph_cli TT \
 #       > tools/exact_cli_golden.txt
 # and says why.

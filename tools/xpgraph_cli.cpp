@@ -63,7 +63,7 @@
  *             XPLines with their owning category. --json dumps the
  *             device counters and the attribution rows for scripted
  *             checks (the CI stage asserts the rows sum to the device
- *             totals). Needs the default -DXPG_TELEMETRY=ON build.
+ *             totals).
  *
  *   explain   <bfs|pr|cc|onehop> [--dataset TT | --in edges.bin]
  *             [--shift N] [--system xpgraph] [--threads T]
@@ -93,21 +93,24 @@
  * exit the Chrome trace timeline is written to FILE (load it in
  * about:tracing) and the metrics snapshot — counters, gauges, and
  * latency quantiles — to FILE with ".json" replaced by ".metrics.json".
- * Requires the default -DXPG_TELEMETRY=ON build.
  */
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analytics/algorithms.hpp"
@@ -156,22 +159,43 @@ class Args
         return it == values_.end() ? fallback : it->second;
     }
 
-    uint64_t
-    getInt(const std::string &key, uint64_t fallback) const
+    /** The option as a whole unsigned decimal that fits @p T; any other
+     *  value is fatal, naming the option. */
+    template <typename T = uint64_t>
+    T
+    getInt(const std::string &key, std::type_identity_t<T> fallback) const
     {
         auto it = values_.find(key);
-        return it == values_.end()
-                   ? fallback
-                   : std::strtoull(it->second.c_str(), nullptr, 10);
+        if (it == values_.end())
+            return fallback;
+        const std::string &v = it->second;
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+            errno == ERANGE || n > std::numeric_limits<T>::max())
+            XPG_FATAL("--" + key + " expects a whole number from 0 to " +
+                      std::to_string(std::numeric_limits<T>::max()) +
+                      ", got '" + v + "'");
+        return static_cast<T>(n);
     }
 
+    /** The option as a finite decimal number; any other value is fatal,
+     *  naming the option. */
     double
     getDouble(const std::string &key, double fallback) const
     {
         auto it = values_.find(key);
-        return it == values_.end() ? fallback
-                                   : std::strtod(it->second.c_str(),
-                                                 nullptr);
+        if (it == values_.end())
+            return fallback;
+        const std::string &v = it->second;
+        char *end = nullptr;
+        errno = 0;
+        const double x = std::strtod(v.c_str(), &end);
+        if (v.empty() || *end != '\0' || errno == ERANGE ||
+            !std::isfinite(x))
+            XPG_FATAL("--" + key + " expects a number, got '" + v + "'");
+        return x;
     }
 
     bool has(const std::string &key) const
@@ -197,23 +221,14 @@ metricsPathFor(const std::string &trace_path)
 }
 
 /**
- * Prepare for --telemetry: warn when the build cannot honor it and name
- * the main thread on the trace timeline. writeTelemetry() writes both
- * files at exit.
+ * Prepare for --telemetry: name the main thread on the trace timeline.
+ * writeTelemetry() writes both files at exit.
  */
 void
 setupTelemetry(const Args &args)
 {
-    const std::string path = args.get("telemetry");
-    if (path.empty())
-        return;
-    if (!telemetry::kEnabled) {
-        std::fprintf(stderr,
-                     "warning: --telemetry ignored (built with "
-                     "-DXPG_TELEMETRY=OFF)\n");
-        return;
-    }
-    XPG_TEL_NAME_THREAD("main");
+    if (!args.get("telemetry").empty())
+        telemetry::nameCurrentThread("main");
 }
 
 /**
@@ -225,7 +240,7 @@ void
 writeTelemetry(const Args &args, const GraphStore *store)
 {
     const std::string path = args.get("telemetry");
-    if (path.empty() || !telemetry::kEnabled)
+    if (path.empty())
         return;
     if (store != nullptr)
         store->publishTelemetry();
@@ -258,8 +273,7 @@ loadInput(const Args &args, vid_t &num_vertices)
     if (path.empty())
         XPG_FATAL("--in <edges.bin> is required");
     auto edges = loadEdgeList(path);
-    num_vertices = static_cast<vid_t>(
-        args.getInt("vertices", maxVertexOf(edges)));
+    num_vertices = args.getInt<vid_t>("vertices", maxVertexOf(edges));
     std::printf("loaded %zu edges over %u vertices from %s\n",
                 edges.size(), num_vertices, path.c_str());
     return edges;
@@ -306,16 +320,15 @@ xpgraphConfigFor(const std::string &system, vid_t nv, uint64_t edges,
     } else if (system == "xpgraph-ssd") {
         c.memKind = MemKind::Ssd;
     }
-    c.archiveThreads =
-        static_cast<unsigned>(args.getInt("threads", 16));
+    c.archiveThreads = args.getInt<unsigned>("threads", 16);
     c.compressAdjacency = args.getInt("compress", 1) != 0;
-    c.compressMinDegree = static_cast<uint32_t>(
-        args.getInt("compress-min-degree", c.compressMinDegree));
+    c.compressMinDegree =
+        args.getInt<uint32_t>("compress-min-degree", c.compressMinDegree);
     c.backgroundCompaction = args.getInt("compact", 0) != 0;
     c.compactTombstoneRatio =
         args.getDouble("compact-ratio", c.compactTombstoneRatio);
-    c.compactMinRecords = static_cast<uint32_t>(
-        args.getInt("compact-min", c.compactMinRecords));
+    c.compactMinRecords =
+        args.getInt<uint32_t>("compact-min", c.compactMinRecords);
     c.backingDir = args.get("backing");
     if (!c.backingDir.empty())
         std::filesystem::create_directories(c.backingDir);
@@ -332,8 +345,7 @@ graphoneConfigFor(const std::string &system, vid_t nv, uint64_t edges,
     c.variant = system == "graphone-d"   ? GraphOneVariant::Dram
                 : system == "graphone-n" ? GraphOneVariant::Nova
                                          : GraphOneVariant::Pmem;
-    c.archiveThreads =
-        static_cast<unsigned>(args.getInt("threads", 16));
+    c.archiveThreads = args.getInt<unsigned>("threads", 16);
     c.bytesPerNode = graphoneRecommendedBytesPerNode(c, edges);
     return c;
 }
@@ -344,8 +356,8 @@ cmdGenerate(const Args &args)
     const std::string out = args.get("out");
     if (out.empty())
         XPG_FATAL("--out <file> is required");
-    const unsigned shift = static_cast<unsigned>(
-        args.getInt("shift", defaultScaleShift()));
+    const unsigned shift =
+        args.getInt<unsigned>("shift", defaultScaleShift());
     const Dataset ds =
         generateDataset(datasetByAbbrev(args.get("dataset", "FS")), shift);
     saveEdgeList(out, ds.edges);
@@ -416,8 +428,7 @@ cmdQuery(const Args &args)
     const auto edges = loadInput(args, nv);
     const std::string system = args.get("system", "xpgraph");
     const std::string algo = args.get("algo", "bfs");
-    const unsigned threads =
-        static_cast<unsigned>(args.getInt("threads", 16));
+    const unsigned threads = args.getInt<unsigned>("threads", 16);
 
     std::unique_ptr<GraphView> view;
     GraphStore *store = nullptr;
@@ -476,15 +487,14 @@ int
 cmdRecover(const Args &args)
 {
     XPGraphConfig c = XPGraphConfig::persistent(
-        static_cast<vid_t>(args.getInt("vertices", 0)), 0);
+        args.getInt<vid_t>("vertices", 0), 0);
     if (c.maxVertices == 0)
         XPG_FATAL("--vertices <N> is required (must match the crashed "
                   "instance)");
     c.backingDir = args.get("backing");
     if (c.backingDir.empty())
         XPG_FATAL("--backing <dir> is required");
-    c.archiveThreads =
-        static_cast<unsigned>(args.getInt("threads", 16));
+    c.archiveThreads = args.getInt<unsigned>("threads", 16);
     c.pmemBytesPerNode =
         recommendedBytesPerNode(c, args.getInt("edges", 1 << 20));
 
@@ -539,20 +549,16 @@ cmdWatch(const Args &args)
 {
     const double seconds = args.getDouble("seconds", 3.0);
     const uint64_t interval_ms = args.getInt("interval-ms", 500);
-    const unsigned sessions =
-        static_cast<unsigned>(args.getInt("sessions", 2));
-    const vid_t nv =
-        static_cast<vid_t>(args.getInt("vertices", 1u << 16));
+    const unsigned sessions = args.getInt<unsigned>("sessions", 2);
+    const vid_t nv = args.getInt<vid_t>("vertices", 1u << 16);
 
     XPGraphConfig c = XPGraphConfig::persistent(nv, 0);
-    c.archiveThreads =
-        static_cast<unsigned>(args.getInt("threads", 8));
+    c.archiveThreads = args.getInt<unsigned>("threads", 8);
     c.pipelinedArchiving = true;
     c.backgroundCompaction = true;
-    c.watchdogStallMs =
-        static_cast<uint32_t>(args.getInt("stall-ms", 2000));
-    c.watchdogBackpressureMs = static_cast<uint32_t>(
-        args.getInt("backpressure-ms", c.watchdogBackpressureMs));
+    c.watchdogStallMs = args.getInt<uint32_t>("stall-ms", 2000);
+    c.watchdogBackpressureMs =
+        args.getInt<uint32_t>("backpressure-ms", c.watchdogBackpressureMs);
     c.debugWedgeCompactor = args.getInt("wedge-compactor", 0) != 0;
     c.backingDir = args.get("backing");
     if (!c.backingDir.empty())
@@ -572,10 +578,6 @@ cmdWatch(const Args &args)
     const std::string prom = args.get("prom");
     const bool exporting = !jsonl.empty() || !prom.empty();
     if (exporting) {
-        if (!telemetry::kEnabled)
-            std::fprintf(stderr,
-                         "warning: exporter metrics will be empty "
-                         "(built with -DXPG_TELEMETRY=OFF)\n");
         telemetry::ExporterOptions opt;
         opt.jsonlPath = jsonl;
         opt.promPath = prom;
@@ -710,8 +712,8 @@ cmdProfile(const Args &args)
         edges = loadInput(args, nv);
         input = args.get("in");
     } else {
-        const unsigned shift = static_cast<unsigned>(
-            args.getInt("shift", defaultScaleShift()));
+        const unsigned shift =
+            args.getInt<unsigned>("shift", defaultScaleShift());
         input = args.get("dataset", "TT");
         Dataset ds = generateDataset(datasetByAbbrev(input), shift);
         nv = ds.numVertices;
@@ -720,16 +722,9 @@ cmdProfile(const Args &args)
                     edges.size(), nv, input.c_str());
     }
     const std::string system = args.get("system", "xpgraph");
-    const unsigned threads =
-        static_cast<unsigned>(args.getInt("threads", 16));
+    const unsigned threads = args.getInt<unsigned>("threads", 16);
     const uint64_t queries = args.getInt("queries", 4096);
-    const unsigned top =
-        static_cast<unsigned>(args.getInt("top", 10));
-
-    if (!telemetry::kEnabled)
-        std::fprintf(stderr,
-                     "warning: built with -DXPG_TELEMETRY=OFF — the "
-                     "attribution rows below will all be zero\n");
+    const unsigned top = args.getInt<unsigned>("top", 10);
 
     std::unique_ptr<GraphStore> store;
     if (system.rfind("graphone", 0) == 0) {
@@ -795,19 +790,17 @@ cmdProfile(const Args &args)
     table.print();
     std::printf("device-wide: read amp %.2fx, write amp %.2fx\n",
                 pcm.readAmplification(), pcm.writeAmplification());
-    if (telemetry::kEnabled) {
-        const bool exact =
-            attributed.appBytesRead == pcm.appBytesRead &&
-            attributed.appBytesWritten == pcm.appBytesWritten &&
-            attributed.mediaBytesRead == pcm.mediaBytesRead &&
-            attributed.mediaBytesWritten == pcm.mediaBytesWritten &&
-            attributed.mediaReadOps == pcm.mediaReadOps &&
-            attributed.mediaWriteOps == pcm.mediaWriteOps &&
-            attributed.bufferHits == pcm.bufferHits &&
-            attributed.remoteAccesses == pcm.remoteAccesses;
-        std::printf("attributed rows sum to device counters: %s\n",
-                    exact ? "exact" : "MISMATCH");
-    }
+    const bool exact =
+        attributed.appBytesRead == pcm.appBytesRead &&
+        attributed.appBytesWritten == pcm.appBytesWritten &&
+        attributed.mediaBytesRead == pcm.mediaBytesRead &&
+        attributed.mediaBytesWritten == pcm.mediaBytesWritten &&
+        attributed.mediaReadOps == pcm.mediaReadOps &&
+        attributed.mediaWriteOps == pcm.mediaWriteOps &&
+        attributed.bufferHits == pcm.bufferHits &&
+        attributed.remoteAccesses == pcm.remoteAccesses;
+    std::printf("attributed rows sum to device counters: %s\n",
+                exact ? "exact" : "MISMATCH");
 
     const CompressionStats cs = store->compressionStats();
     if (cs.chunksCompressed > 0) {
@@ -901,8 +894,8 @@ cmdExplain(const Args &args, const std::string &kernel)
         edges = loadInput(args, nv);
         input = args.get("in");
     } else {
-        const unsigned shift = static_cast<unsigned>(
-            args.getInt("shift", defaultScaleShift()));
+        const unsigned shift =
+            args.getInt<unsigned>("shift", defaultScaleShift());
         input = args.get("dataset", "TT");
         Dataset ds = generateDataset(datasetByAbbrev(input), shift);
         nv = ds.numVertices;
@@ -912,14 +905,8 @@ cmdExplain(const Args &args, const std::string &kernel)
                         edges.size(), nv, input.c_str());
     }
     const std::string system = args.get("system", "xpgraph");
-    const unsigned threads =
-        static_cast<unsigned>(args.getInt("threads", 16));
-    const unsigned top = static_cast<unsigned>(args.getInt("top", 10));
-
-    if (!telemetry::kEnabled)
-        std::fprintf(stderr,
-                     "warning: built with -DXPG_TELEMETRY=OFF — rounds "
-                     "and cost deltas below will all be zero\n");
+    const unsigned threads = args.getInt<unsigned>("threads", 16);
+    const unsigned top = args.getInt<unsigned>("top", 10);
 
     std::unique_ptr<GraphStore> store;
     if (system.rfind("graphone", 0) == 0) {
@@ -946,7 +933,7 @@ cmdExplain(const Args &args, const std::string &kernel)
     } else if (algo == "pr" || algo == "pagerank") {
         result = runPageRank(
             *store,
-            static_cast<unsigned>(args.getInt("iterations", 10)),
+            args.getInt<unsigned>("iterations", 10),
             threads);
     } else if (algo == "cc") {
         result = runConnectedComponents(*store, threads);
@@ -990,6 +977,11 @@ cmdExplain(const Args &args, const std::string &kernel)
     rounds.header({"round", "active", "edges", "sealed", "vbuf",
                    "logwin", "media rd", "rd bytes", "decoded",
                    "sim ms", "push ms", "pull ms", "gain"});
+    // Without a query probe only active vertices and simulated time are
+    // measured: every probe-derived cell reads "-", not 0.
+    const auto measured = [probed](std::string cell) {
+        return probed ? cell : "-";
+    };
     for (const RoundStats &r : result.rounds) {
         sumEdges += r.edgesScanned;
         sumMediaOps += r.mediaReadOps;
@@ -1000,28 +992,30 @@ cmdExplain(const Args &args, const std::string &kernel)
             ++pullWins;
         rounds.row({std::to_string(r.round),
                     std::to_string(r.activeVertices),
-                    std::to_string(r.edgesScanned),
-                    std::to_string(r.sealedRecords),
-                    std::to_string(r.bufferRecords),
-                    std::to_string(r.logWindowRecords),
-                    std::to_string(r.mediaReadOps),
-                    TablePrinter::bytes(r.mediaReadBytes),
-                    TablePrinter::bytes(r.decodedBytes),
+                    measured(std::to_string(r.edgesScanned)),
+                    measured(std::to_string(r.sealedRecords)),
+                    measured(std::to_string(r.bufferRecords)),
+                    measured(std::to_string(r.logWindowRecords)),
+                    measured(std::to_string(r.mediaReadOps)),
+                    measured(TablePrinter::bytes(r.mediaReadBytes)),
+                    measured(TablePrinter::bytes(r.decodedBytes)),
                     TablePrinter::num(r.simNs / 1e6),
-                    TablePrinter::num(r.pushCostNs / 1e6),
-                    TablePrinter::num(r.pullCostNs / 1e6),
-                    TablePrinter::num(r.directionSwitchGain)});
+                    measured(TablePrinter::num(r.pushCostNs / 1e6)),
+                    measured(TablePrinter::num(r.pullCostNs / 1e6)),
+                    measured(TablePrinter::num(r.directionSwitchGain))});
     }
     if (!result.rounds.empty() && !quiet) {
         rounds.row({"sum", std::to_string(frontierPeak) + " peak",
-                    std::to_string(sumEdges), "", "", "",
-                    std::to_string(sumMediaOps),
-                    TablePrinter::bytes(sumMediaBytes),
-                    TablePrinter::bytes(sumDecoded), "", "", "", ""});
+                    measured(std::to_string(sumEdges)), "", "", "",
+                    measured(std::to_string(sumMediaOps)),
+                    measured(TablePrinter::bytes(sumMediaBytes)),
+                    measured(TablePrinter::bytes(sumDecoded)), "", "", "",
+                    ""});
         rounds.print();
-        std::printf("direction-switch opportunity: the cost model "
-                    "prefers a pull sweep in %u of %zu rounds\n",
-                    pullWins, result.rounds.size());
+        if (probed)
+            std::printf("direction-switch opportunity: the cost model "
+                        "prefers a pull sweep in %u of %zu rounds\n",
+                        pullWins, result.rounds.size());
     }
 
     // --- exactness checks -----------------------------------------
@@ -1030,7 +1024,7 @@ cmdExplain(const Args &args, const std::string &kernel)
     // deltas must sum to the OpScope's device-counter delta exactly
     // on a quiesced store — when the view has a probe at all.
     const bool roundsExact = sumMediaOps == result.op.pcm.mediaReadOps;
-    if (telemetry::kEnabled && probed && !quiet)
+    if (probed && !quiet)
         std::printf("round media reads sum to op delta: %s "
                     "(%llu round / %llu op)\n",
                     roundsExact ? "exact" : "MISMATCH",
@@ -1078,7 +1072,7 @@ cmdExplain(const Args &args, const std::string &kernel)
                     globalTotal.mediaBytesWritten),
          relErr(opTotal.mediaReadOps, globalTotal.mediaReadOps)});
     const bool attrOk = attrErr <= 1e-3;
-    if (telemetry::kEnabled && !quiet)
+    if (!quiet)
         std::printf("op attribution rows vs global table delta: %s "
                     "(rel err %.2e)\n",
                     attrOk ? "within 0.1%" : "MISMATCH", attrErr);
@@ -1142,12 +1136,14 @@ cmdExplain(const Args &args, const std::string &kernel)
         json::JsonValue rsum = json::JsonValue::object();
         rsum.set("rounds", static_cast<uint64_t>(result.rounds.size()));
         rsum.set("frontier_peak", frontierPeak);
-        rsum.set("edges_scanned", sumEdges);
-        rsum.set("media_read_ops", sumMediaOps);
-        rsum.set("media_read_bytes", sumMediaBytes);
-        rsum.set("decoded_bytes", sumDecoded);
-        rsum.set("pull_preferred_rounds",
-                 static_cast<uint64_t>(pullWins));
+        if (probed) {
+            rsum.set("edges_scanned", sumEdges);
+            rsum.set("media_read_ops", sumMediaOps);
+            rsum.set("media_read_bytes", sumMediaBytes);
+            rsum.set("decoded_bytes", sumDecoded);
+            rsum.set("pull_preferred_rounds",
+                     static_cast<uint64_t>(pullWins));
+        }
         root.set("round_sum", std::move(rsum));
         json::JsonValue global = json::JsonValue::object();
         global.set("pcm", pcmDelta.toJson());
@@ -1156,8 +1152,10 @@ cmdExplain(const Args &args, const std::string &kernel)
         root.set("global_delta", std::move(global));
         json::JsonValue checks = json::JsonValue::object();
         checks.set("probe_active", probed);
-        checks.set("round_media_reads_exact", roundsExact);
-        checks.set("round_media_read_ops", sumMediaOps);
+        if (probed) {
+            checks.set("round_media_reads_exact", roundsExact);
+            checks.set("round_media_read_ops", sumMediaOps);
+        }
         checks.set("op_media_read_ops", result.op.pcm.mediaReadOps);
         checks.set("attribution_rel_err", attrErr);
         checks.set("attribution_ok", attrOk);
@@ -1187,9 +1185,7 @@ cmdExplain(const Args &args, const std::string &kernel)
         }
     }
     writeTelemetry(args, store.get());
-    return (telemetry::kEnabled && (!attrOk || (probed && !roundsExact)))
-               ? 1
-               : 0;
+    return (!attrOk || (probed && !roundsExact)) ? 1 : 0;
 }
 
 int
@@ -1200,14 +1196,12 @@ cmdPipeline(const Args &args)
     // a crash, and recovery. With --telemetry FILE the resulting
     // timeline shows the client-session and archiver spans overlapping
     // and the recovery rebuild/replay steps after them.
-    const unsigned shift = static_cast<unsigned>(
-        args.getInt("shift", defaultScaleShift()));
+    const unsigned shift =
+        args.getInt<unsigned>("shift", defaultScaleShift());
     const Dataset ds =
         generateDataset(datasetByAbbrev(args.get("dataset", "TT")), shift);
-    const unsigned sessions =
-        static_cast<unsigned>(args.getInt("sessions", 4));
-    const unsigned threads =
-        static_cast<unsigned>(args.getInt("threads", 16));
+    const unsigned sessions = args.getInt<unsigned>("sessions", 4);
+    const unsigned threads = args.getInt<unsigned>("threads", 16);
     const std::string dir =
         args.get("backing", "/tmp/xpg_cli_pipeline");
     std::filesystem::create_directories(dir);
