@@ -66,43 +66,72 @@ warmDevice(uint64_t bytes)
     return dev;
 }
 
+/** The 64 MiB warm image the random-access rows share. */
+PmemDevice &
+warmImage()
+{
+    static const std::unique_ptr<PmemDevice> dev = warmDevice(64 << 20);
+    return *dev;
+}
+
 void
 BM_PmemDeviceRandomWrite4B(benchmark::State &state)
 {
-    static const std::unique_ptr<PmemDevice> dev = warmDevice(64 << 20);
+    PmemDevice &dev = warmImage();
     Rng rng(1);
     uint32_t v = 0;
     for (auto _ : state) {
-        dev->write(4 + 256 * rng.nextBounded((64 << 20) / 256 - 1), &v, 4);
+        dev.write(4 + 256 * rng.nextBounded((64 << 20) / 256 - 1), &v, 4);
         ++v;
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PmemDeviceRandomWrite4B);
 
+/** The read side: one whole XPLine loaded from a random line of the
+ *  warm image, a buffer miss almost every time. */
+void
+BM_PmemDeviceRandomRead256B(benchmark::State &state)
+{
+    PmemDevice &dev = warmImage();
+    Rng rng(4);
+    std::vector<uint8_t> line(256);
+    for (auto _ : state) {
+        dev.read(256 * rng.nextBounded((64 << 20) / 256), line.data(),
+                 line.size());
+        benchmark::DoNotOptimize(line.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_PmemDeviceRandomRead256B);
+
 /**
- * The same 4-byte scatter with four threads storing to one shared device
- * (disjoint lines, shared XPBuffer sets and heat-table shards): the host
- * cost of the model's bookkeeping under concurrency.
+ * The same 4-byte scatter with several threads storing to one shared
+ * device (disjoint lines, shared XPBuffer sets and heat-table shards):
+ * the host cost of the model's bookkeeping under concurrency. Sixteen
+ * threads on a smaller host are the paper benches' oversubscription
+ * (16 archive workers), where a set's lock holder can lose its core.
  */
 void
 BM_PmemDeviceSharedRandomWrite4B(benchmark::State &state)
 {
-    constexpr unsigned kThreads = 4;
-    constexpr uint64_t kLinesPerThread = (16 << 20) / 256;
-    static const std::unique_ptr<PmemDevice> dev =
-        warmDevice(kThreads * kLinesPerThread * 256);
+    static const std::unique_ptr<PmemDevice> dev = warmDevice(64 << 20);
+    const uint64_t lines_per_thread = (64 << 20) / 256 / state.threads();
     Rng rng(1 + state.thread_index());
-    const uint64_t base = state.thread_index() * kLinesPerThread;
+    const uint64_t base = state.thread_index() * lines_per_thread;
     uint32_t v = 0;
     for (auto _ : state) {
-        dev->write(4 + 256 * (base + rng.nextBounded(kLinesPerThread)), &v,
+        dev->write(4 + 256 * (base + rng.nextBounded(lines_per_thread)), &v,
                    4);
         ++v;
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PmemDeviceSharedRandomWrite4B)->Threads(4)->UseRealTime();
+BENCHMARK(BM_PmemDeviceSharedRandomWrite4B)
+    ->Threads(4)
+    ->Threads(16)
+    ->UseRealTime();
 
 /**
  * What the warm rows leave out: mapping a fresh 64 MiB image and taking
@@ -155,6 +184,23 @@ BM_XPBufferStore(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_XPBufferStore);
+
+/**
+ * Loads of random lines from a range of state.range(0) lines through the
+ * default 512-line buffer: 256 lines stay resident (every load hits), 64x
+ * the capacity makes almost every load a miss that evicts.
+ */
+void
+BM_XPBufferLoad(benchmark::State &state)
+{
+    XPBuffer buf;
+    Rng rng(5);
+    const auto lines = static_cast<uint64_t>(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(buf.load(rng.nextBounded(lines)));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_XPBufferLoad)->Arg(256)->Arg(512 * 64);
 
 /**
  * One heat-table touch on a full table (every shard tracks its share):

@@ -36,12 +36,9 @@ LogWindowIndex::ensureCurrent()
     }
 
     if (!built_.load(std::memory_order_relaxed)) {
-        ring_ = std::make_unique<Entry[]>(capacity_);
-        for (auto &heads : heads_) {
-            heads = std::make_unique<std::atomic<uint64_t>[]>(numVertices_);
-            for (vid_t v = 0; v < numVertices_; ++v)
-                heads[v].store(kNone, std::memory_order_relaxed);
-        }
+        ring_ = zeroedArray<Entry>(capacity_);
+        for (auto &heads : heads_)
+            heads = zeroedArray<uint64_t>(numVertices_);
         built_.store(true, std::memory_order_release);
     }
 
@@ -61,12 +58,14 @@ LogWindowIndex::ensureCurrent()
         // position is below the log's reclaim floor (lap safety).
         e.edge = edge;
         for (unsigned d = 0; d < 2; ++d)
-            e.prev[d] = heads_[d][sideVertex(edge, d == 0)].load(
-                std::memory_order_relaxed);
-        e.pos.store(pos, std::memory_order_release);
+            e.prev[d] = std::atomic_ref<uint64_t>(
+                            heads_[d][sideVertex(edge, d == 0)])
+                            .load(std::memory_order_relaxed);
+        std::atomic_ref<uint64_t>(e.pos).store(pos + 1,
+                                               std::memory_order_release);
         for (unsigned d = 0; d < 2; ++d)
-            heads_[d][sideVertex(edge, d == 0)].store(
-                pos, std::memory_order_release);
+            std::atomic_ref<uint64_t>(heads_[d][sideVertex(edge, d == 0)])
+                .store(pos + 1, std::memory_order_release);
     }
     indexedUpTo_.store(target, std::memory_order_release);
 }

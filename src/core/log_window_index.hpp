@@ -19,10 +19,16 @@
  * is validated against the window before its (possibly reused) ring
  * slot is read, and the slot's stored position is checked to match.
  *
+ * Positions are stored as pos + 1, so a zero word means "none": the ring
+ * and the heads are allocated zero-filled and untouched, and their pages
+ * fault in only as the windows reach them (a fresh store's first view
+ * touches a few MiB of a ring sized for the whole log).
+ *
  * Concurrency: readers and the builder may overlap. Heads and slot
- * positions are atomics published with release stores after the slot's
- * payload is written, so a reader that acquires a head (or validates a
- * slot's position) sees a fully written entry. Slot reuse is safe
+ * positions are the published words: plain memory accessed only through
+ * std::atomic_ref, stored with release after the slot's payload is
+ * written, so a reader that acquires a head (or validates a slot's
+ * position) sees a fully written entry. Slot reuse is safe
  * because the log's reservation bound caps reservedHead at
  * reclaim-floor + capacity: a position that any reader may still treat
  * as in-window (>= its visit's lower bound >= the log's reclaim floor)
@@ -34,8 +40,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <vector>
 
 #include "graph/circular_edge_log.hpp"
@@ -85,32 +93,53 @@ class LogWindowIndex
         const unsigned d = out ? 0 : 1;
         chargeDramScattered(1); // head lookup
         uint32_t n = 0;
-        uint64_t pos = heads_[d][v].load(std::memory_order_acquire);
-        while (pos != kNone && pos >= low) {
-            const Entry &e = ring_[pos % capacity_];
-            if (e.pos.load(std::memory_order_acquire) != pos)
+        // stored = pos + 1 >= low + 1 covers "none" (0) as well
+        uint64_t stored = std::atomic_ref<uint64_t>(heads_[d][v]).load(
+            std::memory_order_acquire);
+        while (stored > low) {
+            const uint64_t pos = stored - 1;
+            Entry &e = ring_[pos % capacity_];
+            if (std::atomic_ref<uint64_t>(e.pos).load(
+                    std::memory_order_acquire) != stored)
                 break; // slot reused by a lapped position: chain stale
             chargeDramScattered(1); // random ring-slot access
             if (pos < high) {
                 fn(sideRecord(e.edge, out));
                 ++n;
             }
-            pos = e.prev[d];
+            stored = e.prev[d];
         }
         return n;
     }
 
   private:
-    static constexpr uint64_t kNone = ~0ull;
-
+    /** Trivial, so a zero-filled ring is a ring of empty slots. */
     struct Entry
     {
-        Edge edge{};      ///< the logged edge (dst carries delete flag)
-        std::atomic<uint64_t> pos{kNone}; ///< log position in this slot
-        /// per direction (0 = out, 1 = in): previous window position of
-        /// the edge's side vertex
-        uint64_t prev[2] = {kNone, kNone};
+        Edge edge;   ///< the logged edge (dst carries delete flag)
+        uint64_t pos; ///< log position + 1 in this slot (published word)
+        /// per direction (0 = out, 1 = in): previous window position + 1
+        /// of the edge's side vertex
+        uint64_t prev[2];
     };
+
+    /** Frees what zeroedArray() allocated. */
+    struct FreeDeleter
+    {
+        void operator()(void *p) const { std::free(p); }
+    };
+    template <typename T> using ZeroedArray = std::unique_ptr<T[], FreeDeleter>;
+
+    /** @p n zero-filled Ts, with no page touched until used. */
+    template <typename T>
+    static ZeroedArray<T>
+    zeroedArray(uint64_t n)
+    {
+        auto *p = static_cast<T *>(std::calloc(n, sizeof(T)));
+        if (!p && n != 0)
+            throw std::bad_alloc();
+        return ZeroedArray<T>(p);
+    }
 
     const CircularEdgeLog *log_;
     vid_t numVertices_;
@@ -118,9 +147,10 @@ class LogWindowIndex
 
     /** Set (release) once ring_/heads are allocated; readers acquire. */
     std::atomic<bool> built_{false};
-    std::unique_ptr<Entry[]> ring_; ///< slot = pos % capacity_
-    /// per direction: newest window position per side vertex
-    std::unique_ptr<std::atomic<uint64_t>[]> heads_[2];
+    ZeroedArray<Entry> ring_; ///< slot = pos % capacity_
+    /// per direction: newest window position + 1 per side vertex
+    /// (published words)
+    ZeroedArray<uint64_t> heads_[2];
     std::atomic<uint64_t> indexedUpTo_{0};
     std::mutex buildMutex_;
     std::vector<Edge> buildScratch_;

@@ -29,7 +29,8 @@ MemoryModeDevice::MemoryModeDevice(std::string name, uint64_t capacity,
                                    unsigned num_nodes,
                                    const CostParams *params)
     : MemoryDevice(std::move(name), capacity, node, num_nodes, ""),
-      cache_(directMapped(dram_cache_bytes)),
+      cache_(directMapped(dram_cache_bytes), nullptr,
+             alignUp(capacity, kXPLineSize) / kXPLineSize),
       params_(params ? params : &globalCostParams())
 {
 }

@@ -13,7 +13,8 @@ PmemDevice::PmemDevice(std::string name, uint64_t capacity, int node,
                        const XPBufferConfig &buffer_config,
                        const CostParams *params)
     : MemoryDevice(std::move(name), capacity, node, num_nodes, backing_path),
-      buffer_(buffer_config, raw(0)),
+      buffer_(buffer_config, raw(0),
+              alignUp(capacity, kXPLineSize) / kXPLineSize),
       params_(params ? params : &globalCostParams())
 {
     initTelemetryHandles();

@@ -26,7 +26,9 @@ SsdDevice::SsdDevice(std::string name, uint64_t capacity, int node,
                      const SsdParams &params, uint64_t cache_blocks)
     : MemoryDevice(std::move(name), capacity, node, num_nodes,
                    backing_path),
-      cache_(cacheConfig(cache_blocks)), params_(params)
+      cache_(cacheConfig(cache_blocks), nullptr,
+             alignUp(capacity, kSsdBlockSize) / kSsdBlockSize),
+      params_(params)
 {
 }
 

@@ -11,17 +11,26 @@
  * Modeling simplification: the RMW media read is charged at allocation time
  * iff the triggering store does not begin at the line base. Streaming
  * writes (which always start lines at their base and then fill them) are
- * thereby recognized without per-byte coverage tracking; the only pattern
- * miscounted is a random line-base store followed by eviction, which is
- * ~1/64 of random traffic.
+ * thereby recognized without per-byte coverage tracking. A line-base store
+ * that leaves its line part-filled until eviction is miscounted as free;
+ * ROADMAP.md's open item on exact XPLine coverage measures how often that
+ * happens (for XPGraph it is far from rare) and how to count it.
  *
  * Crash model: a buffer built over the device's bytes (PmemDevice) keeps,
- * in every dirty entry, the image the media holds for that line — the
+ * for every dirty way, the image the media holds for that line — the
  * line's bytes as they were when it went clean -> dirty. Stores land in
  * the device's bytes at once, so a power failure (reset()) writes those
  * images back and every store that never left the buffer disappears. A
- * write-back needs no bookkeeping: once the entry is clean, the bytes are
+ * write-back needs no bookkeeping: once the way is clean, the bytes are
  * the media content.
+ *
+ * Host layout: every modeled XPLine access consults one set, from any
+ * thread, so a set is packed into two cache lines. The first holds all
+ * that an access writes: the lock, the per-way valid, dirty and
+ * stream-allocation bits, the owner tags and the LRU order. The second
+ * holds the line tags, written only by a miss. A hit therefore moves one
+ * shared cache line between cores and a miss two. The crash images sit
+ * in a side array, off both lines.
  */
 
 #ifndef XPG_PMEM_XPBUFFER_HPP
@@ -46,7 +55,7 @@ namespace xpg {
 struct XPBufferConfig
 {
     unsigned numSets = 32; ///< must be a power of two
-    unsigned ways = 16;
+    unsigned ways = 16;    ///< 1 to XPBuffer::kMaxWays
 };
 
 /** One XPLine's bytes (a crash-model media image). */
@@ -72,15 +81,25 @@ struct XPAccessOutcome
 class XPBuffer
 {
   public:
+    /** Ways per set at most: one bit per way in a 16-bit mask, one
+     *  nibble per way in the 64-bit LRU order. */
+    static constexpr unsigned kMaxWays = 16;
+
     /**
      * @param config Geometry.
      * @param media When non-null, the bytes the lines live in (line L at
-     *        media + L * kXPLineSize): dirty entries then keep crash
+     *        media + L * kXPLineSize): dirty lines then keep crash
      *        images (see the file comment). Null keeps none (the SSD
      *        page cache, Memory Mode's DRAM cache).
+     * @param lines How many lines the buffer may be asked about (line
+     *        indices below it): the device's line count. A set keeps the
+     *        32 bits of a line index above the set bits as the line's
+     *        tag, so more than 2^32 * numSets lines panics here; accesses
+     *        are not checked. The default, 2^32, fits every geometry.
      */
     explicit XPBuffer(const XPBufferConfig &config = XPBufferConfig{},
-                      std::byte *media = nullptr);
+                      std::byte *media = nullptr,
+                      uint64_t lines = uint64_t{1} << 32);
 
     /**
      * A store touching line @p line.
@@ -138,42 +157,47 @@ class XPBuffer
     void reset();
 
   private:
-    struct Entry
+    /** One set: the line an access writes, then the tags line. */
+    struct alignas(128) Set
     {
-        uint64_t line = 0;
-        uint32_t lru = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool seqAlloc = false;
-        uint8_t owner = 0; ///< attribution tag of the last store
-    };
-
-    /** One set per cache line, so neighbouring sets' locks never share
-     *  one. */
-    struct alignas(64) Set
-    {
-        std::vector<Entry> entries;
-        /** Media image per way (crash images only; else empty). */
-        std::vector<XPLineImage> images;
-        uint32_t lruTick = 0;
         mutable SpinLock lock;
+        uint16_t valid = 0;    ///< bit w: way w holds a line
+        uint16_t dirty = 0;    ///< bit w: way w is dirty (implies valid)
+        uint16_t seqAlloc = 0; ///< bit w: way w allocated by a base store
+        /** Way indices as nibbles, least significant = most recently
+         *  touched; nibbles past the last way hold 0xF. */
+        uint64_t order = 0;
+        std::array<uint8_t, kMaxWays> owner{}; ///< tag of the last store
+        /** Line index >> log2(numSets), per way. */
+        alignas(64) std::array<uint32_t, kMaxWays> tag{};
     };
+    static_assert(sizeof(Set) == 2 * 64, "a set is two cache lines");
 
-    Set &setFor(uint64_t line);
-    /** Pick victim way in a locked set: first invalid, else LRU. */
-    Entry &victimIn(Set &set) const;
-    /** Evict @p victim of a locked set for a miss, reporting a dirty
-     *  write-back in @p out (and its image in @p image). */
-    void evict(const Set &set, const Entry &victim, XPAccessOutcome &out,
+    /** Way to fill on a miss in a locked set: the lowest invalid way,
+     *  else the least recently touched. */
+    unsigned victimIn(const Set &set) const;
+    /** Report way @p way of locked set @p s, picked for a miss, as a
+     *  dirty write-back in @p out when it is dirty (its image into
+     *  @p image). */
+    void evict(uint64_t s, unsigned way, XPAccessOutcome &out,
                XPLineImage *image) const;
-    /** A line of a locked set goes clean -> dirty: keep its image. */
-    void captureImage(Set &set, const Entry &e) const;
-    /** Copy @p e's image out of a locked set, when images are kept. */
-    void copyImage(const Set &set, const Entry &e, XPLineImage *image) const;
+    /** Line @p line, in way @p way of set @p s, goes clean -> dirty:
+     *  keep its media image. */
+    void captureImage(uint64_t s, unsigned way, uint64_t line);
+    /** Copy way @p way of set @p s's image out, when images are kept. */
+    void copyImage(uint64_t s, unsigned way, XPLineImage *image) const;
+    uint64_t lineOf(uint64_t s, unsigned way) const
+    {
+        return uint64_t{sets_[s].tag[way]} << setShift_ | s;
+    }
 
     XPBufferConfig config_;
     std::byte *media_;
+    unsigned setShift_; ///< log2(numSets)
+    uint16_t waysMask_; ///< one bit per way
     std::unique_ptr<Set[]> sets_;
+    /** Media image of set s, way w at s * ways + w (crash images only). */
+    std::unique_ptr<XPLineImage[]> images_;
 };
 
 } // namespace xpg

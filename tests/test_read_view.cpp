@@ -504,6 +504,38 @@ TEST(ReadView, FrozenWindowBoundsAreExposed)
     EXPECT_EQ(view->visibleEdges(), edges.size() + logged.size());
 }
 
+/** Log positions are indexed as pos + 1 (0 = none): the record at
+ *  position 0 must still be found, by a view and by a live read. */
+TEST(ReadView, WindowStartingAtLogPositionZeroReturnsItsFirstRecord)
+{
+    const vid_t nv = 16;
+    XPGraphConfig c = smallConfig(nv, 64);
+    c.bufferingThresholdEdges = c.elogCapacityEdges; // manual archiving
+    XPGraph graph(c);
+    const Edge edges[] = {{1, 2}, {3, 4}, {1, 5}};
+    graph.session(0)->addEdges(edges, 3);
+
+    const auto view = graph.openView();
+    for (unsigned node = 0; node < graph.numNodes(); ++node)
+        EXPECT_EQ(view->frozenBoundary(node), 0u);
+    std::vector<vid_t> nebrs;
+    view->getNebrsOut(1, nebrs);
+    std::sort(nebrs.begin(), nebrs.end());
+    EXPECT_EQ(nebrs, (std::vector<vid_t>{2, 5}));
+    nebrs.clear();
+    view->getNebrsIn(2, nebrs);
+    EXPECT_EQ(nebrs, (std::vector<vid_t>{1}));
+
+    // The live store's log-window layer walks the same index.
+    nebrs.clear();
+    graph.getNebrsLogOut(1, nebrs);
+    std::sort(nebrs.begin(), nebrs.end());
+    EXPECT_EQ(nebrs, (std::vector<vid_t>{2, 5}));
+    nebrs.clear();
+    graph.getNebrsLogIn(2, nebrs);
+    EXPECT_EQ(nebrs, (std::vector<vid_t>{1}));
+}
+
 TEST(ReadView, SnapshotInheritsViewEpoch)
 {
     const vid_t nv = 128;

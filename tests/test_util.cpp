@@ -173,14 +173,16 @@ TEST(Rng, DoubleInUnitInterval)
     }
 }
 
-TEST(SpinLock, MutualExclusion)
+/** @p threads_n threads make @p increments guarded increments each. */
+void
+expectMutualExclusion(unsigned threads_n, int increments)
 {
     SpinLock lock;
     uint64_t counter = 0;
     std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
+    for (unsigned t = 0; t < threads_n; ++t) {
         threads.emplace_back([&] {
-            for (int i = 0; i < 10000; ++i) {
+            for (int i = 0; i < increments; ++i) {
                 std::lock_guard<SpinLock> guard(lock);
                 ++counter;
             }
@@ -188,7 +190,21 @@ TEST(SpinLock, MutualExclusion)
     }
     for (auto &t : threads)
         t.join();
-    EXPECT_EQ(counter, 40000u);
+    EXPECT_EQ(counter, uint64_t{threads_n} * increments);
+}
+
+TEST(SpinLock, MutualExclusion)
+{
+    expectMutualExclusion(4, 10000);
+}
+
+/** More threads than cores, so holders lose their core inside the
+ *  critical section: waiters must yield to them and still exclude. */
+TEST(SpinLock, MutualExclusionOversubscribed)
+{
+    expectMutualExclusion(
+        std::min(32u, 4 * std::max(1u, std::thread::hardware_concurrency())),
+        20000);
 }
 
 TEST(SpinLock, TryLockFailsWhenHeld)
