@@ -25,13 +25,16 @@
 # ThreadSanitizer before the benches.
 #
 # With XPG_ASAN=1 a third build tree (<build-dir>-asan) is compiled with
-# -DXPG_SANITIZE=address and the recovery/crash suites (device crash
-# model, allocator recovery, XPGraph recovery, crash sweep) run under
-# AddressSanitizer — recovery code walks raw device images, exactly
-# where an out-of-bounds read would hide — together with the read-view
-# and pool suites (the vertex-buffer pool poisons the blocks on its free
-# lists there, so a view reading a reclaimed buffer trips ASAN) and the
-# edge-log and session suites, which cover the one append loop.
+# -DXPG_SANITIZE=address,undefined and -fno-sanitize-recover=undefined
+# (the first undefined-behaviour report aborts the run), and the
+# recovery/crash suites (device crash model, allocator recovery, XPGraph
+# recovery, crash sweep) run under AddressSanitizer and
+# UndefinedBehaviorSanitizer — recovery code walks raw device images,
+# exactly where an out-of-bounds read would hide — together with the
+# read-view and pool suites (the vertex-buffer pool poisons the blocks
+# on its free lists there, so a view reading a reclaimed buffer trips
+# ASAN) and the edge-log and session suites, which cover the one append
+# loop.
 #
 # After the recovery bench, the fig13 traffic bench runs and its report
 # is gated twice with tools/bench_diff: the paper's write-amplification
@@ -73,7 +76,7 @@
 # CLI pipeline with --telemetry and json.tool-validates the trace and
 # metrics files, checks the trace for the recovery event instant and
 # the buffering spans' edge counts, runs the attribution profiler and
-# asserts its per-cause rows sum back to the device counters (≤0.1%),
+# asserts its per-cause rows sum back to the device counters exactly,
 # then checks `xpgraph_cli explain bfs|cc` exactness. Telemetry is
 # always compiled in; that it never changes a simulated number is
 # checked by the Telemetry.RecordingNeverChargesSimClock and
@@ -100,7 +103,9 @@ fi
 
 if [[ "${XPG_ASAN:-0}" == "1" ]]; then
     asan_dir="${build_dir}-asan"
-    cmake -B "${asan_dir}" -S "${repo_root}" -DXPG_SANITIZE=address
+    cmake -B "${asan_dir}" -S "${repo_root}" \
+          -DXPG_SANITIZE=address,undefined \
+          -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
     cmake --build "${asan_dir}" -j "$(nproc)" \
           --target xpg_tests xpg_crash_tests
     "${asan_dir}/tests/xpg_tests" \
@@ -440,9 +445,9 @@ print(f"telemetry: {len(recovery)} recovery instant(s), "
 EOF
 
     # Attribution profile stage: the profiler's per-cause rows must sum
-    # back to the device-wide PCM counters (≤0.1% slack — in-process
-    # they are exact by construction; the slack only covers future
-    # float-derived fields).
+    # back to the device-wide PCM counters exactly, on every integer
+    # field (both sides are the same integer counters, read with no
+    # traffic between them; the amplification ratios are derived).
     profile_json="${XPG_BENCH_PROFILE_JSON:-${repo_root}/BENCH_profile.json}"
     "${build_dir}/tools/xpgraph_cli" profile --dataset "${datasets[0]}" \
         --json "${profile_json}"
@@ -452,29 +457,30 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 dev = doc["counters"]
 tot = doc["attribution_total"]
+rows = doc["attribution"]
+fields = [k for k, v in dev.items() if isinstance(v, int)]
 bad = []
-for key, dev_v in dev.items():
-    if key not in tot or "amplification" in key:
-        continue
-    slack = abs(tot[key] - dev_v) / max(dev_v, 1)
-    if slack > 0.001:
-        bad.append(f"{key}: attributed {tot[key]} vs device {dev_v} "
-                   f"({slack:.3%})")
+for key in fields:
+    summed = sum(row.get(key, 0) for row in rows.values())
+    if summed != dev[key] or tot.get(key) != dev[key]:
+        bad.append(f"{key}: rows sum to {summed}, total {tot.get(key)}, "
+                   f"device {dev[key]}")
 if bad:
     sys.exit("FAIL: attribution does not sum to the device counters:\n  "
              + "\n  ".join(bad))
-print(f"profile check passed: attributed totals match the device "
-      f"counters on {len(dev)} fields")
+print(f"profile check passed: {len(rows)} attribution rows sum to the "
+      f"device counters exactly on {len(fields)} fields")
 EOF
 
     # Explain stage (DESIGN.md §15): `xpgraph_cli explain` on bfs and
     # cc must produce a parseable xpgraph-explain-v1 report whose
     # round-level media reads sum to the op's OpScope counter delta
     # EXACTLY (continuous probe coverage on a quiesced store), whose
-    # per-op attribution rows sum to the global AttributionTable
-    # delta within 0.1%, and whose op sim_ns is the kernel's. The CLI itself exits non-zero when its own
-    # checks fail; the python pass re-derives both invariants from the
-    # raw rows rather than trusting the embedded verdicts.
+    # per-op attribution rows equal the global AttributionTable delta's
+    # row by row and field by field, and whose op sim_ns is the
+    # kernel's. The CLI itself exits non-zero when its own checks fail;
+    # the python pass re-derives the invariants from the raw rows
+    # rather than trusting the embedded verdicts.
     for kernel in bfs cc; do
         explain_json="${repo_root}/BENCH_explain_${kernel}.json"
         "${build_dir}/tools/xpgraph_cli" explain "${kernel}" \
@@ -495,17 +501,18 @@ assert doc["op"]["sim_ns"] == doc["result"]["sim_ns"], (
     f"{doc['result']['sim_ns']}")
 op_rows = doc["op"]["attribution"]
 glob_rows = doc["global_delta"]["attribution"]
-for field in ("media_bytes_read", "media_bytes_written",
-              "app_bytes_read", "app_bytes_written"):
-    op_v = sum(row[field] for row in op_rows.values())
-    gl_v = sum(row[field] for row in glob_rows.values())
-    slack = abs(op_v - gl_v) / max(gl_v, 1)
-    assert slack <= 0.001, (
-        f"{field}: op rows {op_v} vs global delta {gl_v} ({slack:.3%})")
+assert op_rows.keys() == glob_rows.keys(), (
+    f"op rows {sorted(op_rows)} vs global rows {sorted(glob_rows)}")
+for cause, op_row in op_rows.items():
+    for field, gl_v in glob_rows[cause].items():
+        if isinstance(gl_v, int):
+            assert op_row[field] == gl_v, (
+                f"{cause}.{field}: op row {op_row[field]} vs global "
+                f"delta {gl_v}")
 assert checks["round_media_reads_exact"] and checks["attribution_ok"]
 print(f"explain {doc['algo']}: {len(doc['rounds'])} rounds, "
-      f"{round_ops} media reads sum exactly; attribution rows match "
-      f"the global delta")
+      f"{round_ops} media reads sum exactly; {len(op_rows)} attribution "
+      f"rows equal the global delta's")
 EOF
     done
 fi

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/graph_store.hpp"
 #include "pmem/cost_model.hpp"
 #include "pmem/dram_device.hpp"
 #include "pmem/numa_topology.hpp"
@@ -37,20 +38,27 @@ RoundStats::toJson() const
     return v;
 }
 
-QueryDriver::QueryDriver(GraphView &view, unsigned num_threads,
+QueryDriver::QueryDriver(const GraphView &view, unsigned num_threads,
                          QueryBinding binding, SchedulePolicy schedule)
-    : view_(view), binding_(binding), schedule_(schedule),
-      executor_(num_threads)
+    : view_(view), store_(view.backingStore()), binding_(binding),
+      schedule_(schedule), executor_(num_threads)
 {
-    view_.declareQueryThreads(num_threads);
-    perNode_.resize(std::max(1u, view_.numNodes()));
+    if (store_)
+        store_->declareQueryThreads(num_threads);
+    perNode_.resize(store_ ? std::max(1u, store_->numNodes()) : 1);
     telRoundHist_ = XPG_TEL_HISTOGRAM(
         "query.round_ns", (telemetry::Labels{.phase = "round"}));
     // Round-stat baseline: sample the store's cumulative query-path
     // counters NOW so round 1's delta starts at driver construction —
     // continuous coverage is what makes the per-round deltas sum to
     // the bracketing OpScope's deltas exactly.
-    probeActive_ = view_.sampleQueryProbe(probeLast_);
+    probeActive_ = store_ && store_->sampleQueryProbe(probeLast_);
+}
+
+int
+QueryDriver::nodeOfOut(vid_t v) const
+{
+    return store_ ? store_->nodeOfOut(v) : 0;
 }
 
 void
@@ -67,7 +75,7 @@ QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices,
     rs.simNs = round_ns;
 
     QueryProbe now;
-    if (!probeActive_ || !view_.sampleQueryProbe(now))
+    if (!probeActive_ || !store_->sampleQueryProbe(now))
         return; // not probed: the fields below stay unmeasured
     rs.probed = true;
     rs.sealedRecords = now.sealedRecords - probeLast_.sealedRecords;
@@ -116,7 +124,7 @@ QueryDriver::bindingActive() const
 {
     switch (binding_) {
       case QueryBinding::Auto:
-        return view_.queryBindingEnabled();
+        return store_ && store_->queryBindingEnabled();
       case QueryBinding::None:
         return false;
       case QueryBinding::PerRound:
@@ -189,7 +197,7 @@ QueryDriver::buildPlan(std::span<const vid_t> vertices, Plan &plan)
             plan.lists[0].assign(vertices.begin(), vertices.end());
         } else {
             for (vid_t v : vertices)
-                plan.lists[static_cast<unsigned>(view_.nodeOfOut(v)) %
+                plan.lists[static_cast<unsigned>(nodeOfOut(v)) %
                            nodes]
                     .push_back(v);
         }
@@ -288,7 +296,7 @@ QueryDriver::forEach(std::span<const vid_t> vertices,
             const uint64_t end =
                 std::min<uint64_t>(vertices.size(), begin + per);
             for (uint64_t i = begin; i < end; ++i) {
-                NumaBinding::bindThread(view_.nodeOfOut(vertices[i]),
+                NumaBinding::bindThread(nodeOfOut(vertices[i]),
                                         /*charge_migration=*/true);
                 fn(vertices[i], w);
             }
@@ -323,7 +331,7 @@ QueryDriver::forEach(std::span<const vid_t> vertices,
         for (auto &list : perNode_)
             list.clear();
         for (vid_t v : vertices)
-            perNode_[static_cast<unsigned>(view_.nodeOfOut(v)) % nodes]
+            perNode_[static_cast<unsigned>(nodeOfOut(v)) % nodes]
                 .push_back(v);
         chargeDramSequential(vertices.size() * sizeof(vid_t) * 2);
         round_ns += classify_scope.elapsed();

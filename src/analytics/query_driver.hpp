@@ -33,6 +33,8 @@
 
 namespace xpg {
 
+class GraphStore;
+
 /**
  * Exact cost record of one computing round (DESIGN.md §15): what the
  * store's query-path counters and device counters moved between the
@@ -43,10 +45,10 @@ namespace xpg {
  * quiescent store.
  *
  * Only round, activeVertices and simNs are measured on every view.
- * The rest come from the view's query probe: on a view without one
- * (GraphOne, synthetic views) the record is not probed, those fields
- * are not measured, and toJson() leaves them out rather than report
- * them as zero.
+ * The rest come from the backing store's query probe: on a view
+ * without one (GraphOne and its views, synthetic views) the record is
+ * not probed, those fields are not measured, and toJson() leaves them
+ * out rather than report them as zero.
  *
  * pushCostNs/pullCostNs are cost-model estimates of running this round
  * frontier-directed (touch activeVertices, random-read their
@@ -80,7 +82,7 @@ struct RoundStats
 /** How query threads relate to NUMA nodes. */
 enum class QueryBinding
 {
-    Auto,      ///< follow view.queryBindingEnabled()
+    Auto,      ///< follow the backing store's queryBindingEnabled()
     None,      ///< threads stay unbound (GraphOne behaviour)
     PerRound,  ///< classify per iteration, bind per round (paper default)
     PerVertex, ///< rebind on every vertex (the anti-pattern of S III-D)
@@ -105,17 +107,23 @@ enum class SchedulePolicy
  * quiescent while the driver queries it, or the driver runs over an
  * immutable point-in-time ReadView (openView()) while sessions keep
  * ingesting into the store behind it.
+ *
+ * The machine questions (NUMA node of a vertex, node count, binding,
+ * declared readers, the query probe) go to view.backingStore(), taken
+ * once at construction. A view without a store runs on one node,
+ * unbound, with nothing declared and no probe.
  */
 class QueryDriver
 {
   public:
     /**
-     * @param view Graph under query (used for node classification).
-     * @param num_threads Simulated query thread count.
+     * @param view Graph under query.
+     * @param num_threads Simulated query thread count, declared to the
+     *        backing store.
      * @param binding Binding strategy.
      * @param schedule Work-distribution policy.
      */
-    QueryDriver(GraphView &view, unsigned num_threads,
+    QueryDriver(const GraphView &view, unsigned num_threads,
                 QueryBinding binding = QueryBinding::Auto,
                 SchedulePolicy schedule = SchedulePolicy::Auto);
 
@@ -137,9 +145,9 @@ class QueryDriver
 
     /**
      * Per-round cost records, one per forEach/forAllVertices call so
-     * far. When the view has no query probe (GraphOne, synthetic
-     * views) a record is not probed: only round, activeVertices and
-     * simNs are measured, and toJson() leaves the rest out.
+     * far. Without a query probe (GraphOne, views without a store) a
+     * record is not probed: only round, activeVertices and simNs are
+     * measured, and toJson() leaves the rest out.
      */
     const std::vector<RoundStats> &rounds() const { return rounds_; }
 
@@ -159,6 +167,8 @@ class QueryDriver
         std::vector<std::vector<uint64_t>> bounds;
     };
 
+    /** The backing store's node for v's out-adjacency (0 without one). */
+    int nodeOfOut(vid_t v) const;
     bool bindingActive() const;
     bool balancedActive() const;
     /** @return simulated ns spent building (serial classify + parallel
@@ -177,7 +187,8 @@ class QueryDriver
     void noteRound(uint64_t round_ns, uint64_t active_vertices,
                    uint64_t host_start_ns);
 
-    GraphView &view_;
+    const GraphView &view_;
+    const GraphStore *store_; ///< view_.backingStore(), may be null
     QueryBinding binding_;
     SchedulePolicy schedule_;
     ParallelExecutor executor_;
@@ -189,7 +200,7 @@ class QueryDriver
     telemetry::ShardedHistogram *telRoundHist_ = nullptr;
 
     // --- round observability (DESIGN.md §15) ---
-    bool probeActive_ = false; ///< view answered sampleQueryProbe
+    bool probeActive_ = false; ///< store answered sampleQueryProbe
     QueryProbe probeLast_;     ///< sample at end of previous round
     std::vector<RoundStats> rounds_;
 };

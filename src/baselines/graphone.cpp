@@ -518,7 +518,7 @@ GraphOne::vertexWeight(vid_t v) const
 }
 
 void
-GraphOne::declareQueryThreads(unsigned n)
+GraphOne::declareQueryThreads(unsigned n) const
 {
     // Transition to the query phase (see XPGraph::declareQueryThreads).
     // Load spreads over however many devices hold the data — one for
@@ -538,10 +538,12 @@ GraphOne::openView()
     // and vertex meta only mutate under this lock, so the materialized
     // snapshot is a consistent image of the archived state. Sessions
     // may keep logging meanwhile (the log is not read here); see the
-    // header for the freshness caveat.
+    // header for the freshness caveat. The copy runs as one query
+    // thread.
     std::lock_guard<std::mutex> lock(archiveMutex_);
-    return materializeView(
-        *this, 1, archivePhases_.load(std::memory_order_relaxed));
+    declareQueryThreads(1);
+    return std::make_unique<Snapshot>(
+        *this, archivePhases_.load(std::memory_order_relaxed));
 }
 
 // --- introspection -------------------------------------------------------------

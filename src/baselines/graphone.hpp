@@ -130,24 +130,25 @@ class GraphOne : public GraphStore
     uint32_t degreeIn(vid_t v) const override;
     bool hasFastDegrees() const override { return true; }
     uint64_t vertexWeight(vid_t v) const override;
-    void declareQueryThreads(unsigned n) override;
+    void declareQueryThreads(unsigned n) const override;
 
     /**
-     * Point-in-time view: materialized through the query surface under
-     * the archive lock, so archive phases are excluded while the copy
-     * is taken and the result is a consistent archived-state snapshot
-     * stamped with the archive generation. Freshness caveat (documented
-     * divergence from XPGraph): GraphOne's query surface — and hence
-     * its views — exposes archived edges only; logged-but-unarchived
-     * edges become visible after the next archive phase. Sessions keep
-     * logging while the view materializes, but one that fills the log
-     * blocks until the copy completes (the archiver needs the lock).
+     * Point-in-time view: a Snapshot copied through the query surface
+     * in one sequential pass under the archive lock, so archive phases
+     * are excluded while the copy is taken and the result is a
+     * consistent archived-state snapshot stamped with the archive
+     * generation. The copy's modeled reads are charged to the caller.
+     * Freshness caveat (documented divergence from XPGraph): GraphOne's
+     * query surface — and hence its views — exposes archived edges
+     * only; logged-but-unarchived edges become visible after the next
+     * archive phase. Sessions keep logging while the view materializes,
+     * but one that fills the log blocks until the copy completes (the
+     * archiver needs the lock).
      */
     std::unique_ptr<ReadView> openView() override;
 
     // --- introspection ---
     IngestStats stats() const;
-    IngestStats ingestStats() const override { return stats(); }
 
     /**
      * Phase-consistent stats(): archive phases run under archiveMutex_

@@ -1829,29 +1829,9 @@ class XPGraph::EpochView final : public ReadView
 
     uint64_t visibleEdges() const override { return visibleEdges_; }
 
-    int nodeOfOut(vid_t v) const override { return g_->nodeOfOut(v); }
-    int nodeOfIn(vid_t v) const override { return g_->nodeOfIn(v); }
-    unsigned numNodes() const override { return g_->numNodes(); }
-    bool
-    queryBindingEnabled() const override
-    {
-        return g_->queryBindingEnabled();
-    }
-
-    void
-    declareQueryThreads(unsigned n) override
-    {
-        g_->declareQueryThreads(n);
-    }
-
-    // Round observability: the counters are store-global, so the view
-    // delegates (its own window/frozen visits bump the same counters).
-    bool
-    sampleQueryProbe(QueryProbe &out) const override
-    {
-        return g_->sampleQueryProbe(out);
-    }
-
+    // The store answers the machine questions (placement, binding,
+    // declared readers, the query probe, whose counters this view's
+    // visits bump too).
     const GraphStore *backingStore() const override { return g_; }
 
   private:
@@ -2123,7 +2103,7 @@ XPGraph::compactAllAdjs()
 // --- introspection -----------------------------------------------------------
 
 void
-XPGraph::declareQueryThreads(unsigned n)
+XPGraph::declareQueryThreads(unsigned n) const
 {
     // Transition to the query phase: the lock waits out any in-flight
     // archive phase, then pending write-buffer contents drain in the

@@ -240,21 +240,21 @@ class XPGraph : public GraphStore
      */
     uint64_t runCompactionPass();
 
-    // --- NUMA / GraphView ---
+    // --- NUMA / GraphStore machine questions ---
 
     int nodeOfOut(vid_t v) const override;
-    int nodeOfIn(vid_t v) const override;
+    /** NUMA node whose memory holds v's in-adjacency. */
+    int nodeOfIn(vid_t v) const;
     unsigned numNodes() const override { return config_.numNodes; }
     bool queryBindingEnabled() const override { return config_.bindThreads; }
 
     /** Declare the number of concurrent query threads (read contention).
      *  Also a sync point: waits out any in-flight archive phase. */
-    void declareQueryThreads(unsigned n) override;
+    void declareQueryThreads(unsigned n) const override;
 
     // --- Introspection ---
 
     IngestStats stats() const;
-    IngestStats ingestStats() const override { return stats(); }
 
     /**
      * Phase-consistent stats(): validates the archive-phase epoch

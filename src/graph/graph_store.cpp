@@ -166,8 +166,10 @@ GraphStore::hotLines(unsigned n) const
         const auto *pmem = dynamic_cast<const PmemDevice *>(dev);
         if (!pmem)
             continue;
-        const auto top = pmem->heat().top(n);
-        merged.insert(merged.end(), top.begin(), top.end());
+        for (telemetry::LineHeatTable::HotLine h : pmem->heat().top(n)) {
+            h.node = dev->node();
+            merged.push_back(h);
+        }
     }
     std::sort(merged.begin(), merged.end(),
               [](const telemetry::LineHeatTable::HotLine &a,
@@ -176,7 +178,9 @@ GraphStore::hotLines(unsigned n) const
                   const uint64_t tb = b.reads + b.writes;
                   if (ta != tb)
                       return ta > tb;
-                  return a.line < b.line;
+                  if (a.line != b.line)
+                      return a.line < b.line;
+                  return a.node < b.node;
               });
     if (merged.size() > n)
         merged.resize(n);

@@ -3,9 +3,9 @@
  * The stable ingest + query interface implemented by every engine
  * (XPGraph and the GraphOne baselines): the paper's Table I update
  * methods, the thread-safe session surface, the arranging entry point,
- * and the GraphView query surface. Benches and tests drive all engines
- * through this one polymorphic harness instead of engine-specific call
- * sites.
+ * the GraphView query surface, and what query scheduling asks about the
+ * machine behind it. Benches and tests drive all engines through this
+ * one polymorphic harness instead of engine-specific call sites.
  *
  * Threading contract:
  *  - session(threadHint) opens an independent ingestion session; any
@@ -148,9 +148,8 @@ class IngestSession
 /**
  * The engine-independent ingest + query interface (Table I). Also the
  * telemetry OpCostSource: an OpScope bracketing one operation on this
- * store diffs pmemCounters()/pmemAttribution()/compressionStats()
- * through the narrow interface below, keeping telemetry independent of
- * graph headers.
+ * store diffs pmemAttribution()/compressionStats() through the narrow
+ * interface below, keeping telemetry independent of graph headers.
  */
 class GraphStore : public GraphView, public telemetry::OpCostSource
 {
@@ -178,6 +177,31 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
      */
     virtual std::unique_ptr<ReadView> openView() = 0;
 
+    // --- The machine behind the query surface ---
+    // The query driver asks these of view.backingStore(), so a kernel
+    // on a view and one on its store schedule and probe alike.
+
+    /** NUMA node whose memory holds v's out-adjacency (query binding). */
+    virtual int nodeOfOut(vid_t) const { return 0; }
+
+    /** Number of NUMA nodes data is spread over. */
+    virtual unsigned numNodes() const { return 1; }
+
+    /** Whether query threads should bind to nodeOfOut(). */
+    virtual bool queryBindingEnabled() const { return false; }
+
+    /** Declare the number of concurrent query threads (read contention). */
+    virtual void declareQueryThreads(unsigned) const {}
+
+    /**
+     * Sample the store's cumulative query-path counters into the
+     * argument. Stores without the instrumentation return false and
+     * leave it untouched; consumers then skip media-level round stats.
+     * The counters are store-global: reads through the store's views
+     * move them too.
+     */
+    virtual bool sampleQueryProbe(QueryProbe &) const { return false; }
+
     // --- Graph arranging interfaces ---
 
     /**
@@ -189,19 +213,14 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
 
     // --- Introspection ---
 
-    virtual IngestStats ingestStats() const = 0;
-
     /**
-     * Phase-consistent ingestStats(): safe to call while sessions and
-     * the archiver are live. ingestStats() reads the relaxed stat
-     * fields one by one, so a concurrent archive phase can leave the
-     * copy mixing instants (e.g. bufferingPhases incremented but the
-     * phase's bufferingNs not yet added); implementations override
-     * this to read outside any in-flight phase (epoch validation in
-     * XPGraph, the archive lock in GraphOne). Single-threaded callers
-     * can keep using ingestStats().
+     * Cumulative ingest statistics, safe to read while sessions and
+     * the archiver are live: the engines keep them in relaxed atomics
+     * that a concurrent archive phase updates one by one, so they read
+     * outside any in-flight phase (epoch validation in XPGraph, the
+     * archive lock in GraphOne) and never mix a phase's instants.
      */
-    virtual IngestStats snapshotStats() const { return ingestStats(); }
+    virtual IngestStats snapshotStats() const = 0;
 
     /** Device counters (PCM-equivalent, Fig.13) summed over every
      *  registered device. */
@@ -228,10 +247,9 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
     /**
      * The hottest XPLines across this store's devices: top @p n by
      * total touches, merged from the per-device heat tables. Line
-     * indices are device-local, so entries from different devices can
-     * share an index and are reported as separate rows (the profiler
-     * cares about heat, not identity). Empty for stores without an
-     * XPBuffer model (DRAM).
+     * indices are device-local, so each entry names its device's NUMA
+     * node, and (node, line) identifies a line. Empty for stores
+     * without an XPBuffer model (DRAM).
      */
     std::vector<telemetry::LineHeatTable::HotLine>
     hotLines(unsigned n) const;
@@ -275,8 +293,6 @@ class GraphStore : public GraphView, public telemetry::OpCostSource
 
     /** This store is its own query backing store. */
     const GraphStore *backingStore() const override { return this; }
-
-    PcmCounters opPcmCounters() const final { return pmemCounters(); }
 
     telemetry::AttributionSnapshot
     opAttribution() const final

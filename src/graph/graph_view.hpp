@@ -1,7 +1,11 @@
 /**
  * @file
  * Read interface shared by all graph stores (XPGraph and the GraphOne
- * baselines), consumed by the analytics algorithms and benches.
+ * baselines) and their point-in-time views, consumed by the analytics
+ * algorithms and benches. A GraphView is the adjacency surface only:
+ * what the machine behind it looks like (NUMA placement, query-thread
+ * binding, declared readers, the query probe) is asked of its
+ * backingStore().
  *
  * The visitor interface (forEachNebrOut/In + degreeOut/In) is the one
  * primitive stores implement: it streams neighbors in place without
@@ -26,12 +30,13 @@ namespace xpg {
 class GraphStore;
 
 /**
- * Cumulative query-path counters a store exposes for round-level
- * observability (DESIGN.md §15). All fields except storedEdges are
- * monotonic counters; consumers (QueryDriver) sample before and after
- * each computing round and report the deltas, so the per-round numbers
- * sum to the per-operation OpScope deltas exactly on a quiescent
- * store. storedEdges is a level (the store's current live edge-record
+ * Cumulative query-path counters a store exposes (through
+ * GraphStore::sampleQueryProbe) for round-level observability
+ * (DESIGN.md §15). All fields except storedEdges are monotonic
+ * counters; consumers (QueryDriver) sample before and after each
+ * computing round and report the deltas, so the per-round numbers sum
+ * to the per-operation OpScope deltas exactly on a quiescent store.
+ * storedEdges is a level (the store's current live edge-record
  * estimate), read for the pull-direction cost estimate.
  */
 struct QueryProbe
@@ -156,40 +161,12 @@ class GraphView
     /** Fixed per-vertex visit cost, in units of one adjacency record. */
     static constexpr uint64_t kVertexFixedWeight = 64;
 
-    /** NUMA node whose memory holds v's out-adjacency (query binding). */
-    virtual int nodeOfOut(vid_t v) const { return 0; }
-
-    /** NUMA node whose memory holds v's in-adjacency (query binding). */
-    virtual int nodeOfIn(vid_t v) const { return 0; }
-
-    /** Number of NUMA nodes data is spread over. */
-    virtual unsigned numNodes() const { return 1; }
-
-    /** Whether query threads should bind to nodeOfOut/nodeOfIn. */
-    virtual bool queryBindingEnabled() const { return false; }
-
-    /** Declare the number of concurrent query threads (read contention). */
-    virtual void declareQueryThreads(unsigned n) {}
-
-    /**
-     * Sample the store's cumulative query-path counters into @p out.
-     * Stores without the instrumentation return false and leave
-     * @p out untouched; consumers then skip media-level round
-     * stats. Views (ReadView) delegate to their owning store — the
-     * counters are store-global.
-     */
-    virtual bool
-    sampleQueryProbe(QueryProbe &out) const
-    {
-        (void)out;
-        return false;
-    }
-
     /**
      * The GraphStore whose devices this view reads, or null when the
-     * view is not backed by one (synthetic test views). Kernels use it
-     * to bracket a run in an OpScope without widening their GraphView
-     * parameter.
+     * view is not backed by one (CSR, materialized and synthetic
+     * views). Kernels bracket a run in an OpScope over it, and the
+     * query driver asks it the machine questions; without one a run
+     * has zero cost deltas, one node, no binding and no probe.
      */
     virtual const GraphStore *backingStore() const { return nullptr; }
 };

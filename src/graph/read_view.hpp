@@ -10,10 +10,13 @@
  * Readers on a view are lock-free: they never block writers and never
  * observe a half-published edge.
  *
- * Views are obtained from GraphStore::openView(). Engines with
- * epoch-tracked internals (XPGraph) return zero-copy views that read
- * the live structures directly and pin their reclamation; engines
- * without (the GraphOne baselines) materialize the view instead. See
+ * Views are obtained from GraphStore::openView(), the one point-in-time
+ * read. Engines with epoch-tracked internals (XPGraph) return zero-copy
+ * views that read the live structures directly and pin their
+ * reclamation; engines without (the GraphOne baselines) copy their
+ * query surface into a Snapshot (snapshot.hpp) instead. Like every
+ * GraphView, a view answers adjacency questions only; a zero-copy
+ * view's backingStore() answers the questions about the machine. See
  * DESIGN.md §12 for the epoch, reclamation, and freshness semantics.
  */
 

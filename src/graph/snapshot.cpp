@@ -1,13 +1,26 @@
 #include "graph/snapshot.hpp"
 
-#include <numeric>
-
-#include "graph/graph_store.hpp"
 #include "pmem/dram_device.hpp"
-#include "util/parallel.hpp"
-#include "util/sim_clock.hpp"
 
 namespace xpg {
+
+Snapshot::Snapshot(const GraphView &source, uint64_t epoch) : epoch_(epoch)
+{
+    const vid_t nv = source.numVertices();
+    outOffsets_.reserve(uint64_t{nv} + 1);
+    inOffsets_.reserve(uint64_t{nv} + 1);
+    outOffsets_.push_back(0);
+    inOffsets_.push_back(0);
+    for (vid_t v = 0; v < nv; ++v) {
+        source.getNebrsOut(v, outAdj_);
+        outOffsets_.push_back(outAdj_.size());
+        source.getNebrsIn(v, inAdj_);
+        inOffsets_.push_back(inAdj_.size());
+    }
+    chargeDramSequential(
+        (outOffsets_.size() + inOffsets_.size()) * sizeof(uint64_t) +
+        (outAdj_.size() + inAdj_.size()) * sizeof(vid_t));
+}
 
 uint32_t
 Snapshot::forEachNebrOut(vid_t v, NebrVisitor fn) const
@@ -29,108 +42,6 @@ Snapshot::forEachNebrIn(vid_t v, NebrVisitor fn) const
     for (auto i = begin; i < end; ++i)
         fn(inAdj_[i]);
     return static_cast<uint32_t>(end - begin);
-}
-
-uint64_t
-Snapshot::sizeBytes() const
-{
-    return (outOffsets_.size() + inOffsets_.size()) * sizeof(uint64_t) +
-           (outAdj_.size() + inAdj_.size()) * sizeof(vid_t);
-}
-
-std::unique_ptr<Snapshot>
-takeSnapshot(GraphView &view, unsigned num_threads)
-{
-    auto snap = std::unique_ptr<Snapshot>(new Snapshot());
-    const vid_t nv = view.numVertices();
-    view.declareQueryThreads(num_threads);
-
-    // Pass 1 (parallel): collect per-vertex adjacency into per-worker
-    // stripes; vertices are strided across workers, so reassembly below
-    // walks the stripes round-robin.
-    ParallelExecutor executor(num_threads);
-    const unsigned workers = executor.numWorkers();
-    struct Stripe
-    {
-        std::vector<uint32_t> outDeg;
-        std::vector<vid_t> outAdj;
-        std::vector<uint32_t> inDeg;
-        std::vector<vid_t> inAdj;
-    };
-    std::vector<Stripe> stripes(workers);
-
-    const ParallelResult result = executor.run([&](unsigned w) {
-        Stripe &stripe = stripes[w];
-        std::vector<vid_t> nebrs;
-        for (vid_t v = w; v < nv; v += workers) {
-            nebrs.clear();
-            stripe.outDeg.push_back(view.getNebrsOut(v, nebrs));
-            stripe.outAdj.insert(stripe.outAdj.end(), nebrs.begin(),
-                                 nebrs.end());
-            nebrs.clear();
-            stripe.inDeg.push_back(view.getNebrsIn(v, nebrs));
-            stripe.inAdj.insert(stripe.inAdj.end(), nebrs.begin(),
-                                nebrs.end());
-        }
-    });
-    snap->buildNs_ = result.maxNanos();
-
-    // Pass 2 (serial): stitch stripes into CSR arrays.
-    SimScope stitch_scope;
-    snap->outOffsets_.assign(nv + 1, 0);
-    snap->inOffsets_.assign(nv + 1, 0);
-    std::vector<uint64_t> out_cursor(workers, 0);
-    std::vector<uint64_t> in_cursor(workers, 0);
-    std::vector<uint64_t> out_adj_cursor(workers, 0);
-    std::vector<uint64_t> in_adj_cursor(workers, 0);
-
-    for (vid_t v = 0; v < nv; ++v) {
-        const unsigned w = v % workers;
-        const uint64_t i = out_cursor[w]++;
-        snap->outOffsets_[v + 1] =
-            snap->outOffsets_[v] + stripes[w].outDeg[i];
-        snap->inOffsets_[v + 1] =
-            snap->inOffsets_[v] + stripes[w].inDeg[in_cursor[w]++];
-    }
-    snap->outAdj_.resize(snap->outOffsets_[nv]);
-    snap->inAdj_.resize(snap->inOffsets_[nv]);
-    std::fill(out_cursor.begin(), out_cursor.end(), 0);
-    std::fill(in_cursor.begin(), in_cursor.end(), 0);
-    for (vid_t v = 0; v < nv; ++v) {
-        const unsigned w = v % workers;
-        {
-            const uint32_t deg = stripes[w].outDeg[out_cursor[w]++];
-            std::copy_n(stripes[w].outAdj.begin() + out_adj_cursor[w],
-                        deg, snap->outAdj_.begin() + snap->outOffsets_[v]);
-            out_adj_cursor[w] += deg;
-        }
-        {
-            const uint32_t deg = stripes[w].inDeg[in_cursor[w]++];
-            std::copy_n(stripes[w].inAdj.begin() + in_adj_cursor[w], deg,
-                        snap->inAdj_.begin() + snap->inOffsets_[v]);
-            in_adj_cursor[w] += deg;
-        }
-    }
-    chargeDramSequential(snap->sizeBytes());
-    snap->buildNs_ += stitch_scope.elapsed();
-    return snap;
-}
-
-std::unique_ptr<Snapshot>
-takeSnapshot(GraphStore &store, unsigned num_threads)
-{
-    const std::unique_ptr<ReadView> view = store.openView();
-    auto snap = takeSnapshot(*view, num_threads);
-    snap->epoch_ = view->epoch();
-    return snap;
-}
-
-std::unique_ptr<Snapshot>
-materializeView(GraphView &view, unsigned num_threads, uint64_t epoch)
-{
-    auto snap = takeSnapshot(view, num_threads);
-    snap->epoch_ = epoch;
-    return snap;
 }
 
 } // namespace xpg

@@ -27,6 +27,8 @@ struct PcmCounters
     uint64_t bufferHits = 0;       ///< accesses absorbed by the XPBuffer
     uint64_t remoteAccesses = 0;   ///< accesses from a non-local node
 
+    bool operator==(const PcmCounters &) const = default;
+
     PcmCounters
     operator-(const PcmCounters &o) const
     {

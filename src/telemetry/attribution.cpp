@@ -6,8 +6,6 @@
 
 namespace xpg::telemetry {
 
-thread_local AccessCategory AccessScope::tls_ = AccessCategory::Other;
-
 const char *
 accessCategoryName(AccessCategory c)
 {

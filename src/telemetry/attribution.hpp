@@ -104,7 +104,8 @@ class AccessScope
     static AccessCategory current() noexcept { return tls_; }
 
   private:
-    static thread_local AccessCategory tls_;
+    static constinit inline thread_local AccessCategory tls_ =
+        AccessCategory::Other;
     AccessCategory prev_;
 };
 
@@ -138,6 +139,8 @@ struct AttributionRow
     PcmCounters pcm;
     uint64_t rmwReads = 0;
     uint64_t subLineStores = 0;
+
+    bool operator==(const AttributionRow &) const = default;
 
     AttributionRow &
     operator+=(const AttributionRow &o)
@@ -175,6 +178,8 @@ struct AttributionRow
 struct AttributionSnapshot
 {
     std::array<AttributionRow, kAccessCategoryCount> rows;
+
+    bool operator==(const AttributionSnapshot &) const = default;
 
     AttributionRow &
     operator[](AccessCategory c)
@@ -270,6 +275,9 @@ class LineHeatTable
         uint64_t reads = 0;
         uint64_t writes = 0;
         AccessCategory owner = AccessCategory::Other; ///< most touches
+        /// NUMA node of the line's device (GraphStore::hotLines sets
+        /// it; a table alone does not know its device).
+        int node = 0;
     };
 
     static constexpr unsigned kDefaultCapacity = 4096;

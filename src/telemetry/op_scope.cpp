@@ -63,7 +63,6 @@ OpScope::OpScope(const OpCostSource *source, const char *name, OpClass cls,
     prevOpId_ = tlsCurrent_;
     tlsCurrent_ = cost_.opId;
     if (source_ != nullptr) {
-        pcm0_ = source_->opPcmCounters();
         attr0_ = source_->opAttribution();
         decode0_ = source_->opDecodeStats();
     }
@@ -82,8 +81,8 @@ OpScope::close() noexcept
         stat_->fetch_add(cost_.simNs, std::memory_order_relaxed);
     cost_.hostNs = hostNowNs() - host0_;
     if (source_ != nullptr) {
-        cost_.pcm = source_->opPcmCounters() - pcm0_;
         cost_.attribution = source_->opAttribution() - attr0_;
+        cost_.pcm = cost_.attribution.total();
         const OpDecodeStats now = source_->opDecodeStats();
         cost_.decodedBytes = now.decodedBytes - decode0_.decodedBytes;
         cost_.decodeCalls = now.decodeCalls - decode0_.decodeCalls;

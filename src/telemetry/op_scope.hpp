@@ -78,19 +78,16 @@ struct OpDecodeStats
 
 /**
  * The cost surface an OpScope snapshots. GraphStore implements this by
- * delegating to pmemCounters() / pmemAttribution() /
- * compressionStats(); a null source is legal and yields zero deltas
- * (the scope still stamps an opId).
+ * delegating to pmemAttribution() / compressionStats(); a null source
+ * is legal and yields zero deltas (the scope still stamps an opId).
  */
 class OpCostSource
 {
   public:
     virtual ~OpCostSource() = default;
 
-    /** Cumulative device traffic, summed over the store's devices. */
-    virtual PcmCounters opPcmCounters() const = 0;
-
-    /** Cumulative per-category attribution, summed over devices. */
+    /** Cumulative per-category attribution, summed over the store's
+     *  devices; its total() is their device traffic. */
     virtual AttributionSnapshot opAttribution() const = 0;
 
     /** Cumulative codec decode counters. */
@@ -117,7 +114,7 @@ struct OpCost
     uint64_t opId = 0;            ///< process-monotonic id (0 = none)
     const char *name = "";        ///< operation label (literal lifetime)
     OpClass cls = OpClass::Other; ///< taxonomy bucket
-    PcmCounters pcm;              ///< device-counter delta
+    PcmCounters pcm;              ///< attribution.total(): device delta
     AttributionSnapshot attribution; ///< per-category delta
     uint64_t decodedBytes = 0;    ///< codec decode output delta
     uint64_t decodeCalls = 0;     ///< codec decode call delta
@@ -206,7 +203,6 @@ class OpScope
     std::atomic<uint64_t> *stat_;
     ShardedHistogram *hist_;
     OpCost cost_;
-    PcmCounters pcm0_;
     AttributionSnapshot attr0_;
     OpDecodeStats decode0_;
     uint64_t host0_ = 0;

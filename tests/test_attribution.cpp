@@ -11,7 +11,7 @@
  * definition (media bytes read per app byte READ) — the doc/code
  * mismatch fix must not regress silently — and checks, on every engine,
  * that a store's attribution total and its pmemCounters() span the same
- * devices.
+ * devices, and that its hottest lines name their device's node.
  */
 
 #include <gtest/gtest.h>
@@ -573,6 +573,55 @@ TEST(AttributionStore, TotalsMatchPmemCountersOnEveryEngine)
         c.bytesPerNode = graphoneRecommendedBytesPerNode(c, edges.size());
         GraphOne store(c);
         expectStoreSumsMatch(store, edges);
+    }
+}
+
+TEST(AttributionStore, HotLinesNameTheirNode)
+{
+    // Line indices are device-local, and both partitions of a two-node
+    // store lay out their devices alike, so equal indices are common.
+    // The merged list tells them apart by node: no (node, line) pair
+    // is listed twice, and between two lists of every tracked line a
+    // pair's counts never decrease.
+    const vid_t nv = 1024;
+    const auto edges = generateUniform(nv, 20000, 5);
+    XPGraphConfig c = XPGraphConfig::persistent(nv, 0);
+    c.elogCapacityEdges = 1 << 13;
+    c.bufferingThresholdEdges = 1 << 10;
+    c.archiveThreads = 1;
+    c.pmemBytesPerNode = recommendedBytesPerNode(c, edges.size());
+    XPGraph store(c);
+    ASSERT_EQ(store.numNodes(), 2u);
+    store.session(0)->addEdges(edges.data(), edges.size());
+    store.archiveAll();
+
+    using Key = std::pair<int, uint64_t>;
+    const auto byKey = [&store] {
+        std::map<Key, std::pair<uint64_t, uint64_t>> lines;
+        for (const auto &h : store.hotLines(~0u))
+            EXPECT_TRUE(lines.emplace(Key{h.node, h.line},
+                                      std::pair{h.reads, h.writes})
+                            .second)
+                << "node " << h.node << " line " << h.line
+                << " listed twice";
+        return lines;
+    };
+    const auto before = byKey();
+    bool shared_index = false;
+    for (const auto &entry : before) {
+        EXPECT_TRUE(entry.first.first == 0 || entry.first.first == 1);
+        shared_index |= before.count(Key{1 - entry.first.first,
+                                         entry.first.second}) > 0;
+    }
+    EXPECT_TRUE(shared_index);
+
+    runBfs(store, 0, 1);
+    const auto after = byKey();
+    for (const auto &[key, counts] : before) {
+        const auto it = after.find(key);
+        ASSERT_NE(it, after.end());
+        EXPECT_GE(it->second.first, counts.first);
+        EXPECT_GE(it->second.second, counts.second);
     }
 }
 

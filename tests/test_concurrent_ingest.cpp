@@ -414,7 +414,7 @@ TEST(IngestSession, StreamNsCountsInlineArchivePhases)
         for (uint64_t off = 0; off < edges.size(); off += 1000)
             session->addEdges(edges.data() + off,
                               std::min<uint64_t>(1000, edges.size() - off));
-        const IngestStats s = store->ingestStats();
+        const IngestStats s = store->snapshotStats();
         EXPECT_GE(s.bufferingPhases, 4u);
         EXPECT_EQ(session->streamNs(),
                   session->loggingNs() + s.archivingNs());
@@ -478,7 +478,7 @@ TEST(IngestSession, OneAppendRecordPerCall)
         EXPECT_EQ(session_spans, 1u);
         EXPECT_EQ(log_spans, 0u);
         store->archiveAll();
-        EXPECT_EQ(store->ingestStats().edgesLogged, edges.size());
+        EXPECT_EQ(store->snapshotStats().edgesLogged, edges.size());
     }
 }
 

@@ -7,8 +7,9 @@
  * opId correlation, one simulated total per phase feeding its
  * IngestStats field, histogram, trace span and class roll-up alike,
  * round-level QueryDriver stats summing to the kernel's deltas (the
- * `xpgraph_cli explain` invariant), and round records that leave out
- * what a probe-less view did not measure. Suites are named OpScope* /
+ * `xpgraph_cli explain` invariant), round records that leave out
+ * what a probe-less view did not measure, and kernels on a view
+ * probing through the view's backing store. Suites are named OpScope* /
  * Explain* so the sanitizer stages of bench/run_tier1_bench.sh pick
  * them up by filter.
  */
@@ -58,6 +59,23 @@ makeStore(uint64_t seed = 7)
     g->session(0)->addEdges(edges.data(), edges.size());
     g->bufferAllEdges();
     g->flushAllVbufs();
+    return g;
+}
+
+/** Small archived GraphOne store: it has no query probe. */
+std::unique_ptr<GraphOne>
+makeGraphOne()
+{
+    const vid_t nv = 300;
+    std::vector<Edge> edges = generateRmat(9, 4000, RmatParams{}, 11);
+    foldVertices(edges, nv);
+    GraphOneConfig c;
+    c.maxVertices = nv;
+    c.archiveThreads = 4;
+    c.bytesPerNode = graphoneRecommendedBytesPerNode(c, edges.size());
+    auto g = std::make_unique<GraphOne>(c);
+    g->session(0)->addEdges(edges.data(), edges.size());
+    g->archiveAll();
     return g;
 }
 
@@ -579,23 +597,14 @@ TEST(ExplainRounds, UnprobedRoundsLeaveProbeFieldsOut)
     // GraphOne has no query probe: its rounds measure active vertices
     // and simulated time only, and leave the probe-derived fields out
     // instead of reporting them as zero.
-    const vid_t nv = 300;
-    std::vector<Edge> edges = generateRmat(9, 4000, RmatParams{}, 11);
-    foldVertices(edges, nv);
-    GraphOneConfig c;
-    c.maxVertices = nv;
-    c.archiveThreads = 4;
-    c.bytesPerNode = graphoneRecommendedBytesPerNode(c, edges.size());
-    GraphOne graphone(c);
-    graphone.session(0)->addEdges(edges.data(), edges.size());
-    graphone.archiveAll();
+    auto graphone = makeGraphOne();
     auto xpgraph = makeStore();
 
-    for (GraphStore *store : {static_cast<GraphStore *>(&graphone),
+    for (GraphStore *store : {static_cast<GraphStore *>(graphone.get()),
                               static_cast<GraphStore *>(xpgraph.get())}) {
         const bool probed = store == xpgraph.get();
         SCOPED_TRACE(probed ? "xpgraph" : "graphone");
-        const AnalyticsResult r = runBfs(*store, edges[0].src, 4);
+        const AnalyticsResult r = runBfs(*store, 0, 4);
         ASSERT_FALSE(r.rounds.empty());
         for (const RoundStats &rs : r.rounds) {
             EXPECT_EQ(rs.probed, probed);
@@ -610,6 +619,39 @@ TEST(ExplainRounds, UnprobedRoundsLeaveProbeFieldsOut)
                 EXPECT_EQ(doc.has(key), probed) << key;
         }
     }
+}
+
+TEST(ExplainRounds, ViewKernelsAskTheirStore)
+{
+    // A kernel on a view declares its readers and probes its rounds
+    // through the view's backing store. An XPGraph view reads the
+    // store's devices, so its rounds are probed and sum exactly to the
+    // op's delta; a GraphOne view is a materialized copy with no store
+    // behind it, so no round is probed.
+    auto xpgraph = makeStore();
+    {
+        const auto view = xpgraph->openView();
+        ASSERT_EQ(view->backingStore(), xpgraph.get());
+        const AnalyticsResult r = runBfs(*view, 0, 4);
+        ASSERT_FALSE(r.rounds.empty());
+        uint64_t media_ops = 0, media_bytes = 0;
+        for (const RoundStats &rs : r.rounds) {
+            EXPECT_TRUE(rs.probed);
+            media_ops += rs.mediaReadOps;
+            media_bytes += rs.mediaReadBytes;
+        }
+        EXPECT_GT(media_ops, 0u);
+        EXPECT_EQ(media_ops, r.op.pcm.mediaReadOps);
+        EXPECT_EQ(media_bytes, r.op.pcm.mediaBytesRead);
+    }
+
+    const auto graphone = makeGraphOne();
+    const auto view = graphone->openView();
+    ASSERT_EQ(view->backingStore(), nullptr);
+    const AnalyticsResult r = runBfs(*view, 0, 4);
+    ASSERT_FALSE(r.rounds.empty());
+    for (const RoundStats &rs : r.rounds)
+        EXPECT_FALSE(rs.probed);
 }
 
 } // namespace

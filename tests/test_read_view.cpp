@@ -3,7 +3,9 @@
  * Snapshot-isolated read views (DESIGN.md §12): a ReadView opened on a
  * live store exposes exactly the edges published before the open, stays
  * byte-identical while sessions keep ingesting, archiving, flushing and
- * compacting underneath it, and unpins its resources on close.
+ * compacting underneath it, and unpins its resources on close. The
+ * Snapshot cases cover the materialized copy GraphOne's openView()
+ * answers with: kernel results and the cost of building it.
  *
  * The Frozen* cases double as the TSAN anchors for the lock-free
  * reader/writer interplay: they hammer a view from the main thread
@@ -28,8 +30,9 @@
 #include "core/xpgraph.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_store.hpp"
-#include "graph/snapshot.hpp"
+#include "pmem/dram_device.hpp"
 #include "util/rng.hpp"
+#include "util/sim_clock.hpp"
 
 namespace xpg {
 namespace {
@@ -536,47 +539,19 @@ TEST(ReadView, WindowStartingAtLogPositionZeroReturnsItsFirstRecord)
     EXPECT_EQ(nebrs, (std::vector<vid_t>{1}));
 }
 
-TEST(ReadView, SnapshotInheritsViewEpoch)
+/** A GraphOne-P store holding @p edges, all of them archived. */
+std::unique_ptr<GraphOne>
+archivedGraphOne(vid_t nv, const std::vector<Edge> &edges)
 {
-    const vid_t nv = 128;
-    auto edges = generateUniform(nv, 1500, /*seed=*/81);
-    XPGraph graph(smallConfig(nv, edges.size() * 2));
-    graph.session(0)->addEdges(edges.data(), edges.size());
-    graph.bufferAllEdges();
-
-    const auto view = graph.openView();
-    const auto snap = takeSnapshot(graph, 2);
-    EXPECT_EQ(snap->epoch(), view->epoch());
-    EXPECT_EQ(snap->numVertices(), view->numVertices());
-
-    const AdjDump from_view(*view);
-    const AdjDump from_snap(*snap);
-    EXPECT_TRUE(from_view == from_snap);
-}
-
-TEST(ReadView, EmptyViewSnapshotReportsZeroVertices)
-{
-    // Regression: Snapshot::numVertices() on a snapshot built from a
-    // vertex-less view must report 0, not underflow size()-1.
-    struct EmptyView final : GraphView
-    {
-        vid_t numVertices() const override { return 0; }
-        uint32_t
-        forEachNebrOut(vid_t, NebrVisitor) const override
-        {
-            return 0;
-        }
-        uint32_t
-        forEachNebrIn(vid_t, NebrVisitor) const override
-        {
-            return 0;
-        }
-    } empty;
-
-    const auto snap = takeSnapshot(empty, 2);
-    EXPECT_EQ(snap->numVertices(), 0u);
-    EXPECT_EQ(snap->numEdges(), 0u);
-    EXPECT_EQ(snap->visibleEdges(), 0u);
+    GraphOneConfig c;
+    c.maxVertices = nv;
+    c.variant = GraphOneVariant::Pmem;
+    c.archiveThreads = 4;
+    c.bytesPerNode = graphoneRecommendedBytesPerNode(c, edges.size() * 2);
+    auto graph = std::make_unique<GraphOne>(c);
+    graph->session(0)->addEdges(edges.data(), edges.size());
+    graph->archiveAll();
+    return graph;
 }
 
 TEST(ReadView, GraphOneFallbackMaterializesConsistentView)
@@ -586,28 +561,63 @@ TEST(ReadView, GraphOneFallbackMaterializesConsistentView)
     // result must match the store at open time and stay isolated.
     const vid_t nv = 256;
     auto edges = generateUniform(nv, 3000, /*seed=*/91);
-    GraphOneConfig c;
-    c.maxVertices = nv;
-    c.variant = GraphOneVariant::Pmem;
-    c.archiveThreads = 4;
-    c.bytesPerNode = graphoneRecommendedBytesPerNode(c, edges.size() * 2);
-    GraphOne graph(c);
-    graph.session(0)->addEdges(edges.data(), edges.size());
-    graph.archiveAll();
+    auto graph = archivedGraphOne(nv, edges);
 
-    const auto view = graph.openView();
+    const auto view = graph->openView();
     EXPECT_EQ(view->visibleEdges(), edges.size());
     const AdjDump at_open(*view);
-    const AdjDump live(graph);
+    const AdjDump live(*graph);
     EXPECT_TRUE(at_open == live);
 
     auto more = generateUniform(nv, 1000, /*seed=*/92);
-    graph.session(0)->addEdges(more.data(), more.size());
-    graph.archiveAll();
+    graph->session(0)->addEdges(more.data(), more.size());
+    graph->archiveAll();
     EXPECT_EQ(view->visibleEdges(), edges.size());
     const AdjDump after(*view);
     EXPECT_TRUE(at_open == after);
-    EXPECT_LT(view->epoch(), graph.openView()->epoch());
+    EXPECT_LT(view->epoch(), graph->openView()->epoch());
+}
+
+TEST(Snapshot, AnalyticsAgreeWithLiveStore)
+{
+    // Kernels on GraphOne's materialized Snapshot answer as the store
+    // does, from DRAM, below the store's PMEM reads.
+    const vid_t nv = 400;
+    auto edges = generateRmat(9, 10000, RmatParams{}, /*seed=*/71);
+    foldVertices(edges, nv);
+    auto graph = archivedGraphOne(nv, edges);
+    const auto view = graph->openView();
+
+    const auto live_bfs = runBfs(*graph, 0, 4);
+    const auto view_bfs = runBfs(*view, 0, 4);
+    EXPECT_EQ(view_bfs.touched, live_bfs.touched);
+    EXPECT_EQ(view_bfs.checksum, live_bfs.checksum);
+    EXPECT_LT(view_bfs.simNs, live_bfs.simNs);
+
+    const auto live_cc = runConnectedComponents(*graph, 4);
+    const auto view_cc = runConnectedComponents(*view, 4);
+    EXPECT_EQ(view_cc.checksum, live_cc.checksum);
+}
+
+TEST(Snapshot, BuildCostIsAccounted)
+{
+    // Building the Snapshot charges the caller's SimClock for the
+    // store's modeled reads plus one DRAM stream over the copy's CSR
+    // arrays, so the open costs more than that stream alone.
+    const vid_t nv = 200;
+    auto edges = generateUniform(nv, 5000, /*seed=*/81);
+    auto graph = archivedGraphOne(nv, edges);
+
+    const SimScope open;
+    const auto view = graph->openView();
+    const uint64_t open_ns = open.elapsed();
+    EXPECT_EQ(view->visibleEdges(), edges.size());
+
+    const SimScope stream;
+    chargeDramSequential(2 * (uint64_t{nv} + 1) * sizeof(uint64_t) +
+                         2 * edges.size() * sizeof(vid_t));
+    EXPECT_GT(stream.elapsed(), 0u);
+    EXPECT_GT(open_ns, stream.elapsed());
 }
 
 } // namespace

@@ -60,7 +60,7 @@
  *             Ingest + archive + query, then print the media-traffic
  *             attribution: per-cause amplification breakdown (app vs
  *             media bytes, RMW reads per category) and the hottest
- *             XPLines with their owning category. --json dumps the
+ *             XPLines with their node and owning category. --json dumps the
  *             device counters and the attribution rows for scripted
  *             checks (the CI stage asserts the rows sum to the device
  *             totals).
@@ -81,8 +81,8 @@
  *             FILE "-" emits only the JSON on stdout (the human
  *             report is suppressed so the output pipes cleanly):
  *             per-round media reads must sum to the op's
- *             counter delta exactly, and per-op attribution rows must
- *             sum to the global delta within 0.1%.
+ *             counter delta exactly, and every per-op attribution row
+ *             must equal its global-delta row field by field.
  *
  * xpgraph systems additionally accept the compaction knobs
  * --compact 0|1 (background compactor thread, default 0),
@@ -790,17 +790,8 @@ cmdProfile(const Args &args)
     table.print();
     std::printf("device-wide: read amp %.2fx, write amp %.2fx\n",
                 pcm.readAmplification(), pcm.writeAmplification());
-    const bool exact =
-        attributed.appBytesRead == pcm.appBytesRead &&
-        attributed.appBytesWritten == pcm.appBytesWritten &&
-        attributed.mediaBytesRead == pcm.mediaBytesRead &&
-        attributed.mediaBytesWritten == pcm.mediaBytesWritten &&
-        attributed.mediaReadOps == pcm.mediaReadOps &&
-        attributed.mediaWriteOps == pcm.mediaWriteOps &&
-        attributed.bufferHits == pcm.bufferHits &&
-        attributed.remoteAccesses == pcm.remoteAccesses;
     std::printf("attributed rows sum to device counters: %s\n",
-                exact ? "exact" : "MISMATCH");
+                attributed == pcm ? "exact" : "MISMATCH");
 
     const CompressionStats cs = store->compressionStats();
     if (cs.chunksCompressed > 0) {
@@ -823,10 +814,10 @@ cmdProfile(const Args &args)
     if (!hot.empty()) {
         TablePrinter heat("hottest XPLines (top " +
                           std::to_string(top) + ")");
-        heat.header({"line", "reads", "writes", "owner"});
+        heat.header({"node", "line", "reads", "writes", "owner"});
         for (const auto &h : hot)
-            heat.row({std::to_string(h.line), std::to_string(h.reads),
-                      std::to_string(h.writes),
+            heat.row({std::to_string(h.node), std::to_string(h.line),
+                      std::to_string(h.reads), std::to_string(h.writes),
                       telemetry::accessCategoryName(h.owner)});
         heat.print();
     }
@@ -851,6 +842,7 @@ cmdProfile(const Args &args)
         json::JsonValue lines = json::JsonValue::array();
         for (const auto &h : hot) {
             json::JsonValue l = json::JsonValue::object();
+            l.set("node", h.node);
             l.set("line", h.line);
             l.set("reads", h.reads);
             l.set("writes", h.writes);
@@ -924,8 +916,10 @@ cmdExplain(const Args &args, const std::string &kernel)
 
     const PcmCounters pcm0 = store->pmemCounters();
     const telemetry::AttributionSnapshot attr0 = store->pmemAttribution();
-    const auto hot0 = store->hotLines(
-        telemetry::LineHeatTable::kDefaultCapacity);
+    // Every tracked line of every device, so no line's before count
+    // is missing from a merged top-n cut.
+    const unsigned all_lines = std::numeric_limits<unsigned>::max();
+    const auto hot0 = store->hotLines(all_lines);
 
     AnalyticsResult result;
     if (algo == "bfs") {
@@ -951,8 +945,7 @@ cmdExplain(const Args &args, const std::string &kernel)
     const PcmCounters pcmDelta = store->pmemCounters() - pcm0;
     const telemetry::AttributionSnapshot attrDelta =
         store->pmemAttribution() - attr0;
-    const auto hot1 = store->hotLines(
-        telemetry::LineHeatTable::kDefaultCapacity);
+    const auto hot1 = store->hotLines(all_lines);
     QueryProbe probe;
     const bool probed = store->sampleQueryProbe(probe);
 
@@ -1061,7 +1054,9 @@ cmdExplain(const Args &args, const std::string &kernel)
 
     // The op's rows must account for everything the global table moved
     // while the op ran (the store is quiesced, so the op IS the only
-    // mover). Compared on summed app+media bytes and media read ops.
+    // mover): every row equals its global-delta row, field by field.
+    // The relative error on summed app+media bytes and media read ops
+    // stays in the report.
     const PcmCounters opTotal = result.op.attribution.total();
     const PcmCounters globalTotal = attrDelta.total();
     const double attrErr = std::max(
@@ -1071,35 +1066,37 @@ cmdExplain(const Args &args, const std::string &kernel)
                 globalTotal.mediaBytesRead +
                     globalTotal.mediaBytesWritten),
          relErr(opTotal.mediaReadOps, globalTotal.mediaReadOps)});
-    const bool attrOk = attrErr <= 1e-3;
+    const bool attrOk = result.op.attribution == attrDelta;
     if (!quiet)
         std::printf("op attribution rows vs global table delta: %s "
                     "(rel err %.2e)\n",
-                    attrOk ? "within 0.1%" : "MISMATCH", attrErr);
+                    attrOk ? "exact" : "MISMATCH", attrErr);
 
     // --- XPLines this op heated the most --------------------------
     struct LineDelta
     {
+        int node;
         uint64_t line, reads, writes;
         telemetry::AccessCategory owner;
     };
     std::vector<LineDelta> heated;
     {
-        std::map<uint64_t, std::pair<uint64_t, uint64_t>> before;
+        // Line indices are device-local: a line is (node, line).
+        std::map<std::pair<int, uint64_t>, std::pair<uint64_t, uint64_t>>
+            before;
         for (const auto &h : hot0)
-            before[h.line] = {h.reads, h.writes};
+            before[{h.node, h.line}] = {h.reads, h.writes};
         for (const auto &h : hot1) {
-            const auto it = before.find(h.line);
+            const auto it = before.find({h.node, h.line});
             const uint64_t r0 = it == before.end() ? 0 : it->second.first;
             const uint64_t w0 =
                 it == before.end() ? 0 : it->second.second;
-            // Saturating deltas: a line's count can shrink between the
-            // snapshots when the capacity-bound heat table recycles its
-            // slot, so a raw subtraction could underflow.
-            const uint64_t dr = h.reads > r0 ? h.reads - r0 : 0;
-            const uint64_t dw = h.writes > w0 ? h.writes - w0 : 0;
+            // A tracked line keeps its slot and its counts only grow,
+            // so the deltas are plain differences.
+            const uint64_t dr = h.reads - r0;
+            const uint64_t dw = h.writes - w0;
             if (dr + dw > 0)
-                heated.push_back({h.line, dr, dw, h.owner});
+                heated.push_back({h.node, h.line, dr, dw, h.owner});
         }
         std::sort(heated.begin(), heated.end(),
                   [](const LineDelta &a, const LineDelta &b) {
@@ -1111,10 +1108,10 @@ cmdExplain(const Args &args, const std::string &kernel)
     if (!heated.empty() && !quiet) {
         TablePrinter heat("hottest XPLines this op touched (top " +
                           std::to_string(top) + ")");
-        heat.header({"line", "reads", "writes", "owner"});
+        heat.header({"node", "line", "reads", "writes", "owner"});
         for (const auto &h : heated)
-            heat.row({std::to_string(h.line), std::to_string(h.reads),
-                      std::to_string(h.writes),
+            heat.row({std::to_string(h.node), std::to_string(h.line),
+                      std::to_string(h.reads), std::to_string(h.writes),
                       telemetry::accessCategoryName(h.owner)});
         heat.print();
     }
@@ -1163,6 +1160,7 @@ cmdExplain(const Args &args, const std::string &kernel)
         json::JsonValue lines = json::JsonValue::array();
         for (const auto &h : heated) {
             json::JsonValue l = json::JsonValue::object();
+            l.set("node", h.node);
             l.set("line", h.line);
             l.set("read_delta", h.reads);
             l.set("write_delta", h.writes);
