@@ -18,7 +18,9 @@
 #
 # Between build and benches the bounded crash-sweep stage runs: every
 # test labeled "crash" (the systematic power-loss sweep over XPGraph and
-# GraphOne, a few seconds wall time).
+# GraphOne, a few seconds wall time). Then the one-process test stage
+# runs all of xpg_tests once in a single process in shuffled order and
+# prints the seed (about 12 s).
 #
 # With XPG_TSAN=1 a second build tree (<build-dir>-tsan) is compiled
 # with -DXPG_SANITIZE=thread and the concurrency test suites run under
@@ -116,7 +118,8 @@ fi
 cmake -B "${build_dir}" -S "${repo_root}"
 cmake --build "${build_dir}" -j "$(nproc)" \
       --target fig14_query micro_primitives fig20_ingest fig_recovery \
-               fig13_pmem_traffic fig_serving fig_churn xpg_crash_tests
+               fig13_pmem_traffic fig_serving fig_churn xpg_crash_tests \
+               xpg_tests
 
 # Bounded crash-sweep stage: systematic power-loss points with recovery
 # validation (tests/test_crash_sweep.cpp). The torn-write sweep exports
@@ -135,6 +138,17 @@ print(f"crash flight record parses: in-flight phase "
       f"{doc['in_flight_phase']!r}, {len(doc['event_tail'])} events, "
       f"{len(doc['trace_tail'])} spans")
 EOF
+
+# One-process test stage: ctest runs every test in its own process, so
+# only the whole suite in one process catches a test that depends on
+# what an earlier test left on its thread (a NUMA binding, a simulated
+# clock, an attribution tag). The order is shuffled; replay a failing
+# one with the printed seed.
+shuffle_seed=$(( RANDOM % 99999 + 1 ))
+echo "one-process test stage: xpg_tests --gtest_shuffle" \
+     "--gtest_random_seed=${shuffle_seed}"
+"${build_dir}/tests/xpg_tests" --gtest_shuffle \
+    --gtest_random_seed="${shuffle_seed}" --gtest_brief=1
 
 export XPG_BENCH_JSON="${XPG_BENCH_JSON:-${repo_root}/BENCH_query.json}"
 "${build_dir}/bench/fig14_query" "${datasets[@]}"

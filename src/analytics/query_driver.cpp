@@ -252,7 +252,6 @@ QueryDriver::runPlan(const Plan &plan,
         // devices lands under QueryRead, whatever path the kernel uses.
         XPG_ATTR_SCOPE(attrScope, QueryRead);
         if (!plan.bound) {
-            NumaBinding::unbindThread();
             const auto &list = plan.lists[0];
             const auto &b = plan.bounds[0];
             if (w + 1 < b.size())
@@ -317,7 +316,6 @@ QueryDriver::forEach(std::span<const vid_t> vertices,
         // landing on the first chunk.
         const ParallelResult result = executor_.run([&](unsigned w) {
             XPG_ATTR_SCOPE(attrScope, QueryRead);
-            NumaBinding::unbindThread();
             for (uint64_t i = w; i < vertices.size(); i += workers)
                 fn(vertices[i], w);
         });

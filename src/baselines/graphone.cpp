@@ -7,7 +7,6 @@
 #include "graph/tombstones.hpp"
 #include "pmem/cost_model.hpp"
 #include "pmem/dram_device.hpp"
-#include "pmem/numa_topology.hpp"
 #include "pmem/xpline.hpp"
 #include "telemetry/attribution.hpp"
 #include "util/logging.hpp"
@@ -346,7 +345,6 @@ GraphOne::archiveWorker(unsigned w)
     // random chunk writes are the archive's traffic (thread-local tag,
     // so each worker opens its own scope).
     XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
-    NumaBinding::unbindThread();
 
     // Shards partition the side vertices' space (src out, dst in), so
     // this worker owns every vertex it touches.

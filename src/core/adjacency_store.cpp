@@ -161,7 +161,7 @@ bool
 AdjacencyStore::shouldCompress(const vid_t *nebrs, uint32_t n,
                                uint32_t stored) const
 {
-    if (!policy_.enabled || n < 2)
+    if (n < 2)
         return false;
     // Degree-aware: only hubs whose stored + pending records reach the
     // threshold pay the (cheap) sort+encode; cold vertices keep the raw
@@ -393,7 +393,7 @@ AdjacencyStore::compact(uint64_t slot, VertexChain &chain,
     // The survivor list is insert-only, so an eligible hub compacts into
     // one compressed chunk — the big read-amplification win for query
     // scans over compacted hubs.
-    if (policy_.enabled && n >= 2 && n >= policy_.minDegree) {
+    if (n >= 2 && n >= policy_.minDegree) {
         uint32_t payload_bytes = 0;
         off = writeCompressedBlock(live.data(), n, payload_bytes, cat);
         durable_bytes = sizeof(BlockHeader) + payload_bytes;

@@ -25,6 +25,7 @@
 #ifndef XPG_CORE_ADJACENCY_STORE_HPP
 #define XPG_CORE_ADJACENCY_STORE_HPP
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -74,8 +75,10 @@ struct ChainScan
  */
 struct CompressionPolicy
 {
-    bool enabled = false;     ///< default off: byte-exact legacy behavior
-    uint32_t minDegree = 128; ///< stored+pending records gating compression
+    /** Stored + pending records gating compression; the default,
+     *  above every degree, never compresses (byte-exact legacy
+     *  behavior). */
+    uint32_t minDegree = UINT32_MAX;
 };
 
 /**
@@ -221,16 +224,39 @@ class AdjacencyStore
      * chunks decode in place from the (smaller) payload view, so
      * queries read fewer media bytes than the raw format would; their
      * records come out in ascending order (within the chunk).
+     *
+     * With @p frozen, @p chain is a *captured* mirror and only its
+     * frozen prefix is streamed — the point-in-time read used by open
+     * views while the archiver keeps appending to the live chain. Safe
+     * without any synchronization because appends only ever touch bytes
+     * the capture excludes:
+     *
+     *  - append() fills the tail block's slack before linking a new
+     *    block, so when a block's `next` is written the block was full —
+     *    every non-tail block (header fields and payload) is immutable
+     *    after capture and is read like any other.
+     *  - The captured tail may still be tail-filled concurrently, so
+     *    only its first records are visited: @p chain.tailCount bounds
+     *    the payload read, and neither its commit words nor its `next`
+     *    (both mutable) are ever read — only the magic/capacity words,
+     *    which are written once at block creation. All concurrent
+     *    writes land at byte addresses this traversal never touches.
+     *
+     * Old blocks abandoned by compact() stay readable forever (the
+     * allocator never reuses space), so a captured chain outlives
+     * concurrent compaction too.
      * @return records visited.
      */
     template <typename F>
     uint32_t
-    forEachRaw(const VertexChain &chain, F &&fn) const
+    forEachRaw(const VertexChain &chain, F &&fn, bool frozen = false) const
     {
         uint32_t total = 0;
         uint64_t off = chain.head;
         while (off != kNullOffset) {
-            const auto hdr = dev_->readPod<BlockHeader>(off);
+            const BlockHeader hdr = frozen && off == chain.tail
+                                        ? frozenTailHeader(chain)
+                                        : dev_->readPod<BlockHeader>(off);
             if (hdr.compressed()) {
                 total += visitCompressed(off, hdr, fn);
             } else {
@@ -254,80 +280,6 @@ class AdjacencyStore
     readRaw(const VertexChain &chain, std::vector<vid_t> &out) const
     {
         return forEachRaw(chain, [&out](vid_t v) { out.push_back(v); });
-    }
-
-    /**
-     * Stream the frozen prefix of a *captured* chain mirror — the
-     * point-in-time read used by open views while the archiver keeps
-     * appending to the live chain. Safe without any synchronization
-     * because appends only ever touch bytes the capture excludes:
-     *
-     *  - append() fills the tail block's slack before linking a new
-     *    block, so when a block's `next` is written the block was full —
-     *    every non-tail block (header fields and payload) is immutable
-     *    after capture and is read exactly like forEachRaw().
-     *  - The captured tail may still be tail-filled concurrently, so
-     *    only its first records are visited: @p chain.tailCount bounds
-     *    the payload read, and neither its commit words nor its `next`
-     *    (both mutable) are ever read — only the magic/capacity words,
-     *    which are written once at block creation. All concurrent
-     *    writes land at byte addresses this traversal never touches.
-     *
-     * Old blocks abandoned by compact() stay readable forever (the
-     * allocator never reuses space), so a captured chain outlives
-     * concurrent compaction too.
-     * @return records visited.
-     */
-    template <typename F>
-    uint32_t
-    forEachFrozen(const VertexChain &chain, F &&fn) const
-    {
-        uint32_t total = 0;
-        uint64_t off = chain.head;
-        while (off != kNullOffset) {
-            if (off == chain.tail) {
-                // Captured tail: magic and capacity are creation-time
-                // constants; everything else in the header is mutable.
-                const auto magic = dev_->readPod<uint32_t>(off);
-                const auto cap = dev_->readPod<uint32_t>(
-                    off + sizeof(uint32_t));
-                if (magic == kCompressedMagic) {
-                    // Sealed chunk: payload immutable; synthesize a
-                    // header so visitCompressed never reads the real
-                    // (racing) next/commit words.
-                    BlockHeader hdr{};
-                    hdr.magic = magic;
-                    hdr.capacity = cap;
-                    hdr.commit[0] = chain.tailCount; // liveCount > 0
-                    total += visitCompressed(off, hdr, fn);
-                } else if (chain.tailCount > 0) {
-                    const auto *recs = reinterpret_cast<const vid_t *>(
-                        dev_->readView(off + sizeof(BlockHeader),
-                                       uint64_t{chain.tailCount} *
-                                           sizeof(vid_t)));
-                    for (uint32_t i = 0; i < chain.tailCount; ++i)
-                        fn(recs[i]);
-                    total += chain.tailCount;
-                }
-                break; // never follow the tail's (mutable) next link
-            }
-            const auto hdr = dev_->readPod<BlockHeader>(off);
-            if (hdr.compressed()) {
-                total += visitCompressed(off, hdr, fn);
-            } else {
-                const uint32_t count = hdr.liveCount();
-                if (count > 0) {
-                    const auto *recs = reinterpret_cast<const vid_t *>(
-                        dev_->readView(off + sizeof(BlockHeader),
-                                       uint64_t{count} * sizeof(vid_t)));
-                    for (uint32_t i = 0; i < count; ++i)
-                        fn(recs[i]);
-                }
-                total += count;
-            }
-            off = hdr.next;
-        }
-        return total;
     }
 
     /** Whether the chain contains record @p nebr (recovery dedup). */
@@ -410,6 +362,24 @@ class AdjacencyStore
     /** Link a fresh block at @p off into @p chain (shared by the raw
      *  and compressed paths); persists the index for a first block. */
     void linkNewBlock(uint64_t slot, uint64_t off, VertexChain &chain);
+
+    /**
+     * The captured tail's header as a frozen forEachRaw() sees it: only
+     * the creation-time magic and capacity come from the device; the
+     * captured count and the end of the chain stand in for the racing
+     * commit words and `next`.
+     */
+    BlockHeader
+    frozenTailHeader(const VertexChain &chain) const
+    {
+        BlockHeader hdr{};
+        hdr.magic = dev_->readPod<uint32_t>(chain.tail);
+        hdr.capacity =
+            dev_->readPod<uint32_t>(chain.tail + sizeof(uint32_t));
+        hdr.next = kNullOffset;
+        hdr.commit[0] = chain.tailCount;
+        return hdr;
+    }
 
     /** Decode the chunk at @p off through @p fn, charging exactly the
      *  payload bytes under the AdjacencyCodec scope. */

@@ -99,7 +99,7 @@ XPGraphConfig::validate(bool for_recovery) const
     if (archiveThreads < 1)
         bad("archiveThreads is 0: archiving needs at least one worker");
 
-    if (compressAdjacency && compressMinDegree < 2)
+    if (compressMinDegree < 2)
         bad("compressMinDegree must be >= 2: a compressed chunk needs "
             "at least a first vid and one gap to beat the raw format");
 

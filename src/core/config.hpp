@@ -90,14 +90,13 @@ struct XPGraphConfig
      */
     bool pipelinedArchiving = false;
     /**
-     * Archive hub runs as delta+varint compressed chunks (DESIGN.md
-     * §11) instead of raw 4-byte records. A tuning knob, not geometry:
-     * raw and compressed blocks coexist on one chain and recovery
-     * validates both, so it may be toggled across restarts.
+     * Degree (stored + pending records) from which a newly chained
+     * block is archived as a delta+varint compressed chunk (DESIGN.md
+     * §11) instead of raw 4-byte records; below it vertices stay raw,
+     * and UINT32_MAX never compresses. A tuning knob, not geometry: raw
+     * and compressed blocks coexist on one chain and recovery validates
+     * both, so it may be changed across restarts.
      */
-    bool compressAdjacency = true;
-    /** Degree (stored + pending records) from which a newly chained
-     *  block is written compressed; below it vertices stay raw. */
     uint32_t compressMinDegree = 128;
 
     // --- background compaction (DESIGN.md §13) ---

@@ -409,8 +409,6 @@ XPGraph::forWorkerSlots(unsigned w, unsigned workers, F &&fn)
     archiveSlots().forEach(w, workers, [&](const Slot &slot) {
         if (queryBindingEnabled())
             NumaBinding::bindThread(static_cast<int>(slot.node), false);
-        else
-            NumaBinding::unbindThread();
         fn(slot);
     });
 }
@@ -597,8 +595,7 @@ XPGraph::initPartitions(bool recovering)
         }
         registerEdgeLog(*part.log);
 
-        const CompressionPolicy compression{config_.compressAdjacency,
-                                            config_.compressMinDegree};
+        const CompressionPolicy compression{config_.compressMinDegree};
         for (unsigned d = 0; d < 2; ++d) {
             if (part.slots[d] == 0)
                 continue;
@@ -1570,8 +1567,7 @@ XPGraph::streamStored(const Side &side, const VertexChain &chain,
                       bool frozen, const std::byte *buf, uint32_t buffered,
                       F &&emit) const
 {
-    const uint32_t sealed = frozen ? side.store->forEachFrozen(chain, emit)
-                                   : side.store->forEachRaw(chain, emit);
+    const uint32_t sealed = side.store->forEachRaw(chain, emit, frozen);
     noteQueryRecords(sealed, buffered);
     return sealed + streamBuffer(buf, buffered, emit);
 }
@@ -1734,7 +1730,7 @@ XPGraph::getLoggedEdges(std::vector<Edge> &out) const
  * epoch), the captured buffer prefix [0, bufCount) is never rewritten
  * (vbuf::push appends beyond it; flush/grow park a buffer the capture
  * flagged while views are open), and captured chain blocks are only ever
- * appended past the captured tailCount (see forEachFrozen).
+ * appended past the captured tailCount (see forEachRaw).
  */
 struct XPGraph::EpochState
 {
@@ -1761,7 +1757,7 @@ struct XPGraph::EpochState
  * The snapshot-isolated view XPGraph::openView() returns: the epoch
  * capture (shared across views of the same epoch) plus per-node frozen
  * log heads. A vertex's visible adjacency is its captured chain
- * (forEachFrozen) + captured buffer prefix + the frozen log window
+ * (frozen forEachRaw) + captured buffer prefix + the frozen log window
  * [boundary, head) served through the per-node LogWindowIndex; delete
  * records cancel across all three layers in arrival order. Readers are
  * lock-free and charge the same modeled costs as live queries.

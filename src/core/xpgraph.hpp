@@ -468,8 +468,8 @@ class XPGraph : public GraphStore
 
     /** Run @p fn(slot) for each archive slot worker @p w of the
      *  @p workers sharing them out executes (w, w + workers, ...), the
-     *  worker bound to the slot's node when queryBindingEnabled() and
-     *  unbound otherwise. */
+     *  worker bound to the slot's node when queryBindingEnabled();
+     *  otherwise the executor's workers stay unbound, as they start. */
     template <typename F>
     void forWorkerSlots(unsigned w, unsigned workers, F &&fn);
 

@@ -49,6 +49,11 @@ IngestSession::~IngestSession()
     atomicFetchMax(store_.streamNsMax_, streamNs_);
     store_.openSessions_.fetch_sub(1, std::memory_order_relaxed);
     store_.sessionClosed(node_);
+    // Release the pin this session put on its client thread, unless
+    // another session has since rebound it.
+    if (pinnedThread_ == std::this_thread::get_id() &&
+        NumaBinding::currentNode() == static_cast<int>(node_))
+        NumaBinding::unbindThread();
 }
 
 uint64_t
@@ -67,11 +72,14 @@ IngestSession::addEdges(const Edge *edges, uint64_t n)
         XPG_ASSERT(edges[i].src < nv && rawVid(edges[i].dst) < nv,
                    "edge endpoint out of range");
     const uint64_t traceStart = telemetry::hostNowNs();
-    // A NUMA-aware store pins the client thread to its log's node (any
-    // migration charge lands outside the logging time).
+    // A NUMA-aware store pins the client thread to its log's node until
+    // the session closes (any migration charge lands outside the
+    // logging time).
     if (store_.queryBindingEnabled() &&
-        NumaBinding::currentNode() != static_cast<int>(node_))
+        NumaBinding::currentNode() != static_cast<int>(node_)) {
         NumaBinding::bindThread(static_cast<int>(node_));
+        pinnedThread_ = std::this_thread::get_id();
+    }
     if (store_.ingestHeartbeat_)
         store_.ingestHeartbeat_->beat();
 

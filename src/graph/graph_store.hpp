@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/stats.hpp"
@@ -57,7 +58,8 @@ inline constexpr uint64_t kTraceAppendMinEdges = 64;
  * engine supplies only what happens at the archive threshold and on a
  * full log (GraphStore's session hooks). The session keeps the
  * per-stream statistics and folds them into the store on close
- * (destruction).
+ * (destruction). On a NUMA-aware store the first append pins the client
+ * thread to the session's node, and close releases that pin.
  */
 class IngestSession
 {
@@ -139,6 +141,7 @@ class IngestSession
     unsigned node_;
     unsigned id_ = 0; ///< 1-based open order (stable telemetry label)
     bool threadNamed_ = false;
+    std::thread::id pinnedThread_; ///< the client thread this session bound
     telemetry::ShardedHistogram *telAppendHist_ = nullptr;
     uint64_t edgesLogged_ = 0;
     uint64_t loggingNs_ = 0;

@@ -10,8 +10,6 @@ ParallelExecutor::ParallelExecutor(unsigned num_workers)
 {
     XPG_ASSERT(num_workers >= 1, "executor needs at least one worker");
     deltas_.assign(numWorkers_, 0);
-    if (numWorkers_ == 1)
-        return; // run inline, no pool needed
     threads_.reserve(numWorkers_);
     for (unsigned w = 0; w < numWorkers_; ++w)
         threads_.emplace_back([this, w] { workerLoop(w); });
@@ -60,13 +58,6 @@ ParallelResult
 ParallelExecutor::run(const std::function<void(unsigned)> &fn)
 {
     ParallelResult result;
-    if (numWorkers_ == 1) {
-        SimScope scope;
-        fn(0);
-        result.workerNanos.assign(1, scope.elapsed());
-        return result;
-    }
-
     {
         std::lock_guard<std::mutex> guard(mutex_);
         task_ = &fn;

@@ -9,6 +9,13 @@
  * simulated-nanosecond delta; the simulated duration of the region is the
  * maximum of those deltas — the behaviour of a real machine with that many
  * cores — regardless of how many physical cores the host has.
+ *
+ * The work runs only on the pool's threads, at every worker count (one
+ * worker included). The caller coordinates: it waits in run() and adds
+ * maxNanos() where the phase belongs (its op, phase total or round).
+ * The work never touches the caller's SimClock, NUMA binding,
+ * attribution category or current op id, so a phase leaves its caller
+ * as it found it.
  */
 
 #ifndef XPG_UTIL_PARALLEL_HPP
@@ -107,7 +114,7 @@ class ParallelExecutor
     unsigned numWorkers() const { return numWorkers_; }
 
     /**
-     * Run @p fn(worker_id) on every worker.
+     * Run @p fn(worker_id) on every worker and wait for all of them.
      * @return per-worker simulated nanosecond deltas.
      */
     ParallelResult run(const std::function<void(unsigned)> &fn);

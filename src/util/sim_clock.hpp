@@ -33,9 +33,6 @@ class SimClock
     /** The calling thread's accumulated simulated nanoseconds. */
     static uint64_t now() { return tls(); }
 
-    /** Overwrite the calling thread's clock (used by executor workers). */
-    static void set(uint64_t value) { tls() = value; }
-
   private:
     static uint64_t &
     tls()

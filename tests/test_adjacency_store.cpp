@@ -232,7 +232,7 @@ class CompressedStoreFixture : public ::testing::Test
         : dev_("t", 16 << 20, 0, 1),
           alloc_(dev_, 1 << 16, 16 << 20, 128),
           store_(dev_, alloc_, 4096, 64, true,
-                 CompressionPolicy{true, 8})
+                 CompressionPolicy{8})
     {
     }
 

@@ -31,7 +31,6 @@
 #include "baselines/graphone.hpp"
 #include "core/xpgraph.hpp"
 #include "graph/generators.hpp"
-#include "pmem/numa_topology.hpp"
 #include "pmem/pmem_device.hpp"
 #include "pmem/xpline.hpp"
 #include "telemetry/attribution.hpp"
@@ -133,7 +132,6 @@ TEST(AttributionDevice, CategoryRowsSumToDeviceCountersExactly)
     // Mixed workload spanning every charge path: buffered small stores,
     // scatter stores that RMW and evict, streaming line-base stores,
     // loads, explicit persist, and a background quiesce drain.
-    NumaBinding::unbindThread();
     PmemDevice dev("t", 32 << 20, 0, 2);
     Rng rng(7);
     {
@@ -178,7 +176,6 @@ TEST(AttributionDevice, CategoryRowsSumToDeviceCountersExactly)
 
 TEST(AttributionDevice, SubLineScatterBlamesRmwOnTheStoringCategory)
 {
-    NumaBinding::unbindThread();
     PmemDevice dev("t", 64 << 20, 0, 1);
     Rng rng(3);
     const unsigned n = 20000;
@@ -207,7 +204,6 @@ TEST(AttributionDevice, SubLineScatterBlamesRmwOnTheStoringCategory)
 
 TEST(AttributionDevice, WriteBackBlamesTheOwnerNotTheFlusher)
 {
-    NumaBinding::unbindThread();
     PmemDevice dev("t", 1 << 20, 0, 1);
     {
         XPG_ATTR_SCOPE(s, VertexMeta);
@@ -234,7 +230,6 @@ TEST(AttributionDevice, ConcurrentTaggedWritersStaySeparated)
     // Four threads, four categories, disjoint regions: the per-category
     // app-byte rows must reproduce each thread's contribution exactly
     // (and TSAN must see no races on the table or the scope storage).
-    NumaBinding::unbindThread();
     PmemDevice dev("t", 32 << 20, 0, 1);
     constexpr unsigned kThreads = 4;
     constexpr unsigned kWritesPerThread = 2000;
@@ -244,7 +239,6 @@ TEST(AttributionDevice, ConcurrentTaggedWritersStaySeparated)
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < kThreads; ++t) {
         threads.emplace_back([t, &dev, &cats] {
-            NumaBinding::unbindThread();
             AccessScope scope(cats[t]);
             Rng rng(100 + t);
             const uint64_t base = uint64_t{t} * (8 << 20);

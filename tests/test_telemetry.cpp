@@ -28,7 +28,6 @@
 #include "core/xpgraph.hpp"
 #include "graph/generators.hpp"
 #include "mini_json.hpp"
-#include "pmem/numa_topology.hpp"
 #include "pmem/pcm_counters.hpp"
 #include "telemetry/exporter.hpp"
 #include "telemetry/op_scope.hpp"
@@ -595,7 +594,6 @@ struct SimulatedRun
 SimulatedRun
 runStream(bool read_between_steps)
 {
-    NumaBinding::unbindThread(); // both runs start from the same thread
     const vid_t nv = 512;
     const std::vector<Edge> edges = rmatStream(nv);
     auto graph = makeSingleArchiverStore(edges, nv);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Utility layer: SimClock, ParallelExecutor semantics (worker deltas,
- * persistence of workers, chunking), Rng properties, and SpinLock.
+ * persistence of workers, a caller the work never touches, chunking),
+ * Rng properties, and SpinLock.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "pmem/numa_topology.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/sim_clock.hpp"
@@ -82,18 +84,25 @@ TEST(ParallelExecutor, DeltasResetBetweenRuns)
     EXPECT_EQ(result.maxNanos(), 5u);
 }
 
-TEST(ParallelExecutor, SingleWorkerRunsInline)
+TEST(ParallelExecutor, SingleWorkerLeavesCallerUntouched)
 {
+    // One worker runs on a pool thread like any other count: the work's
+    // clock and binding never reach the caller.
     ParallelExecutor ex(1);
-    const auto id = std::this_thread::get_id();
+    SimClock::charge(5);
+    const uint64_t clock = SimClock::now();
+    const int node = NumaBinding::currentNode();
     std::thread::id seen;
     const auto result = ex.run([&](unsigned w) {
         EXPECT_EQ(w, 0u);
         seen = std::this_thread::get_id();
+        NumaBinding::bindThread(1, false);
         SimClock::charge(9);
     });
-    EXPECT_EQ(seen, id);
+    EXPECT_NE(seen, std::this_thread::get_id());
     EXPECT_EQ(result.maxNanos(), 9u);
+    EXPECT_EQ(SimClock::now(), clock);
+    EXPECT_EQ(NumaBinding::currentNode(), node);
 }
 
 TEST(VirtualSlots, EveryNodeGetsASlotAndWorkersStrideThem)

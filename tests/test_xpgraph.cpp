@@ -2,16 +2,22 @@
  * @file
  * XPGraph engine integration tests: correctness against a CSR ground
  * truth across configurations (parameterized), the Table I interfaces,
- * deletions, compaction, and accounting.
+ * deletions, compaction, accounting, and stores that simulate the same
+ * numbers whatever their calling thread did before.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "analytics/algorithms.hpp"
 #include "core/xpgraph.hpp"
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
@@ -594,6 +600,83 @@ TEST(XPGraph, PoolLimitTriggersFlushAll)
     EXPECT_GT(graph.stats().flushAllPhases, 0u);
     expectMatchesCsr(graph, nv, edges);
     EXPECT_LE(graph.pool().bytesReserved(), (1u << 18));
+}
+
+/** What one build of the history test's store simulated. */
+struct StoreBuild
+{
+    std::string pcm; ///< pmemCounters(), every field
+    IngestStats stats;
+    uint64_t bfsNs = 0;
+};
+
+TEST(XPGraph, StoresDoNotInheritTheirThreadsHistory)
+{
+    // One archive and one query thread. The same store must simulate
+    // the same numbers on a fresh thread and on a thread that has just
+    // used another store: a closed bound session, a one-worker archive
+    // phase and a one-thread BFS each leave the thread as they found
+    // it.
+    const vid_t nv = 512;
+    const auto edges = generateUniform(nv, 3000, 3);
+    const auto config = [&](unsigned archive_threads) {
+        XPGraphConfig c = testConfig(nv, edges.size());
+        c.bufferingThresholdEdges = 1 << 9;
+        c.archiveThreads = archive_threads;
+        return c;
+    };
+    const auto ingest = [&](XPGraph &graph, unsigned node) {
+        graph.session(node)->addEdges(edges.data(), edges.size());
+    };
+    const auto build = [&](unsigned archive_threads) {
+        XPGraph graph(config(archive_threads));
+        ingest(graph, 0);
+        graph.archiveAll();
+        StoreBuild b;
+        b.bfsNs = runBfs(graph, edges[0].src, 1).simNs;
+        b.stats = graph.snapshotStats();
+        b.pcm = graph.pmemCounters().toJson().dump();
+        return b;
+    };
+    // Another store, logged (and archived) on a helper thread, so that
+    // a prelude runs only what it names on the thread under test.
+    const auto prepared = [&](bool archived) {
+        auto graph = std::make_unique<XPGraph>(config(1));
+        std::thread([&] {
+            ingest(*graph, 0);
+            if (archived)
+                graph->archiveAll();
+        }).join();
+        return graph;
+    };
+    const std::pair<const char *, std::function<void()>> preludes[] = {
+        {"a closed session bound to node 1",
+         [&] {
+             XPGraph other(config(1));
+             ingest(other, 1);
+         }},
+        {"a one-worker archive phase",
+         [&] { prepared(false)->archiveAll(); }},
+        {"a one-thread BFS",
+         [&] { runBfs(*prepared(true), edges[0].src, 1); }},
+    };
+
+    std::thread([&] {
+        const StoreBuild fresh = build(1);
+        EXPECT_GT(fresh.stats.bufferingPhases, 4u);
+        for (const auto &[name, prelude] : preludes) {
+            SCOPED_TRACE(name);
+            prelude();
+            const StoreBuild again = build(1);
+            EXPECT_EQ(again.pcm, fresh.pcm);
+            EXPECT_TRUE(again.stats == fresh.stats);
+            EXPECT_EQ(again.bfsNs, fresh.bfsNs);
+        }
+        // The session's logging is its own: one stream logs in the same
+        // time whether one worker or two archive behind it. (Only that:
+        // the rest of a two-worker build follows host scheduling.)
+        EXPECT_EQ(build(2).stats.loggingNs, fresh.stats.loggingNs);
+    }).join();
 }
 
 } // namespace

@@ -321,9 +321,10 @@ xpgraphConfigFor(const std::string &system, vid_t nv, uint64_t edges,
         c.memKind = MemKind::Ssd;
     }
     c.archiveThreads = args.getInt<unsigned>("threads", 16);
-    c.compressAdjacency = args.getInt("compress", 1) != 0;
     c.compressMinDegree =
         args.getInt<uint32_t>("compress-min-degree", c.compressMinDegree);
+    if (args.getInt("compress", 1) == 0)
+        c.compressMinDegree = UINT32_MAX; // never compress
     c.backgroundCompaction = args.getInt("compact", 0) != 0;
     c.compactTombstoneRatio =
         args.getDouble("compact-ratio", c.compactTombstoneRatio);
