@@ -279,61 +279,46 @@ else
     echo "bench_diff: no committed BENCH_churn.json baseline; skipping"
 fi
 
-# Compression equivalence gate: the delta+varint chunk format is a
-# storage-layer change only, so every order-insensitive query kernel
-# must produce identical results with compression on and off (PageRank
-# is excluded for the same float-order sensitivity fig14 documents).
-# CC's rounds-to-converge is normalized away: compressed chunks store
-# neighbor runs sorted, and label-propagation can converge in a
-# different number of rounds under a different (equally legal) visit
-# order — the component count itself must still match exactly.
+# Query-equivalence gates: a storage-layer option must not change any
+# order-insensitive query result, so bfs, cc and onehop run on one
+# generated edge file with the option at 1 and at 0 and their result
+# lines must be identical (PageRank is excluded for the same
+# float-order sensitivity fig14 documents). CC's rounds-to-converge is
+# normalized away: label propagation can converge in a different
+# number of rounds under a different (equally legal) visit order — the
+# component count itself must still match exactly.
+#   query_equivalence_gate OPTION NAME  (NAME labels the pass line)
+query_equivalence_gate() {
+    local option="$1" name="$2" algo value
+    local -a logs=("$(mktemp)" "$(mktemp)") # indexed by option value
+    for algo in bfs cc onehop; do
+        for value in 1 0; do
+            "${build_dir}/tools/xpgraph_cli" query --in "${equiv_edges}" \
+                --algo "${algo}" "--${option}" "${value}" \
+                | grep -E '^(BFS|CC:|one-hop)' \
+                | sed -E 's/ in [0-9]+ rounds//' >> "${logs[value]}"
+        done
+    done
+    [[ -s "${logs[1]}" ]] || { echo "FAIL: no query result lines captured"; exit 1; }
+    if ! diff "${logs[1]}" "${logs[0]}"; then
+        echo "FAIL: query results differ between --${option} 1 and 0"
+        exit 1
+    fi
+    echo "${name} equivalence check passed (bfs/cc/onehop identical)"
+    rm -f "${logs[@]}"
+}
 cmake --build "${build_dir}" -j "$(nproc)" --target xpgraph_cli
 equiv_edges="$(mktemp --suffix=.bin)"
-compress_log="$(mktemp)"
-nocompress_log="$(mktemp)"
 "${build_dir}/tools/xpgraph_cli" generate --dataset "${datasets[0]}" \
     --out "${equiv_edges}"
-for algo in bfs cc onehop; do
-    "${build_dir}/tools/xpgraph_cli" query --in "${equiv_edges}" \
-        --algo "${algo}" --compress 1 \
-        | grep -E '^(BFS|CC:|one-hop)' \
-        | sed -E 's/ in [0-9]+ rounds//' >> "${compress_log}"
-    "${build_dir}/tools/xpgraph_cli" query --in "${equiv_edges}" \
-        --algo "${algo}" --compress 0 \
-        | grep -E '^(BFS|CC:|one-hop)' \
-        | sed -E 's/ in [0-9]+ rounds//' >> "${nocompress_log}"
-done
-[[ -s "${compress_log}" ]] || { echo "FAIL: no query result lines captured"; exit 1; }
-if ! diff "${compress_log}" "${nocompress_log}"; then
-    echo "FAIL: query results differ between --compress 1 and 0"
-    exit 1
-fi
-echo "compression equivalence check passed (bfs/cc/onehop identical)"
-
-# Compactor equivalence gate (same shape): on a delete-free workload the
-# background compactor must be a strict no-op — it only ever rewrites
-# chains that carry tombstones — so every query result must be
-# byte-identical with --compact 1 and --compact 0.
-compact_log="$(mktemp)"
-nocompact_log="$(mktemp)"
-for algo in bfs cc onehop; do
-    "${build_dir}/tools/xpgraph_cli" query --in "${equiv_edges}" \
-        --algo "${algo}" --compact 1 \
-        | grep -E '^(BFS|CC:|one-hop)' \
-        | sed -E 's/ in [0-9]+ rounds//' >> "${compact_log}"
-    "${build_dir}/tools/xpgraph_cli" query --in "${equiv_edges}" \
-        --algo "${algo}" --compact 0 \
-        | grep -E '^(BFS|CC:|one-hop)' \
-        | sed -E 's/ in [0-9]+ rounds//' >> "${nocompact_log}"
-done
-[[ -s "${compact_log}" ]] || { echo "FAIL: no query result lines captured"; exit 1; }
-if ! diff "${compact_log}" "${nocompact_log}"; then
-    echo "FAIL: query results differ between --compact 1 and 0"
-    exit 1
-fi
-echo "compactor equivalence check passed (bfs/cc/onehop identical)"
-rm -f "${equiv_edges}" "${compress_log}" "${nocompress_log}" \
-      "${compact_log}" "${nocompact_log}"
+# Compression: the delta+varint chunk format is a storage-layer change
+# only (compressed chunks store neighbor runs sorted, hence the CC
+# round normalization).
+query_equivalence_gate compress compression
+# Compactor: on a delete-free workload the background compactor must be
+# a strict no-op — it only ever rewrites chains that carry tombstones.
+query_equivalence_gate compact compactor
+rm -f "${equiv_edges}"
 
 # Ops-plane stage (DESIGN.md §14). Three checks:
 #  1. The serving bench's exporter artifacts — the JSONL sample series

@@ -209,7 +209,7 @@ AdjacencyStore::writeCompressedBlock(const vid_t *nebrs, uint32_t n,
     std::memcpy(t_blockScratch.data() + sizeof(BlockHeader),
                 t_encodeScratch.data(), payload_bytes);
     // The block write stays caller-attributed (AdjacencyArchive for
-    // appends, Compaction for the background compactor): it replaces
+    // appends, Compaction for compaction rewrites): it replaces
     // the raw-block write one-for-one, keeping the row comparable
     // across formats; AdjacencyCodec owns the decode-side reads.
     {
@@ -353,13 +353,13 @@ AdjacencyStore::contains(const VertexChain &chain, vid_t nebr) const
 
 CompactResult
 AdjacencyStore::compact(uint64_t slot, VertexChain &chain,
-                        const CompactHooks *hooks,
-                        telemetry::AccessCategory cat)
+                        const CompactHooks *hooks)
 {
     CompactResult res;
     if (chain.empty())
         return res;
-    XPG_ATTR_SCOPE_DYN(attrScope, cat);
+    constexpr auto cat = telemetry::AccessCategory::Compaction;
+    XPG_ATTR_SCOPE(attrScope, Compaction);
 
     // Footprint of the chain being replaced: logically reclaimed once
     // the head swings (the bump allocator never reuses the space, which

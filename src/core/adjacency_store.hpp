@@ -294,13 +294,10 @@ class AdjacencyStore
      * new block written + persisted, then (@p hooks->preCommit) the
      * index head swings and is persisted (@p hooks->postCommit) — a
      * crash at any media write leaves the old or the new chain fully
-     * intact. @p cat is the attribution category the rewrite traffic is
-     * blamed on (Compaction for the background compactor).
+     * intact. The rewrite's traffic is blamed on Compaction.
      */
     CompactResult compact(uint64_t slot, VertexChain &chain,
-                          const CompactHooks *hooks = nullptr,
-                          telemetry::AccessCategory cat =
-                              telemetry::AccessCategory::AdjacencyArchive);
+                          const CompactHooks *hooks = nullptr);
 
     /**
      * Rebuild the DRAM chain mirror of @p slot from the device, crash-safe:

@@ -47,7 +47,7 @@ struct IngestStats
     uint64_t sessionsOpened = 0; ///< concurrent sessions ever opened
 
     // --- background compaction (DESIGN.md §13) ---
-    uint64_t compactionPasses = 0;  ///< candidate scans that ran
+    uint64_t compactionPasses = 0;  ///< passes run, by any entry point
     uint64_t compactionSlots = 0;   ///< chains rewritten by those passes
     /** Footprint of the old chains those rewrites made unreachable
      *  (logically reclaimed; the bump allocator never reuses it, so

@@ -68,9 +68,10 @@ constexpr size_t kPrefetchBufAhead = 8;
 // --- compaction journal (DESIGN.md §13) ---
 //
 // Lives in the spare superblock tail [kCompactionJournalOff,
-// kSuperblockBytes): one 64 B entry per concurrent compaction worker.
-// Protocol per chain rewrite (AdjacencyStore::compact drives 1/3/4 via
-// the CompactHooks, the engine drives 2/5):
+// kSuperblockBytes): 48 entries of 64 B, of which the serial pass arms
+// entry 0 (recovery scans all 48). Protocol per chain rewrite
+// (AdjacencyStore::compact drives 1/3/4 via the CompactHooks, the
+// engine drives 2/5):
 //   1. new chain fully written + persisted
 //   2. arm: entry {side, slot, oldHead, newHead} written + persisted
 //   3. index head swung to newHead
@@ -123,8 +124,8 @@ compactionJournalOff(unsigned jslot)
 }
 
 void
-armCompactionJournal(MemoryDevice &dev, unsigned jslot, uint64_t side,
-                     uint64_t slot, uint64_t old_head, uint64_t new_head)
+armCompactionJournal(MemoryDevice &dev, uint64_t side, uint64_t slot,
+                     uint64_t old_head, uint64_t new_head)
 {
     CompactionJournalEntry e;
     e.magic = kCompactionJournalMagic;
@@ -133,8 +134,8 @@ armCompactionJournal(MemoryDevice &dev, unsigned jslot, uint64_t side,
     e.oldHead = old_head;
     e.newHead = new_head;
     e.checksum = e.computeChecksum();
-    dev.writePod<CompactionJournalEntry>(compactionJournalOff(jslot), e);
-    dev.persist(compactionJournalOff(jslot), sizeof(e));
+    dev.writePod<CompactionJournalEntry>(compactionJournalOff(0), e);
+    dev.persist(compactionJournalOff(0), sizeof(e));
 }
 
 void
@@ -404,9 +405,9 @@ XPGraph::initTelemetry()
 
 template <typename F>
 void
-XPGraph::forWorkerSlots(unsigned w, unsigned workers, F &&fn)
+XPGraph::forWorkerSlots(unsigned w, F &&fn)
 {
-    archiveSlots().forEach(w, workers, [&](const Slot &slot) {
+    archiveSlots().forEach(w, config_.archiveThreads, [&](const Slot &slot) {
         if (queryBindingEnabled())
             NumaBinding::bindThread(static_cast<int>(slot.node), false);
         fn(slot);
@@ -735,7 +736,7 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
         // Scopes are thread-local, so the tag must be planted in each
         // worker body, not around the executor_->run() call.
         XPG_ATTR_SCOPE(attrScope, RecoveryReplay);
-        forWorkerSlots(w, config_.archiveThreads, [&](const Slot &ws) {
+        forWorkerSlots(w, [&](const Slot &ws) {
             ChainScan &scan = scans[static_cast<size_t>(w) * p + ws.node];
             for (const auto &side : parts_[ws.node].sides) {
                 if (!side)
@@ -1063,56 +1064,33 @@ XPGraph::runCompactionPass()
     return compactCandidatesLocked();
 }
 
+template <typename Visit>
 uint64_t
-XPGraph::compactCandidatesLocked()
+XPGraph::compactPassLocked(Visit &&visit)
 {
     telemetry::OpScope op(this, "compaction_pass",
                           telemetry::OpClass::Compaction);
     XPG_ATTR_SCOPE(attrScope, Compaction);
     SimScope pass_scope;
-    const double ratio = config_.compactTombstoneRatio;
-    const uint32_t min_records = config_.compactMinRecords;
     const uint64_t reclaimed0 =
         compactionBytesReclaimed_.load(std::memory_order_relaxed);
     uint64_t rewritten = 0;
     // The phase (epoch bump, view-capture invalidation) opens lazily so
-    // an empty scan — the common steady state — never churns the epoch
-    // cache that open views share.
+    // an empty pass — the compactor's common steady state — never
+    // churns the epoch cache that open views share. Open views keep
+    // serving the abandoned blocks (the allocator never reuses space).
     bool entered = false;
-    for (auto &part : parts_) {
+    for (unsigned node = 0; node < config_.numNodes; ++node) {
         for (unsigned d = 0; d < 2; ++d) {
-            Side *side = part.sides[d].get();
-            if (!side)
+            if (!parts_[node].sides[d])
                 continue;
-            // A slot qualifies on its records and tombstones alone, and
-            // only an insert changes those between passes, so a slot
-            // this pass did not rewrite can qualify later only after
-            // an insert sets its dirty bit again: visit (and clear) the
-            // dirty bits in ascending slot order. Delete-free chains
-            // never qualify, so a workload without deletes is
-            // byte-identical with the compactor on or off.
-            for (size_t w = 0; w < side->dirty.size(); ++w) {
-                if (side->dirty[w].load(std::memory_order_relaxed) == 0)
-                    continue;
-                for (uint64_t bits = side->dirty[w].exchange(
-                         0, std::memory_order_relaxed);
-                     bits != 0; bits &= bits - 1) {
-                    const uint64_t slot = w * 64 + std::countr_zero(bits);
-                    const VertexState &st = side->states[slot];
-                    // Candidate = enough records to be worth a rewrite
-                    // AND a tombstone share past the threshold.
-                    if (st.records < min_records ||
-                        static_cast<double>(st.tombstones) <
-                            ratio * static_cast<double>(st.records))
-                        continue;
-                    if (!entered) {
-                        phaseEnterLocked();
-                        entered = true;
-                    }
-                    compactSlotJournaled(part, d, slot, /*jslot=*/0);
-                    ++rewritten;
+            visit(node, d, *parts_[node].sides[d], [&](uint64_t slot) {
+                if (!entered) {
+                    phaseEnterLocked();
+                    entered = true;
                 }
-            }
+                rewritten += compactSlotJournaled(parts_[node], d, slot);
+            });
         }
     }
     compactionPasses_.fetch_add(1, std::memory_order_relaxed);
@@ -1126,27 +1104,59 @@ XPGraph::compactCandidatesLocked()
     return rewritten;
 }
 
-void
-XPGraph::compactSlotJournaled(Partition &part, unsigned d, uint64_t slot,
-                              unsigned jslot)
+uint64_t
+XPGraph::compactCandidatesLocked()
+{
+    const double ratio = config_.compactTombstoneRatio;
+    const uint32_t min_records = config_.compactMinRecords;
+    return compactPassLocked(
+        [&](unsigned, unsigned, Side &side, const auto &rewrite) {
+            // A slot qualifies on its records and tombstones alone, and
+            // only an insert changes those between passes, so a slot
+            // this pass did not rewrite can qualify later only after
+            // an insert sets its dirty bit again: visit (and clear) the
+            // dirty bits in ascending slot order. Delete-free chains
+            // never qualify, so a workload without deletes is
+            // byte-identical with the compactor on or off.
+            for (size_t w = 0; w < side.dirty.size(); ++w) {
+                if (side.dirty[w].load(std::memory_order_relaxed) == 0)
+                    continue;
+                for (uint64_t bits = side.dirty[w].exchange(
+                         0, std::memory_order_relaxed);
+                     bits != 0; bits &= bits - 1) {
+                    const uint64_t slot = w * 64 + std::countr_zero(bits);
+                    const VertexState &st = side.states[slot];
+                    // Candidate = enough records to be worth a rewrite
+                    // AND a tombstone share past the threshold.
+                    if (st.records < min_records ||
+                        static_cast<double>(st.tombstones) <
+                            ratio * static_cast<double>(st.records))
+                        continue;
+                    rewrite(slot);
+                }
+            }
+        });
+}
+
+bool
+XPGraph::compactSlotJournaled(Partition &part, unsigned d, uint64_t slot)
 {
     Side &side = *part.sides[d];
     VertexState &st = side.states[slot];
     if (st.buf && vbuf::header(st.buf)->cnt > 0)
         flushVertex(side, slot, st);
-    if (!st.chain.empty()) {
+    const bool rewrites = !st.chain.empty();
+    if (rewrites) {
         MemoryDevice &dev = *part.dev;
         CompactHooks hooks;
-        hooks.preCommit = [&dev, d, jslot](uint64_t s, uint64_t old_head,
-                                           uint64_t new_head) {
-            armCompactionJournal(dev, jslot, d, s, old_head, new_head);
+        hooks.preCommit = [&dev, d](uint64_t s, uint64_t old_head,
+                                    uint64_t new_head) {
+            armCompactionJournal(dev, d, s, old_head, new_head);
         };
-        hooks.postCommit = [&dev, jslot](uint64_t) {
-            clearCompactionJournal(dev, jslot);
+        hooks.postCommit = [&dev](uint64_t) {
+            clearCompactionJournal(dev, 0);
         };
-        const CompactResult r = side.store->compact(
-            slot, st.chain, &hooks,
-            telemetry::AccessCategory::Compaction);
+        const CompactResult r = side.store->compact(slot, st.chain, &hooks);
         compactionSlots_.fetch_add(1, std::memory_order_relaxed);
         compactionBytesReclaimed_.fetch_add(r.bytesAbandoned,
                                             std::memory_order_relaxed);
@@ -1158,6 +1168,7 @@ XPGraph::compactSlotJournaled(Partition &part, unsigned d, uint64_t slot,
     // Every tombstone was applied; the buffer drained into the chain.
     st.records = st.chain.records;
     st.tombstones = 0;
+    return rewrites;
 }
 
 // --- buffering phase -----------------------------------------------------
@@ -1229,7 +1240,7 @@ XPGraph::declareIdleWriters()
 void
 XPGraph::bufferWorker(unsigned w)
 {
-    forWorkerSlots(w, config_.archiveThreads, [&](const Slot &ws) {
+    forWorkerSlots(w, [&](const Slot &ws) {
         Partition &part = parts_[ws.node];
         for (unsigned d = 0; d < 2; ++d) {
             const bool out = d == 0;
@@ -1309,7 +1320,7 @@ XPGraph::runBufferingPhaseLocked(bool capped)
         // Log reads feeding an archive phase are archive traffic, not
         // query traffic (thread-local tag, so it lives in the worker).
         XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
-        forWorkerSlots(w, config_.archiveThreads, [&](const Slot &ws) {
+        forWorkerSlots(w, [&](const Slot &ws) {
             const unsigned node = ws.node;
             const auto [lo, hi] = ws.slice(phaseUpTo_[node] - from[node]);
             if (lo < hi)
@@ -1366,7 +1377,7 @@ void
 XPGraph::flushWorker(unsigned w, bool release_buffers)
 {
     XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
-    forWorkerSlots(w, config_.archiveThreads, [&](const Slot &ws) {
+    forWorkerSlots(w, [&](const Slot &ws) {
         for (const auto &side : parts_[ws.node].sides) {
             if (!side)
                 continue;
@@ -2052,48 +2063,23 @@ void
 XPGraph::compactAdjs(vid_t v)
 {
     std::lock_guard<std::mutex> lock(archiveMutex_);
-    XPG_ATTR_SCOPE(attrScope, Compaction);
-    // A phase for epoch purposes too: compaction rewrites chains, so the
-    // epoch bump invalidates any cached view capture. Open views keep
-    // serving the abandoned blocks (the allocator never reuses space).
-    phaseEnterLocked();
-    for (unsigned d = 0; d < 2; ++d) {
-        Partition &part = parts_[owner(v, d == 0)];
-        if (part.sides[d])
-            compactSlotJournaled(part, d, slotOf(v), /*jslot=*/0);
-    }
-    phaseExitLocked();
+    compactPassLocked(
+        [&](unsigned node, unsigned d, Side &, const auto &rewrite) {
+            if (node == owner(v, d == 0))
+                rewrite(slotOf(v));
+        });
 }
 
 void
 XPGraph::compactAllAdjs()
 {
     std::lock_guard<std::mutex> lock(archiveMutex_);
-    phaseEnterLocked(); // epoch bump: invalidates cached view captures
-    declareArchiveConcurrency();
-    // Every rewriting worker arms its own compaction-journal entry, and
-    // the journal region sizes the concurrency it can witness: at most
-    // kCompactionJournalSlots workers rewrite, sharing out every
-    // virtual slot.
-    const unsigned writers =
-        std::min(config_.archiveThreads, kCompactionJournalSlots);
-    executor_->run([&](unsigned w) {
-        if (w >= writers)
-            return;
-        XPG_ATTR_SCOPE(attrScope, Compaction);
-        forWorkerSlots(w, writers, [&](const Slot &ws) {
-            Partition &part = parts_[ws.node];
-            for (unsigned d = 0; d < 2; ++d) {
-                if (!part.sides[d])
-                    continue;
-                const auto [begin, end] =
-                    ws.slice(part.sides[d]->states.size());
-                for (uint64_t slot = begin; slot < end; ++slot)
-                    compactSlotJournaled(part, d, slot, /*jslot=*/w);
-            }
+    compactPassLocked(
+        [](unsigned, unsigned, Side &side, const auto &rewrite) {
+            for (uint64_t slot = 0; slot < side.states.size(); ++slot)
+                if (side.states[slot].records > 0)
+                    rewrite(slot);
         });
-    });
-    phaseExitLocked();
 }
 
 // --- introspection -----------------------------------------------------------

@@ -224,18 +224,21 @@ class XPGraph : public GraphStore
     /** bufferAllEdges() + flushAllVbufs(): the GraphStore sync point. */
     void archiveAll() override;
 
-    /** Merge v's adjacency chain into one block, applying tombstones. */
+    // Each compaction entry point is one compaction pass on the calling
+    // thread, recorded as one `compaction_pass` op (DESIGN.md §13).
+
+    /** Merge v's adjacency chains into one block each, applying
+     *  tombstones. */
     void compactAdjs(vid_t v);
 
-    /** compactAdjs for every vertex. */
+    /** compactAdjs for every vertex holding records. */
     void compactAllAdjs();
 
     /**
-     * One synchronous compactor pass: rewrite every chain whose
-     * tombstone share crossed the config thresholds
-     * (compactTombstoneRatio / compactMinRecords), exactly as the
-     * background compactor would. Deterministic entry point for tests,
-     * the CLI, and benches; works with backgroundCompaction off.
+     * Rewrite every chain whose tombstone share crossed the config
+     * thresholds (compactTombstoneRatio / compactMinRecords), exactly
+     * as the background compactor would. Deterministic entry point for
+     * tests, the CLI, and benches; works with backgroundCompaction off.
      * Delete-free chains are never touched. @return chains rewritten.
      */
     uint64_t runCompactionPass();
@@ -445,14 +448,24 @@ class XPGraph : public GraphStore
     void stopBackground(Background &bg);
     /** One archiver pass (caller holds archiveMutex_). */
     void archivePassLocked();
-    /** The candidate scan + rewrites behind runCompactionPass() and the
-     *  compactor thread (caller holds archiveMutex_). */
+    /**
+     * The one compaction pass (caller holds archiveMutex_), serial on
+     * the calling thread: one `compaction_pass` record, every access
+     * blamed on Compaction. For each partition's side,
+     * @p visit(node, d, side, rewrite) names the slots to rewrite, in
+     * order, by calling rewrite(slot); the phase is entered at the
+     * first. @return chains rewritten.
+     */
+    template <typename Visit>
+    uint64_t compactPassLocked(Visit &&visit);
+    /** The pass over the dirty-bit candidates: runCompactionPass() and
+     *  the compactor thread (caller holds archiveMutex_). */
     uint64_t compactCandidatesLocked();
     /** Journaled COW rewrite of the chain in @p slot of @p part's side
-     *  @p d (caller holds archiveMutex_ inside a phase). @p jslot names
-     *  the per-worker compaction-journal entry armed across the commit. */
-    void compactSlotJournaled(Partition &part, unsigned d, uint64_t slot,
-                              unsigned jslot);
+     *  @p d (caller holds archiveMutex_ inside a phase), armed in
+     *  compaction-journal entry 0. @return whether a chain was
+     *  rewritten (false for a slot that holds none). */
+    bool compactSlotJournaled(Partition &part, unsigned d, uint64_t slot);
     /** Resolve armed compaction-journal entries after a crash: count
      *  them into @p report (CompactionTorn), classify committed vs
      *  in-flight by the persisted index head, and scrub the entries. */
@@ -466,12 +479,12 @@ class XPGraph : public GraphStore
         return {config_.archiveThreads, config_.numNodes};
     }
 
-    /** Run @p fn(slot) for each archive slot worker @p w of the
-     *  @p workers sharing them out executes (w, w + workers, ...), the
-     *  worker bound to the slot's node when queryBindingEnabled();
-     *  otherwise the executor's workers stay unbound, as they start. */
+    /** Run @p fn(slot) for each archive slot worker @p w executes
+     *  (w, w + archiveThreads, ...), the worker bound to the slot's
+     *  node when queryBindingEnabled(); otherwise the executor's
+     *  workers stay unbound, as they start. */
     template <typename F>
-    void forWorkerSlots(unsigned w, unsigned workers, F &&fn);
+    void forWorkerSlots(unsigned w, F &&fn);
 
     // per-edge work
     void insertBuffered(Side &side, uint64_t slot, vid_t nebr);

@@ -13,6 +13,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,6 +23,8 @@
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "telemetry/op_scope.hpp"
+#include "util/sim_clock.hpp"
 
 namespace xpg {
 namespace {
@@ -432,10 +435,11 @@ TEST(XPGraph, CompactMergesChains)
     EXPECT_EQ(before, after);
 }
 
-TEST(XPGraph, CompactAllAdjsWithMoreThreadsThanJournalSlots)
+TEST(XPGraph, CompactAllAdjsMatchesCsrAndLeavesNoTombstone)
 {
-    // 64 archive threads: more workers than compaction-journal entries
-    // (48 per device), so the workers that rewrite share out the slots.
+    // A store-wide pass over a store archived by 64 threads: every
+    // adjacency matches the CSR reference, and no tombstone is left in
+    // any layer.
     const vid_t nv = 512;
     XPGraphConfig c = testConfig(nv, 20000);
     c.archiveThreads = 64;
@@ -465,6 +469,121 @@ TEST(XPGraph, CompactAllAdjsWithMoreThreadsThanJournalSlots)
                                  [](vid_t rec) { return isDelete(rec); }))
             << "tombstone left in the chains of " << v;
     }
+}
+
+/** The compaction probe: 512 vertices, 3,000 uniform edges, half of
+ *  them deleted, archived by @p archive_threads, the session still
+ *  open. compactMinRecords 8 makes the deleted-from slots candidates. */
+struct CompactionProbe
+{
+    std::unique_ptr<XPGraph> graph;
+    std::unique_ptr<IngestSession> session; ///< closes before graph
+    std::vector<Edge> edges;
+
+    explicit CompactionProbe(unsigned archive_threads)
+        : edges(generateUniform(512, 3000, 3))
+    {
+        XPGraphConfig c = testConfig(512, edges.size());
+        c.bufferingThresholdEdges = 1 << 9;
+        c.archiveThreads = archive_threads;
+        c.compactMinRecords = 8;
+        graph = std::make_unique<XPGraph>(c);
+        session = graph->session(0);
+        session->addEdges(edges.data(), edges.size());
+        for (uint64_t i = 0; i < edges.size(); i += 2)
+            session->delEdge(edges[i].src, edges[i].dst);
+        graph->archiveAll();
+    }
+};
+
+TEST(XPGraph, EveryCompactionIsOneRecordedPass)
+{
+    // compactAdjs, runCompactionPass and compactAllAdjs run the one
+    // compaction pass on the calling thread: each closes exactly one
+    // compaction_pass record, whose simulated time is what its caller
+    // was charged and whose media writes are the device's, and counts
+    // one pass.
+    CompactionProbe probe(1);
+    XPGraph &graph = *probe.graph;
+    const vid_t v = probe.edges[0].src; // its first out-edge is deleted
+    uint64_t returned = 0;
+    const std::pair<const char *, std::function<void()>> calls[] = {
+        {"compactAdjs", [&] { graph.compactAdjs(v); }},
+        {"runCompactionPass", [&] { returned = graph.runCompactionPass(); }},
+        {"compactAllAdjs", [&] { graph.compactAllAdjs(); }},
+    };
+    auto &trace = telemetry::Telemetry::instance().trace();
+    for (const auto &[name, call] : calls) {
+        SCOPED_TRACE(name);
+        const uint64_t ops0 = telemetry::OpScope::opsOpened();
+        const telemetry::OpClassTotals class0 =
+            telemetry::OpScope::classTotals(telemetry::OpClass::Compaction);
+        const IngestStats s0 = graph.snapshotStats();
+        const uint64_t written0 = graph.pmemCounters().mediaBytesWritten;
+        const uint64_t first = trace.emitted();
+        SimScope caller;
+        call();
+        const uint64_t caller_ns = caller.elapsed();
+
+        EXPECT_EQ(telemetry::OpScope::opsOpened() - ops0, 1u);
+        const telemetry::OpClassTotals class1 =
+            telemetry::OpScope::classTotals(telemetry::OpClass::Compaction);
+        EXPECT_EQ(class1.ops - class0.ops, 1u);
+        EXPECT_GT(caller_ns, 0u);
+        EXPECT_EQ(class1.simNs - class0.simNs, caller_ns);
+        EXPECT_EQ(class1.mediaWriteBytes - class0.mediaWriteBytes,
+                  graph.pmemCounters().mediaBytesWritten - written0);
+        const IngestStats s1 = graph.snapshotStats();
+        EXPECT_EQ(s1.compactionPasses - s0.compactionPasses, 1u);
+        const uint64_t chains = s1.compactionSlots - s0.compactionSlots;
+        EXPECT_GT(chains, 0u);
+        std::vector<uint64_t> span_chains;
+        for (const telemetry::TraceEventView &ev : trace.collect())
+            if (ev.ticket >= first &&
+                std::string_view(ev.name) == "compaction_pass")
+                span_chains.push_back(ev.a0);
+        EXPECT_EQ(span_chains, std::vector<uint64_t>{chains});
+        if (std::string_view(name) == "runCompactionPass") {
+            EXPECT_EQ(returned, chains);
+        }
+    }
+}
+
+TEST(XPGraph, CompactAllAdjsIsThreadCountFree)
+{
+    // compactAllAdjs is one serial pass: it writes the same media bytes
+    // whatever the archive thread count, and it leaves the devices
+    // declared as it found them, so the open session's next append
+    // logs as it would after an idle session opened and closed (which
+    // re-declares the idle writers). Nothing else of the 16-thread
+    // build is compared: its archiveAll follows host scheduling.
+    const auto extra = generateUniform(512, 256, 5);
+    struct Compacted
+    {
+        uint64_t mediaWritten = 0;
+        uint64_t appendNs = 0;
+    };
+    const auto compacted = [&](unsigned archive_threads, bool idle_session) {
+        CompactionProbe probe(archive_threads);
+        XPGraph &graph = *probe.graph;
+        Compacted c;
+        const uint64_t written0 = graph.pmemCounters().mediaBytesWritten;
+        graph.compactAllAdjs();
+        c.mediaWritten = graph.pmemCounters().mediaBytesWritten - written0;
+        if (idle_session) {
+            auto idle = graph.session(0);
+        }
+        const uint64_t logged0 = graph.stats().loggingNs;
+        probe.session->addEdges(extra.data(), extra.size());
+        c.appendNs = graph.stats().loggingNs - logged0;
+        return c;
+    };
+    const Compacted one = compacted(1, false);
+    const Compacted wide = compacted(16, false);
+    EXPECT_GT(one.mediaWritten, 0u);
+    EXPECT_EQ(wide.mediaWritten, one.mediaWritten);
+    EXPECT_GT(wide.appendNs, 0u);
+    EXPECT_EQ(wide.appendNs, compacted(16, true).appendNs);
 }
 
 TEST(XPGraph, SubGraphPlacementBalancesVerticesAcrossNodes)

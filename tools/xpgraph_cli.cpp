@@ -703,40 +703,60 @@ ampCell(uint64_t media, uint64_t app)
            "x";
 }
 
-int
-cmdProfile(const Args &args)
+/** The store profile and explain measure: built from `--in` or
+ *  `--dataset`, as `--system` says, then ingested and archived. */
+struct ArchivedStore
 {
-    vid_t nv = 0;
     std::vector<Edge> edges;
-    std::string input;
+    std::string input; ///< the --in path or the dataset code
+    std::string system;
+    std::unique_ptr<GraphStore> store;
+};
+
+/** @p quiet leaves out the "generated" line (explain's `--json -`). */
+ArchivedStore
+loadArchivedStore(const Args &args, bool quiet)
+{
+    ArchivedStore a;
+    vid_t nv = 0;
     if (args.has("in")) {
-        edges = loadInput(args, nv);
-        input = args.get("in");
+        a.edges = loadInput(args, nv);
+        a.input = args.get("in");
     } else {
         const unsigned shift =
             args.getInt<unsigned>("shift", defaultScaleShift());
-        input = args.get("dataset", "TT");
-        Dataset ds = generateDataset(datasetByAbbrev(input), shift);
+        a.input = args.get("dataset", "TT");
+        Dataset ds = generateDataset(datasetByAbbrev(a.input), shift);
         nv = ds.numVertices;
-        edges = std::move(ds.edges);
-        std::printf("generated %zu edges over %u vertices (%s)\n",
-                    edges.size(), nv, input.c_str());
+        a.edges = std::move(ds.edges);
+        if (!quiet)
+            std::printf("generated %zu edges over %u vertices (%s)\n",
+                        a.edges.size(), nv, a.input.c_str());
     }
-    const std::string system = args.get("system", "xpgraph");
+    a.system = args.get("system", "xpgraph");
+    if (a.system.rfind("graphone", 0) == 0) {
+        a.store = std::make_unique<GraphOne>(
+            graphoneConfigFor(a.system, nv, a.edges.size(), args));
+    } else {
+        a.store = std::make_unique<XPGraph>(
+            xpgraphConfigFor(a.system, nv, a.edges.size(), args));
+    }
+    a.store->session(0)->addEdges(a.edges.data(), a.edges.size());
+    // Quiesce: archive everything so what the caller runs next is the
+    // only thing moving the store-global counters — the precondition
+    // for explain's op-vs-global exactness checks.
+    a.store->archiveAll();
+    return a;
+}
+
+int
+cmdProfile(const Args &args)
+{
+    const auto [edges, input, system, store] =
+        loadArchivedStore(args, /*quiet=*/false);
     const unsigned threads = args.getInt<unsigned>("threads", 16);
     const uint64_t queries = args.getInt("queries", 4096);
     const unsigned top = args.getInt<unsigned>("top", 10);
-
-    std::unique_ptr<GraphStore> store;
-    if (system.rfind("graphone", 0) == 0) {
-        store = std::make_unique<GraphOne>(
-            graphoneConfigFor(system, nv, edges.size(), args));
-    } else {
-        store = std::make_unique<XPGraph>(
-            xpgraphConfigFor(system, nv, edges.size(), args));
-    }
-    store->session(0)->addEdges(edges.data(), edges.size());
-    store->archiveAll();
     if (queries > 0) {
         // One-hops plus a BFS: enough adjacency reads for query_read to
         // show in the table.
@@ -880,40 +900,10 @@ cmdExplain(const Args &args, const std::string &kernel)
     // (so it can be piped straight into a parser); the human report is
     // suppressed rather than interleaved.
     const bool quiet = args.get("json") == "-";
-    vid_t nv = 0;
-    std::vector<Edge> edges;
-    std::string input;
-    if (args.has("in")) {
-        edges = loadInput(args, nv);
-        input = args.get("in");
-    } else {
-        const unsigned shift =
-            args.getInt<unsigned>("shift", defaultScaleShift());
-        input = args.get("dataset", "TT");
-        Dataset ds = generateDataset(datasetByAbbrev(input), shift);
-        nv = ds.numVertices;
-        edges = std::move(ds.edges);
-        if (!quiet)
-            std::printf("generated %zu edges over %u vertices (%s)\n",
-                        edges.size(), nv, input.c_str());
-    }
-    const std::string system = args.get("system", "xpgraph");
+    const auto [edges, input, system, store] =
+        loadArchivedStore(args, quiet);
     const unsigned threads = args.getInt<unsigned>("threads", 16);
     const unsigned top = args.getInt<unsigned>("top", 10);
-
-    std::unique_ptr<GraphStore> store;
-    if (system.rfind("graphone", 0) == 0) {
-        store = std::make_unique<GraphOne>(
-            graphoneConfigFor(system, nv, edges.size(), args));
-    } else {
-        store = std::make_unique<XPGraph>(
-            xpgraphConfigFor(system, nv, edges.size(), args));
-    }
-    store->session(0)->addEdges(edges.data(), edges.size());
-    // Quiesce: archive everything so the kernel below is the only
-    // thing moving the store-global counters — the precondition for
-    // the op-vs-global exactness checks.
-    store->archiveAll();
 
     const PcmCounters pcm0 = store->pmemCounters();
     const telemetry::AttributionSnapshot attr0 = store->pmemAttribution();
