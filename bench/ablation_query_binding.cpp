@@ -39,7 +39,7 @@ main(int argc, char **argv)
     };
     const Strategy strategies[] = {
         {"unbound threads", QueryBinding::None},
-        {"per-round binding (paper)", QueryBinding::PerRound},
+        {"per-round binding (paper)", QueryBinding::Auto},
         {"per-vertex binding", QueryBinding::PerVertex},
     };
 
@@ -50,7 +50,7 @@ main(int argc, char **argv)
     std::vector<std::pair<const char *, uint64_t>> rows;
     for (const auto &s : strategies) {
         const auto r = runOneHop(*graph, queries, 96, s.binding);
-        if (s.binding == QueryBinding::PerRound)
+        if (s.binding == QueryBinding::Auto)
             reference = r.simNs;
         rows.emplace_back(s.name, r.simNs);
     }

@@ -45,7 +45,6 @@ QueryDriver::QueryDriver(const GraphView &view, unsigned num_threads,
 {
     if (store_)
         store_->declareQueryThreads(num_threads);
-    perNode_.resize(store_ ? std::max(1u, store_->numNodes()) : 1);
     telRoundHist_ = XPG_TEL_HISTOGRAM(
         "query.round_ns", (telemetry::Labels{.phase = "round"}));
     // Round-stat baseline: sample the store's cumulative query-path
@@ -61,10 +60,11 @@ QueryDriver::nodeOfOut(vid_t v) const
     return store_ ? store_->nodeOfOut(v) : 0;
 }
 
-void
+uint64_t
 QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices,
                        uint64_t host_start_ns)
 {
+    totalNs_ += round_ns;
     telRoundHist_->record(round_ns);
     XPG_TRACE_EMIT("query_round", "query", host_start_ns,
                    telemetry::hostNowNs() - host_start_ns, round_ns);
@@ -76,7 +76,7 @@ QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices,
 
     QueryProbe now;
     if (!probeActive_ || !store_->sampleQueryProbe(now))
-        return; // not probed: the fields below stay unmeasured
+        return round_ns; // not probed: the fields below stay unmeasured
     rs.probed = true;
     rs.sealedRecords = now.sealedRecords - probeLast_.sealedRecords;
     rs.bufferRecords = now.bufferRecords - probeLast_.bufferRecords;
@@ -117,37 +117,17 @@ QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices,
         rs.directionSwitchGain =
             (rs.pushCostNs - rs.pullCostNs) / rs.pushCostNs;
     probeLast_ = std::move(now);
-}
-
-bool
-QueryDriver::bindingActive() const
-{
-    switch (binding_) {
-      case QueryBinding::Auto:
-        return store_ && store_->queryBindingEnabled();
-      case QueryBinding::None:
-        return false;
-      case QueryBinding::PerRound:
-      case QueryBinding::PerVertex:
-        return true;
-    }
-    return false;
+    return round_ns;
 }
 
 bool
 QueryDriver::balancedActive() const
 {
-    switch (schedule_) {
-      case SchedulePolicy::Strided:
-        return false;
-      case SchedulePolicy::Balanced:
-        return true;
-      case SchedulePolicy::Auto:
-        // Balancing needs per-vertex weights; without a degree cache the
-        // gather would cost a full adjacency sweep and defeat the point.
-        return view_.hasFastDegrees();
-    }
-    return false;
+    // A per-vertex round deals its input as given. Balancing needs
+    // per-vertex weights; without a degree cache the gather would cost
+    // a full adjacency sweep and defeat the point.
+    return binding_ != QueryBinding::PerVertex &&
+           schedule_ == SchedulePolicy::Auto && view_.hasFastDegrees();
 }
 
 std::vector<uint64_t>
@@ -177,35 +157,53 @@ QueryDriver::chunkBoundaries(std::span<const uint64_t> weight,
 }
 
 uint64_t
-QueryDriver::buildPlan(std::span<const vid_t> vertices, Plan &plan)
+QueryDriver::buildPlan(std::span<const vid_t> vertices, bool balanced,
+                       Plan &plan)
 {
     const unsigned workers = executor_.numWorkers();
-    plan.bound = bindingActive();
-    const unsigned nodes =
-        plan.bound ? std::max(1u, static_cast<unsigned>(perNode_.size()))
-                   : 1;
-    plan.lists.assign(nodes, {});
-    plan.bounds.assign(nodes, {});
-    uint64_t build_ns = 0;
+    plan.built = true;
+    plan.perVertex = binding_ == QueryBinding::PerVertex;
+    plan.bound = binding_ == QueryBinding::Auto && store_ &&
+                 store_->queryBindingEnabled();
+    const unsigned nodes = plan.bound ? std::max(1u, store_->numNodes()) : 1;
+    plan.lists.resize(nodes);
+    for (auto &list : plan.lists)
+        list.clear();
+    plan.bounds.clear();
 
-    {
-        // Classify/copy: one DRAM stream over the list (same charge as
-        // the strided bound path's classification).
+    // Grouping by owning node (a bound round) or balancing streams the
+    // list through DRAM once; an unbound strided or per-vertex round
+    // deals its input as given, for free.
+    uint64_t build_ns = 0;
+    if (plan.bound || balanced) {
         SimScope classify_scope;
         chargeDramSequential(vertices.size() * sizeof(vid_t) * 2);
-        if (nodes == 1) {
-            plan.lists[0].assign(vertices.begin(), vertices.end());
-        } else {
-            for (vid_t v : vertices)
-                plan.lists[static_cast<unsigned>(nodeOfOut(v)) %
-                           nodes]
-                    .push_back(v);
-        }
-        for (auto &list : plan.lists)
-            if (!std::is_sorted(list.begin(), list.end()))
-                std::sort(list.begin(), list.end());
         build_ns += classify_scope.elapsed();
     }
+    if (nodes == 1) {
+        plan.lists[0].assign(vertices.begin(), vertices.end());
+    } else {
+        for (vid_t v : vertices)
+            plan.lists[static_cast<unsigned>(nodeOfOut(v)) % nodes]
+                .push_back(v);
+    }
+    if (!balanced) {
+        // Strided: each list keeps its input order. Per-vertex (the
+        // S III-D anti-pattern): equal-count contiguous chunks, so
+        // consecutive vertices genuinely alternate owners and every
+        // vertex triggers a migration.
+        if (plan.perVertex) {
+            const uint64_t per = (vertices.size() + workers - 1) / workers;
+            auto &b = plan.bounds.emplace_back(workers + 1);
+            for (unsigned k = 0; k <= workers; ++k)
+                b[k] = std::min<uint64_t>(vertices.size(), k * per);
+        }
+        return build_ns;
+    }
+
+    for (auto &list : plan.lists)
+        if (!std::is_sorted(list.begin(), list.end()))
+            std::sort(list.begin(), list.end());
 
     // Weight gather, parallel across the query workers (vertexWeight
     // self-charges its metadata touch on the gathering thread).
@@ -223,21 +221,17 @@ QueryDriver::buildPlan(std::span<const vid_t> vertices, Plan &plan)
     });
     build_ns += gather.maxNanos();
 
-    // Boundary scan: one serial streaming pass over the weights.
+    // Boundary scan: one serial streaming pass over the weights. One
+    // chunk per virtual slot, so every node gets at least one even
+    // when there are fewer workers than nodes (workers then sweep
+    // several nodes).
     SimScope scan_scope;
     chargeDramSequential(vertices.size() * sizeof(uint64_t));
-
-    // Bound: one chunk per virtual slot, so every node gets at least one
-    // even when there are fewer workers than nodes (workers then sweep
-    // several nodes).
     const VirtualSlots slots{workers, nodes};
-    for (unsigned node = 0; node < nodes; ++node) {
-        const unsigned parts = plan.bound ? slots.onNode(node) : workers;
-        plan.bounds[node] = chunkBoundaries(
-            weights[node], plan.lists[node].size(), parts);
-    }
+    for (unsigned node = 0; node < nodes; ++node)
+        plan.bounds.push_back(chunkBoundaries(
+            weights[node], plan.lists[node].size(), slots.onNode(node)));
     build_ns += scan_scope.elapsed();
-    plan.built = true;
     return build_ns;
 }
 
@@ -246,29 +240,34 @@ QueryDriver::runPlan(const Plan &plan,
                      const std::function<void(vid_t, unsigned)> &fn)
 {
     const unsigned workers = executor_.numWorkers();
-    const unsigned nodes = static_cast<unsigned>(plan.lists.size());
+    const VirtualSlots slots{workers,
+                             static_cast<unsigned>(plan.lists.size())};
     const ParallelResult result = executor_.run([&](unsigned w) {
         // Worker-thread tag: everything a query round touches on the
         // devices lands under QueryRead, whatever path the kernel uses.
         XPG_ATTR_SCOPE(attrScope, QueryRead);
-        if (!plan.bound) {
-            const auto &list = plan.lists[0];
-            const auto &b = plan.bounds[0];
-            if (w + 1 < b.size())
-                for (uint64_t i = b[w]; i < b[w + 1]; ++i)
-                    fn(list[i], w);
-            return;
-        }
-        VirtualSlots{workers, nodes}.forEach(
-            w, workers, [&](const VirtualSlots::Slot &slot) {
+        // Virtual slots cover every node even when workers < nodes (a
+        // worker then serves several nodes in turn); unbound, there is
+        // one list and one slot per worker.
+        slots.forEach(w, workers, [&](const VirtualSlots::Slot &slot) {
+            if (plan.bound)
                 NumaBinding::bindThread(static_cast<int>(slot.node), true);
-                const auto &list = plan.lists[slot.node];
+            const auto &list = plan.lists[slot.node];
+            const auto visit = [&](uint64_t i) {
+                if (plan.perVertex)
+                    NumaBinding::bindThread(nodeOfOut(list[i]), true);
+                fn(list[i], w);
+            };
+            if (plan.bounds.empty()) {
+                for (uint64_t i = slot.local; i < list.size();
+                     i += slot.slots)
+                    visit(i);
+            } else {
                 const auto &b = plan.bounds[slot.node];
-                if (slot.local + 1 < b.size())
-                    for (uint64_t i = b[slot.local]; i < b[slot.local + 1];
-                         ++i)
-                        fn(list[i], w);
-            });
+                for (uint64_t i = b[slot.local]; i < b[slot.local + 1]; ++i)
+                    visit(i);
+            }
+        });
     });
     return result.maxNanos();
 }
@@ -277,84 +276,14 @@ uint64_t
 QueryDriver::forEach(std::span<const vid_t> vertices,
                      const std::function<void(vid_t, unsigned)> &fn)
 {
-    const unsigned workers = executor_.numWorkers();
     const uint64_t host_start_ns = telemetry::hostNowNs();
-    uint64_t round_ns = 0;
-
-    if (binding_ == QueryBinding::PerVertex) {
-        // Anti-pattern: rebind to the data's node before every vertex.
-        // Contiguous chunks, so consecutive vertices genuinely alternate
-        // owners and every vertex triggers a migration (S III-D).
-        const uint64_t per = (vertices.size() + workers - 1) /
-                             std::max(1u, workers);
-        const ParallelResult result = executor_.run([&](unsigned w) {
-            XPG_ATTR_SCOPE(attrScope, QueryRead);
-            const uint64_t begin =
-                std::min<uint64_t>(vertices.size(),
-                                   static_cast<uint64_t>(w) * per);
-            const uint64_t end =
-                std::min<uint64_t>(vertices.size(), begin + per);
-            for (uint64_t i = begin; i < end; ++i) {
-                NumaBinding::bindThread(nodeOfOut(vertices[i]),
-                                        /*charge_migration=*/true);
-                fn(vertices[i], w);
-            }
-        });
-        round_ns = result.maxNanos();
-    } else if (balancedActive() &&
-               vertices.size() >= uint64_t{workers} * 4) {
-        // Degree-balanced contiguous chunks; the schedule build is part
-        // of the round's cost. Tiny rounds (BFS frontier ramp-up) fall
-        // through to the strided paths — a weight pass would cost more
-        // than the imbalance it removes.
-        round_ns += buildPlan(vertices, tmpPlan_);
-        round_ns += runPlan(tmpPlan_, fn);
-    } else if (!bindingActive()) {
-        // Unbound: threads float; devices charge the average remote
-        // penalty. Work is dealt round-robin (strided) so the low-id
-        // hubs of power-law graphs spread across workers instead of
-        // landing on the first chunk.
-        const ParallelResult result = executor_.run([&](unsigned w) {
-            XPG_ATTR_SCOPE(attrScope, QueryRead);
-            for (uint64_t i = w; i < vertices.size(); i += workers)
-                fn(vertices[i], w);
-        });
-        round_ns = result.maxNanos();
-    } else {
-        // Classify by owning node (one DRAM stream over the list), then
-        // bind each worker to its node for the whole round.
-        SimScope classify_scope;
-        const unsigned nodes =
-            std::max(1u, static_cast<unsigned>(perNode_.size()));
-        for (auto &list : perNode_)
-            list.clear();
-        for (vid_t v : vertices)
-            perNode_[static_cast<unsigned>(nodeOfOut(v)) % nodes]
-                .push_back(v);
-        chargeDramSequential(vertices.size() * sizeof(vid_t) * 2);
-        round_ns += classify_scope.elapsed();
-
-        // Virtual slots cover every node even when workers < nodes (a
-        // worker then serves several nodes in turn); with workers >=
-        // nodes this degenerates to the one-slot-per-worker layout.
-        const ParallelResult result = executor_.run([&](unsigned w) {
-            XPG_ATTR_SCOPE(attrScope, QueryRead);
-            VirtualSlots{workers, nodes}.forEach(
-                w, workers, [&](const VirtualSlots::Slot &slot) {
-                    NumaBinding::bindThread(static_cast<int>(slot.node),
-                                            true);
-                    const auto &list = perNode_[slot.node];
-                    for (uint64_t i = slot.local; i < list.size();
-                         i += slot.slots)
-                        fn(list[i], w);
-                });
-        });
-        round_ns += result.maxNanos();
-    }
-
-    totalNs_ += round_ns;
-    noteRound(round_ns, vertices.size(), host_start_ns);
-    return round_ns;
+    // Tiny rounds (BFS frontier ramp-up) deal strided: a weight pass
+    // would cost more than the imbalance it removes.
+    const bool balanced =
+        balancedActive() && vertices.size() >= uint64_t{numThreads()} * 4;
+    const uint64_t build_ns = buildPlan(vertices, balanced, tmpPlan_);
+    return noteRound(build_ns + runPlan(tmpPlan_, fn), vertices.size(),
+                     host_start_ns);
 }
 
 uint64_t
@@ -366,17 +295,16 @@ QueryDriver::forAllVertices(const std::function<void(vid_t, unsigned)> &fn)
             allVertices_[v] = v;
         allPlan_ = Plan{};
     }
-    if (binding_ != QueryBinding::PerVertex && balancedActive()) {
-        const uint64_t host_start_ns = telemetry::hostNowNs();
-        uint64_t round_ns = 0;
-        if (!allPlan_.built)
-            round_ns += buildPlan(allVertices_, allPlan_);
-        round_ns += runPlan(allPlan_, fn);
-        totalNs_ += round_ns;
-        noteRound(round_ns, allVertices_.size(), host_start_ns);
-        return round_ns;
-    }
-    return forEach(allVertices_, fn);
+    const uint64_t host_start_ns = telemetry::hostNowNs();
+    // The whole vertex space balances at any size, and its balanced
+    // plan is built once per driver; other plans are built per round.
+    const bool balanced = balancedActive();
+    const uint64_t build_ns = balanced && allPlan_.built
+                                  ? 0
+                                  : buildPlan(allVertices_, balanced,
+                                              allPlan_);
+    return noteRound(build_ns + runPlan(allPlan_, fn), allVertices_.size(),
+                     host_start_ns);
 }
 
 } // namespace xpg

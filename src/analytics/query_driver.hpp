@@ -6,16 +6,21 @@
  * querying threads are bound to the matching node's cores — avoiding both
  * remote PMEM reads and per-vertex thread migration.
  *
- * Two work-distribution policies:
- *  - Strided: deal vertices round-robin across workers. Spreads power-law
- *    hubs, but a worker that draws several hubs straggles the round, and
- *    the stride destroys storage-order locality.
- *  - Balanced: weight each vertex by the store's O(1) degree cache
- *    (GraphView::vertexWeight) and cut the id-ordered vertex list into
+ * Every round is one plan run in one executor call. The plan holds the
+ * round's vertices (one list per node when the round binds, one list
+ * otherwise) and how workers are dealt them:
+ *  - Strided: round-robin within each list, in input order. Spreads
+ *    power-law hubs, but a worker that draws several hubs straggles the
+ *    round, and the stride destroys storage-order locality.
+ *  - Balanced (SchedulePolicy::Auto on a view with O(1) degrees): weight
+ *    each vertex by the store's degree cache (GraphView::vertexWeight)
+ *    and cut each id-sorted list into
  *    contiguous equal-weight chunks. Rounds finish together AND adjacent
  *    vertices' adjacencies — which the stores pack into the same XPLines —
  *    are read by the same worker, so the XPBuffer line a read warms is
  *    reused by the very next vertex.
+ *  - Per-vertex (the S III-D anti-pattern): equal-count contiguous chunks
+ *    of the input, rebinding to each vertex's node before visiting it.
  */
 
 #ifndef XPG_ANALYTICS_QUERY_DRIVER_HPP
@@ -82,25 +87,27 @@ struct RoundStats
 /** How query threads relate to NUMA nodes. */
 enum class QueryBinding
 {
-    Auto,      ///< follow the backing store's queryBindingEnabled()
+    Auto,      ///< when the backing store's queryBindingEnabled():
+               ///< classify per round, bind per slot (paper default);
+               ///< else unbound
     None,      ///< threads stay unbound (GraphOne behaviour)
-    PerRound,  ///< classify per iteration, bind per round (paper default)
     PerVertex, ///< rebind on every vertex (the anti-pattern of S III-D)
 };
 
 /** How a round's vertices are distributed over workers. */
 enum class SchedulePolicy
 {
-    Auto,     ///< Balanced when the view has O(1) degrees, else Strided
-    Strided,  ///< round-robin deal (one-hop's random queries)
-    Balanced, ///< degree-weighted contiguous chunks in id order
+    Auto,    ///< degree-weighted contiguous chunks in id order when the
+             ///< view has O(1) degrees (not per-vertex), else Strided
+    Strided, ///< round-robin deal (one-hop's random queries)
 };
 
 /**
  * Executes per-vertex work over vertex sets with the chosen binding
- * strategy, accumulating simulated time.
+ * strategy, accumulating simulated time. Each round builds one plan
+ * and runs it in one executor call.
  *
- * The balanced policy caches the forAllVertices() schedule after the
+ * The balanced policy caches the forAllVertices() plan after the
  * first round, so the weight gather is paid once per driver, not once
  * per iteration. The cache stays valid for the driver's lifetime
  * because its view never changes underneath it: either the store is
@@ -131,7 +138,8 @@ class QueryDriver
 
     /**
      * Run @p fn(v, worker) over @p vertices (one computing iteration).
-     * Out-adjacency node classification is used for binding.
+     * Out-adjacency node classification is used for binding. A round
+     * of fewer than 4 x numThreads() vertices is dealt strided.
      * @return simulated nanoseconds of the round (slowest worker).
      */
     uint64_t forEach(std::span<const vid_t> vertices,
@@ -156,45 +164,53 @@ class QueryDriver
     std::vector<RoundStats> takeRounds() { return std::move(rounds_); }
 
   private:
-    /** A balanced schedule: id-ordered lists cut into weighted chunks. */
+    /** One round's schedule: the vertices per virtual-slot node and how
+     *  each slot is dealt its share. */
     struct Plan
     {
         bool built = false;
-        bool bound = false;
-        /// Per node (a single entry when unbound): id-ordered vertices.
+        bool bound = false;     ///< bind each slot to its list's node
+        bool perVertex = false; ///< rebind to each vertex's node first
+        /// Per node when bound, else one entry: the round's vertices
+        /// (id-sorted when balanced, in input order otherwise).
         std::vector<std::vector<vid_t>> lists;
-        /// Per node: chunk boundaries, one chunk per virtual slot.
+        /// Empty: strided dealing. Otherwise per list: chunk
+        /// boundaries, one contiguous chunk per virtual slot.
         std::vector<std::vector<uint64_t>> bounds;
     };
 
     /** The backing store's node for v's out-adjacency (0 without one). */
     int nodeOfOut(vid_t v) const;
-    bool bindingActive() const;
     bool balancedActive() const;
-    /** @return simulated ns spent building (serial classify + parallel
-     *  weight gather). */
-    uint64_t buildPlan(std::span<const vid_t> vertices, Plan &plan);
+    /**
+     * Schedule @p vertices into @p plan. Classifying (when the round
+     * binds or balances) is one serial DRAM stream; a balanced plan
+     * also gathers weights in parallel and scans them into chunks.
+     * @return simulated ns spent building.
+     */
+    uint64_t buildPlan(std::span<const vid_t> vertices, bool balanced,
+                       Plan &plan);
     std::vector<uint64_t> chunkBoundaries(std::span<const uint64_t> weight,
                                           uint64_t list_size,
                                           unsigned parts) const;
+    /** The one round loop. @return simulated ns (slowest worker). */
     uint64_t runPlan(const Plan &plan,
                      const std::function<void(vid_t, unsigned)> &fn);
-    /** Per-round telemetry: record the round's simulated ns in the
-     *  round histogram and as a `query_round` span that began at host
-     *  time @p host_start_ns, then append this round's RoundStats
+    /** Per-round accounting: add @p round_ns to totalNs(), record it
+     *  in the round histogram and as a `query_round` span that began at
+     *  host time @p host_start_ns, then append this round's RoundStats
      *  (probe deltas against the previous sample + the push/pull cost
-     *  estimate). */
-    void noteRound(uint64_t round_ns, uint64_t active_vertices,
-                   uint64_t host_start_ns);
+     *  estimate). @return @p round_ns. */
+    uint64_t noteRound(uint64_t round_ns, uint64_t active_vertices,
+                       uint64_t host_start_ns);
 
     const GraphView &view_;
     const GraphStore *store_; ///< view_.backingStore(), may be null
     QueryBinding binding_;
     SchedulePolicy schedule_;
     ParallelExecutor executor_;
-    std::vector<std::vector<vid_t>> perNode_;
     std::vector<vid_t> allVertices_;
-    Plan allPlan_; ///< cached balanced plan for forAllVertices
+    Plan allPlan_; ///< forAllVertices' plan (kept when balanced)
     Plan tmpPlan_; ///< per-call plan for frontier-style forEach
     uint64_t totalNs_ = 0;
     telemetry::ShardedHistogram *telRoundHist_ = nullptr;

@@ -1080,7 +1080,16 @@ XPGraph::compactPassLocked(Visit &&visit)
     // churns the epoch cache that open views share. Open views keep
     // serving the abandoned blocks (the allocator never reuses space).
     bool entered = false;
+    // The pass is a function of the store, not of its caller: each
+    // partition is visited bound to its node (unbound when the store
+    // does not bind), with no migration charge, the way the archive
+    // workers bind; the caller's binding comes back at the end.
+    const int caller_node = NumaBinding::currentNode();
     for (unsigned node = 0; node < config_.numNodes; ++node) {
+        if (queryBindingEnabled())
+            NumaBinding::bindThread(static_cast<int>(node), false);
+        else
+            NumaBinding::unbindThread();
         for (unsigned d = 0; d < 2; ++d) {
             if (!parts_[node].sides[d])
                 continue;
@@ -1093,6 +1102,10 @@ XPGraph::compactPassLocked(Visit &&visit)
             });
         }
     }
+    if (caller_node == kUnboundNode)
+        NumaBinding::unbindThread();
+    else
+        NumaBinding::bindThread(caller_node, false);
     compactionPasses_.fetch_add(1, std::memory_order_relaxed);
     op.args(rewritten,
             compactionBytesReclaimed_.load(std::memory_order_relaxed) -

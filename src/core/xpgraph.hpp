@@ -225,7 +225,9 @@ class XPGraph : public GraphStore
     void archiveAll() override;
 
     // Each compaction entry point is one compaction pass on the calling
-    // thread, recorded as one `compaction_pass` op (DESIGN.md §13).
+    // thread, recorded as one `compaction_pass` op (DESIGN.md §13). The
+    // pass binds per partition and restores its caller's binding, so
+    // what it costs does not depend on the caller.
 
     /** Merge v's adjacency chains into one block each, applying
      *  tombstones. */
@@ -451,7 +453,9 @@ class XPGraph : public GraphStore
     /**
      * The one compaction pass (caller holds archiveMutex_), serial on
      * the calling thread: one `compaction_pass` record, every access
-     * blamed on Compaction. For each partition's side,
+     * blamed on Compaction. Each partition is visited bound to its
+     * node (unbound when the store does not bind), and the caller's
+     * binding is restored after. For each partition's side,
      * @p visit(node, d, side, rewrite) names the slots to rewrite, in
      * order, by calling rewrite(slot); the phase is entered at the
      * first. @return chains rewritten.

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
+#include <map>
+#include <numeric>
 #include <vector>
 
 #include "analytics/algorithms.hpp"
@@ -15,6 +17,7 @@
 #include "core/xpgraph.hpp"
 #include "graph/csr_view.hpp"
 #include "graph/generators.hpp"
+#include "pmem/numa_topology.hpp"
 
 namespace xpg {
 namespace {
@@ -198,7 +201,7 @@ TEST(Analytics, BindingStrategiesAgreeOnResults)
 {
     const Workload w = makeWorkload();
     auto xpg = makeXpgraph(w);
-    const auto bound = runBfs(*xpg, 0, 4, QueryBinding::PerRound);
+    const auto bound = runBfs(*xpg, 0, 4, QueryBinding::Auto);
     const auto unbound = runBfs(*xpg, 0, 4, QueryBinding::None);
     const auto per_vertex = runBfs(*xpg, 0, 4, QueryBinding::PerVertex);
     EXPECT_EQ(bound.touched, unbound.touched);
@@ -215,7 +218,7 @@ TEST(Analytics, PerVertexBindingIsExpensive)
     for (vid_t v = 0; v < w.nv; ++v)
         queries.push_back(v);
     const auto per_round =
-        runOneHop(*xpg, queries, 4, QueryBinding::PerRound);
+        runOneHop(*xpg, queries, 4, QueryBinding::Auto);
     const auto per_vertex =
         runOneHop(*xpg, queries, 4, QueryBinding::PerVertex);
     EXPECT_GT(per_vertex.simNs, 2 * per_round.simNs);
@@ -234,7 +237,7 @@ TEST(Analytics, QueryBindingBeatsUnboundOnXPGraph)
     std::vector<vid_t> queries;
     for (vid_t v = 0; v < w.nv; ++v)
         queries.push_back(v);
-    const auto bound = runOneHop(*xpg, queries, 4, QueryBinding::PerRound);
+    const auto bound = runOneHop(*xpg, queries, 4, QueryBinding::Auto);
     const auto unbound = runOneHop(*xpg, queries, 4, QueryBinding::None);
     EXPECT_LT(bound.simNs, unbound.simNs);
 }
@@ -255,42 +258,126 @@ TEST(Analytics, FewerThreadsThanNodesCoversAllVertices)
 
     const auto r_ref = runOneHop(ref, queries, 2);
     const auto one_thread = runOneHop(*xpg, queries, 1,
-                                      QueryBinding::PerRound);
+                                      QueryBinding::Auto);
     EXPECT_EQ(one_thread.checksum, r_ref.checksum);
 }
 
 TEST(Analytics, SchedulePoliciesCoverTheSameVertices)
 {
-    const Workload w = makeWorkload();
+    // The dealing contract of every round, whatever its binding,
+    // schedule, worker count and input: each vertex is visited once. A
+    // bound round visits a vertex on a worker bound to its node, a
+    // per-vertex round rebinds to it at the visit, and an unbound round
+    // leaves its workers unbound. A strided slot keeps its list's input
+    // order, a balanced slot takes one contiguous run of its id-sorted
+    // list, and a per-vertex worker one ceil(n / workers) run of the
+    // input. A slot is a worker's share of one node's list (of the one
+    // list when unbound).
+    const Workload w = makeUniformWorkload(); // room for 700 vertices
     auto xpg = makeXpgraph(w);
+    ASSERT_GE(xpg->numNodes(), 2u);
 
-    for (QueryBinding binding :
-         {QueryBinding::None, QueryBinding::PerRound}) {
-        for (unsigned threads : {1u, 3u, 8u}) {
-            uint64_t sums[2] = {0, 0};
-            uint64_t counts[2] = {0, 0};
-            const SchedulePolicy policies[2] = {SchedulePolicy::Strided,
-                                                SchedulePolicy::Balanced};
-            for (int p = 0; p < 2; ++p) {
-                QueryDriver driver(*xpg, threads, binding, policies[p]);
-                std::vector<std::atomic<uint64_t>> sum(threads);
-                std::vector<std::atomic<uint64_t>> cnt(threads);
-                for (unsigned t = 0; t < threads; ++t) {
-                    sum[t] = 0;
-                    cnt[t] = 0;
-                }
-                driver.forAllVertices([&](vid_t v, unsigned t) {
-                    sum[t] += v;
-                    cnt[t] += 1;
-                });
-                for (unsigned t = 0; t < threads; ++t) {
-                    sums[p] += sum[t];
-                    counts[p] += cnt[t];
+    std::vector<vid_t> all(w.nv);
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<vid_t> unsorted;
+    for (vid_t i = 0; i < 700; ++i)
+        unsorted.push_back((i * 1543 + 17) % w.nv);
+    std::vector<vid_t> eleven;
+    for (vid_t i = 0; i < 11; ++i)
+        eleven.push_back((i * 367 + 5) % w.nv);
+    ASSERT_FALSE(std::is_sorted(unsorted.begin(), unsorted.end()));
+
+    struct Visit
+    {
+        vid_t v;
+        int node; ///< the worker's binding during the visit
+    };
+    for (QueryBinding binding : {QueryBinding::None, QueryBinding::Auto,
+                                 QueryBinding::PerVertex}) {
+        for (SchedulePolicy schedule :
+             {SchedulePolicy::Strided, SchedulePolicy::Auto}) {
+            for (unsigned threads : {1u, 3u, 8u}) {
+                QueryDriver driver(*xpg, threads, binding, schedule);
+                for (const std::vector<vid_t> *input :
+                     {&all, &unsorted, &eleven}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "binding " << static_cast<int>(binding)
+                                 << ", schedule "
+                                 << static_cast<int>(schedule) << ", "
+                                 << threads << " threads, "
+                                 << input->size() << " vertices");
+                    std::vector<std::vector<Visit>> seen(threads);
+                    const auto record = [&](vid_t v, unsigned t) {
+                        seen[t].push_back({v, NumaBinding::currentNode()});
+                    };
+                    if (input == &all)
+                        driver.forAllVertices(record);
+                    else
+                        driver.forEach(*input, record);
+
+                    const bool bound = binding == QueryBinding::Auto;
+                    const bool per_vertex =
+                        binding == QueryBinding::PerVertex;
+                    const bool balanced =
+                        !per_vertex && schedule == SchedulePolicy::Auto &&
+                        (input == &all || input->size() >= 4 * threads);
+                    const uint64_t n = input->size();
+                    const uint64_t per = (n + threads - 1) / threads;
+                    // Each vertex's place in the input and in its
+                    // list's id order.
+                    std::vector<uint64_t> pos(w.nv), rank(w.nv);
+                    std::vector<std::vector<vid_t>> lists(xpg->numNodes());
+                    for (uint64_t i = 0; i < n; ++i) {
+                        const vid_t v = (*input)[i];
+                        pos[v] = i;
+                        lists[bound ? xpg->nodeOfOut(v) : 0].push_back(v);
+                    }
+                    for (auto &list : lists) {
+                        std::sort(list.begin(), list.end());
+                        for (uint64_t i = 0; i < list.size(); ++i)
+                            rank[list[i]] = i;
+                    }
+
+                    std::vector<unsigned> visits(w.nv, 0);
+                    uint64_t wrong_node = 0;
+                    uint64_t broken_runs = 0;
+                    for (unsigned t = 0; t < threads; ++t) {
+                        std::map<int, std::vector<vid_t>> slots;
+                        for (const Visit &visit : seen[t]) {
+                            ++visits[visit.v];
+                            const int want = bound || per_vertex
+                                                 ? xpg->nodeOfOut(visit.v)
+                                                 : kUnboundNode;
+                            wrong_node += visit.node != want;
+                            slots[bound ? visit.node : 0].push_back(visit.v);
+                        }
+                        for (const auto &[node, run] : slots) {
+                            if (per_vertex)
+                                broken_runs += pos[run.front()] != t * per;
+                            for (size_t j = 1; j < run.size(); ++j) {
+                                const vid_t a = run[j - 1];
+                                const vid_t b = run[j];
+                                if (balanced)
+                                    broken_runs += rank[b] != rank[a] + 1;
+                                else if (per_vertex)
+                                    broken_runs += pos[b] != pos[a] + 1;
+                                else
+                                    broken_runs += pos[b] <= pos[a];
+                            }
+                        }
+                    }
+                    uint64_t visited_once = 0;
+                    uint64_t total = 0;
+                    for (vid_t v = 0; v < w.nv; ++v) {
+                        visited_once += visits[v] == 1;
+                        total += visits[v];
+                    }
+                    EXPECT_EQ(visited_once, n);
+                    EXPECT_EQ(total, n);
+                    EXPECT_EQ(wrong_node, 0u);
+                    EXPECT_EQ(broken_runs, 0u);
                 }
             }
-            EXPECT_EQ(sums[0], sums[1]);
-            EXPECT_EQ(counts[0], counts[1]);
-            EXPECT_EQ(counts[0], w.nv);
         }
     }
 }
@@ -314,7 +401,7 @@ TEST(Analytics, BalancedScheduleIsCheaperOnSkewedGraphs)
         return driver.forAllVertices(sweep);
     };
     const uint64_t strided = sweepNs(SchedulePolicy::Strided);
-    const uint64_t balanced = sweepNs(SchedulePolicy::Balanced);
+    const uint64_t balanced = sweepNs(SchedulePolicy::Auto);
     EXPECT_LT(balanced, strided);
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "pmem/numa_topology.hpp"
 #include "telemetry/op_scope.hpp"
 #include "util/sim_clock.hpp"
 
@@ -502,49 +504,104 @@ TEST(XPGraph, EveryCompactionIsOneRecordedPass)
     // compaction pass on the calling thread: each closes exactly one
     // compaction_pass record, whose simulated time is what its caller
     // was charged and whose media writes are the device's, and counts
-    // one pass.
-    CompactionProbe probe(1);
-    XPGraph &graph = *probe.graph;
-    const vid_t v = probe.edges[0].src; // its first out-edge is deleted
-    uint64_t returned = 0;
-    const std::pair<const char *, std::function<void()>> calls[] = {
-        {"compactAdjs", [&] { graph.compactAdjs(v); }},
-        {"runCompactionPass", [&] { returned = graph.runCompactionPass(); }},
-        {"compactAllAdjs", [&] { graph.compactAllAdjs(); }},
+    // one pass. The pass binds to each partition's node, so whatever
+    // its caller is bound to it costs the same, reads and writes no
+    // remote line, and leaves the caller bound as it was.
+    struct Pass
+    {
+        uint64_t simNs = 0;
+        uint64_t remote = 0;
+        uint64_t written = 0;
     };
-    auto &trace = telemetry::Telemetry::instance().trace();
-    for (const auto &[name, call] : calls) {
-        SCOPED_TRACE(name);
-        const uint64_t ops0 = telemetry::OpScope::opsOpened();
-        const telemetry::OpClassTotals class0 =
-            telemetry::OpScope::classTotals(telemetry::OpClass::Compaction);
-        const IngestStats s0 = graph.snapshotStats();
-        const uint64_t written0 = graph.pmemCounters().mediaBytesWritten;
-        const uint64_t first = trace.emitted();
-        SimScope caller;
-        call();
-        const uint64_t caller_ns = caller.elapsed();
+    const char *const callers[] = {"an unbound caller", "session(0) open",
+                                   "session(1) open"};
+    const int caller_nodes[] = {kUnboundNode, 0, 1};
+    std::vector<std::vector<Pass>> passes(std::size(callers));
+    for (size_t c = 0; c < std::size(callers); ++c) {
+        // A fresh thread per caller: only what it sets up binds it.
+        std::thread([&] {
+            SCOPED_TRACE(callers[c]);
+            std::unique_ptr<CompactionProbe> probe;
+            std::unique_ptr<IngestSession> other; // closes before probe
+            if (caller_nodes[c] == 0) {
+                // The probe's open session pins this thread to node 0.
+                probe = std::make_unique<CompactionProbe>(1);
+            } else {
+                std::thread([&] {
+                    probe = std::make_unique<CompactionProbe>(1);
+                }).join();
+                if (caller_nodes[c] == 1) {
+                    // An empty append pins this thread to node 1 and
+                    // logs nothing.
+                    other = probe->graph->session(1);
+                    other->addEdges(nullptr, 0);
+                }
+            }
+            ASSERT_EQ(NumaBinding::currentNode(), caller_nodes[c]);
 
-        EXPECT_EQ(telemetry::OpScope::opsOpened() - ops0, 1u);
-        const telemetry::OpClassTotals class1 =
-            telemetry::OpScope::classTotals(telemetry::OpClass::Compaction);
-        EXPECT_EQ(class1.ops - class0.ops, 1u);
-        EXPECT_GT(caller_ns, 0u);
-        EXPECT_EQ(class1.simNs - class0.simNs, caller_ns);
-        EXPECT_EQ(class1.mediaWriteBytes - class0.mediaWriteBytes,
-                  graph.pmemCounters().mediaBytesWritten - written0);
-        const IngestStats s1 = graph.snapshotStats();
-        EXPECT_EQ(s1.compactionPasses - s0.compactionPasses, 1u);
-        const uint64_t chains = s1.compactionSlots - s0.compactionSlots;
-        EXPECT_GT(chains, 0u);
-        std::vector<uint64_t> span_chains;
-        for (const telemetry::TraceEventView &ev : trace.collect())
-            if (ev.ticket >= first &&
-                std::string_view(ev.name) == "compaction_pass")
-                span_chains.push_back(ev.a0);
-        EXPECT_EQ(span_chains, std::vector<uint64_t>{chains});
-        if (std::string_view(name) == "runCompactionPass") {
-            EXPECT_EQ(returned, chains);
+            XPGraph &graph = *probe->graph;
+            const vid_t v = probe->edges[0].src; // first out-edge deleted
+            uint64_t returned = 0;
+            const std::pair<const char *, std::function<void()>> calls[] = {
+                {"compactAdjs", [&] { graph.compactAdjs(v); }},
+                {"runCompactionPass",
+                 [&] { returned = graph.runCompactionPass(); }},
+                {"compactAllAdjs", [&] { graph.compactAllAdjs(); }},
+            };
+            auto &trace = telemetry::Telemetry::instance().trace();
+            for (const auto &[name, call] : calls) {
+                SCOPED_TRACE(name);
+                const uint64_t ops0 = telemetry::OpScope::opsOpened();
+                const telemetry::OpClassTotals class0 =
+                    telemetry::OpScope::classTotals(
+                        telemetry::OpClass::Compaction);
+                const IngestStats s0 = graph.snapshotStats();
+                const PcmCounters pcm0 = graph.pmemCounters();
+                const uint64_t first = trace.emitted();
+                SimScope caller;
+                call();
+                const uint64_t caller_ns = caller.elapsed();
+                const PcmCounters pcm = graph.pmemCounters() - pcm0;
+                passes[c].push_back(
+                    {caller_ns, pcm.remoteAccesses, pcm.mediaBytesWritten});
+
+                EXPECT_EQ(NumaBinding::currentNode(), caller_nodes[c]);
+                EXPECT_EQ(telemetry::OpScope::opsOpened() - ops0, 1u);
+                const telemetry::OpClassTotals class1 =
+                    telemetry::OpScope::classTotals(
+                        telemetry::OpClass::Compaction);
+                EXPECT_EQ(class1.ops - class0.ops, 1u);
+                EXPECT_GT(caller_ns, 0u);
+                EXPECT_EQ(class1.simNs - class0.simNs, caller_ns);
+                EXPECT_EQ(class1.mediaWriteBytes - class0.mediaWriteBytes,
+                          pcm.mediaBytesWritten);
+                EXPECT_EQ(pcm.remoteAccesses, 0u);
+                const IngestStats s1 = graph.snapshotStats();
+                EXPECT_EQ(s1.compactionPasses - s0.compactionPasses, 1u);
+                const uint64_t chains =
+                    s1.compactionSlots - s0.compactionSlots;
+                EXPECT_GT(chains, 0u);
+                std::vector<uint64_t> span_chains;
+                for (const telemetry::TraceEventView &ev : trace.collect())
+                    if (ev.ticket >= first &&
+                        std::string_view(ev.name) == "compaction_pass")
+                        span_chains.push_back(ev.a0);
+                EXPECT_EQ(span_chains, std::vector<uint64_t>{chains});
+                if (std::string_view(name) == "runCompactionPass") {
+                    EXPECT_EQ(returned, chains);
+                }
+            }
+        }).join();
+    }
+    for (size_t c = 1; c < std::size(callers); ++c) {
+        SCOPED_TRACE(callers[c]);
+        ASSERT_EQ(passes[c].size(), passes[0].size());
+        for (size_t i = 0; i < passes[0].size(); ++i) {
+            EXPECT_EQ(passes[c][i].simNs, passes[0][i].simNs) << "call " << i;
+            EXPECT_EQ(passes[c][i].remote, passes[0][i].remote)
+                << "call " << i;
+            EXPECT_EQ(passes[c][i].written, passes[0][i].written)
+                << "call " << i;
         }
     }
 }

@@ -89,6 +89,8 @@
  * --compact-ratio R (tombstone share that makes a chain a candidate,
  * default 0.25) and --compact-min N (minimum records, default 64).
  *
+ * --threads T is at least 1 wherever it is read; 0 is a usage error.
+ *
  * Every subcommand accepts --telemetry FILE (or --telemetry=FILE): on
  * exit the Chrome trace timeline is written to FILE (load it in
  * about:tracing) and the metrics snapshot — counters, gauges, and
@@ -180,6 +182,19 @@ class Args
         return static_cast<T>(n);
     }
 
+    /** --threads: a whole number of threads, at least 1; any other
+     *  value is fatal, naming the option. */
+    unsigned
+    getThreads(unsigned fallback) const
+    {
+        const unsigned n = getInt<unsigned>("threads", fallback);
+        if (n == 0)
+            XPG_FATAL("--threads expects a whole number from 1 to " +
+                      std::to_string(std::numeric_limits<unsigned>::max()) +
+                      ", got '0'");
+        return n;
+    }
+
     /** The option as a finite decimal number; any other value is fatal,
      *  naming the option. */
     double
@@ -266,16 +281,18 @@ maxVertexOf(const std::vector<Edge> &edges)
     return max_v + 1;
 }
 
+/** @p quiet leaves out the "loaded" line (explain's `--json -`). */
 std::vector<Edge>
-loadInput(const Args &args, vid_t &num_vertices)
+loadInput(const Args &args, vid_t &num_vertices, bool quiet)
 {
     const std::string path = args.get("in");
     if (path.empty())
         XPG_FATAL("--in <edges.bin> is required");
     auto edges = loadEdgeList(path);
     num_vertices = args.getInt<vid_t>("vertices", maxVertexOf(edges));
-    std::printf("loaded %zu edges over %u vertices from %s\n",
-                edges.size(), num_vertices, path.c_str());
+    if (!quiet)
+        std::printf("loaded %zu edges over %u vertices from %s\n",
+                    edges.size(), num_vertices, path.c_str());
     return edges;
 }
 
@@ -320,7 +337,7 @@ xpgraphConfigFor(const std::string &system, vid_t nv, uint64_t edges,
     } else if (system == "xpgraph-ssd") {
         c.memKind = MemKind::Ssd;
     }
-    c.archiveThreads = args.getInt<unsigned>("threads", 16);
+    c.archiveThreads = args.getThreads(16);
     c.compressMinDegree =
         args.getInt<uint32_t>("compress-min-degree", c.compressMinDegree);
     if (args.getInt("compress", 1) == 0)
@@ -346,7 +363,7 @@ graphoneConfigFor(const std::string &system, vid_t nv, uint64_t edges,
     c.variant = system == "graphone-d"   ? GraphOneVariant::Dram
                 : system == "graphone-n" ? GraphOneVariant::Nova
                                          : GraphOneVariant::Pmem;
-    c.archiveThreads = args.getInt<unsigned>("threads", 16);
+    c.archiveThreads = args.getThreads(16);
     c.bytesPerNode = graphoneRecommendedBytesPerNode(c, edges);
     return c;
 }
@@ -371,7 +388,7 @@ int
 cmdIngest(const Args &args)
 {
     vid_t nv = 0;
-    const auto edges = loadInput(args, nv);
+    const auto edges = loadInput(args, nv, /*quiet=*/false);
     const std::string system = args.get("system", "xpgraph");
 
     if (system.rfind("graphone", 0) == 0) {
@@ -426,10 +443,10 @@ int
 cmdQuery(const Args &args)
 {
     vid_t nv = 0;
-    const auto edges = loadInput(args, nv);
+    const auto edges = loadInput(args, nv, /*quiet=*/false);
     const std::string system = args.get("system", "xpgraph");
     const std::string algo = args.get("algo", "bfs");
-    const unsigned threads = args.getInt<unsigned>("threads", 16);
+    const unsigned threads = args.getThreads(16);
 
     std::unique_ptr<GraphView> view;
     GraphStore *store = nullptr;
@@ -495,7 +512,7 @@ cmdRecover(const Args &args)
     c.backingDir = args.get("backing");
     if (c.backingDir.empty())
         XPG_FATAL("--backing <dir> is required");
-    c.archiveThreads = args.getInt<unsigned>("threads", 16);
+    c.archiveThreads = args.getThreads(16);
     c.pmemBytesPerNode =
         recommendedBytesPerNode(c, args.getInt("edges", 1 << 20));
 
@@ -554,7 +571,7 @@ cmdWatch(const Args &args)
     const vid_t nv = args.getInt<vid_t>("vertices", 1u << 16);
 
     XPGraphConfig c = XPGraphConfig::persistent(nv, 0);
-    c.archiveThreads = args.getInt<unsigned>("threads", 8);
+    c.archiveThreads = args.getThreads(8);
     c.pipelinedArchiving = true;
     c.backgroundCompaction = true;
     c.watchdogStallMs = args.getInt<uint32_t>("stall-ms", 2000);
@@ -713,14 +730,15 @@ struct ArchivedStore
     std::unique_ptr<GraphStore> store;
 };
 
-/** @p quiet leaves out the "generated" line (explain's `--json -`). */
+/** @p quiet leaves out the "loaded" or "generated" line (explain's
+ *  `--json -`). */
 ArchivedStore
 loadArchivedStore(const Args &args, bool quiet)
 {
     ArchivedStore a;
     vid_t nv = 0;
     if (args.has("in")) {
-        a.edges = loadInput(args, nv);
+        a.edges = loadInput(args, nv, quiet);
         a.input = args.get("in");
     } else {
         const unsigned shift =
@@ -754,7 +772,7 @@ cmdProfile(const Args &args)
 {
     const auto [edges, input, system, store] =
         loadArchivedStore(args, /*quiet=*/false);
-    const unsigned threads = args.getInt<unsigned>("threads", 16);
+    const unsigned threads = args.getThreads(16);
     const uint64_t queries = args.getInt("queries", 4096);
     const unsigned top = args.getInt<unsigned>("top", 10);
     if (queries > 0) {
@@ -902,7 +920,7 @@ cmdExplain(const Args &args, const std::string &kernel)
     const bool quiet = args.get("json") == "-";
     const auto [edges, input, system, store] =
         loadArchivedStore(args, quiet);
-    const unsigned threads = args.getInt<unsigned>("threads", 16);
+    const unsigned threads = args.getThreads(16);
     const unsigned top = args.getInt<unsigned>("top", 10);
 
     const PcmCounters pcm0 = store->pmemCounters();
@@ -1190,7 +1208,7 @@ cmdPipeline(const Args &args)
     const Dataset ds =
         generateDataset(datasetByAbbrev(args.get("dataset", "TT")), shift);
     const unsigned sessions = args.getInt<unsigned>("sessions", 4);
-    const unsigned threads = args.getInt<unsigned>("threads", 16);
+    const unsigned threads = args.getThreads(16);
     const std::string dir =
         args.get("backing", "/tmp/xpg_cli_pipeline");
     std::filesystem::create_directories(dir);
