@@ -100,7 +100,7 @@ if [[ "${XPG_TSAN:-0}" == "1" ]]; then
     cmake -B "${tsan_dir}" -S "${repo_root}" -DXPG_SANITIZE=thread
     cmake --build "${tsan_dir}" -j "$(nproc)" --target xpg_tests
     "${tsan_dir}/tests/xpg_tests" \
-        --gtest_filter='Sessions/*:ConcurrentIngest*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:PmemDeviceTest.ConcurrentAccessesCountExactly:XPBuffer.*:SpinLock.*:ReadView*:Delete*:Compact*:Ops*:OpScope*:Explain*:VertexBufferPool.*'
+        --gtest_filter='Sessions/*:ConcurrentIngest*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:PmemDeviceTest.ConcurrentAccessesCountExactly:XPBuffer.*:SpinLock.*:ReadView*:Delete*:Compact*:Ops*:OpScope*:Explain*:VertexBufferPool.*:Generators.*:Datasets.*:Rng.*'
 fi
 
 if [[ "${XPG_ASAN:-0}" == "1" ]]; then
@@ -111,7 +111,7 @@ if [[ "${XPG_ASAN:-0}" == "1" ]]; then
     cmake --build "${asan_dir}" -j "$(nproc)" \
           --target xpg_tests xpg_crash_tests
     "${asan_dir}/tests/xpg_tests" \
-        --gtest_filter='PmemDeviceTest.*:PmemAllocator.*:RecoveryTest.*:XPBuffer.*:CompressedStoreFixture.*:AdjacencyCodec.*:ReadView.*:Delete*:Compact*:Ops*:OpScope*:Explain*:VertexBufferPool.*:CircularEdgeLog.*:IngestSession*'
+        --gtest_filter='PmemDeviceTest.*:PmemAllocator.*:RecoveryTest.*:XPBuffer.*:CompressedStoreFixture.*:AdjacencyCodec.*:ReadView.*:Delete*:Compact*:Ops*:OpScope*:Explain*:VertexBufferPool.*:CircularEdgeLog.*:IngestSession*:Generators.*:Datasets.*:Rng.*'
     "${asan_dir}/tests/xpg_crash_tests"
 fi
 

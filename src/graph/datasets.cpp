@@ -1,6 +1,8 @@
 #include "graph/datasets.hpp"
 
 #include <bit>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/logging.hpp"
@@ -81,6 +83,10 @@ datasetByAbbrev(const std::string &abbrev)
 Dataset
 generateDataset(const DatasetSpec &spec, unsigned scale_shift)
 {
+    if (scale_shift > kMaxScaleShift)
+        XPG_FATAL("scale shift must be at most " +
+                  std::to_string(kMaxScaleShift) + ", got " +
+                  std::to_string(scale_shift));
     Dataset ds;
     ds.spec = spec;
     ds.scaleShift = scale_shift;
@@ -110,9 +116,17 @@ generateDataset(const DatasetSpec &spec, unsigned scale_shift)
 unsigned
 defaultScaleShift()
 {
-    if (const char *env = std::getenv("XPG_SCALE_SHIFT"))
-        return static_cast<unsigned>(std::atoi(env));
-    return 12;
+    const char *env = std::getenv("XPG_SCALE_SHIFT");
+    if (!env)
+        return 12;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long shift = std::strtoull(env, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(env[0])) || *end != '\0' ||
+        errno == ERANGE || shift > kMaxScaleShift)
+        XPG_FATAL("XPG_SCALE_SHIFT expects a whole number from 0 to " +
+                  std::to_string(kMaxScaleShift) + ", got '" + env + "'");
+    return static_cast<unsigned>(shift);
 }
 
 } // namespace xpg

@@ -65,16 +65,21 @@ struct Dataset
     }
 };
 
+/// Largest scale shift: the paper's counts are shifted as 64-bit words.
+constexpr unsigned kMaxScaleShift = 63;
+
 /**
  * Generate @p spec scaled down by 2^@p scale_shift.
  * |E| = paperEdges >> scale_shift, |V| = paperVertices >> scale_shift
- * (rounded to a power of two for Kron datasets).
+ * (rounded to a power of two for Kron datasets). Fatal if scale_shift
+ * exceeds kMaxScaleShift.
  */
 Dataset generateDataset(const DatasetSpec &spec, unsigned scale_shift);
 
 /**
  * Default scale shift: 2^12 (1/4096 of paper size) unless overridden by
- * the XPG_SCALE_SHIFT environment variable. Benches use this so the whole
+ * the XPG_SCALE_SHIFT environment variable, a whole number from 0 to
+ * kMaxScaleShift (anything else is fatal). Benches use this so the whole
  * suite completes in minutes on a laptop-class host.
  */
 unsigned defaultScaleShift();

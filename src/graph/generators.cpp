@@ -1,5 +1,12 @@
 #include "graph/generators.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
+#include <atomic>
+#include <system_error>
+#include <thread>
+
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -7,7 +14,64 @@ namespace xpg {
 
 namespace {
 
-/** One RMAT endpoint pair for a graph of 2^scale vertices. */
+/// Edges per block; a block is filled by one worker from the seed's
+/// stream jumped ahead to the block's first draw.
+constexpr uint64_t kBlockEdges = 1ull << 16;
+
+/** CPUs this process may run on. */
+unsigned
+usableCpus()
+{
+    cpu_set_t set{};
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return 1;
+    return std::max(1, CPU_COUNT(&set));
+}
+
+/**
+ * @p num_edges edges, edge i being @p edge(rng) with rng the stream of
+ * @p seed after i * @p draws_per_edge draws (what one serial loop over
+ * the stream gives), filled block by block on every usable CPU. The
+ * threads are joined before it returns.
+ */
+template <typename EdgeFn>
+std::vector<Edge>
+fillBlocks(uint64_t num_edges, uint64_t seed, uint64_t draws_per_edge,
+           EdgeFn edge)
+{
+    std::vector<Edge> edges(num_edges);
+    const uint64_t blocks = (num_edges + kBlockEdges - 1) / kBlockEdges;
+    std::atomic<uint64_t> claimed{0};
+    auto work = [&] {
+        Rng rng(seed);
+        uint64_t at = 0; // the block whose first draw rng is at
+        for (;;) {
+            const uint64_t b = claimed++;
+            if (b >= blocks)
+                return;
+            rng.jump((b - at) * kBlockEdges * draws_per_edge);
+            const uint64_t end = std::min(num_edges, (b + 1) * kBlockEdges);
+            for (uint64_t i = b * kBlockEdges; i < end; ++i)
+                edges[i] = edge(rng);
+            at = b + 1;
+        }
+    };
+    std::vector<std::thread> helpers;
+    const uint64_t workers = std::min<uint64_t>(usableCpus(), blocks);
+    try {
+        for (uint64_t w = 1; w < workers; ++w)
+            helpers.emplace_back(work);
+    } catch (const std::system_error &) {
+        // Fewer helpers only means more blocks for the rest.
+    }
+    work();
+    for (std::thread &t : helpers)
+        t.join();
+    return edges;
+}
+
+/** One RMAT endpoint pair for a graph of 2^scale vertices; always
+ *  draws 4 * scale numbers. */
 Edge
 rmatEdge(unsigned scale, const RmatParams &p, Rng &rng)
 {
@@ -15,21 +79,12 @@ rmatEdge(unsigned scale, const RmatParams &p, Rng &rng)
     uint64_t dst = 0;
     double a = p.a, b = p.b, c = p.c;
     for (unsigned level = 0; level < scale; ++level) {
-        const double d = 1.0 - a - b - c;
+        // Quadrant without branches: (0,0) below a, (0,1) below a + b,
+        // (1,0) below a + b + c, else (1,1).
         const double r = rng.nextDouble();
-        src <<= 1;
-        dst <<= 1;
-        if (r < a) {
-            // top-left quadrant: no bits set
-        } else if (r < a + b) {
-            dst |= 1;
-        } else if (r < a + b + c) {
-            src |= 1;
-        } else {
-            (void)d;
-            src |= 1;
-            dst |= 1;
-        }
+        const double ab = a + b;
+        src = src << 1 | (r >= ab);
+        dst = dst << 1 | ((r >= a) & ((r < ab) | (r >= ab + c)));
         // Perturb probabilities per level so degree distribution is not a
         // perfect product measure (graph500-style noise).
         const double n = p.noise;
@@ -53,27 +108,19 @@ generateRmat(unsigned scale, uint64_t num_edges, const RmatParams &params,
              uint64_t seed)
 {
     XPG_ASSERT(scale > 0 && scale < 31, "rmat scale out of range");
-    std::vector<Edge> edges;
-    edges.reserve(num_edges);
-    Rng rng(seed);
-    for (uint64_t i = 0; i < num_edges; ++i)
-        edges.push_back(rmatEdge(scale, params, rng));
-    return edges;
+    return fillBlocks(num_edges, seed, 4 * scale, [&](Rng &rng) {
+        return rmatEdge(scale, params, rng);
+    });
 }
 
 std::vector<Edge>
 generateUniform(vid_t num_vertices, uint64_t num_edges, uint64_t seed)
 {
     XPG_ASSERT(num_vertices > 0, "need at least one vertex");
-    std::vector<Edge> edges;
-    edges.reserve(num_edges);
-    Rng rng(seed);
-    for (uint64_t i = 0; i < num_edges; ++i) {
-        edges.push_back(Edge{
-            static_cast<vid_t>(rng.nextBounded(num_vertices)),
-            static_cast<vid_t>(rng.nextBounded(num_vertices))});
-    }
-    return edges;
+    return fillBlocks(num_edges, seed, 2, [num_vertices](Rng &rng) {
+        return Edge{static_cast<vid_t>(rng.nextBounded(num_vertices)),
+                    static_cast<vid_t>(rng.nextBounded(num_vertices))};
+    });
 }
 
 void

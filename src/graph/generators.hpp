@@ -28,14 +28,16 @@ struct RmatParams
 };
 
 /**
- * Generate @p num_edges RMAT edges over 2^@p scale vertices.
- * Deterministic in @p seed. Self-loops allowed (real traces have them);
- * duplicates allowed (evolving graphs re-add edges).
+ * Generate @p num_edges RMAT edges over 2^@p scale vertices, in blocks
+ * on every CPU the process may run on. Deterministic in @p seed, with
+ * the same bytes at any CPU count. Self-loops allowed (real traces have
+ * them); duplicates allowed (evolving graphs re-add edges).
  */
 std::vector<Edge> generateRmat(unsigned scale, uint64_t num_edges,
                                const RmatParams &params, uint64_t seed);
 
-/** Uniformly random edges over @p num_vertices vertices. */
+/** Uniformly random edges over @p num_vertices vertices; generated
+ *  and deterministic like generateRmat(). */
 std::vector<Edge> generateUniform(vid_t num_vertices, uint64_t num_edges,
                                   uint64_t seed);
 

@@ -7,13 +7,17 @@
 #ifndef XPG_UTIL_RNG_HPP
 #define XPG_UTIL_RNG_HPP
 
+#include <array>
+#include <bit>
 #include <cstdint>
 
 namespace xpg {
 
 /**
- * xoshiro256** generator. Deterministic, splittable via jump-free
- * reseeding (splitmix64 of the seed), and much faster than mt19937_64.
+ * xoshiro256** generator. Deterministic (splitmix64 of the seed), much
+ * faster than mt19937_64, and splittable: jump(n) moves a copy of a
+ * stream n draws ahead in O(log n), so workers can fill disjoint parts
+ * of one stream.
  */
 class Rng
 {
@@ -58,6 +62,9 @@ class Rng
             (static_cast<unsigned __int128>(next()) * bound) >> 64);
     }
 
+    /** Same state, hence the same stream from here on. */
+    bool operator==(const Rng &) const = default;
+
     /** Uniform double in [0, 1). */
     double
     nextDouble()
@@ -65,7 +72,69 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
+    /**
+     * Advance by @p draws next() calls in O(log draws): the state update
+     * is linear over GF(2), so stepping n times is applying the
+     * polynomial x^n mod P of the update, P being its characteristic
+     * polynomial (the reference xoshiro256 jump() is n = 2^128).
+     */
+    void
+    jump(uint64_t draws)
+    {
+        if (draws == 0)
+            return;
+        Poly r{2, 0, 0, 0}; // x, for the top bit of draws
+        for (int bit = std::bit_width(draws) - 2; bit >= 0; --bit) {
+            r = mulMod(r, r);
+            if ((draws >> bit) & 1)
+                timesX(r);
+        }
+        Poly acc{};
+        for (unsigned k = 0; k < 256; ++k, next())
+            if ((r[k / 64] >> (k % 64)) & 1)
+                for (unsigned i = 0; i < 4; ++i)
+                    acc[i] ^= state_[i];
+        for (unsigned i = 0; i < 4; ++i)
+            state_[i] = acc[i];
+    }
+
   private:
+    /// A polynomial over GF(2) of degree < 256; bit k is x^k's term.
+    using Poly = std::array<uint64_t, 4>;
+
+    /// P minus its x^256 term (Berlekamp-Massey on the state sequence;
+    /// x^(2^128) mod P is the reference jump constant).
+    static constexpr Poly kCharPoly = {
+        0x9d116f2bb0f0f001ull, 0x0280002bcefd1a5eull,
+        0x04b4edcf26259f85ull, 0x0003c03c3f3ecb19ull};
+
+    /** r = r * x mod P. */
+    static void
+    timesX(Poly &r)
+    {
+        const uint64_t carry = r[3] >> 63;
+        for (unsigned i = 3; i > 0; --i)
+            r[i] = r[i] << 1 | r[i - 1] >> 63;
+        r[0] <<= 1;
+        if (carry)
+            for (unsigned i = 0; i < 4; ++i)
+                r[i] ^= kCharPoly[i];
+    }
+
+    /** a * b mod P, Horner over a's terms from the top. */
+    static Poly
+    mulMod(const Poly &a, const Poly &b)
+    {
+        Poly acc{};
+        for (int k = 255; k >= 0; --k) {
+            timesX(acc);
+            if ((a[k / 64] >> (k % 64)) & 1)
+                for (unsigned i = 0; i < 4; ++i)
+                    acc[i] ^= b[i];
+        }
+        return acc;
+    }
+
     static uint64_t
     rotl(uint64_t x, int k)
     {

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "util/checksum.hpp"
 
 namespace xpg {
 namespace {
@@ -74,6 +77,53 @@ TEST(Generators, UniformIsNotSkewed)
     EXPECT_LT(max_deg, 100u); // mean ~24; Poisson tail stays low
 }
 
+/** FNV-1a of @p edges' bytes, continuing from @p seed. */
+uint64_t
+edgeHash(const std::vector<Edge> &edges, uint64_t seed = fnv1a64(nullptr, 0))
+{
+    return fnv1a64(edges.data(), edges.size() * sizeof(Edge), seed);
+}
+
+TEST(Generators, StreamsArePinned)
+{
+    // The constants were recorded from the serial loop that the block
+    // fill (blocks of 2^16 edges) replaced; the fill must reproduce its
+    // bytes at any CPU count. Every catalog stand-in at shift 14, then
+    // RMAT and uniform streams around block boundaries at the smallest
+    // and largest RMAT scales.
+    std::vector<std::pair<std::string, uint64_t>> got;
+    for (const DatasetSpec &spec : datasetCatalog()) {
+        const Dataset ds = generateDataset(spec, 14);
+        got.emplace_back(spec.abbrev, edgeHash(ds.edges, ds.numVertices));
+    }
+    for (uint64_t n : {0ull, 1ull, (1ull << 16) - 1, 1ull << 16,
+                       (1ull << 16) + 1, 3 * (1ull << 16) + 5}) {
+        for (unsigned scale : {1u, 30u})
+            got.emplace_back(
+                "rmat scale " + std::to_string(scale) + " n " +
+                    std::to_string(n),
+                edgeHash(generateRmat(scale, n, RmatParams{}, 0x5EED)));
+        got.emplace_back("uniform n " + std::to_string(n),
+                         edgeHash(generateUniform(1000, n, 0x5EED)));
+    }
+    const std::vector<uint64_t> want = {
+        // TT, FS, UK, YW, K28, K29, K30
+        0x7bc5e8c502ac7e81ull, 0x01ddb007bb56777dull, 0x96be8afa550f46e7ull,
+        0x95b655606e1a2adcull, 0x014dfefb878af33full, 0x7ece59e4df41ed43ull,
+        0x248f7032010fea0bull,
+        // per edge count: RMAT scale 1, RMAT scale 30, uniform
+        0x14650fb0739d0383ull, 0x14650fb0739d0383ull, 0x14650fb0739d0383ull,
+        0x29034675a49f07c2ull, 0x576c942fc38e8979ull, 0xd1921ef8a6369c3bull,
+        0x2e76f1f8d76dfe13ull, 0x03415f0ff15bde10ull, 0x50894abcd54756e3ull,
+        0x6aef3ea1825c3e73ull, 0xc29378d082c5246aull, 0x25a954bab04990e5ull,
+        0x78e9a81a434e4ad3ull, 0xb0d46da2e2cbfba0ull, 0xc488d10e0092d176ull,
+        0x32b1dfd8348c6a92ull, 0x8d4f5de167ebff89ull, 0x270a4e4bb8641808ull,
+    };
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].second, want[i]) << got[i].first;
+}
+
 TEST(Generators, FoldMapsIntoRange)
 {
     auto edges = generateRmat(12, 10000, RmatParams{}, 7);
@@ -112,6 +162,13 @@ TEST(Datasets, LookupByAbbrevWorksAndUnknownIsFatal)
     EXPECT_EQ(datasetByAbbrev("UK").name, "UKdomain");
     EXPECT_EXIT(datasetByAbbrev("nope"), ::testing::ExitedWithCode(1),
                 "unknown dataset");
+}
+
+TEST(Datasets, ShiftAbove63IsFatal)
+{
+    // The paper's counts are 64-bit: a shift of 64 must not wrap to 0.
+    EXPECT_EXIT(generateDataset(datasetByAbbrev("TT"), 64),
+                ::testing::ExitedWithCode(1), "scale shift");
 }
 
 TEST(Datasets, ScalePreservesEdgeVertexRatio)

@@ -182,6 +182,20 @@ TEST(Rng, DoubleInUnitInterval)
     }
 }
 
+TEST(Rng, JumpMatchesStepping)
+{
+    // The last distance is 17 blocks of 2^16 one-level RMAT edges.
+    for (uint64_t draws : {0ull, 1ull, 63ull, 64ull, 65ull, 1000ull,
+                           4ull * 17 * (1ull << 16)}) {
+        Rng jumped(0x5EED), stepped(0x5EED);
+        jumped.jump(draws);
+        for (uint64_t i = 0; i < draws; ++i)
+            stepped.next();
+        EXPECT_EQ(jumped, stepped) << draws;
+        EXPECT_EQ(jumped.next(), stepped.next()) << draws;
+    }
+}
+
 /** @p threads_n threads make @p increments guarded increments each. */
 void
 expectMutualExclusion(unsigned threads_n, int increments)

@@ -161,11 +161,12 @@ class Args
         return it == values_.end() ? fallback : it->second;
     }
 
-    /** The option as a whole unsigned decimal that fits @p T; any other
-     *  value is fatal, naming the option. */
+    /** The option as a whole unsigned decimal up to @p max (default: the
+     *  largest @p T); any other value is fatal, naming the option. */
     template <typename T = uint64_t>
     T
-    getInt(const std::string &key, std::type_identity_t<T> fallback) const
+    getInt(const std::string &key, std::type_identity_t<T> fallback,
+           std::type_identity_t<T> max = std::numeric_limits<T>::max()) const
     {
         auto it = values_.find(key);
         if (it == values_.end())
@@ -175,11 +176,18 @@ class Args
         errno = 0;
         const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
         if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
-            errno == ERANGE || n > std::numeric_limits<T>::max())
+            errno == ERANGE || n > max)
             XPG_FATAL("--" + key + " expects a whole number from 0 to " +
-                      std::to_string(std::numeric_limits<T>::max()) +
-                      ", got '" + v + "'");
+                      std::to_string(max) + ", got '" + v + "'");
         return static_cast<T>(n);
+    }
+
+    /** --shift: a scale shift from 0 to kMaxScaleShift, defaulting to
+     *  defaultScaleShift(); any other value is fatal, naming the option. */
+    unsigned
+    getShift() const
+    {
+        return getInt<unsigned>("shift", defaultScaleShift(), kMaxScaleShift);
     }
 
     /** --threads: a whole number of threads, at least 1; any other
@@ -374,8 +382,7 @@ cmdGenerate(const Args &args)
     const std::string out = args.get("out");
     if (out.empty())
         XPG_FATAL("--out <file> is required");
-    const unsigned shift =
-        args.getInt<unsigned>("shift", defaultScaleShift());
+    const unsigned shift = args.getShift();
     const Dataset ds =
         generateDataset(datasetByAbbrev(args.get("dataset", "FS")), shift);
     saveEdgeList(out, ds.edges);
@@ -741,8 +748,7 @@ loadArchivedStore(const Args &args, bool quiet)
         a.edges = loadInput(args, nv, quiet);
         a.input = args.get("in");
     } else {
-        const unsigned shift =
-            args.getInt<unsigned>("shift", defaultScaleShift());
+        const unsigned shift = args.getShift();
         a.input = args.get("dataset", "TT");
         Dataset ds = generateDataset(datasetByAbbrev(a.input), shift);
         nv = ds.numVertices;
@@ -1203,8 +1209,7 @@ cmdPipeline(const Args &args)
     // a crash, and recovery. With --telemetry FILE the resulting
     // timeline shows the client-session and archiver spans overlapping
     // and the recovery rebuild/replay steps after them.
-    const unsigned shift =
-        args.getInt<unsigned>("shift", defaultScaleShift());
+    const unsigned shift = args.getShift();
     const Dataset ds =
         generateDataset(datasetByAbbrev(args.get("dataset", "TT")), shift);
     const unsigned sessions = args.getInt<unsigned>("sessions", 4);
